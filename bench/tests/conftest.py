@@ -1,0 +1,6 @@
+"""The benchmark's modules are scripts' siblings, not a package."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
