@@ -4,9 +4,8 @@
 Runs an ensemble of steered pulls on the reduced translocation model at the
 paper's optimal parameters (kappa = 100 pN/A, v = 12.5 A/ns), applies
 Jarzynski's equality through the unified ``estimate_free_energy`` front
-door, and compares against the exactly known PMF.  The ensemble runs
-through the parallel executor — bit-identical to serial at any worker
-count.
+door, and compares against the exactly known PMF.  The ensemble runs as
+independently seeded shards, merged in shard order.
 """
 
 import numpy as np
@@ -23,12 +22,12 @@ def main() -> None:
 
     # 2. The experiment: constant-velocity pulling through a harmonic trap
     #    over a 10 A sub-trajectory window centred on the constriction.
-    #    Replicas are independent, so the ensemble executes as parallel
-    #    shards; the result never depends on n_workers.
+    #    Replicas are independent, so the ensemble is a stack of seeded
+    #    shards; where they execute never changes the result.
     protocol = PullingProtocol(kappa_pn=100.0, velocity=12.5,
                                distance=10.0, start_z=-5.0)
     ensemble = run_pulling_ensemble_parallel(model, protocol, n_samples=48,
-                                             n_workers=2, seed=2005)
+                                             seed=2005)
     print(f"ran {ensemble.n_samples} pulls of {protocol.duration_ns:.2f} ns "
           f"(cost model: {ensemble.cpu_hours:.0f} CPU-hours at paper scale)")
     print(f"work spread: {ensemble.dissipated_width():.2f} kT")

@@ -322,7 +322,6 @@ def _run_adaptive_campaign(args) -> CommandResult:
     report = run_adaptive_campaign(
         model, proto, n_bins=args.bins, total_replicas=args.budget,
         pilot_per_bin=args.pilot, seed=args.seed,
-        executor="streamed" if store is not None else "inline",
         store=store, obs=obs, kernel="vectorized",
     )
     lines = [
@@ -495,7 +494,7 @@ def cmd_bench(args) -> CommandResult:
     kernels = run_kernel_benchmark(quick=args.quick, seed=args.seed,
                                    obs=Obs())
     ensemble = run_ensemble_benchmark(quick=args.quick, seed=args.seed,
-                                      n_workers=args.workers, obs=Obs())
+                                      obs=Obs())
     store = run_store_benchmark(quick=args.quick, seed=args.seed,
                                 obs=Obs(), n_tasks=args.store_tasks)
     adaptive = run_adaptive_benchmark(quick=args.quick, seed=args.seed,
@@ -513,6 +512,7 @@ def cmd_bench(args) -> CommandResult:
 
     sr = kernels["step_rate"]
     nr = kernels["neighbor_rebuild"]
+    batched = ensemble["batched"]
     lines = [
         f"kernel step rate ({kernels['system']['n_particles']} particles):",
         f"  reference   {sr['reference']['steps_per_s']:10.1f} steps/s",
@@ -522,17 +522,18 @@ def cmd_bench(args) -> CommandResult:
         f"  reference   {1e3 * nr['reference']['build_s']:10.2f} ms",
         f"  vectorized  {1e3 * nr['vectorized']['build_s']:10.2f} ms"
         f"   ({nr['speedup']:.1f}x)",
-        f"ensemble ({ensemble['workload']['n_samples']} pulls, "
-        f"{ensemble['n_workers']} workers):",
-        f"  serial      {ensemble['serial_wall_s']:10.2f} s",
-        f"  parallel    {ensemble['parallel_wall_s']:10.2f} s"
-        f"   ({ensemble['speedup']:.2f}x, deterministic: "
-        f"{ensemble['deterministic']})",
-        f"batched ensemble ({ensemble['batched']['n_replicas']} replicas):",
-        f"  per-traj    {ensemble['batched']['per_trajectory_wall_s']:10.2f} s",
-        f"  batched     {ensemble['batched']['batched_wall_s']:10.2f} s"
+        f"batched ensemble ({batched['n_replicas']} replicas, shards of "
+        f"{ensemble['workload']['shard_size']}; median of "
+        f"{batched['batched_wall']['repeats']}):",
+        f"  per-shard   {ensemble['per_shard_wall']['median_s']:10.2f} s",
+        f"  batched     {batched['batched_wall']['median_s']:10.2f} s"
         f"   ({ensemble['batched_speedup']:.2f}x, deterministic: "
         f"{ensemble['deterministic']})",
+        f"per-trajectory layout (shards of 1):",
+        f"  per-traj    {batched['per_trajectory_wall']['median_s']:10.2f} s",
+        f"  batched     "
+        f"{batched['per_trajectory_batched_wall']['median_s']:10.2f} s"
+        f"   ({ensemble['batched_speedup_per_trajectory']:.2f}x)",
         f"store streaming ({store['workload']['n_tasks']} tasks, "
         f"window {store['workload']['window']}):",
         f"  cold        {store['cold']['wall_s']:10.2f} s"
@@ -552,7 +553,7 @@ def cmd_bench(args) -> CommandResult:
             f"uniform {point['uniform_error']:6.3f} kcal/mol rms")
     lines += [
         f"  deterministic: {adaptive['deterministic']} "
-        f"(inline/twin/batched/streamed digests)",
+        f"(no-store/twin/batched/cold-store/warm-store digests)",
         f"wrote {kernels_path}, {ensemble_path}, {store_path} and "
         f"{adaptive_path}",
     ]
@@ -973,9 +974,6 @@ COMMANDS: Dict[str, CommandSpec] = {
                 _arg("--out-dir", default=".",
                      help="directory for BENCH_kernels.json / "
                           "BENCH_ensemble.json"),
-                _arg("--workers", type=int, default=None,
-                     help="ensemble worker count "
-                          "(default: min(4, cpu_count))"),
                 _arg("--store-tasks", type=int, default=None,
                      help="streamed-task count for the store benchmark "
                           "(default: 2000 quick / 10000 full)"),

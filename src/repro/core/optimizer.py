@@ -20,7 +20,8 @@ from ..errors import AnalysisError, ConfigurationError
 from ..obs import Obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import stream_for
-from ..smd.ensemble import run_pulling_ensemble, run_work_ensemble
+from ..smd.ensemble import run_pulling_ensemble
+from ..smd.plan import cell_labels, run_work_ensemble
 from ..smd.protocol import PullingProtocol, parameter_grid
 from ..smd.work import WorkEnsemble
 from .error_analysis import ErrorBudget, analyze_ensemble, pairwise_consistency
@@ -91,7 +92,7 @@ def run_parameter_study(
     threshold used by the velocity tie-break (Section IV-C).
 
     ``samples_per_task`` switches each cell to the restartable
-    :func:`~repro.smd.ensemble.run_work_ensemble` decomposition
+    :func:`~repro.smd.run_work_ensemble` decomposition
     (``n_samples / samples_per_task`` tasks, each its own RNG stream and —
     with ``store`` attached — its own store record).  It must divide
     ``n_samples`` evenly.  ``None`` keeps the historical monolithic
@@ -123,54 +124,66 @@ def run_parameter_study(
             f"samples_per_task ({samples_per_task}) must divide "
             f"n_samples ({n_samples}) evenly")
 
+    # Every protocol that streams past, keyed by (kappa, v) in order;
+    # ``protocols`` may be a generator, so the shape check rides along.
+    seen: Dict[Tuple[float, float], PullingProtocol] = {}
+
+    def checked() -> Iterator[PullingProtocol]:
+        for proto in protocols:
+            first = next(iter(seen.values()), proto)
+            if (proto.distance, proto.start_z) != (first.distance,
+                                                   first.start_z):
+                raise ConfigurationError(
+                    "all protocols must share distance and start")
+            seen[(proto.kappa_pn, proto.velocity)] = proto
+            yield proto
+
     ensembles: Dict[Tuple[float, float], WorkEnsemble] = {}
+    if window is not None:
+        # Lazy streaming executor; cells with dead-lettered tasks are
+        # absent from ``merged`` — the degraded-completion contract.
+        from ..workflow.streaming import run_streamed_study
+
+        if store is None or samples_per_task is None:
+            raise ConfigurationError(
+                "streamed studies (window=...) require store and "
+                "samples_per_task")
+        merged, _report = run_streamed_study(
+            model, checked(), n_samples=n_samples,
+            samples_per_task=samples_per_task, seed=seed, store=store,
+            window=window, dlq=dlq, retry=retry, n_records=n_records,
+            kernel=kernel, obs=obs,
+        )
+        for key, proto in seen.items():
+            if cell_labels(proto) in merged:
+                ensembles[key] = merged[cell_labels(proto)]
+    else:
+        for proto in checked():
+            labels = cell_labels(proto)
+            if samples_per_task is not None:
+                ens = run_work_ensemble(
+                    model, proto, n_samples // samples_per_task,
+                    samples_per_task, seed=seed, labels=labels,
+                    store=store, n_records=n_records, obs=obs, kernel=kernel,
+                )
+            else:
+                # Historical monolithic layout: one stream per cell.
+                ens = run_pulling_ensemble(
+                    model, proto, n_samples=n_samples, n_records=n_records,
+                    seed=stream_for(seed, *labels), obs=obs,
+                    store=store, store_key=(seed, *labels), kernel=kernel,
+                )
+            ensembles[(proto.kappa_pn, proto.velocity)] = ens
+    if not seen:
+        raise ConfigurationError("no protocols to study")
+    reference_velocity = min(p.velocity for p in seen.values())
+
     estimates: Dict[Tuple[float, float], PMFEstimate] = {}
     budgets: Dict[Tuple[float, float], ErrorBudget] = {}
     ref_disp: Optional[np.ndarray] = None
     ref_pmf: Optional[np.ndarray] = None
-
-    if window is not None:
-        seen, ensembles = _run_streamed_cells(
-            model, protocols, n_samples=n_samples,
-            samples_per_task=samples_per_task, n_records=n_records,
-            seed=seed, store=store, window=window, dlq=dlq, retry=retry,
-            kernel=kernel, obs=obs,
-        )
-        if not seen:
-            raise ConfigurationError("no protocols to study")
-        reference_velocity = min(p.velocity for p in seen.values())
-        stream_protocols = [seen[key] for key in seen if key in ensembles]
-    else:
-        protocols = list(protocols)
-        if not protocols:
-            raise ConfigurationError("no protocols to study")
-        grids = {(p.distance, p.start_z) for p in protocols}
-        if len(grids) != 1:
-            raise ConfigurationError(
-                "all protocols must share distance and start")
-        reference_velocity = min(p.velocity for p in protocols)
-        stream_protocols = None
-
-    for proto in (protocols if stream_protocols is None
-                  else stream_protocols):
-        key = (proto.kappa_pn, proto.velocity)
-        cell_labels = ("cell", int(proto.kappa_pn * 1000),
-                       int(proto.velocity * 1000))
-        if stream_protocols is not None:
-            ens = ensembles[key]
-        elif samples_per_task is not None:
-            ens = run_work_ensemble(
-                model, proto, n_samples // samples_per_task,
-                samples_per_task, seed=seed, labels=cell_labels,
-                store=store, n_records=n_records, obs=obs, kernel=kernel,
-            )
-        else:
-            ens = run_pulling_ensemble(
-                model, proto, n_samples=n_samples, n_records=n_records,
-                seed=stream_for(seed, *cell_labels), obs=obs,
-                store=store, store_key=(seed, *cell_labels), kernel=kernel,
-            )
-        ensembles[key] = ens
+    for key, ens in ensembles.items():
+        proto = seen[key]
         estimates[key] = estimate_pmf(ens, estimator=estimator)
         if ref_disp is None:
             ref_disp = ens.displacements
@@ -181,7 +194,7 @@ def run_parameter_study(
             reference_velocity=reference_velocity,
             estimator=estimator,
             n_bootstrap=n_bootstrap,
-            seed=stream_for(seed, "boot", int(proto.kappa_pn * 1000), int(proto.velocity * 1000)),
+            seed=stream_for(seed, "boot", *cell_labels(proto)[1:]),
         )
 
     if ref_disp is None or ref_pmf is None:
@@ -196,64 +209,6 @@ def run_parameter_study(
         reference_pmf=ref_pmf - ref_pmf[0],
         optimal=optimal,
     )
-
-
-def _run_streamed_cells(
-    model: ReducedTranslocationModel,
-    protocols: Iterable[PullingProtocol],
-    *,
-    n_samples: int,
-    samples_per_task: Optional[int],
-    n_records: int,
-    seed: int,
-    store,
-    window: int,
-    dlq,
-    retry,
-    kernel: str,
-    obs: Optional[Obs],
-) -> Tuple[Dict[Tuple[float, float], PullingProtocol],
-           Dict[Tuple[float, float], WorkEnsemble]]:
-    """Drain the study through the lazy streaming executor.
-
-    Returns ``(seen, ensembles)``: every protocol that streamed past
-    (keyed by ``(kappa, v)``, insertion-ordered) and the merged ensemble
-    for each cell whose tasks all resolved.  Cells with dead-lettered
-    tasks appear in ``seen`` but not in ``ensembles`` — the degraded-
-    completion contract.
-    """
-    from ..workflow.streaming import run_streamed_study
-
-    if store is None or samples_per_task is None:
-        raise ConfigurationError(
-            "streamed studies (window=...) require store and "
-            "samples_per_task")
-    seen: Dict[Tuple[float, float], PullingProtocol] = {}
-    shape: list[Tuple[float, float]] = []
-
-    def checked() -> Iterator[PullingProtocol]:
-        for proto in protocols:
-            if not shape:
-                shape.append((proto.distance, proto.start_z))
-            elif (proto.distance, proto.start_z) != shape[0]:
-                raise ConfigurationError(
-                    "all protocols must share distance and start")
-            seen[(proto.kappa_pn, proto.velocity)] = proto
-            yield proto
-
-    merged, _report = run_streamed_study(
-        model, checked(), n_samples=n_samples,
-        samples_per_task=samples_per_task, seed=seed, store=store,
-        window=window, dlq=dlq, retry=retry, n_records=n_records,
-        kernel=kernel, obs=obs,
-    )
-    ensembles: Dict[Tuple[float, float], WorkEnsemble] = {}
-    for key, proto in seen.items():
-        labels = ("cell", int(proto.kappa_pn * 1000),
-                  int(proto.velocity * 1000))
-        if labels in merged:
-            ensembles[key] = merged[labels]
-    return seen, ensembles
 
 
 def select_optimal(

@@ -1,27 +1,30 @@
-"""Work-ensemble executor benchmark: serial vs parallel, batched vs per-trajectory.
+"""Work-ensemble benchmark: one engine call per group vs one stacked call.
 
 Times :func:`repro.smd.run_pulling_ensemble_parallel` on a fixed paper
-workload (kappa = 100 pN/A, v = 12.5 A/ns) in two sections:
+workload (kappa = 100 pN/A, v = 12.5 A/ns) under both stacking policies,
+on two shard layouts:
 
-* **executor** — ``n_workers=1`` vs the benchmark worker count (the
-  process-pool speedup);
-* **batched** — per-trajectory execution (``shard_size=1``, each replica
-  its own engine call) vs ``kernel="batched"`` routing all replicas
-  through *one* replica-batched engine call.  This is the headline
-  ensemble-throughput number: the batch eliminates the per-replica Python
-  step-loop overhead entirely.
+* **default layout** (``shard_size`` = :data:`~repro.smd.DEFAULT_SHARD_SIZE`)
+  — ``kernel="vectorized"`` (one engine call per 8-replica shard) vs
+  ``kernel="batched"`` (all shards in one call).  This is the headline
+  ``batched_speedup``: it is measured against the path callers get by
+  default.
+* **per-trajectory layout** (``shard_size=1``) — every replica its own
+  engine call vs all of them stacked.  The secondary
+  ``batched_speedup_per_trajectory``: the most the stack can save, the
+  whole per-replica Python step loop.
 
-Every pair of legs is cross-checked bit-for-bit — the executor's and the
-batched engine's core guarantee.  A run that breaks determinism produces a
-document that fails validation, so the regression cannot slip through a
-benchmark run or CI.
+Every leg is repeated and reported as min / median / spread.  Within a
+layout the two policies are cross-checked bit-for-bit — the engine's core
+guarantee.  A run that breaks determinism produces a document that fails
+validation, so the regression cannot slip through a benchmark run or CI.
 """
 
 from __future__ import annotations
 
-import os
+import statistics
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from ..rng import SeedLike, as_seed_int
 from ..smd import (
     DEFAULT_SHARD_SIZE,
     PullingProtocol,
+    WorkEnsemble,
     run_pulling_ensemble_parallel,
 )
 from .harness import SCHEMA_ENSEMBLE, metrics_snapshot
@@ -38,75 +42,70 @@ from .harness import SCHEMA_ENSEMBLE, metrics_snapshot
 __all__ = ["run_ensemble_benchmark"]
 
 
+def _identical(a: WorkEnsemble, b: WorkEnsemble) -> bool:
+    return (np.array_equal(a.works, b.works)
+            and np.array_equal(a.positions, b.positions)
+            and np.array_equal(a.displacements, b.displacements))
+
+
 def run_ensemble_benchmark(
     quick: bool = False,
     seed: SeedLike = 2005,
-    n_workers: Optional[int] = None,
     obs: Optional[Obs] = None,
     kernel: str = "vectorized",
 ) -> dict:
-    """Benchmark the parallel executor and the replica-batched engine.
+    """Benchmark the two stacking policies of the pulling engine.
 
     Returns a BENCH document (schema
-    :data:`~repro.perf.harness.SCHEMA_ENSEMBLE`).  ``n_workers`` defaults
-    to ``min(4, os.cpu_count())`` but never below 2, so the parallel leg
-    always goes through the process pool — the serial-vs-pool bit-for-bit
-    comparison (the ``deterministic`` field) is the executor's core
-    guarantee and must be exercised even on a single-core host.  ``quick``
-    shrinks the ensemble to CI smoke scale (the batched section still runs
-    at 16 replicas, the acceptance floor for the batched speedup).
-    ``kernel`` selects the execution kernel of the *executor* section's
-    legs; the batched section always compares per-trajectory
-    ``"vectorized"`` against ``"batched"``.
+    :data:`~repro.perf.harness.SCHEMA_ENSEMBLE`).  ``quick`` shrinks the
+    ensemble to CI smoke scale (16 replicas, two repeats per leg).
+    ``kernel`` selects the per-group policy of the baseline legs
+    (``"vectorized"`` or the ``"reference"`` oracle); the stacked legs
+    always run ``"batched"``.
     """
     obs = as_obs(obs)
     seed_int = as_seed_int(seed)
-    if n_workers is None:
-        n_workers = max(2, min(4, os.cpu_count() or 1))
     n_samples = 16 if quick else 64
     shard_size = 4 if quick else DEFAULT_SHARD_SIZE
-    n_replicas = 16 if quick else 64
+    repeats = 2 if quick else 3
 
     model = ReducedTranslocationModel(potential=default_reduced_potential())
     protocol = PullingProtocol(kappa_pn=100.0, velocity=12.5)
 
-    def run(workers: int, shards: int, run_kernel: str):
-        t0 = time.perf_counter()
-        ensemble = run_pulling_ensemble_parallel(
-            model, protocol, n_samples if shards != 1 else n_replicas,
-            n_workers=workers, shard_size=shards, seed=seed_int,
-            kernel=run_kernel,
-        )
-        return ensemble, time.perf_counter() - t0
+    def leg(shards: int, run_kernel: str) -> Tuple[WorkEnsemble, dict]:
+        walls = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            ensemble = run_pulling_ensemble_parallel(
+                model, protocol, n_samples, shard_size=shards,
+                seed=seed_int, kernel=run_kernel)
+            walls.append(time.perf_counter() - t0)
+        return ensemble, {
+            "repeats": repeats,
+            "min_s": min(walls),
+            "median_s": statistics.median(walls),
+            "spread_s": max(walls) - min(walls),
+        }
 
     with obs.span("perf.bench.ensemble", quick=quick, n_samples=n_samples,
-                  n_workers=n_workers, shard_size=shard_size,
-                  n_replicas=n_replicas):
-        serial, serial_wall = run(1, shard_size, kernel)
-        parallel, parallel_wall = run(n_workers, shard_size, kernel)
-        # Batched section: shard_size=1 makes every replica its own engine
-        # call (the per-trajectory baseline); kernel="batched" stacks the
-        # same per-replica streams into one batched call.
-        per_traj, per_traj_wall = run(1, 1, "vectorized")
-        batched, batched_wall = run(1, 1, "batched")
+                  shard_size=shard_size, repeats=repeats):
+        per_shard, per_shard_wall = leg(shard_size, kernel)
+        batched, batched_wall = leg(shard_size, "batched")
+        per_traj, per_traj_wall = leg(1, kernel)
+        stacked, stacked_wall = leg(1, "batched")
 
-    deterministic = (
-        np.array_equal(serial.works, parallel.works)
-        and np.array_equal(serial.positions, parallel.positions)
-        and np.array_equal(serial.displacements, parallel.displacements)
-        and np.array_equal(per_traj.works, batched.works)
-        and np.array_equal(per_traj.positions, batched.positions)
-        and np.array_equal(per_traj.displacements, batched.displacements)
-    )
-    batched_speedup = per_traj_wall / batched_wall
+    deterministic = (_identical(per_shard, batched)
+                     and _identical(per_traj, stacked))
+    speedup = per_shard_wall["median_s"] / batched_wall["median_s"]
+    speedup_per_traj = per_traj_wall["median_s"] / stacked_wall["median_s"]
     if obs.enabled:
-        obs.metrics.set_gauge("perf.ensemble.serial_wall_s", serial_wall)
-        obs.metrics.set_gauge("perf.ensemble.parallel_wall_s", parallel_wall)
-        obs.metrics.set_gauge("perf.ensemble.speedup",
-                              serial_wall / parallel_wall)
-        obs.metrics.set_gauge("perf.ensemble.batched_wall_s", batched_wall)
-        obs.metrics.set_gauge("perf.ensemble.batched_speedup",
-                              batched_speedup)
+        obs.metrics.set_gauge("perf.ensemble.per_shard_wall_s",
+                              per_shard_wall["median_s"])
+        obs.metrics.set_gauge("perf.ensemble.batched_wall_s",
+                              batched_wall["median_s"])
+        obs.metrics.set_gauge("perf.ensemble.batched_speedup", speedup)
+        obs.metrics.set_gauge("perf.ensemble.batched_speedup_per_trajectory",
+                              speedup_per_traj)
 
     return {
         "schema": SCHEMA_ENSEMBLE,
@@ -118,19 +117,17 @@ def run_ensemble_benchmark(
             "n_samples": n_samples,
             "shard_size": shard_size,
         },
-        "n_workers": n_workers,
-        "serial_wall_s": serial_wall,
-        "parallel_wall_s": parallel_wall,
-        "speedup": serial_wall / parallel_wall,
-        "samples_per_s_serial": n_samples / serial_wall,
-        "samples_per_s_parallel": n_samples / parallel_wall,
+        "per_shard_wall": per_shard_wall,
+        "samples_per_s_per_shard": n_samples / per_shard_wall["median_s"],
         "batched": {
-            "n_replicas": n_replicas,
-            "per_trajectory_wall_s": per_traj_wall,
-            "batched_wall_s": batched_wall,
-            "samples_per_s_batched": n_replicas / batched_wall,
+            "n_replicas": n_samples,
+            "batched_wall": batched_wall,
+            "per_trajectory_wall": per_traj_wall,
+            "per_trajectory_batched_wall": stacked_wall,
+            "samples_per_s_batched": n_samples / batched_wall["median_s"],
         },
-        "batched_speedup": batched_speedup,
+        "batched_speedup": speedup,
+        "batched_speedup_per_trajectory": speedup_per_traj,
         "deterministic": bool(deterministic),
         "metrics": metrics_snapshot(obs),
     }

@@ -7,9 +7,9 @@ root, one per benchmark family:
   for the ``reference`` vs ``vectorized`` kernels plus neighbor-list
   rebuild cost (see :mod:`repro.perf.bench_kernels`);
 * ``BENCH_ensemble.json`` (:data:`SCHEMA_ENSEMBLE`) — work-ensemble
-  wall-clock, serial vs the process-pool executor plus the replica-batched
-  engine vs per-trajectory execution, with the determinism cross-check
-  (see :mod:`repro.perf.bench_ensemble`).
+  wall-clock, one engine call per shard vs all shards stacked in one call
+  (and the same at one replica per shard), every leg repeated, with the
+  determinism cross-check (see :mod:`repro.perf.bench_ensemble`).
 
 Each document carries a ``schema`` tag so future PRs can extend the format
 without ambiguity, and :func:`validate_bench_document` is the single
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 SCHEMA_KERNELS = "repro.bench.kernels/v1"
-SCHEMA_ENSEMBLE = "repro.bench.ensemble/v2"
+SCHEMA_ENSEMBLE = "repro.bench.ensemble/v3"
 SCHEMA_STORE = "repro.bench.store/v1"
 SCHEMA_ADAPTIVE = "repro.bench.adaptive/v1"
 
@@ -114,6 +114,18 @@ def _require_positive(doc: dict, key: str) -> float:
     return float(value)
 
 
+def _require_leg(doc: dict, key: str) -> None:
+    """A repeated timing leg: repeats, min, median (positive) and spread."""
+    leg = _require(doc, key, dict)
+    for field in ("repeats", "min_s", "median_s"):
+        _require_positive(leg, field)
+    spread = _require(leg, "spread_s", (int, float))
+    if isinstance(spread, bool) or spread < 0.0:
+        raise AnalysisError(
+            f"malformed BENCH document: {key!r} spread_s must be a "
+            f"non-negative number, got {spread!r}")
+
+
 def validate_bench_document(doc: object) -> dict:
     """Validate a BENCH document against its declared schema.
 
@@ -149,22 +161,20 @@ def validate_bench_document(doc: object) -> dict:
         workload = _require(doc, "workload", dict)
         _require_positive(workload, "n_samples")
         _require_positive(workload, "shard_size")
-        _require_positive(doc, "n_workers")
-        _require_positive(doc, "serial_wall_s")
-        _require_positive(doc, "parallel_wall_s")
-        _require_positive(doc, "speedup")
-        _require_positive(doc, "samples_per_s_parallel")
+        _require_leg(doc, "per_shard_wall")
         batched = _require(doc, "batched", dict)
         _require_positive(batched, "n_replicas")
-        _require_positive(batched, "per_trajectory_wall_s")
-        _require_positive(batched, "batched_wall_s")
+        for leg in ("batched_wall", "per_trajectory_wall",
+                    "per_trajectory_batched_wall"):
+            _require_leg(batched, leg)
         _require_positive(doc, "batched_speedup")
+        _require_positive(doc, "batched_speedup_per_trajectory")
         deterministic = _require(doc, "deterministic", bool)
         if not deterministic:
             raise AnalysisError(
                 "malformed BENCH document: ensemble benchmark reports "
-                "deterministic=false — executor legs diverged (serial vs "
-                "parallel, or batched vs per-trajectory)"
+                "deterministic=false — the stacked legs diverged from the "
+                "one-call-per-group legs"
             )
         _require(doc, "metrics", dict)
     elif schema == SCHEMA_STORE:
@@ -232,8 +242,8 @@ def validate_bench_document(doc: object) -> dict:
         if not deterministic:
             raise AnalysisError(
                 "malformed BENCH document: adaptive benchmark reports "
-                "deterministic=false — inline/twin/batched/streamed "
-                "digests diverged"
+                "deterministic=false — no-store/twin/batched/cold-store/"
+                "warm-store digests diverged"
             )
         _require(doc, "metrics", dict)
     else:

@@ -382,12 +382,11 @@ class CampaignRunner:
         """The campaign's store fingerprints (descriptors only, no
         physics): its slice of the shared store's content identity."""
         from ..pore import ReducedTranslocationModel, default_reduced_potential
-        from ..store.fingerprint import task_fingerprint
         from ..workflow.streaming import stream_study_tasks
 
         model = ReducedTranslocationModel(default_reduced_potential())
         return sorted(
-            task_fingerprint(task.task)
+            task.fingerprint
             for task in stream_study_tasks(
                 model, spec.protocols(),
                 spec.n_samples // spec.samples_per_task,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from ..errors import SpecError
+from ..md.kernels import KERNELS
 
 __all__ = ["SPEC_SCHEMA", "CampaignSpec"]
 
@@ -29,7 +30,6 @@ __all__ = ["SPEC_SCHEMA", "CampaignSpec"]
 #: so a future incompatible spec revision can never collide with v1 runs.
 SPEC_SCHEMA = "repro.service.spec/v1"
 
-_KERNELS = ("vectorized", "reference", "batched")
 
 #: Field name -> (type, default).  ``None`` default means required.
 _FIELDS: Dict[str, Tuple[type, Any]] = {
@@ -152,10 +152,10 @@ class CampaignSpec:
             raise SpecError("spec field 'equilibration_ns' must be >= 0")
         if values["seed"] < 0:
             raise SpecError("spec field 'seed' must be >= 0")
-        if values["kernel"] not in _KERNELS:
+        if values["kernel"] not in KERNELS:
             raise SpecError(
                 f"unknown kernel {values['kernel']!r}; "
-                f"expected one of {_KERNELS}")
+                f"expected one of {KERNELS}")
         from ..core import available_estimators, paired_estimators
 
         if values["estimator"] not in available_estimators():
@@ -239,12 +239,10 @@ class CampaignSpec:
     def cell_labels(self) -> List[Tuple[Any, ...]]:
         """Per-cell label tuples, aligned with :meth:`protocols`.
 
-        These replicate :func:`repro.workflow.streaming.stream_study_tasks`
-        exactly (``("cell", int(kappa*1000), int(v*1000))``) — they are the
-        join key between spec cells and streamed/merged ensembles.
+        These are the streamed study's own labels
+        (:func:`repro.smd.cell_labels`) — the join key between spec cells
+        and streamed/merged ensembles.
         """
-        return [
-            ("cell", int(kappa * 1000), int(velocity * 1000))
-            for kappa in self.kappas
-            for velocity in self.velocities
-        ]
+        from ..smd import cell_labels
+
+        return [cell_labels(proto) for proto in self.protocols()]

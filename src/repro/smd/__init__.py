@@ -5,13 +5,17 @@ reduced 1-D model and :class:`~repro.smd.pulling.SMDPullingForce` +
 :class:`~repro.smd.pulling.SMDWorkRecorder` on the 3-D engine — produce the
 same work-curve record format, consumed by :mod:`repro.core`.
 
-Every ``run_*`` entry point shares one keyword contract — ``seed=``,
-``kernel=`` (``"vectorized"`` / ``"batched"`` / ``"reference"``), ``obs=``,
-``store=`` / ``store_key=``, and ``shard_size=`` where sharding applies —
-and under ``kernel="batched"`` routes whole shards (or a whole grid cell)
-through one replica-batched engine call (:mod:`repro.smd.batched`),
-bit-identical to per-trajectory execution with unchanged store
-fingerprints.
+The reduced-model side is three layers: one engine
+(:func:`~repro.smd.batched.run_pulling_groups`, the only vectorised step
+loop, taking a stack of seeded replica groups), one task plan + resolver
+(:mod:`repro.smd.plan`: task identity, store hit/miss/put, merge), and
+thin entry points over them.  Every ``run_*`` entry point shares one
+keyword contract — ``seed=``, ``kernel=``, ``obs=``, ``store=`` /
+``store_key=``, and ``shard_size=`` where sharding applies.  ``kernel=``
+is ``"reference"`` (the per-replica scalar oracle) or a stacking policy:
+``"batched"`` pulls every shard / every missing task of a cell in one
+engine call, ``"vectorized"`` one call per shard or task — bit-identical,
+with unchanged store fingerprints.
 """
 
 from .protocol import (
@@ -22,14 +26,14 @@ from .protocol import (
     PAPER_VELOCITIES,
 )
 from .work import WorkEnsemble
-from .ensemble import (
-    run_pulling_ensemble,
+from .batched import run_pulling_groups, PAPER_CPU_HOURS_PER_NS
+from .ensemble import run_pulling_ensemble
+from .plan import (
+    cell_labels,
     run_pulling_ensemble_parallel,
     run_work_ensemble,
     DEFAULT_SHARD_SIZE,
-    PAPER_CPU_HOURS_PER_NS,
 )
-from .batched import run_pulling_groups
 from .bidirectional import BidirectionalEnsemble, run_bidirectional_ensemble
 from .ensemble3d import run_pulling_ensemble_3d
 from .pulling import (
@@ -51,6 +55,7 @@ __all__ = [
     "run_pulling_ensemble_parallel",
     "run_work_ensemble",
     "run_pulling_groups",
+    "cell_labels",
     "BidirectionalEnsemble",
     "run_bidirectional_ensemble",
     "run_pulling_ensemble_3d",

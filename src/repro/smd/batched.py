@@ -1,34 +1,38 @@
-"""Replica-batched pulling execution on the reduced 1-D model.
+"""The reduced-model pulling engine: one vectorised step loop for all groups.
 
-:func:`run_pulling_groups` stacks several independently seeded replica
-groups — shards of one ensemble, or whole store tasks of a (kappa, v)
-cell — into a single ``(total,)`` coordinate vector and steps them all
-with one NumPy operation per integration step.  This is the
-``kernel="batched"`` backend of :func:`repro.smd.run_pulling_ensemble`,
-:func:`repro.smd.run_pulling_ensemble_parallel` and
-:func:`repro.smd.run_work_ensemble`.
+:func:`run_pulling_groups` is the *only* vectorised step loop on the
+reduced 1-D model.  Its input is a stack of independently seeded replica
+groups — one group for a plain ensemble, the shards of a sharded ensemble,
+or the store tasks of a (kappa, v) cell — laid out as a single ``(total,)``
+coordinate vector and stepped with one NumPy operation per integration
+step.  Every public entry point (:func:`repro.smd.run_pulling_ensemble`,
+:func:`repro.smd.run_pulling_ensemble_parallel`,
+:func:`repro.smd.run_work_ensemble`, the streamed and adaptive drivers) is
+a plan builder that decides *which groups share a call* and nothing else;
+the per-replica scalar oracle (``kernel="reference"``) is the one other
+integrator and exists to test this one.
 
 Bit-identity contract
 ---------------------
-Each group's results are bit-identical to running that group alone through
-the vectorized runner with the same generator, because
+Each group's results are bit-identical to running that group alone with
+the same generator, because
 
-* the integration grid comes from the same shared derivation
-  (:func:`repro.smd.ensemble._integration_grid`);
-* every update is an elementwise NumPy expression, evaluated term by term
-  in the same order as the vectorized runner — elementwise ops are
+* every update is an elementwise NumPy expression — elementwise ops are
   value-independent across array slots, so a group's slice of the stacked
   update equals the update of the group alone;
 * per-step noise is drawn *per group* from that group's own generator into
   its contiguous slice of the stacked noise buffer
-  (``rng.standard_normal(out=noise[lo:hi])`` fills a contiguous view with
-  the identical variates as a fresh ``standard_normal(m)`` allocation), so
-  each generator consumes exactly the stream the per-group runner would.
+  (``rng.standard_normal(out=view)`` fills a contiguous view with the
+  identical variates as a fresh ``standard_normal(m)`` allocation), so
+  each generator consumes exactly the stream a solo run would.
 
 The potential's derivative is evaluated once on the concatenated
 coordinate vector; for :class:`~repro.pore.landscape.AxialLandscape` this
 is a row-wise matvec, and a row slice of the stacked matvec equals the
-matvec of the slice, so the per-group forces are unchanged bitwise.
+matvec of the slice — for groups of two or more replicas.  A *one-replica*
+group evaluated alone takes BLAS's one-row path, whose accumulation can
+differ from the stacked evaluation at the ulp level; that is why stacking
+is a caller-visible policy (``kernel="batched"``) and not applied silently.
 
 This module draws **no randomness of its own**: callers pass fully formed
 generators (derived via :func:`repro.rng.stream_for`), which is what makes
@@ -37,6 +41,7 @@ the batch placement-invariant — lint rule SPICE105 enforces this.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,27 +49,88 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
-from .ensemble import (
-    DEFAULT_FORCE_SAMPLE_TIME,
-    PAPER_CPU_HOURS_PER_NS,
-    _integration_grid,
-    _record_schedule,
-)
 from .protocol import PullingProtocol
 from .work import WorkEnsemble
 
-__all__ = ["run_pulling_groups"]
+__all__ = [
+    "run_pulling_groups",
+    "PAPER_CPU_HOURS_PER_NS",
+    "DEFAULT_FORCE_SAMPLE_TIME",
+]
+
+#: Paper Section I: ~24 h on 128 processors per simulated ns -> 3072 CPU-h;
+#: the paper rounds to "about 3000 CPU-hours ... to simulate 1 ns".
+PAPER_CPU_HOURS_PER_NS: float = 3000.0
+
+#: Default spring-force output stride, 2 ps — NAMD-scale output frequency
+#: (every ~1000 steps of 2 fs).
+DEFAULT_FORCE_SAMPLE_TIME: float = 2.0e-3
 
 
-def _draw_noise(rngs: Sequence, offsets: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` with one standard normal per replica, group by group.
+def _integration_grid(
+    model: ReducedTranslocationModel,
+    protocol: PullingProtocol,
+    dt: Optional[float],
+    n_records: int,
+    force_sample_time: Optional[float],
+) -> Tuple[float, float, int, int, int]:
+    """Integration-grid derivation shared with the reference oracle.
 
-    Group ``g`` owns the contiguous slice ``out[offsets[g]:offsets[g+1]]``
-    and draws it from its own generator — the stream consumption (and the
-    variates) match per-group ``standard_normal(m)`` calls exactly.
+    Returns ``(kappa, dt_eff, n_steps, stride, n_strides)``.
     """
-    for g, rng in enumerate(rngs):
-        rng.standard_normal(out=out[offsets[g]:offsets[g + 1]])
+    kappa = protocol.kappa_internal
+    z_end = protocol.start_z + protocol.distance
+    stiffness = kappa + model.max_curvature(protocol.start_z - 2.0, z_end + 2.0)
+    if dt is None:
+        dt = model.stable_timestep(stiffness)
+    if dt <= 0.0:
+        raise ConfigurationError("dt must be positive")
+
+    duration = protocol.duration_ns
+    n_steps = max(int(np.ceil(duration / dt)), n_records - 1)
+
+    # Force-sampling stride in steps (>= 1).  The record stations must land
+    # on sampling points so recorded work is always a completed trapezoid.
+    if force_sample_time is not None:
+        if force_sample_time <= 0.0:
+            raise ConfigurationError("force_sample_time must be positive")
+        stride = max(int(round(force_sample_time / (duration / n_steps))), 1)
+    else:
+        stride = 1
+    # Round the step count up to a whole number of strides and at least
+    # (n_records - 1) strides so records align with samples.
+    n_strides = max(int(np.ceil(n_steps / stride)), n_records - 1)
+    n_steps = n_strides * stride
+    dt_eff = duration / n_steps
+    return kappa, dt_eff, n_steps, stride, n_strides
+
+
+def _record_schedule(n_strides: int, n_records: int) -> np.ndarray:
+    """Stride indices at which to record, [0, ..., n_strides], increasing."""
+    sched = np.round(np.linspace(0, n_strides, n_records)).astype(np.int64)
+    for i in range(1, n_records):
+        if sched[i] <= sched[i - 1]:
+            sched[i] = sched[i - 1] + 1
+    if sched[-1] > n_strides:
+        raise ConfigurationError(
+            f"cannot place {n_records} records in {n_strides} strides"
+        )
+    return sched
+
+
+def _count_work(obs: Obs, n_samples: int, sim_ns: float,
+                cpu_hours_per_ns: float) -> float:
+    """Account one computed group; returns its paper-scale CPU-hours.
+
+    Only computation actually performed is counted — store hits never
+    reach an integrator, so they never reach here.
+    """
+    cpu_hours = sim_ns * cpu_hours_per_ns
+    if obs.enabled:
+        obs.metrics.inc("smd.je_samples", n_samples)
+        obs.metrics.inc("smd.sim_ns", sim_ns)
+        obs.metrics.inc("smd.cpu_hours", cpu_hours)
+    return cpu_hours
 
 
 def run_pulling_groups(
@@ -89,14 +155,14 @@ def run_pulling_groups(
         randomness outside them.
     obs:
         Instrumentation handle; the whole batch runs inside one
-        ``smd.ensemble.batched`` host-clock span.  No work counters are
-        accumulated here — the entry points own the accounting (they know
-        which groups were store misses).
+        ``smd.ensemble`` host-clock span (its wall duration is the
+        denominator of the run report's JE samples/sec), and every group
+        adds to the ``smd.je_samples`` / ``smd.sim_ns`` / ``smd.cpu_hours``
+        counters in input order.  Observation never touches the RNG.
 
     Returns
     -------
-    One :class:`WorkEnsemble` per group, in input order, bit-identical to
-    running each group alone through the vectorized runner.
+    One :class:`WorkEnsemble` per group, in input order.
     """
     if not groups:
         raise ConfigurationError("need at least one replica group")
@@ -114,41 +180,49 @@ def run_pulling_groups(
             raise ConfigurationError(f"group {g}: n_samples must be at least 1")
         rngs.append(rng)
         sizes.append(int(m))
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
-    total = int(offsets[-1])
+    bounds = [0, *accumulate(sizes)]
+    total = bounds[-1]
 
     obs = as_obs(obs)
     kappa, dt_eff, n_steps, stride, n_strides = _integration_grid(
         model, protocol, dt, n_records, force_sample_time
     )
-    duration = protocol.duration_ns
     # Travel origin and signed velocity: for a forward pull these are
     # exactly (start_z, velocity) — the historical expressions bit for bit;
     # a reverse pull starts at the window top and travels down.
     start = protocol.origin_z
     sgn = protocol.axis_sign
 
-    with obs.span("smd.ensemble.batched", kappa_pn=protocol.kappa_pn,
-                  velocity=protocol.velocity, n_groups=len(groups),
-                  n_replicas=total):
-        # Equilibrate every group in the static trap (mirrors
-        # ReducedTranslocationModel.equilibrate term by term).
+    with obs.span("smd.ensemble", kappa_pn=protocol.kappa_pn,
+                  velocity=protocol.velocity, n_samples=total,
+                  n_groups=len(sizes)):
+        # Equilibrate every group in the static trap at the travel origin
+        # (equilibrium initial ensemble: a precondition of Jarzynski's
+        # equality), mirroring ReducedTranslocationModel.equilibrate term
+        # by term.
         if kappa > 0.0:
             spread = np.sqrt(model.kT / kappa)
         else:
             spread = 1.0
         z = np.empty(total, dtype=np.float64)
         for g, rng in enumerate(rngs):
-            z[offsets[g]:offsets[g + 1]] = (
+            z[bounds[g]:bounds[g + 1]] = (
                 start + spread * rng.standard_normal(sizes[g])
             )
+        # Group g owns the contiguous slice noise[bounds[g]:bounds[g+1]];
+        # the views are built once and refilled every step.
         noise = np.empty(total, dtype=np.float64)
-        eq_ns = protocol.equilibration_ns
-        eq_steps = int(np.ceil(eq_ns / dt_eff)) if eq_ns > 0 else 0
-        for _ in range(eq_steps):
-            _draw_noise(rngs, offsets, noise)
+        views = [noise[bounds[g]:bounds[g + 1]] for g in range(len(rngs))]
+
+        def advance(center: float) -> None:
+            for rng, view in zip(rngs, views):
+                rng.standard_normal(out=view)
             model.step_ensemble(z, dt_eff, None, spring_kappa=kappa,
-                                spring_center=start, noise=noise)
+                                spring_center=center, noise=noise)
+
+        eq_ns = protocol.equilibration_ns
+        for _ in range(int(np.ceil(eq_ns / dt_eff)) if eq_ns > 0 else 0):
+            advance(start)
 
         record_at = _record_schedule(n_strides, n_records) * stride
 
@@ -158,21 +232,25 @@ def run_pulling_groups(
         positions[:, 0] = z
         w = np.zeros(total, dtype=np.float64)
 
+        # Signed velocity: +v forward (the same float, so forward results
+        # keep their historical bits), -v reverse.  Recorded displacements
+        # are trap *travel* |lam - origin|, ascending from 0 either way.
         v = protocol.signed_velocity
         exact = force_sample_time is None
+        # Spring force sampled at the last completed sampling point.
         f_prev = kappa * (start - z)
         lam = start
         rec = 1
         for step in range(1, n_steps + 1):
             lam_new = start + v * step * dt_eff
             if exact:
+                # Midpoint-in-lambda exact work for the trap move lam -> lam_new.
                 w += kappa * (lam_new - lam) * (0.5 * (lam + lam_new) - z)
             lam = lam_new
-            _draw_noise(rngs, offsets, noise)
-            model.step_ensemble(z, dt_eff, None, spring_kappa=kappa,
-                                spring_center=lam, noise=noise)
+            advance(lam)
             if not exact and step % stride == 0:
                 f_now = kappa * (lam - z)
+                # Trapezoid over the sampling interval: W += v dt_s (F0 + F1)/2.
                 w += v * (stride * dt_eff) * 0.5 * (f_prev + f_now)
                 f_prev = f_now
             if step == record_at[rec]:
@@ -182,16 +260,17 @@ def run_pulling_groups(
                 rec += 1
         assert rec == n_records, "record schedule must consume all stations"
 
-    per_replica_ns = duration + protocol.equilibration_ns
+    per_replica_ns = protocol.duration_ns + protocol.equilibration_ns
     ensembles = []
-    for g in range(len(groups)):
-        lo, hi = int(offsets[g]), int(offsets[g + 1])
+    for g, m in enumerate(sizes):
+        lo, hi = bounds[g], bounds[g + 1]
         ensembles.append(WorkEnsemble(
             protocol=protocol,
             displacements=displacements.copy(),
             works=works[lo:hi].copy(),
             positions=positions[lo:hi].copy(),
             temperature=model.temperature,
-            cpu_hours=sizes[g] * per_replica_ns * cpu_hours_per_ns,
+            cpu_hours=_count_work(obs, m, m * per_replica_ns,
+                                  cpu_hours_per_ns),
         ))
     return ensembles

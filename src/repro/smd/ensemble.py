@@ -1,7 +1,11 @@
-"""Vectorized SMD pulling-ensemble runner on the reduced 1-D model.
+"""Pulling-ensemble runner on the reduced 1-D model, and its scalar oracle.
 
-This is the engine room of the Fig. 4 reproduction: every replica of a
-(kappa, v) cell is integrated simultaneously as one NumPy vector.
+This is the front door of the Fig. 4 reproduction: every replica of a
+(kappa, v) cell is integrated simultaneously as one NumPy vector by the
+engine in :mod:`repro.smd.batched`; :func:`run_pulling_ensemble` hands it a
+single seeded group (and owns store memoization of that one task), while
+``kernel="reference"`` runs the per-replica scalar loop the engine is
+tested against.
 
 Work accounting mirrors production SMD practice (NAMD writes the spring
 force every ``SMDOutputFreq`` steps and the work is integrated offline from
@@ -23,10 +27,6 @@ scheduling work at paper scale.
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from functools import reduce
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,73 +35,23 @@ from ..errors import ConfigurationError, StoreError
 from ..md.kernels import validate_kernel
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
-from ..rng import SeedLike, as_generator, as_seed_int, stream_for
+from ..rng import SeedLike, as_generator
+from .batched import (
+    DEFAULT_FORCE_SAMPLE_TIME,
+    PAPER_CPU_HOURS_PER_NS,
+    _count_work,
+    _integration_grid,
+    _record_schedule,
+    run_pulling_groups,
+)
 from .protocol import PullingProtocol
 from .work import WorkEnsemble
 
 __all__ = [
     "run_pulling_ensemble",
-    "run_pulling_ensemble_parallel",
-    "run_work_ensemble",
     "PAPER_CPU_HOURS_PER_NS",
     "DEFAULT_FORCE_SAMPLE_TIME",
-    "DEFAULT_SHARD_SIZE",
 ]
-
-#: Paper Section I: ~24 h on 128 processors per simulated ns -> 3072 CPU-h;
-#: the paper rounds to "about 3000 CPU-hours ... to simulate 1 ns".
-PAPER_CPU_HOURS_PER_NS: float = 3000.0
-
-#: Default spring-force output stride, 2 ps — NAMD-scale output frequency
-#: (every ~1000 steps of 2 fs).
-DEFAULT_FORCE_SAMPLE_TIME: float = 2.0e-3
-
-#: Default replicas per shard for the parallel executor.  The shard
-#: decomposition is part of the *result's identity* (see
-#: :func:`run_pulling_ensemble_parallel`): changing the shard size changes
-#: which RNG stream drives which replica, changing the worker count does not.
-DEFAULT_SHARD_SIZE: int = 8
-
-
-def _integration_grid(
-    model: ReducedTranslocationModel,
-    protocol: PullingProtocol,
-    dt: Optional[float],
-    n_records: int,
-    force_sample_time: Optional[float],
-) -> Tuple[float, float, int, int, int]:
-    """Shared integration-grid derivation for every execution kernel.
-
-    Returns ``(kappa, dt_eff, n_steps, stride, n_strides)``.  Factored out
-    so the batched runner (:mod:`repro.smd.batched`) integrates on exactly
-    the grid the per-trajectory runner would — a precondition of the
-    bit-identity contract.
-    """
-    kappa = protocol.kappa_internal
-    z_end = protocol.start_z + protocol.distance
-    stiffness = kappa + model.max_curvature(protocol.start_z - 2.0, z_end + 2.0)
-    if dt is None:
-        dt = model.stable_timestep(stiffness)
-    if dt <= 0.0:
-        raise ConfigurationError("dt must be positive")
-
-    duration = protocol.duration_ns
-    n_steps = max(int(np.ceil(duration / dt)), n_records - 1)
-
-    # Force-sampling stride in steps (>= 1).  The record stations must land
-    # on sampling points so recorded work is always a completed trapezoid.
-    if force_sample_time is not None:
-        if force_sample_time <= 0.0:
-            raise ConfigurationError("force_sample_time must be positive")
-        stride = max(int(round(force_sample_time / (duration / n_steps))), 1)
-    else:
-        stride = 1
-    # Round the step count up to a whole number of strides and at least
-    # (n_records - 1) strides so records align with samples.
-    n_strides = max(int(np.ceil(n_steps / stride)), n_records - 1)
-    n_steps = n_strides * stride
-    dt_eff = duration / n_steps
-    return kappa, dt_eff, n_steps, stride, n_strides
 
 
 def _store_seed_key(seed, store_key):
@@ -177,147 +127,53 @@ def run_pulling_ensemble(
         caller must pass the generator *unconsumed* — the fingerprint
         asserts the stream's identity, not its state.
     kernel:
-        Execution kernel: ``"vectorized"`` (default; one NumPy vector over
-        the replicas), ``"batched"`` (routes through the replica-batched
-        engine in :mod:`repro.smd.batched` — identical math, one stacked
-        call even when several groups share the step loop) or
-        ``"reference"`` (per-replica scalar Python loop, the oracle the
-        batched path is verified against).  All three are bit-identical;
-        the kernel is an execution layout, not part of the result's
-        identity, so store fingerprints do not include it.
+        ``"reference"`` runs the per-replica scalar Python loop, the oracle
+        the engine is verified against; every other kernel is one
+        single-group call of :func:`repro.smd.batched.run_pulling_groups`.
+        (``"vectorized"`` vs ``"batched"`` only differ for entry points
+        that run *several* groups, where it selects whether they share an
+        engine call.)  All kernels are bit-identical; the kernel is an
+        execution layout, not part of the result's identity, so store
+        fingerprints do not include it.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be at least 1")
     if n_records < 2:
         raise ConfigurationError("n_records must be at least 2")
     validate_kernel(kernel)
+    settings = dict(dt=dt, n_records=n_records,
+                    force_sample_time=force_sample_time,
+                    cpu_hours_per_ns=cpu_hours_per_ns)
     if store is not None:
         from ..store import pulling_task
 
-        task = pulling_task(
-            model, protocol, n_samples=n_samples, n_records=n_records,
-            force_sample_time=force_sample_time, dt=dt,
-            cpu_hours_per_ns=cpu_hours_per_ns,
-            seed_key=_store_seed_key(seed, store_key),
-        )
+        task = pulling_task(model, protocol, n_samples=n_samples,
+                            seed_key=_store_seed_key(seed, store_key),
+                            **settings)
         return store.get_or_run(task, lambda: run_pulling_ensemble(
-            model, protocol, n_samples, dt=dt, n_records=n_records,
-            force_sample_time=force_sample_time, seed=seed,
-            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs, kernel=kernel))
-    obs = as_obs(obs)
-
-    if kernel == "batched":
-        # One single-group batched call: same streams, same grid, same
-        # arithmetic — the batched engine is bit-identical by contract.
-        from .batched import run_pulling_groups
-
-        ensembles = run_pulling_groups(
-            model, protocol, [(as_generator(seed), n_samples)],
-            dt=dt, n_records=n_records, force_sample_time=force_sample_time,
-            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs,
-        )
-        ensemble = ensembles[0]
-        if obs.enabled:
-            obs.metrics.inc("smd.je_samples", n_samples)
-            obs.metrics.inc("smd.sim_ns", ensemble.cpu_hours / cpu_hours_per_ns)
-            obs.metrics.inc("smd.cpu_hours", ensemble.cpu_hours)
-        return ensemble
-
+            model, protocol, n_samples, seed=seed, obs=obs, kernel=kernel,
+            **settings))
     rng = as_generator(seed)
-    kappa, dt_eff, n_steps, stride, n_strides = _integration_grid(
-        model, protocol, dt, n_records, force_sample_time
-    )
-    duration = protocol.duration_ns
+    if kernel != "reference":
+        return run_pulling_groups(model, protocol, [(rng, n_samples)],
+                                  obs=obs, **settings)[0]
 
-    if kernel == "reference":
-        with obs.span("smd.ensemble", kappa_pn=protocol.kappa_pn,
-                      velocity=protocol.velocity, n_samples=n_samples):
-            works, positions, displacements = _run_pulling_reference(
-                model, protocol, n_samples, rng,
-                kappa, dt_eff, n_steps, stride, n_strides, n_records,
-                exact=force_sample_time is None,
-            )
-        total_sim_ns = n_samples * (duration + protocol.equilibration_ns)
-        if obs.enabled:
-            obs.metrics.inc("smd.je_samples", n_samples)
-            obs.metrics.inc("smd.sim_ns", total_sim_ns)
-            obs.metrics.inc("smd.cpu_hours", total_sim_ns * cpu_hours_per_ns)
-        return WorkEnsemble(
-            protocol=protocol,
-            displacements=displacements,
-            works=works,
-            positions=positions,
-            temperature=model.temperature,
-            cpu_hours=total_sim_ns * cpu_hours_per_ns,
-        )
-
-    # The whole integration runs inside one host-clock span: its wall
-    # duration is the denominator of the JE samples/sec rate.
+    obs = as_obs(obs)
     with obs.span("smd.ensemble", kappa_pn=protocol.kappa_pn,
                   velocity=protocol.velocity, n_samples=n_samples):
-        # Equilibrate in the static trap at the travel origin (equilibrium
-        # initial ensemble: a precondition of Jarzynski's equality).  For a
-        # forward pull the origin is start_z — the historical expression,
-        # bit for bit; a reverse pull equilibrates at the window's top.
-        origin = protocol.origin_z
-        z = model.equilibrate(
-            n_samples,
-            spring_kappa=kappa,
-            spring_center=origin,
-            dt=dt_eff,
-            time_ns=protocol.equilibration_ns,
-            seed=rng,
-        )
-
-        record_at = _record_schedule(n_strides, n_records) * stride
-
-        works = np.zeros((n_samples, n_records), dtype=np.float64)
-        positions = np.zeros((n_samples, n_records), dtype=np.float64)
-        displacements = np.zeros(n_records, dtype=np.float64)
-        positions[:, 0] = z
-        w = np.zeros(n_samples, dtype=np.float64)
-
-        # Signed velocity: +v forward (the same float, so forward results
-        # keep their historical bits), -v reverse.  Recorded displacements
-        # are trap *travel* |lam - origin|, ascending from 0 either way.
-        v = protocol.signed_velocity
-        sgn = protocol.axis_sign
-        exact = force_sample_time is None
-        # Spring force sampled at the last completed sampling point.
-        f_prev = kappa * (origin - z)
-        lam = origin
-        rec = 1
-        for step in range(1, n_steps + 1):
-            lam_new = origin + v * step * dt_eff
-            if exact:
-                # Midpoint-in-lambda exact work for the trap move lam -> lam_new.
-                w += kappa * (lam_new - lam) * (0.5 * (lam + lam_new) - z)
-            lam = lam_new
-            model.step_ensemble(z, dt_eff, rng, spring_kappa=kappa, spring_center=lam)
-            if not exact and step % stride == 0:
-                f_now = kappa * (lam - z)
-                # Trapezoid over the sampling interval: W += v dt_s (F0 + F1)/2.
-                w += v * (stride * dt_eff) * 0.5 * (f_prev + f_now)
-                f_prev = f_now
-            if step == record_at[rec]:
-                works[:, rec] = w
-                positions[:, rec] = z
-                displacements[rec] = (lam - origin) * sgn
-                rec += 1
-        assert rec == n_records, "record schedule must consume all stations"
-
-    total_sim_ns = n_samples * (duration + protocol.equilibration_ns)
-    if obs.enabled:
-        obs.metrics.inc("smd.je_samples", n_samples)
-        obs.metrics.inc("smd.sim_ns", total_sim_ns)
-        obs.metrics.inc("smd.cpu_hours", total_sim_ns * cpu_hours_per_ns)
+        works, positions, displacements = _run_pulling_reference(
+            model, protocol, n_samples, rng, dt, n_records,
+            force_sample_time)
+    total_sim_ns = n_samples * (protocol.duration_ns
+                                + protocol.equilibration_ns)
     return WorkEnsemble(
         protocol=protocol,
         displacements=displacements,
         works=works,
         positions=positions,
         temperature=model.temperature,
-        cpu_hours=total_sim_ns * cpu_hours_per_ns,
+        cpu_hours=_count_work(obs, n_samples, total_sim_ns,
+                              cpu_hours_per_ns),
     )
 
 
@@ -326,13 +182,9 @@ def _run_pulling_reference(
     protocol: PullingProtocol,
     n_samples: int,
     rng: np.random.Generator,
-    kappa: float,
-    dt_eff: float,
-    n_steps: int,
-    stride: int,
-    n_strides: int,
+    dt: Optional[float],
     n_records: int,
-    exact: bool,
+    force_sample_time: Optional[float],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-replica scalar-loop oracle for the pulling ensemble.
 
@@ -346,6 +198,10 @@ def _run_pulling_reference(
     vectorized expressions term by term, so the result is bit-identical —
     the oracle the batched and vectorized kernels are tested against.
     """
+    kappa, dt_eff, n_steps, stride, n_strides = _integration_grid(
+        model, protocol, dt, n_records, force_sample_time
+    )
+    exact = force_sample_time is None
     start = protocol.origin_z
     v = protocol.signed_velocity
     sgn = protocol.axis_sign
@@ -408,372 +264,3 @@ def _run_pulling_reference(
             rec += 1
     assert rec == n_records, "record schedule must consume all stations"
     return works, positions, displacements
-
-
-def _shard_sizes(n_samples: int, shard_size: int) -> list:
-    """Fixed decomposition of ``n_samples`` replicas into shards.
-
-    Depends only on ``(n_samples, shard_size)`` — never on the worker
-    count — so the same shards (and therefore the same per-shard RNG
-    streams) are produced no matter how execution is distributed.
-    """
-    full, rest = divmod(n_samples, shard_size)
-    return [shard_size] * full + ([rest] if rest else [])
-
-
-def _run_shard(payload: Tuple) -> WorkEnsemble:
-    """Run one shard of the work ensemble (module-level for pickling).
-
-    The shard's RNG stream is keyed by ``(base_seed, "smd.shard", index)``
-    via :func:`repro.rng.stream_for`, so replica ``i`` of shard ``b`` sees
-    the same noise whether the shard runs in this process, a pool worker,
-    or any other placement.
-    """
-    (model, protocol, shard_n, base_seed, shard_index, dt, n_records,
-     force_sample_time, cpu_hours_per_ns, kernel) = payload
-    return run_pulling_ensemble(
-        model, protocol, shard_n,
-        dt=dt, n_records=n_records, force_sample_time=force_sample_time,
-        seed=stream_for(base_seed, "smd.shard", shard_index),
-        cpu_hours_per_ns=cpu_hours_per_ns, kernel=kernel,
-    )
-
-
-def run_pulling_ensemble_parallel(
-    model: ReducedTranslocationModel,
-    protocol: PullingProtocol,
-    n_samples: int,
-    n_workers: Optional[int] = 1,
-    shard_size: int = DEFAULT_SHARD_SIZE,
-    dt: Optional[float] = None,
-    n_records: int = 41,
-    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
-    seed: SeedLike = None,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
-    obs: Optional[Obs] = None,
-    store=None,
-    store_key=None,
-    kernel: str = "vectorized",
-) -> WorkEnsemble:
-    """Run a pulling ensemble as independent shards, optionally in parallel.
-
-    This is the work-ensemble executor exploiting the embarrassing
-    parallelism at the heart of SMD-JE: replicas are *independent* pulls,
-    so the ensemble splits into fixed-size shards that execute anywhere.
-    Shards run across processes (``concurrent.futures``) and are merged in
-    shard order, giving three guarantees:
-
-    1. **Worker-count invariance** — the shard decomposition and each
-       shard's RNG stream (``stream_for(seed, "smd.shard", b)`` from
-       :mod:`repro.rng`) depend only on ``(n_samples, shard_size, seed)``,
-       so the returned :class:`WorkEnsemble` is bit-for-bit identical for
-       any ``n_workers`` (including serial in-process execution at
-       ``n_workers=1``).
-    2. **Replica-order stability** — shard results are concatenated in
-       shard index order, so replica row ``i`` always refers to the same
-       pull.
-    3. **Cost bookkeeping** — CPU-hours and obs counters accumulate
-       exactly as the serial runner's would.
-
-    Parameters
-    ----------
-    n_workers:
-        Process count; ``1`` (default) runs shards serially in-process,
-        ``None`` uses ``os.cpu_count()``.  Workers above the shard count
-        are not spawned.
-    shard_size:
-        Replicas per shard.  Part of the result's identity: changing it
-        re-keys the RNG streams (documented, deliberate); changing
-        ``n_workers`` never does.
-    obs:
-        Instrumentation handle.  The whole run executes inside an
-        ``smd.ensemble.parallel`` host-clock span carrying ``n_workers``
-        and ``n_shards``; the usual ``smd.je_samples`` / ``smd.sim_ns`` /
-        ``smd.cpu_hours`` counters accumulate in the parent process
-        (workers run uninstrumented — observation must not change
-        results, and it does not survive pickling anyway).
-    store / store_key:
-        Optional result-store memoization, as in
-        :func:`run_pulling_ensemble`.  The fingerprint includes the shard
-        size under ``executor`` — the sharded runner's RNG layout differs
-        from the serial runner's, so the two never share records.
-        ``n_workers`` is execution placement, not identity, and is
-        deliberately *not* fingerprinted.
-    kernel:
-        Execution kernel.  ``"batched"`` routes *all* shards through one
-        in-process call of the replica-batched engine
-        (:func:`repro.smd.batched.run_pulling_groups`): each shard keeps
-        its own ``stream_for(seed, "smd.shard", b)`` stream, so the result
-        — and the store fingerprint — is bit-identical to the sharded
-        vectorized run; ``n_workers`` is ignored in this mode (the batch
-        replaces the process pool).  ``"vectorized"`` / ``"reference"``
-        execute per shard as before.
-
-    Remaining parameters match :func:`run_pulling_ensemble`.
-    """
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be at least 1")
-    if shard_size < 1:
-        raise ConfigurationError("shard_size must be at least 1")
-    if n_workers is None:
-        n_workers = os.cpu_count() or 1
-    if n_workers < 1:
-        raise ConfigurationError("n_workers must be at least 1 (or None)")
-    validate_kernel(kernel)
-    if store is not None:
-        from ..store import pulling_task
-
-        task = pulling_task(
-            model, protocol, n_samples=n_samples, n_records=n_records,
-            force_sample_time=force_sample_time, dt=dt,
-            cpu_hours_per_ns=cpu_hours_per_ns,
-            seed_key=_store_seed_key(seed, store_key),
-            executor="sharded", shard_size=shard_size,
-        )
-        return store.get_or_run(task, lambda: run_pulling_ensemble_parallel(
-            model, protocol, n_samples, n_workers=n_workers,
-            shard_size=shard_size, dt=dt, n_records=n_records,
-            force_sample_time=force_sample_time, seed=seed,
-            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs, kernel=kernel))
-    obs = as_obs(obs)
-
-    base_seed = as_seed_int(seed)
-    sizes = _shard_sizes(n_samples, shard_size)
-
-    with obs.span("smd.ensemble.parallel", kappa_pn=protocol.kappa_pn,
-                  velocity=protocol.velocity, n_samples=n_samples,
-                  n_workers=n_workers, n_shards=len(sizes)):
-        if kernel == "batched":
-            from .batched import run_pulling_groups
-
-            groups = [
-                (stream_for(base_seed, "smd.shard", b), shard_n)
-                for b, shard_n in enumerate(sizes)
-            ]
-            shards = run_pulling_groups(
-                model, protocol, groups,
-                dt=dt, n_records=n_records,
-                force_sample_time=force_sample_time,
-                cpu_hours_per_ns=cpu_hours_per_ns, obs=obs,
-            )
-        else:
-            payloads = [
-                (model, protocol, shard_n, base_seed, b, dt, n_records,
-                 force_sample_time, cpu_hours_per_ns, kernel)
-                for b, shard_n in enumerate(sizes)
-            ]
-            if n_workers == 1 or len(payloads) == 1:
-                shards = [_run_shard(p) for p in payloads]
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=min(n_workers, len(payloads))
-                ) as pool:
-                    shards = list(pool.map(_run_shard, payloads))
-
-    ensemble = reduce(WorkEnsemble.merged_with, shards)
-    if obs.enabled:
-        obs.metrics.inc("smd.je_samples", ensemble.n_samples)
-        obs.metrics.inc("smd.sim_ns", ensemble.cpu_hours / cpu_hours_per_ns)
-        obs.metrics.inc("smd.cpu_hours", ensemble.cpu_hours)
-    return ensemble
-
-
-#: Sentinel distinguishing "``base_seed`` not passed" from ``base_seed=None``
-#: (``None`` is a meaningful seed: fresh entropy).
-_UNSET = object()
-
-
-def run_work_ensemble(
-    model: ReducedTranslocationModel,
-    protocol: PullingProtocol,
-    n_tasks: int,
-    samples_per_task: int,
-    *,
-    seed: SeedLike = None,
-    labels: Tuple = (),
-    store=None,
-    dt: Optional[float] = None,
-    n_records: int = 41,
-    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
-    obs: Optional[Obs] = None,
-    kernel: str = "vectorized",
-    task_offset: int = 0,
-    base_seed: SeedLike = _UNSET,  # type: ignore[assignment]
-) -> WorkEnsemble:
-    """Run one (kappa, v) cell as ``n_tasks`` restartable store-addressed tasks.
-
-    This is the resumable front door the campaign drivers use: the cell's
-    ensemble is decomposed into ``n_tasks`` sub-ensembles of
-    ``samples_per_task`` replicas each — the paper's "72 independent jobs"
-    granularity — and each task draws its own RNG stream
-    ``stream_for(seed, *labels, "task", t)``.  The decomposition is
-    therefore part of the result's identity: a task's physics depends only
-    on ``(seed, labels, t)`` and the integration settings, never on
-    which process ran it or in what order, so with a ``store`` attached a
-    killed campaign re-run recomputes exactly the tasks whose records are
-    missing and the merged ensemble is bit-identical either way.
-
-    Parameters
-    ----------
-    n_tasks:
-        Number of restartable units (e.g. replicas-per-cell: 6).
-    samples_per_task:
-        JE samples each task contributes; the merged ensemble has
-        ``n_tasks * samples_per_task`` rows, in task order.
-    seed / labels:
-        Stream key prefix; ``labels`` names the cell (e.g.
-        ``("cell", 100000, 12500)``) so distinct cells never share streams.
-    store:
-        Optional :class:`repro.store.ResultStore`; each task is memoized
-        individually under its full stream key.  Task fingerprints never
-        include the kernel, so records written by any kernel are hits for
-        every other (they are bit-identical by contract).
-    kernel:
-        Execution kernel, as in :func:`run_pulling_ensemble`.  Under
-        ``"batched"`` the whole cell — every task that is not already in
-        the store — runs through *one* stacked engine call; each task
-        still consumes its own ``stream_for`` stream, so results and
-        store records match the per-task kernels bit for bit.
-    task_offset:
-        First task index (default 0).  Task ``i`` of this call runs as
-        stream ``stream_for(seed, *labels, "task", task_offset + i)``, so
-        a later call with ``task_offset=n_tasks`` *extends* the same cell:
-        concatenating the two results is bit-identical to one call of
-        ``n_tasks + n_extra`` tasks — the contract the adaptive
-        controller's pilot/refine rounds are built on.
-    base_seed:
-        Deprecated alias of ``seed`` (the historical divergent name);
-        passing it emits a :class:`DeprecationWarning`.
-
-    Remaining parameters match :func:`run_pulling_ensemble`.
-    """
-    if base_seed is not _UNSET:
-        warnings.warn(
-            "run_work_ensemble(base_seed=...) is deprecated; use seed=",
-            DeprecationWarning, stacklevel=2,
-        )
-        if seed is not None:
-            raise ConfigurationError(
-                "pass either seed= or the deprecated base_seed=, not both"
-            )
-        seed = base_seed
-    if n_tasks < 1:
-        raise ConfigurationError("n_tasks must be at least 1")
-    if samples_per_task < 1:
-        raise ConfigurationError("samples_per_task must be at least 1")
-    if task_offset < 0:
-        raise ConfigurationError("task_offset cannot be negative")
-    validate_kernel(kernel)
-    obs = as_obs(obs)
-    base = as_seed_int(seed)
-
-    with obs.span("smd.work_ensemble", kappa_pn=protocol.kappa_pn,
-                  velocity=protocol.velocity, n_tasks=n_tasks,
-                  samples_per_task=samples_per_task):
-        if kernel == "batched":
-            parts = _run_work_ensemble_batched(
-                model, protocol, n_tasks, samples_per_task, base, labels,
-                store, dt, n_records, force_sample_time, cpu_hours_per_ns,
-                obs, task_offset,
-            )
-        else:
-            parts = []
-            for t in range(task_offset, task_offset + n_tasks):
-                key = (base, *labels, "task", t)
-                parts.append(run_pulling_ensemble(
-                    model, protocol, samples_per_task,
-                    dt=dt, n_records=n_records,
-                    force_sample_time=force_sample_time,
-                    seed=stream_for(base, *labels, "task", t),
-                    cpu_hours_per_ns=cpu_hours_per_ns, obs=obs,
-                    store=store, store_key=key, kernel=kernel,
-                ))
-    return reduce(WorkEnsemble.merged_with, parts)
-
-
-def _run_work_ensemble_batched(
-    model: ReducedTranslocationModel,
-    protocol: PullingProtocol,
-    n_tasks: int,
-    samples_per_task: int,
-    base: int,
-    labels: Tuple,
-    store,
-    dt: Optional[float],
-    n_records: int,
-    force_sample_time: Optional[float],
-    cpu_hours_per_ns: float,
-    obs: Obs,
-    task_offset: int = 0,
-) -> list:
-    """Whole-cell batched execution for :func:`run_work_ensemble`.
-
-    Store hits are honoured per task (same fingerprints as the per-task
-    kernels); every *miss* joins one stacked
-    :func:`repro.smd.batched.run_pulling_groups` call.  Work counters
-    accumulate only for tasks actually computed, matching the per-task
-    path's miss-only accounting.  ``task_offset`` shifts the stream/task
-    indices exactly as in :func:`run_work_ensemble`.
-    """
-    from .batched import run_pulling_groups
-
-    task_ids = list(range(task_offset, task_offset + n_tasks))
-    if store is None:
-        tasks = {}
-        missing = task_ids
-        cached = {}
-    else:
-        from ..store import pulling_task, task_fingerprint
-
-        tasks = {
-            t: pulling_task(
-                model, protocol, n_samples=samples_per_task,
-                n_records=n_records, force_sample_time=force_sample_time,
-                dt=dt, cpu_hours_per_ns=cpu_hours_per_ns,
-                seed_key=(base, *labels, "task", t),
-            )
-            for t in task_ids
-        }
-        cached = {}
-        missing = []
-        for t in task_ids:
-            hit = store.get(task_fingerprint(tasks[t]))
-            if hit is not None:
-                cached[t] = hit
-            else:
-                missing.append(t)
-
-    if missing:
-        groups = [
-            (stream_for(base, *labels, "task", t), samples_per_task)
-            for t in missing
-        ]
-        computed = run_pulling_groups(
-            model, protocol, groups,
-            dt=dt, n_records=n_records,
-            force_sample_time=force_sample_time,
-            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs,
-        )
-        for t, ens in zip(missing, computed):
-            cached[t] = ens
-            if store is not None:
-                store.put(tasks[t], ens)
-            if obs.enabled:
-                obs.metrics.inc("smd.je_samples", ens.n_samples)
-                obs.metrics.inc("smd.sim_ns", ens.cpu_hours / cpu_hours_per_ns)
-                obs.metrics.inc("smd.cpu_hours", ens.cpu_hours)
-    return [cached[t] for t in task_ids]
-
-
-def _record_schedule(n_strides: int, n_records: int) -> np.ndarray:
-    """Stride indices at which to record, [0, ..., n_strides], increasing."""
-    sched = np.round(np.linspace(0, n_strides, n_records)).astype(np.int64)
-    for i in range(1, n_records):
-        if sched[i] <= sched[i - 1]:
-            sched[i] = sched[i - 1] + 1
-    if sched[-1] > n_strides:
-        raise ConfigurationError(
-            f"cannot place {n_records} records in {n_strides} strides"
-        )
-    return sched

@@ -24,15 +24,15 @@ exponential average needs far more samples there than on quiet stretches.
 Everything is driven by ``stream_for(seed, "adaptive", "bin", b, "task",
 t)`` streams, so the controller is deterministic end to end: rerunning,
 switching ``kernel=`` between ``vectorized``/``batched``/``reference``, or
-executing through the streamed store loop (``executor="streamed"``)
-reproduces the same bits (:meth:`AdaptiveReport.digest`).
+attaching a (cold or warm) result store reproduces the same bits
+(:meth:`AdaptiveReport.digest`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -42,11 +42,8 @@ from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import SeedLike, as_seed_int, stream_for
-from ..smd.ensemble import (
-    DEFAULT_FORCE_SAMPLE_TIME,
-    PAPER_CPU_HOURS_PER_NS,
-    run_work_ensemble,
-)
+from ..smd.batched import DEFAULT_FORCE_SAMPLE_TIME, PAPER_CPU_HOURS_PER_NS
+from ..smd.plan import run_work_ensemble
 from ..smd.protocol import PullingProtocol
 from ..smd.subtrajectory import plan_subtrajectories, stitch_pmfs
 from ..smd.work import WorkEnsemble
@@ -57,8 +54,6 @@ __all__ = [
     "allocate_largest_remainder",
     "run_adaptive_campaign",
 ]
-
-_EXECUTORS = ("inline", "streamed")
 
 
 def allocate_largest_remainder(weights: List[float], total: int) -> List[int]:
@@ -148,57 +143,6 @@ class AdaptiveReport:
         return h.hexdigest()
 
 
-def _run_bin_streamed(
-    model: ReducedTranslocationModel,
-    proto: PullingProtocol,
-    n_tasks: int,
-    *,
-    samples_per_task: int,
-    base: int,
-    labels: Tuple[Any, ...],
-    task_offset: int,
-    store: Any,
-    dt: Optional[float],
-    n_records: int,
-    force_sample_time: Optional[float],
-    cpu_hours_per_ns: float,
-    kernel: str,
-    window: int,
-    obs: Obs,
-) -> WorkEnsemble:
-    """One window's round through the streamed executor, bit-identical to
-    ``run_work_ensemble`` (same descriptors, same seed keys)."""
-    from functools import reduce
-
-    from ..smd.ensemble import run_pulling_ensemble
-    from ..store.fingerprint import pulling_task
-    from .streaming import StreamTask, run_streamed_tasks
-
-    tasks = []
-    for i, t in enumerate(range(task_offset, task_offset + n_tasks)):
-        key = (base, *labels, "task", t)
-        task = pulling_task(
-            model, proto, n_samples=samples_per_task, n_records=n_records,
-            force_sample_time=force_sample_time, dt=dt,
-            cpu_hours_per_ns=cpu_hours_per_ns, seed_key=key,
-        )
-
-        def compute(t: int = t) -> WorkEnsemble:
-            return run_pulling_ensemble(
-                model, proto, samples_per_task, dt=dt, n_records=n_records,
-                force_sample_time=force_sample_time,
-                seed=stream_for(base, *labels, "task", t),
-                cpu_hours_per_ns=cpu_hours_per_ns, obs=obs, kernel=kernel,
-            )
-
-        tasks.append(StreamTask(index=i, key=key, cell=labels, task=task,
-                                compute=compute))
-    report = run_streamed_tasks(tasks, store=store, window=window,
-                                collect=True, obs=obs)
-    parts = [report.results[i] for i in range(n_tasks)]
-    return reduce(WorkEnsemble.merged_with, parts)
-
-
 def run_adaptive_campaign(
     model: ReducedTranslocationModel,
     protocol: PullingProtocol,
@@ -210,7 +154,6 @@ def run_adaptive_campaign(
     seed: SeedLike = 2005,
     estimator: str = "exponential",
     kernel: str = "vectorized",
-    executor: str = "inline",
     store: Any = None,
     dt: Optional[float] = None,
     n_records: int = 21,
@@ -218,7 +161,6 @@ def run_adaptive_campaign(
     cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     n_boot: int = 32,
     n_blocks: int = 4,
-    stream_window: int = 16,
     obs: Optional[Obs] = None,
 ) -> AdaptiveReport:
     """Pilot → diagnose → reallocate → refine over one long pull.
@@ -247,18 +189,16 @@ def run_adaptive_campaign(
     estimator:
         Any *unpaired* registry estimator used per window (the windows are
         forward-only).
-    executor:
-        ``"inline"`` drives :func:`~repro.smd.ensemble.run_work_ensemble`
-        directly (honouring ``kernel=``, including ``"batched"``);
-        ``"streamed"`` drains the identical task stream through
-        :func:`~repro.workflow.streaming.run_streamed_tasks` over the
-        mandatory ``store`` — bit-identical by construction.
+    store:
+        Optional result store: every round's tasks are memoized in it
+        (:func:`~repro.smd.run_work_ensemble`), so a re-run resolves from
+        hits — bit-identical by construction.
     n_boot / n_blocks:
         Block-bootstrap shape for the per-window diagnostic; the bootstrap
         stream is independent of the physics streams.
 
     Returns an :class:`AdaptiveReport`; ``report.digest()`` is the
-    byte-reproducibility witness across reruns, kernels, and executors.
+    byte-reproducibility witness across reruns, kernels, and stores.
     """
     if n_bins < 1:
         raise ConfigurationError("n_bins must be at least 1")
@@ -277,11 +217,6 @@ def run_adaptive_campaign(
         raise ConfigurationError(
             f"total_replicas ({total_replicas}) cannot cover the pilot "
             f"({n_bins} bins x {pilot_per_bin})")
-    if executor not in _EXECUTORS:
-        raise ConfigurationError(
-            f"unknown executor {executor!r}; expected one of {_EXECUTORS}")
-    if executor == "streamed" and store is None:
-        raise ConfigurationError("executor='streamed' needs a store")
     from ..core.estimators import available_estimators, paired_estimators
 
     if estimator not in available_estimators():
@@ -301,20 +236,10 @@ def run_adaptive_campaign(
 
     def run_round(b: int, proto: PullingProtocol, n_tasks: int,
                   offset: int) -> WorkEnsemble:
-        labels = ("adaptive", "bin", b)
-        if executor == "streamed":
-            return _run_bin_streamed(
-                model, proto, n_tasks, samples_per_task=samples_per_task,
-                base=base, labels=labels,
-                task_offset=offset, store=store, dt=dt, n_records=n_records,
-                force_sample_time=force_sample_time,
-                cpu_hours_per_ns=cpu_hours_per_ns, kernel=kernel,
-                window=stream_window, obs=obs,
-            )
         return run_work_ensemble(
             model, proto, n_tasks, samples_per_task, seed=base,
-            labels=labels, store=store, dt=dt, n_records=n_records,
-            force_sample_time=force_sample_time,
+            labels=("adaptive", "bin", b), store=store, dt=dt,
+            n_records=n_records, force_sample_time=force_sample_time,
             cpu_hours_per_ns=cpu_hours_per_ns, obs=obs, kernel=kernel,
             task_offset=offset,
         )

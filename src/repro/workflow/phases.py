@@ -315,26 +315,13 @@ class BatchPhase:
         ``stream_for`` seed key — so job completion can be read straight
         off the result store.
         """
-        from ..smd.ensemble import (
-            DEFAULT_FORCE_SAMPLE_TIME,
-            PAPER_CPU_HOURS_PER_NS,
-        )
-        from ..store import pulling_task, task_fingerprint
+        from .streaming import stream_study_tasks
 
-        out: List[Tuple[str, str]] = []
-        for proto in protocols:
-            labels = ("cell", int(proto.kappa_pn * 1000),
-                      int(proto.velocity * 1000))
-            for rep in range(self.replicas_per_cell):
-                task = pulling_task(
-                    self.model, proto, n_samples=self.samples_per_replica,
-                    n_records=41, force_sample_time=DEFAULT_FORCE_SAMPLE_TIME,
-                    dt=None, cpu_hours_per_ns=PAPER_CPU_HOURS_PER_NS,
-                    seed_key=(self.seed, *labels, "task", rep),
-                )
-                name = f"smdje-k{proto.kappa_pn:g}-v{proto.velocity:g}-r{rep}"
-                out.append((name, task_fingerprint(task)))
-        return out
+        tasks = stream_study_tasks(
+            self.model, protocols, self.replicas_per_cell,
+            self.samples_per_replica, seed=self.seed)
+        return [(job.name, task.fingerprint)
+                for job, task in zip(self.build_jobs(protocols), tasks)]
 
     def run(self) -> BatchPhaseResult:
         start = self.window[0]

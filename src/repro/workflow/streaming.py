@@ -8,20 +8,22 @@ resume must not re-fingerprint a million completed tasks just to find the
 first miss.  This module streams instead:
 
 * :class:`StreamTask` — one lazily-built task: global index, cell labels,
-  the canonical store descriptor, and a ``compute`` thunk.
-* :func:`stream_study_tasks` — generator over a (possibly lazy) protocol
-  iterable yielding the exact tasks — same descriptors, same
-  ``stream_for`` seed keys, hence *same fingerprints* — that
-  :func:`~repro.smd.ensemble.run_work_ensemble` would run, so streamed
-  and classic campaigns share store records interchangeably.
+  the canonical store descriptor, and a ``compute`` thunk (defined with
+  the task plan in :mod:`repro.smd.plan`, re-exported here).
+* :func:`stream_study_tasks` — the :func:`~repro.smd.plan.plan_tasks` plan
+  of a whole (kappa, v) study over a (possibly lazy) protocol iterable:
+  the very tasks :func:`~repro.smd.run_work_ensemble` runs per cell, so
+  streamed and classic campaigns share store records interchangeably.
 * :class:`StreamCursor` — a durable watermark under
   ``<store>/.stream/``: the contiguous prefix of the stream known
   resolved (completed or dead-lettered).  Resume skips the prefix without
   fingerprinting it — the fingerprint-based check only starts at the
   watermark — so a fully-complete million-task campaign resumes in
   seconds.
-* :func:`run_streamed_tasks` — the bounded-window execution loop with
-  store memoization, seeded retries, and dead-letter-queue degradation.
+* :func:`run_streamed_tasks` — the bounded-window execution loop: the
+  shared :class:`~repro.smd.plan.TaskResolver` for store memoization,
+  plus what only streaming needs — the cursor, seeded retries, and
+  dead-letter-queue degradation.
 * :func:`run_streamed_study` — per-cell assembly on top: merged ensembles
   for every cell whose tasks all resolved, and a degradation report for
   the rest.
@@ -43,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -55,7 +58,9 @@ from ..errors import (
     StoreError,
 )
 from ..obs import Obs, as_obs
-from ..rng import SeedLike, as_seed_int, stream_for
+from ..rng import SeedLike, as_seed_int
+from ..smd.batched import DEFAULT_FORCE_SAMPLE_TIME, PAPER_CPU_HOURS_PER_NS
+from ..smd.plan import StreamTask, TaskResolver, cell_labels, plan_tasks
 from ..smd.work import WorkEnsemble
 
 __all__ = [
@@ -73,23 +78,6 @@ CURSOR_SCHEMA = "repro.store.cursor/v1"
 #: Failures the retry loop may attempt again; anything else propagates.
 #: (PermanentTaskFailure and CampaignInterrupted are handled separately.)
 _RETRYABLE = (ReproError, FloatingPointError)
-
-
-@dataclass(frozen=True)
-class StreamTask:
-    """One streamed unit of work.
-
-    ``task`` is the canonical store descriptor (fingerprintable via
-    :func:`repro.store.task_fingerprint`); ``key`` is its seed/stream key,
-    doubling as the DLQ task key; ``cell`` groups tasks for per-cell
-    assembly; ``compute`` produces the ensemble when the store misses.
-    """
-
-    index: int
-    key: Tuple[Any, ...]
-    cell: Tuple[Any, ...]
-    task: Dict[str, Any]
-    compute: Callable[[], WorkEnsemble]
 
 
 class StreamCursor:
@@ -189,59 +177,25 @@ def stream_study_tasks(
     seed: SeedLike = 2005,
     dt: Optional[float] = None,
     n_records: int = 41,
-    force_sample_time: Optional[float] = None,
-    cpu_hours_per_ns: Optional[float] = None,
+    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
+    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     kernel: str = "vectorized",
     obs: Optional[Obs] = None,
 ) -> Iterator[StreamTask]:
     """Lazily yield every task of a (kappa, v) study, grid never built.
 
-    The descriptors, labels and seed keys replicate
-    :func:`~repro.smd.ensemble.run_work_ensemble` exactly (cell labels
-    ``("cell", int(kappa*1000), int(v*1000))``, task key
-    ``(seed, *labels, "task", t)``), so streamed task fingerprints are
-    identical to the classic path's and the two share store records.
-    ``protocols`` may be any iterable, including a generator — it is
-    consumed one cell at a time.
+    This is :func:`~repro.smd.plan.plan_tasks` over the study's grid cells
+    (labelled by :func:`~repro.smd.plan.cell_labels`), so streamed task
+    fingerprints are identical to :func:`~repro.smd.run_work_ensemble`'s
+    and the two share store records.  ``protocols`` may be any iterable,
+    including a generator — it is consumed one cell at a time.
     """
-    from ..smd.ensemble import (
-        DEFAULT_FORCE_SAMPLE_TIME,
-        PAPER_CPU_HOURS_PER_NS,
-        run_pulling_ensemble,
+    return plan_tasks(
+        model, ((proto, cell_labels(proto)) for proto in protocols),
+        n_tasks, samples_per_task, seed=seed, dt=dt, n_records=n_records,
+        force_sample_time=force_sample_time,
+        cpu_hours_per_ns=cpu_hours_per_ns, kernel=kernel, obs=obs,
     )
-    from ..store.fingerprint import pulling_task
-
-    if n_tasks < 1 or samples_per_task < 1:
-        raise ConfigurationError("n_tasks and samples_per_task must be >= 1")
-    base = as_seed_int(seed)
-    fst = (DEFAULT_FORCE_SAMPLE_TIME if force_sample_time is None
-           else force_sample_time)
-    chn = (PAPER_CPU_HOURS_PER_NS if cpu_hours_per_ns is None
-           else cpu_hours_per_ns)
-    index = 0
-    for proto in protocols:
-        labels = ("cell", int(proto.kappa_pn * 1000),
-                  int(proto.velocity * 1000))
-        for t in range(n_tasks):
-            key = (base, *labels, "task", t)
-            task = pulling_task(
-                model, proto, n_samples=samples_per_task,
-                n_records=n_records, force_sample_time=fst, dt=dt,
-                cpu_hours_per_ns=chn, seed_key=key,
-            )
-
-            def compute(proto: Any = proto, t: int = t,
-                        labels: Tuple[Any, ...] = labels) -> WorkEnsemble:
-                return run_pulling_ensemble(
-                    model, proto, samples_per_task, dt=dt,
-                    n_records=n_records, force_sample_time=fst,
-                    seed=stream_for(base, *labels, "task", t),
-                    cpu_hours_per_ns=chn, obs=obs, kernel=kernel,
-                )
-
-            yield StreamTask(index=index, key=key, cell=labels, task=task,
-                             compute=compute)
-            index += 1
 
 
 def run_streamed_tasks(
@@ -283,8 +237,6 @@ def run_streamed_tasks(
         raise ConfigurationError("window must be >= 1")
     if checkpoint_windows < 1:
         raise ConfigurationError("checkpoint_windows must be >= 1")
-    from ..store.fingerprint import task_fingerprint
-
     obs = as_obs(obs)
     report = StreamReport()
     cursor: Optional[StreamCursor] = None
@@ -299,9 +251,7 @@ def run_streamed_tasks(
     # The cursor is still maintained for later completion-only passes.
     skip_watermark = 0 if collect else watermark
 
-    # Membership, loaded once from the store's index layer and maintained
-    # incrementally — never a per-task directory probe.
-    known = set(store.fingerprints())
+    resolver = TaskResolver(store, collect=collect)
     dead: set = set()
     if dlq is not None:
         # Only *active* entries are terminal; requeued ones (handed back
@@ -311,6 +261,10 @@ def run_streamed_tasks(
         dead = {entry.get("fingerprint") for entry in listing()
                 if entry.get("fingerprint")}
 
+    def compute(spec: StreamTask) -> Optional[WorkEnsemble]:
+        return _compute_with_retry(spec, report, dlq=dlq, retry=retry,
+                                   fault=fault, obs=obs)
+
     pending: List[StreamTask] = []
     prefix_contiguous = True
     next_prefix_index = skip_watermark
@@ -319,50 +273,23 @@ def run_streamed_tasks(
     def resolve_window() -> None:
         nonlocal prefix_contiguous, next_prefix_index, windows_since_checkpoint
         for spec in pending:
-            fingerprint = task_fingerprint(spec.task)
-            resolved = False
-            miss_counted = False
-            if fingerprint in dead:
+            if spec.fingerprint in dead:
                 # Durably dead-lettered by a previous pass: stays failed,
                 # counts as resolved for the watermark (degraded resume).
-                report.failures[spec.index] = {"fingerprint": fingerprint}
-                resolved = True
-            elif fingerprint in known:
+                outcome, ensemble = "failed", None
+            else:
+                outcome, ensemble = resolver.resolve(spec, compute)
+            if outcome == "failed":
+                dead.add(spec.fingerprint)
+                report.failures[spec.index] = {"fingerprint": spec.fingerprint}
+            elif outcome == "hit":
                 report.hits += 1
                 obs.inc("stream.hits")
-                resolved = True
-                if collect:
-                    ensemble = store.get(fingerprint)
-                    if ensemble is None:
-                        # Evicted as corrupt on read: recompute in place
-                        # (get() already counted the store-level miss).
-                        known.discard(fingerprint)
-                        resolved = False
-                        miss_counted = True
-                        report.hits -= 1
-                    else:
-                        report.results[spec.index] = ensemble
-                else:
-                    # Completion-only mode proves the task done without
-                    # loading it; keep the store's hit/miss traffic the
-                    # same on every execution path.
-                    store.note_hit()
-            if not resolved:
-                if not miss_counted:
-                    store.note_miss()
-                ensemble = _compute_with_retry(spec, report, dlq=dlq,
-                                               retry=retry, fault=fault,
-                                               obs=obs)
-                if ensemble is None:  # dead-lettered
-                    dead.add(fingerprint)
-                    report.failures[spec.index] = {"fingerprint": fingerprint}
-                else:
-                    store.put(spec.task, ensemble)
-                    known.add(fingerprint)
-                    report.computed += 1
-                    obs.inc("stream.computed")
-                    if collect:
-                        report.results[spec.index] = ensemble
+            else:
+                report.computed += 1
+                obs.inc("stream.computed")
+            if collect and ensemble is not None:
+                report.results[spec.index] = ensemble
             if prefix_contiguous and spec.index == next_prefix_index:
                 next_prefix_index += 1
             else:
@@ -433,8 +360,6 @@ def _compute_with_retry(
 
 def _dead_letter(spec: StreamTask, reason: str, attempts: int,
                  exc: Exception, *, dlq: Any, obs: Obs) -> None:
-    from ..store.fingerprint import task_fingerprint
-
     if dlq is None:
         raise StoreError(
             f"task {spec.key!r} failed terminally ({reason}: {exc}) and no "
@@ -442,7 +367,7 @@ def _dead_letter(spec: StreamTask, reason: str, attempts: int,
         ) from exc
     dlq.record(
         task_key=spec.key,
-        fingerprint=task_fingerprint(spec.task),
+        fingerprint=spec.fingerprint,
         reason=reason,
         attempts=attempts,
         last_error=f"{type(exc).__name__}: {exc}",
@@ -474,7 +399,7 @@ def run_streamed_study(
     task resolved; cells with dead-lettered tasks are omitted (the
     degraded-completion contract) and identified in ``report.failures``.
     Fault-free, the per-cell ensembles are bit-identical to
-    :func:`~repro.smd.ensemble.run_work_ensemble` on the same arguments.
+    :func:`~repro.smd.run_work_ensemble` on the same arguments.
     """
     if n_samples % samples_per_task:
         raise ConfigurationError(
@@ -487,31 +412,24 @@ def run_streamed_study(
         model, protocols, n_tasks, samples_per_task, seed=seed,
         n_records=n_records, kernel=kernel, obs=obs,
     )
-    # Remember each spec's cell as it streams past, for per-cell assembly
-    # (small: one entry per task index, no descriptors retained).
-    cells: Dict[int, Tuple[Any, ...]] = {}
+    # The plan is cell-major with ``n_tasks`` tasks per cell: remember each
+    # cell's labels as its first task streams past (no descriptors kept).
+    cells: List[Tuple[Any, ...]] = []
 
     def tagged() -> Iterator[StreamTask]:
         for spec in specs:
-            cells[spec.index] = spec.cell
+            if spec.index % n_tasks == 0:
+                cells.append(spec.cell)
             yield spec
 
     report = run_streamed_tasks(
         tagged(), store=store, campaign_key=campaign_key, window=window,
         collect=True, dlq=dlq, retry=retry, fault=fault, obs=obs,
     )
-    by_cell: Dict[Tuple[Any, ...], List[Tuple[int, WorkEnsemble]]] = {}
-    failed_cells = {cells[i] for i in report.failures if i in cells}
-    for index, ensemble in report.results.items():
-        cell = cells[index]
-        if cell in failed_cells:
-            continue
-        by_cell.setdefault(cell, []).append((index, ensemble))
     merged: Dict[Tuple[Any, ...], WorkEnsemble] = {}
-    for cell, parts in by_cell.items():
-        parts.sort(key=lambda pair: pair[0])
-        ensemble = parts[0][1]
-        for _idx, part in parts[1:]:
-            ensemble = ensemble.merged_with(part)
-        merged[cell] = ensemble
+    for c, cell in enumerate(cells):
+        indices = range(c * n_tasks, (c + 1) * n_tasks)
+        if not any(i in report.failures for i in indices):
+            merged[cell] = reduce(WorkEnsemble.merged_with,
+                                  (report.results[i] for i in indices))
     return merged, report

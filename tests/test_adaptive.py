@@ -3,8 +3,8 @@
 The controller's contract is three-fold: (a) the replica budget is
 apportioned deterministically from the pilot diagnostic (largest-
 remainder over sqrt-MSE weights, in 2-replica task units), (b) the final
-PMF is *bit-identical* across the serial, batched-kernel, and streamed
-executors (same task descriptors, same seed streams, same merge order),
+PMF is *bit-identical* across stacking policies and with or without a
+result store (same task descriptors, same seed streams, same merge order),
 and (c) misconfiguration fails loudly before any replica runs.
 """
 
@@ -77,16 +77,16 @@ class TestAdaptiveDeterminism:
                                         **CAMPAIGN)
         assert baseline.digest() == batched.digest()
 
-    def test_streamed_executor_is_bit_identical(self, model, protocol,
-                                                baseline, tmp_path):
+    def test_store_is_bit_neutral(self, model, protocol, baseline,
+                                  tmp_path):
+        """No store, a cold store and a warm store give the same bits."""
         store = ResultStore(tmp_path / "store")
-        streamed = run_adaptive_campaign(
-            model, protocol, executor="streamed", store=store, **CAMPAIGN)
-        assert baseline.digest() == streamed.digest()
-        # Warm re-run serves every task from the store, same bits.
-        warm = run_adaptive_campaign(
-            model, protocol, executor="streamed", store=store, **CAMPAIGN)
-        assert baseline.digest() == warm.digest()
+        n_tasks = CAMPAIGN["total_replicas"] // 2
+        for stage, hits in (("cold", 0), ("warm", n_tasks)):
+            report = run_adaptive_campaign(model, protocol, store=store,
+                                           **CAMPAIGN)
+            assert baseline.digest() == report.digest(), stage
+            assert store.hits == hits and store.writes == n_tasks, stage
 
     def test_allocation_is_deterministic(self, model, protocol, baseline):
         again = run_adaptive_campaign(model, protocol, **CAMPAIGN)
@@ -132,16 +132,6 @@ class TestAdaptiveValidation:
         with pytest.raises(ConfigurationError, match="samples_per_task"):
             run_adaptive_campaign(model, protocol, n_bins=2,
                                   total_replicas=17, pilot_per_bin=4)
-
-    def test_streamed_without_store_rejected(self, model, protocol):
-        with pytest.raises(ConfigurationError, match="store"):
-            run_adaptive_campaign(model, protocol, executor="streamed",
-                                  **CAMPAIGN)
-
-    def test_unknown_executor_rejected(self, model, protocol):
-        with pytest.raises(ConfigurationError, match="executor"):
-            run_adaptive_campaign(model, protocol, executor="mpi",
-                                  **CAMPAIGN)
 
     def test_paired_estimator_rejected(self, model, protocol):
         with pytest.raises(ConfigurationError, match="paired"):

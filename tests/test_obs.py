@@ -263,3 +263,32 @@ class TestExport:
         assert lines[0] == "name,path,start,end,duration,unit,attrs"
         assert lines[1].startswith("outer,outer,")
         assert '""site"": ""NCSA""' in lines[1] or '"site": "NCSA"' in lines[1]
+
+
+class TestRunReportPhysics:
+    @pytest.mark.parametrize("kernel", ["vectorized", "batched", "reference"])
+    def test_je_rate_is_reported_for_every_kernel(self, reduced_model,
+                                                  kernel):
+        """Every kernel integrates inside an ``smd.ensemble`` span, so the
+        run report's JE-samples/sec never degrades to None."""
+        from types import SimpleNamespace
+
+        from repro.obs import campaign_run_report
+        from repro.smd import PullingProtocol, run_work_ensemble
+
+        obs = Obs()
+        proto = PullingProtocol(kappa_pn=100.0, velocity=100.0, distance=2.0,
+                                equilibration_ns=0.0)
+        run_work_ensemble(reduced_model, proto, 2, 2, seed=3, n_records=5,
+                          kernel=kernel, obs=obs)
+        campaign = SimpleNamespace(
+            per_resource_utilization={}, per_resource_jobs={},
+            total_cpu_hours=0.0, makespan_hours=0.0, mean_wait_hours=0.0,
+            requeues=0, unplaced=[], completed=[])
+        result = SimpleNamespace(batch=SimpleNamespace(campaign=campaign),
+                                 summary=lambda: {})
+        physics = campaign_run_report(result, obs)["physics"]
+        assert physics["je_samples"] == 4
+        assert physics["ensemble_wall_s"] > 0.0
+        assert physics["je_samples_per_sec"] == pytest.approx(
+            4 / physics["ensemble_wall_s"])

@@ -44,24 +44,27 @@ def kernels_doc():
     }
 
 
+def leg(median_s):
+    return {"repeats": 2, "min_s": 0.9 * median_s, "median_s": median_s,
+            "spread_s": 0.2 * median_s}
+
+
 def ensemble_doc():
-    """A minimal valid ensemble document (schema v2)."""
+    """A minimal valid ensemble document (schema v3)."""
     return {
         "schema": SCHEMA_ENSEMBLE,
         "quick": True,
         "seed": 1,
-        "workload": {"n_samples": 8, "shard_size": 4},
-        "n_workers": 2,
-        "serial_wall_s": 1.0,
-        "parallel_wall_s": 0.6,
-        "speedup": 1.6,
-        "samples_per_s_parallel": 13.0,
+        "workload": {"n_samples": 16, "shard_size": 4},
+        "per_shard_wall": leg(0.7),
         "batched": {
             "n_replicas": 16,
-            "per_trajectory_wall_s": 4.0,
-            "batched_wall_s": 0.5,
+            "batched_wall": leg(0.5),
+            "per_trajectory_wall": leg(4.0),
+            "per_trajectory_batched_wall": leg(0.5),
         },
-        "batched_speedup": 8.0,
+        "batched_speedup": 1.4,
+        "batched_speedup_per_trajectory": 8.0,
         "deterministic": True,
         "metrics": {},
     }
@@ -107,10 +110,11 @@ class TestValidation:
             validate_bench_document(doc)
 
     def test_v1_ensemble_schema_rejected(self):
-        doc = ensemble_doc()
-        doc["schema"] = "repro.bench.ensemble/v1"
-        with pytest.raises(AnalysisError, match="unknown schema"):
-            validate_bench_document(doc)
+        for old in ("repro.bench.ensemble/v1", "repro.bench.ensemble/v2"):
+            doc = ensemble_doc()
+            doc["schema"] = old
+            with pytest.raises(AnalysisError, match="unknown schema"):
+                validate_bench_document(doc)
 
     def test_missing_batched_section_rejected(self):
         doc = ensemble_doc()
@@ -126,8 +130,16 @@ class TestValidation:
 
     def test_batched_section_needs_walls(self):
         doc = ensemble_doc()
-        del doc["batched"]["batched_wall_s"]
-        with pytest.raises(AnalysisError, match="batched_wall_s"):
+        del doc["batched"]["batched_wall"]
+        with pytest.raises(AnalysisError, match="batched_wall"):
+            validate_bench_document(doc)
+        doc = ensemble_doc()
+        del doc["per_shard_wall"]["median_s"]
+        with pytest.raises(AnalysisError, match="median_s"):
+            validate_bench_document(doc)
+        doc = ensemble_doc()
+        doc["batched"]["per_trajectory_wall"]["spread_s"] = -0.1
+        with pytest.raises(AnalysisError, match="spread_s"):
             validate_bench_document(doc)
 
     def test_write_refuses_malformed(self, tmp_path):
@@ -178,13 +190,17 @@ class TestCliBench:
 
         ensemble = load_bench_document(str(tmp_path / "BENCH_ensemble.json"))
         assert ensemble["deterministic"] is True
-        assert ensemble["n_workers"] >= 2
-        assert ensemble["schema"] == "repro.bench.ensemble/v2"
+        assert ensemble["schema"] == "repro.bench.ensemble/v3"
         assert ensemble["batched"]["n_replicas"] >= 16
-        # Full-size acceptance floor is 5x; quick scale measures ~8x, so
-        # >2x keeps the smoke robust on loaded CI while still catching a
-        # collapse of the batched win.
-        assert ensemble["batched_speedup"] > 2.0
+        assert ensemble["per_shard_wall"]["repeats"] >= 2
+        # Headline: against the default per-shard layout the stack saves
+        # only the per-call overhead, so the floor is "measured", not a
+        # multiple.  Secondary: against one call per replica the full-size
+        # acceptance floor is 5x; quick scale measures ~8x, so >2x keeps
+        # the smoke robust on loaded CI while still catching a collapse of
+        # the batched win.
+        assert ensemble["batched_speedup"] > 0.0
+        assert ensemble["batched_speedup_per_trajectory"] > 2.0
         assert "batched ensemble" in out
 
         adaptive = load_bench_document(str(tmp_path / "BENCH_adaptive.json"))

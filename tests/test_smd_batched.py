@@ -10,7 +10,6 @@ and against the committed Fig-4 golden master.
 
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -93,10 +92,10 @@ class TestShardDecomposition:
         """Uneven shard splits must not perturb any replica's stream."""
         proto = fast_protocol()
         serial = run_pulling_ensemble_parallel(
-            reduced_model, proto, 17, n_workers=1, shard_size=shard_size,
+            reduced_model, proto, 17, shard_size=shard_size,
             n_records=7, seed=8)
         batched = run_pulling_ensemble_parallel(
-            reduced_model, proto, 17, n_workers=1, shard_size=shard_size,
+            reduced_model, proto, 17, shard_size=shard_size,
             n_records=7, seed=8, kernel="batched")
         assert_ensembles_identical(serial, batched)
 
@@ -175,22 +174,6 @@ class TestWorkEnsembleContract:
                                 kernel="batched")
         assert vec.works.shape[0] == bat.works.shape[0] == 12
         assert_ensembles_identical(vec, bat)
-
-    def test_base_seed_shim_warns_and_matches(self, reduced_model):
-        proto = fast_protocol()
-        with pytest.warns(DeprecationWarning, match="base_seed"):
-            old = run_work_ensemble(reduced_model, proto, 2, 3,
-                                    base_seed=9, n_records=7)
-        new = run_work_ensemble(reduced_model, proto, 2, 3, seed=9,
-                                n_records=7)
-        assert_ensembles_identical(old, new)
-
-    def test_both_seed_spellings_rejected(self, reduced_model):
-        with pytest.raises(ConfigurationError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                run_work_ensemble(reduced_model, fast_protocol(), 1, 2,
-                                  seed=1, base_seed=2)
 
 
 class TestRunPullingGroups:

@@ -1,9 +1,8 @@
-"""Parallel work-ensemble executor: worker-count invariance and bookkeeping.
+"""Sharded work ensemble: shard identity, replica order and bookkeeping.
 
-The executor's contract (see :func:`repro.smd.run_pulling_ensemble_parallel`):
-the returned :class:`~repro.smd.WorkEnsemble` is **bit-for-bit identical**
-for any ``n_workers`` because the shard decomposition and per-shard RNG
-streams depend only on ``(n_samples, shard_size, seed)``.
+The contract (see :func:`repro.smd.run_pulling_ensemble_parallel`): the
+shard decomposition and per-shard RNG streams depend only on
+``(n_samples, shard_size, seed)``, and shards merge in index order.
 """
 
 import numpy as np
@@ -37,55 +36,39 @@ def run(workload, **kwargs):
 
 
 class TestWorkerCountInvariance:
-    def test_parallel_bit_identical_to_serial(self, workload):
-        serial = run(workload, n_workers=1)
-        for n_workers in (2, 3):
-            parallel = run(workload, n_workers=n_workers)
-            np.testing.assert_array_equal(parallel.works, serial.works)
-            np.testing.assert_array_equal(parallel.positions,
-                                          serial.positions)
-            np.testing.assert_array_equal(parallel.displacements,
-                                          serial.displacements)
-            assert parallel.cpu_hours == pytest.approx(serial.cpu_hours)
-
-    def test_workers_above_shard_count(self, workload):
-        serial = run(workload, n_workers=1)
-        flooded = run(workload, n_workers=16)
-        np.testing.assert_array_equal(flooded.works, serial.works)
-
     def test_shard_size_is_part_of_result_identity(self, workload):
-        # Documented: shard_size re-keys the RNG streams, so results change;
-        # n_workers never does.
-        a = run(workload, n_workers=1, shard_size=4)
-        b = run(workload, n_workers=1, shard_size=6)
+        # Documented: shard_size re-keys the RNG streams, so results change.
+        a = run(workload, shard_size=4)
+        b = run(workload, shard_size=6)
         assert not np.array_equal(a.works, b.works)
 
     def test_uneven_final_shard(self, workload):
-        # 10 samples at shard_size=4 -> shards of 4, 4, 2.
-        serial = run(workload, n_samples=10, n_workers=1)
-        parallel = run(workload, n_samples=10, n_workers=2)
-        assert serial.n_samples == 10
-        np.testing.assert_array_equal(parallel.works, serial.works)
+        # 10 samples at shard_size=4 -> shards of 4, 4, 2; the remainder
+        # shard draws from its own stream under either stacking policy.
+        per_shard = run(workload, n_samples=10)
+        stacked = run(workload, n_samples=10, kernel="batched")
+        assert per_shard.n_samples == 10
+        np.testing.assert_array_equal(stacked.works, per_shard.works)
 
 
 class TestBookkeeping:
     def test_obs_counters(self, workload):
         obs = Obs()
-        ensemble = run(workload, n_workers=2, obs=obs)
+        ensemble = run(workload, obs=obs)
         assert obs.metrics.counter("smd.je_samples").value == 12
         assert obs.metrics.counter("smd.cpu_hours").value == pytest.approx(
             ensemble.cpu_hours)
 
     def test_instrumented_run_bit_identical(self, workload):
-        bare = run(workload, n_workers=2)
-        instrumented = run(workload, n_workers=2, obs=Obs())
+        bare = run(workload)
+        instrumented = run(workload, obs=Obs())
         np.testing.assert_array_equal(bare.works, instrumented.works)
 
     def test_replica_order_stable(self, workload):
         # The first shard of a larger ensemble is the whole of a smaller
         # one: shard streams are keyed by index, not by ensemble size.
-        small = run(workload, n_samples=4, n_workers=1)
-        large = run(workload, n_samples=12, n_workers=2)
+        small = run(workload, n_samples=4)
+        large = run(workload, n_samples=12)
         np.testing.assert_array_equal(large.works[:4], small.works)
 
 
@@ -95,5 +78,3 @@ class TestValidation:
             run(workload, n_samples=0)
         with pytest.raises(ConfigurationError):
             run(workload, shard_size=0)
-        with pytest.raises(ConfigurationError):
-            run(workload, n_workers=0)

@@ -24,6 +24,7 @@ from repro.perf import synthetic_stream
 from repro.pore.reduced import ReducedTranslocationModel, default_reduced_potential
 from repro.resil.dlq import DeadLetterQueue
 from repro.resil.policy import RetryPolicy
+from repro.smd import cell_labels, run_work_ensemble
 from repro.smd.protocol import PullingProtocol
 from repro.store import ResultStore, ShardedResultStore
 from repro.workflow import (
@@ -31,6 +32,7 @@ from repro.workflow import (
     StreamTask,
     run_streamed_study,
     run_streamed_tasks,
+    stream_study_tasks,
 )
 
 SEED = 2005
@@ -97,6 +99,17 @@ class TestBitIdentity:
         assert (sorted(ResultStore(root).fingerprints())
                 == sorted(store.fingerprints()))
         assert len(protocols) * 2 == len(store)  # 2 tasks per cell
+        # Exact per-step work (force_sample_time=None) is requestable on
+        # the streamed path too, and keys exactly as the classic path does.
+        exact = ResultStore(os.fspath(tmp_path / "exact"), sync=False)
+        run_work_ensemble(model(), protocols[0], 2, 2, seed=SEED,
+                          labels=cell_labels(protocols[0]), store=exact,
+                          n_records=11, force_sample_time=None)
+        streamed = stream_study_tasks(model(), protocols[:1], 2, 2,
+                                      seed=SEED, n_records=11,
+                                      force_sample_time=None)
+        assert (sorted(task.fingerprint for task in streamed)
+                == exact.fingerprints())
 
 
 class TestCursorResume:
