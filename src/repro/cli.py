@@ -243,7 +243,7 @@ def _campaign_store(args, obs):
     recomputation.
     """
     from .errors import ConfigurationError
-    from .store import ResultStore, ShardedResultStore
+    from .store import ResultStore
 
     store_dir = getattr(args, "store", None)
     resume = getattr(args, "resume", False)
@@ -251,8 +251,7 @@ def _campaign_store(args, obs):
         raise ConfigurationError("--resume requires --store DIR")
     if not store_dir:
         return None
-    cls = ShardedResultStore if getattr(args, "sharded", False) else ResultStore
-    store = cls(store_dir, obs=obs)
+    store = ResultStore(store_dir, obs=obs)
     if len(store) and not resume:
         raise ConfigurationError(
             f"store at {store_dir!r} already holds {len(store)} record(s); "
@@ -813,7 +812,7 @@ def cmd_dlq(args) -> CommandResult:
                 f"{summary['depth']} still dead, "
                 f"{summary['requeued']} awaiting retry\n"
                 f"replay with: repro campaign --store {args.store} "
-                f"--resume --sharded --dlq")
+                f"--resume --dlq")
         return CommandResult(text, {
             "command": "dlq",
             "action": "retry",
@@ -837,6 +836,24 @@ def cmd_dlq(args) -> CommandResult:
         "summary": summary,
         "entries": dlq.entries(),
     })
+
+
+#: The result-store flags ``campaign`` and ``report`` share.
+_STORE_ARGS: Tuple[Arg, ...] = (
+    _arg("--store", default=None, metavar="DIR",
+         help="content-addressed result store: memoize every "
+              "(cell, replica) task under DIR"),
+    _arg("--resume", action="store_true",
+         help="resume from existing records in --store DIR "
+              "(recomputes only missing tasks, bit-identical result)"),
+    _arg("--dlq", action="store_true",
+         help="attach a durable dead-letter queue (<store>/DLQ.jsonl): "
+              "permanently-failing tasks are recorded and the campaign "
+              "completes degraded instead of raising"),
+    _arg("--window", type=int, default=None, metavar="N",
+         help="stream the study lazily with N task descriptors in flight "
+              "(requires --store)"),
+)
 
 
 COMMANDS: Dict[str, CommandSpec] = {
@@ -890,25 +907,7 @@ COMMANDS: Dict[str, CommandSpec] = {
             "campaign", "three-phase SPICE campaign", cmd_campaign,
             args=(
                 _arg("--replicas", type=int, default=6),
-                _arg("--store", default=None, metavar="DIR",
-                     help="content-addressed result store: memoize every "
-                          "(cell, replica) task under DIR"),
-                _arg("--resume", action="store_true",
-                     help="resume from existing records in --store DIR "
-                          "(recomputes only missing tasks, bit-identical "
-                          "result)"),
-                _arg("--sharded", action="store_true",
-                     help="sharded store layout: per-shard index files, "
-                          "crash-consistent appends, O(changed shards) "
-                          "resume"),
-                _arg("--dlq", action="store_true",
-                     help="attach a durable dead-letter queue "
-                          "(<store>/DLQ.jsonl): permanently-failing tasks "
-                          "are recorded and the campaign completes "
-                          "degraded instead of raising"),
-                _arg("--window", type=int, default=None, metavar="N",
-                     help="stream the study lazily with N task "
-                          "descriptors in flight (requires --store)"),
+                *_STORE_ARGS,
                 _arg("--adaptive", action="store_true",
                      help="adaptive replica allocation: pilot each "
                           "sub-trajectory bin, block-bootstrap the JE "
@@ -928,19 +927,7 @@ COMMANDS: Dict[str, CommandSpec] = {
             cmd_report,
             args=(
                 _arg("--replicas", type=int, default=6),
-                _arg("--store", default=None, metavar="DIR",
-                     help="content-addressed result store: memoize every "
-                          "(cell, replica) task under DIR"),
-                _arg("--resume", action="store_true",
-                     help="resume from existing records in --store DIR"),
-                _arg("--sharded", action="store_true",
-                     help="sharded store layout (see campaign --sharded)"),
-                _arg("--dlq", action="store_true",
-                     help="attach a durable dead-letter queue (see "
-                          "campaign --dlq)"),
-                _arg("--window", type=int, default=None, metavar="N",
-                     help="stream the study lazily with N task "
-                          "descriptors in flight (requires --store)"),
+                *_STORE_ARGS,
             ),
         ),
         CommandSpec(
@@ -1040,7 +1027,7 @@ COMMANDS: Dict[str, CommandSpec] = {
             cmd_serve,
             args=(
                 _arg("--store", default=None, metavar="DIR",
-                     help="sharded result store every campaign memoizes "
+                     help="result store every campaign memoizes "
                           "into (created if missing; service state lives "
                           "under DIR/.service)"),
                 _arg("--host", default="127.0.0.1"),

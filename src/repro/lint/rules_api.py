@@ -214,8 +214,8 @@ class BatchedKernelContractRule(Rule):
                 )
 
 
-#: Directory-enumeration calls the sharded-store redesign confines to the
-#: index layer.  ``os.walk`` rides along: it is ``listdir`` in a loop.
+#: Directory-enumeration calls confined to the store's index layer.
+#: ``os.walk`` rides along: it is ``listdir`` in a loop.
 _DIR_ENUMERATION = frozenset({
     "os.listdir", "os.scandir", "os.walk",
     "glob.glob", "glob.iglob",
@@ -229,14 +229,14 @@ class IndexLayerDisciplineRule(Rule):
     id = "SPICE106"
     name = "directory scan outside the index layer"
     rationale = (
-        "the sharded store's resume cost is O(changed shards) precisely "
+        "the store's resume cost is O(changed shards) precisely "
         "because every directory enumeration goes through "
         "repro.store.index (which consults per-shard index files and "
         "mtimes before touching the filesystem); an os.listdir/os.scandir/"
         "glob call anywhere else under store/ — or in the work-stealing "
         "scheduler, which must treat queue state, never the filesystem, "
         "as truth — silently reintroduces the O(records) full-tree walk "
-        "the redesign removed"
+        "the index layer removed"
     )
 
     def applies(self, ctx: FileContext) -> bool:

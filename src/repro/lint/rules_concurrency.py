@@ -68,6 +68,7 @@ _BLOCKING_CALLS = frozenset({
     # Durable-store writes: tmp-file + write + fsync + rename under the
     # covers — milliseconds of disk latency, not a memory operation.
     "repro.store.index.atomic_write_text",
+    "repro.store.index.append_line",
 })
 
 #: Container/collection methods that mutate their receiver in place.

@@ -8,7 +8,7 @@ Two benchmark families, both emitting schema-tagged JSON documents
   (``BENCH_kernels.json``);
 * :mod:`~repro.perf.bench_ensemble` — work-ensemble wall-clock under both
   stacking policies and determinism cross-check (``BENCH_ensemble.json``);
-* :mod:`~repro.perf.bench_store` — sharded-store streaming throughput,
+* :mod:`~repro.perf.bench_store` — store streaming throughput,
   kill/resume latency, DLQ depth and work-steal counts
   (``BENCH_store.json``);
 * :mod:`~repro.perf.bench_adaptive` — adaptive vs uniform replica

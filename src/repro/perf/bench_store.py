@@ -1,11 +1,11 @@
-"""Store/streaming benchmark: sharded resume, DLQ degradation, stealing.
+"""Store/streaming benchmark: indexed resume, DLQ degradation, stealing.
 
 The million-task regime lives or dies on three numbers this benchmark
 pins down (``BENCH_store.json``, schema :data:`SCHEMA_STORE`):
 
 * **cold throughput** — streamed tasks/s into a fresh
-  :class:`~repro.store.ShardedResultStore` (synthetic sub-millisecond
-  tasks, so the store layer dominates, which is the point);
+  :class:`~repro.store.ResultStore` (synthetic sub-millisecond tasks, so
+  the store layer dominates, which is the point);
 * **resume latency** — wall time for a completion-only pass over a
   campaign that was killed mid-stream (a real
   :class:`~repro.errors.CampaignInterrupted` out of the chaos hook) and
@@ -135,7 +135,7 @@ def run_store_benchmark(  # spice: noqa SPICE105
     # noqa rationale: the synthetic tasks never enter an MD engine, so a
     # kernel= knob would select nothing — this benchmark times the store
     # and scheduler layers only.
-    """Benchmark the sharded store's streaming, resume and DLQ path.
+    """Benchmark the store's streaming, resume and DLQ path.
 
     Returns a BENCH document (schema
     :data:`~repro.perf.harness.SCHEMA_STORE`).  ``n_tasks`` defaults to
@@ -145,7 +145,7 @@ def run_store_benchmark(  # spice: noqa SPICE105
 
     from ..resil.dlq import DeadLetterQueue
     from ..resil.policy import RetryPolicy
-    from ..store import ShardedResultStore
+    from ..store import ResultStore
     from ..workflow.streaming import run_streamed_tasks
 
     obs = as_obs(obs)
@@ -160,7 +160,7 @@ def run_store_benchmark(  # spice: noqa SPICE105
 
     def run_pass(root: str, *, interrupt: bool = False,
                  collect: bool = False) -> Dict[str, Any]:
-        store = ShardedResultStore(f"{root}/store", obs=obs, sync=False)
+        store = ResultStore(f"{root}/store", obs=obs, sync=False)
         dlq = DeadLetterQueue(f"{root}/DLQ.jsonl", obs=obs, sync=False)
 
         def chaos(spec: Any, attempt: int) -> None:

@@ -320,7 +320,7 @@ def _exercise_permafail(fault: PermafailFault, seed: int,
                         obs) -> Dict[str, object]:
     """Drive a small streamed study with poisoned tasks into the DLQ.
 
-    Runs a 4-cell, 8-task study against a throwaway sharded store; the
+    Runs a 4-cell, 8-task study against a throwaway store; the
     tasks at ``fault.task_indices`` raise :class:`SimulationError` on
     every attempt, exhaust the seeded retry policy, and land in the
     dead-letter queue while every other task completes.  Returns a
@@ -332,7 +332,7 @@ def _exercise_permafail(fault: PermafailFault, seed: int,
     from ..pore.reduced import ReducedTranslocationModel, \
         default_reduced_potential
     from ..smd.protocol import PullingProtocol
-    from ..store import ShardedResultStore
+    from ..store import ResultStore
     from ..workflow.streaming import StreamTask, run_streamed_study
     from .dlq import DeadLetterQueue
 
@@ -352,7 +352,7 @@ def _exercise_permafail(fault: PermafailFault, seed: int,
 
     retry = RetryPolicy(max_attempts=fault.max_attempts, base_delay=1e-6)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        store = ShardedResultStore(f"{tmp}/store", obs=obs, sync=False)
+        store = ResultStore(f"{tmp}/store", obs=obs, sync=False)
         dlq = DeadLetterQueue(f"{tmp}/DLQ.jsonl", obs=obs, sync=False)
         ensembles, report = run_streamed_study(
             model, protocols, n_samples=4, samples_per_task=2,

@@ -10,9 +10,11 @@ or a breaker keeps tripping on it), the task is recorded durably and the
 campaign *completes degraded*, reporting the DLQ contents.
 
 Format: one ``repro.resil.dlq/v1`` canonical-JSON document per line in an
-append-only ``DLQ.jsonl`` file.  Appends are fsync'd; a crash mid-append
-leaves at most one torn final line, which reads tolerate and drop (the
-task it described will simply fail and be re-recorded on resume).  Entries
+append-only ``DLQ.jsonl`` file, written and read through the store's
+durable line-log (:func:`repro.store.index.append_line`).  Appends are
+fsync'd; a crash mid-append leaves at most one torn final line, which
+reads drop (the task it described will simply fail and be re-recorded on
+resume).  Entries
 carry no wall-clock fields, so a chaos campaign's DLQ is bit-identical
 across same-seed runs.  Recording is idempotent per task key: a resumed
 campaign that dead-letters the same task again is counted as a
@@ -100,16 +102,11 @@ class DeadLetterQueue:
         self._load()
 
     def _load(self) -> None:
+        from ..store.index import read_complete_lines
+
         if not os.path.isfile(self.path):
             return
-        with open(self.path, encoding="utf-8") as handle:
-            text = handle.read()
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        elif lines:
-            lines.pop()  # torn final append from a crash: drop it
-        for line in lines:
+        for line in read_complete_lines(self.path):
             try:
                 entry = json.loads(line)
             except ValueError:
@@ -187,14 +184,10 @@ class DeadLetterQueue:
         return entry
 
     def _append(self, entry: Dict[str, Any]) -> None:
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(_canonical_line(entry))
-            if self._sync:
-                handle.flush()
-                os.fsync(handle.fileno())
+        from ..store.fingerprint import canonical_json
+        from ..store.index import append_line
+
+        append_line(self.path, canonical_json(entry), sync=self._sync)
 
     def _rewrite(self) -> None:
         """Atomically rewrite the whole queue file (requeue/reactivate).

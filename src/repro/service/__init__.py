@@ -82,7 +82,7 @@ def build_service(store_root: str, *,
                   ) -> ServiceApp:
     """Wire a full service stack over one store root (the one-call setup).
 
-    Creates/opens the :class:`~repro.store.ShardedResultStore` at
+    Creates/opens the :class:`~repro.store.ResultStore` at
     ``store_root``, the service state under its hidden ``.service/``
     entry, the shared DLQ, the runner and the app.  ``tokens_file`` is an
     :meth:`AuthRegistry.from_file` path; without it the fixed demo tokens
@@ -92,9 +92,9 @@ def build_service(store_root: str, *,
     """
     import os
 
-    from ..store import ShardedResultStore
+    from ..store import ResultStore
 
-    store = ShardedResultStore(store_root, obs, sync=sync)
+    store = ResultStore(store_root, obs, sync=sync)
     state = ServiceState(os.path.join(store.root, ".service"), sync=sync)
     registry = (AuthRegistry.from_file(tokens_file) if tokens_file
                 else AuthRegistry.demo())

@@ -91,8 +91,8 @@ class CampaignRunner:
     Parameters
     ----------
     store:
-        The shared :class:`~repro.store.ResultStore` (or sharded variant)
-        every campaign memoizes into — the cross-tenant cache.
+        The shared :class:`~repro.store.ResultStore` every campaign
+        memoizes into — the cross-tenant cache.
     state:
         The durable :class:`~repro.service.state.ServiceState` holding
         campaign records, events and results.

@@ -42,7 +42,11 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import LifecycleError, ServiceError
 from ..sanitize import make_rlock
-from ..store.index import atomic_write_text
+from ..store.index import (
+    append_line,
+    atomic_write_text,
+    read_complete_lines,
+)
 
 __all__ = [
     "STATES",
@@ -336,8 +340,6 @@ class ServiceState:
         from ..store.fingerprint import canonical_json
 
         with self._lock:
-            path = self._events_path(campaign_id)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
             if campaign_id not in self._event_counts:
                 # Restart path: continue the sequence after the last
                 # durable event instead of reusing its numbers.
@@ -346,37 +348,27 @@ class ServiceState:
                     existing[-1]["seq"] if existing else 0)
             seq = self._event_counts[campaign_id] + 1
             self._event_counts[campaign_id] = seq
-            doc = {"seq": seq, **event}
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(canonical_json(doc) + "\n")
-                if self._sync:
-                    handle.flush()
-                    # Deliberately under the lock: the event's seq order
-                    # must match the file's append order, and the lock is
-                    # what serializes appenders.  Single-writer, tiny
-                    # line, and the durability contract ("seq N returned
-                    # => event N on disk") needs the fsync inside.
-                    os.fsync(handle.fileno())  # spice: noqa SPICE303
+            # The fsync is deliberately under the lock: the event's seq
+            # order must match the file's append order, and the lock is
+            # what serializes appenders.  Single-writer, tiny line, and
+            # the durability contract ("seq N returned => event N on
+            # disk") needs the fsync inside.
+            append_line(  # spice: noqa SPICE303
+                self._events_path(campaign_id),
+                canonical_json({"seq": seq, **event}), sync=self._sync)
             return seq
 
     def read_events(self, campaign_id: str, *,
                     since: int = 0) -> List[Dict[str, Any]]:
         """Events with ``seq > since``, oldest first.
 
-        Tolerates a torn final line (crash mid-append) by dropping it —
-        the same discipline as the store's index reader.
+        A torn final line (crash mid-append) is dropped by the shared
+        line-log reader; an unparsable interior line is skipped.
         """
-        path = self._events_path(campaign_id)
         try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
+            lines = read_complete_lines(self._events_path(campaign_id))
         except OSError:
             return []
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        elif lines:
-            lines.pop()  # torn final append
         out: List[Dict[str, Any]] = []
         for line in lines:
             try:

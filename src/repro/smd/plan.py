@@ -163,7 +163,7 @@ class TaskResolver:
     def __init__(self, store: Any = None, *, collect: bool = True) -> None:
         self.store = store
         self.collect = collect
-        self.known = set(store.fingerprints()) if store is not None else set()
+        self.known = store.fingerprint_set() if store is not None else set()
 
     def __contains__(self, task: StreamTask) -> bool:
         return self.store is not None and task.fingerprint in self.known

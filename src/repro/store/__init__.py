@@ -17,10 +17,10 @@ Public surface:
 * :func:`task_fingerprint` / :func:`canonical_json` — canonical hashing;
 * :func:`pulling_task` / :func:`pulling_task_3d` — task descriptors for
   the two SMD kernels;
-* :class:`ResultStore` — the crash-consistent on-disk store;
-* :class:`ShardedResultStore` — same contract plus per-shard append-only
-  index files and a ``heal()`` compaction pass, for million-task
-  campaigns where enumeration must be O(changed shards);
+* :class:`ResultStore` — the crash-consistent on-disk store: one record
+  file per task, per-shard append-only index files so enumeration is
+  O(changed shards) at million-task scale, and a ``heal()`` compaction
+  pass (``ShardedResultStore`` is a second name for the same class);
 * record helpers (:func:`build_record`, :func:`dumps_record`,
   :func:`loads_record`, :func:`validate_record`) for tooling and tests.
 """

@@ -1,8 +1,8 @@
-"""The store's *index layer*: every directory scan and index-file access.
+"""The store's *index layer*: every directory scan and index-file access,
+and the one durable line-log the repo's append-only text files share.
 
-Two store layouts share this module.  The flat :class:`~repro.store.ResultStore`
-uses only the scan helpers; the sharded store adds an append-only ``INDEX``
-file per shard directory so that enumeration is O(changed shards) instead of
+:class:`~repro.store.ResultStore` keeps an append-only ``INDEX`` file per
+shard directory so that enumeration is O(changed shards) instead of
 O(records).
 
 Design rules (enforced by lint rule SPICE106):
@@ -14,29 +14,36 @@ Design rules (enforced by lint rule SPICE106):
 * Index files are *caches of the truth*, where the truth is the set of
   record files.  Every index read tolerates a torn final line (a crash
   during append) and every consumer must survive an index that is stale by
-  the most recent write — :meth:`ShardIndexCache.load` falls back to a
-  record scan, and the sharded store's ``heal()`` rewrites indexes from
-  records, never the other way around.
+  the most recent write — the store falls back to a record scan of the
+  shard, and its ``heal()`` rewrites indexes from records, never the other
+  way around.
 * Durability discipline matches the record files: full rewrites go through
   write-tmp → fsync → ``os.replace``; appends fsync before returning.
+
+The line-log (:func:`append_line` / :func:`read_complete_lines`) is that
+append discipline plus its reader: a line is written, flushed and fsync'd,
+and a reader drops a final line with no trailing newline because a crash
+tore it.  INDEX files, the service's per-campaign event logs and
+``DLQ.jsonl`` all go through it; what a *complete* but unparsable line
+means is each consumer's own policy.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = [
     "INDEX_NAME",
     "atomic_write_text",
-    "append_index_line",
+    "append_line",
+    "read_complete_lines",
     "file_stat_key",
     "scan_shard_ids",
     "scan_shard_fingerprints",
     "scan_extra_root_entries",
     "read_index_lines",
     "rewrite_index",
-    "ShardIndexCache",
 ]
 
 #: Per-shard index file name.  Lives inside the shard directory next to the
@@ -67,18 +74,30 @@ def atomic_write_text(path: str, text: str, *, sync: bool = True) -> None:
     os.replace(tmp, path)
 
 
-def append_index_line(path: str, fingerprint: str, *, sync: bool = True) -> None:
-    """Append one fingerprint line to an index file, durably.
+def append_line(path: str, line: str, *, sync: bool = True) -> None:
+    """Append ``line`` plus a newline to a text log, durably.
 
     A crash mid-append leaves at most one torn final line, which
-    :func:`read_index_lines` drops on the next read.
+    :func:`read_complete_lines` drops on the next read.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "a", encoding="utf-8") as handle:
-        handle.write(fingerprint + "\n")
+        handle.write(line + "\n")
         if sync:
             handle.flush()
             os.fsync(handle.fileno())
+
+
+def read_complete_lines(path: str) -> List[str]:
+    """The newline-terminated lines of a text log, without the newlines.
+
+    Whatever follows the last newline is a torn append from a crash and is
+    dropped.  Raises ``OSError`` when the file cannot be read.
+    """
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    lines.pop()  # "" after a final newline, else the torn tail
+    return lines
 
 
 # -- scans (the only directory walks in the store) -----------------------------
@@ -131,21 +150,12 @@ def scan_extra_root_entries(root: str) -> List[str]:
 def read_index_lines(path: str) -> List[str]:
     """Fingerprints listed in an index file, deduplicated and sorted.
 
-    Tolerates a torn final line (no trailing newline, or garbage from a
-    crash mid-append) by dropping it; any other malformed line marks the
-    whole index as untrustworthy and raises ``ValueError`` so the caller
-    falls back to a record scan.
+    A torn final line is dropped by :func:`read_complete_lines`; any
+    malformed complete line marks the whole index as untrustworthy and
+    raises ``ValueError`` so the caller falls back to a record scan.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    elif lines:
-        # No trailing newline: the final append was torn; drop it.
-        lines.pop()
     seen = set()
-    for line in lines:
+    for line in read_complete_lines(path):
         if not _is_fingerprint(line):
             raise ValueError(f"malformed index line {line!r:.80} in {path!r}")
         seen.add(line)
@@ -164,47 +174,3 @@ def rewrite_index(path: str, fingerprints: Iterable[str], *,
     body = "".join(fp + "\n" for fp in sorted(set(fingerprints)))
     atomic_write_text(path, body, sync=sync)
     os.utime(path, None)
-
-
-class ShardIndexCache:
-    """Memoized per-shard fingerprint sets, keyed on index-file stat.
-
-    ``load`` returns the shard's sorted fingerprints, re-reading the INDEX
-    file only when its ``(size, mtime_ns)`` changed — so enumerating an
-    unchanged million-record store after the first call is O(shards) stat
-    calls, not O(records) reads.  A missing or unreadable index falls back
-    to a record scan of the shard directory (and reports ``trusted=False``
-    so the owner can schedule a heal).
-    """
-
-    def __init__(self) -> None:
-        self._cache: Dict[str, Tuple[Optional[Tuple[int, int]], List[str]]] = {}
-
-    def invalidate(self, shard_id: str) -> None:
-        """Forget one shard (after this process rewrote its INDEX)."""
-        self._cache.pop(shard_id, None)
-
-    def clear(self) -> None:
-        """Forget everything; the next load re-stats every shard."""
-        self._cache.clear()
-
-    def load(self, root: str, shard_id: str) -> Tuple[List[str], bool]:
-        """``(fingerprints, trusted)`` for one shard.
-
-        ``trusted`` is False when the INDEX was missing/corrupt and the
-        result came from a raw record scan instead.
-        """
-        shard_dir = os.path.join(root, shard_id)
-        index_path = os.path.join(shard_dir, INDEX_NAME)
-        key = file_stat_key(index_path)
-        cached = self._cache.get(shard_id)
-        if cached is not None and cached[0] == key and key is not None:
-            return cached[1], True
-        if key is not None:
-            try:
-                fingerprints = read_index_lines(index_path)
-            except (OSError, ValueError):
-                return scan_shard_fingerprints(shard_dir), False
-            self._cache[shard_id] = (key, fingerprints)
-            return fingerprints, True
-        return scan_shard_fingerprints(shard_dir), False

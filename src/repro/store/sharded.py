@@ -1,217 +1,11 @@
-"""Sharded result store: per-shard append-only indexes + heal/compaction.
+"""Former home of the indexed store; :class:`ResultStore` is the one class.
 
-Same record format, fingerprints and cache semantics as the flat
-:class:`~repro.store.ResultStore` (which it subclasses), plus an ``INDEX``
-file inside every two-hex-char shard directory::
-
-    <root>/
-      meta.json                  # identity now carries "layout": "sharded"
-      3f/
-        INDEX                    # append-only, one fingerprint per line
-        3fa4...e1.json
-
-Why: the flat store enumerates content by walking the record tree, which is
-O(records) per fresh process — fatal for a million-task resume.  Here every
-:meth:`put` appends the fingerprint to its shard's INDEX (fsync'd, after
-the record itself is durable), so a fresh store instance recovers the full
-content view by reading ~4096 small index files instead of statting a
-million records, and an *unchanged* shard is trusted from its index alone.
-
-Crash-consistency argument (the invariant the tests pin down):
-
-* The record write is the commit point — write-tmp → fsync → ``os.replace``,
-  exactly the flat store's discipline.  The index append happens *after*
-  the record is durable, so an index can only ever be **stale** (missing
-  the most recent records of a shard), never **ahead** (listing a record
-  that does not exist).
-* Staleness is detected per shard without reading records: replacing a
-  record file bumps the shard *directory* mtime, while the index append
-  that should follow bumps the INDEX mtime afterwards.  A shard whose
-  directory is newer than its INDEX is re-scanned from record files and
-  its index rewritten — that is the "O(changed shards)" resume cost.
-* A torn index append (crash mid-write) leaves a partial final line, which
-  the index reader drops; the affected fingerprints are recovered by the
-  same staleness rescan, or recomputed bit-identically by the campaign.
-* :meth:`heal` is the belt-and-braces pass: rebuild every index from the
-  record files (``deep=True`` additionally validates each record and
-  quarantines corruption inside its own shard as ``*.corrupt``).  Indexes
-  are caches of the record tree, never the other way around.
+``ShardedResultStore`` has been a public name since PR 7, so it stays bound
+— to the same class object, not a subclass.
 """
 
-from __future__ import annotations
-
-import os
-from typing import Any, Dict, List, Optional
-
-from ..errors import StoreError
-from ..obs import Obs
-from .fingerprint import RECORD_SCHEMA, STORE_SCHEMA_VERSION, canonical_json
-from .index import (
-    INDEX_NAME,
-    ShardIndexCache,
-    append_index_line,
-    file_stat_key,
-    rewrite_index,
-    scan_shard_fingerprints,
-    scan_shard_ids,
-)
 from .store import ResultStore
 
 __all__ = ["ShardedResultStore"]
 
-
-class ShardedResultStore(ResultStore):
-    """Drop-in :class:`ResultStore` with per-shard indexes and ``heal()``.
-
-    API-compatible with the flat store everywhere a campaign touches it
-    (``get``/``put``/``get_or_run``/``__contains__``/``fingerprints``/
-    ``content_digest``/``stats``/``interrupt_after_writes``); the two
-    layouts refuse each other's directories via the exact-match
-    ``meta.json`` identity.
-    """
-
-    def __init__(self, root: str, obs: Optional[Obs] = None, *,
-                 sync: bool = True) -> None:
-        self._index_cache = ShardIndexCache()
-        self.reindexed_shards = 0
-        super().__init__(root, obs, sync=sync)
-
-    @staticmethod
-    def _meta_text() -> str:
-        return canonical_json({
-            "layout": "sharded",
-            "store": "repro.store",
-            "record_schema": RECORD_SCHEMA,
-            "schema_version": STORE_SCHEMA_VERSION,
-        }) + "\n"
-
-    # -- content view ----------------------------------------------------------
-
-    def _index_path(self, shard_id: str) -> str:
-        return os.path.join(self.root, shard_id, INDEX_NAME)
-
-    def _shard_is_stale(self, shard_id: str) -> bool:
-        """True when the shard directory changed after its last index write.
-
-        Record replaces/evictions bump the directory mtime; the index
-        append that commits them comes after, so ``dir newer than INDEX``
-        (or a missing INDEX) means the index lost a race with a crash.
-        """
-        index_key = file_stat_key(self._index_path(shard_id))
-        if index_key is None:
-            return True
-        dir_key = file_stat_key(os.path.join(self.root, shard_id))
-        return dir_key is not None and dir_key[1] > index_key[1]
-
-    def _scan_fingerprints(self) -> List[str]:
-        """Full content view: trusted indexes + rescans of changed shards."""
-        out: List[str] = []
-        for shard_id in scan_shard_ids(self.root):
-            if self._shard_is_stale(shard_id):
-                fingerprints = self._reindex_shard(shard_id)
-            else:
-                fingerprints, trusted = self._index_cache.load(
-                    self.root, shard_id)
-                if not trusted:
-                    fingerprints = self._reindex_shard(shard_id)
-            out.extend(fingerprints)
-        return out
-
-    def _reindex_shard(self, shard_id: str) -> List[str]:
-        """Rebuild one shard's INDEX from its record files."""
-        fingerprints = scan_shard_fingerprints(
-            os.path.join(self.root, shard_id))
-        rewrite_index(self._index_path(shard_id), fingerprints,
-                      sync=self._sync)
-        self._index_cache.invalidate(shard_id)
-        self.reindexed_shards += 1
-        self._count("store.reindexed_shards")
-        return fingerprints
-
-    def _note_write(self, fingerprint: str) -> None:
-        append_index_line(self._index_path(fingerprint[:2]), fingerprint,
-                          sync=self._sync)
-        self._index_cache.invalidate(fingerprint[:2])
-        super()._note_write(fingerprint)
-
-    def _note_evict(self, fingerprint: str) -> None:
-        shard_id = fingerprint[:2]
-        listed, _ = self._index_cache.load(self.root, shard_id)
-        survivors = [fp for fp in listed if fp != fingerprint]
-        rewrite_index(self._index_path(shard_id), survivors, sync=self._sync)
-        self._index_cache.invalidate(shard_id)
-        super()._note_evict(fingerprint)
-
-    # -- heal / compaction -----------------------------------------------------
-
-    def heal(self, *, deep: bool = False) -> Dict[str, Any]:
-        """Rebuild every shard index from the record files.
-
-        With ``deep=True`` each record is additionally read and validated;
-        corrupt records are quarantined (renamed ``*.corrupt`` inside their
-        shard) and dropped from the rebuilt index, so one bad shard never
-        poisons the rest of the store.  Returns a report suitable for logs
-        and assertions.
-        """
-        report: Dict[str, Any] = {
-            "shards": 0, "records": 0, "reindexed": [],
-            "quarantined": [],
-        }
-        survivors_total = 0
-        for shard_id in scan_shard_ids(self.root):
-            report["shards"] += 1
-            shard_dir = os.path.join(self.root, shard_id)
-            fingerprints = scan_shard_fingerprints(shard_dir)
-            survivors = []
-            for fingerprint in fingerprints:
-                if deep and not self._record_is_valid(fingerprint):
-                    report["quarantined"].append(fingerprint)
-                    continue
-                survivors.append(fingerprint)
-            before = self._trusted_index(shard_id)
-            if before != survivors:
-                report["reindexed"].append(shard_id)
-            rewrite_index(self._index_path(shard_id), survivors,
-                          sync=self._sync)
-            self._index_cache.invalidate(shard_id)
-            survivors_total += len(survivors)
-        report["records"] = survivors_total
-        # The memoized view may predate the heal; rebuild it lazily.
-        self._fps = None
-        self._digest = None
-        if self._obs.enabled:
-            self._obs.event("store.heal", shards=report["shards"],
-                            reindexed=len(report["reindexed"]),
-                            quarantined=len(report["quarantined"]))
-        return report
-
-    def _trusted_index(self, shard_id: str) -> Optional[List[str]]:
-        """Current index contents, or None when missing/corrupt."""
-        try:
-            from .index import read_index_lines
-            return read_index_lines(self._index_path(shard_id))
-        except (OSError, ValueError):
-            return None
-
-    def _record_is_valid(self, fingerprint: str) -> bool:
-        try:
-            self.read_record(fingerprint)
-        except (StoreError, KeyError, TypeError, ValueError):
-            # read_record does not evict; quarantine here so the corruption
-            # stays contained in its shard.
-            path = self.path_for(fingerprint)
-            self._evict(path, StoreError("heal: record failed validation"))
-            return False
-        return True
-
-    # -- introspection ---------------------------------------------------------
-
-    def stats(self) -> Dict[str, int]:
-        """The base counters plus shard count and heal/reindex activity."""
-        out = super().stats()
-        out["shards"] = len(scan_shard_ids(self.root))
-        out["reindexed_shards"] = self.reindexed_shards
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardedResultStore({self.root!r}, records={len(self)})"
+ShardedResultStore = ResultStore

@@ -221,8 +221,8 @@ def run_streamed_tasks(
     even computing their fingerprint (the cursor is only ever behind the
     truth, never ahead).  The first post-watermark task of each window is
     resolved by store membership — loaded from the per-shard indexes once,
-    O(changed shards) on a sharded store — and misses are recomputed
-    bit-identically from their seed key.
+    O(changed shards) — and misses are recomputed bit-identically from
+    their seed key.
 
     Failure semantics: a compute raising :class:`PermanentTaskFailure` is
     dead-lettered immediately; other :class:`ReproError` failures are
@@ -242,8 +242,7 @@ def run_streamed_tasks(
     cursor: Optional[StreamCursor] = None
     watermark = 0
     if campaign_key is not None:
-        sync = getattr(store, "_sync", True)
-        cursor = StreamCursor(store.root, campaign_key, sync=sync)
+        cursor = StreamCursor(store.root, campaign_key, sync=store.sync)
         watermark = cursor.load()
     report.watermark = watermark
     # Collect mode must *load* every hit anyway, so the cursor cannot skip

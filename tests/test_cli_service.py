@@ -5,6 +5,7 @@ missing-flag guards every service command must raise cleanly."""
 import asyncio
 import json
 import os
+import shlex
 import threading
 
 import pytest
@@ -85,8 +86,31 @@ class TestDlqCommand:
     def test_retry_prints_the_replay_hint(self, store, capsys):
         assert main(["dlq", "retry", "--store", store]) == 0
         out = capsys.readouterr().out
-        assert f"repro campaign --store {store} --resume --sharded --dlq" \
-            in out
+        assert f"repro campaign --store {store} --resume --dlq" in out
+
+    def test_replay_hint_runs_on_a_plain_campaign_store(self, tmp_path,
+                                                        capsys):
+        """The printed command must be accepted by the store directory a
+        plain ``campaign --store D --dlq`` wrote (it used to add a layout
+        flag that such a directory refused)."""
+        root = os.fspath(tmp_path / "store")
+        size = ["--replicas", "2", "--seed", "1"]
+        assert main(["campaign", "--store", root, "--dlq", *size]) == 0
+        DeadLetterQueue(os.path.join(root, "DLQ.jsonl")).record(
+            task_key=("cell", 1), reason="retry-exhausted", attempts=3,
+            last_error="boom", fingerprint="fp-a")
+        capsys.readouterr()
+        assert main(["dlq", "retry", "--store", root]) == 0
+        hint = capsys.readouterr().out.split("replay with: repro ")[1]
+        assert main([*shlex.split(hint), *size, "--json"]) == 0
+        traffic = json.loads(capsys.readouterr().out)["store"]["traffic"]
+        assert traffic["misses"] == traffic["writes"] == 0
+
+    def test_layout_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--store", "x", "--sharded"])
+        assert exc.value.code == 2
+        assert "--sharded" in capsys.readouterr().err
 
 
 class _LiveServer:

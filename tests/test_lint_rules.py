@@ -361,7 +361,7 @@ class TestIndexLayerDiscipline:
         import os
         names = os.listdir(root)
         """
-        assert rule_ids("src/repro/store/sharded.py", src) == ["SPICE106"]
+        assert rule_ids("src/repro/store/record.py", src) == ["SPICE106"]
 
     def test_glob_and_scandir_in_stealing_flagged(self):
         src = """\
@@ -402,7 +402,7 @@ class TestIndexLayerDiscipline:
         os.replace(tmp, final)
         path = os.path.join(root, "ab")
         """
-        assert rule_ids("src/repro/store/sharded.py", src) == []
+        assert rule_ids("src/repro/store/record.py", src) == []
 
 
 class TestNoqaSuppression:
@@ -625,6 +625,23 @@ class TestBlockingUnderLock:
             def flush(self, handle):
                 with self._lock:
                     os.fsync(handle.fileno())
+        """
+        assert rule_ids("src/repro/service/foo.py", src) == ["SPICE303"]
+
+    def test_line_log_append_under_lock_flagged(self):
+        # The fsync now hides inside the store's shared append helper.
+        src = """\
+        import threading
+
+        from ..store.index import append_line
+
+        class Journal:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def log(self, path, line):
+                with self._lock:
+                    append_line(path, line)
         """
         assert rule_ids("src/repro/service/foo.py", src) == ["SPICE303"]
 

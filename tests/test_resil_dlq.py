@@ -75,15 +75,6 @@ class TestDurabilityAndIdempotency:
         assert len(again) == 1
         assert again.redeliveries == 1
 
-    def test_torn_final_line_dropped_on_load(self, tmp_path):
-        path = os.fspath(tmp_path / "DLQ.jsonl")
-        dlq = DeadLetterQueue(path)
-        dlq.record(task_key=("a", 1), reason="retry-exhausted", attempts=3,
-                   last_error="boom")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"schema": "repro.resil.dlq/v1", "task')  # crash
-        assert len(DeadLetterQueue(path)) == 1
-
     def test_summary_histogram(self, tmp_path):
         dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"))
         dlq.record(task_key=("a",), reason="retry-exhausted", attempts=3,

@@ -122,17 +122,6 @@ class TestEvents:
         seq = reborn.append_event(record.id, {"kind": "progress"})
         assert seq == 3
 
-    def test_torn_final_line_is_dropped(self, state):
-        record = state.create("ada", SPEC_DOC, "fp-1")
-        state.append_event(record.id, {"kind": "progress"})
-        path = os.path.join(state.root, "events", record.id + ".jsonl")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"seq": 3, "kind": "torn')  # no newline: crash
-        events = state.read_events(record.id)
-        assert [e["seq"] for e in events] == [1, 2]
-        # The next append supersedes the torn line's would-be seq safely.
-        assert state.append_event(record.id, {"kind": "progress"}) == 3
-
     def test_events_for_unknown_campaign_are_empty(self, state):
         assert state.read_events("c-404404") == []
 

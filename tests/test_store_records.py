@@ -95,6 +95,7 @@ class TestResultStore:
         assert result_store.stats() == {
             "hits": 1, "misses": 0, "writes": 1,
             "corrupt_evicted": 0, "records": 1,
+            "shards": 1, "reindexed_shards": 0,
         }
 
     def test_store_survives_reopen(self, result_store, task, ensemble):

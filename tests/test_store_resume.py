@@ -52,6 +52,10 @@ def run_campaign(store_root, *, interrupt_after=None, replicas=6,
     return result, report, store
 
 
+def n_shards(store):
+    return len({fp[:2] for fp in store.fingerprints()})
+
+
 def canonical_bytes(report):
     return canonical_json(canonical_run_report(report)).encode()
 
@@ -81,6 +85,7 @@ class TestDeterministicResume:
         assert store.stats() == {
             "hits": 0, "misses": 72, "writes": 72,
             "corrupt_evicted": 0, "records": 72,
+            "shards": n_shards(store), "reindexed_shards": 0,
         }
 
     def test_resume_recomputes_exactly_the_missing_tasks(self, resumed):
@@ -91,6 +96,8 @@ class TestDeterministicResume:
             "writes": 72 - self.N_DONE,
             "corrupt_evicted": 0,
             "records": 72,
+            "shards": n_shards(store),
+            "reindexed_shards": 0,
         }
 
     def test_resumed_store_content_identical_to_control(

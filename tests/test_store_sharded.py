@@ -1,11 +1,11 @@
-"""Sharded store: index-driven enumeration, heal/compaction, corrupted
-resume.
+"""The store's index layer: index-driven enumeration, heal/compaction,
+legacy-directory upgrade, the shared durable line-log, corrupted resume.
 
-The contract under test: :class:`~repro.store.ShardedResultStore` is a
-drop-in :class:`~repro.store.ResultStore` (same records, fingerprints and
-content digest), whose enumeration trusts per-shard INDEX files and only
-rescans shards that changed — and whose ``heal()`` pass rebuilds indexes
-from records, quarantining corruption inside its own shard.
+The contract under test: :class:`~repro.store.ResultStore` enumerates by
+trusting per-shard INDEX files and only rescans shards that changed, its
+``heal()`` pass rebuilds indexes from records, quarantining corruption
+inside its own shard, and a directory written by the pre-INDEX layout
+opens as a store whose every shard is stale.
 
 The end-to-end class is the satellite acceptance test: a campaign killed
 mid-flight with one record *and* one shard index corrupted by byte
@@ -20,8 +20,21 @@ import pytest
 
 from repro.errors import CampaignInterrupted, StoreError
 from repro.obs import Obs, campaign_run_report, canonical_run_report
-from repro.store import ResultStore, ShardedResultStore, canonical_json
-from repro.store.index import INDEX_NAME, read_index_lines
+from repro.resil import DeadLetterQueue
+from repro.service.state import ServiceState
+from repro.store import (
+    ResultStore,
+    ShardedResultStore,
+    build_record,
+    canonical_json,
+    dumps_record,
+)
+from repro.store.index import (
+    INDEX_NAME,
+    append_line,
+    read_complete_lines,
+    read_index_lines,
+)
 from repro.workflow import SpiceCampaign, build_default_federation
 
 SEED = 2005
@@ -60,36 +73,21 @@ def fill(store, n=12):
 
 
 class TestDropInParity:
-    def test_content_digest_matches_flat_store(self, tmp_path):
-        flat = ResultStore(os.fspath(tmp_path / "flat"))
-        sharded = ShardedResultStore(os.fspath(tmp_path / "sharded"))
-        assert fill(flat) == fill(sharded)
-        assert flat.content_digest() == sharded.content_digest()
-        assert flat.fingerprints() == sharded.fingerprints()
-        assert len(flat) == len(sharded) == 12
+    def test_one_class_two_names(self):
+        assert ShardedResultStore is ResultStore
 
     def test_roundtrip_returns_identical_ensemble(self, tmp_path):
-        store = ShardedResultStore(os.fspath(tmp_path / "s"))
+        store = ResultStore(os.fspath(tmp_path / "s"))
         [fp] = fill(store, 1)
         cached = store.get(fp)
         expected = make_ensemble(0)
         np.testing.assert_array_equal(cached.works, expected.works)
         np.testing.assert_array_equal(cached.positions, expected.positions)
 
-    def test_layouts_refuse_each_other(self, tmp_path):
-        root = os.fspath(tmp_path / "s")
-        fill(ShardedResultStore(root), 2)
-        with pytest.raises(StoreError):
-            ResultStore(root)
-        flat_root = os.fspath(tmp_path / "f")
-        fill(ResultStore(flat_root), 2)
-        with pytest.raises(StoreError):
-            ShardedResultStore(flat_root)
-
 
 class TestIndexDrivenEnumeration:
     def test_every_shard_has_an_index_listing_its_records(self, tmp_path):
-        store = ShardedResultStore(os.fspath(tmp_path / "s"))
+        store = ResultStore(os.fspath(tmp_path / "s"))
         fps = fill(store)
         for fp in fps:
             listed = read_index_lines(
@@ -98,37 +96,26 @@ class TestIndexDrivenEnumeration:
 
     def test_fresh_instance_trusts_clean_indexes(self, tmp_path):
         root = os.fspath(tmp_path / "s")
-        first = ShardedResultStore(root)
+        first = ResultStore(root)
         fill(first)
-        fresh = ShardedResultStore(root)
+        fresh = ResultStore(root)
         assert fresh.fingerprints() == first.fingerprints()
         assert fresh.reindexed_shards == 0
 
     def test_missing_index_rescans_only_that_shard(self, tmp_path):
         root = os.fspath(tmp_path / "s")
-        first = ShardedResultStore(root)
+        first = ResultStore(root)
         fps = fill(first)
         os.remove(os.path.join(root, fps[0][:2], INDEX_NAME))
-        fresh = ShardedResultStore(root)
+        fresh = ResultStore(root)
         assert fresh.fingerprints() == first.fingerprints()
         assert fresh.reindexed_shards == 1
         # The rescan rewrote the index: the next instance trusts it again.
-        assert ShardedResultStore(root).reindexed_shards == 0
-
-    def test_torn_index_append_is_dropped_not_fatal(self, tmp_path):
-        root = os.fspath(tmp_path / "s")
-        store = ShardedResultStore(root)
-        fps = fill(store)
-        index_path = os.path.join(root, fps[0][:2], INDEX_NAME)
-        with open(index_path, "a", encoding="utf-8") as handle:
-            handle.write("deadbeef")  # crash mid-append: no newline
-        listed = read_index_lines(index_path)
-        assert "deadbeef" not in listed
-        assert ShardedResultStore(root).fingerprints() == store.fingerprints()
+        assert ResultStore(root).reindexed_shards == 0
 
     def test_eviction_removes_the_index_line(self, tmp_path):
         root = os.fspath(tmp_path / "s")
-        store = ShardedResultStore(root)
+        store = ResultStore(root)
         fps = fill(store)
         victim = fps[0]
         path = store.path_for(victim)
@@ -140,9 +127,235 @@ class TestIndexDrivenEnumeration:
         assert victim not in store.fingerprints()
 
 
+    def test_len_and_put_never_sort_the_view(self, tmp_path, monkeypatch):
+        """``len()`` and the ``store.records`` gauge ``put()`` sets under
+        obs read the memoized set's size; sorting it per write was
+        O(n log n) per task."""
+        store = ResultStore(os.fspath(tmp_path / "s"), obs=Obs())
+        fill(store, 3)
+        assert len(store) == 3  # view populated
+
+        def forbidden():
+            raise AssertionError("fingerprints() called on the write path")
+
+        monkeypatch.setattr(store, "fingerprints", forbidden)
+        fill(store, 5)
+        assert len(store) == 5
+        assert store.stats()["records"] == 5
+        assert len(store.fingerprint_set()) == 5
+
+
+def write_legacy_store(root, n=12):
+    """A directory as the pre-INDEX layout wrote it: records under
+    ``<fp[:2]>/``, the legacy ``meta.json`` (no "layout" key), no INDEX."""
+    fps = []
+    os.makedirs(root)
+    with open(os.path.join(root, "meta.json"), "w", encoding="utf-8") as f:
+        f.write(LEGACY_META)
+    for i in range(n):
+        record = build_record(make_task(i), make_ensemble(i))
+        fp = record["fingerprint"]
+        os.makedirs(os.path.join(root, fp[:2]), exist_ok=True)
+        with open(os.path.join(root, fp[:2], fp + ".json"), "w",
+                  encoding="utf-8") as f:
+            f.write(dumps_record(record))
+        fps.append(fp)
+    return fps
+
+
+LEGACY_META = ('{"record_schema":"repro.store.record/v1",'
+               '"schema_version":1,"store":"repro.store"}\n')
+CURRENT_META = ('{"layout":"sharded","record_schema":"repro.store.record/v1",'
+                '"schema_version":1,"store":"repro.store"}\n')
+
+
+class TestLegacyUpgrade:
+    """A flat-layout directory (the CLI default before the layouts were
+    folded) is an indexed store whose every INDEX is missing."""
+
+    def test_legacy_directory_opens_and_upgrades_in_place(self, tmp_path):
+        root = os.fspath(tmp_path / "legacy")
+        fps = write_legacy_store(root)
+        writer = ResultStore(os.fspath(tmp_path / "writer"))
+        assert fill(writer) == fps
+
+        store = ResultStore(root)
+        with open(os.path.join(root, "meta.json"), encoding="utf-8") as f:
+            assert f.read() == CURRENT_META
+        assert store.fingerprints() == sorted(fps)
+        assert store.content_digest() == writer.content_digest()
+        assert store.reindexed_shards == store.stats()["shards"]
+        for i, fp in enumerate(fps):
+            np.testing.assert_array_equal(store.get(fp).works,
+                                          make_ensemble(i).works)
+        assert store.stats()["hits"] == len(fps)
+
+        again = ResultStore(root)
+        assert again.fingerprints() == sorted(fps)
+        assert again.reindexed_shards == 0
+
+    def test_legacy_directory_resumes_with_all_hits(self, tmp_path,
+                                                    reduced_model):
+        from repro.smd import PullingProtocol, run_work_ensemble
+
+        protocol = PullingProtocol(kappa_pn=100.0, velocity=25.0,
+                                   distance=2.0, equilibration_ns=0.0)
+
+        def run(store):
+            return run_work_ensemble(reduced_model, protocol, n_tasks=3,
+                                     samples_per_task=2, seed=SEED,
+                                     n_records=5, store=store)
+
+        root = os.fspath(tmp_path / "s")
+        first = run(ResultStore(root))
+        # Strip it back to what the flat layout left on disk.
+        for shard in os.listdir(root):
+            index = os.path.join(root, shard, INDEX_NAME)
+            if os.path.isfile(index):
+                os.remove(index)
+        with open(os.path.join(root, "meta.json"), "w",
+                  encoding="utf-8") as f:
+            f.write(LEGACY_META)
+
+        store = ResultStore(root)
+        second = run(store)
+        np.testing.assert_array_equal(first.works, second.works)
+        assert store.stats()["hits"] == 3
+        assert store.stats()["misses"] == store.stats()["writes"] == 0
+
+    def test_foreign_directories_are_still_refused(self, tmp_path):
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "meta.json").write_text('{"store":"something-else"}\n')
+        with pytest.raises(StoreError):
+            ResultStore(os.fspath(other))
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "notes.txt").write_text("not a store")
+        with pytest.raises(StoreError):
+            ResultStore(os.fspath(bare))
+
+
+FP_A, FP_B = "a" * 64, "ab" + "c" * 62
+SPEC_DOC = {"kappas_pn": [100.0], "velocities": [25.0]}
+
+
+class _IndexLog:
+    """A shard INDEX holding two fingerprints."""
+
+    torn = "deadbeef"
+
+    def __init__(self, tmp_path):
+        self.path = os.fspath(tmp_path / "ab" / INDEX_NAME)
+        for fp in (FP_B, FP_A):
+            append_line(self.path, fp, sync=False)
+
+    def read(self):
+        return read_index_lines(self.path)
+
+    expected = [FP_A, FP_B]
+
+
+class _EventLog:
+    """A campaign event log holding seq 1 (pending) and seq 2."""
+
+    torn = '{"seq": 3, "kind": "torn'
+
+    def __init__(self, tmp_path):
+        self.state = ServiceState(os.fspath(tmp_path / "svc"), sync=False)
+        self.id = self.state.create("ada", SPEC_DOC, "fp-1").id
+        self.state.append_event(self.id, {"kind": "progress"})
+        self.path = os.path.join(self.state.root, "events",
+                                 self.id + ".jsonl")
+
+    def read(self):
+        return [e["seq"] for e in self.state.read_events(self.id)]
+
+    expected = [1, 2]
+
+
+class _DlqLog:
+    """A DLQ.jsonl holding two entries."""
+
+    torn = '{"schema": "repro.resil.dlq/v1", "task'
+
+    def __init__(self, tmp_path):
+        self.path = os.fspath(tmp_path / "DLQ.jsonl")
+        dlq = DeadLetterQueue(self.path, sync=False)
+        for key in ("a", "b"):
+            dlq.record(task_key=(key, 1), reason="retry-exhausted",
+                       attempts=3, last_error="boom")
+
+    def read(self):
+        return [e["task_key"] for e in DeadLetterQueue(self.path).entries()]
+
+    expected = [["a", 1], ["b", 1]]
+
+
+class TestLineLog:
+    """INDEX files, campaign event logs and ``DLQ.jsonl`` share one append
+    and one torn-tail reader; each keeps its own policy for a complete
+    line it cannot parse."""
+
+    @pytest.mark.parametrize("log_type", [_IndexLog, _EventLog, _DlqLog],
+                             ids=["index", "events", "dlq"])
+    def test_torn_final_line_is_dropped(self, tmp_path, log_type):
+        log = log_type(tmp_path)
+        complete = read_complete_lines(log.path)
+        with open(log.path, "a", encoding="utf-8") as handle:
+            handle.write(log.torn)  # crash mid-append: no newline
+        assert read_complete_lines(log.path) == complete
+        assert log.read() == log.expected
+
+    def test_torn_index_append_does_not_hide_records(self, tmp_path):
+        root = os.fspath(tmp_path / "s")
+        store = ResultStore(root)
+        fps = fill(store)
+        with open(os.path.join(root, fps[0][:2], INDEX_NAME), "a",
+                  encoding="utf-8") as handle:
+            handle.write("deadbeef")
+        assert ResultStore(root).fingerprints() == store.fingerprints()
+
+    def test_next_event_seq_supersedes_a_torn_line(self, tmp_path):
+        log = _EventLog(tmp_path)
+        with open(log.path, "a", encoding="utf-8") as handle:
+            handle.write(log.torn)
+        assert log.state.append_event(log.id, {"kind": "progress"}) == 3
+
+    @staticmethod
+    def _insert_garbage(path):
+        lines = read_complete_lines(path)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join([lines[0], "{not a line", *lines[1:]])
+                         + "\n")
+
+    def test_interior_garbage_makes_an_index_untrusted(self, tmp_path):
+        root = os.fspath(tmp_path / "s")
+        store = ResultStore(root)
+        fps = fill(store)
+        index_path = os.path.join(root, fps[0][:2], INDEX_NAME)
+        append_line(index_path, fps[0])  # >= 2 lines to put garbage between
+        self._insert_garbage(index_path)
+        with pytest.raises(ValueError):
+            read_index_lines(index_path)
+        fresh = ResultStore(root)
+        assert fresh.fingerprints() == store.fingerprints()
+        assert fresh.reindexed_shards == 1
+        assert read_index_lines(index_path) == sorted(
+            fp for fp in fps if fp[:2] == fps[0][:2])
+
+    @pytest.mark.parametrize("log_type", [_EventLog, _DlqLog],
+                             ids=["events", "dlq"])
+    def test_interior_garbage_is_skipped_by_events_and_dlq(self, tmp_path,
+                                                           log_type):
+        log = log_type(tmp_path)
+        self._insert_garbage(log.path)
+        assert log.read() == log.expected
+
+
 class TestHeal:
     def test_heal_on_clean_store_is_a_no_op(self, tmp_path):
-        store = ShardedResultStore(os.fspath(tmp_path / "s"))
+        store = ResultStore(os.fspath(tmp_path / "s"))
         fill(store)
         report = store.heal()
         assert report["reindexed"] == []
@@ -151,7 +364,7 @@ class TestHeal:
 
     def test_heal_rebuilds_a_deleted_index(self, tmp_path):
         root = os.fspath(tmp_path / "s")
-        store = ShardedResultStore(root)
+        store = ResultStore(root)
         fps = fill(store)
         shard = fps[0][:2]
         os.remove(os.path.join(root, shard, INDEX_NAME))
@@ -163,7 +376,7 @@ class TestHeal:
     def test_deep_heal_quarantines_corrupt_record_in_its_shard(
             self, tmp_path):
         root = os.fspath(tmp_path / "s")
-        store = ShardedResultStore(root)
+        store = ResultStore(root)
         fps = fill(store)
         victim = fps[3]
         with open(store.path_for(victim), "r+b") as handle:
@@ -176,7 +389,7 @@ class TestHeal:
         assert sorted(set(fps) - {victim}) == store.fingerprints()
 
     def test_stats_report_shards_and_reindexes(self, tmp_path):
-        store = ShardedResultStore(os.fspath(tmp_path / "s"))
+        store = ResultStore(os.fspath(tmp_path / "s"))
         fill(store)
         stats = store.stats()
         assert stats["records"] == 12
@@ -185,10 +398,10 @@ class TestHeal:
 
 
 def run_campaign(store_root, *, interrupt_after=None, replicas=4):
-    """One instrumented campaign against a sharded store."""
+    """One instrumented campaign against a store."""
     obs = Obs()
     federation = build_default_federation(obs=obs)
-    store = ShardedResultStore(store_root, obs=obs)
+    store = ResultStore(store_root, obs=obs)
     store.interrupt_after_writes = interrupt_after
     campaign = SpiceCampaign(
         federation=federation, replicas_per_cell=replicas, seed=SEED,
@@ -220,7 +433,7 @@ class TestCorruptedResume:
         root = os.fspath(tmp_path_factory.mktemp("resumed") / "store")
         with pytest.raises(CampaignInterrupted):
             run_campaign(root, interrupt_after=self.N_DONE)
-        survivors = ShardedResultStore(root)
+        survivors = ResultStore(root)
         fps = survivors.fingerprints()
         assert len(fps) == self.N_DONE
         # Byte-truncate one durable record and one shard INDEX — disk
@@ -233,7 +446,7 @@ class TestCorruptedResume:
         index_path = os.path.join(root, fps[1][:2], INDEX_NAME)
         with open(index_path, "r+b") as handle:
             handle.truncate(10)
-        heal_report = ShardedResultStore(root).heal(deep=True)
+        heal_report = ResultStore(root).heal(deep=True)
         # The truncated record is quarantined; the truncated index (and
         # the quarantined record's own shard) are rebuilt from records.
         assert heal_report["quarantined"] == [fps[0]]

@@ -91,10 +91,9 @@ class TestBitIdentity:
         root = os.fspath(tmp_path / "s")
         run_study(ResultStore(root, sync=False))
         protocols = grid_protocols()
-        store = ShardedResultStore(os.fspath(tmp_path / "sharded"))
-        # Different layout, same records: prove fingerprint identity by
-        # filling the sharded store through the streamed path and checking
-        # digests against the flat store.
+        store = ResultStore(os.fspath(tmp_path / "streamed"))
+        # Prove fingerprint identity by filling a second store through
+        # the streamed path and comparing contents.
         run_study(store, window=3)
         assert (sorted(ResultStore(root).fingerprints())
                 == sorted(store.fingerprints()))
