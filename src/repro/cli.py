@@ -165,8 +165,7 @@ def cmd_estimate(args) -> CommandResult:
     }
     if args.method == "fr":
         pair = run_bidirectional_ensemble(
-            model, proto, args.samples, seed=args.seed, obs=obs,
-            kernel="vectorized")
+            model, proto, args.samples, seed=args.seed, obs=obs)
         prof = forward_reverse_pmf(pair.forward, pair.reverse)
         z, values, cost = prof.stations, prof.pmf, prof.cpu_hours
         finite = prof.diffusion[np.isfinite(prof.diffusion)]
@@ -179,8 +178,7 @@ def cmd_estimate(args) -> CommandResult:
         extra = f"   D(z) median: {d_med:.0f} A^2/ns"
     else:
         ens = run_pulling_ensemble(model, proto, n_samples=args.samples,
-                                   seed=args.seed, obs=obs,
-                                   kernel="vectorized")
+                                   seed=args.seed, obs=obs)
         kwargs = {}
         if args.method == "parallel-pull" and args.group_size:
             kwargs["group_size"] = args.group_size
@@ -321,7 +319,7 @@ def _run_adaptive_campaign(args) -> CommandResult:
     report = run_adaptive_campaign(
         model, proto, n_bins=args.bins, total_replicas=args.budget,
         pilot_per_bin=args.pilot, seed=args.seed,
-        store=store, obs=obs, kernel="vectorized",
+        store=store, obs=obs,
     )
     lines = [
         f"adaptive allocation over {args.bins} bins "
@@ -552,7 +550,7 @@ def cmd_bench(args) -> CommandResult:
             f"uniform {point['uniform_error']:6.3f} kcal/mol rms")
     lines += [
         f"  deterministic: {adaptive['deterministic']} "
-        f"(no-store/twin/batched/cold-store/warm-store digests)",
+        f"(no-store/twin/cold-store/warm-store digests)",
         f"wrote {kernels_path}, {ensemble_path}, {store_path} and "
         f"{adaptive_path}",
     ]

@@ -76,7 +76,6 @@ def run_parameter_study(
     obs: Optional[Obs] = None,
     store=None,
     samples_per_task: Optional[int] = None,
-    kernel: str = "vectorized",
     window: Optional[int] = None,
     dlq=None,
     retry=None,
@@ -98,13 +97,6 @@ def run_parameter_study(
     ``n_samples`` evenly.  ``None`` keeps the historical monolithic
     per-cell streams, bit-identical to earlier releases; a ``store`` then
     memoizes at whole-cell granularity.
-
-    ``kernel`` selects the execution layout of every cell's ensemble
-    (``"vectorized"`` / ``"batched"`` / ``"reference"``, see
-    :func:`~repro.smd.ensemble.run_pulling_ensemble`); under ``"batched"``
-    with ``samples_per_task`` set, each grid cell's tasks run as one
-    stacked engine call.  All kernels are bit-identical and share store
-    fingerprints.
 
     ``window`` switches to the lazy streaming executor
     (:func:`~repro.workflow.streaming.run_streamed_tasks`): ``protocols``
@@ -152,7 +144,7 @@ def run_parameter_study(
             model, checked(), n_samples=n_samples,
             samples_per_task=samples_per_task, seed=seed, store=store,
             window=window, dlq=dlq, retry=retry, n_records=n_records,
-            kernel=kernel, obs=obs,
+            obs=obs,
         )
         for key, proto in seen.items():
             if cell_labels(proto) in merged:
@@ -164,14 +156,14 @@ def run_parameter_study(
                 ens = run_work_ensemble(
                     model, proto, n_samples // samples_per_task,
                     samples_per_task, seed=seed, labels=labels,
-                    store=store, n_records=n_records, obs=obs, kernel=kernel,
+                    store=store, n_records=n_records, obs=obs,
                 )
             else:
                 # Historical monolithic layout: one stream per cell.
                 ens = run_pulling_ensemble(
                     model, proto, n_samples=n_samples, n_records=n_records,
                     seed=stream_for(seed, *labels), obs=obs,
-                    store=store, store_key=(seed, *labels), kernel=kernel,
+                    store=store, store_key=(seed, *labels),
                 )
             ensembles[(proto.kappa_pn, proto.velocity)] = ens
     if not seen:

@@ -3,9 +3,9 @@
 PR 1 unified the estimator surface behind ``repro.core`` and its
 ``estimate_free_energy`` front door, and made the ``obs=`` handle the
 package-wide instrumentation convention; the batched-execution redesign
-added the ``kernel=`` keyword and the stream-discipline contract of the
-replica-batched runners.  These rules keep examples, tests, and new entry
-points from quietly eroding those boundaries.
+added the stream-discipline contract of the replica-batched runners.
+These rules keep examples, tests, and new entry points from quietly
+eroding those boundaries.
 """
 
 from __future__ import annotations
@@ -157,17 +157,13 @@ _STREAM_MINTING = frozenset({
 
 @register_rule
 class BatchedKernelContractRule(Rule):
-    """Ensemble entry points take ``kernel=``; batched code keeps the
-    ``stream_for`` discipline."""
+    """Batched code keeps the ``stream_for`` discipline."""
 
     id = "SPICE105"
     name = "batched-kernel contract"
     rationale = (
-        "the batched execution redesign made kernel= part of the shared "
-        "run_* keyword contract (an entry point without it strands its "
-        "callers on per-trajectory execution), and the batched runners' "
-        "bit-identity rests on every replica consuming a stream_for-derived "
-        "stream passed in by the caller — a batched module minting its own "
+        "the batched runners' bit-identity rests on every replica "
+        "consuming a stream_for-derived stream passed in by the caller — a batched module minting its own "
         "generators (default_rng, as_generator, spawn, ...) re-keys replica "
         "noise by execution placement and silently breaks the "
         "batched-equals-per-trajectory oracle guarantee"
@@ -177,30 +173,9 @@ class BatchedKernelContractRule(Rule):
         if ctx.kind != "src":
             return False
         stem = ctx.relpath.rsplit("/", 1)[-1].removesuffix(".py")
-        return ctx.in_package("smd", "perf") or "batch" in stem
-
-    @staticmethod
-    def _is_batched_module(ctx: FileContext) -> bool:
-        stem = ctx.relpath.rsplit("/", 1)[-1].removesuffix(".py")
         return "batch" in stem
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ctx.tree.body:  # module level only: the public surface
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            if not node.name.startswith("run_"):
-                continue
-            args = node.args
-            names = {a.arg for a in args.args} | {a.arg for a in args.kwonlyargs}
-            if names & {"seed", "base_seed"} and "kernel" not in names:
-                yield self.violation(
-                    ctx, node,
-                    f"'{node.name}' accepts seed= but no kernel=; ensemble "
-                    f"entry points share one keyword contract (seed=, "
-                    f"kernel=, obs=, store=)",
-                )
-        if not self._is_batched_module(ctx):
-            return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

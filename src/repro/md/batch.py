@@ -5,7 +5,7 @@ replicas of the same system — identical topology and force parameters,
 different thermal noise.  Stepping them one at a time repeats the whole
 Python interpreter overhead of the MD loop R times; stacking their state
 along a leading replica axis turns every force/integrator update into one
-NumPy call over ``(R, N, 3)`` arrays (``kernel="batched"``).
+NumPy call over ``(R, N, 3)`` arrays.
 
 Bit-identity contract
 ---------------------
@@ -101,7 +101,7 @@ class BatchedSimulation:
     (all built-in bonded/nonbonded/external/SMD terms) evaluate the whole
     stack at once; any other term falls back to per-replica ``compute``
     calls — slower, but numerically identical, so arbitrary force terms
-    keep working under ``kernel="batched"``.
+    keep working in a stack.
     """
 
     def __init__(

@@ -14,17 +14,13 @@ selected by a ``kernel=`` constructor argument:
     oracle the equivalence tests compare the vectorized kernels against,
     and the baseline ``python -m repro bench`` measures speedups over.
 
-``"batched"``
-    The replica-batched execution mode: positions carry a leading replica
-    axis ``(R, N, 3)`` and force terms evaluate all replicas per call via
-    their ``compute_batched`` method (see :mod:`repro.md.batch`).  For
-    single-system ``compute`` calls, ``"batched"`` behaves exactly like
-    ``"vectorized"`` — the replica axis is an execution layout, not a
-    different numerical method.  The batched scatter primitives below
-    flatten the replica axis into the particle axis (slot ``r*N + i``) so
-    one bincount pass accumulates every replica with the *same* per-replica
-    summation order as :func:`scatter_add`, keeping batched forces
-    bit-identical to per-replica evaluation.
+Replica batching is *not* a third kernel: a force term additionally offers
+``compute_batched`` (see :mod:`repro.md.batch`), a method that evaluates
+``(R, N, 3)`` stacked positions for all replicas per call.  The batched
+scatter primitives below flatten the replica axis into the particle axis
+(slot ``r*N + i``) so one bincount pass accumulates every replica with the
+*same* per-replica summation order as :func:`scatter_add`, keeping batched
+forces bit-identical to per-replica evaluation.
 
 Equivalence contract (see ``tests/test_md_kernels.py``): both kernels see
 the *same* candidate pair arrays and evaluate the *same* expressions, but
@@ -54,7 +50,7 @@ __all__ = [
 ]
 
 #: Names accepted by every ``kernel=`` switch.
-KERNELS: tuple = ("vectorized", "reference", "batched")
+KERNELS: tuple = ("vectorized", "reference")
 
 
 def validate_kernel(kernel: str) -> str:

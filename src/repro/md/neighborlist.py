@@ -161,8 +161,8 @@ class NeighborList:
         elif self.kernel == "reference":
             i, j = self._cell_pairs_reference(positions)
         else:
-            # "vectorized" and "batched" (replica batching clones one list
-            # per replica; each clone searches with the fast kernel).
+            # Replica batching clones one list per replica; each clone
+            # searches with this same fast kernel.
             i, j = self._cell_pairs_vectorized(positions)
         if self._exclusions:
             keep = np.fromiter(

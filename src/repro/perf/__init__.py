@@ -6,13 +6,14 @@ Two benchmark families, both emitting schema-tagged JSON documents
 * :mod:`~repro.perf.bench_kernels` — MD hot-path step rate and
   neighbor-list rebuild cost, ``reference`` vs ``vectorized`` kernels
   (``BENCH_kernels.json``);
-* :mod:`~repro.perf.bench_ensemble` — work-ensemble wall-clock under both
-  stacking policies and determinism cross-check (``BENCH_ensemble.json``);
+* :mod:`~repro.perf.bench_ensemble` — work-ensemble wall-clock, stacked vs
+  one engine call per group, and determinism cross-check
+  (``BENCH_ensemble.json``);
 * :mod:`~repro.perf.bench_store` — store streaming throughput,
   kill/resume latency, DLQ depth and work-steal counts
   (``BENCH_store.json``);
 * :mod:`~repro.perf.bench_adaptive` — adaptive vs uniform replica
-  allocation cost-to-accuracy points with the cross-layout digest
+  allocation cost-to-accuracy points with the store/no-store digest
   check (``BENCH_adaptive.json``).
 
 Run via ``python -m repro bench [--quick]``; see PERFORMANCE.md for the

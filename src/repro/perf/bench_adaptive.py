@@ -15,9 +15,9 @@ benchmark pins that claim to numbers (``BENCH_adaptive.json``, schema
   the two legs are bit-identical and the errors tie exactly.  The
   validator enforces per-point dominance (``adaptive_error <=
   uniform_error``);
-* **determinism** — one budget is re-run as a same-seed twin, under
-  ``kernel="batched"``, and against a throwaway store both cold (every
-  task computed and written) and warm (every task a hit); all five
+* **determinism** — one budget is re-run as a same-seed twin and against
+  a throwaway store both cold (every task computed and written) and warm
+  (every task a hit); all four
   :meth:`~repro.workflow.AdaptiveReport.digest` values must agree, and the
   validator rejects the document when they don't.
 
@@ -53,15 +53,11 @@ _BUDGETS_QUICK: Tuple[int, ...] = (24, 40)
 _BUDGETS_FULL: Tuple[int, ...] = (24, 40, 64)
 
 
-def run_adaptive_benchmark(  # spice: noqa SPICE105
+def run_adaptive_benchmark(
     quick: bool = False,
     seed: SeedLike = 2005,
     obs: Optional[Obs] = None,
 ) -> dict:
-    # noqa rationale: a kernel= knob would select nothing — the
-    # determinism leg *deliberately* runs every layout (no store,
-    # kernel="batched", cold store, warm store) and asserts their
-    # digests agree, so the benchmark owns the kernel axis itself.
     """Benchmark adaptive vs uniform replica allocation.
 
     Returns a BENCH document (schema
@@ -80,12 +76,11 @@ def run_adaptive_benchmark(  # spice: noqa SPICE105
     budgets = _BUDGETS_QUICK if quick else _BUDGETS_FULL
     model = ReducedTranslocationModel(default_reduced_potential())
 
-    def run(budget: int, *, pilot: int, kernel: str = "vectorized",
-            store=None):
+    def run(budget: int, *, pilot: int, store=None):
         return run_adaptive_campaign(
             model, _BENCH_PROTOCOL, n_bins=_N_BINS, total_replicas=budget,
             pilot_per_bin=pilot, seed=seed_int, n_records=_N_RECORDS,
-            kernel=kernel, store=store, obs=obs,
+            store=store, obs=obs,
         )
 
     with obs.span("perf.bench.adaptive", quick=quick, seed=seed_int,
@@ -109,11 +104,10 @@ def run_adaptive_benchmark(  # spice: noqa SPICE105
                 "allocations": adaptive.allocations(),
             })
 
-        # Determinism leg at the middle budget: twin, batched kernel,
-        # cold store, warm store — every digest must match the no-store run.
+        # Determinism leg at the middle budget: twin, cold store, warm
+        # store — every digest must match the no-store run.
         probe = budgets[len(budgets) // 2]
-        runs = [run(probe, pilot=_PILOT), run(probe, pilot=_PILOT),
-                run(probe, pilot=_PILOT, kernel="batched")]
+        runs = [run(probe, pilot=_PILOT), run(probe, pilot=_PILOT)]
         with tempfile.TemporaryDirectory(
                 prefix="repro-bench-adaptive-") as tmp:
             store = ResultStore(f"{tmp}/store")

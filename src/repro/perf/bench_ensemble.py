@@ -1,21 +1,23 @@
 """Work-ensemble benchmark: one engine call per group vs one stacked call.
 
-Times :func:`repro.smd.run_pulling_ensemble_parallel` on a fixed paper
-workload (kappa = 100 pN/A, v = 12.5 A/ns) under both stacking policies,
-on two shard layouts:
+Times a fixed paper workload (kappa = 100 pN/A, v = 12.5 A/ns) laid out
+both ways, on two shard layouts:
 
 * **default layout** (``shard_size`` = :data:`~repro.smd.DEFAULT_SHARD_SIZE`)
-  — ``kernel="vectorized"`` (one engine call per 8-replica shard) vs
-  ``kernel="batched"`` (all shards in one call).  This is the headline
-  ``batched_speedup``: it is measured against the path callers get by
-  default.
+  — one explicit :func:`~repro.smd.run_pulling_ensemble` call per
+  8-replica shard vs :func:`~repro.smd.run_pulling_ensemble_parallel`,
+  which stacks all shards in one engine call.  This is the headline
+  ``batched_speedup``: what the plan layer's stacking rule buys over
+  pulling the same shards one by one.
 * **per-trajectory layout** (``shard_size=1``) — every replica its own
-  engine call vs all of them stacked.  The secondary
+  engine call vs all of them stacked through
+  :func:`~repro.smd.run_pulling_groups` directly (the plan layer never
+  stacks one-replica groups; see :mod:`repro.smd.batched`).  The secondary
   ``batched_speedup_per_trajectory``: the most the stack can save, the
   whole per-replica Python step loop.
 
 Every leg is repeated and reported as min / median / spread.  Within a
-layout the two policies are cross-checked bit-for-bit — the engine's core
+layout the two legs are cross-checked bit-for-bit — the engine's core
 guarantee.  A run that breaks determinism produces a document that fails
 validation, so the regression cannot slip through a benchmark run or CI.
 """
@@ -24,18 +26,21 @@ from __future__ import annotations
 
 import statistics
 import time
-from typing import Optional, Tuple
+from functools import reduce
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel, default_reduced_potential
-from ..rng import SeedLike, as_seed_int
+from ..rng import SeedLike, as_seed_int, stream_for
 from ..smd import (
     DEFAULT_SHARD_SIZE,
     PullingProtocol,
     WorkEnsemble,
+    run_pulling_ensemble,
     run_pulling_ensemble_parallel,
+    run_pulling_groups,
 )
 from .harness import SCHEMA_ENSEMBLE, metrics_snapshot
 
@@ -52,16 +57,12 @@ def run_ensemble_benchmark(
     quick: bool = False,
     seed: SeedLike = 2005,
     obs: Optional[Obs] = None,
-    kernel: str = "vectorized",
 ) -> dict:
-    """Benchmark the two stacking policies of the pulling engine.
+    """Benchmark one-call-per-group against the stacked engine call.
 
     Returns a BENCH document (schema
     :data:`~repro.perf.harness.SCHEMA_ENSEMBLE`).  ``quick`` shrinks the
     ensemble to CI smoke scale (16 replicas, two repeats per leg).
-    ``kernel`` selects the per-group policy of the baseline legs
-    (``"vectorized"`` or the ``"reference"`` oracle); the stacked legs
-    always run ``"batched"``.
     """
     obs = as_obs(obs)
     seed_int = as_seed_int(seed)
@@ -72,13 +73,22 @@ def run_ensemble_benchmark(
     model = ReducedTranslocationModel(potential=default_reduced_potential())
     protocol = PullingProtocol(kappa_pn=100.0, velocity=12.5)
 
-    def leg(shards: int, run_kernel: str) -> Tuple[WorkEnsemble, dict]:
+    def groups(shard: int) -> List[Tuple[np.random.Generator, int]]:
+        # The shard layout run_pulling_ensemble_parallel derives (both
+        # shard sizes divide n_samples).
+        return [(stream_for(seed_int, "smd.shard", b), shard)
+                for b in range(n_samples // shard)]
+
+    def one_call_per_group(shard: int) -> WorkEnsemble:
+        return reduce(WorkEnsemble.merged_with, (
+            run_pulling_ensemble(model, protocol, n, seed=rng)
+            for rng, n in groups(shard)))
+
+    def leg(run: Callable[[], WorkEnsemble]) -> Tuple[WorkEnsemble, dict]:
         walls = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            ensemble = run_pulling_ensemble_parallel(
-                model, protocol, n_samples, shard_size=shards,
-                seed=seed_int, kernel=run_kernel)
+            ensemble = run()
             walls.append(time.perf_counter() - t0)
         return ensemble, {
             "repeats": repeats,
@@ -89,10 +99,15 @@ def run_ensemble_benchmark(
 
     with obs.span("perf.bench.ensemble", quick=quick, n_samples=n_samples,
                   shard_size=shard_size, repeats=repeats):
-        per_shard, per_shard_wall = leg(shard_size, kernel)
-        batched, batched_wall = leg(shard_size, "batched")
-        per_traj, per_traj_wall = leg(1, kernel)
-        stacked, stacked_wall = leg(1, "batched")
+        per_shard, per_shard_wall = leg(
+            lambda: one_call_per_group(shard_size))
+        batched, batched_wall = leg(lambda: run_pulling_ensemble_parallel(
+            model, protocol, n_samples, shard_size=shard_size,
+            seed=seed_int))
+        per_traj, per_traj_wall = leg(lambda: one_call_per_group(1))
+        stacked, stacked_wall = leg(lambda: reduce(
+            WorkEnsemble.merged_with,
+            run_pulling_groups(model, protocol, groups(1))))
 
     deterministic = (_identical(per_shard, batched)
                      and _identical(per_traj, stacked))

@@ -128,7 +128,7 @@ def run_kernel_benchmark(
     candidate_pairs = 0
     with obs.span("perf.bench.kernels", quick=quick,
                   n_particles=n_particles, n_steps=n_steps):
-        # Single-system kernels only: "batched" is a replica-layout, not a
+        # Single-system kernels only: replica stacking is a layout, not a
         # per-step code path, and is measured by the ensemble benchmark.
         for kernel in ("reference", "vectorized"):
             sim = _make_simulation(n_particles, seed_int, kernel)

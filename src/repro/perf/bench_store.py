@@ -126,15 +126,12 @@ def _steal_leg(seed: int, obs: Obs) -> Dict[str, Any]:
     }
 
 
-def run_store_benchmark(  # spice: noqa SPICE105
+def run_store_benchmark(
     quick: bool = False,
     seed: SeedLike = 2005,
     obs: Optional[Obs] = None,
     n_tasks: Optional[int] = None,
 ) -> dict:
-    # noqa rationale: the synthetic tasks never enter an MD engine, so a
-    # kernel= knob would select nothing — this benchmark times the store
-    # and scheduler layers only.
     """Benchmark the store's streaming, resume and DLQ path.
 
     Returns a BENCH document (schema

@@ -242,7 +242,7 @@ def validate_bench_document(doc: object) -> dict:
         if not deterministic:
             raise AnalysisError(
                 "malformed BENCH document: adaptive benchmark reports "
-                "deterministic=false — no-store/twin/batched/cold-store/"
+                "deterministic=false — no-store/twin/cold-store/"
                 "warm-store digests diverged"
             )
         _require(doc, "metrics", dict)

@@ -289,7 +289,7 @@ class CampaignRunner:
                 samples_per_task=spec.samples_per_task, seed=spec.seed,
                 store=self.store, window=spec.window, dlq=self.dlq,
                 retry=self.retry, fault=fault, n_records=spec.n_records,
-                kernel=spec.kernel, obs=run_obs,
+                obs=run_obs,
             )
         except CampaignInterrupted:
             self._finish(record, "cancelled", detail="cancelled mid-stream")
@@ -391,7 +391,7 @@ class CampaignRunner:
                 model, spec.protocols(),
                 spec.n_samples // spec.samples_per_task,
                 spec.samples_per_task, seed=spec.seed,
-                n_records=spec.n_records, kernel=spec.kernel)
+                n_records=spec.n_records)
         )
 
     # -- control ---------------------------------------------------------------

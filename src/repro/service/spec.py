@@ -22,13 +22,18 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from ..errors import SpecError
-from ..md.kernels import KERNELS
 
 __all__ = ["SPEC_SCHEMA", "CampaignSpec"]
 
 #: Version tag every normalized spec carries (and is fingerprinted over),
 #: so a future incompatible spec revision can never collide with v1 runs.
 SPEC_SCHEMA = "repro.service.spec/v1"
+
+#: Values spec v1 froze for its ``kernel`` field.  The field stays on the
+#: wire — validated, echoed, outside the fingerprint — so every persisted
+#: campaign record and transcript stays valid, but nothing reads it: the
+#: execution layout is the code's decision.
+_V1_KERNELS = ("vectorized", "reference", "batched")
 
 
 #: Field name -> (type, default).  ``None`` default means required.
@@ -152,10 +157,10 @@ class CampaignSpec:
             raise SpecError("spec field 'equilibration_ns' must be >= 0")
         if values["seed"] < 0:
             raise SpecError("spec field 'seed' must be >= 0")
-        if values["kernel"] not in KERNELS:
+        if values["kernel"] not in _V1_KERNELS:
             raise SpecError(
                 f"unknown kernel {values['kernel']!r}; "
-                f"expected one of {KERNELS}")
+                f"expected one of {_V1_KERNELS}")
         from ..core import available_estimators, paired_estimators
 
         if values["estimator"] not in available_estimators():
@@ -196,11 +201,10 @@ class CampaignSpec:
         from ..store.fingerprint import canonical_json
 
         doc = self.as_dict()
-        # The kernel changes the execution layout, never the arithmetic
-        # (all kernels are bit-identical and share store fingerprints), so
-        # it stays out of the identity — as does the window, which only
-        # bounds in-flight state.  Submitting the same physics under a
-        # different kernel/window coalesces onto the same run.
+        # The kernel field is inert and the window only bounds in-flight
+        # state: neither is part of the identity, so the same physics
+        # submitted under a different kernel/window coalesces onto the
+        # same run.
         doc.pop("kernel")
         doc.pop("window")
         return hashlib.sha256(

@@ -10,12 +10,13 @@ The reduced-model side is three layers: one engine
 loop, taking a stack of seeded replica groups), one task plan + resolver
 (:mod:`repro.smd.plan`: task identity, store hit/miss/put, merge), and
 thin entry points over them.  Every ``run_*`` entry point shares one
-keyword contract — ``seed=``, ``kernel=``, ``obs=``, ``store=`` /
-``store_key=``, and ``shard_size=`` where sharding applies.  ``kernel=``
-is ``"reference"`` (the per-replica scalar oracle) or a stacking policy:
-``"batched"`` pulls every shard / every missing task of a cell in one
-engine call, ``"vectorized"`` one call per shard or task — bit-identical,
-with unchanged store fingerprints.
+keyword contract — ``seed=``, ``obs=``, ``store=`` / ``store_key=``, and
+``shard_size=`` where sharding applies.  How replica groups are laid out
+on the machine is the plan's decision, not a caller's (groups of two or
+more replicas share one engine call); only the two engine-level entry
+points, :func:`run_pulling_ensemble` and :func:`run_pulling_ensemble_3d`,
+take ``kernel="reference"`` to run the per-replica / per-trajectory oracle
+the production layout is tested against.
 """
 
 from .protocol import (

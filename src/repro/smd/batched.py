@@ -31,8 +31,9 @@ coordinate vector; for :class:`~repro.pore.landscape.AxialLandscape` this
 is a row-wise matvec, and a row slice of the stacked matvec equals the
 matvec of the slice — for groups of two or more replicas.  A *one-replica*
 group evaluated alone takes BLAS's one-row path, whose accumulation can
-differ from the stacked evaluation at the ulp level; that is why stacking
-is a caller-visible policy (``kernel="batched"``) and not applied silently.
+differ from the stacked evaluation at the ulp level; that is why the plan
+layer (:func:`repro.smd.plan._run_groups`) stacks only groups of two or more
+replicas and runs a one-replica group in a call of its own.
 
 This module draws **no randomness of its own**: callers pass fully formed
 generators (derived via :func:`repro.rng.stream_for`), which is what makes

@@ -10,9 +10,7 @@ store-addressable as two distinct tasks (the reverse protocol's
 
 Stream discipline: the forward leg draws ``stream_for(seed, "smd.bidir",
 "fwd")`` and the reverse leg ``stream_for(seed, "smd.bidir", "rev")`` —
-the legs never share variates, and each leg is bit-identical across the
-``vectorized`` / ``batched`` / ``reference`` kernels by the engine's
-contract.
+the legs never share variates.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ def run_bidirectional_ensemble(
     cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
     store=None,
-    kernel: str = "vectorized",
 ) -> BidirectionalEnsemble:
     """Run the matched forward and reverse pulls of one window.
 
@@ -85,7 +82,7 @@ def run_bidirectional_ensemble(
     store:
         Optional result store; each leg memoizes under its own
         direction-distinguished fingerprint.
-    kernel / obs / dt / n_records / force_sample_time / cpu_hours_per_ns:
+    obs / dt / n_records / force_sample_time / cpu_hours_per_ns:
         As in :func:`~repro.smd.ensemble.run_pulling_ensemble`.
     """
     if protocol.direction != "forward":
@@ -108,13 +105,13 @@ def run_bidirectional_ensemble(
             force_sample_time=force_sample_time,
             seed=stream_for(base, "smd.bidir", "fwd"),
             cpu_hours_per_ns=cpu_hours_per_ns, obs=obs, store=store,
-            store_key=(base, "smd.bidir", "fwd"), kernel=kernel,
+            store_key=(base, "smd.bidir", "fwd"),
         )
         reverse = run_pulling_ensemble(
             model, protocol.reversed(), n_reverse, dt=dt,
             n_records=n_records, force_sample_time=force_sample_time,
             seed=stream_for(base, "smd.bidir", "rev"),
             cpu_hours_per_ns=cpu_hours_per_ns, obs=obs, store=store,
-            store_key=(base, "smd.bidir", "rev"), kernel=kernel,
+            store_key=(base, "smd.bidir", "rev"),
         )
     return BidirectionalEnsemble(forward=forward, reverse=reverse)

@@ -128,13 +128,10 @@ def run_pulling_ensemble(
         asserts the stream's identity, not its state.
     kernel:
         ``"reference"`` runs the per-replica scalar Python loop, the oracle
-        the engine is verified against; every other kernel is one
-        single-group call of :func:`repro.smd.batched.run_pulling_groups`.
-        (``"vectorized"`` vs ``"batched"`` only differ for entry points
-        that run *several* groups, where it selects whether they share an
-        engine call.)  All kernels are bit-identical; the kernel is an
-        execution layout, not part of the result's identity, so store
-        fingerprints do not include it.
+        the engine is verified against; the default is one single-group
+        call of :func:`repro.smd.batched.run_pulling_groups`.  The two are
+        bit-identical; the kernel is an execution layout, not part of the
+        result's identity, so store fingerprints do not include it.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be at least 1")

@@ -15,7 +15,7 @@ runs and the batch SMD-JE ensembles.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,10 @@ from ..errors import ConfigurationError
 from ..md.batch import BatchedSimulation
 from ..md.kernels import validate_kernel
 from ..obs import Obs, as_obs
-from ..pore.assembly import build_translocation_simulation
+from ..pore.assembly import (
+    TranslocationSystem,
+    build_translocation_simulation,
+)
 from ..rng import SeedLike, as_generator, stream_for
 from .ensemble import PAPER_CPU_HOURS_PER_NS
 from .protocol import PullingProtocol
@@ -68,12 +71,12 @@ def run_pulling_ensemble_3d(
     with the same seed-identity rules as the reduced runner: an int seed
     fingerprints directly, a generator needs its ``stream_for`` key.
 
-    ``kernel`` selects the execution layout: ``"batched"`` stacks all
-    replicas into one :class:`~repro.md.batch.BatchedSimulation` (R systems
-    per force/integrator call); ``"vectorized"`` and ``"reference"`` both
-    run the per-trajectory loop, which for the 3-D engine *is* the oracle
-    the batched path is verified against.  All kernels are bit-identical
-    and share store fingerprints.
+    ``kernel``: by default all replicas are stacked into one
+    :class:`~repro.md.batch.BatchedSimulation` (R systems per force /
+    integrator call); ``"reference"`` steps one scalar
+    :class:`~repro.md.engine.Simulation` per replica, the oracle the stack
+    is verified against.  The two are bit-identical and share store
+    fingerprints.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be at least 1")
@@ -95,105 +98,17 @@ def run_pulling_ensemble_3d(
             axis=axis, start_com_z=start_com_z, seed=seed,
             cpu_hours_per_ns=cpu_hours_per_ns, obs=obs, kernel=kernel))
     obs = as_obs(obs)
-    base = as_generator(seed)
-    master = int(base.integers(0, 2**31))
-
-    if kernel == "batched":
-        return _run_3d_batched(
-            protocol, n_samples, n_bases, n_records, axis, start_com_z,
-            master, cpu_hours_per_ns, obs,
-        )
+    master = int(as_generator(seed).integers(0, 2**31))
+    a = np.asarray(axis, dtype=np.float64)
+    a = a / np.linalg.norm(a)
+    pull = _pull_reference if kernel == "reference" else _pull_stacked
 
     works = np.zeros((n_samples, n_records), dtype=np.float64)
     positions = np.zeros((n_samples, n_records), dtype=np.float64)
-    displacements: Optional[np.ndarray] = None
+    grid = np.linspace(0.0, protocol.distance, n_records)
     total_ns = 0.0
-
     with obs.span("smd.ensemble3d", n_samples=n_samples, n_bases=n_bases):
-        for rep in range(n_samples):
-            rng = stream_for(master, "smd3d", rep)
-            ts = build_translocation_simulation(
-                n_bases=n_bases,
-                start_z=start_com_z - (n_bases - 1) * 6.5 / 2.0,
-                seed=rng,
-            )
-            sim = ts.simulation
-            # Equilibrate before attaching the trap.
-            if protocol.equilibration_ns > 0:
-                sim.run_until(protocol.equilibration_ns)
-            # Anchor the trap at the replica's own current coordinate so every
-            # pull starts at zero stretch (equilibrium initial condition).
-            masses = sim.system.masses
-            a = np.asarray(axis, dtype=np.float64)
-            a = a / np.linalg.norm(a)
-            q0 = float((masses[ts.dna_indices] / masses[ts.dna_indices].sum())
-                       @ sim.system.positions[ts.dna_indices] @ a)
-            proto = protocol.with_start(q0)
-            smd = SMDPullingForce(proto, ts.dna_indices, masses, axis=a)
-            sim.forces.append(smd)
-            sim.invalidate_caches()
-
-            n_steps = int(np.ceil(proto.duration_ns / sim.integrator.dt))
-            stride = max(n_steps // 400, 1)
-            recorder = SMDWorkRecorder(smd, record_stride=stride)
-            sim.add_reporter(recorder)
-            sim.step(n_steps)
-
-            arrays = recorder.arrays()
-            grid = np.linspace(0.0, proto.distance, n_records)
-            # Interpolate the recorded series onto the common displacement
-            # grid.
-            disp = arrays["displacements"]
-            order = np.argsort(disp)
-            works[rep] = np.interp(grid, disp[order], arrays["works"][order])
-            positions[rep] = np.interp(grid, disp[order],
-                                       arrays["coordinates"][order])
-            works[rep] -= works[rep][0]
-            if displacements is None:
-                displacements = grid
-            total_ns += proto.duration_ns + protocol.equilibration_ns
-
-    assert displacements is not None
-    if obs.enabled:
-        obs.metrics.inc("smd.je_samples_3d", n_samples)
-        obs.metrics.inc("smd.sim_ns", total_ns)
-        obs.metrics.inc("smd.cpu_hours", total_ns * cpu_hours_per_ns)
-    return WorkEnsemble(
-        protocol=protocol,
-        displacements=displacements,
-        works=works,
-        positions=positions,
-        temperature=300.0,
-        cpu_hours=total_ns * cpu_hours_per_ns,
-    )
-
-
-def _run_3d_batched(
-    protocol: PullingProtocol,
-    n_samples: int,
-    n_bases: int,
-    n_records: int,
-    axis,
-    start_com_z: float,
-    master: int,
-    cpu_hours_per_ns: float,
-    obs: Obs,
-) -> WorkEnsemble:
-    """All replicas of the 3-D ensemble as one batched engine run.
-
-    Each replica is still *built* from its own ``stream_for(master,
-    "smd3d", rep)`` stream — construction consumes exactly what the
-    per-trajectory loop would — then the R systems are stacked into one
-    :class:`~repro.md.batch.BatchedSimulation` whose per-replica generators
-    keep driving their replica's thermostat noise.  The trap anchoring,
-    work recording and grid interpolation mirror the per-trajectory loop
-    term by term, so results are bit-identical (enforced by test).
-    """
-    works = np.zeros((n_samples, n_records), dtype=np.float64)
-    positions = np.zeros((n_samples, n_records), dtype=np.float64)
-
-    with obs.span("smd.ensemble3d", n_samples=n_samples, n_bases=n_bases,
-                  kernel="batched"):
+        # Every replica is built from its own stream, whatever steps it.
         builds = [
             build_translocation_simulation(
                 n_bases=n_bases,
@@ -202,45 +117,17 @@ def _run_3d_batched(
             )
             for rep in range(n_samples)
         ]
-        batched = BatchedSimulation.from_simulations(
-            [ts.simulation for ts in builds]
-        )
-        if protocol.equilibration_ns > 0:
-            batched.run_until(protocol.equilibration_ns)
-
-        dna = builds[0].dna_indices
-        masses = builds[0].simulation.system.masses
-        a = np.asarray(axis, dtype=np.float64)
-        a = a / np.linalg.norm(a)
-        protos = [
-            protocol.with_start(float(
-                (masses[dna] / masses[dna].sum())
-                @ batched.batch.positions[rep][dna] @ a
-            ))
-            for rep in range(n_samples)
-        ]
-        smd = BatchedSMDPullingForce(protos, dna, masses, axis=a)
-        batched.forces.append(smd)
-        batched.invalidate_caches()
-
-        n_steps = int(np.ceil(protos[0].duration_ns / batched.integrator.dt))
-        stride = max(n_steps // 400, 1)
-        recorder = BatchedSMDWorkRecorder(smd, record_stride=stride)
-        batched.add_reporter(recorder)
-        batched.step(n_steps)
-
-        arrays = recorder.arrays()
-        grid = np.linspace(0.0, protos[0].distance, n_records)
-        for rep in range(n_samples):
-            disp = arrays["displacements"][rep]
+        for rep, series in enumerate(pull(builds, protocol, a)):
+            # Interpolate the recorded series onto the common displacement
+            # grid.
+            disp = series["displacements"]
             order = np.argsort(disp)
-            works[rep] = np.interp(grid, disp[order],
-                                   arrays["works"][rep][order])
+            works[rep] = np.interp(grid, disp[order], series["works"][order])
             positions[rep] = np.interp(grid, disp[order],
-                                       arrays["coordinates"][rep][order])
+                                       series["coordinates"][order])
             works[rep] -= works[rep][0]
+            total_ns += protocol.duration_ns + protocol.equilibration_ns
 
-    total_ns = n_samples * (protos[0].duration_ns + protocol.equilibration_ns)
     if obs.enabled:
         obs.metrics.inc("smd.je_samples_3d", n_samples)
         obs.metrics.inc("smd.sim_ns", total_ns)
@@ -253,3 +140,68 @@ def _run_3d_batched(
         temperature=300.0,
         cpu_hours=total_ns * cpu_hours_per_ns,
     )
+
+
+def _anchored(protocol: PullingProtocol, positions: np.ndarray,
+              dna: np.ndarray, masses: np.ndarray,
+              a: np.ndarray) -> PullingProtocol:
+    """``protocol`` with its trap anchored at the replica's own current pull
+    coordinate, so every pull starts at zero stretch (equilibrium initial
+    condition)."""
+    return protocol.with_start(
+        float((masses[dna] / masses[dna].sum()) @ positions[dna] @ a))
+
+
+def _pull_schedule(protocol: PullingProtocol, dt: float) -> Tuple[int, int]:
+    """``(n_steps, record_stride)`` of the pull: about 400 recorded points."""
+    n_steps = int(np.ceil(protocol.duration_ns / dt))
+    return n_steps, max(n_steps // 400, 1)
+
+
+def _pull_reference(builds: Sequence[TranslocationSystem],
+                    protocol: PullingProtocol,
+                    a: np.ndarray) -> Iterator[Dict[str, np.ndarray]]:
+    """The oracle: one scalar simulation per replica, one after another."""
+    for ts in builds:
+        sim = ts.simulation
+        # Equilibrate before attaching the trap.
+        if protocol.equilibration_ns > 0:
+            sim.run_until(protocol.equilibration_ns)
+        masses = sim.system.masses
+        proto = _anchored(protocol, sim.system.positions, ts.dna_indices,
+                          masses, a)
+        smd = SMDPullingForce(proto, ts.dna_indices, masses, axis=a)
+        sim.forces.append(smd)
+        sim.invalidate_caches()
+        n_steps, stride = _pull_schedule(protocol, sim.integrator.dt)
+        recorder = SMDWorkRecorder(smd, record_stride=stride)
+        sim.add_reporter(recorder)
+        sim.step(n_steps)
+        yield recorder.arrays()
+
+
+def _pull_stacked(builds: Sequence[TranslocationSystem],
+                  protocol: PullingProtocol,
+                  a: np.ndarray) -> Iterator[Dict[str, np.ndarray]]:
+    """Production: the R systems stacked into one
+    :class:`~repro.md.batch.BatchedSimulation`, whose per-replica generators
+    keep driving their own replica's thermostat noise."""
+    batched = BatchedSimulation.from_simulations(
+        [ts.simulation for ts in builds])
+    if protocol.equilibration_ns > 0:
+        batched.run_until(protocol.equilibration_ns)
+    dna = builds[0].dna_indices
+    masses = builds[0].simulation.system.masses
+    protos = [_anchored(protocol, positions, dna, masses, a)
+              for positions in batched.batch.positions]
+    smd = BatchedSMDPullingForce(protos, dna, masses, axis=a)
+    batched.forces.append(smd)
+    batched.invalidate_caches()
+    n_steps, stride = _pull_schedule(protocol, batched.integrator.dt)
+    recorder = BatchedSMDWorkRecorder(smd, record_stride=stride)
+    batched.add_reporter(recorder)
+    batched.step(n_steps)
+    arrays = recorder.arrays()
+    for rep in range(len(builds)):
+        yield {name: arrays[name][rep]
+               for name in ("displacements", "works", "coordinates")}

@@ -16,12 +16,11 @@ how a set of them is resolved:
 * :func:`run_work_ensemble` / :func:`run_pulling_ensemble_parallel` — the
   inline plan builders: tasks of one cell, shards of one ensemble.
 
-The kernel choice is a *stacking policy* here: ``"batched"`` sends all the
-groups an entry point has to compute through one engine call, anything
-else runs one :func:`~repro.smd.ensemble.run_pulling_ensemble` call per
-group.  The results are bit-identical (for groups of two or more replicas;
-see :mod:`repro.smd.batched` for the one-replica caveat), so fingerprints
-never include the kernel.
+Stacking is decided here, from the group sizes alone: all the groups of two
+or more replicas an entry point has to compute share one engine call, and a
+one-replica group runs in a call of its own (:mod:`repro.smd.batched`
+documents why).  Each group's result is bit-identical to running it alone,
+so the layout is never part of a fingerprint.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import (
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..md.kernels import validate_kernel
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import SeedLike, as_seed_int, stream_for
@@ -106,7 +104,6 @@ def plan_tasks(
     n_records: int = 41,
     force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
     cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
-    kernel: str = "vectorized",
     obs: Optional[Obs] = None,
 ) -> Iterator[StreamTask]:
     """Lazily yield the tasks of ``(protocol, labels)`` cells, cell-major.
@@ -126,7 +123,6 @@ def plan_tasks(
         raise ConfigurationError("samples_per_task must be at least 1")
     if task_offset < 0:
         raise ConfigurationError("task_offset cannot be negative")
-    validate_kernel(kernel)
     settings = dict(dt=dt, n_records=n_records,
                     force_sample_time=force_sample_time,
                     cpu_hours_per_ns=cpu_hours_per_ns)
@@ -142,7 +138,7 @@ def plan_tasks(
                         key: Tuple[Any, ...] = key) -> WorkEnsemble:
                 return run_pulling_ensemble(
                     model, protocol, samples_per_task, seed=stream_for(*key),
-                    obs=obs, kernel=kernel, **settings)
+                    obs=obs, **settings)
 
             yield StreamTask(index=index, key=key, cell=labels,
                              task=task, compute=compute)
@@ -206,17 +202,20 @@ def _run_groups(
     model: ReducedTranslocationModel,
     protocol: PullingProtocol,
     groups: Sequence[Tuple[np.random.Generator, int]],
-    kernel: str,
     **settings: Any,
 ) -> Iterator[WorkEnsemble]:
-    """The stacking policy: ``"batched"`` pulls every group in one engine
-    call; any other kernel pulls them one call at a time, lazily."""
-    if kernel == "batched":
-        yield from run_pulling_groups(model, protocol, groups, **settings)
-    else:
-        for rng, n_samples in groups:
-            yield run_pulling_ensemble(model, protocol, n_samples, seed=rng,
-                                       kernel=kernel, **settings)
+    """The stacking rule: every group of two or more replicas shares one
+    engine call; a one-replica group runs alone, because BLAS's one-row
+    path is not bit-identical to its row of a stack.  Nothing is computed
+    until the first result is asked for; results come in input order."""
+    multi = [group for group in groups if group[1] >= 2]
+    stacked = iter(run_pulling_groups(model, protocol, multi, **settings)
+                   if multi else ())
+    for group in groups:
+        if group[1] >= 2:
+            yield next(stacked)
+        else:
+            yield run_pulling_groups(model, protocol, [group], **settings)[0]
 
 
 def _shard_sizes(n_samples: int, shard_size: int) -> list:
@@ -239,7 +238,6 @@ def run_pulling_ensemble_parallel(
     obs: Optional[Obs] = None,
     store=None,
     store_key=None,
-    kernel: str = "vectorized",
 ) -> WorkEnsemble:
     """Run a pulling ensemble as independently seeded fixed-size shards.
 
@@ -248,6 +246,8 @@ def run_pulling_ensemble_parallel(
     ``stream_for(seed, "smd.shard", b)`` and the shards merge in index
     order, so replica row ``i`` always refers to the same pull and the
     first shards of a larger ensemble are the whole of a smaller one.
+    All shards of two or more replicas are pulled in one stacked engine
+    call, bit-identical to pulling each shard alone.
 
     Parameters
     ----------
@@ -263,9 +263,6 @@ def run_pulling_ensemble_parallel(
         :func:`run_pulling_ensemble`.  The fingerprint includes the shard
         size under ``executor`` — the sharded RNG layout differs from the
         serial runner's, so the two never share records.
-    kernel:
-        ``"batched"`` pulls all shards in one engine call; other kernels
-        pull one shard per call.  Bit-identical either way.
 
     Remaining parameters match :func:`run_pulling_ensemble`.
     """
@@ -273,7 +270,6 @@ def run_pulling_ensemble_parallel(
         raise ConfigurationError("n_samples must be at least 1")
     if shard_size < 1:
         raise ConfigurationError("shard_size must be at least 1")
-    validate_kernel(kernel)
     settings = dict(dt=dt, n_records=n_records,
                     force_sample_time=force_sample_time,
                     cpu_hours_per_ns=cpu_hours_per_ns)
@@ -286,7 +282,7 @@ def run_pulling_ensemble_parallel(
                             **settings)
         return store.get_or_run(task, lambda: run_pulling_ensemble_parallel(
             model, protocol, n_samples, shard_size=shard_size, seed=seed,
-            obs=obs, kernel=kernel, **settings))
+            obs=obs, **settings))
     obs = as_obs(obs)
     base = as_seed_int(seed)
     groups = [(stream_for(base, "smd.shard", b), shard_n)
@@ -295,7 +291,7 @@ def run_pulling_ensemble_parallel(
                   velocity=protocol.velocity, n_samples=n_samples,
                   n_shards=len(groups)):
         return reduce(WorkEnsemble.merged_with, _run_groups(
-            model, protocol, groups, kernel, obs=obs, **settings))
+            model, protocol, groups, obs=obs, **settings))
 
 
 def run_work_ensemble(
@@ -312,7 +308,6 @@ def run_work_ensemble(
     force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
     cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
-    kernel: str = "vectorized",
     task_offset: int = 0,
 ) -> WorkEnsemble:
     """Run one (kappa, v) cell as ``n_tasks`` restartable store-addressed tasks.
@@ -339,14 +334,10 @@ def run_work_ensemble(
         ``("cell", 100000, 12500)``) so distinct cells never share streams.
     store:
         Optional :class:`repro.store.ResultStore`; each task is memoized
-        individually under its full stream key.  Task fingerprints never
-        include the kernel, so records written by any kernel are hits for
-        every other (they are bit-identical by contract).
-    kernel:
-        Under ``"batched"`` every task that is not already in the store
-        runs through *one* stacked engine call; other kernels compute (and
-        persist) the misses one task at a time.  Each task consumes its own
-        ``stream_for`` stream either way.
+        individually under its full stream key.  The tasks that are not
+        already in the store are computed together (one stacked engine
+        call when ``samples_per_task >= 2``), each from its own
+        ``stream_for`` stream, then persisted in task order.
     task_offset:
         First task index (default 0).  A later call with
         ``task_offset=n_tasks`` *extends* the same cell: concatenating the
@@ -362,20 +353,20 @@ def run_work_ensemble(
                     cpu_hours_per_ns=cpu_hours_per_ns, obs=obs)
     tasks = list(plan_tasks(
         model, [(protocol, labels)], n_tasks, samples_per_task, seed=seed,
-        task_offset=task_offset, kernel=kernel, **settings))
+        task_offset=task_offset, **settings))
     resolver = TaskResolver(store)
     with obs.span("smd.work_ensemble", kappa_pn=protocol.kappa_pn,
                   velocity=protocol.velocity, n_tasks=n_tasks,
                   samples_per_task=samples_per_task):
         # Decide the misses up front (membership only, no store traffic)
-        # so the stacking policy sees them as one set of groups; they are
-        # then computed lazily, in the order the resolver asks for them.
+        # so the stacking rule sees them as one set of groups; they are
+        # then handed out in the order the resolver asks for them.
         missing = [t for t in tasks if t not in resolver]
         planned = {t.index for t in missing}
         stacked = _run_groups(
             model, protocol,
             [(stream_for(*t.key), samples_per_task) for t in missing],
-            kernel, **settings)
+            **settings)
 
         def compute(task: StreamTask) -> WorkEnsemble:
             # A hit whose record proves corrupt on read was not planned as

@@ -78,11 +78,18 @@ def append_line(path: str, line: str, *, sync: bool = True) -> None:
     """Append ``line`` plus a newline to a text log, durably.
 
     A crash mid-append leaves at most one torn final line, which
-    :func:`read_complete_lines` drops on the next read.
+    :func:`read_complete_lines` drops on the next read.  The next append
+    terminates such a fragment first, so it stays one unparsable line of
+    its own instead of swallowing the entry written after the restart.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
+    data = (line + "\n").encode("utf-8")
+    with open(path, "a+b") as handle:
+        if handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                data = b"\n" + data
+        handle.write(data)
         if sync:
             handle.flush()
             os.fsync(handle.fileno())

@@ -22,8 +22,7 @@ exponential average needs far more samples there than on quiet stretches.
    PMFs are stitched (:func:`repro.smd.stitch_pmfs`) into the full profile.
 
 Everything is driven by ``stream_for(seed, "adaptive", "bin", b, "task",
-t)`` streams, so the controller is deterministic end to end: rerunning,
-switching ``kernel=`` between ``vectorized``/``batched``/``reference``, or
+t)`` streams, so the controller is deterministic end to end: rerunning or
 attaching a (cold or warm) result store reproduces the same bits
 (:meth:`AdaptiveReport.digest`).
 """
@@ -153,7 +152,6 @@ def run_adaptive_campaign(
     samples_per_task: int = 2,
     seed: SeedLike = 2005,
     estimator: str = "exponential",
-    kernel: str = "vectorized",
     store: Any = None,
     dt: Optional[float] = None,
     n_records: int = 21,
@@ -180,12 +178,9 @@ def run_adaptive_campaign(
     samples_per_task:
         Replicas per store task — the allocation granularity; both
         ``total_replicas`` and ``pilot_per_bin`` must be multiples of it.
-        The default (2) is also the floor of the batched kernel's
-        bit-identity contract: a single-replica task evaluates the
-        landscape matvec through BLAS's one-row fast path, whose ulp-level
-        accumulation differs from the stacked evaluation, so
-        ``samples_per_task=1`` would make ``kernel="batched"`` digests
-        drift from the serial ones.
+        With the default (2) each round's tasks share one stacked engine
+        call; one-replica tasks would each run alone
+        (:func:`repro.smd.plan._run_groups`).
     estimator:
         Any *unpaired* registry estimator used per window (the windows are
         forward-only).
@@ -198,7 +193,7 @@ def run_adaptive_campaign(
         stream is independent of the physics streams.
 
     Returns an :class:`AdaptiveReport`; ``report.digest()`` is the
-    byte-reproducibility witness across reruns, kernels, and stores.
+    byte-reproducibility witness across reruns and stores.
     """
     if n_bins < 1:
         raise ConfigurationError("n_bins must be at least 1")
@@ -240,7 +235,7 @@ def run_adaptive_campaign(
             model, proto, n_tasks, samples_per_task, seed=base,
             labels=("adaptive", "bin", b), store=store, dt=dt,
             n_records=n_records, force_sample_time=force_sample_time,
-            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs, kernel=kernel,
+            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs,
             task_offset=offset,
         )
 

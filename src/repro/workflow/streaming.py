@@ -179,7 +179,6 @@ def stream_study_tasks(
     n_records: int = 41,
     force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
     cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
-    kernel: str = "vectorized",
     obs: Optional[Obs] = None,
 ) -> Iterator[StreamTask]:
     """Lazily yield every task of a (kappa, v) study, grid never built.
@@ -194,7 +193,7 @@ def stream_study_tasks(
         model, ((proto, cell_labels(proto)) for proto in protocols),
         n_tasks, samples_per_task, seed=seed, dt=dt, n_records=n_records,
         force_sample_time=force_sample_time,
-        cpu_hours_per_ns=cpu_hours_per_ns, kernel=kernel, obs=obs,
+        cpu_hours_per_ns=cpu_hours_per_ns, obs=obs,
     )
 
 
@@ -388,7 +387,6 @@ def run_streamed_study(
     retry: Any = None,
     fault: Optional[Callable[[StreamTask, int], None]] = None,
     n_records: int = 41,
-    kernel: str = "vectorized",
     obs: Optional[Obs] = None,
 ) -> Tuple[Dict[Tuple[Any, ...], WorkEnsemble], StreamReport]:
     """Streamed equivalent of the study loop: per-cell merged ensembles.
@@ -409,7 +407,7 @@ def run_streamed_study(
                     n_records]
     specs = stream_study_tasks(
         model, protocols, n_tasks, samples_per_task, seed=seed,
-        n_records=n_records, kernel=kernel, obs=obs,
+        n_records=n_records, obs=obs,
     )
     # The plan is cell-major with ``n_tasks`` tasks per cell: remember each
     # cell's labels as its first task streams past (no descriptors kept).

@@ -134,12 +134,13 @@ class TestBatchedSMDForce:
 class TestEnsemble3DBatched:
     def test_batched_3d_ensemble_bit_identical(self):
         """The full 3-D pipeline (build, equilibrate, per-replica traps,
-        work recording, record interpolation) under kernel="batched"."""
+        work recording, record interpolation): the stacked default against
+        the per-trajectory oracle."""
         proto = PullingProtocol(kappa_pn=500.0, velocity=100.0, distance=3.0,
                                 start_z=0.0, equilibration_ns=0.002)
         kwargs = dict(n_samples=2, n_bases=4, n_records=5, seed=42)
-        vec = run_pulling_ensemble_3d(proto, **kwargs)
-        bat = run_pulling_ensemble_3d(proto, kernel="batched", **kwargs)
+        vec = run_pulling_ensemble_3d(proto, kernel="reference", **kwargs)
+        bat = run_pulling_ensemble_3d(proto, **kwargs)
         np.testing.assert_array_equal(vec.works, bat.works)
         np.testing.assert_array_equal(vec.positions, bat.positions)
         np.testing.assert_array_equal(vec.displacements, bat.displacements)

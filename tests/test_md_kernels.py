@@ -61,7 +61,7 @@ def assert_equivalent(results):
 
 class TestKernelValidation:
     def test_known_kernels(self):
-        assert set(KERNELS) == {"vectorized", "reference", "batched"}
+        assert set(KERNELS) == {"vectorized", "reference"}
         for kernel in KERNELS:
             assert validate_kernel(kernel) == kernel
 

@@ -266,21 +266,31 @@ class TestExport:
 
 
 class TestRunReportPhysics:
-    @pytest.mark.parametrize("kernel", ["vectorized", "batched", "reference"])
+    @pytest.mark.parametrize("layout", ["vectorized", "batched", "reference"])
     def test_je_rate_is_reported_for_every_kernel(self, reduced_model,
-                                                  kernel):
-        """Every kernel integrates inside an ``smd.ensemble`` span, so the
+                                                  layout):
+        """One engine call per group, the plan's stacked call and the
+        scalar oracle all integrate inside ``smd.ensemble`` spans, so the
         run report's JE-samples/sec never degrades to None."""
         from types import SimpleNamespace
 
         from repro.obs import campaign_run_report
-        from repro.smd import PullingProtocol, run_work_ensemble
+        from repro.smd import (
+            PullingProtocol,
+            run_pulling_ensemble,
+            run_work_ensemble,
+        )
 
         obs = Obs()
         proto = PullingProtocol(kappa_pn=100.0, velocity=100.0, distance=2.0,
                                 equilibration_ns=0.0)
-        run_work_ensemble(reduced_model, proto, 2, 2, seed=3, n_records=5,
-                          kernel=kernel, obs=obs)
+        if layout == "batched":
+            run_work_ensemble(reduced_model, proto, 2, 2, seed=3,
+                              n_records=5, obs=obs)
+        else:
+            for seed in (3, 4):
+                run_pulling_ensemble(reduced_model, proto, 2, seed=seed,
+                                     n_records=5, kernel=layout, obs=obs)
         campaign = SimpleNamespace(
             per_resource_utilization={}, per_resource_jobs={},
             total_cpu_hours=0.0, makespan_hours=0.0, mean_wait_hours=0.0,

@@ -1,26 +1,32 @@
 """Bit-identity contract of the replica-batched SMD execution path.
 
-The batched kernel's entire value rests on one guarantee: stacking R
-replicas on a leading axis changes the wall clock, never the numbers.
-These tests pin that guarantee against the vectorized per-trajectory
-runner and the scalar reference oracle, through the parallel shard
+The stacked engine's entire value rests on one guarantee: stacking R
+replicas — and several independently seeded groups of them — on one
+array axis changes the wall clock, never the numbers.  These tests pin
+that guarantee against the scalar reference oracle
+(``kernel="reference"``, one explicit call per group), through the shard
 decomposition, through the result store (fingerprints are kernel-blind),
 and against the committed Fig-4 golden master.
 """
 
 import json
 import os
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from repro.core import estimate_pmf
 from repro.errors import ConfigurationError
+from repro.md.kernels import validate_kernel
+from repro.obs import Obs
 from repro.pore import ReducedTranslocationModel, default_reduced_potential
 from repro.rng import stream_for
 from repro.smd import (
     PullingProtocol,
+    WorkEnsemble,
     run_pulling_ensemble,
+    run_pulling_ensemble_3d,
     run_pulling_ensemble_parallel,
     run_pulling_groups,
     run_work_ensemble,
@@ -44,6 +50,18 @@ def assert_ensembles_identical(a, b):
     assert a.cpu_hours == b.cpu_hours
 
 
+def oracle_tasks(model, proto, n_tasks, samples_per_task, *, seed,
+                 labels=(), store=None, **kwargs):
+    """``run_work_ensemble``'s tasks pulled one by one by the scalar
+    oracle, each from its own ``stream_for`` key, merged in task order."""
+    keys = [(seed, *labels, "task", t) for t in range(n_tasks)]
+    return reduce(WorkEnsemble.merged_with, (
+        run_pulling_ensemble(model, proto, samples_per_task,
+                             seed=stream_for(*key), store=store,
+                             store_key=key, kernel="reference", **kwargs)
+        for key in keys))
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("n_samples", [1, 2, 7, 16])
     def test_batched_equals_vectorized_and_reference(self, reduced_model,
@@ -51,21 +69,18 @@ class TestBitIdentity:
         proto = fast_protocol()
         kwargs = dict(n_records=9, seed=42)
         vec = run_pulling_ensemble(reduced_model, proto, n_samples, **kwargs)
-        bat = run_pulling_ensemble(reduced_model, proto, n_samples,
-                                   kernel="batched", **kwargs)
         ref = run_pulling_ensemble(reduced_model, proto, n_samples,
                                    kernel="reference", **kwargs)
-        assert_ensembles_identical(vec, bat)
         assert_ensembles_identical(vec, ref)
 
     def test_exact_work_mode_also_identical(self, reduced_model):
         proto = fast_protocol()
         vec = run_pulling_ensemble(reduced_model, proto, 5, n_records=7,
                                    seed=3, force_sample_time=None)
-        bat = run_pulling_ensemble(reduced_model, proto, 5, n_records=7,
+        ref = run_pulling_ensemble(reduced_model, proto, 5, n_records=7,
                                    seed=3, force_sample_time=None,
-                                   kernel="batched")
-        assert_ensembles_identical(vec, bat)
+                                   kernel="reference")
+        assert_ensembles_identical(vec, ref)
 
     @pytest.mark.parametrize("n_samples", [2, 16])
     def test_pmf_identical_across_kernels(self, reduced_model, n_samples):
@@ -74,36 +89,47 @@ class TestBitIdentity:
             estimate_pmf(run_pulling_ensemble(
                 reduced_model, proto, n_samples, n_records=9, seed=11,
                 kernel=kernel))
-            for kernel in ("vectorized", "batched", "reference")
+            for kernel in ("vectorized", "reference")
         ]
         for other in estimates[1:]:
             np.testing.assert_array_equal(estimates[0].values, other.values)
 
     def test_unknown_kernel_rejected(self, reduced_model):
-        with pytest.raises(ConfigurationError):
-            run_pulling_ensemble(reduced_model, fast_protocol(), 2,
-                                 kernel="gpu")
+        """``"batched"`` was a kernel name once; stacking is now the plan
+        layer's decision and the name is as unknown as any other."""
+        for kernel in ("gpu", "batched"):
+            with pytest.raises(ConfigurationError):
+                validate_kernel(kernel)
+            with pytest.raises(ConfigurationError):
+                run_pulling_ensemble(reduced_model, fast_protocol(), 2,
+                                     kernel=kernel)
+            with pytest.raises(ConfigurationError):
+                run_pulling_ensemble_3d(fast_protocol(), 2, kernel=kernel)
 
 
 class TestShardDecomposition:
     @pytest.mark.parametrize("shard_size", [3, 7, 8])
     def test_parallel_batched_matches_serial_vectorized(self, reduced_model,
                                                         shard_size):
-        """Uneven shard splits must not perturb any replica's stream."""
+        """Uneven shard splits must not perturb any replica's stream: the
+        stacked shards equal one oracle call per shard."""
         proto = fast_protocol()
-        serial = run_pulling_ensemble_parallel(
-            reduced_model, proto, 17, shard_size=shard_size,
-            n_records=7, seed=8)
+        sizes = [shard_size] * (17 // shard_size) + [17 % shard_size]
+        serial = reduce(WorkEnsemble.merged_with, (
+            run_pulling_ensemble(reduced_model, proto, n, n_records=7,
+                                 seed=stream_for(8, "smd.shard", b),
+                                 kernel="reference")
+            for b, n in enumerate(sizes)))
         batched = run_pulling_ensemble_parallel(
             reduced_model, proto, 17, shard_size=shard_size,
-            n_records=7, seed=8, kernel="batched")
+            n_records=7, seed=8)
         assert_ensembles_identical(serial, batched)
 
 
 class TestGoldenMaster:
-    def test_fig4_cell_unchanged_under_batched_kernel(self, reduced_model):
-        """The committed Fig-4 PMF must survive kernel="batched" bit-for-bit
-        (same tolerance the vectorized golden test uses)."""
+    def test_fig4_cell_unchanged_under_reference_kernel(self, reduced_model):
+        """The scalar oracle must reproduce the committed Fig-4 PMF (same
+        tolerance the default-layout golden test uses)."""
         with open(GOLDEN_PATH, encoding="utf-8") as handle:
             golden = json.load(handle)
         p = golden["params"]
@@ -114,7 +140,7 @@ class TestGoldenMaster:
             equilibration_ns=p["equilibration_ns"])
         ensemble = run_pulling_ensemble(
             model, proto, n_samples=p["n_samples"], n_records=p["n_records"],
-            seed=p["seed"], kernel="batched")
+            seed=p["seed"], kernel="reference")
         estimate = estimate_pmf(ensemble, estimator=p["estimator"])
         np.testing.assert_allclose(estimate.values, np.asarray(golden["pmf"]),
                                    rtol=0.0, atol=1e-8)
@@ -125,55 +151,59 @@ class TestGoldenMaster:
 
 class TestStoreInteroperability:
     def test_fingerprints_are_kernel_blind(self, reduced_model, result_store):
-        """A vectorized-written record must satisfy a batched request, and
-        vice versa — the kernel is an execution detail, not physics."""
+        """Records written task by task by the oracle must satisfy the
+        stacked plan's request — the layout is an execution detail, not
+        physics."""
         proto = fast_protocol()
-        run_work_ensemble(reduced_model, proto, 2, 3, seed=5,
-                          store=result_store, n_records=7)
-        assert result_store.hits == 0
+        oracle_tasks(reduced_model, proto, 2, 3, seed=5, store=result_store,
+                     n_records=7)
+        assert (result_store.hits, result_store.writes) == (0, 2)
         hit = run_work_ensemble(reduced_model, proto, 2, 3, seed=5,
-                                store=result_store, n_records=7,
-                                kernel="batched")
-        assert result_store.hits == 2
+                                store=result_store, n_records=7)
+        assert (result_store.hits, result_store.writes) == (2, 2)
         fresh = run_work_ensemble(reduced_model, proto, 2, 3, seed=5,
-                                  n_records=7, kernel="batched")
+                                  n_records=7)
         assert_ensembles_identical(hit, fresh)
 
     def test_batched_writes_readable_by_vectorized(self, reduced_model,
                                                    result_store):
+        """...and the other way round: the stacked plan's records are hits
+        for one-task-at-a-time oracle calls."""
         proto = fast_protocol()
         run_work_ensemble(reduced_model, proto, 2, 3, seed=5,
-                          store=result_store, n_records=7, kernel="batched")
-        run_work_ensemble(reduced_model, proto, 2, 3, seed=5,
                           store=result_store, n_records=7)
-        assert result_store.hits == 2
+        oracle_tasks(reduced_model, proto, 2, 3, seed=5, store=result_store,
+                     n_records=7)
+        assert (result_store.hits, result_store.writes) == (2, 2)
 
     def test_partial_cache_fills_only_misses(self, reduced_model,
                                              result_store):
-        """With some tasks cached, the batched runner recomputes only the
+        """With some tasks cached, the plan stacks and recomputes only the
         misses — and still returns the full bit-identical task list."""
         proto = fast_protocol()
         run_work_ensemble(reduced_model, proto, 1, 3, seed=5,
                           store=result_store, n_records=7)
+        obs = Obs()
         out = run_work_ensemble(reduced_model, proto, 3, 3, seed=5,
-                                store=result_store, n_records=7,
-                                kernel="batched")
+                                store=result_store, n_records=7, obs=obs)
         assert result_store.hits == 1
-        plain = run_work_ensemble(reduced_model, proto, 3, 3, seed=5,
-                                  n_records=7)
-        assert_ensembles_identical(out, plain)
+        assert [(s.attrs["n_groups"], s.attrs["n_samples"])
+                for s in obs.tracer.named("smd.ensemble")] == [(2, 6)]
+        assert_ensembles_identical(
+            out, oracle_tasks(reduced_model, proto, 3, 3, seed=5,
+                              n_records=7))
 
 
 class TestWorkEnsembleContract:
     def test_batched_matches_vectorized(self, reduced_model):
+        """A cell's stacked tasks equal one oracle call per task."""
         proto = fast_protocol()
-        vec = run_work_ensemble(reduced_model, proto, 3, 4, seed=6,
-                                labels=("grid", 0), n_records=7)
         bat = run_work_ensemble(reduced_model, proto, 3, 4, seed=6,
-                                labels=("grid", 0), n_records=7,
-                                kernel="batched")
-        assert vec.works.shape[0] == bat.works.shape[0] == 12
-        assert_ensembles_identical(vec, bat)
+                                labels=("grid", 0), n_records=7)
+        ref = oracle_tasks(reduced_model, proto, 3, 4, seed=6,
+                           labels=("grid", 0), n_records=7)
+        assert ref.works.shape[0] == bat.works.shape[0] == 12
+        assert_ensembles_identical(ref, bat)
 
 
 class TestRunPullingGroups:

@@ -11,8 +11,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import Obs
 from repro.pore import ReducedTranslocationModel, default_reduced_potential
+from repro.rng import stream_for
 from repro.smd import (
     PullingProtocol,
+    run_pulling_ensemble,
     run_pulling_ensemble_parallel,
 )
 
@@ -25,6 +27,14 @@ def workload():
     protocol = PullingProtocol(kappa_pn=100.0, velocity=25.0,
                                distance=10.0, start_z=-5.0)
     return model, protocol
+
+
+def solo_shards(workload, sizes, kernel="vectorized"):
+    """One explicit engine call per shard of ``run``'s layout."""
+    model, protocol = workload
+    return [run_pulling_ensemble(model, protocol, n, kernel=kernel,
+                                 seed=stream_for(SEED, "smd.shard", b))
+            for b, n in enumerate(sizes)]
 
 
 def run(workload, **kwargs):
@@ -44,11 +54,29 @@ class TestWorkerCountInvariance:
 
     def test_uneven_final_shard(self, workload):
         # 10 samples at shard_size=4 -> shards of 4, 4, 2; the remainder
-        # shard draws from its own stream under either stacking policy.
-        per_shard = run(workload, n_samples=10)
-        stacked = run(workload, n_samples=10, kernel="batched")
-        assert per_shard.n_samples == 10
-        np.testing.assert_array_equal(stacked.works, per_shard.works)
+        # shard draws from its own stream, stacked or pulled alone by the
+        # oracle.
+        stacked = run(workload, n_samples=10)
+        assert stacked.n_samples == 10
+        np.testing.assert_array_equal(stacked.works, np.concatenate(
+            [e.works for e in solo_shards(workload, (4, 4, 2),
+                                          kernel="reference")]))
+
+    def test_one_replica_shard_runs_alone(self, workload):
+        # 17 samples at shard_size=8 -> shards of 8, 8, 1: the two full
+        # shards share one engine call, the one-replica shard gets its own
+        # (BLAS's one-row path is not bit-identical to a row of a stack),
+        # and every shard equals its solo run.
+        obs = Obs()
+        mixed = run(workload, n_samples=17, shard_size=8, obs=obs)
+        spans = obs.tracer.named("smd.ensemble")
+        assert [(s.attrs["n_groups"], s.attrs["n_samples"])
+                for s in spans] == [(2, 16), (1, 1)]
+        solo = solo_shards(workload, (8, 8, 1))
+        np.testing.assert_array_equal(
+            mixed.works, np.concatenate([e.works for e in solo]))
+        np.testing.assert_array_equal(
+            mixed.positions, np.concatenate([e.positions for e in solo]))
 
 
 class TestBookkeeping:

@@ -234,6 +234,5 @@ class TestDirectionalIdentity:
         store = ShardedResultStore(tmp_path / "store")
         for direction_proto in (proto, proto.reversed()):
             run_work_ensemble(model, direction_proto, 1, 2, seed=5,
-                              labels=("dir",), store=store, n_records=5,
-                              kernel="vectorized")
+                              labels=("dir",), store=store, n_records=5)
         assert len(store) == 2

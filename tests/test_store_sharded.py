@@ -236,7 +236,7 @@ class TestLegacyUpgrade:
             ResultStore(os.fspath(bare))
 
 
-FP_A, FP_B = "a" * 64, "ab" + "c" * 62
+FP_A, FP_B, FP_C = "a" * 64, "ab" + "c" * 62, "ab" + "d" * 62
 SPEC_DOC = {"kappas_pn": [100.0], "velocities": [25.0]}
 
 
@@ -255,6 +255,18 @@ class _IndexLog:
 
     expected = [FP_A, FP_B]
 
+    def append(self):
+        append_line(self.path, FP_C, sync=False)
+        return FP_C
+
+    def read_past_garbage(self):
+        # An INDEX with a malformed line is untrusted as a whole (the store
+        # rescans the shard), so look at the raw complete lines instead.
+        with pytest.raises(ValueError):
+            self.read()
+        return [line for line in read_complete_lines(self.path)
+                if line != self.torn]
+
 
 class _EventLog:
     """A campaign event log holding seq 1 (pending) and seq 2."""
@@ -271,7 +283,11 @@ class _EventLog:
     def read(self):
         return [e["seq"] for e in self.state.read_events(self.id)]
 
+    read_past_garbage = read
     expected = [1, 2]
+
+    def append(self):
+        return self.state.append_event(self.id, {"kind": "progress"})
 
 
 class _DlqLog:
@@ -289,7 +305,14 @@ class _DlqLog:
     def read(self):
         return [e["task_key"] for e in DeadLetterQueue(self.path).entries()]
 
+    read_past_garbage = read
     expected = [["a", 1], ["b", 1]]
+
+    def append(self):
+        DeadLetterQueue(self.path, sync=False).record(
+            task_key=("c", 1), reason="retry-exhausted", attempts=3,
+            last_error="boom")
+        return ["c", 1]
 
 
 class TestLineLog:
@@ -306,6 +329,20 @@ class TestLineLog:
             handle.write(log.torn)  # crash mid-append: no newline
         assert read_complete_lines(log.path) == complete
         assert log.read() == log.expected
+
+    @pytest.mark.parametrize("log_type", [_IndexLog, _EventLog, _DlqLog],
+                             ids=["index", "events", "dlq"])
+    def test_entry_appended_after_a_torn_tail_is_read_back(self, tmp_path,
+                                                           log_type):
+        """The first entry written after a crash must not be glued onto
+        the fragment the crash left behind."""
+        log = log_type(tmp_path)
+        with open(log.path, "a", encoding="utf-8") as handle:
+            handle.write(log.torn)
+        appended = log.append()
+        assert read_complete_lines(log.path)[-2] == log.torn
+        assert sorted(log.read_past_garbage()) == sorted(
+            log.expected + [appended])
 
     def test_torn_index_append_does_not_hide_records(self, tmp_path):
         root = os.fspath(tmp_path / "s")
