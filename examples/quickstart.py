@@ -4,8 +4,7 @@
 Runs an ensemble of steered pulls on the reduced translocation model at the
 paper's optimal parameters (kappa = 100 pN/A, v = 12.5 A/ns), applies
 Jarzynski's equality through the unified ``estimate_free_energy`` front
-door, and compares against the exactly known PMF.  The ensemble runs as
-independently seeded shards, merged in shard order.
+door, and compares against the exactly known PMF.
 """
 
 import numpy as np
@@ -13,7 +12,7 @@ import numpy as np
 from repro.analysis import Curve, FigureData, render_figure
 from repro.core import estimate_free_energy, estimate_pmf
 from repro.pore import ReducedTranslocationModel, default_reduced_potential
-from repro.smd import PullingProtocol, run_pulling_ensemble_parallel
+from repro.smd import PullingProtocol, run_pulling_ensemble
 
 
 def main() -> None:
@@ -22,12 +21,10 @@ def main() -> None:
 
     # 2. The experiment: constant-velocity pulling through a harmonic trap
     #    over a 10 A sub-trajectory window centred on the constriction.
-    #    Replicas are independent, so the ensemble is a stack of seeded
-    #    shards; where they execute never changes the result.
+    #    All replicas of the ensemble are integrated as one NumPy vector.
     protocol = PullingProtocol(kappa_pn=100.0, velocity=12.5,
                                distance=10.0, start_z=-5.0)
-    ensemble = run_pulling_ensemble_parallel(model, protocol, n_samples=48,
-                                             seed=2005)
+    ensemble = run_pulling_ensemble(model, protocol, n_samples=48, seed=2005)
     print(f"ran {ensemble.n_samples} pulls of {protocol.duration_ns:.2f} ns "
           f"(cost model: {ensemble.cpu_hours:.0f} CPU-hours at paper scale)")
     print(f"work spread: {ensemble.dissipated_width():.2f} kT")

@@ -295,9 +295,7 @@ def _run_instrumented_campaign(args):
         retry = RetryPolicy(max_attempts=3, base_delay=1e-6)
     result = SpiceCampaign(replicas_per_cell=args.replicas,
                            seed=args.seed, obs=obs, store=store,
-                           dlq=dlq, retry=retry,
-                           streaming_window=getattr(args, "window", None)
-                           ).run()
+                           dlq=dlq, retry=retry).run()
     report = campaign_run_report(result, obs, store=store, dlq=dlq,
                                  command=args.command, seed=args.seed)
     return result, report
@@ -848,9 +846,6 @@ _STORE_ARGS: Tuple[Arg, ...] = (
          help="attach a durable dead-letter queue (<store>/DLQ.jsonl): "
               "permanently-failing tasks are recorded and the campaign "
               "completes degraded instead of raising"),
-    _arg("--window", type=int, default=None, metavar="N",
-         help="stream the study lazily with N task descriptors in flight "
-              "(requires --store)"),
 )
 
 
@@ -910,8 +905,8 @@ COMMANDS: Dict[str, CommandSpec] = {
                      help="adaptive replica allocation: pilot each "
                           "sub-trajectory bin, block-bootstrap the JE "
                           "bias/variance, and spend the remaining budget "
-                          "on the worst bins (uses --store via the "
-                          "streamed executor when given)"),
+                          "on the worst bins (every round's tasks are "
+                          "memoized in --store when given)"),
                 _arg("--budget", type=int, default=40,
                      help="total replica budget for --adaptive"),
                 _arg("--bins", type=int, default=4,

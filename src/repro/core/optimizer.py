@@ -20,8 +20,7 @@ from ..errors import AnalysisError, ConfigurationError
 from ..obs import Obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import stream_for
-from ..smd.ensemble import run_pulling_ensemble
-from ..smd.plan import cell_labels, run_work_ensemble
+from ..smd.plan import cell_labels
 from ..smd.protocol import PullingProtocol, parameter_grid
 from ..smd.work import WorkEnsemble
 from .error_analysis import ErrorBudget, analyze_ensemble, pairwise_consistency
@@ -76,7 +75,6 @@ def run_parameter_study(
     obs: Optional[Obs] = None,
     store=None,
     samples_per_task: Optional[int] = None,
-    window: Optional[int] = None,
     dlq=None,
     retry=None,
 ) -> ParameterStudyResult:
@@ -90,31 +88,27 @@ def run_parameter_study(
     ``consistency_tolerance`` (kcal/mol) is the "insignificant difference"
     threshold used by the velocity tie-break (Section IV-C).
 
-    ``samples_per_task`` switches each cell to the restartable
-    :func:`~repro.smd.run_work_ensemble` decomposition
-    (``n_samples / samples_per_task`` tasks, each its own RNG stream and —
-    with ``store`` attached — its own store record).  It must divide
-    ``n_samples`` evenly.  ``None`` keeps the historical monolithic
+    ``samples_per_task`` decomposes each cell into
+    ``n_samples / samples_per_task`` restartable tasks, each its own RNG
+    stream and — with ``store`` attached — its own store record (it must
+    divide ``n_samples`` evenly).  ``None`` keeps the historical unsplit
     per-cell streams, bit-identical to earlier releases; a ``store`` then
     memoizes at whole-cell granularity.
 
-    ``window`` switches to the lazy streaming executor
-    (:func:`~repro.workflow.streaming.run_streamed_tasks`): ``protocols``
-    may then be any iterable — including a generator, consumed one cell at
-    a time with at most ``window`` task descriptors in flight — and a
-    resumed study skips its completed prefix via the store's durable
-    cursor without re-fingerprinting it.  Requires ``store`` and
-    ``samples_per_task``; ``dlq`` / ``retry`` enable degraded completion
-    (cells with dead-lettered tasks are omitted from the result).
-    Fault-free output is bit-identical to the materialized path.
+    Either way the study is one task plan resolved by the one executor
+    (:func:`~repro.workflow.streaming.run_streamed_study`): ``protocols``
+    may be any iterable — including a generator, consumed one cell at a
+    time — the missing tasks of a cell are pulled in one stacked engine
+    call, and with a ``store`` a killed study re-run recomputes only the
+    missing tasks.  ``dlq`` / ``retry`` enable degraded completion: a
+    terminally failing task is dead-lettered and its cell omitted from the
+    result instead of raising.
     """
+    # core sits below workflow; the executor is imported where it is used.
+    from ..workflow.streaming import run_streamed_study
+
     if protocols is None:
         protocols = parameter_grid()
-    if samples_per_task is not None and (
-            samples_per_task < 1 or n_samples % samples_per_task):
-        raise ConfigurationError(
-            f"samples_per_task ({samples_per_task}) must divide "
-            f"n_samples ({n_samples}) evenly")
 
     # Every protocol that streams past, keyed by (kappa, v) in order;
     # ``protocols`` may be a generator, so the shape check rides along.
@@ -130,44 +124,17 @@ def run_parameter_study(
             seen[(proto.kappa_pn, proto.velocity)] = proto
             yield proto
 
-    ensembles: Dict[Tuple[float, float], WorkEnsemble] = {}
-    if window is not None:
-        # Lazy streaming executor; cells with dead-lettered tasks are
-        # absent from ``merged`` — the degraded-completion contract.
-        from ..workflow.streaming import run_streamed_study
-
-        if store is None or samples_per_task is None:
-            raise ConfigurationError(
-                "streamed studies (window=...) require store and "
-                "samples_per_task")
-        merged, _report = run_streamed_study(
-            model, checked(), n_samples=n_samples,
-            samples_per_task=samples_per_task, seed=seed, store=store,
-            window=window, dlq=dlq, retry=retry, n_records=n_records,
-            obs=obs,
-        )
-        for key, proto in seen.items():
-            if cell_labels(proto) in merged:
-                ensembles[key] = merged[cell_labels(proto)]
-    else:
-        for proto in checked():
-            labels = cell_labels(proto)
-            if samples_per_task is not None:
-                ens = run_work_ensemble(
-                    model, proto, n_samples // samples_per_task,
-                    samples_per_task, seed=seed, labels=labels,
-                    store=store, n_records=n_records, obs=obs,
-                )
-            else:
-                # Historical monolithic layout: one stream per cell.
-                ens = run_pulling_ensemble(
-                    model, proto, n_samples=n_samples, n_records=n_records,
-                    seed=stream_for(seed, *labels), obs=obs,
-                    store=store, store_key=(seed, *labels),
-                )
-            ensembles[(proto.kappa_pn, proto.velocity)] = ens
+    merged, _report = run_streamed_study(
+        model, checked(), n_samples=n_samples,
+        samples_per_task=samples_per_task, seed=seed, store=store,
+        dlq=dlq, retry=retry, n_records=n_records, obs=obs,
+    )
     if not seen:
         raise ConfigurationError("no protocols to study")
+    # Cells with dead-lettered tasks are absent from ``merged`` — the
+    # degraded-completion contract.
+    ensembles = {key: merged[labels] for key, proto in seen.items()
+                 if (labels := cell_labels(proto)) in merged}
     reference_velocity = min(p.velocity for p in seen.values())
 
     estimates: Dict[Tuple[float, float], PMFEstimate] = {}

@@ -3,16 +3,15 @@
 Times a fixed paper workload (kappa = 100 pN/A, v = 12.5 A/ns) laid out
 both ways, on two shard layouts:
 
-* **default layout** (``shard_size`` = :data:`~repro.smd.DEFAULT_SHARD_SIZE`)
-  — one explicit :func:`~repro.smd.run_pulling_ensemble` call per
-  8-replica shard vs :func:`~repro.smd.run_pulling_ensemble_parallel`,
-  which stacks all shards in one engine call.  This is the headline
-  ``batched_speedup``: what the plan layer's stacking rule buys over
-  pulling the same shards one by one.
+* **task layout** (``shard_size`` = 8 replicas per seeded group) — one
+  explicit :func:`~repro.smd.run_pulling_ensemble` call per group vs one
+  :func:`~repro.smd.run_pulling_groups` call over all of them.  This is
+  the headline ``batched_speedup``: what the window step's stacking rule
+  (:meth:`repro.smd.plan.TaskResolver.resolve_window`) buys over pulling
+  the same tasks one by one.
 * **per-trajectory layout** (``shard_size=1``) — every replica its own
-  engine call vs all of them stacked through
-  :func:`~repro.smd.run_pulling_groups` directly (the plan layer never
-  stacks one-replica groups; see :mod:`repro.smd.batched`).  The secondary
+  engine call vs all of them in one stack (the window step never stacks
+  one-replica tasks; see :mod:`repro.smd.batched`).  The secondary
   ``batched_speedup_per_trajectory``: the most the stack can save, the
   whole per-replica Python step loop.
 
@@ -35,11 +34,9 @@ from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel, default_reduced_potential
 from ..rng import SeedLike, as_seed_int, stream_for
 from ..smd import (
-    DEFAULT_SHARD_SIZE,
     PullingProtocol,
     WorkEnsemble,
     run_pulling_ensemble,
-    run_pulling_ensemble_parallel,
     run_pulling_groups,
 )
 from .harness import SCHEMA_ENSEMBLE, metrics_snapshot
@@ -67,15 +64,15 @@ def run_ensemble_benchmark(
     obs = as_obs(obs)
     seed_int = as_seed_int(seed)
     n_samples = 16 if quick else 64
-    shard_size = 4 if quick else DEFAULT_SHARD_SIZE
+    shard_size = 4 if quick else 8
     repeats = 2 if quick else 3
 
     model = ReducedTranslocationModel(potential=default_reduced_potential())
     protocol = PullingProtocol(kappa_pn=100.0, velocity=12.5)
 
     def groups(shard: int) -> List[Tuple[np.random.Generator, int]]:
-        # The shard layout run_pulling_ensemble_parallel derives (both
-        # shard sizes divide n_samples).
+        # Independently seeded groups of ``shard`` replicas (both shard
+        # sizes divide n_samples).
         return [(stream_for(seed_int, "smd.shard", b), shard)
                 for b in range(n_samples // shard)]
 
@@ -83,6 +80,10 @@ def run_ensemble_benchmark(
         return reduce(WorkEnsemble.merged_with, (
             run_pulling_ensemble(model, protocol, n, seed=rng)
             for rng, n in groups(shard)))
+
+    def one_stacked_call(shard: int) -> WorkEnsemble:
+        return reduce(WorkEnsemble.merged_with,
+                      run_pulling_groups(model, protocol, groups(shard)))
 
     def leg(run: Callable[[], WorkEnsemble]) -> Tuple[WorkEnsemble, dict]:
         walls = []
@@ -101,13 +102,9 @@ def run_ensemble_benchmark(
                   shard_size=shard_size, repeats=repeats):
         per_shard, per_shard_wall = leg(
             lambda: one_call_per_group(shard_size))
-        batched, batched_wall = leg(lambda: run_pulling_ensemble_parallel(
-            model, protocol, n_samples, shard_size=shard_size,
-            seed=seed_int))
+        batched, batched_wall = leg(lambda: one_stacked_call(shard_size))
         per_traj, per_traj_wall = leg(lambda: one_call_per_group(1))
-        stacked, stacked_wall = leg(lambda: reduce(
-            WorkEnsemble.merged_with,
-            run_pulling_groups(model, protocol, groups(1))))
+        stacked, stacked_wall = leg(lambda: one_stacked_call(1))
 
     deterministic = (_identical(per_shard, batched)
                      and _identical(per_traj, stacked))

@@ -7,16 +7,17 @@ same work-curve record format, consumed by :mod:`repro.core`.
 
 The reduced-model side is three layers: one engine
 (:func:`~repro.smd.batched.run_pulling_groups`, the only vectorised step
-loop, taking a stack of seeded replica groups), one task plan + resolver
-(:mod:`repro.smd.plan`: task identity, store hit/miss/put, merge), and
+loop, taking a stack of seeded replica groups), one task plan + executor
+(:mod:`repro.smd.plan`: task identity, and the window step that resolves
+planned tasks against the store — hit, stacked compute, put, merge), and
 thin entry points over them.  Every ``run_*`` entry point shares one
-keyword contract — ``seed=``, ``obs=``, ``store=`` / ``store_key=``, and
-``shard_size=`` where sharding applies.  How replica groups are laid out
-on the machine is the plan's decision, not a caller's (groups of two or
-more replicas share one engine call); only the two engine-level entry
-points, :func:`run_pulling_ensemble` and :func:`run_pulling_ensemble_3d`,
-take ``kernel="reference"`` to run the per-replica / per-trajectory oracle
-the production layout is tested against.
+keyword contract — ``seed=``, ``obs=``, ``store=`` (``store_key=`` where
+the seed is a generator).  How replica groups are laid out on the machine
+is the window step's decision, not a caller's (the missing tasks of a cell
+share one engine call); only the two engine-level entry points,
+:func:`run_pulling_ensemble` and :func:`run_pulling_ensemble_3d`, take
+``kernel="reference"`` to run the per-replica / per-trajectory oracle the
+production layout is tested against.
 """
 
 from .protocol import (
@@ -29,12 +30,7 @@ from .protocol import (
 from .work import WorkEnsemble
 from .batched import run_pulling_groups, PAPER_CPU_HOURS_PER_NS
 from .ensemble import run_pulling_ensemble
-from .plan import (
-    cell_labels,
-    run_pulling_ensemble_parallel,
-    run_work_ensemble,
-    DEFAULT_SHARD_SIZE,
-)
+from .plan import cell_labels, run_work_ensemble
 from .bidirectional import BidirectionalEnsemble, run_bidirectional_ensemble
 from .ensemble3d import run_pulling_ensemble_3d
 from .pulling import (
@@ -53,14 +49,12 @@ __all__ = [
     "PAPER_VELOCITIES",
     "WorkEnsemble",
     "run_pulling_ensemble",
-    "run_pulling_ensemble_parallel",
     "run_work_ensemble",
     "run_pulling_groups",
     "cell_labels",
     "BidirectionalEnsemble",
     "run_bidirectional_ensemble",
     "run_pulling_ensemble_3d",
-    "DEFAULT_SHARD_SIZE",
     "PAPER_CPU_HOURS_PER_NS",
     "SMDPullingForce",
     "SMDWorkRecorder",

@@ -2,15 +2,14 @@
 
 :func:`run_pulling_groups` is the *only* vectorised step loop on the
 reduced 1-D model.  Its input is a stack of independently seeded replica
-groups — one group for a plain ensemble, the shards of a sharded ensemble,
-or the store tasks of a (kappa, v) cell — laid out as a single ``(total,)``
-coordinate vector and stepped with one NumPy operation per integration
-step.  Every public entry point (:func:`repro.smd.run_pulling_ensemble`,
-:func:`repro.smd.run_pulling_ensemble_parallel`,
-:func:`repro.smd.run_work_ensemble`, the streamed and adaptive drivers) is
-a plan builder that decides *which groups share a call* and nothing else;
-the per-replica scalar oracle (``kernel="reference"``) is the one other
-integrator and exists to test this one.
+groups — one group for a plain ensemble, or the missing store tasks of a
+(kappa, v) cell — laid out as a single ``(total,)`` coordinate vector and
+stepped with one NumPy operation per integration step.  It has two
+callers: :func:`repro.smd.run_pulling_ensemble` (one group) and the window
+step :meth:`repro.smd.plan.TaskResolver.resolve_window`, the one executor
+every driver above runs through, which decides *which tasks share a call*
+and nothing else; the per-replica scalar oracle (``kernel="reference"``)
+is the one other integrator and exists to test this one.
 
 Bit-identity contract
 ---------------------
@@ -31,9 +30,9 @@ coordinate vector; for :class:`~repro.pore.landscape.AxialLandscape` this
 is a row-wise matvec, and a row slice of the stacked matvec equals the
 matvec of the slice — for groups of two or more replicas.  A *one-replica*
 group evaluated alone takes BLAS's one-row path, whose accumulation can
-differ from the stacked evaluation at the ulp level; that is why the plan
-layer (:func:`repro.smd.plan._run_groups`) stacks only groups of two or more
-replicas and runs a one-replica group in a call of its own.
+differ from the stacked evaluation at the ulp level; that is why the window
+step stacks only tasks of two or more replicas and leaves a one-replica
+task to its own single-group call.
 
 This module draws **no randomness of its own**: callers pass fully formed
 generators (derived via :func:`repro.rng.stream_for`), which is what makes

@@ -7,33 +7,40 @@ how a set of them is resolved:
 * :func:`plan_tasks` — the task-plan generator.  A cell's ensemble is
   ``n_tasks`` sub-ensembles of ``samples_per_task`` replicas; task ``t``
   runs RNG stream ``stream_for(seed, *labels, "task", t)`` and is described
-  by :func:`repro.store.pulling_task` over that key.  Grid cells are
-  labelled by :func:`cell_labels`.  Every driver — inline, streamed,
-  adaptive, the grid-job view, the service — gets its tasks from here, so
-  their store fingerprints cannot drift apart.
-* :class:`TaskResolver` — the hit/miss/put step against an optional store,
-  with the same ``store.hits/misses/writes`` traffic on every path.
-* :func:`run_work_ensemble` / :func:`run_pulling_ensemble_parallel` — the
-  inline plan builders: tasks of one cell, shards of one ensemble.
+  by :func:`repro.store.pulling_task` over that key (``n_tasks=None`` is
+  the historical unsplit layout: one task per cell under the bare cell key
+  ``(seed, *labels)``).  Grid cells are labelled by :func:`cell_labels`.
+  Every driver — the parameter study, the streamed and adaptive campaigns,
+  the grid-job view, the service — gets its tasks from here, so their
+  store fingerprints cannot drift apart.
+* :class:`TaskResolver` — the one executor above the engine:
+  :meth:`~TaskResolver.resolve_window` resolves a batch of planned tasks
+  against an optional store (load hits, compute and persist misses,
+  strictly in task order) with the same ``store.hits/misses/writes``
+  traffic whoever is driving.
+* :func:`run_work_ensemble` — that step over one cell's plan, merged.
+  :func:`repro.workflow.streaming.run_streamed_tasks` is the same step per
+  bounded window, plus what only streaming owns (cursor, retries, DLQ).
 
-Stacking is decided here, from the group sizes alone: all the groups of two
-or more replicas an entry point has to compute share one engine call, and a
-one-replica group runs in a call of its own (:mod:`repro.smd.batched`
-documents why).  Each group's result is bit-identical to running it alone,
-so the layout is never part of a fingerprint.
+Stacking is decided here, from what the window step can observe: the
+missing tasks of one planned cell share one engine call when there are two
+or more of them and each has two or more replicas; a one-replica task, a
+hand-built task and a lone miss run their own ``compute()``
+(:mod:`repro.smd.batched` documents why).  Each task's result is
+bit-identical to running it alone, so the layout is never part of a
+fingerprint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple,
+    Any, Callable, Collection, Dict, Iterable, Iterator, List, Optional,
+    Sequence, Tuple,
 )
 
-import numpy as np
-
-from ..errors import ConfigurationError
+from ..errors import CampaignInterrupted, ConfigurationError, ReproError
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import SeedLike, as_seed_int, stream_for
@@ -42,24 +49,45 @@ from .batched import (
     PAPER_CPU_HOURS_PER_NS,
     run_pulling_groups,
 )
-from .ensemble import _store_seed_key, run_pulling_ensemble
+from .ensemble import run_pulling_ensemble
 from .protocol import PullingProtocol
 from .work import WorkEnsemble
 
 __all__ = [
+    "CellStack",
     "StreamTask",
+    "TASK_ERRORS",
     "TaskResolver",
     "cell_labels",
     "plan_tasks",
-    "run_pulling_ensemble_parallel",
     "run_work_ensemble",
-    "DEFAULT_SHARD_SIZE",
 ]
 
-#: Default replicas per shard for :func:`run_pulling_ensemble_parallel`.
-#: The shard decomposition is part of the *result's identity*: changing the
-#: shard size changes which RNG stream drives which replica.
-DEFAULT_SHARD_SIZE: int = 8
+#: What a failing pull raises (a numerical blow-up, a rejected parameter):
+#: a stacked call is abandoned on these and the streamed retry loop may
+#: attempt them again.  Anything else is a bug and propagates;
+#: :class:`~repro.errors.CampaignInterrupted` (and, in the retry loop,
+#: :class:`~repro.errors.PermanentTaskFailure`) is handled before them.
+TASK_ERRORS = (ReproError, FloatingPointError)
+
+
+@dataclass(frozen=True, eq=False)
+class CellStack:
+    """What the tasks of one planned cell share — enough to pull several of
+    them in one engine call.  Tasks are grouped by the *identity* of this
+    object, so two plans never stack into each other."""
+
+    model: ReducedTranslocationModel
+    protocol: PullingProtocol
+    n_samples: int
+    settings: Dict[str, Any]
+
+    def run(self, keys: Iterable[Tuple[Any, ...]]) -> List[WorkEnsemble]:
+        """One ensemble per stream key, all pulled in one engine call."""
+        return run_pulling_groups(
+            self.model, self.protocol,
+            [(stream_for(*key), self.n_samples) for key in keys],
+            **self.settings)
 
 
 @dataclass(frozen=True)
@@ -69,7 +97,9 @@ class StreamTask:
     ``task`` is the canonical store descriptor; ``key`` is its seed/stream
     key (``stream_for(*key)`` is the task's RNG stream), doubling as the
     DLQ task key; ``cell`` groups tasks for per-cell assembly; ``compute``
-    produces the ensemble when the store misses.
+    produces the ensemble when the store misses.  ``stack`` is set by
+    :func:`plan_tasks` only: the cell context through which the window
+    step may compute this task together with its cell-mates.
     """
 
     index: int
@@ -77,6 +107,7 @@ class StreamTask:
     cell: Tuple[Any, ...]
     task: Dict[str, Any]
     compute: Callable[[], WorkEnsemble]
+    stack: Optional[CellStack] = field(default=None, repr=False)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -95,7 +126,7 @@ def cell_labels(protocol: PullingProtocol) -> Tuple[Any, ...]:
 def plan_tasks(
     model: ReducedTranslocationModel,
     cells: Iterable[Tuple[PullingProtocol, Tuple[Any, ...]]],
-    n_tasks: int,
+    n_tasks: Optional[int],
     samples_per_task: int,
     *,
     seed: SeedLike,
@@ -109,7 +140,9 @@ def plan_tasks(
     """Lazily yield the tasks of ``(protocol, labels)`` cells, cell-major.
 
     Cell ``c``'s tasks are ``t = task_offset .. task_offset + n_tasks - 1``
-    with stream key ``(seed, *labels, "task", t)``; ``index`` counts tasks
+    with stream key ``(seed, *labels, "task", t)``; ``n_tasks=None`` leaves
+    the cell unsplit — one task under the bare cell key ``(seed, *labels)``,
+    the layout of releases before tasks existed.  ``index`` counts tasks
     across the whole plan from 0.  ``cells`` may be a generator — it is
     consumed one cell at a time.  The integration settings pass verbatim
     into both the descriptor and the compute thunk (``None`` for
@@ -117,7 +150,7 @@ def plan_tasks(
     """
     from ..store.fingerprint import pulling_task
 
-    if n_tasks < 1:
+    if n_tasks is not None and n_tasks < 1:
         raise ConfigurationError("n_tasks must be at least 1")
     if samples_per_task < 1:
         raise ConfigurationError("samples_per_task must be at least 1")
@@ -126,11 +159,15 @@ def plan_tasks(
     settings = dict(dt=dt, n_records=n_records,
                     force_sample_time=force_sample_time,
                     cpu_hours_per_ns=cpu_hours_per_ns)
+    numbers = [None] if n_tasks is None else range(
+        task_offset, task_offset + n_tasks)
     base = as_seed_int(seed)
     index = 0
     for protocol, labels in cells:
-        for t in range(task_offset, task_offset + n_tasks):
-            key = (base, *labels, "task", t)
+        stack = CellStack(model, protocol, samples_per_task,
+                          dict(settings, obs=obs))
+        for t in numbers:
+            key = (base, *labels) if t is None else (base, *labels, "task", t)
             task = pulling_task(model, protocol, n_samples=samples_per_task,
                                 seed_key=key, **settings)
 
@@ -141,8 +178,15 @@ def plan_tasks(
                     obs=obs, **settings)
 
             yield StreamTask(index=index, key=key, cell=labels,
-                             task=task, compute=compute)
+                             task=task, compute=compute, stack=stack)
             index += 1
+
+
+#: What :meth:`TaskResolver.resolve_window` hands its ``compute`` callback:
+#: the task and ``run``, which produces a task's ensemble (from the cell's
+#: stacked call when the window planned one, else ``task.compute()``).
+WindowCompute = Callable[[StreamTask, Callable[[StreamTask], WorkEnsemble]],
+                         Optional[WorkEnsemble]]
 
 
 class TaskResolver:
@@ -176,7 +220,8 @@ class TaskResolver:
         """
         store = self.store
         if store is None:
-            return "computed", compute(task)
+            ensemble = compute(task)
+            return ("failed" if ensemble is None else "computed"), ensemble
         fingerprint = task.fingerprint
         if fingerprint in self.known:
             if not self.collect:
@@ -197,101 +242,67 @@ class TaskResolver:
         self.known.add(fingerprint)
         return "computed", ensemble
 
+    def resolve_window(
+        self,
+        tasks: Sequence[StreamTask],
+        compute: WindowCompute = lambda task, run: run(task),
+        dead: Collection[str] = (),
+    ) -> Iterator[Tuple[StreamTask, str, Optional[WorkEnsemble]]]:
+        """The window step: yield ``(task, outcome, ensemble)`` for every
+        task, hit / compute / ``put`` strictly in task order.
 
-def _run_groups(
-    model: ReducedTranslocationModel,
-    protocol: PullingProtocol,
-    groups: Sequence[Tuple[np.random.Generator, int]],
-    **settings: Any,
-) -> Iterator[WorkEnsemble]:
-    """The stacking rule: every group of two or more replicas shares one
-    engine call; a one-replica group runs alone, because BLAS's one-row
-    path is not bit-identical to its row of a stack.  Nothing is computed
-    until the first result is asked for; results come in input order."""
-    multi = [group for group in groups if group[1] >= 2]
-    stacked = iter(run_pulling_groups(model, protocol, multi, **settings)
-                   if multi else ())
-    for group in groups:
-        if group[1] >= 2:
-            yield next(stacked)
-        else:
-            yield run_pulling_groups(model, protocol, [group], **settings)[0]
+        The misses are decided up front from membership alone (no store
+        traffic).  Those of one planned cell — first occurrence of each
+        fingerprint, two or more replicas each, two or more of them — are
+        pulled in one stacked engine call, run on the first demand for any
+        of them; every other task runs its own ``compute()``.  The stacked
+        results are only a cache in front of the per-task loop: a duplicate
+        fingerprint later in the window resolves as a hit after the first
+        ``put``, a hit that proves corrupt on read is recomputed on its
+        own, and a stacked call that fails is abandoned so that each member
+        runs — and fails, where it must — alone.
 
+        ``compute(task, run)`` wraps the production of one ensemble
+        (retries, fault injection; ``None`` = failed terminally).
+        Fingerprints in ``dead`` are never planned or computed and come
+        back ``"failed"``; ``dead`` is read as each task's turn comes, so
+        the caller may grow it between yields.
+        """
+        cells: Dict[CellStack, List[StreamTask]] = {}
+        planned: set = set()
+        for task in tasks:
+            if (task.stack is None or task.stack.n_samples < 2
+                    or task in self or task.fingerprint in planned
+                    or task.fingerprint in dead):
+                continue
+            planned.add(task.fingerprint)
+            cells.setdefault(task.stack, []).append(task)
+        stacked = {member.fingerprint: (stack, group)
+                   for stack, group in cells.items() if len(group) >= 2
+                   for member in group}
+        cache: Dict[str, WorkEnsemble] = {}
 
-def _shard_sizes(n_samples: int, shard_size: int) -> list:
-    """Fixed decomposition of ``n_samples`` replicas into shards (a pure
-    function of its arguments, so the per-shard streams are too)."""
-    full, rest = divmod(n_samples, shard_size)
-    return [shard_size] * full + ([rest] if rest else [])
+        def run(task: StreamTask) -> WorkEnsemble:
+            if task.fingerprint in stacked:
+                stack, group = stacked[task.fingerprint]
+                for member in group:
+                    del stacked[member.fingerprint]
+                try:
+                    cache.update(zip(
+                        (member.fingerprint for member in group),
+                        stack.run(member.key for member in group)))
+                except CampaignInterrupted:
+                    raise
+                except TASK_ERRORS:
+                    pass        # abandoned: each member runs alone
+            ensemble = cache.pop(task.fingerprint, None)
+            return task.compute() if ensemble is None else ensemble
 
-
-def run_pulling_ensemble_parallel(
-    model: ReducedTranslocationModel,
-    protocol: PullingProtocol,
-    n_samples: int,
-    shard_size: int = DEFAULT_SHARD_SIZE,
-    dt: Optional[float] = None,
-    n_records: int = 41,
-    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
-    seed: SeedLike = None,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
-    obs: Optional[Obs] = None,
-    store=None,
-    store_key=None,
-) -> WorkEnsemble:
-    """Run a pulling ensemble as independently seeded fixed-size shards.
-
-    SMD-JE's replicas are *independent* pulls, so the ensemble splits into
-    shards that could execute anywhere: shard ``b`` draws from
-    ``stream_for(seed, "smd.shard", b)`` and the shards merge in index
-    order, so replica row ``i`` always refers to the same pull and the
-    first shards of a larger ensemble are the whole of a smaller one.
-    All shards of two or more replicas are pulled in one stacked engine
-    call, bit-identical to pulling each shard alone.
-
-    Parameters
-    ----------
-    shard_size:
-        Replicas per shard.  Part of the result's identity: changing it
-        re-keys the RNG streams (documented, deliberate).
-    obs:
-        Instrumentation handle.  The whole run executes inside an
-        ``smd.ensemble.parallel`` host-clock span carrying ``n_shards``;
-        work counters accumulate per shard exactly as the serial runner's.
-    store / store_key:
-        Optional result-store memoization of the *whole* ensemble, as in
-        :func:`run_pulling_ensemble`.  The fingerprint includes the shard
-        size under ``executor`` — the sharded RNG layout differs from the
-        serial runner's, so the two never share records.
-
-    Remaining parameters match :func:`run_pulling_ensemble`.
-    """
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be at least 1")
-    if shard_size < 1:
-        raise ConfigurationError("shard_size must be at least 1")
-    settings = dict(dt=dt, n_records=n_records,
-                    force_sample_time=force_sample_time,
-                    cpu_hours_per_ns=cpu_hours_per_ns)
-    if store is not None:
-        from ..store import pulling_task
-
-        task = pulling_task(model, protocol, n_samples=n_samples,
-                            seed_key=_store_seed_key(seed, store_key),
-                            executor="sharded", shard_size=shard_size,
-                            **settings)
-        return store.get_or_run(task, lambda: run_pulling_ensemble_parallel(
-            model, protocol, n_samples, shard_size=shard_size, seed=seed,
-            obs=obs, **settings))
-    obs = as_obs(obs)
-    base = as_seed_int(seed)
-    groups = [(stream_for(base, "smd.shard", b), shard_n)
-              for b, shard_n in enumerate(_shard_sizes(n_samples, shard_size))]
-    with obs.span("smd.ensemble.parallel", kappa_pn=protocol.kappa_pn,
-                  velocity=protocol.velocity, n_samples=n_samples,
-                  n_shards=len(groups)):
-        return reduce(WorkEnsemble.merged_with, _run_groups(
-            model, protocol, groups, obs=obs, **settings))
+        for task in tasks:
+            if task.fingerprint in dead:
+                yield task, "failed", None
+            else:
+                yield (task, *self.resolve(task, lambda t: compute(t, run)))
 
 
 def run_work_ensemble(
@@ -312,15 +323,14 @@ def run_work_ensemble(
 ) -> WorkEnsemble:
     """Run one (kappa, v) cell as ``n_tasks`` restartable store-addressed tasks.
 
-    This is the resumable front door the campaign drivers use: the cell's
-    ensemble is the :func:`plan_tasks` plan for ``(protocol, labels)`` —
-    the paper's "72 independent jobs" granularity — resolved through a
-    :class:`TaskResolver` and merged in task order.  A task's physics
-    depends only on ``(seed, labels, t)`` and the integration settings,
-    never on which process ran it or in what order, so with a ``store``
-    attached a killed campaign re-run recomputes exactly the tasks whose
-    records are missing and the merged ensemble is bit-identical either
-    way.
+    The cell's ensemble is the :func:`plan_tasks` plan for
+    ``(protocol, labels)`` — the paper's "72 independent jobs" granularity
+    — resolved as one :meth:`TaskResolver.resolve_window` step and merged
+    in task order.  A task's physics depends only on ``(seed, labels, t)``
+    and the integration settings, never on which process ran it or in what
+    order, so with a ``store`` attached a killed campaign re-run recomputes
+    exactly the tasks whose records are missing and the merged ensemble is
+    bit-identical either way.
 
     Parameters
     ----------
@@ -348,30 +358,14 @@ def run_work_ensemble(
     Remaining parameters match :func:`run_pulling_ensemble`.
     """
     obs = as_obs(obs)
-    settings = dict(dt=dt, n_records=n_records,
-                    force_sample_time=force_sample_time,
-                    cpu_hours_per_ns=cpu_hours_per_ns, obs=obs)
     tasks = list(plan_tasks(
         model, [(protocol, labels)], n_tasks, samples_per_task, seed=seed,
-        task_offset=task_offset, **settings))
-    resolver = TaskResolver(store)
+        task_offset=task_offset, dt=dt, n_records=n_records,
+        force_sample_time=force_sample_time,
+        cpu_hours_per_ns=cpu_hours_per_ns, obs=obs))
     with obs.span("smd.work_ensemble", kappa_pn=protocol.kappa_pn,
                   velocity=protocol.velocity, n_tasks=n_tasks,
                   samples_per_task=samples_per_task):
-        # Decide the misses up front (membership only, no store traffic)
-        # so the stacking rule sees them as one set of groups; they are
-        # then handed out in the order the resolver asks for them.
-        missing = [t for t in tasks if t not in resolver]
-        planned = {t.index for t in missing}
-        stacked = _run_groups(
-            model, protocol,
-            [(stream_for(*t.key), samples_per_task) for t in missing],
-            **settings)
-
-        def compute(task: StreamTask) -> WorkEnsemble:
-            # A hit whose record proves corrupt on read was not planned as
-            # a miss: it is recomputed on its own.
-            return next(stacked) if task.index in planned else task.compute()
-
-        parts = [resolver.resolve(t, compute)[1] for t in tasks]
+        parts = [ensemble for _task, _outcome, ensemble
+                 in TaskResolver(store).resolve_window(tasks)]
     return reduce(WorkEnsemble.merged_with, parts)

@@ -2,7 +2,7 @@
 
 A *task* is everything that determines a work ensemble bit for bit: the
 pulling protocol, the reduced model's parameters, the ensemble shape, the
-integration settings, the kernel/executor choice, and the seed-stream key.
+integration settings, the model kernel, and the seed-stream key.
 Two runs with equal fingerprints are guaranteed (by construction of the
 seeded RNG streams) to produce byte-identical results, which is what makes
 the result store safe: a cache hit *is* the computation.
@@ -153,17 +153,15 @@ def pulling_task(
     dt: Optional[float],
     cpu_hours_per_ns: float,
     seed_key: SeedKey,
-    executor: str = "single",
-    shard_size: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Task descriptor for a reduced-model pulling ensemble.
 
-    ``executor`` distinguishes the serial runner (``"single"``) from the
-    sharded parallel one (``"sharded"``, with its ``shard_size``): the two
-    produce different — both deterministic — results for the same seed, so
-    they must never share a fingerprint.  ``dt=None`` means "derived from
-    the model's stability criterion", itself a pure function of the other
-    fields, so it fingerprints as the string ``"auto"``.
+    ``dt=None`` means "derived from the model's stability criterion",
+    itself a pure function of the other fields, so it fingerprints as the
+    string ``"auto"``.  ``"executor": "single"`` is a frozen literal: every
+    task is one seeded group of replicas (the retired sharded runner wrote
+    ``{"kind": "sharded", ...}`` there; such records stay loadable by
+    fingerprint), and dropping the field would re-key the record corpus.
     """
     return {
         "kernel": "smd.reduced1d/v1",
@@ -174,8 +172,7 @@ def pulling_task(
         "force_sample_time": force_sample_time,
         "dt": "auto" if dt is None else float(dt),
         "cpu_hours_per_ns": float(cpu_hours_per_ns),
-        "executor": executor if shard_size is None else {
-            "kind": executor, "shard_size": int(shard_size)},
+        "executor": "single",
         "seed_key": _seed_key_list(seed_key),
     }
 

@@ -180,7 +180,7 @@ def run_adaptive_campaign(
         ``total_replicas`` and ``pilot_per_bin`` must be multiples of it.
         With the default (2) each round's tasks share one stacked engine
         call; one-replica tasks would each run alone
-        (:func:`repro.smd.plan._run_groups`).
+        (:meth:`repro.smd.plan.TaskResolver.resolve_window`).
     estimator:
         Any *unpaired* registry estimator used per window (the windows are
         forward-only).

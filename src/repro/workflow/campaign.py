@@ -124,7 +124,6 @@ class SpiceCampaign:
         dlq=None,
         retry=None,
         stealing=None,
-        streaming_window: Optional[int] = None,
     ) -> None:
         self.obs = as_obs(obs)
         self.federation = (
@@ -155,13 +154,11 @@ class SpiceCampaign:
         #: failures are recorded durably and the campaign completes
         #: degraded instead of raising.
         self.dlq = dlq
-        #: Optional :class:`~repro.resil.RetryPolicy` for streamed tasks.
+        #: Optional :class:`~repro.resil.RetryPolicy` for the batch study's
+        #: tasks.
         self.retry = retry
         #: Optional :class:`~repro.grid.WorkStealer` for the batch phase.
         self.stealing = stealing
-        #: Streaming window for the batch study (see
-        #: :class:`~repro.workflow.phases.BatchPhase`).
-        self.streaming_window = streaming_window
 
     def run(self) -> SpiceCampaignResult:
         with self.obs.span("campaign.static-viz"):
@@ -192,7 +189,6 @@ class SpiceCampaign:
                 dlq=self.dlq,
                 retry=self.retry,
                 stealing=self.stealing,
-                streaming_window=self.streaming_window,
             ).run()
         return SpiceCampaignResult(
             structure=structure, interactive=interactive, batch=batch

@@ -230,7 +230,6 @@ class BatchPhase:
         dlq=None,
         retry=None,
         stealing=None,
-        streaming_window: Optional[int] = None,
     ) -> None:
         if replicas_per_cell <= 0 or samples_per_replica <= 0:
             raise ConfigurationError("replicas and samples must be positive")
@@ -269,19 +268,12 @@ class BatchPhase:
         #: unplaceable grid jobs land in it and the campaign *completes
         #: degraded* instead of raising.
         self.dlq = dlq
-        #: Optional :class:`~repro.resil.RetryPolicy` for streamed study
-        #: tasks (attempt budget only; exhaustion dead-letters).
+        #: Optional :class:`~repro.resil.RetryPolicy` for the study's tasks
+        #: (attempt budget only; exhaustion dead-letters).
         self.retry = retry
         #: Optional :class:`~repro.grid.WorkStealer` (opt-in; attached to
         #: the campaign manager for the scheduling run).
         self.stealing = stealing
-        if streaming_window is not None and store is None:
-            raise ConfigurationError("streaming_window requires a store")
-        #: With a store: run the study through the lazy streaming executor
-        #: with this many task descriptors in flight (resume skips the
-        #: completed prefix via the store cursor).  ``None`` keeps the
-        #: materialized per-cell path.
-        self.streaming_window = streaming_window
 
     @property
     def n_jobs(self) -> int:
@@ -347,14 +339,12 @@ class BatchPhase:
         # unit is individually memoized and a killed phase resumes.
         study = run_parameter_study(
             self.model,
-            protocols=iter(protocols) if self.streaming_window is not None
-            else protocols,
+            protocols=protocols,
             n_samples=self.replicas_per_cell * self.samples_per_replica,
             seed=self.seed,
             obs=self.obs,
             store=self.store,
             samples_per_task=self.samples_per_replica,
-            window=self.streaming_window,
             dlq=self.dlq,
             retry=self.retry,
         )

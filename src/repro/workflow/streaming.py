@@ -1,11 +1,12 @@
-"""Lazy task streaming for million-task campaigns.
+"""The task stream: every study's driver, up to million-task campaigns.
 
-The classic drivers (:func:`repro.core.run_parameter_study`,
-:class:`~repro.workflow.SpiceCampaign`) materialize their whole task grid
-before running it — fine for the paper's 72 jobs, fatal for the ROADMAP's
-10^6-task regime, where the descriptor list alone dwarfs the physics and a
-resume must not re-fingerprint a million completed tasks just to find the
-first miss.  This module streams instead:
+Every study — :func:`repro.core.run_parameter_study`, hence
+:class:`~repro.workflow.SpiceCampaign` and ``repro campaign``, and the
+campaign service — hands its task plan to this module; there is no other
+executor.  It never materializes the task grid, because in the ROADMAP's
+10^6-task regime the descriptor list alone dwarfs the physics and a resume
+must not re-fingerprint a million completed tasks just to find the first
+miss:
 
 * :class:`StreamTask` — one lazily-built task: global index, cell labels,
   the canonical store descriptor, and a ``compute`` thunk (defined with
@@ -13,27 +14,30 @@ first miss.  This module streams instead:
 * :func:`stream_study_tasks` — the :func:`~repro.smd.plan.plan_tasks` plan
   of a whole (kappa, v) study over a (possibly lazy) protocol iterable:
   the very tasks :func:`~repro.smd.run_work_ensemble` runs per cell, so
-  streamed and classic campaigns share store records interchangeably.
+  every driver shares store records with every other.
 * :class:`StreamCursor` — a durable watermark under
   ``<store>/.stream/``: the contiguous prefix of the stream known
   resolved (completed or dead-lettered).  Resume skips the prefix without
   fingerprinting it — the fingerprint-based check only starts at the
   watermark — so a fully-complete million-task campaign resumes in
   seconds.
-* :func:`run_streamed_tasks` — the bounded-window execution loop: the
-  shared :class:`~repro.smd.plan.TaskResolver` for store memoization,
-  plus what only streaming needs — the cursor, seeded retries, and
-  dead-letter-queue degradation.
+* :func:`run_streamed_tasks` — the bounded-window loop.  Each window is
+  one :meth:`~repro.smd.plan.TaskResolver.resolve_window` step (hits
+  loaded, each cell's misses pulled in one stacked engine call, ``put`` in
+  stream order); this module adds only what streaming owns — the cursor,
+  the durable dead set, seeded per-task retries, dead-letter-queue
+  degradation and the ``fault`` hook.
 * :func:`run_streamed_study` — per-cell assembly on top: merged ensembles
   for every cell whose tasks all resolved, and a degradation report for
   the rest.
 
 Determinism: a task's physics depends only on its descriptor (the store
 fingerprint covers model, protocol, shape and seed key); the window size,
-the cursor, retries and the DLQ affect only *which* tasks are recomputed,
-never their values — so fault-free streamed output is bit-identical to
-the classic drivers, and a chaos run's completed cells are bit-identical
-across same-seed runs.
+what the window stacked, the cursor, retries and the DLQ affect only
+*which* tasks are recomputed and in which engine call, never their values
+— so output is bit-identical at every window size and to one scalar-oracle
+call per task, and a chaos run's completed cells are bit-identical across
+same-seed runs.
 
 Only the cursor file is written outside the store's record tree (under the
 hidden ``.stream/`` entry, invisible to the store's meta/scan logic); all
@@ -54,13 +58,18 @@ from ..errors import (
     CampaignInterrupted,
     ConfigurationError,
     PermanentTaskFailure,
-    ReproError,
     StoreError,
 )
 from ..obs import Obs, as_obs
 from ..rng import SeedLike, as_seed_int
 from ..smd.batched import DEFAULT_FORCE_SAMPLE_TIME, PAPER_CPU_HOURS_PER_NS
-from ..smd.plan import StreamTask, TaskResolver, cell_labels, plan_tasks
+from ..smd.plan import (
+    TASK_ERRORS,
+    StreamTask,
+    TaskResolver,
+    cell_labels,
+    plan_tasks,
+)
 from ..smd.work import WorkEnsemble
 
 __all__ = [
@@ -75,9 +84,10 @@ __all__ = [
 
 CURSOR_SCHEMA = "repro.store.cursor/v1"
 
-#: Failures the retry loop may attempt again; anything else propagates.
-#: (PermanentTaskFailure and CampaignInterrupted are handled separately.)
-_RETRYABLE = (ReproError, FloatingPointError)
+#: The cursor is fsync'd at most once per this many windows (and once more
+#: when the stream ends or is interrupted): a stale watermark only costs
+#: fingerprint checks on resume.
+_CHECKPOINT_WINDOWS = 4
 
 
 class StreamCursor:
@@ -171,7 +181,7 @@ class StreamReport:
 def stream_study_tasks(
     model: Any,
     protocols: Iterable[Any],
-    n_tasks: int,
+    n_tasks: Optional[int],
     samples_per_task: int,
     *,
     seed: SeedLike = 2005,
@@ -207,14 +217,17 @@ def run_streamed_tasks(
     dlq: Any = None,
     retry: Any = None,
     fault: Optional[Callable[[StreamTask, int], None]] = None,
-    checkpoint_windows: int = 4,
     obs: Optional[Obs] = None,
 ) -> StreamReport:
     """Drain a task stream through the store with bounded in-flight state.
 
     At most ``window`` task descriptors are materialized at once; each
-    window resolves store hits, computes misses in stream order, then
-    advances the durable cursor when the resolved prefix is contiguous.
+    window is one :meth:`~repro.smd.plan.TaskResolver.resolve_window` step
+    — store hits loaded, the misses of each planned cell present pulled in
+    one stacked engine call, everything ``put`` in stream order — after
+    which the durable cursor advances when the resolved prefix is
+    contiguous.  ``store=None`` runs the same loop with no membership and
+    no cursor: every task is computed.
 
     Resume semantics: tasks below the cursor watermark are skipped without
     even computing their fingerprint (the cursor is only ever behind the
@@ -223,24 +236,23 @@ def run_streamed_tasks(
     O(changed shards) — and misses are recomputed bit-identically from
     their seed key.
 
-    Failure semantics: a compute raising :class:`PermanentTaskFailure` is
-    dead-lettered immediately; other :class:`ReproError` failures are
-    retried per the seeded ``retry`` policy (attempts only — simulation
-    tasks have no wall-clock backoff to wait out) and dead-lettered on
-    exhaustion.  Without a ``dlq`` the failure propagates: silent loss is
-    never an option.  ``fault`` is the chaos hook, called before every
-    attempt.  :class:`CampaignInterrupted` always propagates (that *is*
+    Failure semantics are per task, whatever the window stacked: a compute
+    raising :class:`PermanentTaskFailure` is dead-lettered immediately;
+    other :class:`ReproError` failures are retried per the seeded ``retry``
+    policy (attempts only — simulation tasks have no wall-clock backoff to
+    wait out) and dead-lettered on exhaustion.  Without a ``dlq`` the
+    failure propagates: silent loss is never an option.  ``fault`` is the
+    chaos hook, called before every attempt — hence before any compute of
+    the window.  :class:`CampaignInterrupted` always propagates (that *is*
     the kill switch).
     """
     if window < 1:
         raise ConfigurationError("window must be >= 1")
-    if checkpoint_windows < 1:
-        raise ConfigurationError("checkpoint_windows must be >= 1")
     obs = as_obs(obs)
     report = StreamReport()
     cursor: Optional[StreamCursor] = None
     watermark = 0
-    if campaign_key is not None:
+    if campaign_key is not None and store is not None:
         cursor = StreamCursor(store.root, campaign_key, sync=store.sync)
         watermark = cursor.load()
     report.watermark = watermark
@@ -259,8 +271,9 @@ def run_streamed_tasks(
         dead = {entry.get("fingerprint") for entry in listing()
                 if entry.get("fingerprint")}
 
-    def compute(spec: StreamTask) -> Optional[WorkEnsemble]:
-        return _compute_with_retry(spec, report, dlq=dlq, retry=retry,
+    def compute(spec: StreamTask, run: Callable[[StreamTask], WorkEnsemble]
+                ) -> Optional[WorkEnsemble]:
+        return _compute_with_retry(spec, run, report, dlq=dlq, retry=retry,
                                    fault=fault, obs=obs)
 
     pending: List[StreamTask] = []
@@ -270,13 +283,11 @@ def run_streamed_tasks(
 
     def resolve_window() -> None:
         nonlocal prefix_contiguous, next_prefix_index, windows_since_checkpoint
-        for spec in pending:
-            if spec.fingerprint in dead:
-                # Durably dead-lettered by a previous pass: stays failed,
-                # counts as resolved for the watermark (degraded resume).
-                outcome, ensemble = "failed", None
-            else:
-                outcome, ensemble = resolver.resolve(spec, compute)
+        # Tasks in ``dead`` were durably dead-lettered by a previous pass
+        # (or earlier in this one): they stay failed and count as resolved
+        # for the watermark (degraded resume).
+        for spec, outcome, ensemble in resolver.resolve_window(
+                pending, compute, dead):
             if outcome == "failed":
                 dead.add(spec.fingerprint)
                 report.failures[spec.index] = {"fingerprint": spec.fingerprint}
@@ -296,7 +307,7 @@ def run_streamed_tasks(
         windows_since_checkpoint += 1
         if (cursor is not None and prefix_contiguous
                 and next_prefix_index > report.watermark
-                and windows_since_checkpoint >= checkpoint_windows):
+                and windows_since_checkpoint >= _CHECKPOINT_WINDOWS):
             cursor.save(next_prefix_index)
             report.watermark = next_prefix_index
             windows_since_checkpoint = 0
@@ -327,6 +338,7 @@ def run_streamed_tasks(
 
 def _compute_with_retry(
     spec: StreamTask,
+    run: Callable[[StreamTask], WorkEnsemble],
     report: StreamReport,
     *,
     dlq: Any,
@@ -334,20 +346,21 @@ def _compute_with_retry(
     fault: Optional[Callable[[StreamTask, int], None]],
     obs: Obs,
 ) -> Optional[WorkEnsemble]:
-    """Run one task under the retry policy; None means dead-lettered."""
+    """Produce one task's ensemble (through ``run``, the window step's way
+    of computing it) under the retry policy; None means dead-lettered."""
     attempts = 0
     while True:
         attempts += 1
         try:
             if fault is not None:
                 fault(spec, attempts)
-            return spec.compute()
+            return run(spec)
         except CampaignInterrupted:
             raise
         except PermanentTaskFailure as exc:
             return _dead_letter(spec, "permanent-failure", attempts, exc,
                                 dlq=dlq, obs=obs)
-        except _RETRYABLE as exc:
+        except TASK_ERRORS as exc:
             exhausted = retry is None or retry.exhausted(attempts)
             if exhausted:
                 return _dead_letter(spec, "retry-exhausted", attempts, exc,
@@ -379,7 +392,7 @@ def run_streamed_study(
     protocols: Iterable[Any],
     *,
     n_samples: int = 32,
-    samples_per_task: int = 4,
+    samples_per_task: Optional[int] = 4,
     seed: SeedLike = 2005,
     store: Any,
     window: int = 64,
@@ -389,25 +402,29 @@ def run_streamed_study(
     n_records: int = 41,
     obs: Optional[Obs] = None,
 ) -> Tuple[Dict[Tuple[Any, ...], WorkEnsemble], StreamReport]:
-    """Streamed equivalent of the study loop: per-cell merged ensembles.
+    """The study loop: per-cell merged ensembles of a (kappa, v) grid.
 
     Returns ``(ensembles, report)`` where ``ensembles`` maps each cell's
     labels to its merged :class:`WorkEnsemble` — *only* cells whose every
     task resolved; cells with dead-lettered tasks are omitted (the
     degraded-completion contract) and identified in ``report.failures``.
     Fault-free, the per-cell ensembles are bit-identical to
-    :func:`~repro.smd.run_work_ensemble` on the same arguments.
+    :func:`~repro.smd.run_work_ensemble` on the same arguments, whatever
+    the ``window``.  ``samples_per_task=None`` is the unsplit plan: one
+    task per cell under the bare cell key (see
+    :func:`~repro.smd.plan.plan_tasks`).
     """
-    if n_samples % samples_per_task:
+    size = n_samples if samples_per_task is None else samples_per_task
+    if size < 1 or n_samples % size:
         raise ConfigurationError(
             f"samples_per_task ({samples_per_task}) must divide "
             f"n_samples ({n_samples}) evenly")
-    n_tasks = n_samples // samples_per_task
+    n_tasks = n_samples // size
     campaign_key = ["study", as_seed_int(seed), n_samples, samples_per_task,
                     n_records]
     specs = stream_study_tasks(
-        model, protocols, n_tasks, samples_per_task, seed=seed,
-        n_records=n_records, obs=obs,
+        model, protocols, None if samples_per_task is None else n_tasks,
+        size, seed=seed, n_records=n_records, obs=obs,
     )
     # The plan is cell-major with ``n_tasks`` tasks per cell: remember each
     # cell's labels as its first task streams past (no descriptors kept).

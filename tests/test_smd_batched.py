@@ -4,7 +4,7 @@ The stacked engine's entire value rests on one guarantee: stacking R
 replicas — and several independently seeded groups of them — on one
 array axis changes the wall clock, never the numbers.  These tests pin
 that guarantee against the scalar reference oracle
-(``kernel="reference"``, one explicit call per group), through the shard
+(``kernel="reference"``, one explicit call per group), through the task
 decomposition, through the result store (fingerprints are kernel-blind),
 and against the committed Fig-4 golden master.
 """
@@ -27,7 +27,6 @@ from repro.smd import (
     WorkEnsemble,
     run_pulling_ensemble,
     run_pulling_ensemble_3d,
-    run_pulling_ensemble_parallel,
     run_pulling_groups,
     run_work_ensemble,
 )
@@ -111,18 +110,14 @@ class TestShardDecomposition:
     @pytest.mark.parametrize("shard_size", [3, 7, 8])
     def test_parallel_batched_matches_serial_vectorized(self, reduced_model,
                                                         shard_size):
-        """Uneven shard splits must not perturb any replica's stream: the
-        stacked shards equal one oracle call per shard."""
+        """Odd task sizes must not perturb any replica's stream: a cell's
+        stacked tasks equal one oracle call per task."""
         proto = fast_protocol()
-        sizes = [shard_size] * (17 // shard_size) + [17 % shard_size]
-        serial = reduce(WorkEnsemble.merged_with, (
-            run_pulling_ensemble(reduced_model, proto, n, n_records=7,
-                                 seed=stream_for(8, "smd.shard", b),
-                                 kernel="reference")
-            for b, n in enumerate(sizes)))
-        batched = run_pulling_ensemble_parallel(
-            reduced_model, proto, 17, shard_size=shard_size,
-            n_records=7, seed=8)
+        n_tasks = 17 // shard_size
+        serial = oracle_tasks(reduced_model, proto, n_tasks, shard_size,
+                              seed=8, n_records=7)
+        batched = run_work_ensemble(reduced_model, proto, n_tasks,
+                                    shard_size, seed=8, n_records=7)
         assert_ensembles_identical(serial, batched)
 
 

@@ -1,8 +1,9 @@
-"""Sharded work ensemble: shard identity, replica order and bookkeeping.
+"""Work ensemble as seeded tasks: task identity, replica order, bookkeeping.
 
-The contract (see :func:`repro.smd.run_pulling_ensemble_parallel`): the
-shard decomposition and per-shard RNG streams depend only on
-``(n_samples, shard_size, seed)``, and shards merge in index order.
+The contract (see :func:`repro.smd.run_work_ensemble`): a cell is
+``n_tasks`` independently seeded shards of ``samples_per_task`` replicas,
+shard ``t`` draws from ``stream_for(seed, *labels, "task", t)`` whatever
+else shares its engine call, and the shards merge in index order.
 """
 
 import numpy as np
@@ -12,11 +13,7 @@ from repro.errors import ConfigurationError
 from repro.obs import Obs
 from repro.pore import ReducedTranslocationModel, default_reduced_potential
 from repro.rng import stream_for
-from repro.smd import (
-    PullingProtocol,
-    run_pulling_ensemble,
-    run_pulling_ensemble_parallel,
-)
+from repro.smd import PullingProtocol, run_pulling_ensemble, run_work_ensemble
 
 SEED = 421
 
@@ -29,54 +26,50 @@ def workload():
     return model, protocol
 
 
-def solo_shards(workload, sizes, kernel="vectorized"):
+def solo_shards(workload, n_tasks, samples_per_task, kernel="vectorized"):
     """One explicit engine call per shard of ``run``'s layout."""
     model, protocol = workload
-    return [run_pulling_ensemble(model, protocol, n, kernel=kernel,
-                                 seed=stream_for(SEED, "smd.shard", b))
-            for b, n in enumerate(sizes)]
+    return [run_pulling_ensemble(model, protocol, samples_per_task,
+                                 kernel=kernel,
+                                 seed=stream_for(SEED, "task", t))
+            for t in range(n_tasks)]
 
 
-def run(workload, **kwargs):
+def run(workload, n_tasks=3, samples_per_task=4, **kwargs):
     model, protocol = workload
-    kwargs.setdefault("n_samples", 12)
-    kwargs.setdefault("shard_size", 4)
     kwargs.setdefault("seed", SEED)
-    return run_pulling_ensemble_parallel(model, protocol, **kwargs)
+    return run_work_ensemble(model, protocol, n_tasks, samples_per_task,
+                             **kwargs)
 
 
 class TestWorkerCountInvariance:
     def test_shard_size_is_part_of_result_identity(self, workload):
-        # Documented: shard_size re-keys the RNG streams, so results change.
-        a = run(workload, shard_size=4)
-        b = run(workload, shard_size=6)
+        # Documented: the task size re-keys the RNG streams (12 replicas
+        # as 3 x 4 or as 2 x 6), so results change.
+        a = run(workload, 3, 4)
+        b = run(workload, 2, 6)
+        assert a.n_samples == b.n_samples == 12
         assert not np.array_equal(a.works, b.works)
 
-    def test_uneven_final_shard(self, workload):
-        # 10 samples at shard_size=4 -> shards of 4, 4, 2; the remainder
-        # shard draws from its own stream, stacked or pulled alone by the
-        # oracle.
-        stacked = run(workload, n_samples=10)
-        assert stacked.n_samples == 10
-        np.testing.assert_array_equal(stacked.works, np.concatenate(
-            [e.works for e in solo_shards(workload, (4, 4, 2),
-                                          kernel="reference")]))
-
     def test_one_replica_shard_runs_alone(self, workload):
-        # 17 samples at shard_size=8 -> shards of 8, 8, 1: the two full
-        # shards share one engine call, the one-replica shard gets its own
-        # (BLAS's one-row path is not bit-identical to a row of a stack),
-        # and every shard equals its solo run.
+        # One-replica shards are never stacked (BLAS's one-row path is not
+        # bit-identical to a row of a stack): each gets an engine call of
+        # its own and equals its solo oracle run.
         obs = Obs()
-        mixed = run(workload, n_samples=17, shard_size=8, obs=obs)
+        singles = run(workload, 3, 1, obs=obs)
         spans = obs.tracer.named("smd.ensemble")
         assert [(s.attrs["n_groups"], s.attrs["n_samples"])
-                for s in spans] == [(2, 16), (1, 1)]
-        solo = solo_shards(workload, (8, 8, 1))
+                for s in spans] == [(1, 1)] * 3
+        solo = solo_shards(workload, 3, 1, kernel="reference")
         np.testing.assert_array_equal(
-            mixed.works, np.concatenate([e.works for e in solo]))
+            singles.works, np.concatenate([e.works for e in solo]))
         np.testing.assert_array_equal(
-            mixed.positions, np.concatenate([e.positions for e in solo]))
+            singles.positions, np.concatenate([e.positions for e in solo]))
+        # ...while shards of two or more replicas share one call.
+        obs = Obs()
+        run(workload, 3, 2, obs=obs)
+        assert [(s.attrs["n_groups"], s.attrs["n_samples"])
+                for s in obs.tracer.named("smd.ensemble")] == [(3, 6)]
 
 
 class TestBookkeeping:
@@ -95,14 +88,17 @@ class TestBookkeeping:
     def test_replica_order_stable(self, workload):
         # The first shard of a larger ensemble is the whole of a smaller
         # one: shard streams are keyed by index, not by ensemble size.
-        small = run(workload, n_samples=4)
-        large = run(workload, n_samples=12)
+        small = run(workload, 1)
+        large = run(workload, 3)
         np.testing.assert_array_equal(large.works[:4], small.works)
+        np.testing.assert_array_equal(
+            large.works, np.concatenate(
+                [e.works for e in solo_shards(workload, 3, 4)]))
 
 
 class TestValidation:
     def test_bad_arguments_raise(self, workload):
         with pytest.raises(ConfigurationError):
-            run(workload, n_samples=0)
+            run(workload, n_tasks=0)
         with pytest.raises(ConfigurationError):
-            run(workload, shard_size=0)
+            run(workload, samples_per_task=0)

@@ -79,12 +79,21 @@ class TestTaskFingerprint:
         {"cpu_hours_per_ns": 1.0},
         {"seed_key": (2005, "cell", 100000, 12500, "task", 1)},
         {"seed_key": 2005},
-        {"executor": "sharded", "shard_size": 8},
     ])
     def test_any_parameter_perturbation_changes_fingerprint(
             self, model, proto, change):
         base = task_fingerprint(make_task(model, proto))
         assert task_fingerprint(make_task(model, proto, **change)) != base
+
+    def test_retired_sharded_descriptor_still_fingerprints_apart(
+            self, model, proto):
+        """``"executor"`` is a frozen literal now; a record the retired
+        sharded runner wrote carries a dict there and can never be mistaken
+        for (or shadow) a task of today."""
+        task = make_task(model, proto)
+        assert task["executor"] == "single"
+        sharded = dict(task, executor={"kind": "sharded", "shard_size": 8})
+        assert task_fingerprint(sharded) != task_fingerprint(task)
 
     def test_protocol_and_model_enter_fingerprint(self, model, proto):
         base = task_fingerprint(make_task(model, proto))

@@ -1,5 +1,6 @@
-"""Lazy task streaming: bit-identity with the classic drivers, durable
-cursor resume, and degraded completion through the dead-letter queue.
+"""Task streaming: bit-identity across window sizes and against the scalar
+oracle, the stacked window step, durable cursor resume, and degraded
+completion through the dead-letter queue.
 
 The slow-marked class at the bottom is the million-task acceptance test
 (`pytest -m slow`): a resumed 10^6-task campaign must clear its completed
@@ -9,22 +10,34 @@ fingerprinting a single task.
 
 import os
 import time
+from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
+import repro.smd.plan as plan_module
 from repro.core import run_parameter_study
 from repro.errors import (
     CampaignInterrupted,
     ConfigurationError,
     PermanentTaskFailure,
+    SimulationError,
     StoreError,
 )
+from repro.obs import Obs
 from repro.perf import synthetic_stream
 from repro.pore.reduced import ReducedTranslocationModel, default_reduced_potential
 from repro.resil.dlq import DeadLetterQueue
 from repro.resil.policy import RetryPolicy
-from repro.smd import cell_labels, run_work_ensemble
+from repro.rng import stream_for
+from repro.smd import (
+    WorkEnsemble,
+    cell_labels,
+    run_pulling_ensemble,
+    run_work_ensemble,
+)
+from repro.smd.plan import plan_tasks
 from repro.smd.protocol import PullingProtocol
 from repro.store import ResultStore, ShardedResultStore
 from repro.workflow import (
@@ -57,6 +70,38 @@ def run_study(store, **kwargs):
     return run_parameter_study(model(), grid_protocols(), **defaults)
 
 
+def run_windowed(store, window, **kwargs):
+    """The same study's per-cell ensembles at an explicit window size."""
+    return run_streamed_study(
+        model(), grid_protocols(), n_samples=4, samples_per_task=2,
+        seed=SEED, store=store, window=window, n_records=11, **kwargs)
+
+
+def study_tasks():
+    """The 8 tasks (4 cells x 2) of the study above, in stream order."""
+    return list(stream_study_tasks(model(), grid_protocols(), 2, 2,
+                                   seed=SEED, n_records=11))
+
+
+def oracle(protocol, key, n_samples=2):
+    """One task pulled alone by the per-replica scalar oracle."""
+    return run_pulling_ensemble(model(), protocol, n_samples, n_records=11,
+                                seed=stream_for(*key), kernel="reference")
+
+
+def oracle_cell(protocol):
+    """A study cell as the oracle sees it: its tasks one by one, merged."""
+    return reduce(WorkEnsemble.merged_with, (
+        oracle(protocol, (SEED, *cell_labels(protocol), "task", t))
+        for t in range(2)))
+
+
+def assert_same(a, b):
+    np.testing.assert_array_equal(a.works, b.works)
+    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a.displacements, b.displacements)
+
+
 class TestBitIdentity:
     @pytest.fixture(scope="class")
     def classic(self, tmp_path_factory):
@@ -64,42 +109,47 @@ class TestBitIdentity:
         return run_study(ResultStore(root))
 
     def test_streamed_study_matches_classic(self, classic, tmp_path):
-        streamed = run_study(ShardedResultStore(os.fspath(tmp_path / "s")),
-                             window=3)
-        assert streamed.optimal == classic.optimal
-        assert sorted(streamed.ensembles) == sorted(classic.ensembles)
-        for key, ens in classic.ensembles.items():
-            np.testing.assert_array_equal(ens.works,
-                                          streamed.ensembles[key].works)
-            np.testing.assert_array_equal(ens.positions,
-                                          streamed.ensembles[key].positions)
-        for key, est in classic.estimates.items():
-            np.testing.assert_array_equal(est.values,
-                                          streamed.estimates[key].values)
+        """The window size places the stacked calls, never the numbers:
+        any window equals the study front door and the scalar oracle."""
+        oracles = {cell_labels(p): oracle_cell(p) for p in grid_protocols()}
+        for window in (1, 3, 64):
+            merged, report = run_windowed(
+                ShardedResultStore(os.fspath(tmp_path / str(window))), window)
+            assert report.computed == 8
+            assert len(merged) == len(classic.ensembles) == 4
+            for proto in grid_protocols():
+                ens = merged[cell_labels(proto)]
+                assert_same(ens, classic.ensembles[(proto.kappa_pn,
+                                                    proto.velocity)])
+                assert_same(ens, oracles[cell_labels(proto)])
 
     def test_streamed_accepts_a_generator(self, classic, tmp_path):
         store = ShardedResultStore(os.fspath(tmp_path / "s"))
         streamed = run_parameter_study(
             model(), (p for p in grid_protocols()), n_samples=4,
             n_records=11, n_bootstrap=10, seed=SEED, samples_per_task=2,
-            store=store, window=3)
+            store=store)
         assert streamed.optimal == classic.optimal
+        for key, est in classic.estimates.items():
+            np.testing.assert_array_equal(est.values,
+                                          streamed.estimates[key].values)
 
     def test_streamed_and_classic_share_store_records(self, tmp_path):
-        """Same descriptors, same fingerprints: a streamed resume over a
-        classically-filled store computes nothing."""
+        """Same descriptors, same fingerprints: whichever driver and window
+        filled a store, every other one resolves from it as all hits."""
         root = os.fspath(tmp_path / "s")
         run_study(ResultStore(root, sync=False))
         protocols = grid_protocols()
         store = ResultStore(os.fspath(tmp_path / "streamed"))
-        # Prove fingerprint identity by filling a second store through
-        # the streamed path and comparing contents.
-        run_study(store, window=3)
+        run_windowed(store, 3)
         assert (sorted(ResultStore(root).fingerprints())
                 == sorted(store.fingerprints()))
         assert len(protocols) * 2 == len(store)  # 2 tasks per cell
+        reopened = ResultStore(store.root)
+        run_study(reopened)
+        assert (reopened.stats()["hits"], reopened.stats()["writes"]) == (8, 0)
         # Exact per-step work (force_sample_time=None) is requestable on
-        # the streamed path too, and keys exactly as the classic path does.
+        # the streamed path too, and keys exactly as the per-cell path does.
         exact = ResultStore(os.fspath(tmp_path / "exact"), sync=False)
         run_work_ensemble(model(), protocols[0], 2, 2, seed=SEED,
                           labels=cell_labels(protocols[0]), store=exact,
@@ -110,13 +160,192 @@ class TestBitIdentity:
         assert (sorted(task.fingerprint for task in streamed)
                 == exact.fingerprints())
 
+    def test_whole_cell_plan_is_the_historical_layout(self, tmp_path):
+        """``samples_per_task=None``: one task per cell under the bare cell
+        key — the stream and record ``run_pulling_ensemble(seed=
+        stream_for(seed, *labels), store_key=(seed, *labels))`` uses."""
+        protocols = grid_protocols()
+        store = ResultStore(os.fspath(tmp_path / "engine"), sync=False)
+        direct = {
+            (p.kappa_pn, p.velocity): run_pulling_ensemble(
+                model(), p, 4, n_records=11, store=store,
+                seed=stream_for(SEED, *cell_labels(p)),
+                store_key=(SEED, *cell_labels(p)))
+            for p in protocols}
+        study = run_study(store, samples_per_task=None)
+        assert (store.stats()["hits"], store.stats()["writes"]) == (4, 4)
+        for key, ens in direct.items():
+            assert_same(ens, study.ensembles[key])
+        bare = run_study(None, samples_per_task=None)
+        for key, ens in direct.items():
+            assert_same(ens, bare.ensembles[key])
+
+    def test_fingerprints_pinned_from_the_parent_commit(self):
+        """Literal hex from before the executors were unified: neither the
+        whole-cell nor the per-task identity moved."""
+        proto = grid_protocols()[0]
+        [whole] = stream_study_tasks(model(), [proto], None, 4, seed=SEED,
+                                     n_records=11)
+        assert whole.key == (SEED, "cell", 100000, 25000)
+        assert whole.fingerprint == (
+            "3d9b43b9264e828c68c6ea4038eb02e2d6c3874524cd36dcb389e546989cb66c")
+        task0, task1 = stream_study_tasks(model(), [proto], 2, 2, seed=SEED,
+                                          n_records=11)
+        assert task0.key == (SEED, "cell", 100000, 25000, "task", 0)
+        assert task0.fingerprint == (
+            "d2575ce31c417ce21fc916cad519c1f8349c0288d07693e24f742c48b0b97ac6")
+        assert task1.fingerprint == (
+            "2f7ba1351c73ed6f311a8079c2b84f5876f27c83ff982fa9876a20ef58984dde")
+
+
+class TestWindowStep:
+    """One executor: every driver's window resolves through
+    ``TaskResolver.resolve_window`` — hits, stacked misses, lone misses."""
+
+    def test_mixed_window_equals_oracle_and_stacks_once_per_cell(
+            self, tmp_path):
+        obs = Obs()
+        a, b, c = grid_protocols()[:3]
+        settings = dict(seed=SEED, n_records=11, obs=obs)
+        cell_a = list(plan_tasks(model(), [(a, ("a",))], 3, 2, **settings))
+        cell_b = list(plan_tasks(model(), [(b, ("b",))], 2, 2, **settings))
+        [single] = plan_tasks(model(), [(c, ("c",))], 1, 1, **settings)
+        hand_key = (SEED, "hand-built")
+        hand_task = dict(cell_a[0].task, seed_key=list(hand_key))
+        hand = StreamTask(
+            index=0, key=hand_key, cell=("hand",), task=hand_task,
+            compute=lambda: run_pulling_ensemble(
+                model(), a, 2, n_records=11, seed=stream_for(*hand_key)))
+        store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
+        store.put(cell_a[0].task, oracle(a, cell_a[0].key))  # a stored hit
+        window = [cell_a[0], cell_b[0], cell_a[1], single, hand, cell_a[2],
+                  cell_a[1], cell_b[1]]                  # a[1] twice
+        window = [replace(t, index=i) for i, t in enumerate(window)]
+        protos = [a, b, a, c, a, a, a, b]
+
+        report = run_streamed_tasks(window, store=store, window=len(window),
+                                    obs=obs)
+
+        assert (report.hits, report.computed) == (2, 6)  # stored + duplicate
+        for task, proto in zip(window, protos):
+            n = 1 if proto is c else 2
+            assert_same(report.results[task.index],
+                        oracle(proto, task.key, n))
+        # One engine call per cell for the stacked members (the duplicate
+        # was never planned), then the one-replica plan task alone; the
+        # hand-built task carries no obs.
+        assert [(s.attrs["n_groups"], s.attrs["n_samples"])
+                for s in obs.tracer.named("smd.ensemble")] == [
+                    (2, 4), (2, 4), (1, 1)]
+
+    def test_poisoned_index_inside_a_stacked_group(self, tmp_path):
+        """Counters, DLQ entries and surviving records pinned from the
+        one-call-per-task executor this step replaced."""
+        store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
+        dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"), sync=False)
+        poisoned = {1, 5}
+
+        def poison(spec, attempt):
+            if spec.index in poisoned:
+                raise SimulationError(f"task {spec.index} is poisoned")
+
+        merged, report = run_windowed(
+            store, 4, dlq=dlq, fault=poison,
+            retry=RetryPolicy(max_attempts=3, base_delay=1e-6))
+        assert (report.total, report.computed, report.retries,
+                report.dead_lettered) == (8, 6, 4, 2)
+        assert sorted(report.failures) == [1, 5]
+        assert [(e["task_key"][-1], e["reason"], e["attempts"])
+                for e in dlq.entries()] == [(1, "retry-exhausted", 3)] * 2
+        assert sorted(store.fingerprints()) == sorted(
+            t.fingerprint for t in study_tasks() if t.index not in poisoned)
+        assert sorted(merged) == [("cell", 100000, 50000),
+                                  ("cell", 1000000, 50000)]
+        for proto in grid_protocols():
+            if cell_labels(proto) in merged:
+                assert_same(merged[cell_labels(proto)], oracle_cell(proto))
+
+    def test_failing_stacked_call_falls_back_per_task(self, tmp_path,
+                                                      monkeypatch):
+        """A stacked call that raises is abandoned: every member runs its
+        own compute(), so only the bad task is retried and dead-lettered."""
+        stacked_calls = []
+
+        def blow_up(model, protocol, groups, **settings):
+            stacked_calls.append(len(groups))
+            raise FloatingPointError("overflow in the stacked step loop")
+
+        monkeypatch.setattr(plan_module, "run_pulling_groups", blow_up)
+
+        def boom():
+            raise FloatingPointError("task 2 overflows alone, too")
+
+        tasks = [replace(t, compute=boom) if t.index == 2 else t
+                 for t in study_tasks()]
+        store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
+        dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"), sync=False)
+        report = run_streamed_tasks(
+            tasks, store=store, window=4, dlq=dlq,
+            retry=RetryPolicy(max_attempts=3, base_delay=1e-6))
+        assert stacked_calls == [2, 2, 2, 2]    # once per (cell, window)
+        assert (report.computed, report.retries, report.dead_lettered) == (
+            7, 2, 1)
+        [entry] = dlq.entries()
+        assert entry["task_key"] == list(tasks[2].key)
+        assert (entry["reason"], entry["attempts"]) == ("retry-exhausted", 3)
+        assert "FloatingPointError" in entry["last_error"]
+        protos = [p for p in grid_protocols() for _ in range(2)]
+        for task, proto in zip(tasks, protos):
+            if task.index != 2:
+                assert_same(report.results[task.index],
+                            oracle(proto, task.key))
+
+    def test_interrupt_inside_a_stacked_window(self, tmp_path):
+        """CampaignInterrupted at task k: exactly the tasks before k are
+        durable — the stack computed ahead, but nothing was put ahead —
+        and the cursor never passes k."""
+        k = 3
+        store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
+
+        def kill(spec, attempt):
+            if spec.index == k:
+                raise CampaignInterrupted(f"killed at task {k}")
+
+        with pytest.raises(CampaignInterrupted):
+            run_windowed(store, 4, fault=kill)
+        assert sorted(store.fingerprints()) == sorted(
+            t.fingerprint for t in study_tasks() if t.index < k)
+        cursor = StreamCursor(store.root, ["study", SEED, 4, 2, 11])
+        assert 0 < cursor.load() <= k
+        # The resumed study recomputes exactly the rest, bit-identically.
+        survivor = ResultStore(store.root, sync=False)
+        merged, report = run_windowed(survivor, 4)
+        assert (report.hits, report.computed) == (k, 8 - k)
+        for proto in grid_protocols():
+            assert_same(merged[cell_labels(proto)], oracle_cell(proto))
+
+    def test_all_hits_window_computes_nothing(self, tmp_path):
+        store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
+        run_windowed(store, 4)
+        obs = Obs()
+        _merged, report = run_windowed(ResultStore(store.root), 4, obs=obs)
+        assert (report.hits, report.computed) == (8, 0)
+        assert obs.tracer.named("smd.ensemble") == []
+
+    def test_without_a_store_every_task_is_computed(self):
+        """``store=None``: the same loop, no membership and no cursor."""
+        merged, report = run_windowed(None, 3)
+        assert (report.hits, report.computed, report.watermark) == (0, 8, 0)
+        for proto in grid_protocols():
+            assert_same(merged[cell_labels(proto)], oracle_cell(proto))
+
 
 class TestCursorResume:
     def test_fully_complete_resume_is_all_hits(self, tmp_path):
         store = ShardedResultStore(os.fspath(tmp_path / "s"))
-        first = run_study(store, window=3)
+        first = run_study(store)
         resumed_store = ShardedResultStore(store.root)
-        resumed = run_study(resumed_store, window=3)
+        resumed = run_study(resumed_store)
         assert resumed_store.stats()["misses"] == 0
         assert resumed.optimal == first.optimal
         for key, est in first.estimates.items():
@@ -124,16 +353,18 @@ class TestCursorResume:
                                           resumed.estimates[key].values)
 
     def test_kill_mid_stream_then_resume_bit_identical(self, tmp_path):
+        """Killed at one window size, resumed at another: the records that
+        survive and the final numbers do not depend on either."""
         control = run_study(
-            ShardedResultStore(os.fspath(tmp_path / "control")), window=3)
+            ShardedResultStore(os.fspath(tmp_path / "control")))
         root = os.fspath(tmp_path / "killed")
         store = ShardedResultStore(root)
         store.interrupt_after_writes = 3
         with pytest.raises(CampaignInterrupted):
-            run_study(store, window=3)
+            run_windowed(store, 3)
         survivor = ShardedResultStore(root)
         assert len(survivor) == 3
-        resumed = run_study(survivor, window=3)
+        resumed = run_study(survivor)
         assert survivor.stats()["hits"] == 3
         assert survivor.stats()["writes"] == 5  # 8 tasks total, 3 done
         assert resumed.optimal == control.optimal
@@ -181,9 +412,6 @@ class TestCursorResume:
         with pytest.raises(ConfigurationError):
             run_streamed_tasks(synthetic_stream(2, SEED), store=store,
                                window=0)
-        with pytest.raises(ConfigurationError):
-            run_streamed_tasks(synthetic_stream(2, SEED), store=store,
-                               window=4, checkpoint_windows=0)
 
 
 class TestDegradedCompletion:
@@ -280,6 +508,40 @@ class TestDegradedCompletion:
         assert len(merged) == 3  # the other cells completed
         # Degraded cells are omitted wholesale, not half-assembled.
         assert all(ens.works.shape[0] == 4 for ens in merged.values())
+
+
+    def test_study_front_door_dead_letters_without_any_window_option(
+            self, tmp_path, monkeypatch):
+        """Regression: ``dlq=`` / ``retry=`` used to be read only on the
+        ``window=N`` branch, so ``campaign --store D --dlq`` raised out of
+        a terminally failing pull instead of dead-lettering it."""
+        import repro.smd.ensemble as ensemble_module
+        from repro.smd.batched import run_pulling_groups
+
+        bad = grid_protocols()[1]
+
+        def engine(model, protocol, groups, **settings):
+            if protocol == bad:
+                raise SimulationError("this cell blows up in the engine")
+            return run_pulling_groups(model, protocol, groups, **settings)
+
+        monkeypatch.setattr(plan_module, "run_pulling_groups", engine)
+        monkeypatch.setattr(ensemble_module, "run_pulling_groups", engine)
+        store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
+        dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"), sync=False)
+        study = run_study(store, dlq=dlq,
+                          retry=RetryPolicy(max_attempts=2, base_delay=1e-6))
+        assert (bad.kappa_pn, bad.velocity) not in study.ensembles
+        assert len(study.ensembles) == 3
+        assert len(dlq) == 2                    # the bad cell's two tasks
+        for entry in dlq.entries():
+            assert entry["task_key"][1:4] == list(cell_labels(bad))
+            assert (entry["reason"], entry["attempts"]) == (
+                "retry-exhausted", 2)
+        assert len(store) == 6
+        # ...and without a queue the failure still propagates loudly.
+        with pytest.raises(StoreError, match="no dead-letter queue"):
+            run_study(ResultStore(os.fspath(tmp_path / "t"), sync=False))
 
 
 @pytest.mark.slow
