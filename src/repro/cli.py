@@ -529,6 +529,14 @@ def cmd_bench(args) -> CommandResult:
         f"  batched     "
         f"{batched['per_trajectory_batched_wall']['median_s']:10.2f} s"
         f"   ({ensemble['batched_speedup_per_trajectory']:.2f}x)",
+        f"window row (kappa {ensemble['window_row']['kappa_pn']:g} pN/A, "
+        f"{ensemble['window_row']['n_cells']} cells, "
+        f"{ensemble['window_row']['n_replicas']} replicas):",
+        f"  per-cell    "
+        f"{ensemble['window_row']['per_cell_wall']['median_s']:10.2f} s",
+        f"  stacked     "
+        f"{ensemble['window_row']['stacked_wall']['median_s']:10.2f} s"
+        f"   ({ensemble['cross_cell_speedup']:.2f}x)",
         f"store streaming ({store['workload']['n_tasks']} tasks, "
         f"window {store['workload']['window']}):",
         f"  cold        {store['cold']['wall_s']:10.2f} s"

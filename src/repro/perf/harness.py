@@ -8,7 +8,8 @@ root, one per benchmark family:
   rebuild cost (see :mod:`repro.perf.bench_kernels`);
 * ``BENCH_ensemble.json`` (:data:`SCHEMA_ENSEMBLE`) — work-ensemble
   wall-clock, one engine call per shard vs all shards stacked in one call
-  (and the same at one replica per shard), every leg repeated, with the
+  (and the same at one replica per shard, and one call per cell vs one
+  cross-cell call on a Fig. 4 kappa row), every leg repeated, with the
   determinism cross-check (see :mod:`repro.perf.bench_ensemble`).
 
 Each document carries a ``schema`` tag so future PRs can extend the format
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 SCHEMA_KERNELS = "repro.bench.kernels/v1"
-SCHEMA_ENSEMBLE = "repro.bench.ensemble/v3"
+SCHEMA_ENSEMBLE = "repro.bench.ensemble/v4"
 SCHEMA_STORE = "repro.bench.store/v1"
 SCHEMA_ADAPTIVE = "repro.bench.adaptive/v1"
 
@@ -167,8 +168,14 @@ def validate_bench_document(doc: object) -> dict:
         for leg in ("batched_wall", "per_trajectory_wall",
                     "per_trajectory_batched_wall"):
             _require_leg(batched, leg)
+        window_row = _require(doc, "window_row", dict)
+        _require_positive(window_row, "n_cells")
+        _require_positive(window_row, "n_replicas")
+        for leg in ("per_cell_wall", "stacked_wall"):
+            _require_leg(window_row, leg)
         _require_positive(doc, "batched_speedup")
         _require_positive(doc, "batched_speedup_per_trajectory")
+        _require_positive(doc, "cross_cell_speedup")
         deterministic = _require(doc, "deterministic", bool)
         if not deterministic:
             raise AnalysisError(

@@ -6,18 +6,20 @@ reduced 1-D model and :class:`~repro.smd.pulling.SMDPullingForce` +
 same work-curve record format, consumed by :mod:`repro.core`.
 
 The reduced-model side is three layers: one engine
-(:func:`~repro.smd.batched.run_pulling_groups`, the only vectorised step
-loop, taking a stack of seeded replica groups), one task plan + executor
-(:mod:`repro.smd.plan`: task identity, and the window step that resolves
-planned tasks against the store — hit, stacked compute, put, merge), and
-thin entry points over them.  Every ``run_*`` entry point shares one
-keyword contract — ``seed=``, ``obs=``, ``store=`` (``store_key=`` where
-the seed is a generator).  How replica groups are laid out on the machine
-is the window step's decision, not a caller's (the missing tasks of a cell
-share one engine call); only the two engine-level entry points,
-:func:`run_pulling_ensemble` and :func:`run_pulling_ensemble_3d`, take
-``kernel="reference"`` to run the per-replica / per-trajectory oracle the
-production layout is tested against.
+(:func:`~repro.smd.batched.run_pulling_stack`, the only vectorised step
+loop, taking a stack of seeded replica groups of any mix of protocols;
+:func:`~repro.smd.batched.run_pulling_groups` is its one-protocol
+spelling), one task plan + executor (:mod:`repro.smd.plan`: task identity,
+and the window step that resolves planned tasks against the store — hit,
+stacked compute, put, merge), and thin entry points over them.  Every
+``run_*`` entry point shares one keyword contract — ``seed=``, ``obs=``,
+``store=`` (``store_key=`` where the seed is a generator).  How replica
+groups are laid out on the machine is the window step's decision, not a
+caller's (the missing tasks of a window share one engine call); only the
+two engine-level entry points, :func:`run_pulling_ensemble` and
+:func:`run_pulling_ensemble_3d`, take ``kernel="reference"`` to run the
+per-replica / per-trajectory oracle the production layout is tested
+against.
 """
 
 from .protocol import (
@@ -28,7 +30,11 @@ from .protocol import (
     PAPER_VELOCITIES,
 )
 from .work import WorkEnsemble
-from .batched import run_pulling_groups, PAPER_CPU_HOURS_PER_NS
+from .batched import (
+    run_pulling_groups,
+    run_pulling_stack,
+    PAPER_CPU_HOURS_PER_NS,
+)
 from .ensemble import run_pulling_ensemble
 from .plan import cell_labels, run_work_ensemble
 from .bidirectional import BidirectionalEnsemble, run_bidirectional_ensemble
@@ -51,6 +57,7 @@ __all__ = [
     "run_pulling_ensemble",
     "run_work_ensemble",
     "run_pulling_groups",
+    "run_pulling_stack",
     "cell_labels",
     "BidirectionalEnsemble",
     "run_bidirectional_ensemble",

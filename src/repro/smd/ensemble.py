@@ -42,7 +42,7 @@ from .batched import (
     _count_work,
     _integration_grid,
     _record_schedule,
-    run_pulling_groups,
+    run_pulling_stack,
 )
 from .protocol import PullingProtocol
 from .work import WorkEnsemble
@@ -129,7 +129,7 @@ def run_pulling_ensemble(
     kernel:
         ``"reference"`` runs the per-replica scalar Python loop, the oracle
         the engine is verified against; the default is one single-group
-        call of :func:`repro.smd.batched.run_pulling_groups`.  The two are
+        call of :func:`repro.smd.batched.run_pulling_stack`.  The two are
         bit-identical; the kernel is an execution layout, not part of the
         result's identity, so store fingerprints do not include it.
     """
@@ -152,12 +152,12 @@ def run_pulling_ensemble(
             **settings))
     rng = as_generator(seed)
     if kernel != "reference":
-        return run_pulling_groups(model, protocol, [(rng, n_samples)],
-                                  obs=obs, **settings)[0]
+        return run_pulling_stack(model, [(protocol, rng, n_samples)],
+                                 obs=obs, **settings)[0]
 
     obs = as_obs(obs)
-    with obs.span("smd.ensemble", kappa_pn=protocol.kappa_pn,
-                  velocity=protocol.velocity, n_samples=n_samples):
+    with obs.span("smd.ensemble", n_cells=1, n_groups=1, n_samples=n_samples,
+                  kappa_pn=protocol.kappa_pn, velocity=protocol.velocity):
         works, positions, displacements = _run_pulling_reference(
             model, protocol, n_samples, rng, dt, n_records,
             force_sample_time)
@@ -212,7 +212,7 @@ def _run_pulling_reference(
         return np.asarray(model.potential.derivative(z_arr), dtype=np.float64)
 
     # Equilibrate (mirrors ReducedTranslocationModel.equilibrate).
-    spread = math.sqrt(kT / kappa) if kappa > 0.0 else 1.0
+    spread = math.sqrt(kT / kappa)
     init = rng.standard_normal(n_samples)
     z = [start + spread * float(init[i]) for i in range(n_samples)]
     eq_ns = protocol.equilibration_ns

@@ -23,12 +23,12 @@ how a set of them is resolved:
   bounded window, plus what only streaming owns (cursor, retries, DLQ).
 
 Stacking is decided here, from what the window step can observe: the
-missing tasks of one planned cell share one engine call when there are two
-or more of them and each has two or more replicas; a one-replica task, a
-hand-built task and a lone miss run their own ``compute()``
-(:mod:`repro.smd.batched` documents why).  Each task's result is
-bit-identical to running it alone, so the layout is never part of a
-fingerprint.
+missing tasks of one window and plan — whatever cells they belong to —
+share one engine call when there are two or more of them and each has two
+or more replicas; a one-replica task, a hand-built task and a lone miss run
+their own ``compute()`` (:mod:`repro.smd.batched` documents why).  Each
+task's result is bit-identical to running it alone, so the layout is never
+part of a fingerprint.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ from ..rng import SeedLike, as_seed_int, stream_for
 from .batched import (
     DEFAULT_FORCE_SAMPLE_TIME,
     PAPER_CPU_HOURS_PER_NS,
-    run_pulling_groups,
+    run_pulling_stack,
 )
 from .ensemble import run_pulling_ensemble
 from .protocol import PullingProtocol
 from .work import WorkEnsemble
 
 __all__ = [
-    "CellStack",
+    "PlanStack",
     "StreamTask",
     "TASK_ERRORS",
     "TaskResolver",
@@ -72,21 +72,22 @@ TASK_ERRORS = (ReproError, FloatingPointError)
 
 
 @dataclass(frozen=True, eq=False)
-class CellStack:
-    """What the tasks of one planned cell share — enough to pull several of
-    them in one engine call.  Tasks are grouped by the *identity* of this
-    object, so two plans never stack into each other."""
+class PlanStack:
+    """What the tasks of one plan share — enough to pull any of them, of
+    whatever cells, in one engine call.  Tasks are grouped by the *identity*
+    of this object, so two plans never stack into each other."""
 
     model: ReducedTranslocationModel
-    protocol: PullingProtocol
     n_samples: int
     settings: Dict[str, Any]
 
-    def run(self, keys: Iterable[Tuple[Any, ...]]) -> List[WorkEnsemble]:
-        """One ensemble per stream key, all pulled in one engine call."""
-        return run_pulling_groups(
-            self.model, self.protocol,
-            [(stream_for(*key), self.n_samples) for key in keys],
+    def run(self, tasks: Iterable["StreamTask"]) -> List[WorkEnsemble]:
+        """One ensemble per task of this plan, all pulled in one engine
+        call."""
+        return run_pulling_stack(
+            self.model,
+            [(task.protocol, stream_for(*task.key), self.n_samples)
+             for task in tasks],
             **self.settings)
 
 
@@ -97,9 +98,10 @@ class StreamTask:
     ``task`` is the canonical store descriptor; ``key`` is its seed/stream
     key (``stream_for(*key)`` is the task's RNG stream), doubling as the
     DLQ task key; ``cell`` groups tasks for per-cell assembly; ``compute``
-    produces the ensemble when the store misses.  ``stack`` is set by
-    :func:`plan_tasks` only: the cell context through which the window
-    step may compute this task together with its cell-mates.
+    produces the ensemble when the store misses.  ``stack`` and
+    ``protocol`` are set by :func:`plan_tasks` only: the plan context and
+    the pull through which the window step may compute this task together
+    with the window's other misses of the same plan.
     """
 
     index: int
@@ -107,7 +109,8 @@ class StreamTask:
     cell: Tuple[Any, ...]
     task: Dict[str, Any]
     compute: Callable[[], WorkEnsemble]
-    stack: Optional[CellStack] = field(default=None, repr=False)
+    stack: Optional[PlanStack] = field(default=None, repr=False)
+    protocol: Optional[PullingProtocol] = field(default=None, repr=False)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -162,10 +165,9 @@ def plan_tasks(
     numbers = [None] if n_tasks is None else range(
         task_offset, task_offset + n_tasks)
     base = as_seed_int(seed)
+    stack = PlanStack(model, samples_per_task, dict(settings, obs=obs))
     index = 0
     for protocol, labels in cells:
-        stack = CellStack(model, protocol, samples_per_task,
-                          dict(settings, obs=obs))
         for t in numbers:
             key = (base, *labels) if t is None else (base, *labels, "task", t)
             task = pulling_task(model, protocol, n_samples=samples_per_task,
@@ -177,13 +179,13 @@ def plan_tasks(
                     model, protocol, samples_per_task, seed=stream_for(*key),
                     obs=obs, **settings)
 
-            yield StreamTask(index=index, key=key, cell=labels,
-                             task=task, compute=compute, stack=stack)
+            yield StreamTask(index=index, key=key, cell=labels, task=task,
+                             compute=compute, stack=stack, protocol=protocol)
             index += 1
 
 
 #: What :meth:`TaskResolver.resolve_window` hands its ``compute`` callback:
-#: the task and ``run``, which produces a task's ensemble (from the cell's
+#: the task and ``run``, which produces a task's ensemble (from the plan's
 #: stacked call when the window planned one, else ``task.compute()``).
 WindowCompute = Callable[[StreamTask, Callable[[StreamTask], WorkEnsemble]],
                          Optional[WorkEnsemble]]
@@ -252,15 +254,16 @@ class TaskResolver:
         task, hit / compute / ``put`` strictly in task order.
 
         The misses are decided up front from membership alone (no store
-        traffic).  Those of one planned cell — first occurrence of each
-        fingerprint, two or more replicas each, two or more of them — are
-        pulled in one stacked engine call, run on the first demand for any
-        of them; every other task runs its own ``compute()``.  The stacked
-        results are only a cache in front of the per-task loop: a duplicate
-        fingerprint later in the window resolves as a hit after the first
-        ``put``, a hit that proves corrupt on read is recomputed on its
-        own, and a stacked call that fails is abandoned so that each member
-        runs — and fails, where it must — alone.
+        traffic).  Those of one plan — first occurrence of each
+        fingerprint, two or more replicas each, two or more of them, of any
+        mix of cells — are pulled in one stacked engine call, run on the
+        first demand for any of them; every other task runs its own
+        ``compute()``.  The stacked results are only a cache in front of
+        the per-task loop: a duplicate fingerprint later in the window
+        resolves as a hit after the first ``put``, a hit that proves
+        corrupt on read is recomputed on its own, and a stacked call that
+        fails is abandoned so that each member runs — and fails, where it
+        must — alone.
 
         ``compute(task, run)`` wraps the production of one ensemble
         (retries, fault injection; ``None`` = failed terminally).
@@ -268,7 +271,7 @@ class TaskResolver:
         back ``"failed"``; ``dead`` is read as each task's turn comes, so
         the caller may grow it between yields.
         """
-        cells: Dict[CellStack, List[StreamTask]] = {}
+        plans: Dict[PlanStack, List[StreamTask]] = {}
         planned: set = set()
         for task in tasks:
             if (task.stack is None or task.stack.n_samples < 2
@@ -276,9 +279,9 @@ class TaskResolver:
                     or task.fingerprint in dead):
                 continue
             planned.add(task.fingerprint)
-            cells.setdefault(task.stack, []).append(task)
+            plans.setdefault(task.stack, []).append(task)
         stacked = {member.fingerprint: (stack, group)
-                   for stack, group in cells.items() if len(group) >= 2
+                   for stack, group in plans.items() if len(group) >= 2
                    for member in group}
         cache: Dict[str, WorkEnsemble] = {}
 
@@ -290,7 +293,7 @@ class TaskResolver:
                 try:
                     cache.update(zip(
                         (member.fingerprint for member in group),
-                        stack.run(member.key for member in group)))
+                        stack.run(group)))
                 except CampaignInterrupted:
                     raise
                 except TASK_ERRORS:

@@ -23,7 +23,7 @@ miss:
   seconds.
 * :func:`run_streamed_tasks` — the bounded-window loop.  Each window is
   one :meth:`~repro.smd.plan.TaskResolver.resolve_window` step (hits
-  loaded, each cell's misses pulled in one stacked engine call, ``put`` in
+  loaded, the window's misses pulled in one stacked engine call, ``put`` in
   stream order); this module adds only what streaming owns — the cursor,
   the durable dead set, seeded per-task retries, dead-letter-queue
   degradation and the ``fault`` hook.
@@ -223,11 +223,11 @@ def run_streamed_tasks(
 
     At most ``window`` task descriptors are materialized at once; each
     window is one :meth:`~repro.smd.plan.TaskResolver.resolve_window` step
-    — store hits loaded, the misses of each planned cell present pulled in
-    one stacked engine call, everything ``put`` in stream order — after
-    which the durable cursor advances when the resolved prefix is
-    contiguous.  ``store=None`` runs the same loop with no membership and
-    no cursor: every task is computed.
+    — store hits loaded, the misses of the plan, whatever cells they belong
+    to, pulled in one stacked engine call, everything ``put`` in stream
+    order — after which the durable cursor advances when the resolved
+    prefix is contiguous.  ``store=None`` runs the same loop with no
+    membership and no cursor: every task is computed.
 
     Resume semantics: tasks below the cursor watermark are skipped without
     even computing their fingerprint (the cursor is only ever behind the

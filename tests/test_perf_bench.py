@@ -50,7 +50,7 @@ def leg(median_s):
 
 
 def ensemble_doc():
-    """A minimal valid ensemble document (schema v3)."""
+    """A minimal valid ensemble document (schema v4)."""
     return {
         "schema": SCHEMA_ENSEMBLE,
         "quick": True,
@@ -63,8 +63,15 @@ def ensemble_doc():
             "per_trajectory_wall": leg(4.0),
             "per_trajectory_batched_wall": leg(0.5),
         },
+        "window_row": {
+            "n_cells": 4,
+            "n_replicas": 64,
+            "per_cell_wall": leg(1.0),
+            "stacked_wall": leg(0.55),
+        },
         "batched_speedup": 1.4,
         "batched_speedup_per_trajectory": 8.0,
+        "cross_cell_speedup": 1.8,
         "deterministic": True,
         "metrics": {},
     }
@@ -110,7 +117,8 @@ class TestValidation:
             validate_bench_document(doc)
 
     def test_v1_ensemble_schema_rejected(self):
-        for old in ("repro.bench.ensemble/v1", "repro.bench.ensemble/v2"):
+        for old in ("repro.bench.ensemble/v1", "repro.bench.ensemble/v2",
+                    "repro.bench.ensemble/v3"):
             doc = ensemble_doc()
             doc["schema"] = old
             with pytest.raises(AnalysisError, match="unknown schema"):
@@ -126,6 +134,16 @@ class TestValidation:
         doc = ensemble_doc()
         doc["batched_speedup"] = 0.0
         with pytest.raises(AnalysisError, match="batched_speedup"):
+            validate_bench_document(doc)
+
+    def test_window_row_is_required(self):
+        doc = ensemble_doc()
+        del doc["window_row"]["stacked_wall"]
+        with pytest.raises(AnalysisError, match="stacked_wall"):
+            validate_bench_document(doc)
+        doc = ensemble_doc()
+        doc["cross_cell_speedup"] = 0.0
+        with pytest.raises(AnalysisError, match="cross_cell_speedup"):
             validate_bench_document(doc)
 
     def test_batched_section_needs_walls(self):
@@ -190,7 +208,7 @@ class TestCliBench:
 
         ensemble = load_bench_document(str(tmp_path / "BENCH_ensemble.json"))
         assert ensemble["deterministic"] is True
-        assert ensemble["schema"] == "repro.bench.ensemble/v3"
+        assert ensemble["schema"] == "repro.bench.ensemble/v4"
         assert ensemble["batched"]["n_replicas"] >= 16
         assert ensemble["per_shard_wall"]["repeats"] >= 2
         # Headline: against the default per-shard layout the stack saves
@@ -201,7 +219,12 @@ class TestCliBench:
         # the batched win.
         assert ensemble["batched_speedup"] > 0.0
         assert ensemble["batched_speedup_per_trajectory"] > 2.0
-        assert "batched ensemble" in out
+        # The cross-cell stack runs the longest cell's iterations instead
+        # of the sum over the row (~1.9x fewer): anything above break-even
+        # says the window step's stack still pays.
+        assert ensemble["window_row"]["n_replicas"] == 64
+        assert ensemble["cross_cell_speedup"] > 1.0
+        assert "batched ensemble" in out and "window row" in out
 
         adaptive = load_bench_document(str(tmp_path / "BENCH_adaptive.json"))
         assert adaptive["schema"] == "repro.bench.adaptive/v1"

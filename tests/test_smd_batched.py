@@ -15,6 +15,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import estimate_pmf
 from repro.errors import ConfigurationError
@@ -28,6 +29,7 @@ from repro.smd import (
     run_pulling_ensemble,
     run_pulling_ensemble_3d,
     run_pulling_groups,
+    run_pulling_stack,
     run_work_ensemble,
 )
 
@@ -235,3 +237,79 @@ class TestRunPullingGroups:
         with pytest.raises(ConfigurationError):
             run_pulling_groups(reduced_model, fast_protocol(),
                                [(stream_for(1, "g"), 2)], n_records=1)
+
+
+#: Cells of a mixed stack: every protocol field the engine turns into a
+#: per-replica vector or a per-cell clock, kept short enough (fast, short
+#: pulls) that the scalar oracle stays cheap.
+mixed_cells = st.lists(
+    st.tuples(
+        st.builds(
+            PullingProtocol,
+            kappa_pn=st.sampled_from([10.0, 100.0, 400.0, 1000.0]),
+            velocity=st.sampled_from([100.0, 150.0, 250.0, 400.0]),
+            distance=st.sampled_from([0.25, 0.5, 1.0]),
+            start_z=st.sampled_from([-2.0, -0.5, 0.0, 1.5]),
+            equilibration_ns=st.sampled_from([0.0, 0.0005, 0.002]),
+            direction=st.sampled_from(["forward", "reverse"]),
+        ),
+        st.lists(st.integers(2, 5), min_size=1, max_size=3),    # group sizes
+    ),
+    min_size=2, max_size=4, unique_by=lambda cell: cell[0])
+
+
+class TestCrossCellStack:
+    """One step loop for cells that differ in everything: each group of a
+    mixed stack equals the same group pulled alone and the scalar oracle,
+    and leaves its generator where a solo run leaves it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(cells=mixed_cells, exact=st.booleans(),
+           n_records=st.integers(2, 9), interleave=st.booleans())
+    def test_mixed_stack_equals_solo_and_oracle(self, cells, exact,
+                                                n_records, interleave):
+        model = ReducedTranslocationModel(default_reduced_potential())
+        kwargs = dict(n_records=n_records)
+        if exact:
+            kwargs["force_sample_time"] = None
+        layout = [(proto, (5, c, g), m) for c, (proto, sizes) in
+                  enumerate(cells) for g, m in enumerate(sizes)]
+        if interleave:          # cell-mates need not be adjacent on input
+            layout = layout[::2] + layout[1::2]
+        rngs = [stream_for(*key) for _proto, key, _m in layout]
+        stacked = run_pulling_stack(
+            model, [(proto, rng, m)
+                    for (proto, _key, m), rng in zip(layout, rngs)],
+            **kwargs)
+        assert len(stacked) == len(layout)
+        for (proto, key, m), rng, ensemble in zip(layout, rngs, stacked):
+            solo_rng = stream_for(*key)
+            [solo] = run_pulling_groups(model, proto, [(solo_rng, m)],
+                                        **kwargs)
+            assert_ensembles_identical(ensemble, solo)
+            assert_ensembles_identical(ensemble, run_pulling_ensemble(
+                model, proto, m, seed=stream_for(*key), kernel="reference",
+                **kwargs))
+            # The block draws never over-draw: a generator that drew one
+            # variate too many would be in a different state here.
+            assert rng.bit_generator.state == solo_rng.bit_generator.state
+
+    def test_span_names_a_protocol_only_when_it_has_one(self, reduced_model):
+        soft, stiff = fast_protocol(kappa_pn=10.0), fast_protocol()
+        obs = Obs()
+        run_pulling_stack(reduced_model, [(soft, stream_for(1, "a"), 2),
+                                          (stiff, stream_for(1, "b"), 3),
+                                          (soft, stream_for(1, "c"), 2)],
+                          n_records=5, obs=obs)
+        run_pulling_ensemble(reduced_model, stiff, 3, n_records=5, seed=4,
+                             obs=obs)
+        run_pulling_ensemble(reduced_model, stiff, 3, n_records=5, seed=4,
+                             obs=obs, kernel="reference")
+        mixed, one_cell, oracle = [
+            s.attrs for s in obs.tracer.named("smd.ensemble")]
+        assert mixed == dict(n_cells=2, n_groups=3, n_samples=7)
+        assert one_cell == oracle == dict(
+            n_cells=1, n_groups=1, n_samples=3, kappa_pn=stiff.kappa_pn,
+            velocity=stiff.velocity)
+        # Counters accumulate per group whatever the stack's shape.
+        assert obs.metrics.counter("smd.je_samples").value == 7 + 3 + 3

@@ -16,6 +16,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import repro.smd.ensemble as ensemble_module
 import repro.smd.plan as plan_module
 from repro.core import run_parameter_study
 from repro.errors import (
@@ -35,6 +36,7 @@ from repro.smd import (
     WorkEnsemble,
     cell_labels,
     run_pulling_ensemble,
+    run_pulling_stack,
     run_work_ensemble,
 )
 from repro.smd.plan import plan_tasks
@@ -100,6 +102,18 @@ def assert_same(a, b):
     np.testing.assert_array_equal(a.works, b.works)
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.displacements, b.displacements)
+
+
+def patch_engine(monkeypatch, bad, error):
+    """Make every engine call that carries a pull of ``bad`` raise
+    ``error`` — stacked (the plan's call) or alone (``compute()``)."""
+    def engine(model, pulls, **settings):
+        if any(protocol == bad for protocol, _rng, _m in pulls):
+            raise error
+        return run_pulling_stack(model, pulls, **settings)
+
+    monkeypatch.setattr(plan_module, "run_pulling_stack", engine)
+    monkeypatch.setattr(ensemble_module, "run_pulling_stack", engine)
 
 
 class TestBitIdentity:
@@ -204,11 +218,14 @@ class TestWindowStep:
 
     def test_mixed_window_equals_oracle_and_stacks_once_per_cell(
             self, tmp_path):
+        """(Once per *plan* since the cross-cell stack: cells ``a`` and
+        ``b`` of one plan share the window's one engine call.)"""
         obs = Obs()
         a, b, c = grid_protocols()[:3]
         settings = dict(seed=SEED, n_records=11, obs=obs)
-        cell_a = list(plan_tasks(model(), [(a, ("a",))], 3, 2, **settings))
-        cell_b = list(plan_tasks(model(), [(b, ("b",))], 2, 2, **settings))
+        cells = list(plan_tasks(model(), [(a, ("a",)), (b, ("b",))], 3, 2,
+                                **settings))
+        cell_a, cell_b = cells[:3], cells[3:5]
         [single] = plan_tasks(model(), [(c, ("c",))], 1, 1, **settings)
         hand_key = (SEED, "hand-built")
         hand_task = dict(cell_a[0].task, seed_key=list(hand_key))
@@ -231,12 +248,69 @@ class TestWindowStep:
             n = 1 if proto is c else 2
             assert_same(report.results[task.index],
                         oracle(proto, task.key, n))
-        # One engine call per cell for the stacked members (the duplicate
-        # was never planned), then the one-replica plan task alone; the
-        # hand-built task carries no obs.
-        assert [(s.attrs["n_groups"], s.attrs["n_samples"])
-                for s in obs.tracer.named("smd.ensemble")] == [
-                    (2, 4), (2, 4), (1, 1)]
+        # One engine call for the plan's stacked members, both cells in it
+        # (the duplicate was never planned), then the one-replica plan task
+        # alone; the hand-built task carries no obs.
+        spans = obs.tracer.named("smd.ensemble")
+        assert [(s.attrs["n_cells"], s.attrs["n_groups"],
+                 s.attrs["n_samples"]) for s in spans] == [
+                     (2, 4, 8), (1, 1, 1)]
+        # A span names a protocol only when it has exactly one.
+        assert "kappa_pn" not in spans[0].attrs
+        assert (spans[1].attrs["kappa_pn"], spans[1].attrs["velocity"]) == (
+            c.kappa_pn, c.velocity)
+
+    def test_kappa_row_window_is_one_engine_call(self):
+        """The Fig. 4 shape: a 16-task window holding the four cells of one
+        kappa row opens exactly one ``smd.ensemble`` span."""
+        obs = Obs()
+        row = [PullingProtocol(kappa_pn=1000.0, velocity=v, distance=0.5,
+                               equilibration_ns=0.001)
+               for v in (12.5, 25.0, 50.0, 100.0)]
+        merged, report = run_streamed_study(
+            model(), row, n_samples=16, samples_per_task=4, seed=SEED,
+            store=None, window=16, n_records=5, obs=obs)
+        assert report.computed == 16
+        [span] = obs.tracer.named("smd.ensemble")
+        assert (span.attrs["n_cells"], span.attrs["n_groups"],
+                span.attrs["n_samples"]) == (4, 16, 64)
+        assert obs.metrics.counter("smd.je_samples").value == 64
+        for proto in row:
+            assert_same(merged[cell_labels(proto)], reduce(
+                WorkEnsemble.merged_with, (run_pulling_ensemble(
+                    model(), proto, 4, n_records=5, kernel="reference",
+                    seed=stream_for(SEED, *cell_labels(proto), "task", t))
+                    for t in range(4))))
+
+    def test_two_plans_in_one_window_never_stack_into_each_other(self):
+        """Tasks stack by the identity of their plan: a different model
+        object or ``n_records`` is a different engine call, even for the
+        same cell in the same window."""
+        obs = Obs()
+        a, b = grid_protocols()[:2]
+        cells = [(a, ("a",)), (b, ("b",))]
+        again = [(a, ("a", "again")), (b, ("b", "again"))]
+        plans = [
+            plan_tasks(model(), cells, 1, 2, seed=SEED, n_records=11,
+                       obs=obs),
+            plan_tasks(model(), again, 1, 2, seed=SEED, n_records=11,
+                       obs=obs),                    # another model object
+            plan_tasks(model(), cells, 1, 2, seed=SEED, n_records=7,
+                       obs=obs),
+        ]
+        window = [task for round_ in zip(*plans) for task in round_]
+        window = [replace(t, index=i) for i, t in enumerate(window)]
+        report = run_streamed_tasks(window, store=None, window=len(window),
+                                    obs=obs)
+        assert report.computed == 6
+        assert [(s.attrs["n_cells"], s.attrs["n_groups"])
+                for s in obs.tracer.named("smd.ensemble")] == [(2, 2)] * 3
+        for task in window:
+            proto = a if task.cell[0] == "a" else b
+            n_records = report.results[task.index].works.shape[1]
+            assert_same(report.results[task.index], run_pulling_ensemble(
+                model(), proto, 2, n_records=n_records,
+                seed=stream_for(*task.key), kernel="reference"))
 
     def test_poisoned_index_inside_a_stacked_group(self, tmp_path):
         """Counters, DLQ entries and surviving records pinned from the
@@ -271,11 +345,12 @@ class TestWindowStep:
         own compute(), so only the bad task is retried and dead-lettered."""
         stacked_calls = []
 
-        def blow_up(model, protocol, groups, **settings):
-            stacked_calls.append(len(groups))
+        def blow_up(model, pulls, **settings):
+            stacked_calls.append(
+                (len({protocol for protocol, _rng, _m in pulls}), len(pulls)))
             raise FloatingPointError("overflow in the stacked step loop")
 
-        monkeypatch.setattr(plan_module, "run_pulling_groups", blow_up)
+        monkeypatch.setattr(plan_module, "run_pulling_stack", blow_up)
 
         def boom():
             raise FloatingPointError("task 2 overflows alone, too")
@@ -287,7 +362,7 @@ class TestWindowStep:
         report = run_streamed_tasks(
             tasks, store=store, window=4, dlq=dlq,
             retry=RetryPolicy(max_attempts=3, base_delay=1e-6))
-        assert stacked_calls == [2, 2, 2, 2]    # once per (cell, window)
+        assert stacked_calls == [(2, 4), (2, 4)]    # once per window
         assert (report.computed, report.retries, report.dead_lettered) == (
             7, 2, 1)
         [entry] = dlq.entries()
@@ -299,6 +374,38 @@ class TestWindowStep:
             if task.index != 2:
                 assert_same(report.results[task.index],
                             oracle(proto, task.key))
+
+    def test_failing_cell_inside_a_cross_cell_stack(self, tmp_path,
+                                                    monkeypatch):
+        """One cell of the window's stack overflows: the stacked call is
+        abandoned, that cell's tasks retry and dead-letter alone, and the
+        other cells' records are byte for byte those of a clean run —
+        counters and DLQ entries pinned from the one-call-per-cell step."""
+        bad = grid_protocols()[1]
+        patch_engine(monkeypatch, bad,
+                     FloatingPointError("overflow in the step loop"))
+        store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
+        dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"), sync=False)
+        merged, report = run_windowed(
+            store, 8, dlq=dlq,
+            retry=RetryPolicy(max_attempts=3, base_delay=1e-6))
+        assert (report.total, report.hits, report.computed, report.retries,
+                report.dead_lettered) == (8, 0, 6, 4, 2)
+        assert sorted(report.failures) == [2, 3]
+        assert [(e["task_key"], e["reason"], e["attempts"], e["last_error"])
+                for e in dlq.entries()] == [
+            ([SEED, *cell_labels(bad), "task", t], "retry-exhausted", 3,
+             "FloatingPointError: overflow in the step loop")
+            for t in range(2)]
+        assert cell_labels(bad) not in merged and len(merged) == 3
+        monkeypatch.undo()
+        clean = ResultStore(os.fspath(tmp_path / "clean"), sync=False)
+        run_windowed(clean, 8)
+        assert len(store) == 6 and len(clean) == 8
+        for fingerprint in store.fingerprints():
+            with open(store.path_for(fingerprint), "rb") as ours, \
+                    open(clean.path_for(fingerprint), "rb") as theirs:
+                assert ours.read() == theirs.read()
 
     def test_interrupt_inside_a_stacked_window(self, tmp_path):
         """CampaignInterrupted at task k: exactly the tasks before k are
@@ -515,18 +622,9 @@ class TestDegradedCompletion:
         """Regression: ``dlq=`` / ``retry=`` used to be read only on the
         ``window=N`` branch, so ``campaign --store D --dlq`` raised out of
         a terminally failing pull instead of dead-lettering it."""
-        import repro.smd.ensemble as ensemble_module
-        from repro.smd.batched import run_pulling_groups
-
         bad = grid_protocols()[1]
-
-        def engine(model, protocol, groups, **settings):
-            if protocol == bad:
-                raise SimulationError("this cell blows up in the engine")
-            return run_pulling_groups(model, protocol, groups, **settings)
-
-        monkeypatch.setattr(plan_module, "run_pulling_groups", engine)
-        monkeypatch.setattr(ensemble_module, "run_pulling_groups", engine)
+        patch_engine(monkeypatch, bad,
+                     SimulationError("this cell blows up in the engine"))
         store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
         dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"), sync=False)
         study = run_study(store, dlq=dlq,
