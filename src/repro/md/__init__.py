@@ -8,7 +8,11 @@ Public surface:
   external fields, restraints, steering forces.
 * Integrators: velocity Verlet, Langevin BAOAB, Brownian dynamics.
 * :class:`~repro.md.engine.Simulation` — the engine with reporters,
-  steering attachment and checkpoint/clone.
+  steering attachment and checkpoint/clone.  The one engine: it drives a
+  :class:`ParticleSystem` or, built by :func:`~repro.md.batch.stack_simulations`,
+  a :class:`~repro.md.batch.ReplicaBatch` of R stacked replicas through
+  the same force terms and integrators (one vectorised body each, over an
+  optional leading replica axis, plus a ``"reference"`` scalar oracle).
 """
 
 from .system import ParticleSystem
@@ -26,16 +30,14 @@ from .external import (
 from .kernels import (
     KERNELS,
     accumulate_pair_forces,
-    accumulate_pair_forces_batched,
     scatter_add,
-    scatter_add_batched,
     validate_kernel,
 )
 from .neighborlist import NeighborList
 from .integrators import VelocityVerlet, LangevinBAOAB, BrownianDynamics
 from .trajectory import Frame, Trajectory, ObservableRecorder
 from .engine import Simulation
-from .batch import ReplicaBatch, BatchedSimulation
+from .batch import ReplicaBatch, stack_simulations
 from .checkpoint import capture, restore, checkpoint_size_bytes
 
 __all__ = [
@@ -60,11 +62,9 @@ __all__ = [
     "validate_kernel",
     "scatter_add",
     "accumulate_pair_forces",
-    "scatter_add_batched",
-    "accumulate_pair_forces_batched",
     "NeighborList",
     "ReplicaBatch",
-    "BatchedSimulation",
+    "stack_simulations",
     "VelocityVerlet",
     "LangevinBAOAB",
     "BrownianDynamics",

@@ -11,17 +11,28 @@ the hooks the rest of the reproduction relies on:
   through the client side API" without refactoring the MD loop;
 * *checkpoint / clone* — capture/restore/branch, backing the RealityGrid
   checkpoint-tree features.
+
+One engine drives one system or many: ``system`` is a
+:class:`~repro.md.system.ParticleSystem` (``(N, 3)`` arrays, float
+energies) or a :class:`~repro.md.batch.ReplicaBatch` — R independent
+replicas of one system stacked along a leading axis (``(R, N, 3)`` arrays,
+``(R,)`` energies) — through the same force loop, integrator step and
+reporters; see :mod:`repro.md.batch`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from . import checkpoint as ckpt
+from .kernels import Energy, per_replica
 from .system import ParticleSystem
+
+if TYPE_CHECKING:
+    from .batch import ReplicaBatch
 
 __all__ = ["Simulation"]
 
@@ -34,10 +45,15 @@ class Simulation:
     Parameters
     ----------
     system:
-        Particle state; mutated in place as the simulation advances.
+        Particle state; mutated in place as the simulation advances.  A
+        :class:`~repro.md.batch.ReplicaBatch` makes every step advance all
+        its replicas at once; minimisation, steering, ``total_energy`` and
+        checkpoint/clone are single-system features.
     forces:
         Sequence of force terms implementing
-        :class:`repro.md.forces.Force`.
+        :class:`repro.md.forces.Force`.  In a stack, terms marked
+        ``stackable`` evaluate all replicas per call; any other term runs
+        once per replica — slower, numerically identical.
     integrator:
         One of the integrators from :mod:`repro.md.integrators`.
     validate_every:
@@ -46,7 +62,7 @@ class Simulation:
 
     def __init__(
         self,
-        system: ParticleSystem,
+        system: Union[ParticleSystem, ReplicaBatch],
         forces: Sequence,
         integrator,
         validate_every: int = 1000,
@@ -59,9 +75,9 @@ class Simulation:
         self.validate_every = int(validate_every)
         self.step_count = 0
         self.time = 0.0
-        self.potential_energy = 0.0
+        self.potential_energy: Energy = 0.0
         self.reporters: List[Reporter] = []
-        self._force_buffer = np.zeros((system.n, 3), dtype=np.float64)
+        self._force_buffer = np.zeros_like(system.positions)
         self._forces_current = False
         # Steering attachment (optional; set via attach_steering).
         self._steering_client = None
@@ -89,12 +105,15 @@ class Simulation:
 
     # -- force evaluation ----------------------------------------------------
 
-    def compute_forces(self, positions: np.ndarray, out: np.ndarray) -> float:
+    def compute_forces(self, positions: np.ndarray, out: np.ndarray) -> Energy:
         """Sum all force terms into ``out`` (zeroed by the caller);
-        returns the total potential energy."""
-        energy = 0.0
+        returns the total potential energy (``(R,)`` for a stack)."""
+        energy: Energy = 0.0
         for force in self.forces:
-            energy += force.compute(positions, out)
+            if getattr(force, "stackable", False):
+                energy = energy + force.compute(positions, out)
+            else:
+                energy = energy + per_replica(force.compute, positions, out)
         return energy
 
     def _ensure_forces(self) -> None:
@@ -107,8 +126,9 @@ class Simulation:
             self._forces_current = True
 
     def invalidate_caches(self) -> None:
-        """Invalidate cached forces and neighbor lists after a discontinuous
-        state change (checkpoint restore, direct position edits)."""
+        """Invalidate cached forces and neighbor lists (each replica's
+        clone included) after a discontinuous state change (checkpoint
+        restore, direct position edits)."""
         self._forces_current = False
         for force in self.forces:
             nl = getattr(force, "neighbor_list", None)

@@ -2,7 +2,10 @@
 
 These adapt field-like potentials — the hemolysin pore, the membrane slab,
 positional restraints, steering forces from the interactive visualizer — to
-the :class:`~repro.md.forces.Force` interface.
+the :class:`~repro.md.forces.Force` interface.  Fields and selections are
+arbitrary, so every term here is written for ``(N, 3)`` positions only; in
+a replica stack the engine evaluates it once per replica
+(:func:`~repro.md.kernels.per_replica`), each replica seeing the solo call.
 """
 
 from __future__ import annotations
@@ -49,19 +52,6 @@ class ExternalFieldForce:
             energy, f = self.field.energy_and_forces(positions[self._indices])
             np.add.at(forces, self._indices, f)
         return float(energy)
-
-    def compute_batched(self, positions: np.ndarray, forces: np.ndarray) -> np.ndarray:
-        """Replica-batched evaluation over ``(R, N, 3)``; ``(R,)`` energies.
-
-        Fields are arbitrary callables, so this simply applies ``compute``
-        per replica — each replica sees the identical single-system call,
-        which is what keeps batched execution bit-identical.
-        """
-        n_replicas = positions.shape[0]
-        energies = np.empty(n_replicas, dtype=np.float64)
-        for r in range(n_replicas):
-            energies[r] = self.compute(positions[r], forces[r])
-        return energies
 
 
 class HarmonicRestraintForce:

@@ -8,7 +8,12 @@ the per-step allocation count constant, per the hpc-parallel guides.
 Bonded terms come in two selectable kernels (see :mod:`repro.md.kernels`):
 the default ``"vectorized"`` kernel evaluates all bonds/angles as one batch
 with bincount scatter-adds, the ``"reference"`` kernel walks them one at a
-time in plain Python as the correctness oracle.
+time in plain Python as the correctness oracle.  The vectorised body is
+written once over an optional leading replica axis: ``(N, 3)`` positions
+give a float energy, an ``(R, N, 3)`` stack gives ``(R,)`` energies, and
+replica ``r`` of a stack is bit-identical to the solo evaluation of its
+rows (elementwise expressions, the flattening scatter, and the per-row
+energy reduction of :func:`~repro.md.kernels.weighted_sums`).
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
 from .kernels import (
+    Energy,
     accumulate_pair_forces,
-    accumulate_pair_forces_batched,
+    no_energy,
+    per_replica,
     scatter_add,
-    scatter_add_batched,
     validate_kernel,
+    weighted_sums,
 )
 from .topology import Topology
 
@@ -32,9 +39,15 @@ __all__ = ["Force", "HarmonicBondForce", "FENEBondForce", "HarmonicAngleForce"]
 
 
 class Force(Protocol):
-    """Protocol for all force terms (bonded, nonbonded, external, SMD)."""
+    """Protocol for all force terms (bonded, nonbonded, external, SMD).
 
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
+    A term whose ``compute`` also takes an ``(R, N, 3)`` stack (returning
+    ``(R,)`` energies) says so with a class attribute ``stackable = True``;
+    any other term — a user's own included — only ever sees ``(N, 3)``:
+    the engine evaluates it once per replica.
+    """
+
+    def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         """Accumulate forces (kcal/mol/A) into ``forces`` and return the
         potential energy (kcal/mol) of this term."""
         ...
@@ -48,6 +61,8 @@ class HarmonicBondForce:
     loop (``"reference"``) implementation.
     """
 
+    stackable = True
+
     def __init__(self, topology: Topology, kernel: str = "vectorized") -> None:
         self._i = topology.bonds[:, 0]
         self._j = topology.bonds[:, 1]
@@ -57,19 +72,19 @@ class HarmonicBondForce:
         if np.any(self._k < 0.0):
             raise ConfigurationError("bond stiffness must be non-negative")
 
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
+    def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         if self._i.size == 0:
-            return 0.0
+            return no_energy(positions)
         if self.kernel == "reference":
-            return self._compute_reference(positions, forces)
-        dr = positions[self._j] - positions[self._i]
-        r = np.sqrt(np.einsum("ij,ij->i", dr, dr))
+            return per_replica(self._compute_reference, positions, forces)
+        dr = positions[..., self._j, :] - positions[..., self._i, :]
+        r = np.sqrt(np.einsum("...ij,...ij->...i", dr, dr))
         stretch = r - self._r0
-        energy = float(0.5 * np.dot(self._k, stretch**2))
+        energy = 0.5 * weighted_sums(self._k, stretch**2)
         # F_j = -k (r - r0) * dr/r ; guard r=0 (overlapping bonded beads).
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.where(r > 0.0, -self._k * stretch / r, 0.0)
-        fij = dr * scale[:, None]
+        fij = dr * scale[..., None]
         accumulate_pair_forces(forces, self._i, self._j, fij)
         return energy
 
@@ -89,30 +104,6 @@ class HarmonicBondForce:
             forces[i] -= fij
         return energy
 
-    def compute_batched(self, positions: np.ndarray, forces: np.ndarray) -> np.ndarray:
-        """Replica-batched evaluation over ``(R, N, 3)`` positions.
-
-        Returns the ``(R,)`` per-replica energies.  Replica ``r`` is
-        bit-identical to ``compute(positions[r], forces[r])`` under the
-        vectorized kernel: force expressions are elementwise broadcasts and
-        the scatter flattens the replica axis (same bincount order), while
-        energies use the same per-replica ``np.dot`` reduction.
-        """
-        n_replicas = positions.shape[0]
-        if self._i.size == 0:
-            return np.zeros(n_replicas, dtype=np.float64)
-        dr = positions[:, self._j] - positions[:, self._i]
-        r = np.sqrt(np.einsum("rij,rij->ri", dr, dr))
-        stretch = r - self._r0
-        stretch2 = stretch**2
-        energies = np.empty(n_replicas, dtype=np.float64)
-        for b in range(n_replicas):
-            energies[b] = float(0.5 * np.dot(self._k, stretch2[b]))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(r > 0.0, -self._k * stretch / r, 0.0)
-        fij = dr * scale[:, :, None]
-        accumulate_pair_forces_batched(forces, self._i, self._j, fij)
-        return energies
 
     def bond_lengths(self, positions: np.ndarray) -> np.ndarray:
         """Current bond lengths (used by the Fig. 3 stretch analysis)."""
@@ -129,8 +120,13 @@ class FENEBondForce:
     constriction (paper Fig. 3) without breaking.
 
     Per-bond parameters from the topology are interpreted as ``(k, rmax)``.
-    ``kernel`` selects the batched or per-bond implementation.
+    ``kernel`` selects the batched or per-bond implementation.  One
+    divergence of a stack from per-replica runs: if *any* replica stretches
+    a bond beyond ``rmax`` the whole stacked call raises, where solo
+    execution would only fail the exploded replica.
     """
+
+    stackable = True
 
     def __init__(self, topology: Topology, kernel: str = "vectorized") -> None:
         self._i = topology.bonds[:, 0]
@@ -141,20 +137,20 @@ class FENEBondForce:
         if np.any(self._rmax <= 0.0):
             raise ConfigurationError("FENE rmax must be positive")
 
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
+    def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         if self._i.size == 0:
-            return 0.0
+            return no_energy(positions)
         if self.kernel == "reference":
-            return self._compute_reference(positions, forces)
-        dr = positions[self._j] - positions[self._i]
-        r2 = np.einsum("ij,ij->i", dr, dr)
+            return per_replica(self._compute_reference, positions, forces)
+        dr = positions[..., self._j, :] - positions[..., self._i, :]
+        r2 = np.einsum("...ij,...ij->...i", dr, dr)
         x = r2 / self._rmax**2
         if np.any(x >= 1.0):
             raise SimulationError("FENE bond stretched beyond rmax (system exploded)")
-        energy = float(-0.5 * np.dot(self._k * self._rmax**2, np.log1p(-x)))
+        energy = -0.5 * weighted_sums(self._k * self._rmax**2, np.log1p(-x))
         # F_j = -k r / (1 - x) * unit(dr)  ->  coefficient on dr is -k/(1-x).
         coeff = -self._k / (1.0 - x)
-        fij = dr * coeff[:, None]
+        fij = dr * coeff[..., None]
         accumulate_pair_forces(forces, self._i, self._j, fij)
         return energy
 
@@ -179,32 +175,6 @@ class FENEBondForce:
             forces[i] -= fij
         return energy
 
-    def compute_batched(self, positions: np.ndarray, forces: np.ndarray) -> np.ndarray:
-        """Replica-batched evaluation; returns ``(R,)`` per-replica energies.
-
-        Bit-identical per replica to the vectorized ``compute``.  One
-        documented divergence: if *any* replica stretches a bond beyond
-        ``rmax`` the whole batched call raises, whereas per-replica
-        execution would only fail the exploded replica.
-        """
-        n_replicas = positions.shape[0]
-        if self._i.size == 0:
-            return np.zeros(n_replicas, dtype=np.float64)
-        dr = positions[:, self._j] - positions[:, self._i]
-        r2 = np.einsum("rij,rij->ri", dr, dr)
-        x = r2 / self._rmax**2
-        if np.any(x >= 1.0):
-            raise SimulationError("FENE bond stretched beyond rmax (system exploded)")
-        krm2 = self._k * self._rmax**2
-        log_term = np.log1p(-x)
-        energies = np.empty(n_replicas, dtype=np.float64)
-        for b in range(n_replicas):
-            energies[b] = float(-0.5 * np.dot(krm2, log_term[b]))
-        coeff = -self._k / (1.0 - x)
-        fij = dr * coeff[:, :, None]
-        accumulate_pair_forces_batched(forces, self._i, self._j, fij)
-        return energies
-
 
 class HarmonicAngleForce:
     """Harmonic angle bending: ``U = 0.5 k (theta - theta0)^2``.
@@ -212,6 +182,8 @@ class HarmonicAngleForce:
     Provides chain stiffness (persistence length) for the CG ssDNA.
     ``kernel`` selects the batched or per-angle implementation.
     """
+
+    stackable = True
 
     def __init__(self, topology: Topology, kernel: str = "vectorized") -> None:
         self._i = topology.angles[:, 0]
@@ -221,20 +193,20 @@ class HarmonicAngleForce:
         self._t0 = topology.angle_params[:, 1]
         self.kernel = validate_kernel(kernel)
 
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
+    def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         if self._i.size == 0:
-            return 0.0
+            return no_energy(positions)
         if self.kernel == "reference":
-            return self._compute_reference(positions, forces)
-        rij = positions[self._i] - positions[self._j]
-        rkj = positions[self._k] - positions[self._j]
-        nij = np.sqrt(np.einsum("ij,ij->i", rij, rij))
-        nkj = np.sqrt(np.einsum("ij,ij->i", rkj, rkj))
-        cos_t = np.einsum("ij,ij->i", rij, rkj) / (nij * nkj)
+            return per_replica(self._compute_reference, positions, forces)
+        rij = positions[..., self._i, :] - positions[..., self._j, :]
+        rkj = positions[..., self._k, :] - positions[..., self._j, :]
+        nij = np.sqrt(np.einsum("...ij,...ij->...i", rij, rij))
+        nkj = np.sqrt(np.einsum("...ij,...ij->...i", rkj, rkj))
+        cos_t = np.einsum("...ij,...ij->...i", rij, rkj) / (nij * nkj)
         cos_t = np.clip(cos_t, -1.0, 1.0)
         theta = np.arccos(cos_t)
         dtheta = theta - self._t0
-        energy = float(0.5 * np.dot(self._kt, dtheta**2))
+        energy = 0.5 * weighted_sums(self._kt, dtheta**2)
 
         # dU/dtheta, with the sin(theta) singularity regularized: collinear
         # configurations exert no restoring torque direction anyway.
@@ -242,47 +214,15 @@ class HarmonicAngleForce:
         dU = self._kt * dtheta
         # Gradient of theta w.r.t. end points: dtheta/dr_i =
         # -(u_k - cos u_i)/(|r_ij| sin), so F_i = +dU (u_k - cos u_i)/(|r_ij| sin).
-        ui = rij / nij[:, None]
-        uk = rkj / nkj[:, None]
-        fi = (dU / (nij * sin_t))[:, None] * (uk - cos_t[:, None] * ui)
-        fk = (dU / (nkj * sin_t))[:, None] * (ui - cos_t[:, None] * uk)
+        ui = rij / nij[..., None]
+        uk = rkj / nkj[..., None]
+        fi = (dU / (nij * sin_t))[..., None] * (uk - cos_t[..., None] * ui)
+        fk = (dU / (nkj * sin_t))[..., None] * (ui - cos_t[..., None] * uk)
         scatter_add(forces, self._i, fi)
         scatter_add(forces, self._k, fk)
         scatter_add(forces, self._j, -(fi + fk))
         return energy
 
-    def compute_batched(self, positions: np.ndarray, forces: np.ndarray) -> np.ndarray:
-        """Replica-batched evaluation; returns ``(R,)`` per-replica energies.
-
-        Bit-identical per replica to the vectorized ``compute`` (same
-        elementwise expressions, same scatter order, same per-replica
-        ``np.dot`` energy reduction)."""
-        n_replicas = positions.shape[0]
-        if self._i.size == 0:
-            return np.zeros(n_replicas, dtype=np.float64)
-        rij = positions[:, self._i] - positions[:, self._j]
-        rkj = positions[:, self._k] - positions[:, self._j]
-        nij = np.sqrt(np.einsum("rij,rij->ri", rij, rij))
-        nkj = np.sqrt(np.einsum("rij,rij->ri", rkj, rkj))
-        cos_t = np.einsum("rij,rij->ri", rij, rkj) / (nij * nkj)
-        cos_t = np.clip(cos_t, -1.0, 1.0)
-        theta = np.arccos(cos_t)
-        dtheta = theta - self._t0
-        dtheta2 = dtheta**2
-        energies = np.empty(n_replicas, dtype=np.float64)
-        for b in range(n_replicas):
-            energies[b] = float(0.5 * np.dot(self._kt, dtheta2[b]))
-
-        sin_t = np.sqrt(np.maximum(1.0 - cos_t**2, 1e-12))
-        dU = self._kt * dtheta
-        ui = rij / nij[:, :, None]
-        uk = rkj / nkj[:, :, None]
-        fi = (dU / (nij * sin_t))[:, :, None] * (uk - cos_t[:, :, None] * ui)
-        fk = (dU / (nkj * sin_t))[:, :, None] * (ui - cos_t[:, :, None] * uk)
-        scatter_add_batched(forces, self._i, fi)
-        scatter_add_batched(forces, self._k, fk)
-        scatter_add_batched(forces, self._j, -(fi + fk))
-        return energies
 
     def _compute_reference(self, positions: np.ndarray, forces: np.ndarray) -> float:
         """One angle at a time (oracle)."""

@@ -11,20 +11,27 @@ Three integrators cover the regimes the reproduction needs:
   reduced 1-D translocation model (Fig. 4 parameter study) runs in this
   regime, but the 3-D variant is also available for strongly damped CG runs.
 
-All integrators mutate the :class:`~repro.md.system.ParticleSystem` arrays
-in place and are vectorized over particles.  The force callback returns the
-potential energy so engines can track totals without a second evaluation.
+All integrators mutate the state arrays in place and are vectorized over
+particles — and over an optional leading replica axis: ``step`` takes a
+:class:`~repro.md.system.ParticleSystem` (``(N, 3)`` arrays) or a
+:class:`~repro.md.batch.ReplicaBatch` (``(R, N, 3)``), every update being an
+elementwise broadcast of the same ``(N, 1)`` per-particle factors, so a
+stack row is bit-identical to stepping that replica alone.  Thermal noise
+is filled row by row from the state's generators (:func:`_thermal_noise`).
+The force callback returns the potential energy (a float, or ``(R,)`` per
+replica) so engines can track totals without a second evaluation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, as_generator
 from ..units import KB, ROOM_TEMPERATURE
+from .kernels import Energy
 from .system import ParticleSystem
 
 if TYPE_CHECKING:
@@ -32,11 +39,29 @@ if TYPE_CHECKING:
 
 __all__ = ["VelocityVerlet", "LangevinBAOAB", "BrownianDynamics"]
 
-# Force callback signature: fills the (n, 3) force array, returns energy.
-ForceCallback = Callable[[np.ndarray, np.ndarray], float]
+# The state an integrator advances: one system or a stack of replicas.
+State = Union[ParticleSystem, "ReplicaBatch"]
 
-# Batched variant: fills the (R, n, 3) force array, returns (R,) energies.
-BatchedForceCallback = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# Force callback signature: fills the force array (shaped like the
+# positions), returns the energy (one per replica for a stack).
+ForceCallback = Callable[[np.ndarray, np.ndarray], Energy]
+
+
+def _thermal_noise(state: State, rng: np.random.Generator,
+                   shape: tuple) -> np.ndarray:
+    """Standard-normal noise of ``shape``, filled row by row.
+
+    A stack carries one generator per replica (``state.rngs``) and row
+    ``r`` is drawn from the ``r``-th; a solo system is the one-row case,
+    drawn from the integrator's own ``rng``.  A contiguous ``out=`` fill
+    yields the variates of a fresh allocation of that row, so a stack row
+    consumes its stream exactly as the solo run of that replica does.
+    """
+    rngs = getattr(state, "rngs", None) or [rng]
+    noise = np.empty(shape, dtype=np.float64)
+    for row, row_rng in zip(noise.reshape(len(rngs), -1), rngs):
+        row_rng.standard_normal(out=row)
+    return noise
 
 
 class VelocityVerlet:
@@ -55,13 +80,14 @@ class VelocityVerlet:
 
     def step(
         self,
-        system: ParticleSystem,
+        system: State,
         compute_forces: ForceCallback,
         forces: np.ndarray,
-    ) -> float:
+    ) -> Energy:
         """Advance one step; ``forces`` must hold forces at the current
         positions on entry and holds forces at the new positions on exit.
-        Returns the potential energy at the new positions."""
+        Returns the potential energy at the new positions.  The ``(N, 1)``
+        inverse-mass factor broadcasts over a leading replica axis."""
         dt = self.dt
         inv_m = 1.0 / system.kinetic_masses[:, None]
         v, x = system.velocities, system.positions
@@ -71,29 +97,6 @@ class VelocityVerlet:
         energy = compute_forces(x, forces)
         v += 0.5 * dt * forces * inv_m
         return energy
-
-    def step_batched(
-        self,
-        batch: "ReplicaBatch",
-        compute_forces: BatchedForceCallback,
-        forces: np.ndarray,
-    ) -> np.ndarray:
-        """Advance one step for all replicas; returns ``(R,)`` energies.
-
-        The ``(N, 1)`` inverse-mass factor broadcasts over the replica
-        axis, so each replica's update is the identical elementwise
-        expression as :meth:`step` — batched state is bit-identical to
-        per-replica stepping.
-        """
-        dt = self.dt
-        inv_m = 1.0 / batch.kinetic_masses[:, None]
-        v, x = batch.velocities, batch.positions
-        v += 0.5 * dt * forces * inv_m
-        x += dt * v
-        forces[:] = 0.0
-        energies = compute_forces(x, forces)
-        v += 0.5 * dt * forces * inv_m
-        return energies
 
 
 class LangevinBAOAB:
@@ -134,10 +137,10 @@ class LangevinBAOAB:
 
     def step(
         self,
-        system: ParticleSystem,
+        system: State,
         compute_forces: ForceCallback,
         forces: np.ndarray,
-    ) -> float:
+    ) -> Energy:
         dt = self.dt
         inv_m = 1.0 / system.kinetic_masses[:, None]
         sigma_v = np.sqrt(KB * self.temperature / system.kinetic_masses)[:, None]
@@ -148,7 +151,7 @@ class LangevinBAOAB:
         x += 0.5 * dt * v
         # O (Ornstein-Uhlenbeck exact update)
         v *= self._c1
-        v += self._c2 * sigma_v * self.rng.standard_normal(v.shape)
+        v += self._c2 * sigma_v * _thermal_noise(system, self.rng, v.shape)
         # A (half drift)
         x += 0.5 * dt * v
         # B (half kick) with fresh forces
@@ -156,36 +159,6 @@ class LangevinBAOAB:
         energy = compute_forces(x, forces)
         v += 0.5 * dt * forces * inv_m
         return energy
-
-    def step_batched(
-        self,
-        batch: "ReplicaBatch",
-        compute_forces: BatchedForceCallback,
-        forces: np.ndarray,
-    ) -> np.ndarray:
-        """Advance one BAOAB step for all replicas; returns ``(R,)`` energies.
-
-        O-step noise is drawn per replica from ``batch.rngs[r]`` into a
-        contiguous row of the noise buffer — the same generator and the
-        same number of variates as per-replica stepping, so trajectories
-        are bit-identical to ``step`` with the corresponding stream.
-        """
-        dt = self.dt
-        inv_m = 1.0 / batch.kinetic_masses[:, None]
-        sigma_v = np.sqrt(KB * self.temperature / batch.kinetic_masses)[:, None]
-        v, x = batch.velocities, batch.positions
-        v += 0.5 * dt * forces * inv_m
-        x += 0.5 * dt * v
-        v *= self._c1
-        noise = np.empty_like(v)
-        for r, rng in enumerate(batch.rngs):
-            rng.standard_normal(out=noise[r])
-        v += self._c2 * sigma_v * noise
-        x += 0.5 * dt * v
-        forces[:] = 0.0
-        energies = compute_forces(x, forces)
-        v += 0.5 * dt * forces * inv_m
-        return energies
 
 
 class BrownianDynamics:
@@ -230,38 +203,15 @@ class BrownianDynamics:
 
     def step(
         self,
-        system: ParticleSystem,
+        system: State,
         compute_forces: ForceCallback,
         forces: np.ndarray,
-    ) -> float:
+    ) -> Energy:
         dt = self.dt
         mob = self.mobility()
         noise_scale = np.sqrt(2.0 * KB * self.temperature * dt * mob)
         x = system.positions
         x += forces * mob * dt
-        x += noise_scale * self.rng.standard_normal(x.shape)
-        forces[:] = 0.0
-        return compute_forces(x, forces)
-
-    def step_batched(
-        self,
-        batch: "ReplicaBatch",
-        compute_forces: BatchedForceCallback,
-        forces: np.ndarray,
-    ) -> np.ndarray:
-        """Advance one overdamped step for all replicas; ``(R,)`` energies.
-
-        Per-replica noise comes from ``batch.rngs[r]`` (same stream layout
-        as per-replica stepping), the drift term broadcasts the shared
-        mobility over the replica axis."""
-        dt = self.dt
-        mob = self.mobility()
-        noise_scale = np.sqrt(2.0 * KB * self.temperature * dt * mob)
-        x = batch.positions
-        x += forces * mob * dt
-        noise = np.empty_like(x)
-        for r, rng in enumerate(batch.rngs):
-            rng.standard_normal(out=noise[r])
-        x += noise_scale * noise
+        x += noise_scale * _thermal_noise(system, self.rng, x.shape)
         forces[:] = 0.0
         return compute_forces(x, forces)

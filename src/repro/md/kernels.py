@@ -14,13 +14,16 @@ selected by a ``kernel=`` constructor argument:
     oracle the equivalence tests compare the vectorized kernels against,
     and the baseline ``python -m repro bench`` measures speedups over.
 
-Replica batching is *not* a third kernel: a force term additionally offers
-``compute_batched`` (see :mod:`repro.md.batch`), a method that evaluates
-``(R, N, 3)`` stacked positions for all replicas per call.  The batched
-scatter primitives below flatten the replica axis into the particle axis
-(slot ``r*N + i``) so one bincount pass accumulates every replica with the
-*same* per-replica summation order as :func:`scatter_add`, keeping batched
-forces bit-identical to per-replica evaluation.
+Replica stacking is *not* a third kernel: the vectorised body of every
+term is written over an optional leading replica axis, so ``(N, 3)``
+positions and an ``(R, N, 3)`` stack (see :mod:`repro.md.batch`) run the
+same lines.  The shape decisions live in the helpers below, never in a
+term: :func:`scatter_add` flattens whatever precedes the particle axis
+(slot ``r*N + i``), so one bincount pass accumulates every replica in the
+per-replica summation order; :func:`weighted_sums` reduces each replica's
+row with the solo ``np.dot``; :func:`per_replica` runs a body that only
+understands ``(N, 3)`` — the ``"reference"`` loops, a user's own term —
+once per replica.
 
 Equivalence contract (see ``tests/test_md_kernels.py``): both kernels see
 the *same* candidate pair arrays and evaluate the *same* expressions, but
@@ -36,6 +39,8 @@ compiles to a tight C loop and is several times faster than the ufunc
 
 from __future__ import annotations
 
+from typing import Callable, Union
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -45,9 +50,14 @@ __all__ = [
     "validate_kernel",
     "scatter_add",
     "accumulate_pair_forces",
-    "scatter_add_batched",
-    "accumulate_pair_forces_batched",
+    "weighted_sums",
+    "no_energy",
+    "per_replica",
 ]
+
+#: What a force term returns: a float for ``(N, 3)`` positions, an ``(R,)``
+#: array (one energy per replica) for an ``(R, N, 3)`` stack.
+Energy = Union[float, np.ndarray]
 
 #: Names accepted by every ``kernel=`` switch.
 KERNELS: tuple = ("vectorized", "reference")
@@ -63,55 +73,71 @@ def validate_kernel(kernel: str) -> str:
 
 
 def scatter_add(out: np.ndarray, idx: np.ndarray, contrib: np.ndarray) -> None:
-    """Accumulate ``contrib[k]`` into ``out[idx[k]]`` (duplicate-safe).
+    """Accumulate ``contrib[..., k, :]`` into ``out[..., idx[k], :]``
+    (duplicate-safe).
 
-    ``out`` is ``(n, d)``, ``idx`` is ``(m,)`` integer, ``contrib`` is
-    ``(m, d)``.  Equivalent to ``np.add.at(out, idx, contrib)`` up to
-    floating-point summation order, but implemented with per-component
-    ``np.bincount`` — substantially faster for the large ``m`` of
-    nonbonded pair arrays.
+    ``out`` is ``(..., n, d)``, ``idx`` is ``(m,)`` integer (shared by every
+    replica), ``contrib`` is ``(..., m, d)``.  Equivalent to ``np.add.at``
+    up to floating-point summation order, but implemented with
+    per-component ``np.bincount`` — substantially faster for the large
+    ``m`` of nonbonded pair arrays.  Leading replica axes are flattened
+    into the particle axis (slot ``r*n + idx``), so each replica's slots
+    receive their contributions in exactly the ``(n, d)`` bincount order:
+    replica ``r`` of the result is bit-identical to
+    ``scatter_add(out[r], idx, contrib[r])``.  A stacked ``out`` must be
+    C-contiguous (the engine's force buffers are).
     """
     if idx.size == 0:
         return
-    n = out.shape[0]
-    for d in range(out.shape[1]):
-        out[:, d] += np.bincount(idx, weights=contrib[:, d], minlength=n)
+    n, d = out.shape[-2:]
+    if out.ndim > 2:
+        idx = (np.arange(out.size // (n * d))[:, None] * n + idx).ravel()
+        out = out.reshape(-1, d)
+        contrib = contrib.reshape(-1, d)
+    for c in range(d):
+        out[:, c] += np.bincount(idx, weights=contrib[:, c],
+                                 minlength=out.shape[0])
 
 
 def accumulate_pair_forces(
     forces: np.ndarray, i: np.ndarray, j: np.ndarray, fij: np.ndarray
 ) -> None:
-    """Newton's-third-law accumulation: ``forces[j] += fij; forces[i] -= fij``."""
+    """Newton's-third-law accumulation: ``forces[j] += fij; forces[i] -= fij``
+    (over an optional leading replica axis, see :func:`scatter_add`)."""
     scatter_add(forces, j, fij)
     scatter_add(forces, i, -fij)
 
 
-def scatter_add_batched(
-    out: np.ndarray, idx: np.ndarray, contrib: np.ndarray
-) -> None:
-    """Replica-batched :func:`scatter_add`: one bincount pass for all replicas.
+def weighted_sums(weights: np.ndarray, values: np.ndarray) -> Energy:
+    """``np.dot(weights, row)`` over the last axis of ``values``: a float
+    for one row, an ``(R,)`` array for a stack of rows.
 
-    ``out`` is ``(R, n, d)``, ``idx`` is ``(m,)`` shared across replicas,
-    ``contrib`` is ``(R, m, d)``.  The replica axis is flattened into the
-    particle axis (``r*n + idx``), so each replica's slots receive their
-    contributions in exactly the per-replica bincount order — replica ``r``
-    of the result is bit-identical to ``scatter_add(out[r], idx, contrib[r])``.
-    ``out`` must be C-contiguous (the engine's force buffers are).
+    Each replica's row is reduced by the same BLAS call as the solo row,
+    on C-contiguous memory: a row left strided by the gather that produced
+    it would send BLAS down its strided path, which sums in another order
+    (1 ulp apart) — that, not the expression, is what makes the per-replica
+    energies bit-identical to a solo evaluation.
     """
-    if idx.size == 0:
-        return
-    n_replicas, n, d = out.shape
-    flat_idx = (
-        np.arange(n_replicas, dtype=np.intp)[:, None] * n + idx[None, :]
-    ).ravel()
-    flat_out = out.reshape(n_replicas * n, d)
-    flat_contrib = contrib.reshape(n_replicas * contrib.shape[1], d)
-    scatter_add(flat_out, flat_idx, flat_contrib)
+    if values.ndim == 1:
+        return float(np.dot(weights, values))
+    return np.array([np.dot(weights, row)
+                     for row in np.ascontiguousarray(values)])
 
 
-def accumulate_pair_forces_batched(
-    forces: np.ndarray, i: np.ndarray, j: np.ndarray, fij: np.ndarray
-) -> None:
-    """Batched Newton's-third-law accumulation over ``(R, N, 3)`` forces."""
-    scatter_add_batched(forces, j, fij)
-    scatter_add_batched(forces, i, -fij)
+def no_energy(positions: np.ndarray) -> Energy:
+    """The energy of a term with nothing to evaluate, in the shape the
+    positions call for (``0.0`` or ``(R,)`` zeros)."""
+    return 0.0 if positions.ndim == 2 else np.zeros(positions.shape[:-2])
+
+
+def per_replica(
+    compute: Callable[[np.ndarray, np.ndarray], float],
+    positions: np.ndarray,
+    forces: np.ndarray,
+) -> Energy:
+    """Evaluate a body that only understands ``(N, 3)``: directly on a
+    solo system, once per replica (on that replica's rows of ``positions``
+    and ``forces``) on a stack."""
+    if positions.ndim == 2:
+        return compute(positions, forces)
+    return np.array([compute(x, f) for x, f in zip(positions, forces)])

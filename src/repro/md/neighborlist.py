@@ -20,7 +20,7 @@ Two cell-search kernels are available (see :mod:`repro.md.kernels`):
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -88,6 +88,7 @@ class NeighborList:
         self._pairs_i: Optional[np.ndarray] = None
         self._pairs_j: Optional[np.ndarray] = None
         self._ref_positions: Optional[np.ndarray] = None
+        self._replicas: List["NeighborList"] = []  # one clone per stack row
         self.n_builds = 0  # instrumentation for tests/benchmarks
         self.last_pair_count = 0  # candidate pairs at the last build
 
@@ -104,19 +105,43 @@ class NeighborList:
         assert self._pairs_i is not None and self._pairs_j is not None
         return self._pairs_i, self._pairs_j
 
+    def stacked_pairs(self, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`pairs` over an optional leading replica axis.
+
+        ``(N, 3)`` positions give this list's own pairs.  An ``(R, N, 3)``
+        stack gives every replica's candidate pairs concatenated, replica
+        by replica, as slots ``r*N + i`` of the flattened ``(R*N, 3)``
+        position and force arrays — so the arithmetic that follows is the
+        solo arithmetic over one longer pair array.  Each replica keeps its
+        own :meth:`clone` of this list, with its own lazy rebuild schedule.
+        """
+        if positions.ndim == 2:
+            return self.pairs(positions)
+        n_replicas, n = positions.shape[:2]
+        if len(self._replicas) != n_replicas:
+            self._replicas = [self.clone() for _ in range(n_replicas)]
+        parts = [nl.pairs(x) for nl, x in zip(self._replicas, positions)]
+        offset = np.repeat(np.arange(n_replicas, dtype=np.intp) * n,
+                           [i.size for i, _ in parts])
+        return (np.concatenate([i for i, _ in parts]) + offset,
+                np.concatenate([j for _, j in parts]) + offset)
+
     def invalidate(self) -> None:
-        """Force a rebuild on the next :meth:`pairs` call (used after
-        checkpoint restore, where positions jump discontinuously)."""
+        """Force a rebuild on the next :meth:`pairs` call — of this list
+        and of every replica's clone (used after checkpoint restore, where
+        positions jump discontinuously)."""
         self._ref_positions = None
+        for nl in self._replicas:
+            nl.invalidate()
 
     def clone(self) -> "NeighborList":
         """A fresh list with the same parameters and no build state.
 
-        Replica-batched execution gives each replica its own clone so every
-        replica keeps an independent lazy rebuild schedule.  Candidate-pair
-        *results* are rebuild-schedule independent (any valid Verlet list
-        filtered to the cutoff yields the same sorted pair set), so clones
-        preserve bit-identity with per-replica execution.
+        A stack gives each replica its own clone so every replica keeps an
+        independent lazy rebuild schedule.  Candidate-pair *results* are
+        rebuild-schedule independent (any valid Verlet list filtered to the
+        cutoff yields the same sorted pair set), so clones preserve
+        bit-identity with per-replica execution.
         """
         return NeighborList(
             self.cutoff,
@@ -161,8 +186,6 @@ class NeighborList:
         elif self.kernel == "reference":
             i, j = self._cell_pairs_reference(positions)
         else:
-            # Replica batching clones one list per replica; each clone
-            # searches with this same fast kernel.
             i, j = self._cell_pairs_vectorized(positions)
         if self._exclusions:
             keep = np.fromiter(

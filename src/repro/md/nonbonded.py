@@ -11,6 +11,17 @@ correctness oracle the equivalence tests and ``python -m repro bench``
 compare against.  The kernel choice propagates to the neighbor list, so
 ``kernel="reference"`` is reference end-to-end.
 
+The vectorised body is written once over the *concatenated* candidate
+pairs of every replica (:meth:`NeighborList.stacked_pairs`): one pass of
+array arithmetic over the flattened ``(R*N, 3)`` arrays, with "one system,
+one neighbour list" as its R = 1 case.  Whether there is a replica axis is
+decided in the shared helpers — the pair gather, :func:`_per_particle` and
+:func:`_segment_sums` — never in a term.  Replica ``r`` of a stack is
+bit-identical to the solo evaluation of its rows because the within-cutoff
+filtered pair sequence of any valid Verlet list is the same sorted set,
+the expressions are elementwise, and each replica's energy is a plain
+``np.sum`` over its own contiguous run.
+
 The Debye-Hueckel term stands in for the explicit water + ions of the
 paper's all-atom system: at physiological (1 M KCl, the standard hemolysin
 experiment buffer) ionic strength the Debye length is ~3 A, so screened
@@ -20,92 +31,51 @@ Coulomb with a short cutoff captures the relevant DNA-pore electrostatics.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import COULOMB_CONSTANT
-from .kernels import accumulate_pair_forces, validate_kernel
+from .kernels import (
+    Energy,
+    accumulate_pair_forces,
+    no_energy,
+    per_replica,
+    validate_kernel,
+)
 from .neighborlist import NeighborList
 
 __all__ = ["LennardJonesForce", "WCAForce", "DebyeHuckelForce", "COULOMB_CONSTANT"]
 
 
-class _BatchedNeighborMixin:
-    """Replica-batched pair gathering shared by the nonbonded terms.
+def _per_particle(table: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """A per-particle parameter table indexed like the flattened particle
+    axis of ``positions``: itself, or one copy per replica of a stack."""
+    return table if positions.ndim == 2 else np.tile(table, positions.shape[0])
 
-    Batched ``(R, N, 3)`` evaluation keeps one :class:`NeighborList` clone
-    per replica (each with its own lazy rebuild schedule) and concatenates
-    the per-replica candidate pairs with a ``r*N`` slot offset, so a single
-    pass of array arithmetic covers all replicas.  Per-replica results are
-    bit-identical to single-system evaluation because the within-cutoff
-    filtered pair sequence of any valid Verlet list is the same sorted set.
+
+def _segment_sums(
+    values: np.ndarray, slots: np.ndarray, positions: np.ndarray
+) -> Energy:
+    """Per-replica ``np.sum`` of per-pair ``values``.
+
+    ``slots`` holds one flattened particle slot per pair; the pairs of a
+    stack are concatenated replica by replica, so each replica's are one
+    contiguous run.  Its energy is a plain ``np.sum`` over that run — the
+    pairwise summation a solo evaluation performs over the whole array,
+    hence bit-identical (one ``np.sum`` over the stack, or a bincount-style
+    segmented sum, would associate differently).
     """
-
-    neighbor_list: NeighborList
-    _replica_lists: Optional[List[NeighborList]] = None
-
-    def _replica_neighbor_lists(self, n_replicas: int) -> List[NeighborList]:
-        lists = self._replica_lists
-        if lists is None or len(lists) != n_replicas:
-            lists = [self.neighbor_list.clone() for _ in range(n_replicas)]
-            self._replica_lists = lists
-        return lists
-
-    def invalidate_batched(self) -> None:
-        """Invalidate the per-replica neighbor lists (discontinuous moves)."""
-        if self._replica_lists:
-            for nl in self._replica_lists:
-                nl.invalidate()
-
-    def _batched_pairs(
-        self, positions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated candidate pairs ``(li, lj, gi, gj, seg)``.
-
-        ``li``/``lj`` are within-replica particle indices (for parameter
-        table lookups), ``gi``/``gj`` the flattened ``r*N + i`` slots (for
-        force scatter into the flat ``(R*N, 3)`` view), and ``seg`` the
-        replica id of each pair (non-decreasing, for per-replica energy
-        segmentation).
-        """
-        n_replicas, n = positions.shape[0], positions.shape[1]
-        lists = self._replica_neighbor_lists(n_replicas)
-        li_parts = []
-        lj_parts = []
-        counts = np.empty(n_replicas, dtype=np.intp)
-        for r in range(n_replicas):
-            i, j = lists[r].pairs(positions[r])
-            li_parts.append(i)
-            lj_parts.append(j)
-            counts[r] = i.size
-        li = np.concatenate(li_parts)
-        lj = np.concatenate(lj_parts)
-        seg = np.repeat(np.arange(n_replicas, dtype=np.intp), counts)
-        gi = li + seg * n
-        gj = lj + seg * n
-        return li, lj, gi, gj, seg
+    if positions.ndim == 2:
+        return float(np.sum(values))
+    n_replicas, n = positions.shape[:2]
+    bounds = np.searchsorted(slots, np.arange(n_replicas + 1) * n)
+    return np.array([np.sum(values[lo:hi]) if hi > lo else 0.0
+                     for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
-def _segment_sums(values: np.ndarray, seg: np.ndarray, n_replicas: int) -> np.ndarray:
-    """Per-replica ``np.sum`` over contiguous segments of ``values``.
-
-    ``seg`` must be non-decreasing.  Each replica's energy is a plain
-    ``np.sum`` over its contiguous slice — the same pairwise summation the
-    single-system kernel performs, hence bit-identical (a bincount-style
-    segmented sum would use sequential accumulation and differ in rounding).
-    """
-    out = np.zeros(n_replicas, dtype=np.float64)
-    bounds = np.searchsorted(seg, np.arange(n_replicas + 1))
-    for r in range(n_replicas):
-        lo, hi = bounds[r], bounds[r + 1]
-        if hi > lo:
-            out[r] = float(np.sum(values[lo:hi]))
-    return out
-
-
-class LennardJonesForce(_BatchedNeighborMixin):
+class LennardJonesForce:
     """Per-type Lennard-Jones with Lorentz-Berthelot combining rules.
 
     ``U = 4 eps [(sigma/r)^12 - (sigma/r)^6]``, truncated and shifted at the
@@ -126,6 +96,8 @@ class LennardJonesForce(_BatchedNeighborMixin):
         ``"vectorized"`` (default) or ``"reference"``; see
         :mod:`repro.md.kernels`.
     """
+
+    stackable = True
 
     def __init__(
         self,
@@ -160,68 +132,36 @@ class LennardJonesForce(_BatchedNeighborMixin):
         # Per-pair-type energy shift at the cutoff (continuity).
         sr6 = (self._sig_table / self.cutoff) ** 6
         self._shift_table = 4.0 * self._eps_table * (sr6**2 - sr6)
-        self._replica_lists = None
 
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
+    def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         if self.kernel == "reference":
-            return self._compute_reference(positions, forces)
-        i, j = self.neighbor_list.pairs(positions)
+            return per_replica(self._compute_reference, positions, forces)
+        i, j = self.neighbor_list.stacked_pairs(positions)
         if i.size == 0:
-            return 0.0
-        dr = self.neighbor_list.minimum_image(positions[j] - positions[i])
+            return no_energy(positions)
+        flat = positions.reshape(-1, 3)
+        dr = self.neighbor_list.minimum_image(flat[j] - flat[i])
         r2 = np.einsum("ij,ij->i", dr, dr)
         within = r2 < self._cut2
         if not np.any(within):
-            return 0.0
+            return no_energy(positions)
         i, j, dr, r2 = i[within], j[within], dr[within], r2[within]
-        ti, tj = self._types[i], self._types[j]
+        types = _per_particle(self._types, positions)
+        ti, tj = types[i], types[j]
         eps = self._eps_table[ti, tj]
         sig = self._sig_table[ti, tj]
         inv_r2 = 1.0 / r2
         sr2 = sig**2 * inv_r2
         sr6 = sr2 * sr2 * sr2
         sr12 = sr6 * sr6
-        energy = float(np.sum(4.0 * eps * (sr12 - sr6) - self._shift_table[ti, tj]))
+        energy = _segment_sums(
+            4.0 * eps * (sr12 - sr6) - self._shift_table[ti, tj], i, positions)
         # |F| * r = 24 eps (2 sr12 - sr6); divide by r^2 for dr coefficient.
         coeff = 24.0 * eps * (2.0 * sr12 - sr6) * inv_r2
         fij = dr * coeff[:, None]
-        accumulate_pair_forces(forces, i, j, fij)
+        accumulate_pair_forces(forces.reshape(-1, 3), i, j, fij)
         return energy
 
-    def compute_batched(self, positions: np.ndarray, forces: np.ndarray) -> np.ndarray:
-        """Replica-batched evaluation over ``(R, N, 3)``; ``(R,)`` energies.
-
-        One pass of array arithmetic over the concatenated per-replica pair
-        arrays; per-replica results are bit-identical to ``compute`` under
-        the vectorized kernel (same filtered pair sequence, same elementwise
-        expressions, per-replica ``np.sum`` energy segments).
-        """
-        n_replicas = positions.shape[0]
-        li, lj, gi, gj, seg = self._batched_pairs(positions)
-        if li.size == 0:
-            return np.zeros(n_replicas, dtype=np.float64)
-        flat_pos = positions.reshape(-1, 3)
-        flat_forces = forces.reshape(-1, 3)
-        dr = self.neighbor_list.minimum_image(flat_pos[gj] - flat_pos[gi])
-        r2 = np.einsum("ij,ij->i", dr, dr)
-        within = r2 < self._cut2
-        if not np.any(within):
-            return np.zeros(n_replicas, dtype=np.float64)
-        li, lj, gi, gj = li[within], lj[within], gi[within], gj[within]
-        dr, r2, seg = dr[within], r2[within], seg[within]
-        ti, tj = self._types[li], self._types[lj]
-        eps = self._eps_table[ti, tj]
-        sig = self._sig_table[ti, tj]
-        inv_r2 = 1.0 / r2
-        sr2 = sig**2 * inv_r2
-        sr6 = sr2 * sr2 * sr2
-        sr12 = sr6 * sr6
-        u = 4.0 * eps * (sr12 - sr6) - self._shift_table[ti, tj]
-        energies = _segment_sums(u, seg, n_replicas)
-        coeff = 24.0 * eps * (2.0 * sr12 - sr6) * inv_r2
-        fij = dr * coeff[:, None]
-        accumulate_pair_forces(flat_forces, gi, gj, fij)
-        return energies
 
     def _compute_reference(self, positions: np.ndarray, forces: np.ndarray) -> float:
         """Per-pair Python loop over the same candidate pairs (oracle)."""
@@ -272,18 +212,20 @@ class WCAForce(LennardJonesForce):
         # WCA: per-pair cutoff at 2^(1/6) sigma_ij and shift +eps_ij.
         self._wca_cut2 = (2.0 ** (1.0 / 3.0)) * self._sig_table**2
 
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
+    def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         if self.kernel == "reference":
-            return self._compute_reference(positions, forces)
-        i, j = self.neighbor_list.pairs(positions)
+            return per_replica(self._compute_reference, positions, forces)
+        i, j = self.neighbor_list.stacked_pairs(positions)
         if i.size == 0:
-            return 0.0
-        dr = self.neighbor_list.minimum_image(positions[j] - positions[i])
+            return no_energy(positions)
+        flat = positions.reshape(-1, 3)
+        dr = self.neighbor_list.minimum_image(flat[j] - flat[i])
         r2 = np.einsum("ij,ij->i", dr, dr)
-        ti, tj = self._types[i], self._types[j]
+        types = _per_particle(self._types, positions)
+        ti, tj = types[i], types[j]
         within = r2 < self._wca_cut2[ti, tj]
         if not np.any(within):
-            return 0.0
+            return no_energy(positions)
         i, j, dr, r2 = i[within], j[within], dr[within], r2[within]
         ti, tj = ti[within], tj[within]
         eps = self._eps_table[ti, tj]
@@ -292,40 +234,12 @@ class WCAForce(LennardJonesForce):
         sr2 = sig**2 * inv_r2
         sr6 = sr2 * sr2 * sr2
         sr12 = sr6 * sr6
-        energy = float(np.sum(4.0 * eps * (sr12 - sr6) + eps))
+        energy = _segment_sums(4.0 * eps * (sr12 - sr6) + eps, i, positions)
         coeff = 24.0 * eps * (2.0 * sr12 - sr6) * inv_r2
         fij = dr * coeff[:, None]
-        accumulate_pair_forces(forces, i, j, fij)
+        accumulate_pair_forces(forces.reshape(-1, 3), i, j, fij)
         return energy
 
-    def compute_batched(self, positions: np.ndarray, forces: np.ndarray) -> np.ndarray:
-        """Replica-batched WCA evaluation; ``(R,)`` per-replica energies."""
-        n_replicas = positions.shape[0]
-        li, lj, gi, gj, seg = self._batched_pairs(positions)
-        if li.size == 0:
-            return np.zeros(n_replicas, dtype=np.float64)
-        flat_pos = positions.reshape(-1, 3)
-        flat_forces = forces.reshape(-1, 3)
-        dr = self.neighbor_list.minimum_image(flat_pos[gj] - flat_pos[gi])
-        r2 = np.einsum("ij,ij->i", dr, dr)
-        ti, tj = self._types[li], self._types[lj]
-        within = r2 < self._wca_cut2[ti, tj]
-        if not np.any(within):
-            return np.zeros(n_replicas, dtype=np.float64)
-        gi, gj, dr, r2 = gi[within], gj[within], dr[within], r2[within]
-        ti, tj, seg = ti[within], tj[within], seg[within]
-        eps = self._eps_table[ti, tj]
-        sig = self._sig_table[ti, tj]
-        inv_r2 = 1.0 / r2
-        sr2 = sig**2 * inv_r2
-        sr6 = sr2 * sr2 * sr2
-        sr12 = sr6 * sr6
-        u = 4.0 * eps * (sr12 - sr6) + eps
-        energies = _segment_sums(u, seg, n_replicas)
-        coeff = 24.0 * eps * (2.0 * sr12 - sr6) * inv_r2
-        fij = dr * coeff[:, None]
-        accumulate_pair_forces(flat_forces, gi, gj, fij)
-        return energies
 
     def _compute_reference(self, positions: np.ndarray, forces: np.ndarray) -> float:
         """Per-pair Python loop with the WCA per-pair cutoff (oracle)."""
@@ -350,7 +264,7 @@ class WCAForce(LennardJonesForce):
         return energy
 
 
-class DebyeHuckelForce(_BatchedNeighborMixin):
+class DebyeHuckelForce:
     """Screened Coulomb interaction ``U = C q_i q_j exp(-r/lambda_D)/(eps_r r)``.
 
     Parameters
@@ -368,6 +282,8 @@ class DebyeHuckelForce(_BatchedNeighborMixin):
         ``"vectorized"`` (default) or ``"reference"``; see
         :mod:`repro.md.kernels`.
     """
+
+    stackable = True
 
     def __init__(
         self,
@@ -391,62 +307,35 @@ class DebyeHuckelForce(_BatchedNeighborMixin):
         self.neighbor_list = NeighborList(cutoff, skin=skin,
                                           exclusions=exclusions, box=box,
                                           kernel=kernel)
-        self._replica_lists = None
 
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
+    def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         if self.kernel == "reference":
-            return self._compute_reference(positions, forces)
-        i, j = self.neighbor_list.pairs(positions)
+            return per_replica(self._compute_reference, positions, forces)
+        i, j = self.neighbor_list.stacked_pairs(positions)
         if i.size == 0:
-            return 0.0
-        dr = self.neighbor_list.minimum_image(positions[j] - positions[i])
+            return no_energy(positions)
+        flat = positions.reshape(-1, 3)
+        dr = self.neighbor_list.minimum_image(flat[j] - flat[i])
         r2 = np.einsum("ij,ij->i", dr, dr)
         within = r2 < self._cut2
         if not np.any(within):
-            return 0.0
+            return no_energy(positions)
         i, j, dr, r2 = i[within], j[within], dr[within], r2[within]
-        qq = self._q[i] * self._q[j]
+        q = _per_particle(self._q, positions)
+        qq = q[i] * q[j]
         nonzero = qq != 0.0
         if not np.any(nonzero):
-            return 0.0
+            return no_energy(positions)
         i, j, dr, r2, qq = i[nonzero], j[nonzero], dr[nonzero], r2[nonzero], qq[nonzero]
         r = np.sqrt(r2)
         u = self._prefactor * qq * np.exp(-self._kappa * r) / r
-        energy = float(np.sum(u))
+        energy = _segment_sums(u, i, positions)
         # F_j = u * (1/r + kappa) * unit(dr) ... sign: repulsive for like charges.
         coeff = u * (1.0 / r + self._kappa) / r
         fij = dr * coeff[:, None]
-        accumulate_pair_forces(forces, i, j, fij)
+        accumulate_pair_forces(forces.reshape(-1, 3), i, j, fij)
         return energy
 
-    def compute_batched(self, positions: np.ndarray, forces: np.ndarray) -> np.ndarray:
-        """Replica-batched evaluation; ``(R,)`` per-replica energies."""
-        n_replicas = positions.shape[0]
-        li, lj, gi, gj, seg = self._batched_pairs(positions)
-        if li.size == 0:
-            return np.zeros(n_replicas, dtype=np.float64)
-        flat_pos = positions.reshape(-1, 3)
-        flat_forces = forces.reshape(-1, 3)
-        dr = self.neighbor_list.minimum_image(flat_pos[gj] - flat_pos[gi])
-        r2 = np.einsum("ij,ij->i", dr, dr)
-        within = r2 < self._cut2
-        if not np.any(within):
-            return np.zeros(n_replicas, dtype=np.float64)
-        li, lj, gi, gj = li[within], lj[within], gi[within], gj[within]
-        dr, r2, seg = dr[within], r2[within], seg[within]
-        qq = self._q[li] * self._q[lj]
-        nonzero = qq != 0.0
-        if not np.any(nonzero):
-            return np.zeros(n_replicas, dtype=np.float64)
-        gi, gj, dr, r2 = gi[nonzero], gj[nonzero], dr[nonzero], r2[nonzero]
-        qq, seg = qq[nonzero], seg[nonzero]
-        r = np.sqrt(r2)
-        u = self._prefactor * qq * np.exp(-self._kappa * r) / r
-        energies = _segment_sums(u, seg, n_replicas)
-        coeff = u * (1.0 / r + self._kappa) / r
-        fij = dr * coeff[:, None]
-        accumulate_pair_forces(flat_forces, gi, gj, fij)
-        return energies
 
     def _compute_reference(self, positions: np.ndarray, forces: np.ndarray) -> float:
         """Per-pair Python loop over the same candidate pairs (oracle)."""

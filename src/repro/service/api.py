@@ -52,6 +52,11 @@ __all__ = ["API_VERSION", "Request", "Response", "ServiceApp"]
 
 API_VERSION = "v1"
 
+#: Long-poll pacing: seconds between re-reads of the event log, and how
+#: long ``wait=1`` may block before returning an empty batch.
+POLL_INTERVAL_S = 0.05
+LONG_POLL_TIMEOUT_S = 10.0
+
 #: Typed error -> (status, machine-readable code).  Order matters only in
 #: that subclasses must precede :class:`ServiceError`.
 _ERROR_TABLE: Tuple[Tuple[type, int, str], ...] = (
@@ -145,19 +150,13 @@ class ServiceApp:
         Service-level instrumentation (``service.http.*`` counters).
         Usually the same handle the runner carries, so one run report
         shows the whole ``service.*`` family.
-    poll_interval / long_poll_timeout:
-        Long-poll pacing in seconds: how often the event log is re-read,
-        and how long ``wait=1`` may block before returning an empty batch.
     """
 
     def __init__(self, runner: CampaignRunner, registry: AuthRegistry, *,
-                 obs: Optional[Obs] = None, poll_interval: float = 0.05,
-                 long_poll_timeout: float = 10.0) -> None:
+                 obs: Optional[Obs] = None) -> None:
         self.runner = runner
         self.registry = registry
         self.obs = as_obs(obs)
-        self.poll_interval = poll_interval
-        self.long_poll_timeout = long_poll_timeout
         #: (method, route) -> handler; routes use ``{id}`` placeholders.
         self._routes: List[Tuple[str, Tuple[str, ...], Callable[..., Response]]]
         self._routes = [
@@ -302,12 +301,12 @@ class ServiceApp:
                 headers={"Content-Type": "application/jsonl"})
         events = self.runner.state.read_events(record.id, since=since)
         if not events and request.query.get("wait") in ("1", "true"):
-            deadline = time.monotonic() + self.long_poll_timeout
+            deadline = time.monotonic() + LONG_POLL_TIMEOUT_S
             while time.monotonic() < deadline:
                 events = self.runner.state.read_events(record.id, since=since)
                 if events or self.runner.state.get(record.id).terminal:
                     break
-                time.sleep(self.poll_interval)
+                time.sleep(POLL_INTERVAL_S)
         body = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
         return Response(status=200, body=body.encode("utf-8"),
                         headers={"Content-Type": "application/jsonl"})
@@ -334,7 +333,7 @@ class ServiceApp:
                 if not events:
                     return
                 continue  # drain anything appended during the yield loop
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_INTERVAL_S)
 
     def _result(self, request: Request, id: str) -> Response:
         """``GET /v1/campaigns/{id}/result`` — the PMF document.

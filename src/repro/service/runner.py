@@ -112,15 +112,13 @@ class CampaignRunner:
     task_fault:
         Optional chaos/test hook ``(campaign_id, stream_task, attempt)``
         invoked before every compute attempt (after the cancel check).
-    progress_every:
-        Append a progress event every N resolved tasks (default 1).
     """
 
     def __init__(self, store: Any, state: ServiceState, *,
                  obs: Optional[Obs] = None, dlq: Any = None,
                  retry: Any = None, inline: bool = False,
-                 task_fault: Optional[Callable[[str, Any, int], None]] = None,
-                 progress_every: int = 1) -> None:
+                 task_fault: Optional[Callable[[str, Any, int], None]] = None
+                 ) -> None:
         from ..resil import DeadLetterQueue, RetryPolicy
 
         self.store = store
@@ -132,7 +130,6 @@ class CampaignRunner:
             max_attempts=3, base_delay=1e-6)
         self.inline = inline
         self.task_fault = task_fault
-        self.progress_every = max(1, int(progress_every))
         self._lock = make_rlock("service.runner")
         self._cancel_events: Dict[str, threading.Event] = {}
         self._followers: Dict[str, List[str]] = {}
@@ -258,12 +255,8 @@ class CampaignRunner:
         self.obs.set_gauge("service.campaigns.active",
                            sum(1 for r in self.state.list()
                                if r.state == "running"))
-        progress = {"count": 0}
 
         def on_progress(totals: Dict[str, float]) -> None:
-            progress["count"] += 1
-            if progress["count"] % self.progress_every:
-                return
             resolved = int(sum(totals.values()))
             self.state.append_event(record.id, {
                 "kind": "progress",

@@ -3,7 +3,9 @@
 The two runners — :func:`~repro.smd.ensemble.run_pulling_ensemble` on the
 reduced 1-D model and :class:`~repro.smd.pulling.SMDPullingForce` +
 :class:`~repro.smd.pulling.SMDWorkRecorder` on the 3-D engine — produce the
-same work-curve record format, consumed by :mod:`repro.core`.
+same work-curve record format, consumed by :mod:`repro.core`.  The 3-D
+pair exists once: built from per-replica protocols it drives a whole
+replica stack of the one MD engine (:mod:`repro.md.batch`).
 
 The reduced-model side is three layers: one engine
 (:func:`~repro.smd.batched.run_pulling_stack`, the only vectorised step
@@ -39,12 +41,7 @@ from .ensemble import run_pulling_ensemble
 from .plan import cell_labels, run_work_ensemble
 from .bidirectional import BidirectionalEnsemble, run_bidirectional_ensemble
 from .ensemble3d import run_pulling_ensemble_3d
-from .pulling import (
-    SMDPullingForce,
-    SMDWorkRecorder,
-    BatchedSMDPullingForce,
-    BatchedSMDWorkRecorder,
-)
+from .pulling import SMDPullingForce, SMDWorkRecorder
 from .subtrajectory import SubTrajectoryPlan, plan_subtrajectories, stitch_pmfs
 
 __all__ = [
@@ -65,8 +62,6 @@ __all__ = [
     "PAPER_CPU_HOURS_PER_NS",
     "SMDPullingForce",
     "SMDWorkRecorder",
-    "BatchedSMDPullingForce",
-    "BatchedSMDWorkRecorder",
     "SubTrajectoryPlan",
     "plan_subtrajectories",
     "stitch_pmfs",

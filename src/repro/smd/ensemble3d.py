@@ -7,6 +7,13 @@ fresh thermal noise each), packaged into the identical
 :class:`~repro.smd.work.WorkEnsemble` format so every estimator and error
 tool applies unchanged.
 
+The replicas run stacked: one :class:`~repro.md.engine.Simulation` of a
+:class:`~repro.md.batch.ReplicaBatch`, one trap anchored per replica, one
+recorder — the engine, force terms, trap and recorder a solo pull uses,
+over a leading replica axis.  ``kernel="reference"`` runs them as solo
+simulations one after another instead, the oracle the stack must equal
+bit for bit.
+
 These runs are the expensive path (a full force stack per step); they are
 sized for validation (few samples, short windows), not for production
 statistics — exactly the paper's relationship between its interactive 3-D
@@ -15,12 +22,13 @@ runs and the batch SMD-JE ensembles.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..md.batch import BatchedSimulation
+from ..md.batch import stack_simulations
+from ..md.engine import Simulation
 from ..md.kernels import validate_kernel
 from ..obs import Obs, as_obs
 from ..pore.assembly import (
@@ -30,12 +38,7 @@ from ..pore.assembly import (
 from ..rng import SeedLike, as_generator, stream_for
 from .ensemble import PAPER_CPU_HOURS_PER_NS
 from .protocol import PullingProtocol
-from .pulling import (
-    BatchedSMDPullingForce,
-    BatchedSMDWorkRecorder,
-    SMDPullingForce,
-    SMDWorkRecorder,
-)
+from .pulling import SMDPullingForce, SMDWorkRecorder
 from .work import WorkEnsemble
 
 __all__ = ["run_pulling_ensemble_3d"]
@@ -72,11 +75,12 @@ def run_pulling_ensemble_3d(
     fingerprints directly, a generator needs its ``stream_for`` key.
 
     ``kernel``: by default all replicas are stacked into one
-    :class:`~repro.md.batch.BatchedSimulation` (R systems per force /
-    integrator call); ``"reference"`` steps one scalar
-    :class:`~repro.md.engine.Simulation` per replica, the oracle the stack
-    is verified against.  The two are bit-identical and share store
-    fingerprints.
+    :class:`~repro.md.engine.Simulation` of a
+    :class:`~repro.md.batch.ReplicaBatch` (R systems per force /
+    integrator call); ``"reference"`` steps one solo simulation per
+    replica, the oracle the stack is verified against.  Both run the same
+    engine, force terms and trap — the stack is a leading array axis — are
+    bit-identical, and share store fingerprints.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be at least 1")
@@ -152,16 +156,10 @@ def _anchored(protocol: PullingProtocol, positions: np.ndarray,
         float((masses[dna] / masses[dna].sum()) @ positions[dna] @ a))
 
 
-def _pull_schedule(protocol: PullingProtocol, dt: float) -> Tuple[int, int]:
-    """``(n_steps, record_stride)`` of the pull: about 400 recorded points."""
-    n_steps = int(np.ceil(protocol.duration_ns / dt))
-    return n_steps, max(n_steps // 400, 1)
-
-
 def _pull_reference(builds: Sequence[TranslocationSystem],
                     protocol: PullingProtocol,
                     a: np.ndarray) -> Iterator[Dict[str, np.ndarray]]:
-    """The oracle: one scalar simulation per replica, one after another."""
+    """The oracle: one solo simulation per replica, one after another."""
     for ts in builds:
         sim = ts.simulation
         # Equilibrate before attaching the trap.
@@ -170,38 +168,39 @@ def _pull_reference(builds: Sequence[TranslocationSystem],
         masses = sim.system.masses
         proto = _anchored(protocol, sim.system.positions, ts.dna_indices,
                           masses, a)
-        smd = SMDPullingForce(proto, ts.dna_indices, masses, axis=a)
-        sim.forces.append(smd)
-        sim.invalidate_caches()
-        n_steps, stride = _pull_schedule(protocol, sim.integrator.dt)
-        recorder = SMDWorkRecorder(smd, record_stride=stride)
-        sim.add_reporter(recorder)
-        sim.step(n_steps)
-        yield recorder.arrays()
+        yield _pull(sim, SMDPullingForce(proto, ts.dna_indices, masses, axis=a),
+                    protocol)
 
 
 def _pull_stacked(builds: Sequence[TranslocationSystem],
                   protocol: PullingProtocol,
                   a: np.ndarray) -> Iterator[Dict[str, np.ndarray]]:
-    """Production: the R systems stacked into one
-    :class:`~repro.md.batch.BatchedSimulation`, whose per-replica generators
-    keep driving their own replica's thermostat noise."""
-    batched = BatchedSimulation.from_simulations(
-        [ts.simulation for ts in builds])
+    """Production: the R systems stacked into one simulation
+    (:func:`~repro.md.batch.stack_simulations`), whose per-replica
+    generators keep driving their own replica's thermostat noise and whose
+    trap is anchored per replica."""
+    sim = stack_simulations([ts.simulation for ts in builds])
     if protocol.equilibration_ns > 0:
-        batched.run_until(protocol.equilibration_ns)
+        sim.run_until(protocol.equilibration_ns)
     dna = builds[0].dna_indices
     masses = builds[0].simulation.system.masses
     protos = [_anchored(protocol, positions, dna, masses, a)
-              for positions in batched.batch.positions]
-    smd = BatchedSMDPullingForce(protos, dna, masses, axis=a)
-    batched.forces.append(smd)
-    batched.invalidate_caches()
-    n_steps, stride = _pull_schedule(protocol, batched.integrator.dt)
-    recorder = BatchedSMDWorkRecorder(smd, record_stride=stride)
-    batched.add_reporter(recorder)
-    batched.step(n_steps)
-    arrays = recorder.arrays()
+              for positions in sim.system.positions]
+    arrays = _pull(sim, SMDPullingForce(protos, dna, masses, axis=a), protocol)
     for rep in range(len(builds)):
-        yield {name: arrays[name][rep]
-               for name in ("displacements", "works", "coordinates")}
+        yield {name: series[rep] for name, series in arrays.items()
+               if name != "times"}
+
+
+def _pull(sim: Simulation, smd: SMDPullingForce,
+          protocol: PullingProtocol) -> Dict[str, np.ndarray]:
+    """Attach the trap to an equilibrated simulation — solo or stacked —
+    pull, and return the recorded series."""
+    sim.forces.append(smd)
+    sim.invalidate_caches()
+    n_steps = int(np.ceil(protocol.duration_ns / sim.integrator.dt))
+    # About 400 recorded points per pull.
+    recorder = SMDWorkRecorder(smd, record_stride=max(n_steps // 400, 1))
+    sim.add_reporter(recorder)
+    sim.step(n_steps)
+    return recorder.arrays()
