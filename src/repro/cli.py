@@ -480,34 +480,24 @@ def cmd_bench(args) -> CommandResult:
     from .obs import Obs
     from .perf import (
         run_adaptive_benchmark,
-        run_ensemble_benchmark,
         run_kernel_benchmark,
-        run_store_benchmark,
         write_bench_document,
     )
 
     kernels = run_kernel_benchmark(quick=args.quick, seed=args.seed,
                                    obs=Obs())
-    ensemble = run_ensemble_benchmark(quick=args.quick, seed=args.seed,
-                                      obs=Obs())
-    store = run_store_benchmark(quick=args.quick, seed=args.seed,
-                                obs=Obs(), n_tasks=args.store_tasks)
     adaptive = run_adaptive_benchmark(quick=args.quick, seed=args.seed,
                                       obs=Obs())
+    os.makedirs(args.out_dir, exist_ok=True)
     kernels_path = os.path.join(args.out_dir, "BENCH_kernels.json")
-    ensemble_path = os.path.join(args.out_dir, "BENCH_ensemble.json")
-    store_path = os.path.join(args.out_dir, "BENCH_store.json")
     adaptive_path = os.path.join(args.out_dir, "BENCH_adaptive.json")
     # write_bench_document validates first: malformed output is exit code 1,
     # not a silently-written file.
     write_bench_document(kernels_path, kernels)
-    write_bench_document(ensemble_path, ensemble)
-    write_bench_document(store_path, store)
     write_bench_document(adaptive_path, adaptive)
 
     sr = kernels["step_rate"]
     nr = kernels["neighbor_rebuild"]
-    batched = ensemble["batched"]
     lines = [
         f"kernel step rate ({kernels['system']['n_particles']} particles):",
         f"  reference   {sr['reference']['steps_per_s']:10.1f} steps/s",
@@ -517,36 +507,6 @@ def cmd_bench(args) -> CommandResult:
         f"  reference   {1e3 * nr['reference']['build_s']:10.2f} ms",
         f"  vectorized  {1e3 * nr['vectorized']['build_s']:10.2f} ms"
         f"   ({nr['speedup']:.1f}x)",
-        f"batched ensemble ({batched['n_replicas']} replicas, shards of "
-        f"{ensemble['workload']['shard_size']}; median of "
-        f"{batched['batched_wall']['repeats']}):",
-        f"  per-shard   {ensemble['per_shard_wall']['median_s']:10.2f} s",
-        f"  batched     {batched['batched_wall']['median_s']:10.2f} s"
-        f"   ({ensemble['batched_speedup']:.2f}x, deterministic: "
-        f"{ensemble['deterministic']})",
-        f"per-trajectory layout (shards of 1):",
-        f"  per-traj    {batched['per_trajectory_wall']['median_s']:10.2f} s",
-        f"  batched     "
-        f"{batched['per_trajectory_batched_wall']['median_s']:10.2f} s"
-        f"   ({ensemble['batched_speedup_per_trajectory']:.2f}x)",
-        f"window row (kappa {ensemble['window_row']['kappa_pn']:g} pN/A, "
-        f"{ensemble['window_row']['n_cells']} cells, "
-        f"{ensemble['window_row']['n_replicas']} replicas):",
-        f"  per-cell    "
-        f"{ensemble['window_row']['per_cell_wall']['median_s']:10.2f} s",
-        f"  stacked     "
-        f"{ensemble['window_row']['stacked_wall']['median_s']:10.2f} s"
-        f"   ({ensemble['cross_cell_speedup']:.2f}x)",
-        f"store streaming ({store['workload']['n_tasks']} tasks, "
-        f"window {store['workload']['window']}):",
-        f"  cold        {store['cold']['wall_s']:10.2f} s"
-        f"   ({store['cold']['tasks_per_s']:.0f} tasks/s)",
-        f"  resume      {store['resume']['wall_s']:10.2f} s"
-        f"   (warm {store['resume']['warm_wall_s']:.2f} s, "
-        f"prefix skip {store['resume']['warm_skipped_prefix']})",
-        f"  dlq depth   {store['dlq']['depth']:>10}   "
-        f"steals {store['stealing']['steals']}   "
-        f"deterministic: {store['deterministic']}",
         f"adaptive allocation ({len(adaptive['points'])} budget points):",
     ]
     for point in adaptive["points"]:
@@ -557,16 +517,13 @@ def cmd_bench(args) -> CommandResult:
     lines += [
         f"  deterministic: {adaptive['deterministic']} "
         f"(no-store/twin/cold-store/warm-store digests)",
-        f"wrote {kernels_path}, {ensemble_path}, {store_path} and "
-        f"{adaptive_path}",
+        f"wrote {kernels_path} and {adaptive_path}",
     ]
     return CommandResult("\n".join(lines), {
         "command": "bench",
         "seed": args.seed,
         "quick": args.quick,
         "kernels": kernels,
-        "ensemble": ensemble,
-        "store": store,
         "adaptive": adaptive,
     })
 
@@ -961,10 +918,7 @@ COMMANDS: Dict[str, CommandSpec] = {
                      help="CI smoke scale (smaller system, fewer steps)"),
                 _arg("--out-dir", default=".",
                      help="directory for BENCH_kernels.json / "
-                          "BENCH_ensemble.json"),
-                _arg("--store-tasks", type=int, default=None,
-                     help="streamed-task count for the store benchmark "
-                          "(default: 2000 quick / 10000 full)"),
+                          "BENCH_adaptive.json"),
             ),
         ),
         CommandSpec(

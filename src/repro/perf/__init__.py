@@ -6,15 +6,14 @@ Two benchmark families, both emitting schema-tagged JSON documents
 * :mod:`~repro.perf.bench_kernels` — MD hot-path step rate and
   neighbor-list rebuild cost, ``reference`` vs ``vectorized`` kernels
   (``BENCH_kernels.json``);
-* :mod:`~repro.perf.bench_ensemble` — work-ensemble wall-clock, stacked vs
-  one engine call per group, and determinism cross-check
-  (``BENCH_ensemble.json``);
-* :mod:`~repro.perf.bench_store` — store streaming throughput,
-  kill/resume latency, DLQ depth and work-steal counts
-  (``BENCH_store.json``);
 * :mod:`~repro.perf.bench_adaptive` — adaptive vs uniform replica
   allocation cost-to-accuracy points with the store/no-store digest
   check (``BENCH_adaptive.json``).
+
+Nothing else measures those two.  Ensemble- and store-path numbers
+(sampled ns per wall-second, tasks per second, submit to PMF) come from
+the benchmark ladder, ``python3 bench/run.py``, which times those paths as
+the service runs them.
 
 Run via ``python -m repro bench [--quick]``; see PERFORMANCE.md for the
 performance model and how to reproduce the recorded numbers.
@@ -22,9 +21,7 @@ performance model and how to reproduce the recorded numbers.
 
 from .harness import (
     SCHEMA_ADAPTIVE,
-    SCHEMA_ENSEMBLE,
     SCHEMA_KERNELS,
-    SCHEMA_STORE,
     Timing,
     load_bench_document,
     metrics_snapshot,
@@ -33,14 +30,10 @@ from .harness import (
     write_bench_document,
 )
 from .bench_kernels import build_benchmark_system, run_kernel_benchmark
-from .bench_ensemble import run_ensemble_benchmark
-from .bench_store import run_store_benchmark, synthetic_stream
 from .bench_adaptive import run_adaptive_benchmark
 
 __all__ = [
     "SCHEMA_KERNELS",
-    "SCHEMA_ENSEMBLE",
-    "SCHEMA_STORE",
     "SCHEMA_ADAPTIVE",
     "Timing",
     "time_call",
@@ -50,8 +43,5 @@ __all__ = [
     "load_bench_document",
     "build_benchmark_system",
     "run_kernel_benchmark",
-    "run_ensemble_benchmark",
-    "run_store_benchmark",
     "run_adaptive_benchmark",
-    "synthetic_stream",
 ]

@@ -129,7 +129,7 @@ def run_kernel_benchmark(
     with obs.span("perf.bench.kernels", quick=quick,
                   n_particles=n_particles, n_steps=n_steps):
         # Single-system kernels only: replica stacking is a layout, not a
-        # per-step code path, and is measured by the ensemble benchmark.
+        # per-step code path, and is measured by the ladder's cg3d_pull.
         for kernel in ("reference", "vectorized"):
             sim = _make_simulation(n_particles, seed_int, kernel)
             with obs.span("perf.step_rate", kernel=kernel):

@@ -6,11 +6,10 @@ root, one per benchmark family:
 * ``BENCH_kernels.json`` (:data:`SCHEMA_KERNELS`) — MD hot-path step rate
   for the ``reference`` vs ``vectorized`` kernels plus neighbor-list
   rebuild cost (see :mod:`repro.perf.bench_kernels`);
-* ``BENCH_ensemble.json`` (:data:`SCHEMA_ENSEMBLE`) — work-ensemble
-  wall-clock, one engine call per shard vs all shards stacked in one call
-  (and the same at one replica per shard, and one call per cell vs one
-  cross-cell call on a Fig. 4 kappa row), every leg repeated, with the
-  determinism cross-check (see :mod:`repro.perf.bench_ensemble`).
+* ``BENCH_adaptive.json`` (:data:`SCHEMA_ADAPTIVE`) — adaptive vs uniform
+  replica allocation, error at equal budget, with the no-store / twin /
+  cold-store / warm-store digest cross-check (see
+  :mod:`repro.perf.bench_adaptive`).
 
 Each document carries a ``schema`` tag so future PRs can extend the format
 without ambiguity, and :func:`validate_bench_document` is the single
@@ -35,8 +34,6 @@ from ..obs import Obs, write_json
 
 __all__ = [
     "SCHEMA_KERNELS",
-    "SCHEMA_ENSEMBLE",
-    "SCHEMA_STORE",
     "SCHEMA_ADAPTIVE",
     "Timing",
     "time_call",
@@ -47,8 +44,6 @@ __all__ = [
 ]
 
 SCHEMA_KERNELS = "repro.bench.kernels/v1"
-SCHEMA_ENSEMBLE = "repro.bench.ensemble/v4"
-SCHEMA_STORE = "repro.bench.store/v1"
 SCHEMA_ADAPTIVE = "repro.bench.adaptive/v1"
 
 
@@ -115,18 +110,6 @@ def _require_positive(doc: dict, key: str) -> float:
     return float(value)
 
 
-def _require_leg(doc: dict, key: str) -> None:
-    """A repeated timing leg: repeats, min, median (positive) and spread."""
-    leg = _require(doc, key, dict)
-    for field in ("repeats", "min_s", "median_s"):
-        _require_positive(leg, field)
-    spread = _require(leg, "spread_s", (int, float))
-    if isinstance(spread, bool) or spread < 0.0:
-        raise AnalysisError(
-            f"malformed BENCH document: {key!r} spread_s must be a "
-            f"non-negative number, got {spread!r}")
-
-
 def validate_bench_document(doc: object) -> dict:
     """Validate a BENCH document against its declared schema.
 
@@ -155,68 +138,6 @@ def validate_bench_document(doc: object) -> dict:
             _require_positive(entry, "build_s")
         _require_positive(rebuild, "speedup")
         _require_positive(rebuild, "candidate_pairs")
-        _require(doc, "metrics", dict)
-    elif schema == SCHEMA_ENSEMBLE:
-        _require(doc, "quick", bool)
-        _require(doc, "seed", int)
-        workload = _require(doc, "workload", dict)
-        _require_positive(workload, "n_samples")
-        _require_positive(workload, "shard_size")
-        _require_leg(doc, "per_shard_wall")
-        batched = _require(doc, "batched", dict)
-        _require_positive(batched, "n_replicas")
-        for leg in ("batched_wall", "per_trajectory_wall",
-                    "per_trajectory_batched_wall"):
-            _require_leg(batched, leg)
-        window_row = _require(doc, "window_row", dict)
-        _require_positive(window_row, "n_cells")
-        _require_positive(window_row, "n_replicas")
-        for leg in ("per_cell_wall", "stacked_wall"):
-            _require_leg(window_row, leg)
-        _require_positive(doc, "batched_speedup")
-        _require_positive(doc, "batched_speedup_per_trajectory")
-        _require_positive(doc, "cross_cell_speedup")
-        deterministic = _require(doc, "deterministic", bool)
-        if not deterministic:
-            raise AnalysisError(
-                "malformed BENCH document: ensemble benchmark reports "
-                "deterministic=false — the stacked legs diverged from the "
-                "one-call-per-group legs"
-            )
-        _require(doc, "metrics", dict)
-    elif schema == SCHEMA_STORE:
-        _require(doc, "quick", bool)
-        _require(doc, "seed", int)
-        workload = _require(doc, "workload", dict)
-        _require_positive(workload, "n_tasks")
-        _require_positive(workload, "window")
-        cold = _require(doc, "cold", dict)
-        _require_positive(cold, "wall_s")
-        _require_positive(cold, "tasks_per_s")
-        _require_positive(cold, "records")
-        resume = _require(doc, "resume", dict)
-        _require_positive(resume, "wall_s")
-        _require_positive(resume, "tasks_per_s")
-        _require_positive(resume, "warm_wall_s")
-        _require_positive(resume, "warm_skipped_prefix")
-        dlq = _require(doc, "dlq", dict)
-        depth = _require(dlq, "depth", int)
-        expected = _require(dlq, "expected_depth", int)
-        if depth != expected:
-            raise AnalysisError(
-                f"malformed BENCH document: DLQ depth {depth} != expected "
-                f"{expected} — poisoned tasks were lost or double-recorded"
-            )
-        _require(dlq, "reasons", dict)
-        stealing = _require(doc, "stealing", dict)
-        _require_positive(stealing, "steals")
-        deterministic = _require(doc, "deterministic", bool)
-        if not deterministic:
-            raise AnalysisError(
-                "malformed BENCH document: store benchmark reports "
-                "deterministic=false — same-seed runs diverged (content "
-                "digest or DLQ entries)"
-            )
         _require(doc, "metrics", dict)
     elif schema == SCHEMA_ADAPTIVE:
         _require(doc, "quick", bool)

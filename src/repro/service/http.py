@@ -130,7 +130,10 @@ class ServiceServer:
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except (ValueError, asyncio.LimitOverrunError):
+                return _framing_error(400, "header line too long")
             text = line.decode("latin-1").strip()
             if not text:
                 break
@@ -145,6 +148,8 @@ class ServiceServer:
                 length = int(length_text)
             except ValueError:
                 return _framing_error(400, "malformed Content-Length")
+            if length < 0:
+                return _framing_error(400, "negative Content-Length")
             if length > MAX_BODY_BYTES:
                 return _framing_error(413, "request body too large")
             if length:

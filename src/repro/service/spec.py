@@ -18,6 +18,7 @@ never see a malformed campaign.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -54,10 +55,24 @@ _FIELDS: Dict[str, Tuple[type, Any]] = {
 }
 
 
+def _finite(name: str, value: Any) -> float:
+    """``json.loads`` accepts ``NaN`` / ``Infinity`` (and integers too large
+    for a float); none of them is a physical parameter or fingerprintable."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SpecError(
+            f"spec field {name!r} must be a finite number, got {value!r}")
+    return out
+
+
 def _coerce(name: str, kind: type, value: Any) -> Any:
     """Type-check one field, allowing int -> float widening only."""
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+    if (kind is float and isinstance(value, (int, float))
+            and not isinstance(value, bool)):
+        return _finite(name, value)
     if kind is int and isinstance(value, bool):
         raise SpecError(f"spec field {name!r} must be an integer, got a bool")
     if not isinstance(value, kind):
@@ -75,7 +90,7 @@ def _positive_floats(name: str, values: Any) -> List[float]:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
             raise SpecError(
                 f"spec field {name!r} must hold positive numbers, got {v!r}")
-        out.append(float(v))
+        out.append(_finite(name, v))
     if len(set(out)) != len(out):
         raise SpecError(f"spec field {name!r} holds duplicate values")
     return out

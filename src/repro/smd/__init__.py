@@ -9,9 +9,8 @@ replica stack of the one MD engine (:mod:`repro.md.batch`).
 
 The reduced-model side is three layers: one engine
 (:func:`~repro.smd.batched.run_pulling_stack`, the only vectorised step
-loop, taking a stack of seeded replica groups of any mix of protocols;
-:func:`~repro.smd.batched.run_pulling_groups` is its one-protocol
-spelling), one task plan + executor (:mod:`repro.smd.plan`: task identity,
+loop, taking a stack of seeded replica groups of any mix of protocols),
+one task plan + executor (:mod:`repro.smd.plan`: task identity,
 and the window step that resolves planned tasks against the store — hit,
 stacked compute, put, merge), and thin entry points over them.  Every
 ``run_*`` entry point shares one keyword contract — ``seed=``, ``obs=``,
@@ -33,7 +32,6 @@ from .protocol import (
 )
 from .work import WorkEnsemble
 from .batched import (
-    run_pulling_groups,
     run_pulling_stack,
     PAPER_CPU_HOURS_PER_NS,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "WorkEnsemble",
     "run_pulling_ensemble",
     "run_work_ensemble",
-    "run_pulling_groups",
     "run_pulling_stack",
     "cell_labels",
     "BidirectionalEnsemble",

@@ -11,9 +11,8 @@ the trap centre ride as per-replica vectors, cells are laid out longest
 first (the replicas still integrating are always a prefix ``z[:n]``), and
 what a cell does on its own clock — start its pull after equilibration,
 sample the spring force every stride, record a station, finish — is a
-sparse event on that cell's slice.  :func:`run_pulling_groups` (one
-protocol) and :func:`repro.smd.run_pulling_ensemble` (one group) are the
-one-cell spelling of the same loop; the window step
+sparse event on that cell's slice.  :func:`repro.smd.run_pulling_ensemble`
+(one group) is the one-cell spelling of the same loop; the window step
 :meth:`repro.smd.plan.TaskResolver.resolve_window`, the one executor every
 driver above runs through, decides *which tasks share a call* and nothing
 else; the per-replica scalar oracle (``kernel="reference"``) is the one
@@ -71,7 +70,6 @@ from .work import WorkEnsemble
 
 __all__ = [
     "run_pulling_stack",
-    "run_pulling_groups",
     "PAPER_CPU_HOURS_PER_NS",
     "DEFAULT_FORCE_SAMPLE_TIME",
 ]
@@ -389,22 +387,3 @@ def run_pulling_stack(
                                   cpu_hours_per_ns),
         ))
     return ensembles
-
-
-def run_pulling_groups(
-    model: ReducedTranslocationModel,
-    protocol: PullingProtocol,
-    groups: Sequence[Tuple[np.random.Generator, int]],
-    *,
-    dt: Optional[float] = None,
-    n_records: int = 41,
-    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
-    obs: Optional[Obs] = None,
-) -> List[WorkEnsemble]:
-    """Pull several ``(generator, n_samples)`` groups of one protocol as
-    one batch: the one-cell spelling of :func:`run_pulling_stack`."""
-    return run_pulling_stack(
-        model, [(protocol, rng, m) for rng, m in groups], dt=dt,
-        n_records=n_records, force_sample_time=force_sample_time,
-        cpu_hours_per_ns=cpu_hours_per_ns, obs=obs)

@@ -227,6 +227,23 @@ class TestSpecValidation:
         assert app.handle(_post("/v1/campaigns", "spice-operator-token",
                                 bad)).status == 400
 
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"), 10 ** 400],
+        ids=["NaN", "Infinity", "-Infinity", "overflowing-int"])
+    @pytest.mark.parametrize("field", [
+        "kappas", "velocities", "distance", "start_z", "equilibration_ns"])
+    def test_non_finite_number_is_400(self, app, field, value):
+        """``json.loads`` parses ``NaN`` / ``Infinity``; they must stop at
+        spec validation, not at the fingerprint (a 500)."""
+        bad = dict(SPEC, **{
+            field: [value] if field in ("kappas", "velocities") else value})
+        response = app.handle(_post("/v1/campaigns",
+                                    "spice-operator-token", bad))
+        assert response.status == 400
+        error = response.json()["error"]
+        assert error["code"] == "invalid-spec"
+        assert field in error["message"]
+
     def test_spec_error_type(self):
         from repro.service import CampaignSpec
 

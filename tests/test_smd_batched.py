@@ -28,7 +28,6 @@ from repro.smd import (
     WorkEnsemble,
     run_pulling_ensemble,
     run_pulling_ensemble_3d,
-    run_pulling_groups,
     run_pulling_stack,
     run_work_ensemble,
 )
@@ -208,9 +207,9 @@ class TestRunPullingGroups:
         """One stacked call over two streams == two independent runs."""
         proto = fast_protocol()
         streams = [stream_for(7, "g", i) for i in range(2)]
-        grouped = run_pulling_groups(reduced_model, proto,
-                                     [(streams[0], 3), (streams[1], 2)],
-                                     n_records=7)
+        grouped = run_pulling_stack(
+            reduced_model, [(proto, streams[0], 3), (proto, streams[1], 2)],
+            n_records=7)
         solo = [
             run_pulling_ensemble(reduced_model, proto, n, n_records=7,
                                  seed=stream_for(7, "g", i))
@@ -224,19 +223,20 @@ class TestRunPullingGroups:
         """Accepting raw seeds here would tempt the runner into minting its
         own streams — the caller owns stream derivation (SPICE105)."""
         with pytest.raises(ConfigurationError, match="stream_for"):
-            run_pulling_groups(reduced_model, fast_protocol(), [(7, 3)])
+            run_pulling_stack(reduced_model, [(fast_protocol(), 7, 3)])
 
     def test_rejects_empty_and_invalid_groups(self, reduced_model):
         with pytest.raises(ConfigurationError):
-            run_pulling_groups(reduced_model, fast_protocol(), [])
+            run_pulling_stack(reduced_model, [])
         with pytest.raises(ConfigurationError):
-            run_pulling_groups(reduced_model, fast_protocol(),
-                               [(stream_for(1, "g"), 0)])
+            run_pulling_stack(reduced_model,
+                              [(fast_protocol(), stream_for(1, "g"), 0)])
 
     def test_rejects_too_few_records(self, reduced_model):
         with pytest.raises(ConfigurationError):
-            run_pulling_groups(reduced_model, fast_protocol(),
-                               [(stream_for(1, "g"), 2)], n_records=1)
+            run_pulling_stack(reduced_model,
+                              [(fast_protocol(), stream_for(1, "g"), 2)],
+                              n_records=1)
 
 
 #: Cells of a mixed stack: every protocol field the engine turns into a
@@ -284,8 +284,8 @@ class TestCrossCellStack:
         assert len(stacked) == len(layout)
         for (proto, key, m), rng, ensemble in zip(layout, rngs, stacked):
             solo_rng = stream_for(*key)
-            [solo] = run_pulling_groups(model, proto, [(solo_rng, m)],
-                                        **kwargs)
+            [solo] = run_pulling_stack(model, [(proto, solo_rng, m)],
+                                       **kwargs)
             assert_ensembles_identical(ensemble, solo)
             assert_ensembles_identical(ensemble, run_pulling_ensemble(
                 model, proto, m, seed=stream_for(*key), kernel="reference",

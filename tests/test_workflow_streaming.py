@@ -27,7 +27,6 @@ from repro.errors import (
     StoreError,
 )
 from repro.obs import Obs
-from repro.perf import synthetic_stream
 from repro.pore.reduced import ReducedTranslocationModel, default_reduced_potential
 from repro.resil.dlq import DeadLetterQueue
 from repro.resil.policy import RetryPolicy
@@ -49,6 +48,8 @@ from repro.workflow import (
     run_streamed_tasks,
     stream_study_tasks,
 )
+
+from ._streams import synthetic_stream
 
 SEED = 2005
 
@@ -281,6 +282,37 @@ class TestWindowStep:
                     model(), proto, 4, n_records=5, kernel="reference",
                     seed=stream_for(SEED, *cell_labels(proto), "task", t))
                     for t in range(4))))
+
+    def test_kappa_row_window_steps_its_longest_cell_not_the_sum(
+            self, monkeypatch):
+        """What the cross-cell stack saves, without a clock: the potential's
+        derivative is evaluated once per loop iteration, and the row's one
+        loop runs as long as its longest cell — not the four cells' loops
+        back to back."""
+        pore = model()
+        calls = []
+        derivative = pore.potential.derivative
+        monkeypatch.setattr(pore.potential, "derivative",
+                            lambda z: calls.append(len(z)) or derivative(z))
+        row = [PullingProtocol(kappa_pn=1000.0, velocity=v, distance=0.5,
+                               equilibration_ns=0.001)
+               for v in (12.5, 25.0, 50.0, 100.0)]
+
+        def loop_sizes(cells, n_samples):
+            """Replicas stepped at each loop iteration (sizing a cell's
+            timestep also evaluates the derivative, on a 512-point grid)."""
+            del calls[:]
+            run_streamed_study(pore, cells, n_samples=n_samples,
+                               samples_per_task=4, seed=SEED, store=None,
+                               window=16, n_records=5)
+            return [n for n in calls if n <= n_samples * len(cells)]
+
+        alone = [len(loop_sizes([cell], 4)) for cell in row]
+        assert sorted(alone, reverse=True) == alone     # slowest pull first
+        stacked = loop_sizes(row, 16)
+        assert len(stacked) == max(alone) < sum(alone)
+        # ...and an iteration touches only the cells still integrating.
+        assert (stacked[0], stacked[-1]) == (64, 16)
 
     def test_two_plans_in_one_window_never_stack_into_each_other(self):
         """Tasks stack by the identity of their plan: a different model
@@ -541,6 +573,26 @@ class TestDegradedCompletion:
         for entry in dlq.entries():
             assert entry["reason"] == "retry-exhausted"
             assert entry["attempts"] == 3
+
+    def test_same_seed_twins_agree_on_store_digest_and_dead_letters(
+            self, tmp_path):
+        """Two independent cold passes over the same seed end byte-equal:
+        record content and the dead-letter entries of the poisoned tasks."""
+        def cold(name):
+            store = ResultStore(os.fspath(tmp_path / name / "s"), sync=False)
+            dlq = DeadLetterQueue(os.fspath(tmp_path / name / "DLQ.jsonl"),
+                                  sync=False)
+            run_streamed_tasks(
+                synthetic_stream(40, SEED, poisoned=frozenset({13, 26})),
+                store=store, campaign_key=["twin", SEED], window=8,
+                collect=False, dlq=dlq,
+                retry=RetryPolicy(max_attempts=2, base_delay=1e-6))
+            return store, dlq
+
+        (store_a, dlq_a), (store_b, dlq_b) = cold("a"), cold("b")
+        assert len(store_a) == 38 and len(dlq_a) == 2
+        assert store_a.content_digest() == store_b.content_digest()
+        assert dlq_a.entries() == dlq_b.entries()
 
     def test_terminal_failure_without_dlq_refuses_silent_loss(
             self, tmp_path):
