@@ -112,9 +112,10 @@ class AnalysisError(ReproError):
 
 class StoreError(ReproError):
     """Result-store failure that is not data corruption: an unusable store
-    directory, an unfingerprintable task (e.g. a bare generator seed with no
-    ``store_key``), or a fingerprint/serialization request over values the
-    canonical form cannot represent (NaN, non-string keys)."""
+    directory, an unfingerprintable task (a model with no
+    ``fingerprint_data()``; on the 3-D runner, a bare generator seed whose
+    stream key was not given), or a fingerprint/serialization request over
+    values the canonical form cannot represent (NaN, non-string keys)."""
 
 
 class StoreCorruptionError(StoreError):

@@ -10,6 +10,7 @@ generic :class:`TabulatedPotential1D` used to wrap any sampled profile.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,6 +69,19 @@ class TabulatedPotential1D:
     @property
     def support(self) -> tuple[float, float]:
         return float(self._grid[0]), float(self._grid[-1])
+
+    def fingerprint_data(self) -> dict:
+        """Canonical description for result-store fingerprints (see
+        :mod:`repro.store.fingerprint`): the table enters as a SHA-256 over
+        its float64 grid and value bytes, so a one-ulp change re-keys."""
+        digest = hashlib.sha256(self._grid.tobytes())
+        digest.update(self._values.tobytes())
+        return {
+            "kind": "tabulated-1d",
+            "n": int(self._grid.size),
+            "support": list(self.support),
+            "sha256": digest.hexdigest(),
+        }
 
 
 def full_axis_chain_potential(

@@ -12,15 +12,18 @@ The reduced-model side is three layers: one engine
 loop, taking a stack of seeded replica groups of any mix of protocols),
 one task plan + executor (:mod:`repro.smd.plan`: task identity,
 and the window step that resolves planned tasks against the store — hit,
-stacked compute, put, merge), and thin entry points over them.  Every
-``run_*`` entry point shares one keyword contract — ``seed=``, ``obs=``,
-``store=`` (``store_key=`` where the seed is a generator).  How replica
-groups are laid out on the machine is the window step's decision, not a
-caller's (the missing tasks of a window share one engine call); only the
-two engine-level entry points, :func:`run_pulling_ensemble` and
-:func:`run_pulling_ensemble_3d`, take ``kernel="reference"`` to run the
-per-replica / per-trajectory oracle the production layout is tested
-against.
+stacked compute, put, merge), and thin entry points over them: a study is
+a list of cells handed to :func:`~repro.smd.plan.run_cells`.  Every
+``run_*`` entry point shares one keyword contract — ``seed=``, ``obs=``
+and, above the engine, ``store=`` (the plan is the reduced model's one
+store path; :func:`run_pulling_ensemble` takes no store, and
+:func:`run_pulling_ensemble_3d`, which has no plan layer, memoizes its
+whole ensemble itself).  How replica groups are laid out on the machine is
+the window step's decision, not a caller's (the missing tasks of a window
+share one engine call); only the two engine-level entry points,
+:func:`run_pulling_ensemble` and :func:`run_pulling_ensemble_3d`, take
+``kernel="reference"`` to run the per-replica / per-trajectory oracle the
+production layout is tested against.
 """
 
 from .protocol import (

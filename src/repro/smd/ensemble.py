@@ -3,9 +3,10 @@
 This is the front door of the Fig. 4 reproduction: every replica of a
 (kappa, v) cell is integrated simultaneously as one NumPy vector by the
 engine in :mod:`repro.smd.batched`; :func:`run_pulling_ensemble` hands it a
-single seeded group (and owns store memoization of that one task), while
-``kernel="reference"`` runs the per-replica scalar loop the engine is
-tested against.
+single seeded group, while ``kernel="reference"`` runs the per-replica
+scalar loop the engine is tested against.  Store memoization is not here:
+the reduced model's one store path is the task plan
+(:mod:`repro.smd.plan`).
 
 Work accounting mirrors production SMD practice (NAMD writes the spring
 force every ``SMDOutputFreq`` steps and the work is integrated offline from
@@ -31,7 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, StoreError
+from ..errors import ConfigurationError
 from ..md.kernels import validate_kernel
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
@@ -54,26 +55,6 @@ __all__ = [
 ]
 
 
-def _store_seed_key(seed, store_key):
-    """Fingerprintable identity of this ensemble's RNG stream.
-
-    Caching is only sound when the seed identity is content-addressable:
-    an integer seed, or an explicit ``store_key`` naming the
-    :func:`repro.rng.stream_for` labels the caller derived ``seed`` from.
-    A bare generator has no such identity, so it is refused rather than
-    silently producing irreproducible cache keys.
-    """
-    if store_key is not None:
-        return store_key
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        return int(seed)
-    raise StoreError(
-        "result-store caching needs a deterministic seed identity: pass an "
-        "int seed, or store_key=(base_seed, *labels) matching the "
-        "stream_for() derivation of the generator"
-    )
-
-
 def run_pulling_ensemble(
     model: ReducedTranslocationModel,
     protocol: PullingProtocol,
@@ -84,8 +65,6 @@ def run_pulling_ensemble(
     seed: SeedLike = None,
     cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
-    store=None,
-    store_key=None,
     kernel: str = "vectorized",
 ) -> WorkEnsemble:
     """Run ``n_samples`` constant-velocity pulls and collect work curves.
@@ -113,19 +92,6 @@ def run_pulling_ensemble(
         and ``smd.je_samples`` / ``smd.sim_ns`` / ``smd.cpu_hours``
         counters accumulate across ensembles.  Observation never touches
         the RNG, so instrumented runs are bit-identical to bare ones.
-    store:
-        Optional :class:`repro.store.ResultStore`.  The run is memoized
-        under its task fingerprint: a hit returns the persisted ensemble
-        (byte-identical to recomputation, because the RNG stream is part of
-        the fingerprint), a miss computes and persists before returning.
-        Work counters (``smd.je_samples`` etc.) only accumulate on misses —
-        they measure computation actually performed.
-    store_key:
-        Seed identity for fingerprinting when ``seed`` is a generator:
-        the ``(base_seed, *labels)`` tuple it was derived from via
-        :func:`repro.rng.stream_for`.  Integer seeds need no key.  The
-        caller must pass the generator *unconsumed* — the fingerprint
-        asserts the stream's identity, not its state.
     kernel:
         ``"reference"`` runs the per-replica scalar Python loop, the oracle
         the engine is verified against; the default is one single-group
@@ -141,15 +107,6 @@ def run_pulling_ensemble(
     settings = dict(dt=dt, n_records=n_records,
                     force_sample_time=force_sample_time,
                     cpu_hours_per_ns=cpu_hours_per_ns)
-    if store is not None:
-        from ..store import pulling_task
-
-        task = pulling_task(model, protocol, n_samples=n_samples,
-                            seed_key=_store_seed_key(seed, store_key),
-                            **settings)
-        return store.get_or_run(task, lambda: run_pulling_ensemble(
-            model, protocol, n_samples, seed=seed, obs=obs, kernel=kernel,
-            **settings))
     rng = as_generator(seed)
     if kernel != "reference":
         return run_pulling_stack(model, [(protocol, rng, n_samples)],

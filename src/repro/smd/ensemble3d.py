@@ -26,7 +26,7 @@ from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, StoreError
 from ..md.batch import stack_simulations
 from ..md.engine import Simulation
 from ..md.kernels import validate_kernel
@@ -42,6 +42,26 @@ from .pulling import SMDPullingForce, SMDWorkRecorder
 from .work import WorkEnsemble
 
 __all__ = ["run_pulling_ensemble_3d"]
+
+
+def _store_seed_key(seed, store_key):
+    """Fingerprintable identity of this ensemble's RNG stream.
+
+    Caching is only sound when the seed identity is content-addressable:
+    an integer seed, or an explicit ``store_key`` naming the
+    :func:`repro.rng.stream_for` labels the caller derived ``seed`` from.
+    A bare generator has no such identity, so it is refused rather than
+    silently producing irreproducible cache keys.
+    """
+    if store_key is not None:
+        return store_key
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        return int(seed)
+    raise StoreError(
+        "result-store caching needs a deterministic seed identity: pass an "
+        "int seed, or store_key=(base_seed, *labels) matching the "
+        "stream_for() derivation of the generator"
+    )
 
 
 def run_pulling_ensemble_3d(
@@ -70,9 +90,11 @@ def run_pulling_ensemble_3d(
     instrumented runs stay bit-identical).
 
     ``store``/``store_key`` memoize the whole ensemble in a
-    :class:`repro.store.ResultStore` under the ``smd.cg3d/v1`` kernel tag,
-    with the same seed-identity rules as the reduced runner: an int seed
-    fingerprints directly, a generator needs its ``stream_for`` key.
+    :class:`repro.store.ResultStore` under the ``smd.cg3d/v1`` kernel tag
+    (the 3-D engine has no task plan): an int seed fingerprints directly,
+    a generator needs ``store_key``, the ``(base_seed, *labels)`` tuple it
+    was derived from via :func:`repro.rng.stream_for`, and must be passed
+    unconsumed — the fingerprint asserts the stream's identity, not state.
 
     ``kernel``: by default all replicas are stacked into one
     :class:`~repro.md.engine.Simulation` of a
@@ -89,7 +111,6 @@ def run_pulling_ensemble_3d(
     validate_kernel(kernel)
     if store is not None:
         from ..store import pulling_task_3d
-        from .ensemble import _store_seed_key
 
         task = pulling_task_3d(
             protocol, n_samples=n_samples, n_bases=n_bases,

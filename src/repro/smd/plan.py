@@ -4,21 +4,24 @@ The paper turns one intractable simulation into many short *independent*
 pulls; this module is the one place that says what such a pull **is** and
 how a set of them is resolved:
 
-* :func:`plan_tasks` — the task-plan generator.  A cell's ensemble is
-  ``n_tasks`` sub-ensembles of ``samples_per_task`` replicas; task ``t``
-  runs RNG stream ``stream_for(seed, *labels, "task", t)`` and is described
-  by :func:`repro.store.pulling_task` over that key (``n_tasks=None`` is
-  the historical unsplit layout: one task per cell under the bare cell key
-  ``(seed, *labels)``).  Grid cells are labelled by :func:`cell_labels`.
-  Every driver — the parameter study, the streamed and adaptive campaigns,
-  the grid-job view, the service — gets its tasks from here, so their
-  store fingerprints cannot drift apart.
+* :func:`plan_tasks` — the task-plan generator.  A study is a list of
+  cells; a cell's ensemble is ``n_tasks`` sub-ensembles of
+  ``samples_per_task`` replicas (or the task range the cell names); task
+  ``t`` runs RNG stream ``stream_for(seed, *labels, "task", t)`` and is
+  described by :func:`repro.store.pulling_task` over that key
+  (``n_tasks=None`` is the historical unsplit layout: one task per cell
+  under the bare cell key ``(seed, *labels)``).  Grid cells are labelled by
+  :func:`cell_labels`.  Every driver — studies, production, the
+  forward/reverse pair, the adaptive rounds, the grid-job view, the service
+  — gets its tasks from here, so their store fingerprints cannot drift.
 * :class:`TaskResolver` — the one executor above the engine:
   :meth:`~TaskResolver.resolve_window` resolves a batch of planned tasks
   against an optional store (load hits, compute and persist misses,
   strictly in task order) with the same ``store.hits/misses/writes``
   traffic whoever is driving.
-* :func:`run_work_ensemble` — that step over one cell's plan, merged.
+* :func:`run_cells` — that step over one plan, assembled per cell by
+  :func:`merge_cells`: what production, the forward/reverse pair and each
+  adaptive round call.  :func:`run_work_ensemble` is its one-cell call;
   :func:`repro.workflow.streaming.run_streamed_tasks` is the same step per
   bounded window, plus what only streaming owns (cursor, retries, DLQ).
 
@@ -34,7 +37,7 @@ part of a fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import (
     Any, Callable, Collection, Dict, Iterable, Iterator, List, Optional,
     Sequence, Tuple,
@@ -59,7 +62,9 @@ __all__ = [
     "TASK_ERRORS",
     "TaskResolver",
     "cell_labels",
+    "merge_cells",
     "plan_tasks",
+    "run_cells",
     "run_work_ensemble",
 ]
 
@@ -128,12 +133,11 @@ def cell_labels(protocol: PullingProtocol) -> Tuple[Any, ...]:
 
 def plan_tasks(
     model: ReducedTranslocationModel,
-    cells: Iterable[Tuple[PullingProtocol, Tuple[Any, ...]]],
+    cells: Iterable[Tuple[Any, ...]],
     n_tasks: Optional[int],
     samples_per_task: int,
     *,
     seed: SeedLike,
-    task_offset: int = 0,
     dt: Optional[float] = None,
     n_records: int = 41,
     force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
@@ -142,13 +146,17 @@ def plan_tasks(
 ) -> Iterator[StreamTask]:
     """Lazily yield the tasks of ``(protocol, labels)`` cells, cell-major.
 
-    Cell ``c``'s tasks are ``t = task_offset .. task_offset + n_tasks - 1``
-    with stream key ``(seed, *labels, "task", t)``; ``n_tasks=None`` leaves
-    the cell unsplit — one task under the bare cell key ``(seed, *labels)``,
-    the layout of releases before tasks existed.  ``index`` counts tasks
-    across the whole plan from 0.  ``cells`` may be a generator — it is
-    consumed one cell at a time.  The integration settings pass verbatim
-    into both the descriptor and the compute thunk (``None`` for
+    A cell's tasks are ``t = 0 .. n_tasks - 1`` with stream key ``(seed,
+    *labels, "task", t)``; ``n_tasks=None`` leaves the cell unsplit — one
+    task under the bare cell key ``(seed, *labels)``, the layout of
+    releases before tasks existed.  A cell entry ``(protocol, labels,
+    numbers)`` names its own task numbers instead (a ``range``, possibly
+    empty): ``range(n, n + extra)`` *extends* a cell that already ran ``n``
+    tasks, which is how one plan holds an adaptive refine round whose bins
+    get different numbers of extra tasks.  ``index`` counts tasks across
+    the whole plan from 0.  ``cells`` may be a generator — it is consumed
+    one cell at a time.  The integration settings pass verbatim into both
+    the descriptor and the compute thunk (``None`` for
     ``force_sample_time`` means exact per-step work, not "default").
     """
     from ..store.fingerprint import pulling_task
@@ -157,17 +165,17 @@ def plan_tasks(
         raise ConfigurationError("n_tasks must be at least 1")
     if samples_per_task < 1:
         raise ConfigurationError("samples_per_task must be at least 1")
-    if task_offset < 0:
-        raise ConfigurationError("task_offset cannot be negative")
     settings = dict(dt=dt, n_records=n_records,
                     force_sample_time=force_sample_time,
                     cpu_hours_per_ns=cpu_hours_per_ns)
-    numbers = [None] if n_tasks is None else range(
-        task_offset, task_offset + n_tasks)
+    shared = [None] if n_tasks is None else range(n_tasks)
     base = as_seed_int(seed)
     stack = PlanStack(model, samples_per_task, dict(settings, obs=obs))
     index = 0
-    for protocol, labels in cells:
+    for protocol, labels, *own in cells:
+        numbers = own[0] if own else shared
+        if own and min(numbers, default=0) < 0:
+            raise ConfigurationError("task numbers cannot be negative")
         for t in numbers:
             key = (base, *labels) if t is None else (base, *labels, "task", t)
             task = pulling_task(model, protocol, n_samples=samples_per_task,
@@ -308,6 +316,46 @@ class TaskResolver:
                 yield (task, *self.resolve(task, lambda t: compute(t, run)))
 
 
+def merge_cells(
+    parts: Iterable[Tuple[Tuple[Any, ...], Optional[WorkEnsemble]]],
+) -> Dict[Tuple[Any, ...], WorkEnsemble]:
+    """Per-cell assembly: ``(cell, ensemble)`` pairs in task order become
+    ``{cell: merged ensemble}``, cells in order of first appearance.  A
+    cell with any ``None`` part (a dead-lettered task) is left out — the
+    degraded-completion contract."""
+    merged: Dict[Tuple[Any, ...], WorkEnsemble] = {}
+    failed = set()
+    for cell, ensemble in parts:
+        if ensemble is None:
+            failed.add(cell)
+        else:
+            merged[cell] = (merged[cell].merged_with(ensemble)
+                            if cell in merged else ensemble)
+    return {cell: ensemble for cell, ensemble in merged.items()
+            if cell not in failed}
+
+
+def run_cells(
+    model: ReducedTranslocationModel,
+    cells: Iterable[Tuple[Any, ...]],
+    n_tasks: Optional[int],
+    samples_per_task: int,
+    *,
+    store: Any = None,
+    **plan: Any,
+) -> Dict[Tuple[Any, ...], WorkEnsemble]:
+    """Run a list of cells: their :func:`plan_tasks` plan (``**plan`` is
+    its keywords — ``seed``, the integration settings, ``obs``) resolved as
+    one :meth:`TaskResolver.resolve_window` step — hits loaded, every miss
+    of two or more replicas pulled in one stacked engine call, ``put`` in
+    task order — and merged per cell by :func:`merge_cells`.  A cell whose
+    task range is empty has no entry."""
+    tasks = list(plan_tasks(model, cells, n_tasks, samples_per_task, **plan))
+    return merge_cells(
+        (task.cell, ensemble) for task, _outcome, ensemble
+        in TaskResolver(store).resolve_window(tasks))
+
+
 def run_work_ensemble(
     model: ReducedTranslocationModel,
     protocol: PullingProtocol,
@@ -326,14 +374,13 @@ def run_work_ensemble(
 ) -> WorkEnsemble:
     """Run one (kappa, v) cell as ``n_tasks`` restartable store-addressed tasks.
 
-    The cell's ensemble is the :func:`plan_tasks` plan for
+    The one-cell call of :func:`run_cells`: the :func:`plan_tasks` plan for
     ``(protocol, labels)`` — the paper's "72 independent jobs" granularity
-    — resolved as one :meth:`TaskResolver.resolve_window` step and merged
-    in task order.  A task's physics depends only on ``(seed, labels, t)``
-    and the integration settings, never on which process ran it or in what
-    order, so with a ``store`` attached a killed campaign re-run recomputes
-    exactly the tasks whose records are missing and the merged ensemble is
-    bit-identical either way.
+    — merged in task order.  A task's physics depends only on ``(seed,
+    labels, t)`` and the integration settings, never on which process ran
+    it or in what order, so with a ``store`` attached a killed campaign
+    re-run recomputes exactly the tasks whose records are missing and the
+    merged ensemble is bit-identical either way.
 
     Parameters
     ----------
@@ -347,28 +394,21 @@ def run_work_ensemble(
         ``("cell", 100000, 12500)``) so distinct cells never share streams.
     store:
         Optional :class:`repro.store.ResultStore`; each task is memoized
-        individually under its full stream key.  The tasks that are not
-        already in the store are computed together (one stacked engine
-        call when ``samples_per_task >= 2``), each from its own
-        ``stream_for`` stream, then persisted in task order.
+        individually under its full stream key.
     task_offset:
         First task index (default 0).  A later call with
         ``task_offset=n_tasks`` *extends* the same cell: concatenating the
         two results is bit-identical to one call of ``n_tasks + n_extra``
-        tasks — the contract the adaptive controller's pilot/refine rounds
-        are built on.
+        tasks (the cell's own task range in :func:`plan_tasks`).
 
     Remaining parameters match :func:`run_pulling_ensemble`.
     """
     obs = as_obs(obs)
-    tasks = list(plan_tasks(
-        model, [(protocol, labels)], n_tasks, samples_per_task, seed=seed,
-        task_offset=task_offset, dt=dt, n_records=n_records,
-        force_sample_time=force_sample_time,
-        cpu_hours_per_ns=cpu_hours_per_ns, obs=obs))
+    cell = (protocol, labels, range(task_offset, task_offset + n_tasks))
     with obs.span("smd.work_ensemble", kappa_pn=protocol.kappa_pn,
                   velocity=protocol.velocity, n_tasks=n_tasks,
                   samples_per_task=samples_per_task):
-        parts = [ensemble for _task, _outcome, ensemble
-                 in TaskResolver(store).resolve_window(tasks)]
-    return reduce(WorkEnsemble.merged_with, parts)
+        return run_cells(
+            model, [cell], n_tasks, samples_per_task, seed=seed, store=store,
+            dt=dt, n_records=n_records, force_sample_time=force_sample_time,
+            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs)[labels]

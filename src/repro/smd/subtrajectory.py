@@ -11,7 +11,7 @@ stitching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -65,20 +65,10 @@ def plan_subtrajectories(
     if window <= 0.0 or window > total_distance:
         raise ConfigurationError("window must be in (0, total_distance]")
     n = int(np.ceil(total_distance / window - 1e-9))
-    protocols = []
-    for i in range(n):
-        start = base.start_z + i * window
-        dist = min(window, total_distance - i * window)
-        protocols.append(
-            PullingProtocol(
-                kappa_pn=base.kappa_pn,
-                velocity=base.velocity,
-                distance=dist,
-                start_z=start,
-                equilibration_ns=base.equilibration_ns,
-            )
-        )
-    return SubTrajectoryPlan(protocols=tuple(protocols))
+    return SubTrajectoryPlan(protocols=tuple(
+        replace(base, start_z=base.start_z + i * window,
+                distance=min(window, total_distance - i * window))
+        for i in range(n)))
 
 
 def stitch_pmfs(

@@ -16,15 +16,18 @@ exponential average needs far more samples there than on quiet stretches.
    proportionally to ``sqrt(mse)`` (the optimal allocation under the
    ``error² ~ mse/n`` sampling law) by the deterministic largest-remainder
    method, ties broken toward the lower window index.
-4. **Refine** — each window extends its own task stream via
-   ``task_offset=pilot_per_bin``, so the merged pilot+refine ensemble is
-   bit-identical to a single run of ``pilot + extra`` tasks; the per-window
-   PMFs are stitched (:func:`repro.smd.stitch_pmfs`) into the full profile.
+4. **Refine** — each window extends its own task stream (its cell's task
+   range starts where the pilot's ended), so the merged pilot+refine
+   ensemble is bit-identical to a single run of ``pilot + extra`` tasks;
+   the per-window PMFs are stitched (:func:`repro.smd.stitch_pmfs`) into
+   the full profile.
 
-Everything is driven by ``stream_for(seed, "adaptive", "bin", b, "task",
-t)`` streams, so the controller is deterministic end to end: rerunning or
-attaching a (cold or warm) result store reproduces the same bits
-(:meth:`AdaptiveReport.digest`).
+Each round is one task plan over the windows' cells ``("adaptive", "bin",
+b)`` (:func:`repro.smd.plan.run_cells`) — one stacked engine call for the
+pilot, one for the refinement — driven by ``stream_for(seed, "adaptive",
+"bin", b, "task", t)`` streams, so the controller is deterministic end to
+end: rerunning or attaching a (cold or warm) result store reproduces the
+same bits (:meth:`AdaptiveReport.digest`).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import SeedLike, as_seed_int, stream_for
 from ..smd.batched import DEFAULT_FORCE_SAMPLE_TIME, PAPER_CPU_HOURS_PER_NS
-from ..smd.plan import run_work_ensemble
+from ..smd.plan import run_cells
 from ..smd.protocol import PullingProtocol
 from ..smd.subtrajectory import plan_subtrajectories, stitch_pmfs
 from ..smd.work import WorkEnsemble
@@ -166,7 +169,8 @@ def run_adaptive_campaign(
     Parameters
     ----------
     protocol:
-        The full-window forward protocol; it is split into ``n_bins``
+        The full-window forward protocol (a reverse one is refused: the
+        windows are stitched ascending); it is split into ``n_bins``
         consecutive sub-trajectory windows.
     total_replicas:
         Whole campaign budget in replicas; must cover the pilot,
@@ -185,9 +189,8 @@ def run_adaptive_campaign(
         Any *unpaired* registry estimator used per window (the windows are
         forward-only).
     store:
-        Optional result store: every round's tasks are memoized in it
-        (:func:`~repro.smd.run_work_ensemble`), so a re-run resolves from
-        hits — bit-identical by construction.
+        Optional result store: every round's tasks are memoized in it,
+        so a re-run resolves from hits — bit-identical by construction.
     n_boot / n_blocks:
         Block-bootstrap shape for the per-window diagnostic; the bootstrap
         stream is independent of the physics streams.
@@ -195,6 +198,10 @@ def run_adaptive_campaign(
     Returns an :class:`AdaptiveReport`; ``report.digest()`` is the
     byte-reproducibility witness across reruns and stores.
     """
+    if protocol.direction != "forward":
+        raise ConfigurationError(
+            "run_adaptive_campaign takes a forward protocol; its windows "
+            "are forward-only and stitched ascending")
     if n_bins < 1:
         raise ConfigurationError("n_bins must be at least 1")
     if samples_per_task < 1:
@@ -225,51 +232,48 @@ def run_adaptive_campaign(
 
     obs = as_obs(obs)
     base = as_seed_int(seed)
-    plan = plan_subtrajectories(protocol, total_distance=protocol.distance,
-                                window=protocol.distance / n_bins)
-    protos = list(plan.protocols)
-
-    def run_round(b: int, proto: PullingProtocol, n_tasks: int,
-                  offset: int) -> WorkEnsemble:
-        return run_work_ensemble(
-            model, proto, n_tasks, samples_per_task, seed=base,
-            labels=("adaptive", "bin", b), store=store, dt=dt,
-            n_records=n_records, force_sample_time=force_sample_time,
-            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs,
-            task_offset=offset,
-        )
+    protos = plan_subtrajectories(
+        protocol, total_distance=protocol.distance,
+        window=protocol.distance / n_bins).protocols
+    cells = [("adaptive", "bin", b) for b in range(n_bins)]
+    plan = dict(seed=base, store=store, dt=dt, n_records=n_records,
+                force_sample_time=force_sample_time,
+                cpu_hours_per_ns=cpu_hours_per_ns, obs=obs)
 
     with obs.span("workflow.adaptive", n_bins=n_bins,
                   total_replicas=total_replicas,
                   pilot_per_bin=pilot_per_bin):
         pilot_tasks = pilot_per_bin // samples_per_task
-        pilots: List[WorkEnsemble] = []
-        diagnostics = []
-        for b, proto in enumerate(protos):
-            ens = run_round(b, proto, pilot_tasks, 0)
-            diag = block_bootstrap(
-                ens.final_works(), ens.temperature, n_boot=n_boot,
-                n_blocks=n_blocks, method=estimator,
-                seed=stream_for(base, "adaptive", "score", b),
-            )
-            pilots.append(ens)
-            diagnostics.append(diag)
-            obs.inc("adaptive.pilot_replicas", pilot_per_bin)
+        pilots = run_cells(model, zip(protos, cells), pilot_tasks,
+                           samples_per_task, **plan)
+        diagnostics = [
+            block_bootstrap(
+                pilots[cell].final_works(), pilots[cell].temperature,
+                n_boot=n_boot, n_blocks=n_blocks, method=estimator,
+                seed=stream_for(base, "adaptive", "score", b))
+            for b, cell in enumerate(cells)]
+        obs.inc("adaptive.pilot_replicas", n_bins * pilot_per_bin)
 
         pool_tasks = (total_replicas - n_bins * pilot_per_bin) \
             // samples_per_task
         weights = [float(np.sqrt(d.mse)) for d in diagnostics]
         extra_tasks = allocate_largest_remainder(weights, pool_tasks)
+        # Every cell names its own task range, so no plan-wide count.
+        refines = run_cells(
+            model,
+            [(proto, cell, range(pilot_tasks, pilot_tasks + extra))
+             for proto, cell, extra in zip(protos, cells, extra_tasks)],
+            None, samples_per_task, **plan)
+        if pool_tasks:
+            obs.inc("adaptive.refine_replicas", pool_tasks * samples_per_task)
 
         results: Dict[int, WorkEnsemble] = {}
         bins: List[BinReport] = []
-        for b, (proto, pilot, diag, extra) in enumerate(
-                zip(protos, pilots, diagnostics, extra_tasks)):
-            merged = pilot
-            if extra > 0:
-                refine = run_round(b, proto, extra, pilot_tasks)
-                merged = pilot.merged_with(refine)
-                obs.inc("adaptive.refine_replicas", extra * samples_per_task)
+        for b, (proto, cell, diag, extra) in enumerate(
+                zip(protos, cells, diagnostics, extra_tasks)):
+            merged = pilots[cell]
+            if cell in refines:
+                merged = merged.merged_with(refines[cell])
             results[b] = merged
             bins.append(BinReport(
                 index=b, start_z=proto.start_z, distance=proto.distance,

@@ -6,23 +6,25 @@ can be obtained."  The Fig. 4 study picks the (kappa, v) parameters on one
 10 A window; production then covers the *whole axis* with consecutive
 sub-trajectory windows (Section IV-A), each pulled as its own freshly
 equilibrated ensemble — the decomposition that makes the problem
-grid-shaped — and stitches the per-window PMFs into one profile.
+grid-shaped — and stitches the per-window PMFs into one profile.  The
+windows are the cells of one task plan (:func:`repro.smd.plan.run_cells`):
+one stacked engine call, store-addressable like any other task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.pmf import PMFEstimate, estimate_pmf
 from ..errors import ConfigurationError
-from ..obs import Obs, as_obs
+from ..obs import Obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..pore.tabulated import full_axis_chain_potential
-from ..rng import SeedLike, as_seed_int, stream_for
-from ..smd.ensemble import run_pulling_ensemble
+from ..rng import SeedLike
+from ..smd.plan import run_cells
 from ..smd.protocol import PullingProtocol
 from ..smd.subtrajectory import plan_subtrajectories, stitch_pmfs
 from ..smd.work import WorkEnsemble
@@ -68,23 +70,25 @@ def run_full_axis_production(
     n_samples: int = 24,
     seed: SeedLike = 2005,
     obs: Optional[Obs] = None,
+    store: Any = None,
 ) -> FullAxisResult:
     """Run the production sweep over ``axis_range``.
 
     Default model: the full-axis chain potential derived from the 3-D
-    pore's on-axis landscape (:func:`full_axis_chain_potential`).  Each
-    window runs an independent ensemble with its own deterministic stream;
-    per-window PMFs are stitched at the junctions.
+    pore's on-axis landscape (:func:`full_axis_chain_potential`).  Window
+    ``i`` is the cell ``("production-window", i)`` — an independent
+    ensemble on its own deterministic stream of that name; per-window PMFs
+    are stitched at the junctions.
 
     ``seed`` is any :data:`~repro.rng.SeedLike`, normalized via
     :func:`repro.rng.as_seed_int` (integer seeds keep their historical
     bit-for-bit behaviour); ``obs`` is the optional instrumentation
-    handle, forwarded to every window's pulling ensemble.
+    handle, forwarded to the windows' stacked pulling call.  ``store`` is
+    an optional result store: each window is one task, so a re-run on the
+    same store resolves from hits and an interrupted sweep resumes.
     """
     if axis_range[1] <= axis_range[0]:
         raise ConfigurationError("axis_range must be increasing")
-    base_seed = as_seed_int(seed)
-    obs = as_obs(obs)
     if model is None:
         model = ReducedTranslocationModel(full_axis_chain_potential())
     total = axis_range[1] - axis_range[0]
@@ -93,22 +97,14 @@ def run_full_axis_production(
                            start_z=axis_range[0], equilibration_ns=0.05)
     plan = plan_subtrajectories(base, total_distance=total, window=window)
 
-    disps, pmfs, starts = [], [], []
-    estimates: List[PMFEstimate] = []
-    ensembles: List[WorkEnsemble] = []
-    for i, proto in enumerate(plan.protocols):
-        rng = stream_for(base_seed, "production-window", i)
-        with obs.span("production.window", index=i, start_z=proto.start_z):
-            ens = run_pulling_ensemble(model, proto, n_samples=n_samples,
-                                       seed=rng, obs=obs)
-        est = estimate_pmf(ens)
-        ensembles.append(ens)
-        estimates.append(est)
-        disps.append(est.displacements)
-        pmfs.append(est.values)
-        starts.append(proto.start_z)
-
-    z, pmf = stitch_pmfs(disps, pmfs, starts)
+    cells = [(proto, ("production-window", i))
+             for i, proto in enumerate(plan.protocols)]
+    ensembles = list(run_cells(model, cells, None, n_samples, seed=seed,
+                               store=store, obs=obs).values())
+    estimates = [estimate_pmf(ens) for ens in ensembles]
+    starts = [proto.start_z for proto in plan.protocols]
+    z, pmf = stitch_pmfs([est.displacements for est in estimates],
+                         [est.values for est in estimates], starts)
     reference = model.reference_pmf(z)
     return FullAxisResult(
         z=z,

@@ -27,9 +27,9 @@ miss:
   stream order); this module adds only what streaming owns — the cursor,
   the durable dead set, seeded per-task retries, dead-letter-queue
   degradation and the ``fault`` hook.
-* :func:`run_streamed_study` — per-cell assembly on top: merged ensembles
-  for every cell whose tasks all resolved, and a degradation report for
-  the rest.
+* :func:`run_streamed_study` — per-cell assembly on top
+  (:func:`~repro.smd.plan.merge_cells`): merged ensembles for every cell
+  whose tasks all resolved, and a degradation report for the rest.
 
 Determinism: a task's physics depends only on its descriptor (the store
 fingerprint covers model, protocol, shape and seed key); the window size,
@@ -49,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -68,6 +67,7 @@ from ..smd.plan import (
     StreamTask,
     TaskResolver,
     cell_labels,
+    merge_cells,
     plan_tasks,
 )
 from ..smd.work import WorkEnsemble
@@ -426,24 +426,17 @@ def run_streamed_study(
         model, protocols, None if samples_per_task is None else n_tasks,
         size, seed=seed, n_records=n_records, obs=obs,
     )
-    # The plan is cell-major with ``n_tasks`` tasks per cell: remember each
-    # cell's labels as its first task streams past (no descriptors kept).
+    # Remember each task's cell as it streams past (no descriptors kept).
     cells: List[Tuple[Any, ...]] = []
 
     def tagged() -> Iterator[StreamTask]:
         for spec in specs:
-            if spec.index % n_tasks == 0:
-                cells.append(spec.cell)
+            cells.append(spec.cell)
             yield spec
 
     report = run_streamed_tasks(
         tagged(), store=store, campaign_key=campaign_key, window=window,
         collect=True, dlq=dlq, retry=retry, fault=fault, obs=obs,
     )
-    merged: Dict[Tuple[Any, ...], WorkEnsemble] = {}
-    for c, cell in enumerate(cells):
-        indices = range(c * n_tasks, (c + 1) * n_tasks)
-        if not any(i in report.failures for i in indices):
-            merged[cell] = reduce(WorkEnsemble.merged_with,
-                                  (report.results[i] for i in indices))
-    return merged, report
+    return merge_cells((cell, report.results.get(index))
+                       for index, cell in enumerate(cells)), report

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import Obs
 from repro.pore import ReducedTranslocationModel, default_reduced_potential
 from repro.rng import stream_for
 from repro.smd import PullingProtocol, run_pulling_ensemble
@@ -98,6 +99,17 @@ class TestAdaptiveDeterminism:
             assert baseline.digest() == report.digest(), stage
             assert store.hits == hits and store.writes == n_tasks, stage
 
+    def test_each_round_is_one_engine_call(self, model, protocol, baseline):
+        """Pilot and refine are one plan each: two stacked calls over the
+        bins, not one per bin per round."""
+        obs = Obs()
+        report = run_adaptive_campaign(model, protocol, obs=obs, **CAMPAIGN)
+        assert report.digest() == baseline.digest()
+        spans = obs.tracer.named("smd.ensemble")
+        assert [s.attrs["n_cells"] for s in spans] == [4, 4]
+        assert [s.attrs["n_samples"] for s in spans] == [
+            16, CAMPAIGN["total_replicas"] - 16]
+
     def test_allocation_is_deterministic(self, model, protocol, baseline):
         again = run_adaptive_campaign(model, protocol, **CAMPAIGN)
         assert baseline.allocations() == again.allocations()
@@ -147,6 +159,10 @@ class TestAdaptiveValidation:
         with pytest.raises(ConfigurationError, match="paired"):
             run_adaptive_campaign(model, protocol, estimator="fr",
                                   **CAMPAIGN)
+
+    def test_reverse_protocol_rejected(self, model, protocol):
+        with pytest.raises(ConfigurationError, match="forward"):
+            run_adaptive_campaign(model, protocol.reversed(), **CAMPAIGN)
 
     def test_small_pilot_rejected(self, model, protocol):
         with pytest.raises(ConfigurationError, match="pilot_per_bin"):

@@ -6,9 +6,14 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.pore import (
     HemolysinPore,
+    ReducedTranslocationModel,
     TabulatedPotential1D,
     full_axis_chain_potential,
 )
+from repro.store import ResultStore, task_fingerprint
+from repro.workflow import run_full_axis_production
+
+from ._streams import default_pulling_task
 
 
 class TestTabulatedPotential:
@@ -82,3 +87,48 @@ class TestFullAxisChainPotential:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             full_axis_chain_potential(chain_scale=0.0)
+
+
+class TestFingerprint:
+    """The default production model is store-addressable."""
+
+    def table(self):
+        grid = np.linspace(-2.0, 2.0, 41)
+        return grid, grid**2
+
+    def test_equal_tables_fingerprint_equal(self):
+        grid, values = self.table()
+        a = TabulatedPotential1D(grid, values).fingerprint_data()
+        b = TabulatedPotential1D(grid.copy(), list(values)).fingerprint_data()
+        assert a == b
+        assert (a["kind"], a["n"], a["support"]) == (
+            "tabulated-1d", 41, [-2.0, 2.0])
+
+    @pytest.mark.parametrize("which", ["grid", "values"])
+    def test_one_ulp_rekeys(self, which):
+        grid, values = self.table()
+        base = TabulatedPotential1D(grid, values).fingerprint_data()
+        moved = {"grid": grid.copy(), "values": values.copy()}
+        moved[which][7] = np.nextafter(moved[which][7], np.inf)
+        other = TabulatedPotential1D(
+            moved["grid"], moved["values"]).fingerprint_data()
+        assert other["sha256"] != base["sha256"]
+        assert {k: other[k] for k in ("kind", "n", "support")} == \
+            {k: base[k] for k in ("kind", "n", "support")}
+
+    def test_production_window_round_trips_through_a_store(self, tmp_path):
+        model = ReducedTranslocationModel(full_axis_chain_potential())
+        store = ResultStore(tmp_path / "store")
+        kwargs = dict(model=model, axis_range=(-10.0, 10.0), n_samples=3,
+                      seed=4, store=store)
+        cold = run_full_axis_production(**kwargs)
+        planned = [task_fingerprint(default_pulling_task(
+            model, e.protocol, 3, (4, "production-window", i)))
+            for i, e in enumerate(cold.ensembles)]
+        assert store.fingerprints() == sorted(planned)
+        for fingerprint, ensemble in zip(planned, cold.ensembles):
+            loaded = store.get(fingerprint)
+            np.testing.assert_array_equal(loaded.works, ensemble.works)
+            np.testing.assert_array_equal(loaded.positions,
+                                          ensemble.positions)
+            assert loaded.protocol == ensemble.protocol

@@ -31,6 +31,9 @@ from repro.smd import (
     run_pulling_stack,
     run_work_ensemble,
 )
+from repro.smd.plan import plan_tasks, run_cells
+
+from ._streams import default_pulling_task
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "golden_pmf.json")
@@ -51,15 +54,23 @@ def assert_ensembles_identical(a, b):
 
 
 def oracle_tasks(model, proto, n_tasks, samples_per_task, *, seed,
-                 labels=(), store=None, **kwargs):
+                 labels=(), store=None, n_records):
     """``run_work_ensemble``'s tasks pulled one by one by the scalar
-    oracle, each from its own ``stream_for`` key, merged in task order."""
-    keys = [(seed, *labels, "task", t) for t in range(n_tasks)]
+    oracle, each from its own ``stream_for`` key (memoized under that key's
+    task descriptor when a store is given), merged in task order."""
+    def pull(key):
+        def run():
+            return run_pulling_ensemble(
+                model, proto, samples_per_task, seed=stream_for(*key),
+                n_records=n_records, kernel="reference")
+
+        if store is None:
+            return run()
+        return store.get_or_run(default_pulling_task(
+            model, proto, samples_per_task, key, n_records), run)
+
     return reduce(WorkEnsemble.merged_with, (
-        run_pulling_ensemble(model, proto, samples_per_task,
-                             seed=stream_for(*key), store=store,
-                             store_key=key, kernel="reference", **kwargs)
-        for key in keys))
+        pull((seed, *labels, "task", t)) for t in range(n_tasks)))
 
 
 class TestBitIdentity:
@@ -242,17 +253,18 @@ class TestRunPullingGroups:
 #: Cells of a mixed stack: every protocol field the engine turns into a
 #: per-replica vector or a per-cell clock, kept short enough (fast, short
 #: pulls) that the scalar oracle stays cheap.
+short_protocols = st.builds(
+    PullingProtocol,
+    kappa_pn=st.sampled_from([10.0, 100.0, 400.0, 1000.0]),
+    velocity=st.sampled_from([100.0, 150.0, 250.0, 400.0]),
+    distance=st.sampled_from([0.25, 0.5, 1.0]),
+    start_z=st.sampled_from([-2.0, -0.5, 0.0, 1.5]),
+    equilibration_ns=st.sampled_from([0.0, 0.0005, 0.002]),
+    direction=st.sampled_from(["forward", "reverse"]),
+)
 mixed_cells = st.lists(
     st.tuples(
-        st.builds(
-            PullingProtocol,
-            kappa_pn=st.sampled_from([10.0, 100.0, 400.0, 1000.0]),
-            velocity=st.sampled_from([100.0, 150.0, 250.0, 400.0]),
-            distance=st.sampled_from([0.25, 0.5, 1.0]),
-            start_z=st.sampled_from([-2.0, -0.5, 0.0, 1.5]),
-            equilibration_ns=st.sampled_from([0.0, 0.0005, 0.002]),
-            direction=st.sampled_from(["forward", "reverse"]),
-        ),
+        short_protocols,
         st.lists(st.integers(2, 5), min_size=1, max_size=3),    # group sizes
     ),
     min_size=2, max_size=4, unique_by=lambda cell: cell[0])
@@ -313,3 +325,45 @@ class TestCrossCellStack:
             velocity=stiff.velocity)
         # Counters accumulate per group whatever the stack's shape.
         assert obs.metrics.counter("smd.je_samples").value == 7 + 3 + 3
+
+
+class TestCellsCarryTheirOwnTaskRange:
+    """One plan may give every cell a different task range (an adaptive
+    refine round): each cell resolves as if it had been run alone."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(cells=st.lists(st.tuples(short_protocols, st.integers(0, 3),
+                                    st.integers(0, 3)),
+                          min_size=1, max_size=4),
+           samples=st.integers(1, 3))
+    def test_unequal_ranges_equal_each_cell_alone(self, cells, samples):
+        model = ReducedTranslocationModel(default_reduced_potential())
+        plan = [(proto, ("bin", b), range(first, first + count))
+                for b, (proto, first, count) in enumerate(cells)]
+        merged = run_cells(model, plan, None, samples, seed=3, n_records=5)
+        assert list(merged) == [labels for _proto, labels, numbers in plan
+                                if numbers]
+        for proto, labels, numbers in plan:
+            if numbers:
+                assert_ensembles_identical(merged[labels], run_work_ensemble(
+                    model, proto, len(numbers), samples, seed=3,
+                    labels=labels, n_records=5, task_offset=numbers.start))
+
+    def test_a_cell_without_a_range_takes_the_plans(self, reduced_model):
+        proto = fast_protocol()
+        tasks = plan_tasks(
+            reduced_model, [(proto, ("a",)), (proto, ("b",), range(2, 5)),
+                            (proto, ("c",), range(0))], 2, 2, seed=1)
+        assert [(t.index, t.key[1:]) for t in tasks] == [
+            (0, ("a", "task", 0)), (1, ("a", "task", 1)),
+            (2, ("b", "task", 2)), (3, ("b", "task", 3)),
+            (4, ("b", "task", 4))]
+
+    def test_negative_task_numbers_rejected(self, reduced_model):
+        with pytest.raises(ConfigurationError, match="negative"):
+            list(plan_tasks(reduced_model,
+                            [(fast_protocol(), ("a",), range(-1, 2))],
+                            None, 2, seed=1))
+        with pytest.raises(ConfigurationError, match="negative"):
+            run_work_ensemble(reduced_model, fast_protocol(), 2, 2, seed=1,
+                              task_offset=-1)

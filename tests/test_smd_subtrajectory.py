@@ -28,6 +28,16 @@ class TestPlanning:
         plan = plan_subtrajectories(self.base(), total_distance=20.0)
         assert all(p.kappa_pn == 100.0 and p.velocity == 12.5 for p in plan.protocols)
 
+    def test_windows_keep_every_other_field_of_the_base(self):
+        """``direction`` used to be dropped: a reverse base came back as
+        forward windows."""
+        reverse = self.base().reversed()
+        plan = plan_subtrajectories(reverse, total_distance=20.0, window=10.0)
+        assert [p.direction for p in plan.protocols] == ["reverse"] * 2
+        assert [p.start_z for p in plan.protocols] == [-5.0, 5.0]
+        assert all(p.equilibration_ns == reverse.equilibration_ns
+                   for p in plan.protocols)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             plan_subtrajectories(self.base(), total_distance=0.0)

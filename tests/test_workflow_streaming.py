@@ -49,7 +49,7 @@ from repro.workflow import (
     stream_study_tasks,
 )
 
-from ._streams import synthetic_stream
+from ._streams import default_pulling_task, synthetic_stream
 
 SEED = 2005
 
@@ -177,15 +177,17 @@ class TestBitIdentity:
 
     def test_whole_cell_plan_is_the_historical_layout(self, tmp_path):
         """``samples_per_task=None``: one task per cell under the bare cell
-        key — the stream and record ``run_pulling_ensemble(seed=
-        stream_for(seed, *labels), store_key=(seed, *labels))`` uses."""
+        key — the stream ``stream_for(seed, *labels)`` and the record of
+        ``pulling_task(..., seed_key=(seed, *labels))``."""
         protocols = grid_protocols()
         store = ResultStore(os.fspath(tmp_path / "engine"), sync=False)
         direct = {
-            (p.kappa_pn, p.velocity): run_pulling_ensemble(
-                model(), p, 4, n_records=11, store=store,
-                seed=stream_for(SEED, *cell_labels(p)),
-                store_key=(SEED, *cell_labels(p)))
+            (p.kappa_pn, p.velocity): store.get_or_run(
+                default_pulling_task(model(), p, 4,
+                                     (SEED, *cell_labels(p)), n_records=11),
+                lambda p=p: run_pulling_ensemble(
+                    model(), p, 4, n_records=11,
+                    seed=stream_for(SEED, *cell_labels(p))))
             for p in protocols}
         study = run_study(store, samples_per_task=None)
         assert (store.stats()["hits"], store.stats()["writes"]) == (4, 4)
