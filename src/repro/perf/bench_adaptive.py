@@ -10,7 +10,8 @@ benchmark pins that claim to numbers (``BENCH_adaptive.json``, schema
 * **cost-to-accuracy points** — at each replica budget the same protocol
   is run twice: adaptively (small pilot + reallocated pool) and uniformly
   (the whole budget as an even pilot, empty pool).  Both legs share seed
-  keys through the ``task_offset`` contract, so the uniform leg is not a
+  keys — a refine cell names its own task range, extending the pilot's
+  (:func:`~repro.smd.plan.plan_tasks`) — so the uniform leg is not a
   strawman — at budgets where the diagnostic happens to allocate evenly,
   the two legs are bit-identical and the errors tie exactly.  The
   validator enforces per-point dominance (``adaptive_error <=

@@ -15,7 +15,7 @@ which :meth:`ServiceClient.result` reports as ``(None, etag)`` because
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.error import HTTPError, URLError
 from urllib.request import Request as UrlRequest
 from urllib.request import urlopen
@@ -191,17 +191,3 @@ def _parse_jsonl(text: str) -> List[Dict[str, Any]]:
         if isinstance(doc, dict):
             out.append(doc)
     return out
-
-
-def iter_events(client: ServiceClient, campaign_id: str
-                ) -> Iterator[Dict[str, Any]]:  # pragma: no cover - thin
-    """Yield events until the campaign is terminal (CLI convenience)."""
-    since = 0
-    while True:
-        events = client.events(campaign_id, since=since, wait=True)
-        for event in events:
-            since = max(since, event.get("seq", since))
-            yield event
-        doc = client.campaign(campaign_id)
-        if doc["state"] in ("completed", "degraded", "failed", "cancelled"):
-            return

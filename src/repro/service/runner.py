@@ -333,7 +333,7 @@ class CampaignRunner:
         """
         from ..core import estimate_pmf
 
-        task_fps = self._task_fingerprints(spec)
+        task_fps = sorted(report.fingerprints)  # the stream hashed them
         dead = sorted({
             entry["fingerprint"]
             for entry in report.failures.values()
@@ -372,8 +372,10 @@ class CampaignRunner:
         }
 
     def _task_fingerprints(self, spec: CampaignSpec) -> List[str]:
-        """The campaign's store fingerprints (descriptors only, no
-        physics): its slice of the shared store's content identity."""
+        """The campaign's store fingerprints re-planned from its spec
+        (descriptors only, no physics), for the dead-letter view of a
+        campaign with no run report in hand; a run takes them from its
+        :class:`~repro.workflow.StreamReport`."""
         from ..pore import ReducedTranslocationModel, default_reduced_potential
         from ..workflow.streaming import stream_study_tasks
 

@@ -241,8 +241,8 @@ class CampaignSpec:
         """The study's pulling protocols, in deterministic grid order.
 
         Kappa-major, velocity-minor — the same nesting every classic
-        driver uses, so streamed task indices (and hence the resume
-        cursor) are reproducible from the spec alone.
+        driver uses, so streamed task indices (and hence dead-letter
+        reports) are reproducible from the spec alone.
         """
         from ..smd import PullingProtocol
 

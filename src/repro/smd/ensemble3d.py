@@ -26,7 +26,7 @@ from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, StoreError
+from ..errors import ConfigurationError
 from ..md.batch import stack_simulations
 from ..md.engine import Simulation
 from ..md.kernels import validate_kernel
@@ -44,26 +44,6 @@ from .work import WorkEnsemble
 __all__ = ["run_pulling_ensemble_3d"]
 
 
-def _store_seed_key(seed, store_key):
-    """Fingerprintable identity of this ensemble's RNG stream.
-
-    Caching is only sound when the seed identity is content-addressable:
-    an integer seed, or an explicit ``store_key`` naming the
-    :func:`repro.rng.stream_for` labels the caller derived ``seed`` from.
-    A bare generator has no such identity, so it is refused rather than
-    silently producing irreproducible cache keys.
-    """
-    if store_key is not None:
-        return store_key
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        return int(seed)
-    raise StoreError(
-        "result-store caching needs a deterministic seed identity: pass an "
-        "int seed, or store_key=(base_seed, *labels) matching the "
-        "stream_for() derivation of the generator"
-    )
-
-
 def run_pulling_ensemble_3d(
     protocol: PullingProtocol,
     n_samples: int,
@@ -74,8 +54,6 @@ def run_pulling_ensemble_3d(
     seed: SeedLike = None,
     cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
-    store=None,
-    store_key=None,
     kernel: str = "vectorized",
 ) -> WorkEnsemble:
     """Run ``n_samples`` independent 3-D pulls of the CG system.
@@ -89,39 +67,19 @@ def run_pulling_ensemble_3d(
     the instrumentation handle (read-only: spans and counters only, so
     instrumented runs stay bit-identical).
 
-    ``store``/``store_key`` memoize the whole ensemble in a
-    :class:`repro.store.ResultStore` under the ``smd.cg3d/v1`` kernel tag
-    (the 3-D engine has no task plan): an int seed fingerprints directly,
-    a generator needs ``store_key``, the ``(base_seed, *labels)`` tuple it
-    was derived from via :func:`repro.rng.stream_for`, and must be passed
-    unconsumed — the fingerprint asserts the stream's identity, not state.
-
     ``kernel``: by default all replicas are stacked into one
     :class:`~repro.md.engine.Simulation` of a
     :class:`~repro.md.batch.ReplicaBatch` (R systems per force /
     integrator call); ``"reference"`` steps one solo simulation per
     replica, the oracle the stack is verified against.  Both run the same
-    engine, force terms and trap — the stack is a leading array axis — are
-    bit-identical, and share store fingerprints.
+    engine, force terms and trap — the stack is a leading array axis — and
+    are bit-identical.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be at least 1")
     if n_records < 2:
         raise ConfigurationError("n_records must be at least 2")
     validate_kernel(kernel)
-    if store is not None:
-        from ..store import pulling_task_3d
-
-        task = pulling_task_3d(
-            protocol, n_samples=n_samples, n_bases=n_bases,
-            n_records=n_records, axis=tuple(float(a) for a in axis),
-            start_com_z=start_com_z, cpu_hours_per_ns=cpu_hours_per_ns,
-            seed_key=_store_seed_key(seed, store_key),
-        )
-        return store.get_or_run(task, lambda: run_pulling_ensemble_3d(
-            protocol, n_samples, n_bases=n_bases, n_records=n_records,
-            axis=axis, start_com_z=start_com_z, seed=seed,
-            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs, kernel=kernel))
     obs = as_obs(obs)
     master = int(as_generator(seed).integers(0, 2**31))
     a = np.asarray(axis, dtype=np.float64)

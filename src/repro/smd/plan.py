@@ -23,7 +23,7 @@ how a set of them is resolved:
   :func:`merge_cells`: what production, the forward/reverse pair and each
   adaptive round call.  :func:`run_work_ensemble` is its one-cell call;
   :func:`repro.workflow.streaming.run_streamed_tasks` is the same step per
-  bounded window, plus what only streaming owns (cursor, retries, DLQ).
+  bounded window, plus what only streaming owns (retries, DLQ).
 
 Stacking is decided here, from what the window step can observe: the
 missing tasks of one window and plan — whatever cells they belong to —
@@ -206,13 +206,11 @@ class TaskResolver:
     Membership is read once from the store's index layer and maintained
     incrementally — never a per-task directory probe — and the store's
     ``hits`` / ``misses`` / ``writes`` counters move identically whichever
-    driver is resolving.  ``collect=False`` is completion-only mode: a hit
-    is proven by membership and not loaded.
+    driver is resolving.
     """
 
-    def __init__(self, store: Any = None, *, collect: bool = True) -> None:
+    def __init__(self, store: Any = None) -> None:
         self.store = store
-        self.collect = collect
         self.known = store.fingerprint_set() if store is not None else set()
 
     def __contains__(self, task: StreamTask) -> bool:
@@ -234,9 +232,6 @@ class TaskResolver:
             return ("failed" if ensemble is None else "computed"), ensemble
         fingerprint = task.fingerprint
         if fingerprint in self.known:
-            if not self.collect:
-                store.note_hit()
-                return "hit", None
             ensemble = store.get(fingerprint)
             if ensemble is not None:
                 return "hit", ensemble
@@ -370,7 +365,6 @@ def run_work_ensemble(
     force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
     cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
-    task_offset: int = 0,
 ) -> WorkEnsemble:
     """Run one (kappa, v) cell as ``n_tasks`` restartable store-addressed tasks.
 
@@ -395,20 +389,15 @@ def run_work_ensemble(
     store:
         Optional :class:`repro.store.ResultStore`; each task is memoized
         individually under its full stream key.
-    task_offset:
-        First task index (default 0).  A later call with
-        ``task_offset=n_tasks`` *extends* the same cell: concatenating the
-        two results is bit-identical to one call of ``n_tasks + n_extra``
-        tasks (the cell's own task range in :func:`plan_tasks`).
 
     Remaining parameters match :func:`run_pulling_ensemble`.
     """
     obs = as_obs(obs)
-    cell = (protocol, labels, range(task_offset, task_offset + n_tasks))
     with obs.span("smd.work_ensemble", kappa_pn=protocol.kappa_pn,
                   velocity=protocol.velocity, n_tasks=n_tasks,
                   samples_per_task=samples_per_task):
         return run_cells(
-            model, [cell], n_tasks, samples_per_task, seed=seed, store=store,
-            dt=dt, n_records=n_records, force_sample_time=force_sample_time,
+            model, [(protocol, labels)], n_tasks, samples_per_task, seed=seed,
+            store=store, dt=dt, n_records=n_records,
+            force_sample_time=force_sample_time,
             cpu_hours_per_ns=cpu_hours_per_ns, obs=obs)[labels]

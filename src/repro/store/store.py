@@ -249,19 +249,11 @@ class ResultStore:
         """An unsorted copy of the stored fingerprints, for membership."""
         return set(self._view())
 
-    def note_hit(self, n: int = 1) -> None:
-        """Count cache hits resolved by membership alone (no record load).
-
-        The streamed executor's completion-only mode proves a task done via
-        the fingerprint set without ever calling :meth:`get`; counting the
-        hit here keeps the report's traffic section meaning the same thing
-        on every execution path.
-        """
-        self.hits += n
-        self._count("store.hits", n)
-
     def note_miss(self, n: int = 1) -> None:
-        """Count cache misses detected by membership alone (see note_hit)."""
+        """Count cache misses detected by membership alone (the task
+        resolver proves a miss from the fingerprint set without ever
+        calling :meth:`get`), so the report's traffic section means the
+        same thing on every execution path."""
         self.misses += n
         self._count("store.misses", n)
 

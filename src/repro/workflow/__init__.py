@@ -18,7 +18,6 @@ from .campaign import SpiceCampaign, SpiceCampaignResult, build_default_federati
 from .interactive_session import InteractiveSessionOutcome, InteractiveSessionRunner
 from .production import FullAxisResult, run_full_axis_production
 from .streaming import (
-    StreamCursor,
     StreamReport,
     StreamTask,
     run_streamed_study,
@@ -45,7 +44,6 @@ __all__ = [
     "allocate_largest_remainder",
     "run_adaptive_campaign",
     "StreamTask",
-    "StreamCursor",
     "StreamReport",
     "stream_study_tasks",
     "run_streamed_tasks",

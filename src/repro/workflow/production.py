@@ -92,9 +92,10 @@ def run_full_axis_production(
     if model is None:
         model = ReducedTranslocationModel(full_axis_chain_potential())
     total = axis_range[1] - axis_range[0]
+    window = min(window, total)     # a short axis is one (shorter) window
     base = PullingProtocol(kappa_pn=kappa_pn, velocity=velocity,
-                           distance=min(window, total),
-                           start_z=axis_range[0], equilibration_ns=0.05)
+                           distance=window, start_z=axis_range[0],
+                           equilibration_ns=0.05)
     plan = plan_subtrajectories(base, total_distance=total, window=window)
 
     cells = [(proto, ("production-window", i))

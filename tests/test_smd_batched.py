@@ -345,9 +345,9 @@ class TestCellsCarryTheirOwnTaskRange:
                                 if numbers]
         for proto, labels, numbers in plan:
             if numbers:
-                assert_ensembles_identical(merged[labels], run_work_ensemble(
-                    model, proto, len(numbers), samples, seed=3,
-                    labels=labels, n_records=5, task_offset=numbers.start))
+                assert_ensembles_identical(merged[labels], run_cells(
+                    model, [(proto, labels, numbers)], None, samples, seed=3,
+                    n_records=5)[labels])
 
     def test_a_cell_without_a_range_takes_the_plans(self, reduced_model):
         proto = fast_protocol()
@@ -365,5 +365,6 @@ class TestCellsCarryTheirOwnTaskRange:
                             [(fast_protocol(), ("a",), range(-1, 2))],
                             None, 2, seed=1))
         with pytest.raises(ConfigurationError, match="negative"):
-            run_work_ensemble(reduced_model, fast_protocol(), 2, 2, seed=1,
-                              task_offset=-1)
+            run_cells(reduced_model,
+                      [(fast_protocol(), ("a",), range(-1, 1))], None, 2,
+                      seed=1)

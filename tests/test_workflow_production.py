@@ -17,6 +17,7 @@ from repro.smd import (
     run_bidirectional_ensemble,
     run_pulling_ensemble,
 )
+from repro.smd.plan import run_cells
 from repro.store import ResultStore, task_fingerprint
 from repro.workflow import run_full_axis_production
 
@@ -119,6 +120,25 @@ class TestProductionIsOnePlan:
             np.testing.assert_array_equal(bare.pmf, res.pmf)
             assert (store.hits, store.misses, store.writes) == traffic, stage
 
+    def test_axis_shorter_than_the_window_is_one_window(self, tmp_path):
+        """Regression: the clamp to the axis length reached the base
+        protocol but not ``plan_subtrajectories``, which refused
+        ``window > total_distance``."""
+        model = landscape_model()
+        cell = ("production-window", 0)
+        store = ResultStore(tmp_path / "store")
+        res = run_full_axis_production(
+            model=model, axis_range=(-2.0, 2.0), window=10.0, n_samples=3,
+            seed=7, store=store)
+        [ensemble] = res.ensembles
+        assert (ensemble.protocol.start_z, ensemble.protocol.distance) == (
+            -2.0, 4.0)
+        assert store.fingerprints() == [task_fingerprint(default_pulling_task(
+            model, ensemble.protocol, 3, (7, *cell)))]
+        alone = run_cells(model, [(ensemble.protocol, cell)], None, 3, seed=7)
+        assert list(alone) == [cell]
+        assert_same(ensemble, alone[cell])
+
     def test_one_engine_call_as_long_as_its_longest_window(
             self, monkeypatch):
         model = landscape_model()
@@ -133,8 +153,8 @@ class TestProductionIsOnePlan:
             del calls[:]
             obs = Obs()
             res = run_full_axis_production(
-                model=model, axis_range=(lo, hi), window=min(10.0, hi - lo),
-                velocity=100.0, n_samples=4, seed=1, obs=obs)
+                model=model, axis_range=(lo, hi), velocity=100.0,
+                n_samples=4, seed=1, obs=obs)
             assert res.n_windows == n_windows
             assert [s.attrs["n_cells"]
                     for s in obs.tracer.named("smd.ensemble")] == [n_windows]

@@ -1,15 +1,9 @@
 """Task streaming: bit-identity across window sizes and against the scalar
-oracle, the stacked window step, durable cursor resume, and degraded
+oracle, the stacked window step, resume by store membership, and degraded
 completion through the dead-letter queue.
-
-The slow-marked class at the bottom is the million-task acceptance test
-(`pytest -m slow`): a resumed 10^6-task campaign must clear its completed
-prefix in under five seconds, because the cursor skips it without
-fingerprinting a single task.
 """
 
 import os
-import time
 from dataclasses import replace
 from functools import reduce
 
@@ -42,7 +36,6 @@ from repro.smd.plan import plan_tasks
 from repro.smd.protocol import PullingProtocol
 from repro.store import ResultStore, ShardedResultStore
 from repro.workflow import (
-    StreamCursor,
     StreamTask,
     run_streamed_study,
     run_streamed_tasks,
@@ -443,8 +436,7 @@ class TestWindowStep:
 
     def test_interrupt_inside_a_stacked_window(self, tmp_path):
         """CampaignInterrupted at task k: exactly the tasks before k are
-        durable — the stack computed ahead, but nothing was put ahead —
-        and the cursor never passes k."""
+        durable — the stack computed ahead, but nothing was put ahead."""
         k = 3
         store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
 
@@ -456,14 +448,14 @@ class TestWindowStep:
             run_windowed(store, 4, fault=kill)
         assert sorted(store.fingerprints()) == sorted(
             t.fingerprint for t in study_tasks() if t.index < k)
-        cursor = StreamCursor(store.root, ["study", SEED, 4, 2, 11])
-        assert 0 < cursor.load() <= k
         # The resumed study recomputes exactly the rest, bit-identically.
         survivor = ResultStore(store.root, sync=False)
         merged, report = run_windowed(survivor, 4)
         assert (report.hits, report.computed) == (k, 8 - k)
         for proto in grid_protocols():
             assert_same(merged[cell_labels(proto)], oracle_cell(proto))
+        # Killed or resumed, a study leaves nothing beside its records.
+        assert ".stream" not in os.listdir(store.root)
 
     def test_all_hits_window_computes_nothing(self, tmp_path):
         store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
@@ -474,9 +466,9 @@ class TestWindowStep:
         assert obs.tracer.named("smd.ensemble") == []
 
     def test_without_a_store_every_task_is_computed(self):
-        """``store=None``: the same loop, no membership and no cursor."""
+        """``store=None``: the same loop, no membership."""
         merged, report = run_windowed(None, 3)
-        assert (report.hits, report.computed, report.watermark) == (0, 8, 0)
+        assert (report.hits, report.computed) == (0, 8)
         for proto in grid_protocols():
             assert_same(merged[cell_labels(proto)], oracle_cell(proto))
 
@@ -513,40 +505,49 @@ class TestCursorResume:
             np.testing.assert_array_equal(est.values,
                                           resumed.estimates[key].values)
 
-    def test_completion_pass_skips_prefix_without_fingerprinting(
-            self, tmp_path):
-        store = ShardedResultStore(os.fspath(tmp_path / "s"), sync=False)
-        key = ["cursor-test", SEED, 50]
-        cold = run_streamed_tasks(synthetic_stream(50, SEED), store=store,
-                                  campaign_key=key, window=8, collect=False)
-        assert cold.computed == 50
-        assert cold.watermark == 50
-        warm = run_streamed_tasks(synthetic_stream(50, SEED), store=store,
-                                  campaign_key=key, window=8, collect=False)
-        assert warm.skipped_prefix == 50
-        assert warm.hits == warm.computed == 0
-
-    def test_cursor_is_campaign_scoped(self, tmp_path):
-        store = ShardedResultStore(os.fspath(tmp_path / "s"), sync=False)
-        run_streamed_tasks(synthetic_stream(20, SEED), store=store,
-                           campaign_key=["a", SEED], window=8, collect=False)
-        assert StreamCursor(store.root, ["a", SEED]).load() == 20
-        # A different campaign over the same store trusts nothing.
-        assert StreamCursor(store.root, ["b", SEED]).load() == 0
-        other = run_streamed_tasks(
-            synthetic_stream(20, SEED), store=store,
-            campaign_key=["b", SEED], window=8, collect=False)
-        assert other.skipped_prefix == 0
-        assert other.hits == 20  # records are shared; the cursor is not
-
     def test_cursor_file_is_hidden_from_the_store_scan(self, tmp_path):
+        """The legacy directory: releases before resume-by-membership left
+        a cursor file under ``<store>/.stream/``.  Such a store opens,
+        resumes as all hits with nothing written, and the entry is left
+        exactly as found."""
         store = ShardedResultStore(os.fspath(tmp_path / "s"), sync=False)
-        run_streamed_tasks(synthetic_stream(10, SEED), store=store,
-                           campaign_key=["a", SEED], window=4, collect=False)
-        assert os.path.isdir(os.path.join(store.root, ".stream"))
-        # Re-opening the store tolerates the hidden entry and sees exactly
-        # the records.
-        assert len(ShardedResultStore(store.root)) == 10
+        cold = run_streamed_tasks(synthetic_stream(10, SEED), store=store,
+                                  window=4)
+        assert cold.computed == 10
+        assert not os.path.exists(os.path.join(store.root, ".stream"))
+        digest = store.content_digest()
+        cursor = os.path.join(store.root, ".stream", "0123456789abcdef" * 2
+                              + ".json")
+        os.makedirs(os.path.dirname(cursor))
+        legacy = (b'{"campaign_fingerprint":"' + b"0123456789abcdef" * 4
+                  + b'","schema":"repro.store.cursor/v1","watermark":10}\n')
+        with open(cursor, "wb") as handle:
+            handle.write(legacy)
+        reopened = ShardedResultStore(store.root, sync=False)
+        assert len(reopened) == 10
+        warm = run_streamed_tasks(synthetic_stream(10, SEED), store=reopened,
+                                  window=4)
+        assert (warm.hits, warm.computed, reopened.writes) == (10, 0, 0)
+        assert reopened.content_digest() == digest
+        assert os.listdir(os.path.dirname(cursor)) == [
+            os.path.basename(cursor)]
+        with open(cursor, "rb") as handle:
+            assert handle.read() == legacy
+
+    def test_resume_at_scale_is_all_hits_without_a_cursor(self, tmp_path):
+        """20 000 stored tasks re-run on a fresh handle: every one is a
+        membership hit, nothing is computed, written or re-indexed."""
+        n = 20_000
+        store = ShardedResultStore(os.fspath(tmp_path / "s"), sync=False)
+        cold = run_streamed_tasks(synthetic_stream(n, SEED), store=store,
+                                  window=4096)
+        assert (cold.hits, cold.computed) == (0, n)
+        fresh = ResultStore(store.root, sync=False)
+        warm = run_streamed_tasks(synthetic_stream(n, SEED), store=fresh,
+                                  window=4096)
+        assert (warm.hits, warm.computed, fresh.writes) == (n, 0, 0)
+        assert fresh.stats()["reindexed_shards"] == 0
+        assert warm.fingerprints == cold.fingerprints
 
     def test_window_validation(self, tmp_path):
         store = ShardedResultStore(os.fspath(tmp_path / "s"))
@@ -563,8 +564,7 @@ class TestDegradedCompletion:
         retry = RetryPolicy(max_attempts=3, base_delay=1e-6)
         report = run_streamed_tasks(
             synthetic_stream(40, SEED, poisoned=frozenset({7, 23})),
-            store=store, campaign_key=["p", SEED], window=8, dlq=dlq,
-            retry=retry)
+            store=store, window=8, dlq=dlq, retry=retry)
         assert report.computed == 38
         assert report.dead_lettered == 2
         assert report.degraded is True
@@ -586,8 +586,7 @@ class TestDegradedCompletion:
                                   sync=False)
             run_streamed_tasks(
                 synthetic_stream(40, SEED, poisoned=frozenset({13, 26})),
-                store=store, campaign_key=["twin", SEED], window=8,
-                collect=False, dlq=dlq,
+                store=store, window=8, dlq=dlq,
                 retry=RetryPolicy(max_attempts=2, base_delay=1e-6))
             return store, dlq
 
@@ -631,8 +630,7 @@ class TestDegradedCompletion:
         store = ShardedResultStore(os.fspath(tmp_path / "s"), sync=False)
         path = os.fspath(tmp_path / "DLQ.jsonl")
         retry = RetryPolicy(max_attempts=2, base_delay=1e-6)
-        kwargs = dict(store=store, campaign_key=["p", SEED], window=8,
-                      retry=retry)
+        kwargs = dict(store=store, window=8, retry=retry)
         run_streamed_tasks(
             synthetic_stream(30, SEED, poisoned=frozenset({11})),
             dlq=DeadLetterQueue(path), **kwargs)
@@ -647,8 +645,6 @@ class TestDegradedCompletion:
         assert resumed.dead_lettered == 1
         assert len(dlq) == 1
         assert dlq.redeliveries == 0
-        # Degraded prefix still advances the watermark past the failure.
-        assert resumed.watermark == 30
 
     def test_streamed_study_omits_failed_cells(self, tmp_path):
         store = ShardedResultStore(os.fspath(tmp_path / "s"))
@@ -694,45 +690,3 @@ class TestDegradedCompletion:
         # ...and without a queue the failure still propagates loudly.
         with pytest.raises(StoreError, match="no dead-letter queue"):
             run_study(ResultStore(os.fspath(tmp_path / "t"), sync=False))
-
-
-@pytest.mark.slow
-class TestMillionTaskResume:
-    """Acceptance: a resumed 10^6-task campaign clears its completed
-    prefix in < 5 s, because the cursor skip never fingerprints it."""
-
-    N = 1_000_000
-
-    def test_million_task_skip_ahead_under_five_seconds(self, tmp_path):
-        store = ShardedResultStore(os.fspath(tmp_path / "s"), sync=False)
-        key = ["million", SEED, self.N]
-
-        shared = next(synthetic_stream(1, SEED))
-
-        def prefix_stream(n, tail=0):
-            """n tasks sharing one descriptor (hits after the first), plus
-            `tail` genuinely new tasks at the end."""
-            for index in range(n):
-                yield StreamTask(index=index, key=shared.key,
-                                 cell=shared.cell, task=shared.task,
-                                 compute=shared.compute)
-            for spec in synthetic_stream(tail, SEED + 1):
-                yield StreamTask(index=n + spec.index, key=spec.key,
-                                 cell=spec.cell, task=spec.task,
-                                 compute=spec.compute)
-
-        cold = run_streamed_tasks(prefix_stream(self.N), store=store,
-                                  campaign_key=key, window=4096,
-                                  collect=False)
-        assert cold.computed == 1
-        assert cold.hits == self.N - 1
-        assert cold.watermark == self.N
-
-        t0 = time.perf_counter()
-        resumed = run_streamed_tasks(prefix_stream(self.N, tail=3),
-                                     store=store, campaign_key=key,
-                                     window=4096, collect=False)
-        wall = time.perf_counter() - t0
-        assert resumed.skipped_prefix == self.N
-        assert resumed.computed == 3  # went straight to the new misses
-        assert wall < 5.0, f"skip-ahead took {wall:.2f}s"
