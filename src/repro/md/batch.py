@@ -34,9 +34,12 @@ is array shape, and that is where the contract is earned:
   :func:`~repro.md.kernels.weighted_sums`), nonbonded terms take a plain
   ``np.sum`` over each replica's own contiguous run of pairs, never one
   sum over the stack;
-* each replica keeps its own neighbour-list clone and rebuild schedule
+* the pore and membrane fields are elementwise per bead, and each
+  replica's field energy is the sum over its own row;
+* each replica keeps its own neighbour-list clone, reference positions
+  and rebuild schedule; only the skin test is made once for the stack
   (:meth:`~repro.md.neighborlist.NeighborList.stacked_pairs`);
-* terms that only understand ``(N, 3)`` (no ``stackable`` mark: fields,
+* terms that only understand ``(N, 3)`` (no ``stackable`` mark:
   restraints, dihedrals, a user's own) and the ``kernel="reference"``
   loops run once per replica (:func:`~repro.md.kernels.per_replica`).
 

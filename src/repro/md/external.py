@@ -2,10 +2,10 @@
 
 These adapt field-like potentials — the hemolysin pore, the membrane slab,
 positional restraints, steering forces from the interactive visualizer — to
-the :class:`~repro.md.forces.Force` interface.  Fields and selections are
-arbitrary, so every term here is written for ``(N, 3)`` positions only; in
-a replica stack the engine evaluates it once per replica
-(:func:`~repro.md.kernels.per_replica`), each replica seeing the solo call.
+the :class:`~repro.md.forces.Force` interface.  :class:`ExternalFieldForce`
+takes a replica stack whole, as its fields do; the restraint and steering
+terms are written for ``(N, 3)`` positions only, so in a stack the engine
+evaluates them once per replica (:func:`~repro.md.kernels.per_replica`).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Optional, Protocol, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from .kernels import Energy, scatter_add
 
 __all__ = [
     "FieldPotential",
@@ -27,31 +28,40 @@ __all__ = [
 
 
 class FieldPotential(Protocol):
-    """Anything that maps positions to (energy, per-particle forces).
+    """Anything that maps positions to (energy, per-particle forces), over
+    an optional leading replica axis: a float for ``(N, 3)`` positions,
+    ``(R,)`` energies — each the bits of that replica's solo call — for an
+    ``(R, N, 3)`` stack, forces shaped like the positions either way.
 
     Implemented by :class:`repro.pore.hemolysin.HemolysinPore` and
-    :class:`repro.pore.membrane.MembraneSlab`.
+    :class:`repro.pore.membrane.MembraneSlab`.  A field that only
+    understands ``(N, 3)`` is not for :class:`ExternalFieldForce`: wrap it
+    in a plain term (``compute(positions, forces)``, no ``stackable``
+    mark), which the engine runs once per replica.
     """
 
-    def energy_and_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_and_forces(self, positions: np.ndarray) -> Tuple[Energy, np.ndarray]:
         ...
 
 
 class ExternalFieldForce:
     """Adapts a :class:`FieldPotential` acting on a subset of particles."""
 
+    stackable = True
+
     def __init__(self, field: FieldPotential, indices: Optional[np.ndarray] = None) -> None:
         self.field = field
         self._indices = None if indices is None else np.asarray(indices, dtype=np.intp)
 
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
+    def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         if self._indices is None:
             energy, f = self.field.energy_and_forces(positions)
             forces += f
         else:
-            energy, f = self.field.energy_and_forces(positions[self._indices])
-            np.add.at(forces, self._indices, f)
-        return float(energy)
+            picked = positions[..., self._indices, :]
+            energy, f = self.field.energy_and_forces(picked)
+            scatter_add(forces, self._indices, f)
+        return energy if positions.ndim > 2 else float(energy)
 
 
 class HarmonicRestraintForce:

@@ -89,6 +89,8 @@ class NeighborList:
         self._pairs_j: Optional[np.ndarray] = None
         self._ref_positions: Optional[np.ndarray] = None
         self._replicas: List["NeighborList"] = []  # one clone per stack row
+        self._stack_ref: Optional[np.ndarray] = None  # their references, stacked
+        self._stack_pairs = None  # their pairs, as of the last rebuild of any
         self.n_builds = 0  # instrumentation for tests/benchmarks
         self.last_pair_count = 0  # candidate pairs at the last build
 
@@ -100,7 +102,7 @@ class NeighborList:
         Rebuilds only when required by the skin criterion.  The returned
         arrays must be treated as read-only; they are reused between calls.
         """
-        if self._needs_rebuild(positions):
+        if self._moved(positions, self._ref_positions):
             self._build(positions)
         assert self._pairs_i is not None and self._pairs_j is not None
         return self._pairs_i, self._pairs_j
@@ -113,24 +115,34 @@ class NeighborList:
         by replica, as slots ``r*N + i`` of the flattened ``(R*N, 3)``
         position and force arrays — so the arithmetic that follows is the
         solo arithmetic over one longer pair array.  Each replica keeps its
-        own :meth:`clone` of this list, with its own lazy rebuild schedule.
+        own :meth:`clone` of this list, with its own reference positions
+        and lazy rebuild schedule; the skin test is made once over the
+        stack, and while it fires for no replica the result is the cached one.
         """
         if positions.ndim == 2:
             return self.pairs(positions)
         n_replicas, n = positions.shape[:2]
         if len(self._replicas) != n_replicas:
             self._replicas = [self.clone() for _ in range(n_replicas)]
-        parts = [nl.pairs(x) for nl, x in zip(self._replicas, positions)]
-        offset = np.repeat(np.arange(n_replicas, dtype=np.intp) * n,
-                           [i.size for i, _ in parts])
-        return (np.concatenate([i for i, _ in parts]) + offset,
+        stale = self._moved(positions, self._stack_ref)
+        if stale.any():
+            parts = [nl.pairs(x) if moved else (nl._pairs_i, nl._pairs_j)
+                     for nl, x, moved in zip(self._replicas, positions, stale)]
+            self._stack_ref = np.stack(
+                [nl._ref_positions for nl in self._replicas])
+            offset = np.repeat(np.arange(n_replicas, dtype=np.intp) * n,
+                               [i.size for i, _ in parts])
+            self._stack_pairs = (
+                np.concatenate([i for i, _ in parts]) + offset,
                 np.concatenate([j for _, j in parts]) + offset)
+        return self._stack_pairs
 
     def invalidate(self) -> None:
         """Force a rebuild on the next :meth:`pairs` call — of this list
         and of every replica's clone (used after checkpoint restore, where
         positions jump discontinuously)."""
         self._ref_positions = None
+        self._stack_ref = None
         for nl in self._replicas:
             nl.invalidate()
 
@@ -153,14 +165,17 @@ class NeighborList:
 
     # -- internals -----------------------------------------------------------
 
-    def _needs_rebuild(self, positions: np.ndarray) -> bool:
-        if self._ref_positions is None or self._ref_positions.shape != positions.shape:
-            return True
-        if self.skin == 0.0:
-            return True
-        delta = positions - self._ref_positions
-        max_disp2 = float(np.max(np.einsum("ij,ij->i", delta, delta)))
-        return max_disp2 > (0.5 * self.skin) ** 2
+    def _moved(self, positions: np.ndarray,
+               reference: Optional[np.ndarray]) -> np.ndarray:
+        """The skin criterion, per replica of a stack: has some particle
+        moved more than half the skin from ``reference`` — or is there no
+        such reference?  (Without particles, none has.)"""
+        if (reference is None or reference.shape != positions.shape
+                or self.skin == 0.0):
+            return np.ones(positions.shape[:-2], dtype=bool)
+        delta = positions - reference
+        disp2 = np.einsum("...ij,...ij->...i", delta, delta)
+        return disp2.max(axis=-1, initial=0.0) > (0.5 * self.skin) ** 2
 
     def minimum_image(self, dr: np.ndarray) -> np.ndarray:
         """Apply the minimum-image convention (no-op without a box)."""

@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..md.kernels import Energy
 from .geometry import DEFAULT_GEOMETRY, PoreGeometry
 from .landscape import AxialLandscape, default_hemolysin_landscape
 
@@ -104,10 +105,13 @@ class HemolysinPore:
 
     # -- FieldPotential interface ------------------------------------------------
 
-    def energy_and_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Total pore energy and per-particle forces for ``(n, 3)`` positions."""
+    def energy_and_forces(self, positions: np.ndarray) -> Tuple[Energy, np.ndarray]:
+        """Total pore energy and per-particle forces for ``(n, 3)``
+        positions, or one energy per replica of an ``(R, n, 3)`` stack:
+        elementwise per bead, each energy the sum over the replica's own
+        row, so a stack row holds the bits of its solo call."""
         pos = np.asarray(positions, dtype=np.float64)
-        x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
+        x, y, z = pos[..., 0], pos[..., 1], pos[..., 2]
         r = np.sqrt(x**2 + y**2)
         # Unit radial direction; a bead exactly on the axis gets an arbitrary
         # but consistent direction (zero force there anyway).
@@ -132,38 +136,40 @@ class HemolysinPore:
         out = overlap > 0.0
         k = self.wall_stiffness
         e_wall = 0.5 * k * env * np.where(out, overlap, 0.0) ** 2
-        wall_energy = float(e_wall.sum())
+        wall_energy = e_wall.sum(axis=-1)
+        # A shortcut only: without overlap every wall force below is a
+        # signed zero added to +0.0, whatever else is in the stack.
         if np.any(out):
             o = np.where(out, overlap, 0.0)
             # dU/dr = k env o ; radial direction.
             f_r = -k * env * o
-            forces[:, 0] += f_r * ux
-            forces[:, 1] += f_r * uy
+            forces[..., 0] += f_r * ux
+            forces[..., 1] += f_r * uy
             # dU/dz = 0.5 k denv o^2 + k env o (-dR/dz)
-            forces[:, 2] -= 0.5 * k * denv * o**2 - k * env * o * drw_dz
+            forces[..., 2] -= 0.5 * k * denv * o**2 - k * env * o * drw_dz
             if drw_dphi is not None:
                 # dU/dphi = k env o * (-dR/dphi); torque -> tangential force
                 # F_t = -(1/r) dU/dphi along (-sin phi, cos phi).
                 dU_dphi = -k * env * o * drw_dphi
                 f_t = -dU_dphi / safe_r
-                forces[:, 0] += f_t * (-uy)
-                forces[:, 1] += f_t * ux
+                forces[..., 0] += f_t * (-uy)
+                forces[..., 1] += f_t * ux
 
         # ---- axial landscape gated by envelopes ----
         renv, drenv_dr = self._radial_envelope(r, z)
         u_ax = self.landscape.value(z)
         du_ax = self.landscape.derivative(z)
         gate = env * renv
-        land_energy = float(np.sum(gate * u_ax))
+        land_energy = np.sum(gate * u_ax, axis=-1)
         # dU/dz: product rule across env(z), renv(r, z), u_ax(z).  renv
         # depends on z through R(z); include that term for exactness.
         w = self.envelope_width
         drenv_dz = renv * (1.0 - renv) * drw_dz / w
-        forces[:, 2] -= denv * renv * u_ax + env * drenv_dz * u_ax + gate * du_ax
+        forces[..., 2] -= denv * renv * u_ax + env * drenv_dz * u_ax + gate * du_ax
         # dU/dr
         f_r2 = -env * drenv_dr * u_ax
-        forces[:, 0] += f_r2 * ux
-        forces[:, 1] += f_r2 * uy
+        forces[..., 0] += f_r2 * ux
+        forces[..., 1] += f_r2 * uy
 
         return wall_energy + land_energy, forces
 

@@ -53,17 +53,19 @@ class AxialLandscape:
         return self._amp.size
 
     def value(self, z: np.ndarray | float) -> np.ndarray:
-        """Landscape energy at ``z`` (kcal/mol)."""
+        """Landscape energy at ``z`` (kcal/mol), in the shape of ``z``: an
+        ``(R, N)`` stack is R ``(N, K) @ (K,)`` products (batched
+        ``matmul``), each the product its row gets alone."""
         zz = np.atleast_1d(np.asarray(z, dtype=np.float64))
-        u = (zz[:, None] - self._center[None, :]) / self._width[None, :]
+        u = (zz[..., None] - self._center) / self._width
         out = np.exp(-0.5 * u**2) @ self._amp + self.tilt * zz
         return out if np.ndim(z) else out[0]
 
     def derivative(self, z: np.ndarray | float) -> np.ndarray:
-        """``dU/dz`` at ``z`` (kcal/mol/A)."""
+        """``dU/dz`` at ``z`` (kcal/mol/A), in the shape of ``z``."""
         zz = np.atleast_1d(np.asarray(z, dtype=np.float64))
-        u = (zz[:, None] - self._center[None, :]) / self._width[None, :]
-        g = np.exp(-0.5 * u**2) * (-u / self._width[None, :])
+        u = (zz[..., None] - self._center) / self._width
+        g = np.exp(-0.5 * u**2) * (-u / self._width)
         out = g @ self._amp + self.tilt
         return out if np.ndim(z) else out[0]
 

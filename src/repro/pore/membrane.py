@@ -15,6 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..md.kernels import Energy, no_energy
 
 __all__ = ["MembraneSlab"]
 
@@ -56,9 +57,11 @@ class MembraneSlab:
         self.stiffness = float(stiffness)
         self.edge_width = float(edge_width)
 
-    def energy_and_forces(self, positions: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy_and_forces(self, positions: np.ndarray) -> Tuple[Energy, np.ndarray]:
+        """Slab energy and per-particle forces for ``(n, 3)`` positions, or
+        one energy per replica of an ``(R, n, 3)`` stack."""
         pos = np.asarray(positions, dtype=np.float64)
-        x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
+        x, y, z = pos[..., 0], pos[..., 1], pos[..., 2]
         r = np.sqrt(x**2 + y**2)
         dz = z - self.z_center
         # Penetration depth into the slab (positive inside).
@@ -66,8 +69,9 @@ class MembraneSlab:
         inside = pen > 0.0
 
         forces = np.zeros_like(pos)
+        # A shortcut only: no bead in the slab means p = 0, hence +0.0s, below.
         if not np.any(inside):
-            return 0.0, forces
+            return no_energy(pos), forces
 
         # Radial envelope: 0 in the hole, 1 in the bulk membrane.
         xarg = (r - self.pore_radius) / self.edge_width
@@ -76,16 +80,16 @@ class MembraneSlab:
 
         p = np.where(inside, pen, 0.0)
         k = self.stiffness
-        energy = float(0.5 * k * np.sum(env * p**2))
+        energy = 0.5 * k * np.sum(env * p**2, axis=-1)
 
         # dU/dz = k env p * d(pen)/dz = -k env p sign(dz) -> force +k env p sign(dz)
         sign = np.sign(dz)
         # A bead exactly at the mid-plane has sign 0: unstable equilibrium,
         # zero force is the correct gradient there.
-        forces[:, 2] += k * env * p * sign
+        forces[..., 2] += k * env * p * sign
         # dU/dr = 0.5 k p^2 denv_dr -> radial force inward toward the hole.
         f_r = -0.5 * k * p**2 * denv_dr
         safe_r = np.where(r > 1e-12, r, 1.0)
-        forces[:, 0] += f_r * x / safe_r
-        forces[:, 1] += f_r * y / safe_r
+        forces[..., 0] += f_r * x / safe_r
+        forces[..., 1] += f_r * y / safe_r
         return energy, forces

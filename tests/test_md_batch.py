@@ -304,3 +304,34 @@ class TestEnsemble3DBatched:
         np.testing.assert_array_equal(vec.positions, bat.positions)
         np.testing.assert_array_equal(vec.displacements, bat.displacements)
         assert vec.cpu_hours == bat.cpu_hours
+
+    @pytest.mark.parametrize("kernel, shape", [("vectorized", (3, 4, 3)),
+                                               ("reference", (4, 3))])
+    def test_stack_never_evaluates_replica_by_replica(self, monkeypatch,
+                                                      kernel, shape):
+        """Every term on the translocation force stack (the pore and
+        membrane fields included) and the trap are ``stackable``: the
+        default run hands every force evaluation the whole stack and never
+        falls back to one call per replica; the oracle only ever sees one
+        replica."""
+        from repro.md import engine, forces, kernels, nonbonded
+
+        fallbacks, shapes = [], set()
+        compute_forces = Simulation.compute_forces
+
+        def spy(self, positions, out):
+            shapes.add(positions.shape)
+            return compute_forces(self, positions, out)
+
+        def fallback(compute, positions, out):
+            fallbacks.append(compute)
+            return kernels.per_replica(compute, positions, out)
+
+        monkeypatch.setattr(Simulation, "compute_forces", spy)
+        for module in (engine, forces, nonbonded):
+            monkeypatch.setattr(module, "per_replica", fallback)
+        proto = PullingProtocol(kappa_pn=500.0, velocity=100.0, distance=1.0,
+                                start_z=0.0, equilibration_ns=0.001)
+        run_pulling_ensemble_3d(proto, n_samples=3, n_bases=4, n_records=3,
+                                seed=5, kernel=kernel)
+        assert shapes == {shape} and not fallbacks

@@ -127,3 +127,70 @@ class TestRebuildPolicy:
         candidate = set(zip(i.tolist(), j.tolist()))
         true_pairs = brute_force_pairs(pos2, 3.0)
         assert true_pairs <= candidate
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0, 3)])
+    def test_empty_system_can_be_asked_twice(self, shape):
+        nl = NeighborList(cutoff=3.0, skin=1.0)
+        for _ in range(2):
+            i, j = nl.stacked_pairs(np.zeros(shape))
+            assert i.size == 0 and j.size == 0
+
+
+class TestStackedPairs:
+    """One displacement test per call for the whole stack, per-replica
+    rebuild schedules: against R solo lists driven with the same rows."""
+
+    @staticmethod
+    def walk(n_replicas, n, steps, seed):
+        """Random walks whose step size differs by replica, so the skin
+        criterion fires for some rows, not others, at most steps."""
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 8, size=(n_replicas, n, 3))
+        scale = np.linspace(0.0, 0.12, n_replicas)[:, None, None]
+        for _ in range(steps):
+            pos = pos + scale * rng.normal(size=pos.shape)
+            yield pos
+
+    def assert_equals_solo(self, stack, solos, pos):
+        n = pos.shape[1]
+        i, j = stack.stacked_pairs(pos)
+        parts = [nl.pairs(x) for nl, x in zip(solos, pos)]
+        np.testing.assert_array_equal(
+            i, np.concatenate([a + r * n for r, (a, _) in enumerate(parts)]))
+        np.testing.assert_array_equal(
+            j, np.concatenate([b + r * n for r, (_, b) in enumerate(parts)]))
+        assert [nl.n_builds for nl in stack._replicas] == \
+            [nl.n_builds for nl in solos]
+
+    @pytest.mark.parametrize("n", [12, 90])  # direct and cell-list builds
+    def test_matches_solo_lists_step_by_step(self, n):
+        stack = NeighborList(cutoff=2.5, skin=1.0)
+        solos = [stack.clone() for _ in range(8)]
+        cached = 0
+        for step, pos in enumerate(self.walk(8, n, 220, seed=n)):
+            before = stack._stack_pairs
+            self.assert_equals_solo(stack, solos, pos)
+            cached += stack._stack_pairs is before
+            if step == 100:
+                stack.invalidate()
+                for nl in solos:
+                    nl.invalidate()
+        builds = [nl.n_builds for nl in solos]
+        # The still replica built twice (start, invalidate), the fastest
+        # many times; calls between rebuilds returned the cached concatenation.
+        assert builds[0] == 2 and builds[-1] > 20 and cached > 20
+
+    def test_replica_count_change_starts_over(self):
+        stack = NeighborList(cutoff=2.5, skin=1.0)
+        for n_replicas in (8, 3, 8):
+            solos = [stack.clone() for _ in range(n_replicas)]
+            for pos in self.walk(n_replicas, 12, 30, seed=n_replicas):
+                self.assert_equals_solo(stack, solos, pos)
+            assert len(stack._replicas) == n_replicas
+
+    def test_zero_skin_rebuilds_every_replica_every_call(self):
+        stack = NeighborList(cutoff=2.5, skin=0.0)
+        pos = np.random.default_rng(0).uniform(0, 5, size=(3, 10, 3))
+        stack.stacked_pairs(pos)
+        stack.stacked_pairs(pos)
+        assert [nl.n_builds for nl in stack._replicas] == [2, 2, 2]

@@ -38,6 +38,27 @@ class TestAxialLandscape:
         assert v_array.shape == (1,)
         assert float(v_array[0]) == pytest.approx(float(v_scalar))
 
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_stacked_rows_equal_their_own_call(self, width):
+        """(R, N) input is R independent rows — also when N happens to
+        equal the number of Gaussian terms (3), where the particle axis
+        used to line up with the term axis."""
+        l = default_hemolysin_landscape(tilt=-0.02)
+        assert l.n_terms == 3
+        zz = np.linspace(-25.0, 25.0, 2 * width).reshape(2, width)
+        for fn in (l.value, l.derivative, l.force):
+            stacked = fn(zz)
+            assert stacked.shape == zz.shape
+            for row, z in zip(stacked, zz):
+                np.testing.assert_array_equal(row, fn(z))
+
+    def test_stacked_value_regression(self):
+        v = default_hemolysin_landscape().value(
+            np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        np.testing.assert_allclose(
+            v, [[1.79999, 1.50060, 1.07525], [0.57604, 0.05554, -0.44392]],
+            atol=5e-6)
+
     def test_shifted(self):
         l = AxialLandscape([(2.0, 0.0, 1.0)])
         s = l.shifted(5.0)
