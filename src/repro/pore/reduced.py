@@ -30,7 +30,20 @@ __all__ = ["Potential1D", "ReducedTranslocationModel", "default_reduced_potentia
 
 
 class Potential1D(Protocol):
-    """1-D potential with analytic value and derivative (kcal/mol, A)."""
+    """1-D potential with analytic value and derivative (kcal/mol, A).
+
+    Leading-axis contract: ``derivative`` returns an array of its
+    argument's shape, and each row along the leading axis is evaluated as
+    it would be alone — ``derivative(z[:, None])[i]`` has the bits of
+    ``derivative(z[i:i + 1])``.  The pulling engine
+    (:mod:`repro.smd.batched`) relies on this to step a stack of
+    one-replica pulls in one call, and refuses a potential whose ``(n, 1)``
+    argument comes back in another shape.
+    :class:`~repro.pore.landscape.AxialLandscape` (a batched ``matmul``:
+    one one-row product per row) and
+    :class:`~repro.pore.tabulated.TabulatedPotential1D` (``np.interp``,
+    elementwise) both honour it.
+    """
 
     def value(self, z):
         ...

@@ -40,10 +40,17 @@ The potential's derivative is evaluated once on the active prefix of the
 coordinate vector; for :class:`~repro.pore.landscape.AxialLandscape` this
 is a row-wise matvec, and a row slice of the stacked matvec equals the
 matvec of the slice — for pulls of two or more replicas.  A *one-replica*
-pull evaluated alone takes BLAS's one-row path, whose accumulation can
-differ from the stacked evaluation at the ulp level; that is why the window
-step stacks only tasks of two or more replicas and leaves a one-replica
-task to its own call.
+pull evaluated alone takes BLAS's one-row product, whose accumulation can
+differ from a row of the flat matvec at the ulp level.  So a stack in which
+*every* pull has one replica — a window of one-replica tasks — hands the
+prefix over as a column ``z[:n, None]`` instead: by the leading-axis
+contract of :class:`~repro.pore.reduced.Potential1D` each row of an
+``(n, 1)`` argument is evaluated as it would be alone, i.e. as the same
+one-row product, so such a stack is bit-identical to its solo calls too
+(the engine checks the ``(n, 1)`` shape once at set-up).  A stack that
+*mixes* one-replica pulls with larger ones keeps the flat evaluation, and
+its one-replica members keep the ulp caveat; no plan builds such a stack
+(:class:`repro.smd.plan.PlanStack` has one replica count).
 
 The loop spells out the Euler-Maruyama update of
 :meth:`~repro.pore.reduced.ReducedTranslocationModel.step_ensemble` term by
@@ -349,6 +356,16 @@ def run_pulling_stack(
             attend(cell, 0)
 
         derivative = model.potential.derivative
+        # Every pull has one replica: evaluate the potential on a column,
+        # one one-row product per replica (module docstring).
+        column = total == len(pulls)
+        if column:
+            shape = np.shape(derivative(z[:, None]))
+            if shape != (total, 1):
+                raise ConfigurationError(
+                    f"{type(model.potential).__name__}.derivative breaks the "
+                    f"Potential1D leading-axis contract: a ({total}, 1) "
+                    f"argument came back with shape {shape}")
         t = 0
         n = total
         while active:
@@ -359,7 +376,11 @@ def run_pulling_stack(
                 zn = z[:n]
                 if exact:
                     w[:n] += gain[r, :n] * (mid[r, :n] - zn)
-                force = -np.asarray(derivative(zn), dtype=np.float64)
+                force = -np.asarray(
+                    derivative(zn[:, None] if column else zn),
+                    dtype=np.float64)
+                if column:
+                    force = force[:, 0]
                 force = force + kappa[:n] * (centre[r, :n] - zn)
                 zn += force * drift[:n]
                 zn += scale[:n] * noise[r, :n]

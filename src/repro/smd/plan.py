@@ -26,12 +26,12 @@ how a set of them is resolved:
   bounded window, plus what only streaming owns (retries, DLQ).
 
 Stacking is decided here, from what the window step can observe: the
-missing tasks of one window and plan — whatever cells they belong to —
-share one engine call when there are two or more of them and each has two
-or more replicas; a one-replica task, a hand-built task and a lone miss run
-their own ``compute()`` (:mod:`repro.smd.batched` documents why).  Each
-task's result is bit-identical to running it alone, so the layout is never
-part of a fingerprint.
+missing tasks of one window and plan — whatever cells they belong to and
+however many replicas the plan gives each — share one engine call when
+there are two or more of them; a hand-built task and a lone miss run their
+own ``compute()``.  Each task's result is bit-identical to running it alone
+(:mod:`repro.smd.batched` documents why, one-replica tasks included), so
+the layout is never part of a fingerprint.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class TaskResolver:
         ensemble = compute(task)
         if ensemble is None:
             return "failed", None
-        store.put(task.task, ensemble)
+        store.put(task.task, ensemble, fingerprint)
         self.known.add(fingerprint)
         return "computed", ensemble
 
@@ -256,15 +256,21 @@ class TaskResolver:
         """The window step: yield ``(task, outcome, ensemble)`` for every
         task, hit / compute / ``put`` strictly in task order.
 
-        The misses are decided up front from membership alone (no store
-        traffic).  Those of one plan — first occurrence of each
-        fingerprint, two or more replicas each, two or more of them, of any
-        mix of cells — are pulled in one stacked engine call, run on the
-        first demand for any of them; every other task runs its own
-        ``compute()``.  The stacked results are only a cache in front of
-        the per-task loop: a duplicate fingerprint later in the window
-        resolves as a hit after the first ``put``, a hit that proves
-        corrupt on read is recomputed on its own, and a stacked call that
+        The misses are decided from membership alone (no store traffic),
+        at the window's first demand for a computed ensemble.  Those of one
+        plan — first occurrence of each fingerprint, two or more of them,
+        of any mix of cells and any replica count — are pulled in one
+        stacked engine call, run on the first demand for any of them; every
+        other task runs its own ``compute()``.  A window of hits therefore
+        plans nothing: it hashes and loads each task as its turn comes, the
+        very operations, in the very order, of resolving them one by one
+        (so a served campaign's progress events stay evenly spaced — a
+        burst of hashing ahead of every window is what PERFORMANCE.md's
+        PR 24 section measured as run-to-run spread on ``warm_service``).
+        The stacked results are only a cache in front of the per-task loop:
+        a duplicate fingerprint later in the window resolves as a hit after
+        the first ``put``, a hit that proves corrupt on read once the
+        window is planned is recomputed on its own, and a stacked call that
         fails is abandoned so that each member runs — and fails, where it
         must — alone.
 
@@ -274,21 +280,27 @@ class TaskResolver:
         back ``"failed"``; ``dead`` is read as each task's turn comes, so
         the caller may grow it between yields.
         """
-        plans: Dict[PlanStack, List[StreamTask]] = {}
-        planned: set = set()
-        for task in tasks:
-            if (task.stack is None or task.stack.n_samples < 2
-                    or task in self or task.fingerprint in planned
-                    or task.fingerprint in dead):
-                continue
-            planned.add(task.fingerprint)
-            plans.setdefault(task.stack, []).append(task)
-        stacked = {member.fingerprint: (stack, group)
-                   for stack, group in plans.items() if len(group) >= 2
-                   for member in group}
+        def plan() -> Dict[str, Tuple[PlanStack, List[StreamTask]]]:
+            plans: Dict[PlanStack, List[StreamTask]] = {}
+            planned: set = set()
+            for task in tasks:
+                if (task.stack is None or task in self
+                        or task.fingerprint in planned
+                        or task.fingerprint in dead):
+                    continue
+                planned.add(task.fingerprint)
+                plans.setdefault(task.stack, []).append(task)
+            return {member.fingerprint: (stack, group)
+                    for stack, group in plans.items() if len(group) >= 2
+                    for member in group}
+
+        stacked: Optional[Dict[str, Tuple[PlanStack, List[StreamTask]]]] = None
         cache: Dict[str, WorkEnsemble] = {}
 
         def run(task: StreamTask) -> WorkEnsemble:
+            nonlocal stacked
+            if stacked is None:
+                stacked = plan()
             if task.fingerprint in stacked:
                 stack, group = stacked[task.fingerprint]
                 for member in group:
@@ -341,10 +353,10 @@ def run_cells(
 ) -> Dict[Tuple[Any, ...], WorkEnsemble]:
     """Run a list of cells: their :func:`plan_tasks` plan (``**plan`` is
     its keywords — ``seed``, the integration settings, ``obs``) resolved as
-    one :meth:`TaskResolver.resolve_window` step — hits loaded, every miss
-    of two or more replicas pulled in one stacked engine call, ``put`` in
-    task order — and merged per cell by :func:`merge_cells`.  A cell whose
-    task range is empty has no entry."""
+    one :meth:`TaskResolver.resolve_window` step — hits loaded, the misses
+    pulled in one stacked engine call, ``put`` in task order — and merged
+    per cell by :func:`merge_cells`.  A cell whose task range is empty has
+    no entry."""
     tasks = list(plan_tasks(model, cells, n_tasks, samples_per_task, **plan))
     return merge_cells(
         (task.cell, ensemble) for task, _outcome, ensemble

@@ -31,7 +31,7 @@ means is each consumer's own policy.
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Optional, Tuple
+from typing import IO, Any, Iterable, List, Optional, Tuple
 
 __all__ = [
     "INDEX_NAME",
@@ -62,11 +62,20 @@ def _is_fingerprint(text: str) -> bool:
 # -- durable writes ------------------------------------------------------------
 
 
+def _open_creating_dir(path: str, mode: str, **kwargs: Any) -> IO[Any]:
+    """``open(path, mode)``; a missing parent directory is created on
+    demand (one retry) instead of being ``makedirs``-probed on every write."""
+    try:
+        return open(path, mode, **kwargs)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return open(path, mode, **kwargs)
+
+
 def atomic_write_text(path: str, text: str, *, sync: bool = True) -> None:
     """Write ``text`` to ``path`` atomically (write-tmp → fsync → replace)."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with _open_creating_dir(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
         if sync:
             handle.flush()
@@ -82,9 +91,8 @@ def append_line(path: str, line: str, *, sync: bool = True) -> None:
     terminates such a fragment first, so it stays one unparsable line of
     its own instead of swallowing the entry written after the restart.
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     data = (line + "\n").encode("utf-8")
-    with open(path, "a+b") as handle:
+    with _open_creating_dir(path, "a+b") as handle:
         if handle.seek(0, os.SEEK_END):
             handle.seek(-1, os.SEEK_END)
             if handle.read(1) != b"\n":

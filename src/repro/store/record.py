@@ -13,7 +13,7 @@ round-trip property that makes resumed campaigns bit-identical.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -74,11 +74,18 @@ def decode_ensemble(data: Dict[str, Any]) -> WorkEnsemble:
     )
 
 
-def build_record(task: Dict[str, Any], ensemble: WorkEnsemble) -> Dict[str, Any]:
-    """Assemble a schema-tagged record for one completed task."""
+def build_record(task: Dict[str, Any], ensemble: WorkEnsemble,
+                 fingerprint: Optional[str] = None) -> Dict[str, Any]:
+    """Assemble a schema-tagged record for one completed task.
+
+    ``fingerprint`` is ``task_fingerprint(task)`` when the caller already
+    holds it (the hash is the dearest part of a small record); it is
+    computed here otherwise.  Readers re-derive it either way
+    (:func:`validate_record`).
+    """
     return {
         "schema": RECORD_SCHEMA,
-        "fingerprint": task_fingerprint(task),
+        "fingerprint": fingerprint or task_fingerprint(task),
         "task": task,
         "result": encode_ensemble(ensemble),
     }

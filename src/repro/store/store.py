@@ -311,9 +311,12 @@ class ResultStore:
             self._fps.discard(fingerprint)
         self._digest = None
 
-    def put(self, task: Dict[str, Any], ensemble: WorkEnsemble) -> str:
+    def put(self, task: Dict[str, Any], ensemble: WorkEnsemble,
+            fingerprint: Optional[str] = None) -> str:
         """Persist one completed task; returns its fingerprint.
 
+        ``fingerprint`` is the task's fingerprint when the caller has
+        already hashed the descriptor (it is hashed here otherwise).
         The record write is atomic (write-then-rename) and is the commit
         point; the INDEX append follows it.  On return both are durable.
         When the chaos hook :attr:`interrupt_after_writes` is armed and
@@ -321,7 +324,7 @@ class ResultStore:
         :class:`~repro.errors.CampaignInterrupted` — the record survives,
         exactly like a process killed between tasks.
         """
-        record = build_record(task, ensemble)
+        record = build_record(task, ensemble, fingerprint)
         fingerprint = record["fingerprint"]
         self._atomic_write(self.path_for(fingerprint), dumps_record(record))
         append_line(self._index_path(fingerprint[:2]), fingerprint,
@@ -348,7 +351,7 @@ class ResultStore:
         if cached is not None:
             return cached
         ensemble = compute()
-        self.put(task, ensemble)
+        self.put(task, ensemble, fingerprint)
         return ensemble
 
     # -- heal / compaction -----------------------------------------------------

@@ -182,9 +182,9 @@ def run_adaptive_campaign(
     samples_per_task:
         Replicas per store task — the allocation granularity; both
         ``total_replicas`` and ``pilot_per_bin`` must be multiples of it.
-        With the default (2) each round's tasks share one stacked engine
-        call; one-replica tasks would each run alone
-        (:meth:`repro.smd.plan.TaskResolver.resolve_window`).
+        Each round's tasks share one stacked engine call
+        (:meth:`repro.smd.plan.TaskResolver.resolve_window`); the value
+        enters every task descriptor, so it is part of the digest.
     estimator:
         Any *unpaired* registry estimator used per window (the windows are
         forward-only).

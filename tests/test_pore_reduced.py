@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError
 from repro.pore import (
     AxialLandscape,
     ReducedTranslocationModel,
+    TabulatedPotential1D,
     default_reduced_potential,
 )
 from repro.units import KB
@@ -22,6 +23,25 @@ class TestConstruction:
             ReducedTranslocationModel(default_reduced_potential(), friction=0.0)
         with pytest.raises(ConfigurationError):
             ReducedTranslocationModel(default_reduced_potential(), temperature=-5.0)
+
+
+class TestPotentialLeadingAxisContract:
+    """``Potential1D``: an ``(n, 1)`` column keeps its shape and each row
+    has the bits of that coordinate evaluated alone — what lets the engine
+    step a stack of one-replica pulls in one call."""
+
+    @pytest.mark.parametrize("potential", [
+        default_reduced_potential(),
+        TabulatedPotential1D.from_callable(
+            default_reduced_potential().value, -8.0, 16.0),
+    ], ids=["axial-landscape", "tabulated"])
+    def test_column_rows_equal_their_solo_call(self, potential):
+        z = np.random.default_rng(24).uniform(-6.0, 14.0, 12800)
+        column = potential.derivative(z[:, None])
+        assert column.shape == (z.size, 1)
+        solo = np.array([potential.derivative(z[i:i + 1])[0]
+                         for i in range(z.size)])
+        np.testing.assert_array_equal(column[:, 0], solo)
 
 
 class TestTimestep:

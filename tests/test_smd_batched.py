@@ -270,6 +270,32 @@ mixed_cells = st.lists(
     min_size=2, max_size=4, unique_by=lambda cell: cell[0])
 
 
+def assert_stack_equals_solo_and_oracle(layout, n_records, exact):
+    """Pull ``(protocol, stream key, n_samples)`` groups in one stack: each
+    equals the same group pulled alone and by the scalar oracle, and leaves
+    its generator where a solo run leaves it."""
+    model = ReducedTranslocationModel(default_reduced_potential())
+    kwargs = dict(n_records=n_records)
+    if exact:
+        kwargs["force_sample_time"] = None
+    rngs = [stream_for(*key) for _proto, key, _m in layout]
+    stacked = run_pulling_stack(
+        model, [(proto, rng, m)
+                for (proto, _key, m), rng in zip(layout, rngs)],
+        **kwargs)
+    assert len(stacked) == len(layout)
+    for (proto, key, m), rng, ensemble in zip(layout, rngs, stacked):
+        solo_rng = stream_for(*key)
+        assert_ensembles_identical(ensemble, run_pulling_ensemble(
+            model, proto, m, seed=solo_rng, **kwargs))
+        assert_ensembles_identical(ensemble, run_pulling_ensemble(
+            model, proto, m, seed=stream_for(*key), kernel="reference",
+            **kwargs))
+        # The block draws never over-draw: a generator that drew one
+        # variate too many would be in a different state here.
+        assert rng.bit_generator.state == solo_rng.bit_generator.state
+
+
 class TestCrossCellStack:
     """One step loop for cells that differ in everything: each group of a
     mixed stack equals the same group pulled alone and the scalar oracle,
@@ -280,31 +306,41 @@ class TestCrossCellStack:
            n_records=st.integers(2, 9), interleave=st.booleans())
     def test_mixed_stack_equals_solo_and_oracle(self, cells, exact,
                                                 n_records, interleave):
-        model = ReducedTranslocationModel(default_reduced_potential())
-        kwargs = dict(n_records=n_records)
-        if exact:
-            kwargs["force_sample_time"] = None
         layout = [(proto, (5, c, g), m) for c, (proto, sizes) in
                   enumerate(cells) for g, m in enumerate(sizes)]
         if interleave:          # cell-mates need not be adjacent on input
             layout = layout[::2] + layout[1::2]
-        rngs = [stream_for(*key) for _proto, key, _m in layout]
-        stacked = run_pulling_stack(
-            model, [(proto, rng, m)
-                    for (proto, _key, m), rng in zip(layout, rngs)],
-            **kwargs)
-        assert len(stacked) == len(layout)
-        for (proto, key, m), rng, ensemble in zip(layout, rngs, stacked):
-            solo_rng = stream_for(*key)
-            [solo] = run_pulling_stack(model, [(proto, solo_rng, m)],
-                                       **kwargs)
-            assert_ensembles_identical(ensemble, solo)
-            assert_ensembles_identical(ensemble, run_pulling_ensemble(
-                model, proto, m, seed=stream_for(*key), kernel="reference",
-                **kwargs))
-            # The block draws never over-draw: a generator that drew one
-            # variate too many would be in a different state here.
-            assert rng.bit_generator.state == solo_rng.bit_generator.state
+        assert_stack_equals_solo_and_oracle(layout, n_records, exact)
+
+    @settings(max_examples=25, deadline=None)
+    @given(protocols=st.lists(short_protocols, min_size=2, max_size=24),
+           exact=st.booleans(), n_records=st.integers(2, 9))
+    def test_one_replica_stack_equals_solo_and_oracle(self, protocols,
+                                                      exact, n_records):
+        # A window of one-replica tasks: the engine evaluates the potential
+        # on a column, so each pull gets the one-row product it gets alone.
+        assert_stack_equals_solo_and_oracle(
+            [(proto, (6, g), 1) for g, proto in enumerate(protocols)],
+            n_records, exact)
+
+    def test_potential_that_flattens_a_column_is_refused(self):
+        class Flattening:
+            def __init__(self):
+                self.inner = default_reduced_potential()
+
+            def value(self, z):
+                return self.inner.value(z)
+
+            def derivative(self, z):
+                return self.inner.derivative(np.ravel(z))
+
+        model = ReducedTranslocationModel(Flattening())
+        pulls = [(fast_protocol(), stream_for(2, g), 1) for g in range(3)]
+        with pytest.raises(ConfigurationError, match="leading-axis contract"):
+            run_pulling_stack(model, pulls, n_records=5)
+        # Larger pulls never take the column form.
+        run_pulling_stack(model, [(fast_protocol(), stream_for(2, g), 2)
+                                  for g in range(2)], n_records=5)
 
     def test_span_names_a_protocol_only_when_it_has_one(self, reduced_model):
         soft, stiff = fast_protocol(kappa_pn=10.0), fast_protocol()

@@ -51,21 +51,21 @@ class TestWorkerCountInvariance:
         assert a.n_samples == b.n_samples == 12
         assert not np.array_equal(a.works, b.works)
 
-    def test_one_replica_shard_runs_alone(self, workload):
-        # One-replica shards are never stacked (BLAS's one-row path is not
-        # bit-identical to a row of a stack): each gets an engine call of
-        # its own and equals its solo oracle run.
+    def test_one_replica_shards_share_a_call(self, workload):
+        # One-replica shards stack like any others — the engine evaluates
+        # the potential on a column, one one-row product per replica — and
+        # each still equals its solo oracle run bit for bit.
         obs = Obs()
         singles = run(workload, 3, 1, obs=obs)
         spans = obs.tracer.named("smd.ensemble")
         assert [(s.attrs["n_groups"], s.attrs["n_samples"])
-                for s in spans] == [(1, 1)] * 3
+                for s in spans] == [(3, 3)]
         solo = solo_shards(workload, 3, 1, kernel="reference")
         np.testing.assert_array_equal(
             singles.works, np.concatenate([e.works for e in solo]))
         np.testing.assert_array_equal(
             singles.positions, np.concatenate([e.positions for e in solo]))
-        # ...while shards of two or more replicas share one call.
+        # ...exactly as shards of two or more replicas do.
         obs = Obs()
         run(workload, 3, 2, obs=obs)
         assert [(s.attrs["n_groups"], s.attrs["n_samples"])

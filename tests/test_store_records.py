@@ -162,6 +162,44 @@ class TestResultStore:
         assert len(calls) == 1
         np.testing.assert_array_equal(first.works, second.works)
 
+    def test_a_computed_task_is_hashed_once(self, tmp_path, task, ensemble,
+                                            monkeypatch):
+        """``put`` takes the fingerprint its caller holds: a task resolved
+        through the plan layer (or ``get_or_run``) is hashed once, and the
+        record is byte for byte the one ``put`` writes hashing it itself."""
+        import repro.store.fingerprint as fingerprint_module
+        import repro.store.record as record_module
+        import repro.store.store as store_module
+        from repro.smd.plan import StreamTask, TaskResolver
+
+        hashed = []
+
+        def spy(descriptor):
+            hashed.append(descriptor)
+            return task_fingerprint(descriptor)
+
+        for module in (fingerprint_module, record_module, store_module):
+            monkeypatch.setattr(module, "task_fingerprint", spy)
+        planned = ResultStore(os.fspath(tmp_path / "planned"), sync=False)
+        stream_task = StreamTask(index=0, key=(42,), cell=(), task=task,
+                                 compute=lambda: ensemble)
+        outcome, _ = TaskResolver(planned).resolve(
+            stream_task, lambda t: t.compute())
+        assert outcome == "computed" and len(hashed) == 1
+        memo = ResultStore(os.fspath(tmp_path / "memo"), sync=False)
+        memo.get_or_run(task, lambda: ensemble)
+        assert len(hashed) == 2
+        plain = ResultStore(os.fspath(tmp_path / "plain"), sync=False)
+        fingerprint = plain.put(task, ensemble)
+        assert len(hashed) == 3
+        with open(plain.path_for(fingerprint), "rb") as handle:
+            expected = handle.read()
+        for store in (planned, memo):
+            with open(store.path_for(fingerprint), "rb") as handle:
+                assert handle.read() == expected
+        assert build_record(task, ensemble, fingerprint) == build_record(
+            task, ensemble)
+
     def test_content_digest_depends_only_on_records(
             self, result_store, tmp_path, task, ensemble):
         result_store.put(task, ensemble)

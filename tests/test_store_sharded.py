@@ -14,6 +14,7 @@ PMF and canonical run report byte-identical to an uninterrupted control.
 """
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.store import (
 from repro.store.index import (
     INDEX_NAME,
     append_line,
+    atomic_write_text,
     read_complete_lines,
     read_index_lines,
 )
@@ -343,6 +345,23 @@ class TestLineLog:
         assert read_complete_lines(log.path)[-2] == log.torn
         assert sorted(log.read_past_garbage()) == sorted(
             log.expected + [appended])
+
+    def test_durable_writes_create_a_missing_directory(self, tmp_path):
+        """Both primitives open first and make the directory only when the
+        open fails: the first write into a shard, and a shard directory
+        removed between two writes."""
+        shard = tmp_path / "store" / "ab"
+        log, record = os.fspath(shard / INDEX_NAME), os.fspath(shard / "r")
+        append_line(log, FP_A, sync=False)              # first write
+        append_line(log, FP_B, sync=False)
+        assert read_complete_lines(log) == [FP_A, FP_B]
+        shutil.rmtree(shard)
+        atomic_write_text(record, "payload\n", sync=False)  # removed between
+        atomic_write_text(record, "payload\n", sync=False)
+        assert os.listdir(shard) == ["r"]               # no tmp left behind
+        shutil.rmtree(shard)
+        append_line(log, FP_A, sync=False)
+        assert read_complete_lines(log) == [FP_A]
 
     def test_torn_index_append_does_not_hide_records(self, tmp_path):
         root = os.fspath(tmp_path / "s")

@@ -32,7 +32,7 @@ from repro.smd import (
     run_pulling_stack,
     run_work_ensemble,
 )
-from repro.smd.plan import plan_tasks
+from repro.smd.plan import TaskResolver, plan_tasks
 from repro.smd.protocol import PullingProtocol
 from repro.store import ResultStore, ShardedResultStore
 from repro.workflow import (
@@ -66,17 +66,19 @@ def run_study(store, **kwargs):
     return run_parameter_study(model(), grid_protocols(), **defaults)
 
 
-def run_windowed(store, window, **kwargs):
-    """The same study's per-cell ensembles at an explicit window size."""
+def run_windowed(store, window, samples_per_task=2, **kwargs):
+    """The same study's per-cell ensembles at an explicit window size
+    (always two tasks per cell, of ``samples_per_task`` replicas)."""
     return run_streamed_study(
-        model(), grid_protocols(), n_samples=4, samples_per_task=2,
-        seed=SEED, store=store, window=window, n_records=11, **kwargs)
+        model(), grid_protocols(), n_samples=2 * samples_per_task,
+        samples_per_task=samples_per_task, seed=SEED, store=store,
+        window=window, n_records=11, **kwargs)
 
 
-def study_tasks():
+def study_tasks(samples_per_task=2):
     """The 8 tasks (4 cells x 2) of the study above, in stream order."""
-    return list(stream_study_tasks(model(), grid_protocols(), 2, 2,
-                                   seed=SEED, n_records=11))
+    return list(stream_study_tasks(model(), grid_protocols(), 2,
+                                   samples_per_task, seed=SEED, n_records=11))
 
 
 def oracle(protocol, key, n_samples=2):
@@ -85,10 +87,11 @@ def oracle(protocol, key, n_samples=2):
                                 seed=stream_for(*key), kernel="reference")
 
 
-def oracle_cell(protocol):
+def oracle_cell(protocol, samples_per_task=2):
     """A study cell as the oracle sees it: its tasks one by one, merged."""
     return reduce(WorkEnsemble.merged_with, (
-        oracle(protocol, (SEED, *cell_labels(protocol), "task", t))
+        oracle(protocol, (SEED, *cell_labels(protocol), "task", t),
+               samples_per_task)
         for t in range(2)))
 
 
@@ -96,6 +99,13 @@ def assert_same(a, b):
     np.testing.assert_array_equal(a.works, b.works)
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.displacements, b.displacements)
+
+
+def assert_same_record_bytes(ours, theirs, fingerprints):
+    for fingerprint in fingerprints:
+        with open(ours.path_for(fingerprint), "rb") as a, \
+                open(theirs.path_for(fingerprint), "rb") as b:
+            assert a.read() == b.read()
 
 
 def patch_engine(monkeypatch, bad, error):
@@ -245,8 +255,8 @@ class TestWindowStep:
             assert_same(report.results[task.index],
                         oracle(proto, task.key, n))
         # One engine call for the plan's stacked members, both cells in it
-        # (the duplicate was never planned), then the one-replica plan task
-        # alone; the hand-built task carries no obs.
+        # (the duplicate was never planned), then plan ``c``'s lone miss
+        # on its own; the hand-built task carries no obs.
         spans = obs.tracer.named("smd.ensemble")
         assert [(s.attrs["n_cells"], s.attrs["n_groups"],
                  s.attrs["n_samples"]) for s in spans] == [
@@ -339,7 +349,8 @@ class TestWindowStep:
                 model(), proto, 2, n_records=n_records,
                 seed=stream_for(*task.key), kernel="reference"))
 
-    def test_poisoned_index_inside_a_stacked_group(self, tmp_path):
+    def test_poisoned_index_inside_a_stacked_group(self, tmp_path,
+                                                   samples_per_task=2):
         """Counters, DLQ entries and surviving records pinned from the
         one-call-per-task executor this step replaced."""
         store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
@@ -351,7 +362,7 @@ class TestWindowStep:
                 raise SimulationError(f"task {spec.index} is poisoned")
 
         merged, report = run_windowed(
-            store, 4, dlq=dlq, fault=poison,
+            store, 4, samples_per_task, dlq=dlq, fault=poison,
             retry=RetryPolicy(max_attempts=3, base_delay=1e-6))
         assert (report.total, report.computed, report.retries,
                 report.dead_lettered) == (8, 6, 4, 2)
@@ -359,12 +370,20 @@ class TestWindowStep:
         assert [(e["task_key"][-1], e["reason"], e["attempts"])
                 for e in dlq.entries()] == [(1, "retry-exhausted", 3)] * 2
         assert sorted(store.fingerprints()) == sorted(
-            t.fingerprint for t in study_tasks() if t.index not in poisoned)
+            t.fingerprint for t in study_tasks(samples_per_task)
+            if t.index not in poisoned)
         assert sorted(merged) == [("cell", 100000, 50000),
                                   ("cell", 1000000, 50000)]
         for proto in grid_protocols():
             if cell_labels(proto) in merged:
-                assert_same(merged[cell_labels(proto)], oracle_cell(proto))
+                assert_same(merged[cell_labels(proto)],
+                            oracle_cell(proto, samples_per_task))
+
+    def test_poisoned_one_replica_task_inside_a_stacked_window(self,
+                                                               tmp_path):
+        """One-replica tasks stack too — and a poisoned one still fails on
+        its own: the pins above, unchanged."""
+        self.test_poisoned_index_inside_a_stacked_group(tmp_path, 1)
 
     def test_failing_stacked_call_falls_back_per_task(self, tmp_path,
                                                       monkeypatch):
@@ -429,12 +448,10 @@ class TestWindowStep:
         clean = ResultStore(os.fspath(tmp_path / "clean"), sync=False)
         run_windowed(clean, 8)
         assert len(store) == 6 and len(clean) == 8
-        for fingerprint in store.fingerprints():
-            with open(store.path_for(fingerprint), "rb") as ours, \
-                    open(clean.path_for(fingerprint), "rb") as theirs:
-                assert ours.read() == theirs.read()
+        assert_same_record_bytes(store, clean, store.fingerprints())
 
-    def test_interrupt_inside_a_stacked_window(self, tmp_path):
+    def test_interrupt_inside_a_stacked_window(self, tmp_path,
+                                               samples_per_task=2):
         """CampaignInterrupted at task k: exactly the tasks before k are
         durable — the stack computed ahead, but nothing was put ahead."""
         k = 3
@@ -445,17 +462,60 @@ class TestWindowStep:
                 raise CampaignInterrupted(f"killed at task {k}")
 
         with pytest.raises(CampaignInterrupted):
-            run_windowed(store, 4, fault=kill)
+            run_windowed(store, 4, samples_per_task, fault=kill)
         assert sorted(store.fingerprints()) == sorted(
-            t.fingerprint for t in study_tasks() if t.index < k)
+            t.fingerprint for t in study_tasks(samples_per_task)
+            if t.index < k)
         # The resumed study recomputes exactly the rest, bit-identically.
         survivor = ResultStore(store.root, sync=False)
-        merged, report = run_windowed(survivor, 4)
+        merged, report = run_windowed(survivor, 4, samples_per_task)
         assert (report.hits, report.computed) == (k, 8 - k)
         for proto in grid_protocols():
-            assert_same(merged[cell_labels(proto)], oracle_cell(proto))
+            assert_same(merged[cell_labels(proto)],
+                        oracle_cell(proto, samples_per_task))
         # Killed or resumed, a study leaves nothing beside its records.
         assert ".stream" not in os.listdir(store.root)
+
+    def test_interrupt_inside_a_one_replica_window(self, tmp_path):
+        """A cancel at task k of a stacked one-replica window leaves
+        exactly k records, as above."""
+        self.test_interrupt_inside_a_stacked_window(tmp_path, 1)
+
+    def test_one_replica_stream_is_one_engine_call_per_window(self,
+                                                              tmp_path):
+        """40 one-replica tasks at ``window=16``: three engine calls cold,
+        none warm, and the store — counters, digest, every record's bytes —
+        is the one ``task.compute()`` fills a task at a time."""
+        obs = Obs()
+        cells = [(proto, cell_labels(proto)) for proto in grid_protocols()]
+        tasks = list(plan_tasks(model(), cells, 10, 1, seed=SEED,
+                                n_records=11, obs=obs))
+        store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
+        report = run_streamed_tasks(tasks, store=store, window=16, obs=obs)
+        assert (report.hits, report.computed) == (0, 40)
+        assert [(s.attrs["n_groups"], s.attrs["n_samples"])
+                for s in obs.tracer.named("smd.ensemble")] == [
+                    (16, 16), (16, 16), (8, 8)]
+
+        alone = ResultStore(os.fspath(tmp_path / "alone"), sync=False)
+        resolver = TaskResolver(alone)
+        for task in tasks:
+            resolver.resolve(task, lambda t: t.compute())
+        assert (store.hits, store.misses, store.writes) == (
+            alone.hits, alone.misses, alone.writes) == (0, 40, 40)
+        assert store.content_digest() == alone.content_digest()
+        assert_same_record_bytes(store, alone,
+                                 (task.fingerprint for task in tasks))
+
+        warm_obs = Obs()
+        warm = ResultStore(store.root, sync=False)
+        report = run_streamed_tasks(
+            plan_tasks(model(), cells, 10, 1, seed=SEED, n_records=11,
+                       obs=warm_obs),
+            store=warm, window=16, obs=warm_obs)
+        assert (report.hits, report.computed) == (40, 0)
+        assert (warm.hits, warm.misses, warm.writes) == (40, 0, 0)
+        assert warm_obs.tracer.named("smd.ensemble") == []
 
     def test_all_hits_window_computes_nothing(self, tmp_path):
         store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
@@ -464,6 +524,46 @@ class TestWindowStep:
         _merged, report = run_windowed(ResultStore(store.root), 4, obs=obs)
         assert (report.hits, report.computed) == (8, 0)
         assert obs.tracer.named("smd.ensemble") == []
+
+    def test_window_is_planned_at_its_first_miss(self, tmp_path,
+                                                 monkeypatch):
+        """A window of hits plans nothing — each task is hashed and loaded
+        as its turn comes, the operations and order of resolving them one
+        by one, not a burst of hashing ahead of the first load — and a
+        window that does miss hashes the rest of itself only then."""
+        import repro.store.fingerprint as fingerprint_module
+
+        log = []
+        hashed = fingerprint_module.task_fingerprint
+
+        def spy_hash(task):
+            log.append("hash")
+            return hashed(task)
+
+        def resolve_logged(root, tasks):
+            store = ResultStore(root, sync=False)
+            loaded = store.get
+
+            def spy_get(fingerprint):
+                log.append("get")
+                return loaded(fingerprint)
+
+            monkeypatch.setattr(store, "get", spy_get)
+            del log[:]
+            return [outcome for _task, outcome, _ensemble
+                    in TaskResolver(store).resolve_window(tasks)]
+
+        root = os.fspath(tmp_path / "s")
+        filler = TaskResolver(ResultStore(root, sync=False))
+        for task in study_tasks(1)[:3]:
+            filler.resolve(task, lambda t: t.compute())
+        monkeypatch.setattr(fingerprint_module, "task_fingerprint", spy_hash)
+
+        assert resolve_logged(root, study_tasks(1)) == (
+            ["hit"] * 3 + ["computed"] * 5)
+        assert log == ["hash", "get"] * 3 + ["hash"] * 5
+        assert resolve_logged(root, study_tasks(1)) == ["hit"] * 8
+        assert log == ["hash", "get"] * 8
 
     def test_without_a_store_every_task_is_computed(self):
         """``store=None``: the same loop, no membership."""
