@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -704,11 +705,11 @@ def cmd_submit(args) -> CommandResult:
         except (OSError, ValueError) as exc:
             raise ConfigurationError(
                 f"cannot read spec file {args.spec!r}: {exc}")
-    client = _service_client(args)
-    doc = client.submit(spec)
-    if args.wait and doc["state"] not in ("completed", "degraded",
-                                          "failed", "cancelled"):
-        doc = client.wait_for(doc["id"])
+    with closing(_service_client(args)) as client:
+        doc = client.submit(spec)
+        if args.wait and doc["state"] not in ("completed", "degraded",
+                                              "failed", "cancelled"):
+            doc = client.wait_for(doc["id"])
     return CommandResult("\n".join(_campaign_lines(doc)), {
         "command": "submit",
         "campaign": doc,
@@ -717,7 +718,11 @@ def cmd_submit(args) -> CommandResult:
 
 def cmd_status(args) -> CommandResult:
     """Show one campaign (or list all visible ones) on a service."""
-    client = _service_client(args)
+    with closing(_service_client(args)) as client:
+        return _status(client, args)
+
+
+def _status(client, args) -> CommandResult:
     if args.campaign is None:
         docs = client.campaigns()
         if not docs:

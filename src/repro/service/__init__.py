@@ -19,8 +19,10 @@ Layering (each module unit-testable without the one above it):
   cancellation, DLQ retry, over the shared store.
 * :mod:`~repro.service.api` — the sans-IO request handler core (routing,
   status codes, ETags, long-poll/streaming semantics).
-* :mod:`~repro.service.http` — the asyncio socket front-end.
-* :mod:`~repro.service.client` — a blocking urllib client (CLI, CI).
+* :mod:`~repro.service.http` — the asyncio socket front-end
+  (kept-alive connections).
+* :mod:`~repro.service.client` — a blocking client on one kept-alive
+  ``http.client`` connection (CLI, CI).
 
 Entry points: ``repro serve`` starts a server; ``repro submit`` /
 ``repro status`` talk to one; ``docs/API.md`` is generated from a live

@@ -1,10 +1,18 @@
-"""Minimal blocking client for the campaign service (urllib, stdlib-only).
+"""Minimal blocking client for the campaign service (``http.client``,
+stdlib-only).
 
 Used by ``repro submit`` / ``repro status`` and the CI smoke job — and a
 reasonable starting point for any script that talks to the service.  One
 method per endpoint, JSON in/out, with the conditional-GET and long-poll
 conveniences (`If-None-Match`, ``wait=1``) spelled out so callers do not
 reimplement HTTP plumbing.
+
+A client keeps one connection alive across its calls (so it belongs to
+one thread at a time; :meth:`ServiceClient.close` releases it).  When the
+server has closed a *reused* connection — it does so to idle connections
+when it stops — the call fails before any response arrives; a GET is then
+sent once more on a fresh connection, a POST never is, since it may have
+reached the handler.
 
 Errors: non-2xx responses raise :class:`ServiceClientError` carrying the
 status code and the server's machine-readable error code — *except* 304,
@@ -15,14 +23,15 @@ which :meth:`ServiceClient.result` reports as ``(None, etag)`` because
 from __future__ import annotations
 
 import json
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Any, Dict, List, Optional, Tuple
-from urllib.error import HTTPError, URLError
-from urllib.request import Request as UrlRequest
-from urllib.request import urlopen
+from urllib.parse import urlsplit
 
 from ..errors import ServiceError
 
 __all__ = ["ServiceClientError", "ServiceClient"]
+
+_TERMINAL = ("completed", "degraded", "failed", "cancelled")
 
 
 class ServiceClientError(ServiceError):
@@ -52,6 +61,13 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.token = token
         self.timeout = timeout
+        self._connection: Optional[HTTPConnection] = None
+
+    def close(self) -> None:
+        """Close the kept-alive connection (a later call opens a new one)."""
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
 
     # -- endpoint wrappers -----------------------------------------------------
 
@@ -120,16 +136,26 @@ class ServiceClient:
 
     def wait_for(self, campaign_id: str) -> Dict[str, Any]:
         """Long-poll ``/events`` until the campaign is terminal; returns
-        the final campaign resource.  Network-efficient: each round trip
-        blocks server-side until there is news, instead of hammering the
-        state endpoint."""
+        the final campaign resource.
+
+        A round is one request: each long-poll blocks server-side until
+        there is news, and the campaign resource is fetched only when the
+        last ``state`` event seen is terminal or a poll came back empty
+        (its timeout lapsed).  A ``degraded`` campaign whose dead letters
+        are being retried reads ``running`` there, and the watch goes on.
+        """
         since = 0
+        state = None
         while True:
-            for event in self.events(campaign_id, since=since, wait=True):
+            events = self.events(campaign_id, since=since, wait=True)
+            for event in events:
                 since = max(since, event.get("seq", since))
+                if event.get("kind") == "state":
+                    state = event.get("state")
+            if events and state not in _TERMINAL:
+                continue
             doc = self.campaign(campaign_id)
-            if doc["state"] in ("completed", "degraded", "failed",
-                                "cancelled"):
+            if doc["state"] in _TERMINAL:
                 return doc
 
     # -- plumbing --------------------------------------------------------------
@@ -140,7 +166,6 @@ class ServiceClient:
                  auth: bool = True, raw: bool = False,
                  allow_not_modified: bool = False
                  ) -> Tuple[int, Dict[str, str], Any]:
-        url = self.base_url + path
         send_headers = dict(headers or {})
         if auth:
             send_headers["Authorization"] = f"Bearer {self.token}"
@@ -148,35 +173,61 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body, sort_keys=True).encode("utf-8")
             send_headers["Content-Type"] = "application/json"
-        request = UrlRequest(url, data=data, headers=send_headers,
-                             method=method)
-        try:
-            with urlopen(request, timeout=self.timeout) as response:
-                payload = response.read()
-                out_headers = dict(response.headers.items())
-                status = response.status
-        except HTTPError as exc:
-            if allow_not_modified and exc.code == 304:
-                return 304, dict(exc.headers.items()), None
-            raise self._error(exc)
-        except URLError as exc:
-            raise ServiceClientError(
-                f"cannot reach service at {self.base_url}: {exc.reason}")
+        status, out_headers, payload = self._exchange(
+            method, path, data, send_headers)
+        if allow_not_modified and status == 304:
+            return 304, out_headers, None
+        if not 200 <= status < 300:
+            raise _error(status, payload)
         if raw:
             return status, out_headers, payload.decode("utf-8")
         return status, out_headers, (json.loads(payload) if payload else None)
 
-    @staticmethod
-    def _error(exc: HTTPError) -> ServiceClientError:
-        code = ""
-        message = f"HTTP {exc.code}"
+    def _exchange(self, method: str, path: str, data: Optional[bytes],
+                  headers: Dict[str, str]
+                  ) -> Tuple[int, Dict[str, str], bytes]:
+        """One request/response on the kept-alive connection."""
+        split = urlsplit(self.base_url)
+        if self._connection is None:
+            kind = HTTPSConnection if split.scheme == "https" \
+                else HTTPConnection
+            self._connection = kind(split.hostname or "", split.port,
+                                    timeout=self.timeout)
+        connection = self._connection
+        target = split.path + path
+        reused = connection.sock is not None
         try:
-            doc = json.loads(exc.read())
-            code = doc["error"]["code"]
-            message = f"HTTP {exc.code} ({code}): {doc['error']['message']}"
-        except (ValueError, KeyError, TypeError):
-            pass
-        return ServiceClientError(message, status=exc.code, code=code)
+            try:
+                connection.request(method, target, body=data,
+                                   headers=headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if not (reused and method == "GET"):
+                    raise
+                # The server closed the idle connection: no response came
+                # back, so nothing was handled; a GET may go once more.
+                connection.close()
+                connection.request(method, target, body=data,
+                                   headers=headers)
+                response = connection.getresponse()
+            payload = response.read()
+        except (OSError, HTTPException) as exc:
+            self.close()
+            raise ServiceClientError(
+                f"cannot reach service at {self.base_url}: {exc}")
+        return response.status, dict(response.getheaders()), payload
+
+
+def _error(status: int, payload: bytes) -> ServiceClientError:
+    code = ""
+    message = f"HTTP {status}"
+    try:
+        doc = json.loads(payload)
+        code = doc["error"]["code"]
+        message = f"HTTP {status} ({code}): {doc['error']['message']}"
+    except (ValueError, KeyError, TypeError):
+        pass
+    return ServiceClientError(message, status=status, code=code)
 
 
 def _parse_jsonl(text: str) -> List[Dict[str, Any]]:

@@ -1,28 +1,37 @@
 """Asyncio HTTP/1.1 front-end for the sans-IO service core.
 
 Stdlib-only by design (the repo's no-new-dependencies rule): a small
-:func:`asyncio.start_server` loop that parses one request per connection,
-hands the transport-free :class:`~repro.service.api.Request` to
-:meth:`ServiceApp.handle` **on a worker thread** (handlers may block — the
-long-poll and stream endpoints do so deliberately), and writes the
-response back — chunked transfer encoding when the handler returned an
-incremental stream, plain ``Content-Length`` otherwise.
+:func:`asyncio.start_server` loop that parses the requests of a
+connection one after another, hands each transport-free
+:class:`~repro.service.api.Request` to :meth:`ServiceApp.handle` **on a
+worker thread** (handlers may block — the long-poll and stream endpoints
+do so deliberately), and writes the response back — chunked transfer
+encoding when the handler returned an incremental stream, plain
+``Content-Length`` otherwise.
+
+Connections are kept alive, so a watcher's poll rounds cost one request
+each, not a TCP handshake and teardown as well.  A connection is closed
+after the response when the client asked (``Connection: close``, or an
+HTTP/1.0 request), after a framing error (whatever follows on the socket
+cannot be trusted to be a request — a 413's unread body, say), after a
+``stream=1`` response, and when the server stops.
 
 The split keeps every piece testable at its own level: HTTP semantics are
 unit-tested against :class:`ServiceApp` without sockets; this module's
 tests drive a real socket round-trip; and the CI smoke job drives the
 whole stack over localhost with the CLI.
 
-Deliberate simplifications (documented, not accidental): one request per
-connection (``Connection: close``), no TLS (deploy behind a terminating
-proxy), bodies capped at 8 MiB, HTTP/1.1 only.
+Deliberate simplifications (documented, not accidental): requests on one
+connection are answered in order, one at a time; no chunked request
+bodies (``Transfer-Encoding`` is refused); no TLS (deploy behind a
+terminating proxy); bodies capped at 8 MiB; HTTP/1.1 only.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
 from .api import Request, Response, ServiceApp
@@ -61,9 +70,13 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Connections waiting for their next request, by writer.
+        self._idle: Dict[asyncio.StreamWriter, asyncio.Task[None]] = {}
+        self._closing = False
 
     async def start(self) -> None:
         """Bind and start accepting connections (non-blocking)."""
+        self._closing = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -77,9 +90,17 @@ class ServiceServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting connections and drain the runner's worker."""
+        """Stop accepting connections, close the idle kept-alive ones (a
+        busy one closes after its response) and drain the runner's
+        worker."""
+        self._closing = True
         if self._server is not None:
             self._server.close()
+            idle = list(self._idle.items())
+            for writer, _task in idle:
+                writer.close()
+            if idle:
+                await asyncio.wait([task for _writer, task in idle])
             await self._server.wait_closed()
             self._server = None
         await asyncio.get_running_loop().run_in_executor(
@@ -96,18 +117,31 @@ class ServiceServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        assert task is not None
         try:
-            parsed = await self._read_request(reader)
-            if isinstance(parsed, Response):  # framing-level error
-                await self._write_response(writer, parsed)
-                return
-            loop = asyncio.get_running_loop()
-            try:
-                response = await loop.run_in_executor(
-                    None, self.app.handle, parsed)
-            except Exception as exc:  # handler bug: never drop the socket
-                response = _internal_error(exc)
-            await self._write_response(writer, response)
+            keep_alive = True
+            while keep_alive and not self._closing:
+                self._idle[writer] = task
+                try:
+                    parsed = await self._read_request(reader)
+                finally:
+                    del self._idle[writer]
+                if parsed is None:
+                    return  # the client closed between requests
+                request, keep_alive = parsed
+                if isinstance(request, Response):  # framing-level error
+                    await self._write_response(writer, request, False)
+                    return
+                try:
+                    response = await loop.run_in_executor(
+                        None, self.app.handle, request)
+                except Exception as exc:  # handler bug: never drop the socket
+                    response = _internal_error(exc)
+                keep_alive = (keep_alive and response.stream is None
+                              and not self._closing)
+                await self._write_response(writer, response, keep_alive)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         finally:
@@ -117,52 +151,73 @@ class ServiceServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader
-                            ) -> "Request | Response":
-        """Parse one HTTP/1.1 request; framing errors return a Response."""
+    async def _read_request(
+            self, reader: asyncio.StreamReader
+    ) -> Optional[Tuple[Union[Request, Response], bool]]:
+        """Parse one HTTP/1.1 request.
+
+        Returns ``None`` when the client closed the connection before a
+        request line, else ``(request, keep_alive)`` — ``keep_alive``
+        false when the client asked to close.  A framing error comes back
+        as ``(error response, False)``: the connection closes after it.
+        """
         try:
             request_line = await reader.readline()
         except (ValueError, asyncio.LimitOverrunError):
-            return _framing_error(400, "request line too long")
+            return _framing_error(400, "request line too long"), False
+        if not request_line:
+            return None
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3:
-            return _framing_error(400, "malformed request line")
-        method, target, _version = parts
+            return _framing_error(400, "malformed request line"), False
+        method, target, version = parts
         headers: Dict[str, str] = {}
         while True:
             try:
                 line = await reader.readline()
             except (ValueError, asyncio.LimitOverrunError):
-                return _framing_error(400, "header line too long")
+                return _framing_error(400, "header line too long"), False
             text = line.decode("latin-1").strip()
             if not text:
                 break
             if ":" not in text:
-                return _framing_error(400, "malformed header line")
+                return _framing_error(400, "malformed header line"), False
             name, _, value = text.partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                return _framing_error(
+                    400, "conflicting Content-Length headers"), False
+            headers[name] = value
+        if "transfer-encoding" in headers:
+            # Its body would be read as the next request on this socket.
+            return _framing_error(
+                400, "Transfer-Encoding request bodies are not supported"
+            ), False
         body = b""
         length_text = headers.get("content-length")
         if length_text is not None:
             try:
                 length = int(length_text)
             except ValueError:
-                return _framing_error(400, "malformed Content-Length")
+                return _framing_error(400, "malformed Content-Length"), False
             if length < 0:
-                return _framing_error(400, "negative Content-Length")
+                return _framing_error(400, "negative Content-Length"), False
             if length > MAX_BODY_BYTES:
-                return _framing_error(413, "request body too large")
+                return _framing_error(413, "request body too large"), False
             if length:
                 body = await reader.readexactly(length)
         split = urlsplit(target)
         query = dict(parse_qsl(split.query))
+        tokens = {token.strip().lower()
+                  for token in headers.get("connection", "").split(",")}
+        keep_alive = version == "HTTP/1.1" and "close" not in tokens
         return Request(method=method.upper(), path=split.path, query=query,
-                       headers=headers, body=body)
+                       headers=headers, body=body), keep_alive
 
     async def _write_response(self, writer: asyncio.StreamWriter,
-                              response: Response) -> None:
+                              response: Response, keep_alive: bool) -> None:
         headers = dict(response.headers)
-        headers["Connection"] = "close"
+        headers["Connection"] = "keep-alive" if keep_alive else "close"
         if response.stream is not None:
             headers["Transfer-Encoding"] = "chunked"
             writer.write(_head(response.status, headers))

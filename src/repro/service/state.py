@@ -21,7 +21,8 @@ Three properties the tests pin down:
 * **Durability discipline matches the store**: records are replaced via
   write-tmp → fsync → ``os.replace`` (a crash leaves the old record, never
   a torn one); events are fsync'd appends whose reader tolerates a torn
-  final line.
+  final line.  A watcher's ``since=<seq>`` read seeks to the first new
+  event instead of re-parsing the log (see :meth:`ServiceState.read_events`).
 * **Results are content-keyed by spec fingerprint**, not campaign id:
   coalesced campaigns share one result document the same way they share
   store records, and a later identical submission is served from it
@@ -38,7 +39,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import LifecycleError, ServiceError
 from ..sanitize import make_rlock
@@ -163,6 +164,37 @@ class CampaignRecord:
         )
 
 
+@dataclass
+class _EventIndex:
+    """Where one campaign's event lines start in its log.
+
+    ``starts[seq]`` is the byte offset of the first line carrying ``seq``,
+    ``last`` the highest seq indexed and ``end`` the log length the index
+    covers.  Appends keep seqs non-decreasing in file order, so no line
+    before ``starts[k + 1]`` carries a seq above ``k``.
+    """
+
+    starts: Dict[int, int] = field(default_factory=dict)
+    last: int = 0
+    end: int = 0
+
+    def add(self, seq: Any, start: int, end: int) -> None:
+        """Index one complete line (``seq`` ``None`` when it carries none)."""
+        if isinstance(seq, int):
+            self.starts.setdefault(seq, start)
+            self.last = max(self.last, seq)
+        self.end = end
+
+    def seek(self, since: int) -> Optional[Tuple[int, int, bool]]:
+        """``(offset, seq expected there, caught up)`` for a read of
+        ``seq > since``, or ``None`` when no indexed line carries
+        ``since + 1``.  A caught-up read starts at ``end``."""
+        if since >= self.last:
+            return self.end, self.last + 1, True
+        offset = self.starts.get(since + 1)
+        return None if offset is None else (offset, since + 1, False)
+
+
 class ServiceState:
     """Durable campaign records, events and results under one root.
 
@@ -187,6 +219,7 @@ class ServiceState:
         self._lock = make_rlock("service.state")
         self._records: Dict[str, CampaignRecord] = {}
         self._event_counts: Dict[str, int] = {}
+        self._event_index: Dict[str, _EventIndex] = {}
         self._next_id = 1
         os.makedirs(self._campaigns_dir, exist_ok=True)
         self._load()
@@ -353,9 +386,16 @@ class ServiceState:
             # what serializes appenders.  Single-writer, tiny line, and
             # the durability contract ("seq N returned => event N on
             # disk") needs the fsync inside.
-            append_line(  # spice: noqa SPICE303
-                self._events_path(campaign_id),
-                canonical_json({"seq": seq, **event}), sync=self._sync)
+            line = canonical_json({"seq": seq, **event})
+            start = append_line(  # spice: noqa SPICE303
+                self._events_path(campaign_id), line, sync=self._sync)
+            index = self._event_index.get(campaign_id)
+            if index is not None and index.end == start:
+                index.add(seq, start, start + len(line.encode("utf-8")) + 1)
+            else:
+                # Bytes the index never saw precede this line (a repaired
+                # torn tail, an outside rewrite): the next read rebuilds it.
+                self._event_index.pop(campaign_id, None)
             return seq
 
     def read_events(self, campaign_id: str, *,
@@ -364,20 +404,54 @@ class ServiceState:
 
         A torn final line (crash mid-append) is dropped by the shared
         line-log reader; an unparsable interior line is skipped.
+
+        A watcher's read (``since > 0``) costs only the new events: the
+        campaign's index — extended by :meth:`append_event`, seeded by the
+        first full read, so also for logs written before a restart — gives
+        the offset of event ``since + 1`` and only the lines from there on
+        are parsed; a watcher that has seen everything, on a log whose
+        length has not changed, is answered without opening the file (so
+        a line written but not yet indexed is still seen).  When the line
+        at the seek point does not carry the expected seq (the log was
+        rewritten behind the service's back) the whole log is read and the
+        index rebuilt.
         """
+        index = None
+        if since > 0:
+            with self._lock:
+                index = self._event_index.get(campaign_id)
+                seek = index.seek(since) if index is not None else None
+            if seek is not None:
+                events = _read_from(self._events_path(campaign_id), since,
+                                    *seek)
+                if events is not None:
+                    return events
+        return self._read_all(campaign_id, since, stale=index)
+
+    def _read_all(self, campaign_id: str, since: int,
+                  stale: Optional[_EventIndex]) -> List[Dict[str, Any]]:
+        """The full read: parse the whole log, and index it when no index
+        is current (none yet, or ``stale`` sent this read here)."""
         try:
             lines = read_complete_lines(self._events_path(campaign_id))
         except OSError:
             return []
-        out: List[Dict[str, Any]] = []
-        for line in lines:
-            try:
-                doc = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(doc, dict) and doc.get("seq", 0) > since:
-                out.append(doc)
-        return out
+        docs = [_parse_event(line) for line in lines]
+        with self._lock:
+            current = self._event_index.get(campaign_id)
+        if current is None or current is stale:
+            fresh = _EventIndex()
+            start = 0
+            for line, doc in zip(lines, docs):
+                end = start + len(line.encode("utf-8")) + 1
+                fresh.add(doc.get("seq") if doc is not None else None,
+                          start, end)
+                start = end
+            with self._lock:
+                # Unless another read or an append replaced it meanwhile.
+                if self._event_index.get(campaign_id) is current:
+                    self._event_index[campaign_id] = fresh
+        return _newer(docs, since)
 
     # -- results ---------------------------------------------------------------
 
@@ -402,6 +476,44 @@ class ServiceState:
                 return json.load(handle)
         except (OSError, ValueError):
             return None
+
+
+def _read_from(path: str, since: int, offset: int, expect: int,
+               caught_up: bool) -> Optional[List[Dict[str, Any]]]:
+    """Events with ``seq > since`` among the log lines from ``offset`` on,
+    or ``None`` when the line there does not carry seq ``expect``.
+
+    A caught-up read (``offset`` is the indexed log length, ``expect`` the
+    next seq to be appended) is answered without an open while the log
+    length is unchanged, and no complete line yet is no news.
+    """
+    try:
+        if caught_up and os.stat(path).st_size == offset:
+            return []
+        lines = read_complete_lines(path, offset)
+    except (OSError, ValueError):  # ValueError: a stale offset mid-character
+        return None
+    if not lines:
+        return [] if caught_up else None
+    docs = [_parse_event(line) for line in lines]
+    if docs[0] is None or docs[0].get("seq") != expect:
+        return None
+    return _newer(docs, since)
+
+
+def _parse_event(line: str) -> Optional[Dict[str, Any]]:
+    """One log line as an event document, ``None`` when it is not one."""
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def _newer(docs: List[Optional[Dict[str, Any]]],
+           since: int) -> List[Dict[str, Any]]:
+    return [doc for doc in docs
+            if doc is not None and doc.get("seq", 0) > since]
 
 
 def _id_number(campaign_id: str) -> Optional[int]:

@@ -25,7 +25,9 @@ append discipline plus its reader: a line is written, flushed and fsync'd,
 and a reader drops a final line with no trailing newline because a crash
 tore it.  INDEX files, the service's per-campaign event logs and
 ``DLQ.jsonl`` all go through it; what a *complete* but unparsable line
-means is each consumer's own policy.
+means is each consumer's own policy.  ``append_line`` returns where its
+line starts and ``read_complete_lines`` reads from such an offset, so a
+consumer that remembers offsets reads only what was appended since.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ def atomic_write_text(path: str, text: str, *, sync: bool = True) -> None:
     os.replace(tmp, path)
 
 
-def append_line(path: str, line: str, *, sync: bool = True) -> None:
-    """Append ``line`` plus a newline to a text log, durably.
+def append_line(path: str, line: str, *, sync: bool = True) -> int:
+    """Append ``line`` plus a newline to a text log, durably; returns the
+    byte offset at which ``line`` starts.
 
     A crash mid-append leaves at most one torn final line, which
     :func:`read_complete_lines` drops on the next read.  The next append
@@ -93,24 +96,31 @@ def append_line(path: str, line: str, *, sync: bool = True) -> None:
     """
     data = (line + "\n").encode("utf-8")
     with _open_creating_dir(path, "a+b") as handle:
-        if handle.seek(0, os.SEEK_END):
+        start = handle.seek(0, os.SEEK_END)
+        if start:
             handle.seek(-1, os.SEEK_END)
             if handle.read(1) != b"\n":
                 data = b"\n" + data
+                start += 1
         handle.write(data)
         if sync:
             handle.flush()
             os.fsync(handle.fileno())
+    return start
 
 
-def read_complete_lines(path: str) -> List[str]:
-    """The newline-terminated lines of a text log, without the newlines.
+def read_complete_lines(path: str, offset: int = 0) -> List[str]:
+    """The newline-terminated lines of a text log, without the newlines,
+    from byte ``offset`` (a line start, such as :func:`append_line`
+    returned) to the end.
 
     Whatever follows the last newline is a torn append from a crash and is
     dropped.  Raises ``OSError`` when the file cannot be read.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    with open(path, "rb") as handle:
+        if offset:
+            handle.seek(offset)
+        lines = handle.read().decode("utf-8").split("\n")
     lines.pop()  # "" after a final newline, else the torn tail
     return lines
 
