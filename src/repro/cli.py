@@ -10,7 +10,8 @@ Thin wrappers over the library for the common entry points:
 * ``qos`` — the IMD network-QoS table;
 * ``ti`` — thermodynamic-integration PMF over the window;
 * ``production`` — the stitched full-axis PMF;
-* ``bench`` — the performance benchmark suite (writes BENCH_*.json);
+* ``bench`` — the adaptive-allocation accuracy benchmark (writes
+  BENCH_adaptive.json);
 * ``chaos`` — a named fault scenario run against the resilient campaign;
 * ``lint`` — the static determinism & invariant checker (repro.lint);
 * ``sanitize-report`` — the runtime lock-order sanitizer: exercise the
@@ -479,37 +480,17 @@ def cmd_bench(args) -> CommandResult:
     import os
 
     from .obs import Obs
-    from .perf import (
-        run_adaptive_benchmark,
-        run_kernel_benchmark,
-        write_bench_document,
-    )
+    from .perf import run_adaptive_benchmark, write_bench_document
 
-    kernels = run_kernel_benchmark(quick=args.quick, seed=args.seed,
-                                   obs=Obs())
     adaptive = run_adaptive_benchmark(quick=args.quick, seed=args.seed,
                                       obs=Obs())
     os.makedirs(args.out_dir, exist_ok=True)
-    kernels_path = os.path.join(args.out_dir, "BENCH_kernels.json")
     adaptive_path = os.path.join(args.out_dir, "BENCH_adaptive.json")
     # write_bench_document validates first: malformed output is exit code 1,
     # not a silently-written file.
-    write_bench_document(kernels_path, kernels)
     write_bench_document(adaptive_path, adaptive)
 
-    sr = kernels["step_rate"]
-    nr = kernels["neighbor_rebuild"]
-    lines = [
-        f"kernel step rate ({kernels['system']['n_particles']} particles):",
-        f"  reference   {sr['reference']['steps_per_s']:10.1f} steps/s",
-        f"  vectorized  {sr['vectorized']['steps_per_s']:10.1f} steps/s"
-        f"   ({sr['speedup']:.1f}x)",
-        f"neighbor rebuild ({nr['candidate_pairs']} pairs):",
-        f"  reference   {1e3 * nr['reference']['build_s']:10.2f} ms",
-        f"  vectorized  {1e3 * nr['vectorized']['build_s']:10.2f} ms"
-        f"   ({nr['speedup']:.1f}x)",
-        f"adaptive allocation ({len(adaptive['points'])} budget points):",
-    ]
+    lines = [f"adaptive allocation ({len(adaptive['points'])} budget points):"]
     for point in adaptive["points"]:
         lines.append(
             f"  budget {point['budget']:>4}   "
@@ -518,13 +499,12 @@ def cmd_bench(args) -> CommandResult:
     lines += [
         f"  deterministic: {adaptive['deterministic']} "
         f"(no-store/twin/cold-store/warm-store digests)",
-        f"wrote {kernels_path} and {adaptive_path}",
+        f"wrote {adaptive_path}",
     ]
     return CommandResult("\n".join(lines), {
         "command": "bench",
         "seed": args.seed,
         "quick": args.quick,
-        "kernels": kernels,
         "adaptive": adaptive,
     })
 
@@ -916,14 +896,13 @@ COMMANDS: Dict[str, CommandSpec] = {
             ),
         ),
         CommandSpec(
-            "bench", "performance benchmarks, writes BENCH_*.json",
+            "bench", "accuracy benchmark, writes BENCH_adaptive.json",
             cmd_bench,
             args=(
                 _arg("--quick", action="store_true",
-                     help="CI smoke scale (smaller system, fewer steps)"),
+                     help="CI smoke scale (fewer budget points)"),
                 _arg("--out-dir", default=".",
-                     help="directory for BENCH_kernels.json / "
-                          "BENCH_adaptive.json"),
+                     help="directory for BENCH_adaptive.json"),
             ),
         ),
         CommandSpec(

@@ -11,8 +11,7 @@ selected by a ``kernel=`` constructor argument:
 ``"reference"``
     A per-pair Python loop written for obviousness, not speed — scalar
     math, one pair at a time, in pair-array order.  It is the correctness
-    oracle the equivalence tests compare the vectorized kernels against,
-    and the baseline ``python -m repro bench`` measures speedups over.
+    oracle the equivalence tests compare the vectorized kernels against.
 
 Replica stacking is *not* a third kernel: the vectorised body of every
 term is written over an optional leading replica axis, so ``(N, 3)``

@@ -7,9 +7,9 @@ two selectable kernels (see :mod:`repro.md.kernels`): the default
 NumPy and scatters per-particle forces with the bincount-based
 :func:`~repro.md.kernels.accumulate_pair_forces`; the ``"reference"``
 kernel walks the same pair array one pair at a time in plain Python — the
-correctness oracle the equivalence tests and ``python -m repro bench``
-compare against.  The kernel choice propagates to the neighbor list, so
-``kernel="reference"`` is reference end-to-end.
+correctness oracle the equivalence tests compare against.  The kernel
+choice propagates to the neighbor list, so ``kernel="reference"`` is
+reference end-to-end.
 
 The vectorised body is written once over the *concatenated* candidate
 pairs of every replica (:meth:`NeighborList.stacked_pairs`): one pass of

@@ -1,81 +1,38 @@
-"""Benchmark harness: timing primitives, BENCH document schema, validation.
+"""Benchmark harness: BENCH document schema, validation, read and write.
 
-The perf subsystem emits two machine-readable documents at the repository
-root, one per benchmark family:
+The perf subsystem emits one machine-readable document,
+``BENCH_adaptive.json`` (:data:`SCHEMA_ADAPTIVE`) — adaptive vs uniform
+replica allocation, error at equal budget, with the no-store / twin /
+cold-store / warm-store digest cross-check (see
+:mod:`repro.perf.bench_adaptive`).
 
-* ``BENCH_kernels.json`` (:data:`SCHEMA_KERNELS`) — MD hot-path step rate
-  for the ``reference`` vs ``vectorized`` kernels plus neighbor-list
-  rebuild cost (see :mod:`repro.perf.bench_kernels`);
-* ``BENCH_adaptive.json`` (:data:`SCHEMA_ADAPTIVE`) — adaptive vs uniform
-  replica allocation, error at equal budget, with the no-store / twin /
-  cold-store / warm-store digest cross-check (see
-  :mod:`repro.perf.bench_adaptive`).
-
-Each document carries a ``schema`` tag so future PRs can extend the format
+The document carries a ``schema`` tag so the format can be extended
 without ambiguity, and :func:`validate_bench_document` is the single
 gatekeeper: the CLI validates before writing, CI validates after running,
-and malformed output fails loudly (:class:`~repro.errors.AnalysisError`)
-instead of silently recording garbage numbers.
+and malformed output — or an unknown schema — fails loudly
+(:class:`~repro.errors.AnalysisError`) instead of silently recording
+garbage numbers.
 
-Timing uses best-of-``repeats`` ``perf_counter`` wall time — the standard
-defence against one-off scheduler noise — and every benchmark also records
-its numbers through a :mod:`repro.obs` handle (gauges + spans), so a run
+Speed is not measured here: wall-clock numbers come from the benchmark
+ladder (``python3 bench/run.py``).  The benchmark also records its
+numbers through a :mod:`repro.obs` handle (gauges + spans), so a run
 report and the BENCH JSON never disagree.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Callable
-
 from ..errors import AnalysisError
 from ..obs import Obs, write_json
 
 __all__ = [
-    "SCHEMA_KERNELS",
     "SCHEMA_ADAPTIVE",
-    "Timing",
-    "time_call",
     "metrics_snapshot",
     "validate_bench_document",
     "write_bench_document",
     "load_bench_document",
 ]
 
-SCHEMA_KERNELS = "repro.bench.kernels/v1"
 SCHEMA_ADAPTIVE = "repro.bench.adaptive/v1"
-
-
-@dataclass(frozen=True)
-class Timing:
-    """Wall-clock timing of one benchmarked callable."""
-
-    best_s: float
-    mean_s: float
-    repeats: int
-
-    def as_dict(self) -> dict:
-        return {"best_s": self.best_s, "mean_s": self.mean_s,
-                "repeats": self.repeats}
-
-
-def time_call(fn: Callable[[], object], repeats: int = 3) -> Timing:
-    """Time ``fn()`` ``repeats`` times; best-of is the headline number.
-
-    One untimed warmup call precedes the measurements so first-call costs
-    (lazy allocations, neighbor-list builds) don't pollute the timing.
-    """
-    if repeats < 1:
-        raise AnalysisError(f"repeats must be >= 1, got {repeats}")
-    fn()
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return Timing(best_s=min(samples), mean_s=sum(samples) / len(samples),
-                  repeats=repeats)
 
 
 def metrics_snapshot(obs: Obs) -> dict:
@@ -122,62 +79,43 @@ def validate_bench_document(doc: object) -> dict:
     if not isinstance(doc, dict):
         raise AnalysisError("malformed BENCH document: not a JSON object")
     schema = _require(doc, "schema", str)
-    if schema == SCHEMA_KERNELS:
-        _require(doc, "quick", bool)
-        _require(doc, "seed", int)
-        system = _require(doc, "system", dict)
-        _require_positive(system, "n_particles")
-        rates = _require(doc, "step_rate", dict)
-        for kernel in ("reference", "vectorized"):
-            entry = _require(rates, kernel, dict)
-            _require_positive(entry, "steps_per_s")
-        _require_positive(rates, "speedup")
-        rebuild = _require(doc, "neighbor_rebuild", dict)
-        for kernel in ("reference", "vectorized"):
-            entry = _require(rebuild, kernel, dict)
-            _require_positive(entry, "build_s")
-        _require_positive(rebuild, "speedup")
-        _require_positive(rebuild, "candidate_pairs")
-        _require(doc, "metrics", dict)
-    elif schema == SCHEMA_ADAPTIVE:
-        _require(doc, "quick", bool)
-        _require(doc, "seed", int)
-        workload = _require(doc, "workload", dict)
-        _require_positive(workload, "n_bins")
-        _require_positive(workload, "pilot_per_bin")
-        points = _require(doc, "points", list)
-        if not points:
-            raise AnalysisError(
-                "malformed BENCH document: adaptive benchmark has no "
-                "cost-to-accuracy points")
-        for point in points:
-            if not isinstance(point, dict):
-                raise AnalysisError(
-                    "malformed BENCH document: adaptive point is not an "
-                    "object")
-            budget = _require_positive(point, "budget")
-            adaptive_error = _require_positive(point, "adaptive_error")
-            uniform_error = _require_positive(point, "uniform_error")
-            _require_positive(point, "adaptive_cpu_hours")
-            _require_positive(point, "uniform_cpu_hours")
-            if adaptive_error > uniform_error:
-                raise AnalysisError(
-                    f"malformed BENCH document: adaptive allocation loses "
-                    f"to uniform at budget {budget:g} "
-                    f"({adaptive_error:g} > {uniform_error:g}) — the "
-                    f"controller no longer dominates")
-        deterministic = _require(doc, "deterministic", bool)
-        if not deterministic:
-            raise AnalysisError(
-                "malformed BENCH document: adaptive benchmark reports "
-                "deterministic=false — no-store/twin/cold-store/"
-                "warm-store digests diverged"
-            )
-        _require(doc, "metrics", dict)
-    else:
+    if schema != SCHEMA_ADAPTIVE:
         raise AnalysisError(
             f"malformed BENCH document: unknown schema {schema!r}"
         )
+    _require(doc, "quick", bool)
+    _require(doc, "seed", int)
+    workload = _require(doc, "workload", dict)
+    _require_positive(workload, "n_bins")
+    _require_positive(workload, "pilot_per_bin")
+    points = _require(doc, "points", list)
+    if not points:
+        raise AnalysisError(
+            "malformed BENCH document: adaptive benchmark has no "
+            "cost-to-accuracy points")
+    for point in points:
+        if not isinstance(point, dict):
+            raise AnalysisError(
+                "malformed BENCH document: adaptive point is not an object")
+        budget = _require_positive(point, "budget")
+        adaptive_error = _require_positive(point, "adaptive_error")
+        uniform_error = _require_positive(point, "uniform_error")
+        _require_positive(point, "adaptive_cpu_hours")
+        _require_positive(point, "uniform_cpu_hours")
+        if adaptive_error > uniform_error:
+            raise AnalysisError(
+                f"malformed BENCH document: adaptive allocation loses "
+                f"to uniform at budget {budget:g} "
+                f"({adaptive_error:g} > {uniform_error:g}) — the "
+                f"controller no longer dominates")
+    deterministic = _require(doc, "deterministic", bool)
+    if not deterministic:
+        raise AnalysisError(
+            "malformed BENCH document: adaptive benchmark reports "
+            "deterministic=false — no-store/twin/cold-store/"
+            "warm-store digests diverged"
+        )
+    _require(doc, "metrics", dict)
     return doc
 
 

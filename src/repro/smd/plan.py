@@ -265,8 +265,8 @@ class TaskResolver:
         plans nothing: it hashes and loads each task as its turn comes, the
         very operations, in the very order, of resolving them one by one
         (so a served campaign's progress events stay evenly spaced — a
-        burst of hashing ahead of every window is what PERFORMANCE.md's
-        PR 24 section measured as run-to-run spread on ``warm_service``).
+        burst of hashing ahead of every window doubled ``warm_service``'s
+        run-to-run spread; PERFORMANCE.md's claim log, commit 2eb57fb).
         The stacked results are only a cache in front of the per-task loop:
         a duplicate fingerprint later in the window resolves as a hit after
         the first ``put``, a hit that proves corrupt on read once the
