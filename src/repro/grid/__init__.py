@@ -27,7 +27,6 @@ from .middleware import (
 )
 from .costmodel import CostModel, PAPER_COST_MODEL
 from .federation import Grid, FederatedGrid, CampaignManager, CampaignReport
-from .stealing import StealingPolicy, WorkStealer
 from .failures import FailureInjector, SECURITY_BREACH_WEEKS
 from .migration import CheckpointMigrator, MigrationPlan, paper_checkpoint_bytes
 from .background import BackgroundWorkload
@@ -61,8 +60,6 @@ __all__ = [
     "FederatedGrid",
     "CampaignManager",
     "CampaignReport",
-    "StealingPolicy",
-    "WorkStealer",
     "FailureInjector",
     "SECURITY_BREACH_WEEKS",
     "CheckpointMigrator",

@@ -129,20 +129,3 @@ class FailureInjector:
             (channel.name, at_s, duration_s,
              f"loss burst p={loss_rate:g}")
         )
-
-    # -- middleware faults (chaos harness) ------------------------------------
-
-    def middleware_auth_fault(self, middleware, site: str, at_hours: float,
-                              duration_hours: float) -> None:
-        """Gatekeeper rejects credentials at ``site`` for a window."""
-        middleware.inject_fault(site, "auth", at_hours, duration_hours)
-        self.injected.append((site, at_hours, duration_hours, "auth fault"))
-
-    def middleware_transfer_fault(self, middleware, site: str,
-                                  at_hours: float,
-                                  duration_hours: float) -> None:
-        """GridFTP refuses connections at ``site`` for a window."""
-        middleware.inject_fault(site, "transfer", at_hours, duration_hours)
-        self.injected.append(
-            (site, at_hours, duration_hours, "transfer fault")
-        )

@@ -12,7 +12,7 @@ carries makespan, waits and utilization for the batch-phase benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
@@ -89,16 +89,12 @@ class CampaignReport:
     per_resource_jobs: Dict[str, int]
     per_resource_utilization: Dict[str, float]
     requeues: int
-    #: Jobs satisfied from the result store without scheduling (resume).
-    short_circuited: List[Job] = field(default_factory=list)
     #: Jobs moved to the dead-letter queue (terminal, campaign degraded).
     dead_lettered: List[Job] = field(default_factory=list)
-    #: Jobs moved between sites by the work stealer.
-    steals: int = 0
 
     @property
     def all_completed(self) -> bool:
-        return not self.unplaced and bool(self.completed or self.short_circuited)
+        return not self.unplaced and bool(self.completed)
 
     @property
     def degraded(self) -> bool:
@@ -122,7 +118,8 @@ class CampaignManager:
     by hand) would use.
 
     Requeue: a monitor event every ``requeue_check_hours`` resubmits jobs
-    killed by outages to the currently-best other queue.
+    killed by outages to the currently-best other queue, and moves jobs
+    still waiting on a downed queue to a live one.
 
     With a :class:`~repro.resil.Resilience` bundle (``resil=``) the manager
     stops reading the oracle ``queue.down`` flag and instead trusts the
@@ -135,8 +132,7 @@ class CampaignManager:
     """
 
     def __init__(self, federation: FederatedGrid, requeue_check_hours: float = 1.0,
-                 obs: Optional[Obs] = None, resil=None, stealing=None,
-                 dlq=None) -> None:
+                 obs: Optional[Obs] = None, resil=None, dlq=None) -> None:
         if requeue_check_hours <= 0:
             raise ConfigurationError("requeue_check_hours must be positive")
         self.federation = federation
@@ -145,12 +141,8 @@ class CampaignManager:
         self.unplaced: List[Job] = []
         self.dead_lettered: List[Job] = []
         self._jobs: List[Job] = []
-        self._short_circuited: List[Job] = []
         self._obs = as_obs(obs)
         self._resil = resil
-        #: Optional :class:`repro.grid.stealing.WorkStealer` (opt-in; the
-        #: default static-placement path never constructs one).
-        self._stealer = stealing
         #: Optional :class:`repro.resil.DeadLetterQueue`: placement-retry
         #: exhaustion becomes a durable DLQ entry + degraded completion
         #: instead of a terminal ``unplaced``.
@@ -206,9 +198,19 @@ class CampaignManager:
             return self._resil.queue_down(queue)
         return queue.down
 
-    @staticmethod
-    def estimated_start(queue: BatchQueue, job: Job) -> float:
-        """Crude backlog estimate: pending + running work over capacity."""
+    def _start_estimate(self, queue: BatchQueue) -> float:
+        """Crude backlog estimate: pending + running work plus a liveness
+        penalty, over capacity.  The down-penalty follows the observed
+        liveness (:meth:`_queue_down`); with a resil bundle, suspected but
+        unconfirmed sites get a milder one.  A healthy site adds ``0.0``,
+        which is exact, so a fault-free resil run ranks queues
+        bit-identically to the oracle-driven one."""
+        if self._queue_down(queue):
+            penalty = queue.capacity * 1000.0  # effectively never
+        elif self._resil is not None and self._resil.suspected(queue):
+            penalty = queue.capacity * 100.0  # deprioritize, don't exclude
+        else:
+            penalty = 0.0
         backlog = sum(
             j.procs * queue.resource.wall_hours(j.remaining_duration_hours)
             for j in queue.waiting
@@ -216,30 +218,7 @@ class CampaignManager:
         running = sum(
             (end - queue.loop.now) * j.procs for j, end in queue.running.values()
         )
-        if queue.down:
-            backlog += queue.capacity * 1000.0  # effectively never
-        return (backlog + running) / queue.capacity
-
-    def _start_estimate(self, queue: BatchQueue, job: Job) -> float:
-        """:meth:`estimated_start` through the resilience bundle's eyes:
-        the down-penalty comes from the detector verdict (not the oracle
-        flag) and suspected-but-not-confirmed sites get a milder penalty.
-        Arithmetic is kept term-for-term identical to the static version so
-        fault-free runs rank queues bit-identically."""
-        if self._resil is None:
-            return self.estimated_start(queue, job)
-        backlog = sum(
-            j.procs * queue.resource.wall_hours(j.remaining_duration_hours)
-            for j in queue.waiting
-        )
-        running = sum(
-            (end - queue.loop.now) * j.procs for j, end in queue.running.values()
-        )
-        if self._resil.queue_down(queue):
-            backlog += queue.capacity * 1000.0  # effectively never
-        elif self._resil.suspected(queue):
-            backlog += queue.capacity * 100.0  # deprioritize, don't exclude
-        return (backlog + running) / queue.capacity
+        return (backlog + penalty + running) / queue.capacity
 
     def place(self, job: Job) -> Optional[BatchQueue]:
         """Submit one job to the best eligible queue.
@@ -259,7 +238,7 @@ class CampaignManager:
                 self._mark_unplaced(job)
             return None
         best = min(candidates,
-                   key=lambda q: (self._start_estimate(q, job), q.resource.name))
+                   key=lambda q: (self._start_estimate(q), q.resource.name))
         best.submit(job)
         if self._obs.enabled:
             self._obs.metrics.inc("grid.placements")
@@ -328,29 +307,14 @@ class CampaignManager:
     # -- execution --------------------------------------------------------------
 
     def run(self, jobs: Sequence[Job], until: Optional[float] = None,
-            completed: Optional[Iterable[str]] = None,
             job_fingerprints: Optional[Dict[str, str]] = None) -> CampaignReport:
         """Place all jobs, run the loop to completion, return the report.
-
-        ``completed`` names jobs whose results already exist (a resumed
-        campaign's store records): they are marked ``COMPLETED`` without
-        ever entering a queue, counted under ``grid.shortcircuited`` and
-        reported in :attr:`CampaignReport.short_circuited` — they consume
-        no grid capacity and contribute no CPU-hours this run.
 
         ``job_fingerprints`` (job name → store fingerprint) lets
         dead-letter entries carry the task's store identity.
         """
         self._job_fingerprints = dict(job_fingerprints or {})
-        done_names = set(completed) if completed is not None else set()
-        self._short_circuited = [j for j in jobs if j.name in done_names]
-        for job in self._short_circuited:
-            job.state = JobState.COMPLETED
-            job.completed_fraction = 1.0
-        if self._obs.enabled and self._short_circuited:
-            self._obs.metrics.inc("grid.shortcircuited",
-                                  len(self._short_circuited))
-        self._jobs = [j for j in jobs if j.name not in done_names]
+        self._jobs = list(jobs)
         if self._resil is not None:
             self._resil.bind(self.federation)
         with self._obs.span("grid.campaign", clock=getattr(self.loop, "clock", None),
@@ -358,8 +322,6 @@ class CampaignManager:
             for job in self._jobs:
                 self.place(job)
             self._schedule_requeue_check()
-            if self._stealer is not None:
-                self._stealer.attach(self)
             self.loop.run(until=until)
         return self._report()
 
@@ -422,8 +384,8 @@ class CampaignManager:
                             resil.breakers.record_failure(q.resource.name)
                         best = min(
                             alternatives,
-                            key=lambda c, j=job: (self._start_estimate(c, j),
-                                                  c.resource.name),
+                            key=lambda c: (self._start_estimate(c),
+                                           c.resource.name),
                         )
                         best.submit(job)
                         requeued_any = True
@@ -474,7 +436,5 @@ class CampaignManager:
             per_resource_jobs=per_resource,
             per_resource_utilization=util,
             requeues=sum(j.requeues for j in self._jobs),
-            short_circuited=list(self._short_circuited),
             dead_lettered=list(self.dead_lettered),
-            steals=0 if self._stealer is None else self._stealer.steals,
         )

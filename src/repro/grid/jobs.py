@@ -68,7 +68,6 @@ class Job:
     start_time: Optional[float] = None
     end_time: Optional[float] = None
     requeues: int = 0
-    steals: int = 0
     #: Every resource the job was ever submitted to, in order — the
     #: provenance trail a dead-letter entry records.
     site_history: List[str] = field(default_factory=list)
@@ -110,19 +109,6 @@ class Job:
         self.requeues += 1
         if not self.checkpointable:
             self.completed_fraction = 0.0
-
-    def reset_for_steal(self) -> None:
-        """Return a *waiting* job to a submittable state after a steal.
-
-        Unlike :meth:`reset_for_requeue` this is not a failure path: the
-        job never started, so its progress and requeue count are
-        untouched; only the steal is counted.
-        """
-        self.state = JobState.PENDING
-        self.resource = None
-        self.start_time = None
-        self.end_time = None
-        self.steals += 1
 
 
 def spice_batch_jobs(

@@ -199,7 +199,7 @@ _DIR_ENUMERATION = frozenset({
 
 @register_rule
 class IndexLayerDisciplineRule(Rule):
-    """Store and stealing modules never enumerate directories directly."""
+    """Store modules never enumerate directories directly."""
 
     id = "SPICE106"
     name = "directory scan outside the index layer"
@@ -208,10 +208,8 @@ class IndexLayerDisciplineRule(Rule):
         "because every directory enumeration goes through "
         "repro.store.index (which consults per-shard index files and "
         "mtimes before touching the filesystem); an os.listdir/os.scandir/"
-        "glob call anywhere else under store/ — or in the work-stealing "
-        "scheduler, which must treat queue state, never the filesystem, "
-        "as truth — silently reintroduces the O(records) full-tree walk "
-        "the index layer removed"
+        "glob call anywhere else under store/ silently reintroduces the "
+        "O(records) full-tree walk the index layer removed"
     )
 
     def applies(self, ctx: FileContext) -> bool:
@@ -219,8 +217,7 @@ class IndexLayerDisciplineRule(Rule):
             return False
         if ctx.relpath.endswith("repro/store/index.py"):
             return False  # the one sanctioned enumeration layer
-        return (ctx.in_package("store")
-                or ctx.relpath.endswith("repro/grid/stealing.py"))
+        return ctx.in_package("store")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         for node in ast.walk(ctx.tree):

@@ -206,7 +206,6 @@ def campaign_run_report(result, obs: Optional[Obs] = None, store=None,
         "jobs": summary.get("n_jobs"),
         "unplaced_jobs": len(campaign.unplaced),
         "dead_lettered_jobs": len(getattr(campaign, "dead_lettered", ())),
-        "steals": getattr(campaign, "steals", 0),
         "des_events": _counter_value(obs, "des.events"),
     }
 
@@ -255,11 +254,9 @@ def canonical_run_report(report: dict) -> dict:
             out["cost"].pop(key, None)
     if isinstance(out.get("store"), dict):
         out["store"].pop("traffic", None)
-    if isinstance(out.get("cost"), dict):
-        # Steal counts depend on when the run was interrupted, not on the
-        # completed work; the DLQ contents themselves are canonical.
-        out["cost"].pop("steals", None)
     if isinstance(out.get("dlq"), dict):
+        # Redeliveries depend on when the run was interrupted; the DLQ
+        # entries themselves are canonical.
         out["dlq"].pop("redeliveries", None)
     return out
 

@@ -157,13 +157,6 @@ class ChaosScenario:
     random_outages: Optional[RandomOutages] = None
     permafail: Optional[PermafailFault] = None
 
-    @property
-    def fault_count(self) -> int:
-        return (len(self.site_faults) + len(self.partitions)
-                + len(self.link_faults) + len(self.middleware_faults)
-                + (1 if self.random_outages else 0)
-                + (1 if self.permafail else 0))
-
 
 #: The named scenarios the CLI exposes.  "breach-partition" is the
 #: acceptance scenario: the SC05 security breach on the one

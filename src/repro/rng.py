@@ -8,7 +8,7 @@ simulations gets a statistically independent but reproducible stream.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -80,9 +80,3 @@ def stream_for(base_seed: int, *labels: Union[int, str]) -> np.random.Generator:
         else:
             entropy.append(int(label) & 0xFFFFFFFF)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def iter_streams(base_seed: int, prefix: str, count: int) -> Iterator[np.random.Generator]:
-    """Yield ``count`` labelled streams ``prefix/0 .. prefix/count-1``."""
-    for i in range(count):
-        yield stream_for(base_seed, prefix, i)

@@ -120,10 +120,8 @@ class SpiceCampaign:
         obs: Optional[Obs] = None,
         resil=None,
         store=None,
-        skip_completed: bool = False,
         dlq=None,
         retry=None,
-        stealing=None,
     ) -> None:
         self.obs = as_obs(obs)
         self.federation = (
@@ -146,10 +144,6 @@ class SpiceCampaign:
         #: campaign re-run against the same store resumes bit-identically,
         #: recomputing only the missing tasks.
         self.store = store
-        #: Forwarded to :class:`~repro.workflow.phases.BatchPhase`: mark
-        #: grid jobs with existing store records as completed instead of
-        #: replaying their schedule.
-        self.skip_completed = bool(skip_completed)
         #: Optional :class:`~repro.resil.DeadLetterQueue`: terminal task
         #: failures are recorded durably and the campaign completes
         #: degraded instead of raising.
@@ -157,8 +151,6 @@ class SpiceCampaign:
         #: Optional :class:`~repro.resil.RetryPolicy` for the batch study's
         #: tasks.
         self.retry = retry
-        #: Optional :class:`~repro.grid.WorkStealer` for the batch phase.
-        self.stealing = stealing
 
     def run(self) -> SpiceCampaignResult:
         with self.obs.span("campaign.static-viz"):
@@ -185,10 +177,8 @@ class SpiceCampaign:
                 obs=self.obs,
                 resil=self.resil,
                 store=self.store,
-                skip_completed=self.skip_completed,
                 dlq=self.dlq,
                 retry=self.retry,
-                stealing=self.stealing,
             ).run()
         return SpiceCampaignResult(
             structure=structure, interactive=interactive, batch=batch

@@ -226,10 +226,8 @@ class BatchPhase:
         obs: Optional[Obs] = None,
         resil=None,
         store=None,
-        skip_completed: bool = False,
         dlq=None,
         retry=None,
-        stealing=None,
     ) -> None:
         if replicas_per_cell <= 0 or samples_per_replica <= 0:
             raise ConfigurationError("replicas and samples must be positive")
@@ -237,8 +235,6 @@ class BatchPhase:
             raise ConfigurationError(
                 "need at least 2 pulls per cell for the error analysis"
             )
-        if skip_completed and store is None:
-            raise ConfigurationError("skip_completed requires a result store")
         self.federation = federation
         self.model = model if model is not None else ReducedTranslocationModel(
             default_reduced_potential()
@@ -258,11 +254,6 @@ class BatchPhase:
         #: every (cell, replica) task in it, which is what makes a killed
         #: batch phase resumable.
         self.store = store
-        #: With a store: mark grid jobs whose task records already exist as
-        #: completed without scheduling them (the resumed campaign's grid
-        #: view).  Off by default — the default resume replays the cheap
-        #: DES schedule so the campaign report stays bit-identical.
-        self.skip_completed = bool(skip_completed)
         #: Optional :class:`~repro.resil.DeadLetterQueue` (duck-typed).
         #: With one attached, permanently-failing study tasks and
         #: unplaceable grid jobs land in it and the campaign *completes
@@ -271,9 +262,6 @@ class BatchPhase:
         #: Optional :class:`~repro.resil.RetryPolicy` for the study's tasks
         #: (attempt budget only; exhaustion dead-letters).
         self.retry = retry
-        #: Optional :class:`~repro.grid.WorkStealer` (opt-in; attached to
-        #: the campaign manager for the scheduling run).
-        self.stealing = stealing
 
     @property
     def n_jobs(self) -> int:
@@ -304,8 +292,8 @@ class BatchPhase:
 
         The grid job ``smdje-k{kappa:g}-v{v:g}-r{rep}`` performs exactly
         the study's (cell, replica) work task — same protocol, same
-        ``stream_for`` seed key — so job completion can be read straight
-        off the result store.
+        ``stream_for`` seed key — so a dead-lettered job's DLQ entry is
+        keyed by the store identity of its work unit.
         """
         from .streaming import stream_study_tasks
 
@@ -326,13 +314,6 @@ class BatchPhase:
             distance=distance,
             start_z=start,
         )
-        # Which grid jobs are already satisfied by store records?  Decided
-        # *before* the study runs (the study itself fills the store).
-        completed = None
-        if self.store is not None and self.skip_completed:
-            completed = [name for name, fp
-                         in self.job_task_fingerprints(protocols)
-                         if fp in self.store]
         # Physics: each cell decomposes into replicas_per_cell restartable
         # tasks of samples_per_replica pulls — the same (cell, replica)
         # granularity as the grid jobs, so with a store every job's work
@@ -351,9 +332,7 @@ class BatchPhase:
         # Infrastructure: schedule the corresponding jobs on the federation.
         jobs = self.build_jobs(protocols)
         manager = CampaignManager(self.federation, obs=self.obs,
-                                  resil=self.resil, stealing=self.stealing,
-                                  dlq=self.dlq)
+                                  resil=self.resil, dlq=self.dlq)
         campaign = manager.run(
-            jobs, completed=completed,
-            job_fingerprints=dict(self.job_task_fingerprints(protocols)))
+            jobs, job_fingerprints=dict(self.job_task_fingerprints(protocols)))
         return BatchPhaseResult(study=study, campaign=campaign, jobs=jobs)

@@ -155,13 +155,8 @@ class TestChaosFaults:
         from repro.grid import GridMiddleware
 
         mw = GridMiddleware()
-        inj = FailureInjector(seed=0)
-        inj.middleware_auth_fault(mw, "NCSA", at_hours=1.0,
-                                  duration_hours=2.0)
-        inj.middleware_transfer_fault(mw, "SDSC", at_hours=3.0,
-                                      duration_hours=1.0)
+        mw.inject_fault("NCSA", "auth", 1.0, 2.0)
+        mw.inject_fault("SDSC", "transfer", 3.0, 1.0)
         assert mw.fault_active("NCSA", "auth", 1.5)
         assert not mw.fault_active("NCSA", "auth", 3.5)
         assert mw.fault_active("SDSC", "transfer", 3.5)
-        assert [e[3] for e in inj.injected] == ["auth fault",
-                                                "transfer fault"]

@@ -112,6 +112,26 @@ class TestCampaign:
             j.resource == "B" for j in report.completed if j.requeues > 0
         )
 
+    def test_waiting_job_moves_off_a_downed_site(self):
+        """A job still queued (never started) on a site that goes down is
+        resubmitted to a live eligible site and completes there."""
+        loop = EventLoop()
+        a = ComputeResource("A", "G", 256, background_load=0.0)
+        b = ComputeResource("B", "G", 256, background_load=0.0)
+        fed = FederatedGrid([Grid("G", [a, b], loop)])
+        qa = fed.all_queues()["A"]
+        # A reservation holds all of A, so the job placed there waits.
+        qa.reserve(0.0, 24.0, 256)
+        FailureInjector(seed=0).hardware_failure(qa, at_hours=0.5, repair_hours=100.0)
+        job = Job("w", 256, 3.0)
+        report = CampaignManager(fed).run([job])
+        assert job.site_history == ["A", "B"]
+        assert report.completed == [job] and job.resource == "B"
+        assert job.start_time == pytest.approx(1.0)  # the first requeue check
+        assert all(procs == 0 for _t, procs in qa.utilization_trace)
+        assert not qa.completed and not qa.killed
+        assert job.requeues == 1 and report.requeues == 1
+
     def test_mean_wait_reported(self):
         fed = build_federation()
         mgr = CampaignManager(fed)

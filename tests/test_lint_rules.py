@@ -332,16 +332,6 @@ class TestIndexLayerDiscipline:
         """
         assert rule_ids("src/repro/store/record.py", src) == ["SPICE106"]
 
-    def test_glob_and_scandir_in_stealing_flagged(self):
-        src = """\
-        import glob
-        import os
-        hits = glob.glob("*/**.json")
-        entries = os.scandir(".")
-        """
-        assert rule_ids("src/repro/grid/stealing.py", src) == [
-            "SPICE106"] * 2
-
     def test_os_walk_alias_resolved(self):
         src = """\
         from os import walk

@@ -126,60 +126,20 @@ class TestDeterministicResume:
         assert "je_samples" not in canonical_run_report(control[1])["physics"]
 
 
-class TestSkipCompleted:
-    """The grid view of resume: jobs backed by store records short-circuit."""
-
-    def make_phase(self, store, *, skip_completed=False, obs=None):
-        from repro.workflow import BatchPhase
-
-        obs = obs if obs is not None else Obs()
-        return BatchPhase(
-            federation=build_default_federation(obs=obs),
-            kappas=(100.0,), velocities=(12.5, 25.0),
-            replicas_per_cell=2, window=(-2.0, 2.0),
-            seed=SEED, obs=obs, store=store, skip_completed=skip_completed)
-
-    def test_all_jobs_short_circuit_after_a_full_run(self, result_store):
-        first = self.make_phase(result_store).run()
-        assert len(first.campaign.completed) == 4
-        assert not first.campaign.short_circuited
-
-        obs = Obs()
-        second = self.make_phase(result_store, obs=obs,
-                                 skip_completed=True).run()
-        assert not second.campaign.completed
-        assert len(second.campaign.short_circuited) == 4
-        assert second.campaign.all_completed
-        assert obs.metrics.counter("grid.shortcircuited").value == 4
-        # Physics comes entirely from the store, and agrees.
-        assert result_store.stats()["hits"] >= 4
-        assert second.optimal == first.optimal
-        np.testing.assert_array_equal(
-            first.study.estimates[first.optimal].values,
-            second.study.estimates[second.optimal].values)
-
-    def test_partial_store_short_circuits_only_backed_jobs(
-            self, result_store):
-        result_store.interrupt_after_writes = 2
-        with pytest.raises(CampaignInterrupted):
-            self.make_phase(result_store).run()
-        result_store.interrupt_after_writes = None
-
-        result = self.make_phase(result_store, skip_completed=True).run()
-        done = {j.name for j in result.campaign.short_circuited}
-        scheduled = {j.name for j in result.campaign.completed}
-        assert len(done) == 2 and len(scheduled) == 2
-        assert done.isdisjoint(scheduled)
-        assert done | scheduled == {j.name for j in result.jobs}
-        assert result.campaign.all_completed
-        for job in result.campaign.short_circuited:
-            assert job.completed_fraction == 1.0
+class TestDlqJobIdentity:
+    """A grid job's DLQ entry is keyed by its work unit's store fingerprint."""
 
     def test_job_names_map_one_to_one_onto_store_fingerprints(
             self, result_store):
         from repro.smd import parameter_grid
+        from repro.workflow import BatchPhase
 
-        phase = self.make_phase(result_store)
+        obs = Obs()
+        phase = BatchPhase(
+            federation=build_default_federation(obs=obs),
+            kappas=(100.0,), velocities=(12.5, 25.0),
+            replicas_per_cell=2, window=(-2.0, 2.0),
+            seed=SEED, obs=obs, store=result_store)
         phase.run()
         protocols = parameter_grid(kappas=(100.0,), velocities=(12.5, 25.0),
                                    distance=4.0, start_z=-2.0)
