@@ -11,7 +11,7 @@ error in the Fig. 4 reproduction).
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
@@ -68,6 +68,51 @@ class AxialLandscape:
         g = np.exp(-0.5 * u**2) * (-u / self._width)
         out = g @ self._amp + self.tilt
         return out if np.ndim(z) else out[0]
+
+    def stacked_derivative(
+            self, total: int,
+            column: bool) -> Callable[[np.ndarray], np.ndarray]:
+        """Bind :meth:`derivative` to work buffers for a stack of ``total``
+        coordinates (the :class:`~repro.pore.reduced.Potential1D`
+        evaluator): ``evaluate(z[:n])`` has the bits of ``derivative(z[:n])``
+        — or of ``derivative(z[:n, None])[:, 0]`` when ``column`` is set —
+        in an ``(n,)`` view of a buffer it owns.
+
+        The arithmetic is :meth:`derivative`'s in nine ufunc calls that
+        write in place: centre and width are tiled to ``(total, K)`` (or
+        ``(total, 1, K)``), ``-u / w`` is spelled ``u / (-w)`` (IEEE
+        negation is exact), and ``exp`` and the ``matmul`` see the shapes
+        and C-contiguous layout they see there.
+        """
+        shape = (total, 1, self.n_terms) if column else (total, self.n_terms)
+        center = np.broadcast_to(self._center, shape).copy()
+        width = np.broadcast_to(self._width, shape).copy()
+        neg_width = -width
+        u, e, g = np.empty(shape), np.empty(shape), np.empty(shape)
+        out = np.empty(shape[:-1])
+        amp, tilt = self._amp, self.tilt
+        views: dict = {}        # prefix length -> the buffers cut to it
+
+        def evaluate(z: np.ndarray) -> np.ndarray:
+            n = z.shape[0]
+            cut = views.get(n)
+            if cut is None:
+                cut = views[n] = (center[:n], width[:n], neg_width[:n],
+                                  u[:n], e[:n], g[:n], out[:n],
+                                  out[:n, 0] if column else out[:n])
+            c, w, nw, un, en, gn, dn, flat = cut
+            np.subtract(z[:, None, None] if column else z[:, None], c, un)
+            np.divide(un, w, un)
+            np.multiply(un, un, en)
+            np.multiply(en, -0.5, en)
+            np.exp(en, en)
+            np.divide(un, nw, gn)
+            np.multiply(en, gn, gn)
+            np.matmul(gn, amp, dn)
+            np.add(dn, tilt, dn)
+            return flat
+
+        return evaluate
 
     def force(self, z: np.ndarray | float) -> np.ndarray:
         """Axial force ``-dU/dz``."""

@@ -17,7 +17,7 @@ ensemble (hpc-parallel guide: vectorize over the batch dimension).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -35,20 +35,32 @@ class Potential1D(Protocol):
     Leading-axis contract: ``derivative`` returns an array of its
     argument's shape, and each row along the leading axis is evaluated as
     it would be alone — ``derivative(z[:, None])[i]`` has the bits of
-    ``derivative(z[i:i + 1])``.  The pulling engine
-    (:mod:`repro.smd.batched`) relies on this to step a stack of
-    one-replica pulls in one call, and refuses a potential whose ``(n, 1)``
-    argument comes back in another shape.
+    ``derivative(z[i:i + 1])``.
     :class:`~repro.pore.landscape.AxialLandscape` (a batched ``matmul``:
     one one-row product per row) and
     :class:`~repro.pore.tabulated.TabulatedPotential1D` (``np.interp``,
     elementwise) both honour it.
+
+    ``stacked_derivative(total, column)`` is the pulling engine's
+    (:mod:`repro.smd.batched`) only way in: it binds work buffers for a
+    stack of ``total`` coordinates and returns ``evaluate``, which takes a
+    prefix ``z[:n]`` of that stack and returns dU/dz as an ``(n,)`` array
+    it owns (valid until its next call) — bit for bit
+    ``derivative(z[:n])``, or ``derivative(z[:n, None])[:, 0]`` when
+    ``column`` is set, which is how the engine steps a stack of
+    one-replica pulls in one call.  The engine refuses an evaluator whose
+    result comes back in another shape.
     """
 
     def value(self, z):
         ...
 
     def derivative(self, z):
+        ...
+
+    def stacked_derivative(
+            self, total: int,
+            column: bool) -> Callable[[np.ndarray], np.ndarray]:
         ...
 
 

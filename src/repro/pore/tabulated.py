@@ -66,6 +66,16 @@ class TabulatedPotential1D:
         out = np.interp(zz, self._grid, self._deriv)
         return out if zz.ndim else float(out)
 
+    def stacked_derivative(
+            self, total: int,
+            column: bool) -> Callable[[np.ndarray], np.ndarray]:
+        """The :class:`~repro.pore.reduced.Potential1D` evaluator: ``np.interp``
+        is elementwise, so neither the stack size nor the column form
+        changes a bit and ``evaluate(z)`` is :meth:`derivative` on the flat
+        prefix."""
+        grid, deriv = self._grid, self._deriv
+        return lambda z: np.interp(z, grid, deriv)
+
     @property
     def support(self) -> tuple[float, float]:
         return float(self._grid[0]), float(self._grid[-1])

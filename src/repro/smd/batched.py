@@ -6,9 +6,10 @@
 tasks of a window — laid out as a single ``(total,)`` coordinate vector and
 stepped with one NumPy operation per integration step.  Pulls that share a
 protocol form a *cell*; cells differ in spring constant, timestep, step
-count and trap path, so kappa, ``dt / zeta``, ``sqrt(2 kT dt / zeta)`` and
-the trap centre ride as per-replica vectors, cells are laid out longest
-first (the replicas still integrating are always a prefix ``z[:n]``), and
+count and trap path, so kappa, ``dt / zeta``, the trap centre and the
+noise (scaled by ``sqrt(2 kT dt / zeta)``) ride per replica, cells are laid
+out longest first (the replicas still integrating are always a prefix
+``z[:n]``), and
 what a cell does on its own clock — start its pull after equilibration,
 sample the spring force every stride, record a station, finish — is a
 sparse event on that cell's slice.  :func:`repro.smd.run_pulling_ensemble`
@@ -36,18 +37,21 @@ same generator, because
   more rows than the pull's cell has steps left, so every generator
   consumes exactly the stream a solo run would and ends in the same state.
 
-The potential's derivative is evaluated once on the active prefix of the
-coordinate vector; for :class:`~repro.pore.landscape.AxialLandscape` this
+The potential's derivative is evaluated once per step on the active prefix
+of the coordinate vector, by the evaluator
+:meth:`~repro.pore.reduced.Potential1D.stacked_derivative` binds for the
+stack — work buffers allocated once per call, bit for bit ``derivative`` on
+the prefix.  For :class:`~repro.pore.landscape.AxialLandscape` this
 is a row-wise matvec, and a row slice of the stacked matvec equals the
 matvec of the slice — for pulls of two or more replicas.  A *one-replica*
 pull evaluated alone takes BLAS's one-row product, whose accumulation can
 differ from a row of the flat matvec at the ulp level.  So a stack in which
-*every* pull has one replica — a window of one-replica tasks — hands the
-prefix over as a column ``z[:n, None]`` instead: by the leading-axis
-contract of :class:`~repro.pore.reduced.Potential1D` each row of an
-``(n, 1)`` argument is evaluated as it would be alone, i.e. as the same
-one-row product, so such a stack is bit-identical to its solo calls too
-(the engine checks the ``(n, 1)`` shape once at set-up).  A stack that
+*every* pull has one replica — a window of one-replica tasks — binds the
+evaluator for a column instead: by the leading-axis contract of
+:class:`~repro.pore.reduced.Potential1D` each row of an ``(n, 1)`` argument
+is evaluated as it would be alone, i.e. as the same one-row product, so
+such a stack is bit-identical to its solo calls too (the engine checks the
+evaluator's output shape once at set-up).  A stack that
 *mixes* one-replica pulls with larger ones keeps the flat evaluation, and
 its one-replica members keep the ulp caveat; no plan builds such a stack
 (:class:`repro.smd.plan.PlanStack` has one replica count).
@@ -57,6 +61,11 @@ The loop spells out the Euler-Maruyama update of
 term instead of calling it, because that method takes one scalar kappa and
 timestep; ``tests/test_pore_reduced.py`` keeps covering the method, and the
 oracle comparisons in ``tests/test_smd_batched.py`` pin the two together.
+Every term is written in place into buffers allocated once: the noise
+block is pre-scaled at refill (``scale * normals``, the product the step
+would form), and the displacement is built in one buffer as ``kappa
+(centre - z) - dU/dz``, which is exactly the method's ``(-dU/dz) + kappa
+(centre - z)`` (``DESIGN.md`` §11 lists the rules such rewrites rely on).
 
 This module draws **no randomness of its own**: callers pass fully formed
 generators (derived via :func:`repro.rng.stream_for`), which is what makes
@@ -175,6 +184,7 @@ class _Cell:
         (self.kappa, self.dt, self.n_steps, self.stride,
          n_strides) = _integration_grid(model, protocol, dt, n_records,
                                         force_sample_time)
+        self.scale = np.sqrt(2.0 * model.kT * self.dt / model.friction)
         eq_ns = protocol.equilibration_ns
         self.eq_steps = int(np.ceil(eq_ns / self.dt)) if eq_ns > 0 else 0
         self.end = self.eq_steps + self.n_steps
@@ -272,12 +282,9 @@ def run_pulling_stack(
         z = np.empty(total, dtype=np.float64)
         kappa = np.empty(total, dtype=np.float64)
         drift = np.empty(total, dtype=np.float64)
-        scale = np.empty(total, dtype=np.float64)
         for cell in active:
             kappa[cell.lo:cell.hi] = cell.kappa
             drift[cell.lo:cell.hi] = cell.dt / model.friction
-            scale[cell.lo:cell.hi] = np.sqrt(
-                2.0 * model.kT * cell.dt / model.friction)
             # Every group starts in the static trap at the travel origin
             # with the trap's thermal spread (equilibrium initial ensemble:
             # a precondition of Jarzynski's equality), mirroring
@@ -293,6 +300,10 @@ def run_pulling_stack(
         w = np.zeros(total, dtype=np.float64)
         # Spring force at each cell's last completed sampling point.
         f_prev = np.empty(total, dtype=np.float64)
+        # Scratch of one step, written in place: the exact-work increment,
+        # then the displacement (kappa (centre - z) - dU/dz) dt / zeta.
+        dz = np.empty(total, dtype=np.float64)
+        # Pre-scaled by each cell's sqrt(2 kT dt / zeta).
         noise = np.empty((_BLOCK_STEPS, total), dtype=np.float64)
         centre = np.empty((_BLOCK_STEPS, total), dtype=np.float64)
         if exact:
@@ -305,7 +316,7 @@ def run_pulling_stack(
             """Lay out the cell's next ``rows`` steps from clock ``t``."""
             for g in cell.members:
                 _cell, lo, hi = slots[g]
-                noise[:rows, lo:hi] = pulls[g][1].standard_normal(
+                noise[:rows, lo:hi] = cell.scale * pulls[g][1].standard_normal(
                     (rows, hi - lo))
             steps = np.arange(t + 1, t + 1 + rows) - cell.eq_steps
             lam = cell.trap(steps)
@@ -355,35 +366,37 @@ def run_pulling_stack(
         for cell in due.pop(0, ()):
             attend(cell, 0)
 
-        derivative = model.potential.derivative
-        # Every pull has one replica: evaluate the potential on a column,
-        # one one-row product per replica (module docstring).
-        column = total == len(pulls)
-        if column:
-            shape = np.shape(derivative(z[:, None]))
-            if shape != (total, 1):
-                raise ConfigurationError(
-                    f"{type(model.potential).__name__}.derivative breaks the "
-                    f"Potential1D leading-axis contract: a ({total}, 1) "
-                    f"argument came back with shape {shape}")
+        # Bound for a column when every pull has one replica: one one-row
+        # product per replica (module docstring).
+        evaluate = model.potential.stacked_derivative(
+            total, total == len(pulls))
+        shape = np.shape(evaluate(z))
+        if shape != (total,):
+            raise ConfigurationError(
+                f"{type(model.potential).__name__}.stacked_derivative breaks "
+                f"the Potential1D leading-axis contract: a ({total},) stack "
+                f"came back with shape {shape}")
         t = 0
         n = total
+        # The active prefix of every per-replica vector, re-cut only when a
+        # cell leaves the stack.
+        zn, kn, drift_n, dzn, wn = z, kappa, drift, dz, w
         while active:
             rows = min(_BLOCK_STEPS, active[0].end - t)
             for cell in active:
                 refill(cell, t, min(rows, cell.end - t))
             for r in range(rows):
-                zn = z[:n]
                 if exact:
-                    w[:n] += gain[r, :n] * (mid[r, :n] - zn)
-                force = -np.asarray(
-                    derivative(zn[:, None] if column else zn),
-                    dtype=np.float64)
-                if column:
-                    force = force[:, 0]
-                force = force + kappa[:n] * (centre[r, :n] - zn)
-                zn += force * drift[:n]
-                zn += scale[:n] * noise[r, :n]
+                    np.subtract(mid[r, :n], zn, dzn)
+                    np.multiply(gain[r, :n], dzn, dzn)
+                    np.add(wn, dzn, wn)
+                du = evaluate(zn)
+                np.subtract(centre[r, :n], zn, dzn)
+                np.multiply(kn, dzn, dzn)
+                np.subtract(dzn, du, dzn)
+                np.multiply(dzn, drift_n, dzn)
+                np.add(zn, dzn, zn)
+                np.add(zn, noise[r, :n], zn)
                 t += 1
                 if t in due:
                     for cell in due.pop(t):
@@ -392,7 +405,9 @@ def run_pulling_stack(
                         done = active.pop()
                         assert done.rec == n_records, \
                             "record schedule must consume all stations"
-                    n = active[-1].hi if active else 0
+                        n = active[-1].hi if active else 0
+                        zn, kn, drift_n, dzn, wn = (
+                            z[:n], kappa[:n], drift[:n], dz[:n], w[:n])
 
     ensembles = []
     for g, (protocol, _rng, _m) in enumerate(pulls):

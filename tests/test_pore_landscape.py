@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.pore import AxialLandscape, default_hemolysin_landscape
+
+from ._potentials import assert_evaluator_is_derivative, stacked_calls
+
+gaussian_terms = st.lists(st.tuples(
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.floats(0.1, 5.0, allow_nan=False)), max_size=5)
+tilts = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(-20.0, 20.0, allow_nan=False))
 
 
 class TestAxialLandscape:
@@ -84,3 +94,18 @@ class TestAxialLandscape:
 
     def test_n_terms(self):
         assert default_hemolysin_landscape().n_terms == 3
+
+
+class TestStackedDerivative:
+    """The engine's evaluator: nine in-place ufunc calls on pre-tiled
+    buffers, with the bits of :meth:`AxialLandscape.derivative`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), terms=gaussian_terms, tilt=tilts)
+    def test_bits_equal_derivative(self, data, terms, tilt):
+        # K = 0..5 terms; tilt +0.0, -0.0 or any; z at a centre, at
+        # +-0.0; 1..256 replicas, flat or column; shrinking prefixes.
+        landscape = AxialLandscape(terms, tilt=tilt)
+        special = [c for _a, c, _w in terms] + [0.0, -0.0]
+        assert_evaluator_is_derivative(
+            landscape, *data.draw(stacked_calls(special)))

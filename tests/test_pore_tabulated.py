@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError
 from repro.pore import (
@@ -13,6 +15,7 @@ from repro.pore import (
 from repro.store import ResultStore, task_fingerprint
 from repro.workflow import run_full_axis_production
 
+from ._potentials import assert_evaluator_is_derivative, stacked_calls
 from ._streams import default_pulling_task
 
 
@@ -57,6 +60,19 @@ class TestTabulatedPotential:
         p = TabulatedPotential1D.from_callable(lambda z: 0.1 * z**2, -5, 5)
         m = ReducedTranslocationModel(p)
         assert m.max_curvature(-4.0, 4.0) == pytest.approx(0.2, rel=0.1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), values=arrays(
+        np.float64, st.integers(4, 64),
+        elements=st.floats(-50.0, 50.0, allow_nan=False)))
+    def test_stacked_derivative_bits_equal_derivative(self, data, values):
+        """The engine's evaluator is ``np.interp`` on the flat prefix: the
+        bits of ``derivative`` for any stack, flat or column, on grid
+        points, between them and clamped outside the grid."""
+        grid = np.linspace(-3.0, 5.0, values.size)
+        p = TabulatedPotential1D(grid, values)
+        assert_evaluator_is_derivative(p, *data.draw(stacked_calls(
+            [*grid[:3], grid[-1], 0.0, -0.0], lo=-10.0, hi=12.0)))
 
 
 class TestFullAxisChainPotential:

@@ -325,6 +325,9 @@ class TestCrossCellStack:
 
     def test_potential_that_flattens_a_column_is_refused(self):
         class Flattening:
+            """Its column evaluator lays the column on its side: an
+            ``(1, n)`` row instead of the ``(n,)`` the engine steps."""
+
             def __init__(self):
                 self.inner = default_reduced_potential()
 
@@ -332,7 +335,12 @@ class TestCrossCellStack:
                 return self.inner.value(z)
 
             def derivative(self, z):
-                return self.inner.derivative(np.ravel(z))
+                return self.inner.derivative(z)
+
+            def stacked_derivative(self, total, column):
+                if column:
+                    return lambda z: self.inner.derivative(z[None, :])
+                return self.inner.stacked_derivative(total, column)
 
         model = ReducedTranslocationModel(Flattening())
         pulls = [(fast_protocol(), stream_for(2, g), 1) for g in range(3)]

@@ -291,26 +291,30 @@ class TestWindowStep:
     def test_kappa_row_window_steps_its_longest_cell_not_the_sum(
             self, monkeypatch):
         """What the cross-cell stack saves, without a clock: the potential's
-        derivative is evaluated once per loop iteration, and the row's one
-        loop runs as long as its longest cell — not the four cells' loops
-        back to back."""
+        bound evaluator is called once per loop iteration, and the row's
+        one loop runs as long as its longest cell — not the four cells'
+        loops back to back."""
         pore = model()
         calls = []
-        derivative = pore.potential.derivative
-        monkeypatch.setattr(pore.potential, "derivative",
-                            lambda z: calls.append(len(z)) or derivative(z))
+        bind = pore.potential.stacked_derivative
+
+        def spy(total, column):
+            evaluate = bind(total, column)
+            return lambda z: calls.append(len(z)) or evaluate(z)
+
+        monkeypatch.setattr(pore.potential, "stacked_derivative", spy)
         row = [PullingProtocol(kappa_pn=1000.0, velocity=v, distance=0.5,
                                equilibration_ns=0.001)
                for v in (12.5, 25.0, 50.0, 100.0)]
 
         def loop_sizes(cells, n_samples):
-            """Replicas stepped at each loop iteration (sizing a cell's
-            timestep also evaluates the derivative, on a 512-point grid)."""
+            """Replicas stepped at each loop iteration of the run's one
+            engine call (its first evaluation is the set-up shape check)."""
             del calls[:]
             run_streamed_study(pore, cells, n_samples=n_samples,
                                samples_per_task=4, seed=SEED, store=None,
                                window=16, n_records=5)
-            return [n for n in calls if n <= n_samples * len(cells)]
+            return calls[1:]
 
         alone = [len(loop_sizes([cell], 4)) for cell in row]
         assert sorted(alone, reverse=True) == alone     # slowest pull first
