@@ -17,7 +17,6 @@ __all__ = [
     "UnreachableHostError",
     "GridError",
     "SchedulingError",
-    "ReservationError",
     "CoSchedulingError",
     "CheckpointError",
     "AnalysisError",
@@ -90,11 +89,6 @@ class GridError(ReproError):
 class SchedulingError(GridError):
     """A job could not be scheduled (too large for any resource, queue
     closed, malformed request)."""
-
-
-class ReservationError(GridError):
-    """An advance reservation could not be placed or was irrecoverably
-    mis-configured by the (simulated) administrators."""
 
 
 class CoSchedulingError(GridError):

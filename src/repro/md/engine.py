@@ -137,12 +137,6 @@ class Simulation:
 
     # -- time evolution --------------------------------------------------------
 
-    @property
-    def forces_now(self) -> np.ndarray:
-        """Current forces (kcal/mol/A); computed on demand."""
-        self._ensure_forces()
-        return self._force_buffer
-
     def minimize(self, max_steps: int = 200, step_size: float = 0.01,
                  f_tol: float = 1.0) -> int:
         """Crude steepest-descent relaxation to remove bad initial contacts.

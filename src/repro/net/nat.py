@@ -139,9 +139,6 @@ class NetworkFabric:
         except KeyError:
             raise ConfigurationError(f"unknown host {name!r}") from None
 
-    def gateway_for(self, site: str) -> Optional[GatewayNode]:
-        return self._gateways.get(site)
-
     # -- routing ---------------------------------------------------------------
 
     def link_qos(self, site_a: str, site_b: str) -> QoSSpec:

@@ -6,7 +6,8 @@ the *observability handle* it was run under (queue-wait histograms, channel
 stall totals, ensemble wall times) — into a plain nested dict, the
 document ``python -m repro campaign --json`` and ``python -m repro report``
 emit.  :func:`render_run_report` renders the same document as an aligned
-ASCII table for humans.
+ASCII table for humans.  The campaign service's ``service.*`` counters
+are not part of it: they are served at ``GET /v1/metrics``.
 
 The result object is duck-typed (anything with ``.batch.campaign`` and
 ``.summary()`` works) so this module never imports :mod:`repro.workflow`
@@ -122,26 +123,6 @@ def _resil_stats(obs: Obs) -> Dict[str, Any]:
     return section
 
 
-def _service_stats(obs: Obs) -> Dict[str, Any]:
-    """Service section: the ``service.*`` metric families the campaign
-    API layer records (submissions, coalesces, cache hits, per-status
-    HTTP errors, quota rejections).  Empty when the run did not pass
-    through :mod:`repro.service`, so classic CLI runs stay compact."""
-    section: Dict[str, Any] = {}
-    families = {
-        "campaigns": "service.campaigns",
-        "http": "service.http",
-        "quota": "service.quota",
-        "cancel": "service.cancel",
-        "dlq": "service.dlq",
-    }
-    for key, prefix in families.items():
-        values = _family_values(obs, prefix)
-        if values:
-            section[key] = values
-    return section
-
-
 def campaign_run_report(result, obs: Optional[Obs] = None, store=None,
                         dlq=None, **extra: Any) -> dict:
     """Build the run report for a completed SPICE campaign.
@@ -219,9 +200,6 @@ def campaign_run_report(result, obs: Optional[Obs] = None, store=None,
         "cost": cost,
         "resilience": _resil_stats(obs),
     }
-    service = _service_stats(obs)
-    if service:
-        report["service"] = service
     if store is not None:
         report["store"] = {
             "records": len(store),
@@ -370,24 +348,6 @@ def render_run_report(report: dict) -> str:
         if exhausted:
             lines.append("  retry exhaustion: " + ", ".join(
                 f"{op}={int(n)}" for op, n in exhausted.items()))
-
-    service = report.get("service")
-    if service:
-        lines.append("")
-        lines.append("service:")
-        campaigns = service.get("campaigns", {})
-        if campaigns:
-            lines.append("  campaigns: " + ", ".join(
-                f"{k}={int(v)}" for k, v in sorted(campaigns.items())))
-        http = service.get("http", {})
-        if http:
-            lines.append("  http: " + ", ".join(
-                f"{k}={int(v)}" for k, v in sorted(http.items())))
-        for key in ("quota", "cancel", "dlq"):
-            row = service.get(key, {})
-            if row:
-                lines.append(f"  {key}: " + ", ".join(
-                    f"{k}={int(v)}" for k, v in sorted(row.items())))
 
     dlq = report.get("dlq")
     if dlq is not None:

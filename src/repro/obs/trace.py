@@ -177,7 +177,3 @@ class Tracer:
     def total_duration(self, name: str) -> float:
         """Summed duration of all spans called ``name``."""
         return sum(r.duration for r in self.named(name))
-
-    def as_list(self) -> List[dict]:
-        """Every record as a JSON-ready dict, in completion order."""
-        return [r.as_dict() for r in self.records]

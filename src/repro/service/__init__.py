@@ -18,7 +18,7 @@ Layering (each module unit-testable without the one above it):
 * :mod:`~repro.service.runner` — execution, submission coalescing,
   cancellation, DLQ retry, over the shared store.
 * :mod:`~repro.service.api` — the sans-IO request handler core (routing,
-  status codes, ETags, long-poll/streaming semantics).
+  status codes, ETags, long-poll semantics).
 * :mod:`~repro.service.http` — the asyncio socket front-end
   (kept-alive connections).
 * :mod:`~repro.service.client` — a blocking client on one kept-alive

@@ -4,8 +4,8 @@
 :class:`Response` values — no event loop, no socket, no framing.  The
 asyncio front-end (:mod:`repro.service.http`) owns the bytes; everything
 the API *means* (routing, auth, ownership, status codes, ETags,
-long-polling, event streaming) lives here, where a unit test can drive it
-with constructed requests and assert on whole responses.
+long-polling) lives here, where a unit test can drive it with constructed
+requests and assert on whole responses.
 
 Conventions the endpoints share:
 
@@ -20,10 +20,9 @@ Conventions the endpoints share:
   as a strong ``ETag``; ``If-None-Match`` round-trips as **304** with no
   body.  The digest is a pure function of the spec's task fingerprints,
   which is what makes it safe (see DESIGN.md §13).
-* Event responses are JSON-lines; ``stream=1`` returns an incremental
-  producer the HTTP layer sends chunked, ``wait=1`` long-polls until the
-  campaign has news or a deadline passes.  Both are driven by the same
-  durable per-campaign event log, so a disconnected client resumes with
+* Event responses are JSON-lines read from the durable per-campaign
+  event log; ``wait=1`` long-polls until the campaign has news or a
+  deadline passes, and a disconnected client resumes with
   ``since=<last seq>`` and misses nothing.
 """
 
@@ -32,7 +31,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import (
     AccessDeniedError,
@@ -104,18 +103,11 @@ class Request:
 
 @dataclass
 class Response:
-    """One response: status, headers, body — or an incremental stream.
-
-    When ``stream`` is set the HTTP layer sends ``Transfer-Encoding:
-    chunked`` and writes each yielded chunk as it is produced (the
-    progress-streaming path); ``body`` is ignored.  Sans-IO tests can
-    still drain ``stream`` synchronously.
-    """
+    """One response: status, headers, body."""
 
     status: int
     body: bytes = b""
     headers: Dict[str, str] = field(default_factory=dict)
-    stream: Optional[Iterator[bytes]] = None
 
     @property
     def text(self) -> str:
@@ -148,8 +140,8 @@ class ServiceApp:
         Token registry for request authentication.
     obs:
         Service-level instrumentation (``service.http.*`` counters).
-        Usually the same handle the runner carries, so one run report
-        shows the whole ``service.*`` family.
+        Usually the same handle the runner carries, so ``GET
+        /v1/metrics`` shows the whole ``service.*`` family.
     """
 
     def __init__(self, runner: CampaignRunner, registry: AuthRegistry, *,
@@ -288,17 +280,11 @@ class ServiceApp:
 
         Query parameters: ``since=<seq>`` returns only events newer than
         the client's watermark; ``wait=1`` long-polls until news arrives
-        or the timeout lapses; ``stream=1`` holds the response open and
-        chunks events out as they are appended, ending when the campaign
-        reaches a terminal state.
+        or the timeout lapses.
         """
         principal = self._authenticate(request)
         record = self._owned(principal, id)
         since = _int_query(request, "since", 0)
-        if request.query.get("stream") in ("1", "true"):
-            return Response(
-                status=200, stream=self._event_stream(record.id, since),
-                headers={"Content-Type": "application/jsonl"})
         events = self.runner.state.read_events(record.id, since=since)
         if not events and request.query.get("wait") in ("1", "true"):
             deadline = time.monotonic() + LONG_POLL_TIMEOUT_S
@@ -310,30 +296,6 @@ class ServiceApp:
         body = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
         return Response(status=200, body=body.encode("utf-8"),
                         headers={"Content-Type": "application/jsonl"})
-
-    def _event_stream(self, campaign_id: str, since: int) -> Iterator[bytes]:
-        """Incremental event producer backing ``stream=1`` responses.
-
-        Yields one JSON line per event as the log grows, then returns
-        once the campaign is terminal and fully drained — at which point
-        the HTTP layer closes the chunked response.  A client that
-        disconnects mid-stream loses nothing: events are durable, so
-        reconnecting with ``since=<last seq>`` resumes exactly.
-        """
-        watermark = since
-        while True:
-            events = self.runner.state.read_events(campaign_id,
-                                                   since=watermark)
-            for event in events:
-                watermark = event["seq"]
-                yield (json.dumps(event, sort_keys=True) + "\n"
-                       ).encode("utf-8")
-            record = self.runner.state.get(campaign_id)
-            if record is None or record.terminal:
-                if not events:
-                    return
-                continue  # drain anything appended during the yield loop
-            time.sleep(POLL_INTERVAL_S)
 
     def _result(self, request: Request, id: str) -> Response:
         """``GET /v1/campaigns/{id}/result`` — the PMF document.

@@ -4,17 +4,15 @@ Stdlib-only by design (the repo's no-new-dependencies rule): a small
 :func:`asyncio.start_server` loop that parses the requests of a
 connection one after another, hands each transport-free
 :class:`~repro.service.api.Request` to :meth:`ServiceApp.handle` **on a
-worker thread** (handlers may block — the long-poll and stream endpoints
-do so deliberately), and writes the response back — chunked transfer
-encoding when the handler returned an incremental stream, plain
-``Content-Length`` otherwise.
+worker thread** (the long-poll blocks deliberately), and writes the
+response back with a ``Content-Length`` body (a 304 has none).
 
 Connections are kept alive, so a watcher's poll rounds cost one request
 each, not a TCP handshake and teardown as well.  A connection is closed
 after the response when the client asked (``Connection: close``, or an
 HTTP/1.0 request), after a framing error (whatever follows on the socket
-cannot be trusted to be a request — a 413's unread body, say), after a
-``stream=1`` response, and when the server stops.
+cannot be trusted to be a request — a 413's unread body, say), and when
+the server stops.
 
 The split keeps every piece testable at its own level: HTTP semantics are
 unit-tested against :class:`ServiceApp` without sockets; this module's
@@ -48,8 +46,6 @@ _REASONS = {
     404: "Not Found", 409: "Conflict", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
 }
-
-_SENTINEL = object()
 
 
 class ServiceServer:
@@ -139,8 +135,7 @@ class ServiceServer:
                         None, self.app.handle, request)
                 except Exception as exc:  # handler bug: never drop the socket
                     response = _internal_error(exc)
-                keep_alive = (keep_alive and response.stream is None
-                              and not self._closing)
+                keep_alive = keep_alive and not self._closing
                 await self._write_response(writer, response, keep_alive)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
@@ -218,24 +213,6 @@ class ServiceServer:
                               response: Response, keep_alive: bool) -> None:
         headers = dict(response.headers)
         headers["Connection"] = "keep-alive" if keep_alive else "close"
-        if response.stream is not None:
-            headers["Transfer-Encoding"] = "chunked"
-            writer.write(_head(response.status, headers))
-            await writer.drain()
-            loop = asyncio.get_running_loop()
-            iterator = iter(response.stream)
-            while True:
-                # The producer blocks between events (it tails the durable
-                # event log), so each pull runs on a worker thread.
-                chunk = await loop.run_in_executor(
-                    None, next, iterator, _SENTINEL)
-                if chunk is _SENTINEL:
-                    break
-                writer.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
-                await writer.drain()
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
-            return
         if response.status != 304:
             headers.setdefault("Content-Length", str(len(response.body)))
         writer.write(_head(response.status, headers))

@@ -122,10 +122,6 @@ class SMDPullingForce:
         com = self._weights @ positions[self._indices]
         return float(com @ self._axis)
 
-    def spring_force_magnitude(self, positions: np.ndarray) -> PerReplica:
-        """Signed spring force on the coordinate, ``kappa (lambda - q)``."""
-        return self.kappa * (self.trap_position - self.coordinate(positions))
-
     # -- Force interface --------------------------------------------------------
 
     def compute(self, positions: np.ndarray, forces: np.ndarray) -> PerReplica:

@@ -113,9 +113,6 @@ class SteeringClient:
             raise SteeringError(f"{component!r} already subscribed")
         self._subscribers.append(component)
 
-    def param_names(self) -> List[str]:
-        return sorted(self._params)
-
     # -- engine hooks ------------------------------------------------------------
 
     def poll(self, simulation) -> None:

@@ -9,7 +9,7 @@ files them by request sequence number.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import SteeringError
 from .messages import ControlAction, MessageType, SteeringMessage
@@ -25,7 +25,6 @@ class Steerer:
         self.connection = connection
         self.target = target
         self._replies: Dict[int, SteeringMessage] = {}
-        self._unsolicited: List[SteeringMessage] = []
 
     # -- requests ---------------------------------------------------------------
 
@@ -70,13 +69,12 @@ class Steerer:
     # -- replies ---------------------------------------------------------------
 
     def drain(self) -> int:
-        """Collect arrived messages; returns how many were received."""
+        """Collect arrived messages; returns how many were received.
+        Unsolicited ones (data samples) are not kept."""
         msgs = self.connection.receive()
         for m in msgs:
             if m.reply_to is not None:
                 self._replies[m.reply_to] = m
-            else:
-                self._unsolicited.append(m)
         return len(msgs)
 
     def reply_for(self, seq: int) -> Optional[SteeringMessage]:
@@ -92,8 +90,3 @@ class Steerer:
         if reply.msg_type is MessageType.ERROR:
             raise SteeringError(f"request #{seq} failed: {reply.payload.get('reason')}")
         return reply
-
-    @property
-    def data_samples(self) -> List[SteeringMessage]:
-        """Unsolicited DATA_SAMPLE messages received so far."""
-        return [m for m in self._unsolicited if m.msg_type is MessageType.DATA_SAMPLE]

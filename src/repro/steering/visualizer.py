@@ -118,10 +118,3 @@ class Visualizer:
 
     def clear_force(self) -> int:
         return self.send_force(np.zeros(0, dtype=np.intp), np.zeros(3))
-
-    def display_lag_s(self) -> float:
-        """Clock time since the last rendered frame was generated (an
-        interactivity health metric)."""
-        if not self.frames:
-            return float("inf")
-        return self.connection.service.clock.now - self.frames[-1].received_at

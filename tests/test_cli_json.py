@@ -64,6 +64,8 @@ class TestJsonOutput:
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == REPORT_SCHEMA
         assert doc["command"] == "report"
+        # The service's counters are served by GET /v1/metrics only.
+        assert "service" not in doc
 
 
 class TestExitCodes:

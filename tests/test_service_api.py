@@ -1,6 +1,7 @@
 """The sans-IO API core, end to end: submission through result fetch,
 coalescing against the shared store, conditional GETs, cancellation
-mid-stream, event streaming and the DLQ retry loop — all without sockets.
+mid-run, event reads and long-polls, and the DLQ retry loop — all without
+sockets.
 """
 
 import json
@@ -284,15 +285,6 @@ class TestEvents:
                                 query={"since": str(last), "wait": "1"}))
         assert empty.text == ""
 
-    def test_stream_drains_to_the_same_lines(self, app):
-        cid = app.handle(_post("/v1/campaigns")).json()["id"]
-        plain = app.handle(_get(f"/v1/campaigns/{cid}/events")).body
-        streamed = app.handle(_get(f"/v1/campaigns/{cid}/events",
-                                   query={"stream": "1"}))
-        assert streamed.status == 200
-        assert streamed.stream is not None
-        assert b"".join(streamed.stream) == plain
-
     def test_bad_since_is_400(self, app):
         cid = app.handle(_post("/v1/campaigns")).json()["id"]
         response = app.handle(_get(f"/v1/campaigns/{cid}/events",
@@ -404,20 +396,6 @@ class TestRoutingAndMetrics:
         assert doc["store"]["writes"] == 2
         assert doc["store"]["records"] == 2
         assert doc["dlq"]["depth"] == 0
-
-    def test_run_report_includes_the_service_family(self, app):
-        from repro.obs.report import _service_stats, render_run_report
-
-        app.handle(_post("/v1/campaigns"))
-        app.handle(_get("/v1/campaigns"))
-        section = _service_stats(app.obs)
-        campaigns = section["campaigns"]
-        assert campaigns["submitted"] == 1 and campaigns["completed"] == 1
-        assert section["http"]["requests"] >= 2
-        rendered = render_run_report({"service": section})
-        assert "service:" in rendered and "submitted=1" in rendered
-        # A run that never touched the service keeps its report compact.
-        assert _service_stats(Obs()) == {}
 
     def test_list_orders_campaigns_by_id(self, app):
         first = app.handle(_post("/v1/campaigns")).json()["id"]

@@ -81,9 +81,6 @@ class _Session:
         request = Request(method, path, query=dict(query or {}),
                           headers=send_headers, body=raw)
         response = self.app.handle(request)
-        payload = response.body
-        if response.stream is not None:
-            payload = b"".join(response.stream)
         exchange = {
             "title": title,
             "notes": notes,
@@ -97,8 +94,7 @@ class _Session:
             "response": {
                 "status": response.status,
                 "headers": dict(response.headers),
-                "body": payload.decode("utf-8"),
-                "streamed": response.stream is not None,
+                "body": response.body.decode("utf-8"),
             },
         }
         self.exchanges.append(exchange)
@@ -161,10 +157,8 @@ def drive_session(app):
             "JSON lines, each with a per-campaign monotonic `seq`.  "
             "`?since=N` returns only events newer than the client's "
             "watermark; `?wait=1` long-polls until there is news or the "
-            "server timeout lapses; `?stream=1` holds the response open "
-            "(chunked transfer) and emits events as they are appended, "
-            "closing once the campaign is terminal.  A disconnected "
-            "client resumes with `since=<last seq>` and misses nothing.",
+            "server timeout lapses.  A disconnected client resumes with "
+            "`since=<last seq>` and misses nothing.",
         ],
         "GET", f"/v1/campaigns/{cid}/events", token=OPERATOR,
         query={"since": "2"})
@@ -296,8 +290,9 @@ def drive_session(app):
         "Service metrics", [
             "Counters for this server's lifetime (requires any valid "
             "token): the `service.*` families, the shared store's "
-            "hit/miss/write traffic, and the DLQ summary.  The same "
-            "families land in `repro report` run reports.",
+            "hit/miss/write traffic, and the DLQ summary.  This endpoint "
+            "is the only place they are served; `repro report` run "
+            "reports do not carry them.",
         ],
         "GET", "/v1/metrics", token=ADMIN)
 
@@ -416,10 +411,7 @@ def _render_exchange(exchange):
     lines.append("```")
     lines.append("")
     lines.append("```http")
-    status_line = f"HTTP/1.1 {response['status']}"
-    if response["streamed"]:
-        status_line += "  (chunked when ?stream=1)"
-    lines.append(status_line)
+    lines.append(f"HTTP/1.1 {response['status']}")
     for name in sorted(response["headers"]):
         lines.append(f"{name}: {response['headers'][name]}")
     body = _pretty_body(exchange)
