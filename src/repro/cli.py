@@ -4,6 +4,8 @@ Thin wrappers over the library for the common entry points:
 
 * ``structure`` — Fig. 1 structural summary + cross-section;
 * ``pmf`` — one SMD-JE PMF at chosen (kappa, v);
+* ``estimate`` — a free-energy profile by a chosen estimator (``fr``
+  pairs forward with reverse pulls);
 * ``fig4`` — the full parameter study with panels and the optimum;
 * ``campaign`` — the three-phase SPICE campaign on the federation;
 * ``report`` — instrumented campaign rendered as a run report;

@@ -21,7 +21,7 @@ from .fr import (
     fr_estimator,
     parallel_pull_estimator,
 )
-from .pmf import PMFEstimate, estimate_pmf, stiff_spring_correction
+from .pmf import PMFEstimate, estimate_pmf
 from .error_analysis import (
     bootstrap_statistical_error,
     cost_normalization_factor,
@@ -59,7 +59,6 @@ __all__ = [
     "parallel_pull_estimator",
     "PMFEstimate",
     "estimate_pmf",
-    "stiff_spring_correction",
     "bootstrap_statistical_error",
     "cost_normalization_factor",
     "cost_normalized_error",

@@ -2,8 +2,9 @@
 
 The potential of mean force Phi along the pore axis (the paper's central
 quantity) is estimated from a :class:`~repro.smd.work.WorkEnsemble` by one
-of the Jarzynski estimators, optionally with the stiff-spring correction.
-A :class:`PMFEstimate` bundles the curve with its provenance so the error
+of the Jarzynski estimators.  The curve is the free energy of the *trap*
+coordinate, F_kappa(lambda), not the surface U(z) itself.  A
+:class:`PMFEstimate` bundles the curve with its provenance so the error
 analysis and plotting layers need nothing else.
 """
 
@@ -17,7 +18,7 @@ from ..errors import AnalysisError, ConfigurationError
 from ..smd.work import WorkEnsemble
 from .estimators import available_estimators, estimate_free_energy
 
-__all__ = ["PMFEstimate", "estimate_pmf", "stiff_spring_correction"]
+__all__ = ["PMFEstimate", "estimate_pmf"]
 
 
 @dataclass
@@ -55,14 +56,6 @@ class PMFEstimate:
         if self.displacements.shape != self.values.shape:
             raise ConfigurationError("displacement/value shape mismatch")
 
-    def rezeroed(self) -> "PMFEstimate":
-        """Copy with the profile zeroed at its first station."""
-        vals = self.values - self.values[0]
-        return PMFEstimate(
-            self.displacements, vals, self.kappa_pn, self.velocity,
-            self.estimator, self.n_samples, self.temperature, self.cpu_hours,
-        )
-
     def interpolated(self, displacements: np.ndarray) -> np.ndarray:
         """Linear interpolation onto another displacement grid."""
         d = np.asarray(displacements, dtype=np.float64)
@@ -77,7 +70,6 @@ class PMFEstimate:
 def estimate_pmf(
     ensemble: WorkEnsemble,
     estimator: str = "exponential",
-    stiff_spring: bool = False,
     **estimator_kwargs,
 ) -> PMFEstimate:
     """Estimate the PMF from a work ensemble.
@@ -90,10 +82,6 @@ def estimate_pmf(
         ``"exponential"`` (direct Jarzynski), ``"cumulant"`` (2nd order),
         ``"block"``, ``"parallel-pull"``, ``"fr"``, or a name added via
         :func:`~repro.core.estimators.register_estimator`.
-    stiff_spring:
-        Apply the second-order stiff-spring deconvolution
-        (:func:`stiff_spring_correction`) to recover the unbiased surface
-        from the trap-coordinate free energy.
     estimator_kwargs:
         Passed through to the estimator unchanged — e.g. ``n_blocks=8``
         for ``"block"``, ``group_size=4`` for ``"parallel-pull"``, or
@@ -116,11 +104,6 @@ def estimate_pmf(
         values = values[0]
     values = np.asarray(values, dtype=float)
     values = values - values[0]
-    if stiff_spring:
-        values = stiff_spring_correction(
-            ensemble.displacements, values, ensemble.protocol.kappa_internal
-        )
-        values = values - values[0]
     return PMFEstimate(
         displacements=ensemble.displacements.copy(),
         values=values,
@@ -132,28 +115,3 @@ def estimate_pmf(
         cpu_hours=ensemble.cpu_hours,
     )
 
-
-def stiff_spring_correction(
-    displacements: np.ndarray, pmf_lambda: np.ndarray, kappa: float
-) -> np.ndarray:
-    """Second-order stiff-spring correction (Park & Schulten 2003, Eq. 30).
-
-    The Jarzynski estimate is the free energy of the *trap coordinate*
-    lambda; the underlying surface Phi(z) relates via::
-
-        Phi(z) ~= Phi_lambda(z) - (Phi_lambda')^2 / (2 kappa)
-                  + kT Phi_lambda'' / (2 kappa) ...
-
-    We apply the leading ``-(Phi')^2/(2 kappa)`` term with finite-difference
-    derivatives.  For kappa = 100 pN/A and typical slopes (~15 kcal/mol/A)
-    the correction is ~1 kcal/mol; for kappa = 10 pN/A it is ~10x larger —
-    quantifying why soft springs blur the PMF.
-    """
-    d = np.asarray(displacements, dtype=np.float64)
-    f = np.asarray(pmf_lambda, dtype=np.float64)
-    if kappa <= 0.0:
-        raise ConfigurationError("kappa must be positive")
-    if d.size != f.size or d.size < 3:
-        raise AnalysisError("need >= 3 points for the stiff-spring correction")
-    slope = np.gradient(f, d)
-    return f - slope**2 / (2.0 * kappa)

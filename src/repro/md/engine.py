@@ -47,8 +47,8 @@ class Simulation:
     system:
         Particle state; mutated in place as the simulation advances.  A
         :class:`~repro.md.batch.ReplicaBatch` makes every step advance all
-        its replicas at once; minimisation, steering, ``total_energy`` and
-        checkpoint/clone are single-system features.
+        its replicas at once; steering, ``total_energy`` and checkpoint/clone
+        are single-system features.
     forces:
         Sequence of force terms implementing
         :class:`repro.md.forces.Force`.  In a stack, terms marked
@@ -136,38 +136,6 @@ class Simulation:
                 nl.invalidate()
 
     # -- time evolution --------------------------------------------------------
-
-    def minimize(self, max_steps: int = 200, step_size: float = 0.01,
-                 f_tol: float = 1.0) -> int:
-        """Crude steepest-descent relaxation to remove bad initial contacts.
-
-        Returns the number of steps taken.  ``step_size`` is the initial
-        displacement scale in A; it backtracks on energy increase.
-        """
-        self._ensure_forces()
-        energy = self.potential_energy
-        taken = 0
-        h = step_size
-        for _ in range(max_steps):
-            fmax = float(np.max(np.abs(self._force_buffer)))
-            if fmax < f_tol:
-                break
-            trial = self.system.positions + h * self._force_buffer / max(fmax, 1e-12)
-            buf = np.zeros_like(self._force_buffer)
-            trial_energy = self.compute_forces(trial, buf)
-            if trial_energy < energy:
-                self.system.positions[:] = trial
-                self._force_buffer[:] = buf
-                energy = trial_energy
-                h = min(h * 1.2, 0.5)
-            else:
-                h *= 0.5
-                if h < 1e-6:
-                    break
-            taken += 1
-        self.potential_energy = energy
-        self._forces_current = True
-        return taken
 
     def step(self, n_steps: int = 1) -> None:
         """Advance ``n_steps`` integrator steps (respecting pause/stop)."""

@@ -105,11 +105,6 @@ class HarmonicBondForce:
         return energy
 
 
-    def bond_lengths(self, positions: np.ndarray) -> np.ndarray:
-        """Current bond lengths (used by the Fig. 3 stretch analysis)."""
-        dr = positions[self._j] - positions[self._i]
-        return np.sqrt(np.einsum("ij,ij->i", dr, dr))
-
 
 class FENEBondForce:
     """Finitely extensible nonlinear elastic bonds.

@@ -176,17 +176,6 @@ class ParticleSystem:
             p = self._positions[idx]
         return np.asarray(m @ p / m.sum(), dtype=np.float64)
 
-    def com_velocity(self, indices: Optional[np.ndarray] = None) -> np.ndarray:
-        """Mass-weighted mean velocity of the selected particles."""
-        if indices is None:
-            m = self._masses
-            v = self._velocities
-        else:
-            idx = np.asarray(indices, dtype=np.intp)
-            m = self._masses[idx]
-            v = self._velocities[idx]
-        return np.asarray(m @ v / m.sum(), dtype=np.float64)
-
     def initialize_velocities(
         self, temperature: float = ROOM_TEMPERATURE, seed: SeedLike = None,
         zero_momentum: bool = True,

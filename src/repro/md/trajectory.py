@@ -58,18 +58,6 @@ class Trajectory:
     def steps(self) -> np.ndarray:
         return np.array([f.step for f in self._frames], dtype=np.int64)
 
-    def positions_array(self) -> np.ndarray:
-        """Stack positions into ``(n_frames, n_particles, 3)``."""
-        if not self._frames:
-            raise AnalysisError("empty trajectory")
-        return np.stack([f.positions for f in self._frames])
-
-    def scalar_series(self, name: str) -> np.ndarray:
-        """Per-frame scalar observable series; raises if any frame lacks it."""
-        try:
-            return np.array([f.scalars[name] for f in self._frames], dtype=np.float64)
-        except KeyError as exc:
-            raise AnalysisError(f"observable {name!r} missing from trajectory") from exc
 
 
 class ObservableRecorder:

@@ -29,7 +29,7 @@ Modules
 :mod:`~repro.obs.handle`
     The :class:`Obs` bundle, :data:`NOOP`, :func:`as_obs`.
 :mod:`~repro.obs.export`
-    JSON / CSV exporters for registries, tracers and report documents.
+    The JSON exporter for registries, tracers and report documents.
 :mod:`~repro.obs.report`
     Campaign run-report assembly (the ``--json`` / ``report`` CLI payload).
 """
@@ -37,13 +37,7 @@ Modules
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import Clock, ManualClock, PerfClock, SimClock, SpanRecord, Tracer
 from .handle import NOOP, Obs, as_obs
-from .export import (
-    jsonable,
-    metrics_to_csv,
-    render_json,
-    spans_to_csv,
-    write_json,
-)
+from .export import jsonable, render_json, write_json
 from .report import (REPORT_SCHEMA, campaign_run_report,
                      canonical_run_report, render_run_report)
 
@@ -64,8 +58,6 @@ __all__ = [
     "jsonable",
     "render_json",
     "write_json",
-    "metrics_to_csv",
-    "spans_to_csv",
     "REPORT_SCHEMA",
     "campaign_run_report",
     "canonical_run_report",

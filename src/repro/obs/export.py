@@ -1,32 +1,22 @@
-"""Exporters: observability data out of the process, machine-readably.
+"""Exporter: observability data out of the process, machine-readably.
 
-Two formats, zero dependencies:
-
-* JSON — one document per run (the ``--json`` CLI path and the
-  ``BENCH_*.json`` perf-trajectory convention).  :func:`render_json`
-  first rewrites the object into plain JSON types: NumPy scalars become
-  Python numbers, arrays become lists, tuples become lists, non-string
-  dict keys are stringified, and non-finite floats become ``null`` (JSON
-  has no NaN).
-* CSV — flat rows for spreadsheets and diffing: one row per metric value
-  (:func:`metrics_to_csv`) or per span (:func:`spans_to_csv`).
+One format, zero dependencies: JSON — one document per run (the ``--json``
+CLI path and the ``BENCH_*.json`` perf-trajectory convention).
+:func:`render_json` first rewrites the object into plain JSON types: NumPy
+scalars become Python numbers, arrays become lists, tuples become lists,
+non-string dict keys are stringified, and non-finite floats become
+``null`` (JSON has no NaN).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import Any, Optional
 
 import numpy as np
 
-from .metrics import Histogram, MetricsRegistry
-from .trace import Tracer
-
-__all__ = ["jsonable", "render_json", "write_json",
-           "metrics_to_csv", "spans_to_csv"]
+__all__ = ["jsonable", "render_json", "write_json"]
 
 
 def jsonable(obj: Any) -> Any:
@@ -64,39 +54,3 @@ def write_json(obj: Any, path: str, indent: Optional[int] = 2) -> None:
         fh.write(render_json(obj, indent=indent))
         fh.write("\n")
 
-
-def metrics_to_csv(registry: MetricsRegistry) -> str:
-    """One row per metric statistic: ``kind,name,field,value``.
-
-    Counters and gauges emit a single ``value`` row; histograms emit one
-    row per summary field (count/total/mean/min/p50/p95/max).
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kind", "name", "field", "value"])
-    for name in registry.names():
-        inst = registry.get(name)
-        if isinstance(inst, Histogram):
-            for key, value in inst.summary().items():
-                writer.writerow([inst.kind, name, key, repr(value)])
-        else:
-            writer.writerow([inst.kind, name, "value", repr(inst.value)])
-    return buf.getvalue()
-
-
-def spans_to_csv(tracer: Tracer) -> str:
-    """One row per recorded span/event, attributes JSON-packed."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "path", "start", "end", "duration", "unit", "attrs"])
-    for record in tracer.records:
-        writer.writerow([
-            record.name,
-            "/".join(record.path),
-            repr(record.start),
-            repr(record.end),
-            repr(record.duration),
-            record.unit,
-            json.dumps(jsonable(record.attrs), sort_keys=True),
-        ])
-    return buf.getvalue()

@@ -236,23 +236,3 @@ class ReducedTranslocationModel:
         if zero_at_start:
             pmf -= pmf[0]
         return pmf
-
-    def boltzmann_sample(
-        self,
-        z_grid: np.ndarray,
-        n_samples: int,
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """Draw equilibrium samples on a bounded grid by inverse-CDF.
-
-        Used by tests to validate estimators against exactly known
-        equilibrium distributions.
-        """
-        rng = as_generator(seed)
-        u = np.asarray(self.potential.value(z_grid), dtype=np.float64)
-        w = np.exp(-(u - u.min()) / self.kT)
-        cdf = np.cumsum(w)
-        cdf /= cdf[-1]
-        r = rng.random(n_samples)
-        idx = np.searchsorted(cdf, r)
-        return z_grid[np.clip(idx, 0, z_grid.size - 1)]

@@ -127,11 +127,6 @@ class ServiceClient:
         """``GET /v1/campaigns/{id}/dlq``."""
         return self._request("GET", f"/v1/campaigns/{campaign_id}/dlq")[2]
 
-    def retry_dlq(self, campaign_id: str) -> Dict[str, Any]:
-        """``POST /v1/campaigns/{id}/dlq/retry``."""
-        return self._request(
-            "POST", f"/v1/campaigns/{campaign_id}/dlq/retry", body={})[2]
-
     # -- convenience -----------------------------------------------------------
 
     def wait_for(self, campaign_id: str) -> Dict[str, Any]:

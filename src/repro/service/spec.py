@@ -36,6 +36,12 @@ SPEC_SCHEMA = "repro.service.spec/v1"
 #: execution layout is the code's decision.
 _V1_KERNELS = ("vectorized", "reference", "batched")
 
+#: Ceiling on ``n_cells * n_samples * n_records``, the record values a
+#: campaign's ensembles hold at once.  ``n_tasks`` quotas bound the work a
+#: user queues, not what one campaign allocates; this bounds the latter
+#: (the largest spec in the repo holds 5 120).
+MAX_RECORD_VALUES = 10_000_000
+
 
 #: Field name -> (type, default).  ``None`` default means required.
 _FIELDS: Dict[str, Tuple[type, Any]] = {
@@ -166,6 +172,12 @@ class CampaignSpec:
             raise SpecError(
                 f"samples_per_task ({values['samples_per_task']}) must "
                 f"divide n_samples ({values['n_samples']}) evenly")
+        n_values = (len(values["kappas"]) * len(values["velocities"])
+                    * values["n_samples"] * values["n_records"])
+        if n_values > MAX_RECORD_VALUES:
+            raise SpecError(
+                f"spec holds {n_values} record values (kappas x velocities "
+                f"x n_samples x n_records); the limit is {MAX_RECORD_VALUES}")
         if values["distance"] <= 0:
             raise SpecError("spec field 'distance' must be positive")
         if values["equilibration_ns"] < 0:

@@ -39,7 +39,7 @@ from .batched import (
     PAPER_CPU_HOURS_PER_NS,
 )
 from .ensemble import run_pulling_ensemble
-from .plan import cell_labels, run_work_ensemble
+from .plan import cell_labels
 from .bidirectional import BidirectionalEnsemble, run_bidirectional_ensemble
 from .ensemble3d import run_pulling_ensemble_3d
 from .pulling import SMDPullingForce, SMDWorkRecorder
@@ -53,7 +53,6 @@ __all__ = [
     "PAPER_VELOCITIES",
     "WorkEnsemble",
     "run_pulling_ensemble",
-    "run_work_ensemble",
     "run_pulling_stack",
     "cell_labels",
     "BidirectionalEnsemble",

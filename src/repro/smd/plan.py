@@ -21,9 +21,10 @@ how a set of them is resolved:
   traffic whoever is driving.
 * :func:`run_cells` — that step over one plan, assembled per cell by
   :func:`merge_cells`: what production, the forward/reverse pair and each
-  adaptive round call.  :func:`run_work_ensemble` is its one-cell call;
-  :func:`repro.workflow.streaming.run_streamed_tasks` is the same step per
-  bounded window, plus what only streaming owns (retries, DLQ).
+  adaptive round call (one cell is ``run_cells(model, [(protocol, labels)],
+  ...)[labels]``); :func:`repro.workflow.streaming.run_streamed_tasks` is
+  the same step per bounded window, plus what only streaming owns
+  (retries, DLQ).
 
 Stacking is decided here, from what the window step can observe: the
 missing tasks of one window and plan — whatever cells they belong to and
@@ -44,7 +45,7 @@ from typing import (
 )
 
 from ..errors import CampaignInterrupted, ConfigurationError, ReproError
-from ..obs import Obs, as_obs
+from ..obs import Obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import SeedLike, as_seed_int, stream_for
 from .batched import (
@@ -65,7 +66,6 @@ __all__ = [
     "merge_cells",
     "plan_tasks",
     "run_cells",
-    "run_work_ensemble",
 ]
 
 #: What a failing pull raises (a numerical blow-up, a rejected parameter):
@@ -362,54 +362,3 @@ def run_cells(
         (task.cell, ensemble) for task, _outcome, ensemble
         in TaskResolver(store).resolve_window(tasks))
 
-
-def run_work_ensemble(
-    model: ReducedTranslocationModel,
-    protocol: PullingProtocol,
-    n_tasks: int,
-    samples_per_task: int,
-    *,
-    seed: SeedLike = None,
-    labels: Tuple = (),
-    store=None,
-    dt: Optional[float] = None,
-    n_records: int = 41,
-    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
-    obs: Optional[Obs] = None,
-) -> WorkEnsemble:
-    """Run one (kappa, v) cell as ``n_tasks`` restartable store-addressed tasks.
-
-    The one-cell call of :func:`run_cells`: the :func:`plan_tasks` plan for
-    ``(protocol, labels)`` — the paper's "72 independent jobs" granularity
-    — merged in task order.  A task's physics depends only on ``(seed,
-    labels, t)`` and the integration settings, never on which process ran
-    it or in what order, so with a ``store`` attached a killed campaign
-    re-run recomputes exactly the tasks whose records are missing and the
-    merged ensemble is bit-identical either way.
-
-    Parameters
-    ----------
-    n_tasks:
-        Number of restartable units (e.g. replicas-per-cell: 6).
-    samples_per_task:
-        JE samples each task contributes; the merged ensemble has
-        ``n_tasks * samples_per_task`` rows, in task order.
-    seed / labels:
-        Stream key prefix; ``labels`` names the cell (e.g.
-        ``("cell", 100000, 12500)``) so distinct cells never share streams.
-    store:
-        Optional :class:`repro.store.ResultStore`; each task is memoized
-        individually under its full stream key.
-
-    Remaining parameters match :func:`run_pulling_ensemble`.
-    """
-    obs = as_obs(obs)
-    with obs.span("smd.work_ensemble", kappa_pn=protocol.kappa_pn,
-                  velocity=protocol.velocity, n_tasks=n_tasks,
-                  samples_per_task=samples_per_task):
-        return run_cells(
-            model, [(protocol, labels)], n_tasks, samples_per_task, seed=seed,
-            store=store, dt=dt, n_records=n_records,
-            force_sample_time=force_sample_time,
-            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs)[labels]

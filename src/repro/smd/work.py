@@ -88,12 +88,6 @@ class WorkEnsemble:
         """Ensemble-mean work profile ``(g,)``."""
         return self.works.mean(axis=0)
 
-    def work_variance(self) -> np.ndarray:
-        """Unbiased per-displacement work variance ``(g,)``."""
-        if self.n_samples < 2:
-            raise AnalysisError("variance needs at least two samples")
-        return self.works.var(axis=0, ddof=1)
-
     def dissipated_width(self) -> float:
         """Std of total work in units of kT — the headline irreversibility
         measure (JE converges poorly once this exceeds ~1-2 kT)."""

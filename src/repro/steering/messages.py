@@ -6,17 +6,16 @@ message layer: a small typed vocabulary covering the steering API's
 capabilities — parameter get/set, control (pause/resume/stop), checkpoint &
 clone, emitted data samples, frames for the visualizer, and steering forces
 from the visualizer/haptic side (the dotted direct arrows of Fig. 2a).
+Messages are Python objects passed between in-process components; they are
+never serialised, so no outside input reaches them.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Optional
-
-import numpy as np
 
 from ..errors import SteeringError
 
@@ -116,78 +115,3 @@ class SteeringMessage:
         return SteeringMessage(MessageType.ERROR, sender, self.sender,
                                payload={"reason": reason}, reply_to=self.seq)
 
-    # -- wire format -------------------------------------------------------------
-
-    def to_wire(self) -> str:
-        """Serialize to the JSON wire format the grid services would carry.
-
-        NumPy arrays become tagged lists; enums become their values.  Raises
-        :class:`SteeringError` for payloads that cannot be represented
-        (arbitrary objects do not belong in steering messages).
-        """
-        def encode(value: Any) -> Any:
-            if isinstance(value, np.ndarray):
-                return {"__ndarray__": value.tolist(),
-                        "dtype": str(value.dtype)}
-            if isinstance(value, (np.integer, np.floating)):
-                return value.item()
-            if isinstance(value, Enum):
-                return {"__enum__": type(value).__name__, "value": value.value}
-            if isinstance(value, dict):
-                return {k: encode(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [encode(v) for v in value]
-            if value is None or isinstance(value, (bool, int, float, str)):
-                return value
-            raise SteeringError(
-                f"payload value of type {type(value).__name__} is not wire-safe"
-            )
-
-        return json.dumps({
-            "msg_type": self.msg_type.value,
-            "sender": self.sender,
-            "recipient": self.recipient,
-            "payload": encode(self.payload),
-            "reply_to": self.reply_to,
-            "timestamp": self.timestamp,
-            "seq": self.seq,
-        })
-
-    @classmethod
-    def from_wire(cls, wire: str) -> "SteeringMessage":
-        """Reconstruct a message from :meth:`to_wire` output.
-
-        The original ``seq`` is preserved (wire transport must not renumber
-        messages), so replies built from a deserialized request still link.
-        """
-        def decode(value: Any) -> Any:
-            if isinstance(value, dict):
-                if "__ndarray__" in value:
-                    return np.asarray(value["__ndarray__"],
-                                      dtype=value.get("dtype", "float64"))
-                if "__enum__" in value:
-                    enum_cls = {"ControlAction": ControlAction,
-                                "MessageType": MessageType}.get(value["__enum__"])
-                    if enum_cls is None:
-                        raise SteeringError(
-                            f"unknown enum {value['__enum__']!r} on the wire")
-                    return enum_cls(value["value"])
-                return {k: decode(v) for k, v in value.items()}
-            if isinstance(value, list):
-                return [decode(v) for v in value]
-            return value
-
-        try:
-            raw = json.loads(wire)
-        except json.JSONDecodeError as exc:
-            raise SteeringError(f"malformed wire message: {exc}") from exc
-        msg = cls(
-            msg_type=MessageType(raw["msg_type"]),
-            sender=raw["sender"],
-            recipient=raw["recipient"],
-            payload=decode(raw["payload"]),
-            reply_to=raw.get("reply_to"),
-            timestamp=raw.get("timestamp", 0.0),
-        )
-        msg.seq = int(raw["seq"])
-        return msg

@@ -11,7 +11,7 @@ executor.  It never materializes the task grid, because in the ROADMAP's
   the task plan in :mod:`repro.smd.plan`, re-exported here).
 * :func:`stream_study_tasks` — the :func:`~repro.smd.plan.plan_tasks` plan
   of a whole (kappa, v) study over a (possibly lazy) protocol iterable:
-  the very tasks :func:`~repro.smd.run_work_ensemble` runs per cell, so
+  the very tasks :func:`~repro.smd.plan.run_cells` runs per cell, so
   every driver shares store records with every other.
 * :func:`run_streamed_tasks` — the bounded-window loop.  Each window is
   one :meth:`~repro.smd.plan.TaskResolver.resolve_window` step (hits
@@ -116,7 +116,7 @@ def stream_study_tasks(
 
     This is :func:`~repro.smd.plan.plan_tasks` over the study's grid cells
     (labelled by :func:`~repro.smd.plan.cell_labels`), so streamed task
-    fingerprints are identical to :func:`~repro.smd.run_work_ensemble`'s
+    fingerprints are identical to :func:`~repro.smd.plan.run_cells`'s
     and the two share store records.  ``protocols`` may be any iterable,
     including a generator — it is consumed one cell at a time.
     """
@@ -287,7 +287,7 @@ def run_streamed_study(
     task resolved; cells with dead-lettered tasks are omitted (the
     degraded-completion contract) and identified in ``report.failures``.
     Fault-free, the per-cell ensembles are bit-identical to
-    :func:`~repro.smd.run_work_ensemble` on the same arguments, whatever
+    :func:`~repro.smd.plan.run_cells` on the same arguments, whatever
     the ``window``.  ``samples_per_task=None`` is the unsplit plan: one
     task per cell under the bare cell key (see
     :func:`~repro.smd.plan.plan_tasks`).

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PMFEstimate, estimate_pmf, stiff_spring_correction
+from repro.core import PMFEstimate, estimate_pmf
 from repro.errors import AnalysisError, ConfigurationError
 
 
@@ -22,12 +22,6 @@ class TestEstimatePMF:
     def test_unknown_estimator(self, small_ensemble):
         with pytest.raises(ConfigurationError):
             estimate_pmf(small_ensemble, estimator="magic")
-
-    def test_stiff_spring_changes_values(self, small_ensemble):
-        plain = estimate_pmf(small_ensemble)
-        corrected = estimate_pmf(small_ensemble, stiff_spring=True)
-        assert not np.allclose(plain.values, corrected.values)
-        assert corrected.values[0] == 0.0
 
     def test_cpu_hours_carried(self, small_ensemble):
         est = estimate_pmf(small_ensemble)
@@ -58,13 +52,6 @@ class TestPMFEstimate:
             PMFEstimate(np.zeros(3), np.zeros(4), 100.0, 12.5, "exponential",
                         8, 300.0)
 
-    def test_rezeroed(self):
-        est = PMFEstimate(np.array([0.0, 1.0]), np.array([5.0, 8.0]),
-                          100.0, 12.5, "exponential", 8, 300.0)
-        rz = est.rezeroed()
-        assert rz.values[0] == 0.0
-        assert rz.values[1] == pytest.approx(3.0)
-
     def test_interpolation(self):
         est = self.make()
         out = est.interpolated(np.array([2.5]))
@@ -78,27 +65,3 @@ class TestPMFEstimate:
     def test_label(self):
         assert "100" in self.make().label()
 
-
-class TestStiffSpringCorrection:
-    def test_linear_profile_constant_shift(self):
-        # Phi' = s constant: correction subtracts s^2/(2 kappa) everywhere.
-        d = np.linspace(0, 10, 21)
-        s = -12.0
-        kappa = 1.44
-        corrected = stiff_spring_correction(d, s * d, kappa)
-        np.testing.assert_allclose(corrected - s * d, -s**2 / (2 * kappa),
-                                   atol=1e-6)
-
-    def test_magnitude_scales_inverse_kappa(self):
-        d = np.linspace(0, 10, 21)
-        pmf = -12.0 * d + 3.0 * np.sin(d)
-        soft = stiff_spring_correction(d, pmf, 0.144)
-        stiff = stiff_spring_correction(d, pmf, 14.4)
-        assert np.abs(soft - pmf).max() > 50 * np.abs(stiff - pmf).max()
-
-    def test_validation(self):
-        d = np.linspace(0, 1, 5)
-        with pytest.raises(ConfigurationError):
-            stiff_spring_correction(d, d, kappa=0.0)
-        with pytest.raises(AnalysisError):
-            stiff_spring_correction(d[:2], d[:2], kappa=1.0)

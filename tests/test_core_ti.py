@@ -79,7 +79,6 @@ class TestRunTI:
         assert res.pmf.estimator == "thermodynamic-integration"
         assert res.pmf.values[0] == 0.0
         assert res.pmf.cpu_hours > 0
-        assert res.pmf.rezeroed().values[0] == 0.0
 
     def test_error_bars_shrink_with_sampling(self, reduced_model):
         short = run_thermodynamic_integration(

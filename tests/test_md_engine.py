@@ -86,26 +86,6 @@ class TestReporters:
         assert order == ["a", "b"]
 
 
-class TestMinimize:
-    def test_minimize_reduces_energy(self):
-        rng = np.random.default_rng(1)
-        n = 6
-        pos = rng.normal(scale=3.0, size=(n, 3))
-        system = ParticleSystem(pos, np.full(n, 10.0))
-        f = HarmonicRestraintForce(np.arange(n), np.zeros((n, 3)), k=2.0)
-        sim = Simulation(system, [f], VelocityVerlet(1e-6))
-        e0 = sim.total_energy()
-        steps = sim.minimize(max_steps=100)
-        assert steps > 0
-        assert sim.total_energy() < e0
-
-    def test_minimize_converges_at_minimum(self):
-        system = ParticleSystem(np.zeros((2, 3)), np.ones(2) * 5.0)
-        f = HarmonicRestraintForce(np.arange(2), np.zeros((2, 3)), k=2.0)
-        sim = Simulation(system, [f], VelocityVerlet(1e-6))
-        assert sim.minimize(max_steps=50) == 0
-
-
 class TestCheckpoint:
     def test_roundtrip(self):
         sim = make_sim(seed=5)

@@ -75,11 +75,6 @@ class TestHarmonicBond:
         with pytest.raises(ConfigurationError):
             HarmonicBondForce(topo)
 
-    def test_bond_lengths_helper(self):
-        f = HarmonicBondForce(self.topo())
-        pos = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
-        np.testing.assert_allclose(f.bond_lengths(pos), [5.0])
-
     def test_empty_topology_zero_energy(self):
         f = HarmonicBondForce(TopologyBuilder(2).build())
         assert f.compute(np.zeros((2, 3)), np.zeros((2, 3))) == 0.0

@@ -80,11 +80,6 @@ class TestPhysics:
         com = s.center_of_mass(idx)
         np.testing.assert_allclose(com, s.positions[idx].mean(axis=0))
 
-    def test_com_velocity(self):
-        s = make(3)
-        s.velocities[:] = [[1, 0, 0], [1, 0, 0], [1, 0, 0]]
-        np.testing.assert_allclose(s.com_velocity(), [1.0, 0.0, 0.0])
-
     def test_minimum_image_open_boundaries(self):
         s = make(2)
         dr = np.array([[100.0, 0.0, 0.0]])

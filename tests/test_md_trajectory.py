@@ -34,30 +34,6 @@ class TestTrajectory:
         with pytest.raises(ConfigurationError):
             t.append(Frame(3, 0.5, np.zeros((1, 3))))
 
-    def test_positions_array(self):
-        t = Trajectory()
-        for i in range(3):
-            t.append(Frame(i, i * 0.1, np.full((2, 3), float(i))))
-        arr = t.positions_array()
-        assert arr.shape == (3, 2, 3)
-        assert arr[2, 0, 0] == 2.0
-
-    def test_positions_array_empty(self):
-        with pytest.raises(AnalysisError):
-            Trajectory().positions_array()
-
-    def test_scalar_series(self):
-        t = Trajectory()
-        t.append(Frame(0, 0.0, np.zeros((1, 3)), scalars={"e": 1.0}))
-        t.append(Frame(1, 0.1, np.zeros((1, 3)), scalars={"e": 2.0}))
-        np.testing.assert_array_equal(t.scalar_series("e"), [1.0, 2.0])
-
-    def test_scalar_series_missing(self):
-        t = Trajectory()
-        t.append(Frame(0, 0.0, np.zeros((1, 3))))
-        with pytest.raises(AnalysisError):
-            t.scalar_series("e")
-
     def test_iteration(self):
         t = Trajectory()
         t.append(Frame(0, 0.0, np.zeros((1, 3))))

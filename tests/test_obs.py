@@ -19,9 +19,7 @@ from repro.obs import (
     Tracer,
     as_obs,
     jsonable,
-    metrics_to_csv,
     render_json,
-    spans_to_csv,
 )
 
 
@@ -217,8 +215,9 @@ class TestDESTimestamps:
     def test_timestamps_are_deterministic(self):
         obs_a, _ = self._run()
         obs_b, _ = self._run()
-        assert spans_to_csv(obs_a.tracer) == spans_to_csv(obs_b.tracer)
-        assert metrics_to_csv(obs_a.metrics) == metrics_to_csv(obs_b.metrics)
+        assert (render_json(obs_a.tracer.records)
+                == render_json(obs_b.tracer.records))
+        assert render_json(obs_a.metrics) == render_json(obs_b.metrics)
 
 
 class TestExport:
@@ -246,24 +245,6 @@ class TestExport:
         assert parsed == {"a": 2.0, "b": [1]}
         assert math.isfinite(parsed["a"])
 
-    def test_metrics_to_csv_rows(self):
-        reg = MetricsRegistry()
-        reg.inc("jobs", 3)
-        reg.observe("wait", 2.0)
-        lines = metrics_to_csv(reg).splitlines()
-        assert lines[0] == "kind,name,field,value"
-        assert "counter,jobs,value,3.0" in lines
-        assert any(line.startswith("histogram,wait,p95,") for line in lines)
-
-    def test_spans_to_csv_rows(self):
-        tr = Tracer(ManualClock())
-        with tr.span("outer", site="NCSA"):
-            pass
-        lines = spans_to_csv(tr).splitlines()
-        assert lines[0] == "name,path,start,end,duration,unit,attrs"
-        assert lines[1].startswith("outer,outer,")
-        assert '""site"": ""NCSA""' in lines[1] or '"site": "NCSA"' in lines[1]
-
 
 class TestRunReportPhysics:
     @pytest.mark.parametrize("layout", ["vectorized", "batched", "reference"])
@@ -275,18 +256,15 @@ class TestRunReportPhysics:
         from types import SimpleNamespace
 
         from repro.obs import campaign_run_report
-        from repro.smd import (
-            PullingProtocol,
-            run_pulling_ensemble,
-            run_work_ensemble,
-        )
+        from repro.smd import PullingProtocol, run_pulling_ensemble
+        from repro.smd.plan import run_cells
 
         obs = Obs()
         proto = PullingProtocol(kappa_pn=100.0, velocity=100.0, distance=2.0,
                                 equilibration_ns=0.0)
         if layout == "batched":
-            run_work_ensemble(reduced_model, proto, 2, 2, seed=3,
-                              n_records=5, obs=obs)
+            run_cells(reduced_model, [(proto, ())], 2, 2, seed=3,
+                      n_records=5, obs=obs)
         else:
             for seed in (3, 4):
                 run_pulling_ensemble(reduced_model, proto, 2, seed=seed,

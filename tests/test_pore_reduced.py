@@ -119,14 +119,3 @@ class TestReference:
         grid = np.linspace(-5, 5, 21)
         pmf = reduced_model.reference_pmf(grid, zero_at_start=False)
         np.testing.assert_allclose(pmf, reduced_model.potential.value(grid))
-
-    def test_boltzmann_sampler_distribution(self):
-        # Samples on a double-well grid follow exp(-U/kT).
-        land = AxialLandscape([(-2.0, -1.0, 0.5), (-2.0, 1.0, 0.5)])
-        m = ReducedTranslocationModel(land)
-        grid = np.linspace(-3, 3, 301)
-        s = m.boltzmann_sample(grid, 20000, seed=4)
-        # Both wells populated, barrier region depleted.
-        left = np.mean((s > -1.5) & (s < -0.5))
-        mid = np.mean((s > -0.3) & (s < 0.3))
-        assert left > 2 * mid

@@ -244,6 +244,36 @@ class TestSpecValidation:
         assert error["code"] == "invalid-spec"
         assert field in error["message"]
 
+    @pytest.mark.parametrize("sizing", [
+        {"n_records": 10 ** 9},
+        {"n_samples": 10 ** 8, "samples_per_task": 10 ** 8},
+    ], ids=["n_records", "n_samples"])
+    def test_oversized_spec_is_400_and_creates_nothing(self, app, sizing):
+        """``n_tasks`` quotas bound queued work, not one campaign's record
+        arrays: a spec whose cells x n_samples x n_records runs to
+        gigabytes is refused before any campaign record exists."""
+        bad = dict(SPEC, kappas=[100], velocities=[12.5], **sizing)
+        response = app.handle(_post("/v1/campaigns",
+                                    "spice-operator-token", bad))
+        assert response.status == 400
+        error = response.json()["error"]
+        assert error["code"] == "invalid-spec"
+        assert "n_samples" in error["message"]
+        assert "n_records" in error["message"]
+        assert app.runner.state.list() == []
+
+    def test_spec_limit_is_inclusive(self):
+        from repro.service import CampaignSpec
+        from repro.service.spec import MAX_RECORD_VALUES
+
+        spec = CampaignSpec.from_dict(dict(
+            SPEC, n_samples=MAX_RECORD_VALUES // 10, n_records=10))
+        assert spec.n_cells * spec.n_samples * spec.n_records \
+            == MAX_RECORD_VALUES
+        with pytest.raises(SpecError, match="record values"):
+            CampaignSpec.from_dict(dict(
+                SPEC, n_samples=MAX_RECORD_VALUES // 10, n_records=11))
+
     def test_spec_error_type(self):
         from repro.service import CampaignSpec
 

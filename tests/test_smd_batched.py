@@ -29,7 +29,6 @@ from repro.smd import (
     run_pulling_ensemble,
     run_pulling_ensemble_3d,
     run_pulling_stack,
-    run_work_ensemble,
 )
 from repro.smd.plan import plan_tasks, run_cells
 
@@ -55,7 +54,7 @@ def assert_ensembles_identical(a, b):
 
 def oracle_tasks(model, proto, n_tasks, samples_per_task, *, seed,
                  labels=(), store=None, n_records):
-    """``run_work_ensemble``'s tasks pulled one by one by the scalar
+    """One cell's ``run_cells`` tasks pulled one by one by the scalar
     oracle, each from its own ``stream_for`` key (memoized under that key's
     task descriptor when a store is given), merged in task order."""
     def pull(key):
@@ -128,8 +127,8 @@ class TestShardDecomposition:
         n_tasks = 17 // shard_size
         serial = oracle_tasks(reduced_model, proto, n_tasks, shard_size,
                               seed=8, n_records=7)
-        batched = run_work_ensemble(reduced_model, proto, n_tasks,
-                                    shard_size, seed=8, n_records=7)
+        batched = run_cells(reduced_model, [(proto, ())], n_tasks,
+                            shard_size, seed=8, n_records=7)[()]
         assert_ensembles_identical(serial, batched)
 
 
@@ -165,11 +164,11 @@ class TestStoreInteroperability:
         oracle_tasks(reduced_model, proto, 2, 3, seed=5, store=result_store,
                      n_records=7)
         assert (result_store.hits, result_store.writes) == (0, 2)
-        hit = run_work_ensemble(reduced_model, proto, 2, 3, seed=5,
-                                store=result_store, n_records=7)
+        hit = run_cells(reduced_model, [(proto, ())], 2, 3, seed=5,
+                        store=result_store, n_records=7)[()]
         assert (result_store.hits, result_store.writes) == (2, 2)
-        fresh = run_work_ensemble(reduced_model, proto, 2, 3, seed=5,
-                                  n_records=7)
+        fresh = run_cells(reduced_model, [(proto, ())], 2, 3, seed=5,
+                          n_records=7)[()]
         assert_ensembles_identical(hit, fresh)
 
     def test_batched_writes_readable_by_vectorized(self, reduced_model,
@@ -177,8 +176,8 @@ class TestStoreInteroperability:
         """...and the other way round: the stacked plan's records are hits
         for one-task-at-a-time oracle calls."""
         proto = fast_protocol()
-        run_work_ensemble(reduced_model, proto, 2, 3, seed=5,
-                          store=result_store, n_records=7)
+        run_cells(reduced_model, [(proto, ())], 2, 3, seed=5,
+                  store=result_store, n_records=7)
         oracle_tasks(reduced_model, proto, 2, 3, seed=5, store=result_store,
                      n_records=7)
         assert (result_store.hits, result_store.writes) == (2, 2)
@@ -188,11 +187,11 @@ class TestStoreInteroperability:
         """With some tasks cached, the plan stacks and recomputes only the
         misses — and still returns the full bit-identical task list."""
         proto = fast_protocol()
-        run_work_ensemble(reduced_model, proto, 1, 3, seed=5,
-                          store=result_store, n_records=7)
+        run_cells(reduced_model, [(proto, ())], 1, 3, seed=5,
+                  store=result_store, n_records=7)
         obs = Obs()
-        out = run_work_ensemble(reduced_model, proto, 3, 3, seed=5,
-                                store=result_store, n_records=7, obs=obs)
+        out = run_cells(reduced_model, [(proto, ())], 3, 3, seed=5,
+                        store=result_store, n_records=7, obs=obs)[()]
         assert result_store.hits == 1
         assert [(s.attrs["n_groups"], s.attrs["n_samples"])
                 for s in obs.tracer.named("smd.ensemble")] == [(2, 6)]
@@ -205,8 +204,8 @@ class TestWorkEnsembleContract:
     def test_batched_matches_vectorized(self, reduced_model):
         """A cell's stacked tasks equal one oracle call per task."""
         proto = fast_protocol()
-        bat = run_work_ensemble(reduced_model, proto, 3, 4, seed=6,
-                                labels=("grid", 0), n_records=7)
+        bat = run_cells(reduced_model, [(proto, ("grid", 0))], 3, 4, seed=6,
+                        n_records=7)[("grid", 0)]
         ref = oracle_tasks(reduced_model, proto, 3, 4, seed=6,
                            labels=("grid", 0), n_records=7)
         assert ref.works.shape[0] == bat.works.shape[0] == 12

@@ -1,6 +1,6 @@
 """Work ensemble as seeded tasks: task identity, replica order, bookkeeping.
 
-The contract (see :func:`repro.smd.run_work_ensemble`): a cell is
+The contract (see :func:`repro.smd.plan.run_cells`): a cell is
 ``n_tasks`` independently seeded shards of ``samples_per_task`` replicas,
 shard ``t`` draws from ``stream_for(seed, *labels, "task", t)`` whatever
 else shares its engine call, and the shards merge in index order.
@@ -13,7 +13,8 @@ from repro.errors import ConfigurationError
 from repro.obs import Obs
 from repro.pore import ReducedTranslocationModel, default_reduced_potential
 from repro.rng import stream_for
-from repro.smd import PullingProtocol, run_pulling_ensemble, run_work_ensemble
+from repro.smd import PullingProtocol, run_pulling_ensemble
+from repro.smd.plan import run_cells
 
 SEED = 421
 
@@ -38,8 +39,8 @@ def solo_shards(workload, n_tasks, samples_per_task, kernel="vectorized"):
 def run(workload, n_tasks=3, samples_per_task=4, **kwargs):
     model, protocol = workload
     kwargs.setdefault("seed", SEED)
-    return run_work_ensemble(model, protocol, n_tasks, samples_per_task,
-                             **kwargs)
+    return run_cells(model, [(protocol, ())], n_tasks, samples_per_task,
+                     **kwargs)[()]
 
 
 class TestWorkerCountInvariance:

@@ -55,11 +55,6 @@ class TestAccessors:
         np.testing.assert_array_equal(e.final_works(), e.works[:, -1])
         np.testing.assert_allclose(e.mean_work(), e.works.mean(axis=0))
 
-    def test_variance_needs_samples(self):
-        e = make_ensemble(m=1)
-        with pytest.raises(AnalysisError):
-            e.work_variance()
-
     def test_dissipated_width_in_kT(self):
         e = make_ensemble()
         from repro.units import KB

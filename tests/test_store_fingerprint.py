@@ -237,11 +237,11 @@ class TestDirectionalIdentity:
         """Storing the same window pulled in both directions creates two
         records — a direction collision would silently serve reverse
         pulls from the forward cache."""
-        from repro.smd import run_work_ensemble
+        from repro.smd.plan import run_cells
         from repro.store import ShardedResultStore
 
         store = ShardedResultStore(tmp_path / "store")
         for direction_proto in (proto, proto.reversed()):
-            run_work_ensemble(model, direction_proto, 1, 2, seed=5,
-                              labels=("dir",), store=store, n_records=5)
+            run_cells(model, [(direction_proto, ("dir",))], 1, 2, seed=5,
+                      store=store, n_records=5)
         assert len(store) == 2

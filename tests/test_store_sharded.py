@@ -198,15 +198,15 @@ class TestLegacyUpgrade:
 
     def test_legacy_directory_resumes_with_all_hits(self, tmp_path,
                                                     reduced_model):
-        from repro.smd import PullingProtocol, run_work_ensemble
+        from repro.smd import PullingProtocol
+        from repro.smd.plan import run_cells
 
         protocol = PullingProtocol(kappa_pn=100.0, velocity=25.0,
                                    distance=2.0, equilibration_ns=0.0)
 
         def run(store):
-            return run_work_ensemble(reduced_model, protocol, n_tasks=3,
-                                     samples_per_task=2, seed=SEED,
-                                     n_records=5, store=store)
+            return run_cells(reduced_model, [(protocol, ())], 3, 2,
+                             seed=SEED, n_records=5, store=store)[()]
 
         root = os.fspath(tmp_path / "s")
         first = run(ResultStore(root))

@@ -30,9 +30,8 @@ from repro.smd import (
     cell_labels,
     run_pulling_ensemble,
     run_pulling_stack,
-    run_work_ensemble,
 )
-from repro.smd.plan import TaskResolver, plan_tasks
+from repro.smd.plan import TaskResolver, plan_tasks, run_cells
 from repro.smd.protocol import PullingProtocol
 from repro.store import ResultStore, ShardedResultStore
 from repro.workflow import (
@@ -169,9 +168,9 @@ class TestBitIdentity:
         # Exact per-step work (force_sample_time=None) is requestable on
         # the streamed path too, and keys exactly as the per-cell path does.
         exact = ResultStore(os.fspath(tmp_path / "exact"), sync=False)
-        run_work_ensemble(model(), protocols[0], 2, 2, seed=SEED,
-                          labels=cell_labels(protocols[0]), store=exact,
-                          n_records=11, force_sample_time=None)
+        run_cells(model(), [(protocols[0], cell_labels(protocols[0]))], 2, 2,
+                  seed=SEED, store=exact, n_records=11,
+                  force_sample_time=None)
         streamed = stream_study_tasks(model(), protocols[:1], 2, 2,
                                       seed=SEED, n_records=11,
                                       force_sample_time=None)

@@ -349,7 +349,7 @@ fixed machine-readable code per status:
 
 | Status | Code | Meaning |
 |---|---|---|
-| 400 | `invalid-spec` | malformed JSON body, unknown/ill-typed spec field |
+| 400 | `invalid-spec` | malformed JSON body, unknown/ill-typed spec field, or more than 10 000 000 record values (kappas × velocities × `n_samples` × `n_records`) |
 | 401 | `unauthenticated` | missing, malformed or unknown bearer token |
 | 403 | `forbidden` | the token's role may not perform this action |
 | 404 | `not-found` | no such route, campaign id, or not your campaign |
