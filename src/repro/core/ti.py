@@ -110,9 +110,7 @@ def run_thermodynamic_integration(
     model: ReducedTranslocationModel,
     protocol: Optional[TIProtocol] = None,
     n_replicas: int = 16,
-    dt: Optional[float] = None,
     seed: SeedLike = None,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
 ) -> TIResult:
     """Run restrained-coordinate TI over the window.
@@ -136,8 +134,7 @@ def run_thermodynamic_integration(
     kappa = protocol.kappa_internal
     z_end = protocol.start_z + protocol.distance
     stiffness = kappa + model.max_curvature(protocol.start_z - 2.0, z_end + 2.0)
-    if dt is None:
-        dt = model.stable_timestep(stiffness)
+    dt = model.stable_timestep(stiffness)
 
     stations = protocol.stations
     n_equil = int(np.ceil(protocol.equilibration_ns / dt))
@@ -190,7 +187,7 @@ def run_thermodynamic_integration(
     if obs.enabled:
         obs.metrics.inc("core.ti.stations", stations.size)
         obs.metrics.inc("core.ti.sim_ns", total_ns)
-        obs.metrics.inc("core.ti.cpu_hours", total_ns * cpu_hours_per_ns)
+        obs.metrics.inc("core.ti.cpu_hours", total_ns * PAPER_CPU_HOURS_PER_NS)
     pmf = PMFEstimate(
         displacements=displacements,
         values=values,
@@ -199,7 +196,7 @@ def run_thermodynamic_integration(
         estimator="thermodynamic-integration",
         n_samples=n_replicas,
         temperature=model.temperature,
-        cpu_hours=total_ns * cpu_hours_per_ns,
+        cpu_hours=total_ns * PAPER_CPU_HOURS_PER_NS,
     )
     return TIResult(
         protocol=protocol,

@@ -92,11 +92,9 @@ def run_umbrella_sampling(
     n_replicas: int = 8,
     samples_per_replica: int = 200,
     n_bins: int = 60,
-    dt: Optional[float] = None,
     seed: SeedLike = None,
     tol: float = 1e-6,
     max_iter: int = 5000,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
 ) -> WHAMResult:
     """Sample all umbrella windows and solve WHAM.
@@ -115,8 +113,7 @@ def run_umbrella_sampling(
     kappa = protocol.kappa_internal
     z_end = protocol.start_z + protocol.distance
     stiffness = kappa + model.max_curvature(protocol.start_z - 2.0, z_end + 2.0)
-    if dt is None:
-        dt = model.stable_timestep(stiffness)
+    dt = model.stable_timestep(stiffness)
 
     centers = protocol.centers
     n_equil = int(np.ceil(protocol.equilibration_ns / dt))
@@ -159,7 +156,7 @@ def run_umbrella_sampling(
         estimator="umbrella-wham",
         n_samples=n_replicas,
         temperature=model.temperature,
-        cpu_hours=total_ns * cpu_hours_per_ns,
+        cpu_hours=total_ns * PAPER_CPU_HOURS_PER_NS,
     )
     return WHAMResult(
         protocol=protocol,

@@ -99,12 +99,6 @@ class CampaignRunner:
     obs:
         Service-level instrumentation; the ``service.*`` metric families
         (submissions, coalesces, cache hits, completions) land here.
-    dlq:
-        Dead-letter queue shared by every campaign; defaults to
-        ``<store-root>/DLQ.jsonl`` so degraded completion is always on.
-    retry:
-        Per-task retry policy forwarded to the streaming executor;
-        defaults to three attempts.
     inline:
         Execute submissions synchronously on the caller's thread instead
         of the worker pool — deterministic single-threaded mode used by
@@ -112,11 +106,14 @@ class CampaignRunner:
     task_fault:
         Optional chaos/test hook ``(campaign_id, stream_task, attempt)``
         invoked before every compute attempt (after the cancel check).
+
+    Every campaign dead-letters into the one queue ``<store-root>/DLQ.jsonl``
+    (so degraded completion is always on) and retries a failing task up to
+    three attempts.
     """
 
     def __init__(self, store: Any, state: ServiceState, *,
-                 obs: Optional[Obs] = None, dlq: Any = None,
-                 retry: Any = None, inline: bool = False,
+                 obs: Optional[Obs] = None, inline: bool = False,
                  task_fault: Optional[Callable[[str, Any, int], None]] = None
                  ) -> None:
         from ..resil import DeadLetterQueue, RetryPolicy
@@ -124,10 +121,9 @@ class CampaignRunner:
         self.store = store
         self.state = state
         self.obs = as_obs(obs)
-        self.dlq = dlq if dlq is not None else DeadLetterQueue(
-            os.path.join(store.root, "DLQ.jsonl"), obs=obs)
-        self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=3, base_delay=1e-6)
+        self.dlq = DeadLetterQueue(os.path.join(store.root, "DLQ.jsonl"),
+                                   obs=obs)
+        self.retry = RetryPolicy(max_attempts=3, base_delay=1e-6)
         self.inline = inline
         self.task_fault = task_fault
         self._lock = make_rlock("service.runner")
@@ -292,13 +288,25 @@ class CampaignRunner:
             self._finish(record, "failed", detail=type(exc).__name__)
             return
         result = self._build_result(spec, merged, report)
-        self.state.save_result(spec.fingerprint, result)
-        self.state.set_result_digest(record.id, result["content_digest"])
+        digest = result["content_digest"]
         outcome = "degraded" if result["degraded"] else "completed"
+        with self._lock:
+            self.state.save_result(spec.fingerprint, result)
+            self.state.set_result_digest(record.id, digest)
+            # The spec has one result document: every finished record of
+            # it (a result-cache twin of a DLQ-retried run) serves the new
+            # one, so it takes the new digest, and a healed outcome.
+            for twin in self.state.find_by_spec(spec.fingerprint):
+                if twin.state not in ("completed", "degraded"):
+                    continue
+                self.state.set_result_digest(twin.id, digest)
+                if twin.state != outcome == "completed":
+                    self.state.transition(twin.id, "completed",
+                                          detail=f"healed by {record.id}")
         self._finish(record, outcome,
                      detail=f"{result['n_tasks']} task(s), "
                             f"{len(result['dead_tasks'])} dead-lettered",
-                     digest=result["content_digest"])
+                     digest=digest)
 
     def _finish(self, record: CampaignRecord, outcome: str, *,
                 detail: str = "", digest: Optional[str] = None) -> None:

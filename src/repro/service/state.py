@@ -71,13 +71,14 @@ TERMINAL_STATES = frozenset({"completed", "degraded", "failed", "cancelled"})
 #: The legal lifecycle edges.  ``pending -> completed/degraded/failed``
 #: covers coalesced submissions attaching to an already-terminal primary
 #: (a cache hit never passes through ``running``); ``degraded -> running``
-#: is the DLQ retry path.
+#: is the DLQ retry path, and ``degraded -> completed`` a result-cache twin
+#: whose spec's retry healed the one result document both serve.
 TRANSITIONS: Dict[str, frozenset] = {
     "pending": frozenset({"running", "cancelled", "completed", "degraded",
                           "failed"}),
     "running": frozenset({"completed", "degraded", "failed", "cancelled"}),
     "completed": frozenset(),
-    "degraded": frozenset({"running"}),
+    "degraded": frozenset({"running", "completed"}),
     "failed": frozenset(),
     "cancelled": frozenset(),
 }

@@ -107,21 +107,19 @@ _BLOCK_STEPS: int = 64
 def _integration_grid(
     model: ReducedTranslocationModel,
     protocol: PullingProtocol,
-    dt: Optional[float],
     n_records: int,
     force_sample_time: Optional[float],
 ) -> Tuple[float, float, int, int, int]:
-    """Integration-grid derivation shared with the reference oracle.
+    """Integration-grid derivation shared with the reference oracle: where
+    a pull's timestep (the model's stability criterion for the combined
+    spring + landscape stiffness) and step grid are chosen.
 
     Returns ``(kappa, dt_eff, n_steps, stride, n_strides)``.
     """
     kappa = protocol.kappa_internal
     z_end = protocol.start_z + protocol.distance
     stiffness = kappa + model.max_curvature(protocol.start_z - 2.0, z_end + 2.0)
-    if dt is None:
-        dt = model.stable_timestep(stiffness)
-    if dt <= 0.0:
-        raise ConfigurationError("dt must be positive")
+    dt = model.stable_timestep(stiffness)
 
     duration = protocol.duration_ns
     n_steps = max(int(np.ceil(duration / dt)), n_records - 1)
@@ -155,14 +153,13 @@ def _record_schedule(n_strides: int, n_records: int) -> np.ndarray:
     return sched
 
 
-def _count_work(obs: Obs, n_samples: int, sim_ns: float,
-                cpu_hours_per_ns: float) -> float:
+def _count_work(obs: Obs, n_samples: int, sim_ns: float) -> float:
     """Account one computed group; returns its paper-scale CPU-hours.
 
     Only computation actually performed is counted — store hits never
     reach an integrator, so they never reach here.
     """
-    cpu_hours = sim_ns * cpu_hours_per_ns
+    cpu_hours = sim_ns * PAPER_CPU_HOURS_PER_NS
     if obs.enabled:
         obs.metrics.inc("smd.je_samples", n_samples)
         obs.metrics.inc("smd.sim_ns", sim_ns)
@@ -178,11 +175,11 @@ class _Cell:
     ``n_steps`` more and leaves the stack at ``end``."""
 
     def __init__(self, model: ReducedTranslocationModel,
-                 protocol: PullingProtocol, dt: Optional[float],
-                 n_records: int, force_sample_time: Optional[float]) -> None:
+                 protocol: PullingProtocol, n_records: int,
+                 force_sample_time: Optional[float]) -> None:
         self.protocol = protocol
         (self.kappa, self.dt, self.n_steps, self.stride,
-         n_strides) = _integration_grid(model, protocol, dt, n_records,
+         n_strides) = _integration_grid(model, protocol, n_records,
                                         force_sample_time)
         self.scale = np.sqrt(2.0 * model.kT * self.dt / model.friction)
         eq_ns = protocol.equilibration_ns
@@ -211,10 +208,8 @@ def run_pulling_stack(
     model: ReducedTranslocationModel,
     pulls: Sequence[Tuple[PullingProtocol, np.random.Generator, int]],
     *,
-    dt: Optional[float] = None,
     n_records: int = 41,
     force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
 ) -> List[WorkEnsemble]:
     """Pull independently seeded replica groups, of any mix of protocols,
@@ -256,7 +251,7 @@ def run_pulling_stack(
         if m < 1:
             raise ConfigurationError(f"group {g}: n_samples must be at least 1")
         if protocol not in cells:
-            cells[protocol] = _Cell(model, protocol, dt, n_records,
+            cells[protocol] = _Cell(model, protocol, n_records,
                                     force_sample_time)
         cells[protocol].members.append(g)
     exact = force_sample_time is None
@@ -419,7 +414,6 @@ def run_pulling_stack(
             works=works[lo:hi].copy(),
             positions=positions[lo:hi].copy(),
             temperature=model.temperature,
-            cpu_hours=_count_work(obs, hi - lo, (hi - lo) * per_replica_ns,
-                                  cpu_hours_per_ns),
+            cpu_hours=_count_work(obs, hi - lo, (hi - lo) * per_replica_ns),
         ))
     return ensembles

@@ -23,7 +23,6 @@ from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import SeedLike
-from .batched import DEFAULT_FORCE_SAMPLE_TIME, PAPER_CPU_HOURS_PER_NS
 from .plan import run_cells
 from .protocol import PullingProtocol
 from .work import WorkEnsemble
@@ -53,11 +52,8 @@ def run_bidirectional_ensemble(
     protocol: PullingProtocol,
     n_samples: int,
     *,
-    dt: Optional[float] = None,
     n_records: int = 41,
-    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
     seed: SeedLike = None,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
     store=None,
 ) -> BidirectionalEnsemble:
@@ -78,8 +74,9 @@ def run_bidirectional_ensemble(
     store:
         Optional result store; each leg is one task, memoized under its
         own direction-distinguished fingerprint.
-    obs / dt / n_records / force_sample_time / cpu_hours_per_ns:
-        As in :func:`~repro.smd.ensemble.run_pulling_ensemble`.
+    obs / n_records:
+        As in :func:`~repro.smd.ensemble.run_pulling_ensemble`; both legs
+        run at the engine's own timestep and force-sampling stride.
     """
     if protocol.direction != "forward":
         raise ConfigurationError(
@@ -92,7 +89,5 @@ def run_bidirectional_ensemble(
                   velocity=protocol.velocity, n_samples=n_samples):
         legs = run_cells(
             model, [(protocol, fwd), (protocol.reversed(), rev)], None,
-            n_samples, seed=seed, store=store, dt=dt, n_records=n_records,
-            force_sample_time=force_sample_time,
-            cpu_hours_per_ns=cpu_hours_per_ns, obs=obs)
+            n_samples, seed=seed, store=store, n_records=n_records, obs=obs)
     return BidirectionalEnsemble(forward=legs[fwd], reverse=legs[rev])

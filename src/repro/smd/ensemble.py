@@ -51,7 +51,6 @@ from .work import WorkEnsemble
 __all__ = [
     "run_pulling_ensemble",
     "PAPER_CPU_HOURS_PER_NS",
-    "DEFAULT_FORCE_SAMPLE_TIME",
 ]
 
 
@@ -59,11 +58,9 @@ def run_pulling_ensemble(
     model: ReducedTranslocationModel,
     protocol: PullingProtocol,
     n_samples: int,
-    dt: Optional[float] = None,
     n_records: int = 41,
     force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
     seed: SeedLike = None,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
     kernel: str = "vectorized",
 ) -> WorkEnsemble:
@@ -77,15 +74,13 @@ def run_pulling_ensemble(
         Pulling parameters (kappa, v, distance, start, equilibration).
     n_samples:
         Ensemble size (replicas integrated simultaneously).
-    dt:
-        Timestep in ns; defaults to a stability-safe value from the
-        combined spring + landscape stiffness.
     n_records:
         Number of displacement stations (including 0) at which work and
         position are recorded.
     force_sample_time:
         Physical stride (ns) of spring-force output used for trapezoid work
-        integration, or ``None`` for exact per-step midpoint accumulation.
+        integration, or ``None`` for exact per-step midpoint accumulation
+        (the estimator-validation reference; no driver above sets it).
     obs:
         Optional instrumentation handle: the whole ensemble runs inside an
         ``smd.ensemble`` host-clock span (wall seconds -> JE samples/sec),
@@ -104,20 +99,17 @@ def run_pulling_ensemble(
     if n_records < 2:
         raise ConfigurationError("n_records must be at least 2")
     validate_kernel(kernel)
-    settings = dict(dt=dt, n_records=n_records,
-                    force_sample_time=force_sample_time,
-                    cpu_hours_per_ns=cpu_hours_per_ns)
     rng = as_generator(seed)
     if kernel != "reference":
-        return run_pulling_stack(model, [(protocol, rng, n_samples)],
-                                 obs=obs, **settings)[0]
+        return run_pulling_stack(
+            model, [(protocol, rng, n_samples)], n_records=n_records,
+            force_sample_time=force_sample_time, obs=obs)[0]
 
     obs = as_obs(obs)
     with obs.span("smd.ensemble", n_cells=1, n_groups=1, n_samples=n_samples,
                   kappa_pn=protocol.kappa_pn, velocity=protocol.velocity):
         works, positions, displacements = _run_pulling_reference(
-            model, protocol, n_samples, rng, dt, n_records,
-            force_sample_time)
+            model, protocol, n_samples, rng, n_records, force_sample_time)
     total_sim_ns = n_samples * (protocol.duration_ns
                                 + protocol.equilibration_ns)
     return WorkEnsemble(
@@ -126,8 +118,7 @@ def run_pulling_ensemble(
         works=works,
         positions=positions,
         temperature=model.temperature,
-        cpu_hours=_count_work(obs, n_samples, total_sim_ns,
-                              cpu_hours_per_ns),
+        cpu_hours=_count_work(obs, n_samples, total_sim_ns),
     )
 
 
@@ -136,7 +127,6 @@ def _run_pulling_reference(
     protocol: PullingProtocol,
     n_samples: int,
     rng: np.random.Generator,
-    dt: Optional[float],
     n_records: int,
     force_sample_time: Optional[float],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,7 +143,7 @@ def _run_pulling_reference(
     the oracle the batched and vectorized kernels are tested against.
     """
     kappa, dt_eff, n_steps, stride, n_strides = _integration_grid(
-        model, protocol, dt, n_records, force_sample_time
+        model, protocol, n_records, force_sample_time
     )
     exact = force_sample_time is None
     start = protocol.origin_z

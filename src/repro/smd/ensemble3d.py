@@ -52,7 +52,6 @@ def run_pulling_ensemble_3d(
     axis=(0.0, 0.0, -1.0),
     start_com_z: float = 20.0,
     seed: SeedLike = None,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
     kernel: str = "vectorized",
 ) -> WorkEnsemble:
@@ -114,14 +113,14 @@ def run_pulling_ensemble_3d(
     if obs.enabled:
         obs.metrics.inc("smd.je_samples_3d", n_samples)
         obs.metrics.inc("smd.sim_ns", total_ns)
-        obs.metrics.inc("smd.cpu_hours", total_ns * cpu_hours_per_ns)
+        obs.metrics.inc("smd.cpu_hours", total_ns * PAPER_CPU_HOURS_PER_NS)
     return WorkEnsemble(
         protocol=protocol,
         displacements=grid,
         works=works,
         positions=positions,
         temperature=300.0,
-        cpu_hours=total_ns * cpu_hours_per_ns,
+        cpu_hours=total_ns * PAPER_CPU_HOURS_PER_NS,
     )
 
 

@@ -48,11 +48,7 @@ from ..errors import CampaignInterrupted, ConfigurationError, ReproError
 from ..obs import Obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import SeedLike, as_seed_int, stream_for
-from .batched import (
-    DEFAULT_FORCE_SAMPLE_TIME,
-    PAPER_CPU_HOURS_PER_NS,
-    run_pulling_stack,
-)
+from .batched import run_pulling_stack
 from .ensemble import run_pulling_ensemble
 from .protocol import PullingProtocol
 from .work import WorkEnsemble
@@ -84,7 +80,8 @@ class PlanStack:
 
     model: ReducedTranslocationModel
     n_samples: int
-    settings: Dict[str, Any]
+    n_records: int
+    obs: Optional[Obs]
 
     def run(self, tasks: Iterable["StreamTask"]) -> List[WorkEnsemble]:
         """One ensemble per task of this plan, all pulled in one engine
@@ -93,7 +90,7 @@ class PlanStack:
             self.model,
             [(task.protocol, stream_for(*task.key), self.n_samples)
              for task in tasks],
-            **self.settings)
+            n_records=self.n_records, obs=self.obs)
 
 
 @dataclass(frozen=True)
@@ -138,10 +135,7 @@ def plan_tasks(
     samples_per_task: int,
     *,
     seed: SeedLike,
-    dt: Optional[float] = None,
     n_records: int = 41,
-    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
 ) -> Iterator[StreamTask]:
     """Lazily yield the tasks of ``(protocol, labels)`` cells, cell-major.
@@ -155,9 +149,9 @@ def plan_tasks(
     tasks, which is how one plan holds an adaptive refine round whose bins
     get different numbers of extra tasks.  ``index`` counts tasks across
     the whole plan from 0.  ``cells`` may be a generator — it is consumed
-    one cell at a time.  The integration settings pass verbatim into both
-    the descriptor and the compute thunk (``None`` for
-    ``force_sample_time`` means exact per-step work, not "default").
+    one cell at a time.  ``n_records`` passes verbatim into both the
+    descriptor and the compute thunk; the timestep, force-sampling stride
+    and cost rate are the engine's own constants.
     """
     from ..store.fingerprint import pulling_task
 
@@ -165,12 +159,9 @@ def plan_tasks(
         raise ConfigurationError("n_tasks must be at least 1")
     if samples_per_task < 1:
         raise ConfigurationError("samples_per_task must be at least 1")
-    settings = dict(dt=dt, n_records=n_records,
-                    force_sample_time=force_sample_time,
-                    cpu_hours_per_ns=cpu_hours_per_ns)
     shared = [None] if n_tasks is None else range(n_tasks)
     base = as_seed_int(seed)
-    stack = PlanStack(model, samples_per_task, dict(settings, obs=obs))
+    stack = PlanStack(model, samples_per_task, n_records, obs)
     index = 0
     for protocol, labels, *own in cells:
         numbers = own[0] if own else shared
@@ -179,13 +170,13 @@ def plan_tasks(
         for t in numbers:
             key = (base, *labels) if t is None else (base, *labels, "task", t)
             task = pulling_task(model, protocol, n_samples=samples_per_task,
-                                seed_key=key, **settings)
+                                n_records=n_records, seed_key=key)
 
             def compute(protocol: PullingProtocol = protocol,
                         key: Tuple[Any, ...] = key) -> WorkEnsemble:
                 return run_pulling_ensemble(
-                    model, protocol, samples_per_task, seed=stream_for(*key),
-                    obs=obs, **settings)
+                    model, protocol, samples_per_task, n_records=n_records,
+                    seed=stream_for(*key), obs=obs)
 
             yield StreamTask(index=index, key=key, cell=labels, task=task,
                              compute=compute, stack=stack, protocol=protocol)
@@ -352,7 +343,7 @@ def run_cells(
     **plan: Any,
 ) -> Dict[Tuple[Any, ...], WorkEnsemble]:
     """Run a list of cells: their :func:`plan_tasks` plan (``**plan`` is
-    its keywords — ``seed``, the integration settings, ``obs``) resolved as
+    its keywords — ``seed``, ``n_records``, ``obs``) resolved as
     one :meth:`TaskResolver.resolve_window` step — hits loaded, the misses
     pulled in one stacked engine call, ``put`` in task order — and merged
     per cell by :func:`merge_cells`.  A cell whose task range is empty has

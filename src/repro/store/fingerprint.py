@@ -2,7 +2,7 @@
 
 A *task* is everything that determines a work ensemble bit for bit: the
 pulling protocol, the reduced model's parameters, the ensemble shape, the
-integration settings, the model kernel, and the seed-stream key.
+integration constants, the model kernel, and the seed-stream key.
 Two runs with equal fingerprints are guaranteed (by construction of the
 seeded RNG streams) to produce byte-identical results, which is what makes
 the result store safe: a cache hit *is* the computation.
@@ -23,11 +23,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import StoreError
+from ..smd.batched import DEFAULT_FORCE_SAMPLE_TIME, PAPER_CPU_HOURS_PER_NS
 from ..smd.protocol import PullingProtocol
 
 __all__ = [
@@ -149,19 +150,18 @@ def pulling_task(
     *,
     n_samples: int,
     n_records: int,
-    force_sample_time: Optional[float],
-    dt: Optional[float],
-    cpu_hours_per_ns: float,
     seed_key: SeedKey,
 ) -> Dict[str, Any]:
     """Task descriptor for a reduced-model pulling ensemble.
 
-    ``dt=None`` means "derived from the model's stability criterion",
-    itself a pure function of the other fields, so it fingerprints as the
-    string ``"auto"``.  ``"executor": "single"`` is a frozen literal: every
-    task is one seeded group of replicas (the retired sharded runner wrote
-    ``{"kind": "sharded", ...}`` there; such records stay loadable by
-    fingerprint), and dropping the field would re-key the record corpus.
+    ``force_sample_time``, ``dt`` and ``cpu_hours_per_ns`` are the engine's
+    constants (:mod:`repro.smd.batched`), recorded so the record corpus
+    never re-keys; ``"dt": "auto"`` names the model's stability criterion,
+    itself a pure function of the other fields.  ``"executor": "single"``
+    is a frozen literal: every task is one seeded group of replicas (the
+    retired sharded runner wrote ``{"kind": "sharded", ...}`` there; such
+    records stay loadable by fingerprint), and dropping the field would
+    re-key the record corpus.
     """
     return {
         "kernel": "smd.reduced1d/v1",
@@ -169,9 +169,9 @@ def pulling_task(
         "protocol": _protocol_fields(protocol),
         "n_samples": int(n_samples),
         "n_records": int(n_records),
-        "force_sample_time": force_sample_time,
-        "dt": "auto" if dt is None else float(dt),
-        "cpu_hours_per_ns": float(cpu_hours_per_ns),
+        "force_sample_time": DEFAULT_FORCE_SAMPLE_TIME,
+        "dt": "auto",
+        "cpu_hours_per_ns": PAPER_CPU_HOURS_PER_NS,
         "executor": "single",
         "seed_key": _seed_key_list(seed_key),
     }

@@ -44,7 +44,6 @@ from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
 from ..rng import SeedLike, as_seed_int, stream_for
-from ..smd.batched import DEFAULT_FORCE_SAMPLE_TIME, PAPER_CPU_HOURS_PER_NS
 from ..smd.plan import run_cells
 from ..smd.protocol import PullingProtocol
 from ..smd.subtrajectory import plan_subtrajectories, stitch_pmfs
@@ -156,10 +155,7 @@ def run_adaptive_campaign(
     seed: SeedLike = 2005,
     estimator: str = "exponential",
     store: Any = None,
-    dt: Optional[float] = None,
     n_records: int = 21,
-    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     n_boot: int = 32,
     n_blocks: int = 4,
     obs: Optional[Obs] = None,
@@ -236,9 +232,7 @@ def run_adaptive_campaign(
         protocol, total_distance=protocol.distance,
         window=protocol.distance / n_bins).protocols
     cells = [("adaptive", "bin", b) for b in range(n_bins)]
-    plan = dict(seed=base, store=store, dt=dt, n_records=n_records,
-                force_sample_time=force_sample_time,
-                cpu_hours_per_ns=cpu_hours_per_ns, obs=obs)
+    plan = dict(seed=base, store=store, n_records=n_records, obs=obs)
 
     with obs.span("workflow.adaptive", n_bins=n_bins,
                   total_replicas=total_replicas,

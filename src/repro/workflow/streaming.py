@@ -51,7 +51,6 @@ from ..errors import (
 )
 from ..obs import Obs, as_obs
 from ..rng import SeedLike
-from ..smd.batched import DEFAULT_FORCE_SAMPLE_TIME, PAPER_CPU_HOURS_PER_NS
 from ..smd.plan import (
     TASK_ERRORS,
     StreamTask,
@@ -106,10 +105,7 @@ def stream_study_tasks(
     samples_per_task: int,
     *,
     seed: SeedLike = 2005,
-    dt: Optional[float] = None,
     n_records: int = 41,
-    force_sample_time: Optional[float] = DEFAULT_FORCE_SAMPLE_TIME,
-    cpu_hours_per_ns: float = PAPER_CPU_HOURS_PER_NS,
     obs: Optional[Obs] = None,
 ) -> Iterator[StreamTask]:
     """Lazily yield every task of a (kappa, v) study, grid never built.
@@ -122,9 +118,7 @@ def stream_study_tasks(
     """
     return plan_tasks(
         model, ((proto, cell_labels(proto)) for proto in protocols),
-        n_tasks, samples_per_task, seed=seed, dt=dt, n_records=n_records,
-        force_sample_time=force_sample_time,
-        cpu_hours_per_ns=cpu_hours_per_ns, obs=obs,
+        n_tasks, samples_per_task, seed=seed, n_records=n_records, obs=obs,
     )
 
 

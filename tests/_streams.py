@@ -2,8 +2,7 @@
 
 Sub-millisecond tasks whose descriptors and values are pure functions of
 ``(seed, index)``: the store, cursor and dead-letter layers dominate, which
-is what those tests exercise — not the physics.  Plus the store descriptor
-of a real pull, for tests that pin a driver's records to their keys.
+is what those tests exercise — not the physics.
 """
 
 from typing import Iterator
@@ -12,20 +11,9 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.rng import stream_for
-from repro.smd.batched import DEFAULT_FORCE_SAMPLE_TIME, PAPER_CPU_HOURS_PER_NS
 from repro.smd.protocol import PullingProtocol
 from repro.smd.work import WorkEnsemble
-from repro.store import pulling_task
 from repro.workflow.streaming import StreamTask
-
-def default_pulling_task(model, protocol, n_samples, seed_key, n_records=41):
-    """The descriptor of one pull at the integration settings every entry
-    point defaults to, spelled without the task plan."""
-    return pulling_task(model, protocol, n_samples=n_samples,
-                        n_records=n_records, seed_key=seed_key, dt=None,
-                        force_sample_time=DEFAULT_FORCE_SAMPLE_TIME,
-                        cpu_hours_per_ns=PAPER_CPU_HOURS_PER_NS)
-
 
 #: Every synthetic task shares one protocol.
 _PROTOCOL = PullingProtocol(kappa_pn=100.0, velocity=12.5, distance=2.0,

@@ -12,11 +12,10 @@ from repro.pore import (
     TabulatedPotential1D,
     full_axis_chain_potential,
 )
-from repro.store import ResultStore, task_fingerprint
+from repro.store import ResultStore, pulling_task, task_fingerprint
 from repro.workflow import run_full_axis_production
 
 from ._potentials import assert_evaluator_is_derivative, stacked_calls
-from ._streams import default_pulling_task
 
 
 class TestTabulatedPotential:
@@ -138,8 +137,9 @@ class TestFingerprint:
         kwargs = dict(model=model, axis_range=(-10.0, 10.0), n_samples=3,
                       seed=4, store=store)
         cold = run_full_axis_production(**kwargs)
-        planned = [task_fingerprint(default_pulling_task(
-            model, e.protocol, 3, (4, "production-window", i)))
+        planned = [task_fingerprint(pulling_task(
+            model, e.protocol, n_samples=3, n_records=41,
+            seed_key=(4, "production-window", i)))
             for i, e in enumerate(cold.ensembles)]
         assert store.fingerprints() == sorted(planned)
         for fingerprint, ensemble in zip(planned, cold.ensembles):

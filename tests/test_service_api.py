@@ -346,6 +346,105 @@ class TestDlqRetry:
             "service.dlq.requeued").value == 1
         service.runner.close()
 
+    def _primary_and_twin(self, tmp_path, fault, spec=None):
+        """A degraded primary and its result-cache twin, both served the
+        one degraded result document."""
+        service = build_service(os.fspath(tmp_path / "store"), inline=True,
+                                sync=False, task_fault=fault)
+        spec = spec or self.SPEC2
+        primary = service.handle(
+            _post("/v1/campaigns", body=spec)).json()["id"]
+        twin = service.handle(_post("/v1/campaigns", body=spec)).json()
+        assert twin["state"] == "degraded"
+        assert twin["coalesced_with"] == primary
+        return service, primary, twin["id"]
+
+    @staticmethod
+    def _served(service, cid):
+        """(state, ETag, body) of one campaign, checking the ETag names
+        the body it came with."""
+        state = service.handle(_get(f"/v1/campaigns/{cid}")).json()["state"]
+        served = service.handle(_get(f"/v1/campaigns/{cid}/result"))
+        assert served.status == 200
+        body = served.json()
+        assert served.headers["ETag"] == f'"{body["content_digest"]}"'
+        return state, served.headers["ETag"], body
+
+    @pytest.mark.parametrize("retried", ["primary", "twin"])
+    def test_healed_retry_carries_every_twin_to_the_new_result(
+            self, tmp_path, retried):
+        """A twin served from the result cache shares its primary's result
+        document; once a DLQ retry (posted on either record) rewrites that
+        document, the other record's state and ETag follow it without
+        passing through ``running``."""
+        poison = {"on": True}
+
+        def fault(cid, task, attempt):
+            if poison["on"] and task.cell == self.POISONED:
+                raise PermanentTaskFailure("injected pore collapse")
+
+        service, primary, twin = self._primary_and_twin(tmp_path, fault)
+        target, other = (primary, twin) if retried == "primary" \
+            else (twin, primary)
+        poison["on"] = False
+        assert service.handle(_post(f"/v1/campaigns/{target}/dlq/retry",
+                                    body={})).status == 202
+        for cid in (target, other):
+            state, _, body = self._served(service, cid)
+            assert state == "completed" and body["degraded"] is False
+        history = service.handle(
+            _get(f"/v1/campaigns/{other}")).json()["transitions"]
+        assert [t["to"] for t in history][-1] == "completed"
+        assert "running" not in [t["to"] for t in history[1:]]
+        service.runner.close()
+
+    def test_cancelled_retry_leaves_the_twin_serving_its_result(
+            self, tmp_path):
+        """Two poisoned tasks: the retry is cancelled at the first one's
+        compute, so the second never runs and the document is untouched."""
+        phase = {"now": "poisoned"}
+
+        def fault(cid, task, attempt):
+            if task.cell != self.POISONED:
+                return
+            if phase["now"] == "poisoned":
+                raise PermanentTaskFailure("injected pore collapse")
+            service.handle(_post(f"/v1/campaigns/{cid}/cancel", body={}))
+
+        spec = dict(self.SPEC2, n_samples=4)  # two tasks per cell
+        service, primary, twin = self._primary_and_twin(tmp_path, fault,
+                                                         spec)
+        before = self._served(service, twin)
+        phase["now"] = "healing"
+        assert service.handle(_post(f"/v1/campaigns/{primary}/dlq/retry",
+                                    body={})).status == 202
+        assert service.handle(
+            _get(f"/v1/campaigns/{primary}")).json()["state"] == "cancelled"
+        assert self._served(service, twin) == before
+        assert before[0] == "degraded"
+        service.runner.close()
+
+    def test_failed_retry_leaves_the_twin_serving_its_result(self, tmp_path):
+        phase = {"now": "poisoned"}
+
+        def fault(cid, task, attempt):
+            if task.cell != self.POISONED:
+                return
+            if phase["now"] == "poisoned":
+                raise PermanentTaskFailure("injected pore collapse")
+            raise RuntimeError("worker lost its scratch disk")
+
+        service, primary, twin = self._primary_and_twin(tmp_path, fault)
+        before = self._served(service, twin)
+        phase["now"] = "broken"
+        assert service.handle(_post(f"/v1/campaigns/{primary}/dlq/retry",
+                                    body={})).status == 202
+        assert service.handle(
+            _get(f"/v1/campaigns/{primary}")).json()["state"] == "failed"
+        assert self._served(service, twin) == before
+        assert before[0] == "degraded"
+        service.runner.close()
+
     def test_retry_on_non_degraded_campaign_is_409(self, app):
         cid = app.handle(_post("/v1/campaigns")).json()["id"]
         response = app.handle(

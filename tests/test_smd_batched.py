@@ -31,8 +31,7 @@ from repro.smd import (
     run_pulling_stack,
 )
 from repro.smd.plan import plan_tasks, run_cells
-
-from ._streams import default_pulling_task
+from repro.store import pulling_task
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "golden_pmf.json")
@@ -65,8 +64,9 @@ def oracle_tasks(model, proto, n_tasks, samples_per_task, *, seed,
 
         if store is None:
             return run()
-        return store.get_or_run(default_pulling_task(
-            model, proto, samples_per_task, key, n_records), run)
+        return store.get_or_run(pulling_task(
+            model, proto, n_samples=samples_per_task, n_records=n_records,
+            seed_key=key), run)
 
     return reduce(WorkEnsemble.merged_with, (
         pull((seed, *labels, "task", t)) for t in range(n_tasks)))

@@ -36,9 +36,7 @@ def proto():
 
 @pytest.fixture
 def task(model, proto):
-    return pulling_task(model, proto, n_samples=3, n_records=11,
-                        force_sample_time=2.0e-3, dt=None,
-                        cpu_hours_per_ns=3000.0, seed_key=42)
+    return pulling_task(model, proto, n_samples=3, n_records=11, seed_key=42)
 
 
 @pytest.fixture

@@ -18,10 +18,8 @@ from repro.smd import (
     run_pulling_ensemble,
 )
 from repro.smd.plan import run_cells
-from repro.store import ResultStore, task_fingerprint
+from repro.store import ResultStore, pulling_task, task_fingerprint
 from repro.workflow import run_full_axis_production
-
-from ._streams import default_pulling_task
 
 
 class TestFullAxisProduction:
@@ -133,8 +131,9 @@ class TestProductionIsOnePlan:
         [ensemble] = res.ensembles
         assert (ensemble.protocol.start_z, ensemble.protocol.distance) == (
             -2.0, 4.0)
-        assert store.fingerprints() == [task_fingerprint(default_pulling_task(
-            model, ensemble.protocol, 3, (7, *cell)))]
+        assert store.fingerprints() == [task_fingerprint(pulling_task(
+            model, ensemble.protocol, n_samples=3, n_records=41,
+            seed_key=(7, *cell)))]
         alone = run_cells(model, [(ensemble.protocol, cell)], None, 3, seed=7)
         assert list(alone) == [cell]
         assert_same(ensemble, alone[cell])
@@ -201,6 +200,7 @@ class TestBidirectionalIsOnePlan:
             assert_same(bare.reverse, pair.reverse)
             assert (store.hits, store.misses, store.writes) == traffic, stage
         assert store.fingerprints() == sorted(
-            task_fingerprint(default_pulling_task(
-                model, protocol, 3, (8, "smd.bidir", tag), n_records=7))
+            task_fingerprint(pulling_task(
+                model, protocol, n_samples=3, n_records=7,
+                seed_key=(8, "smd.bidir", tag)))
             for protocol, tag in ((proto, "fwd"), (proto.reversed(), "rev")))

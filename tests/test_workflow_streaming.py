@@ -33,7 +33,7 @@ from repro.smd import (
 )
 from repro.smd.plan import TaskResolver, plan_tasks, run_cells
 from repro.smd.protocol import PullingProtocol
-from repro.store import ResultStore, ShardedResultStore
+from repro.store import ResultStore, ShardedResultStore, pulling_task
 from repro.workflow import (
     StreamTask,
     run_streamed_study,
@@ -41,7 +41,7 @@ from repro.workflow import (
     stream_study_tasks,
 )
 
-from ._streams import default_pulling_task, synthetic_stream
+from ._streams import synthetic_stream
 
 SEED = 2005
 
@@ -165,17 +165,6 @@ class TestBitIdentity:
         reopened = ResultStore(store.root)
         run_study(reopened)
         assert (reopened.stats()["hits"], reopened.stats()["writes"]) == (8, 0)
-        # Exact per-step work (force_sample_time=None) is requestable on
-        # the streamed path too, and keys exactly as the per-cell path does.
-        exact = ResultStore(os.fspath(tmp_path / "exact"), sync=False)
-        run_cells(model(), [(protocols[0], cell_labels(protocols[0]))], 2, 2,
-                  seed=SEED, store=exact, n_records=11,
-                  force_sample_time=None)
-        streamed = stream_study_tasks(model(), protocols[:1], 2, 2,
-                                      seed=SEED, n_records=11,
-                                      force_sample_time=None)
-        assert (sorted(task.fingerprint for task in streamed)
-                == exact.fingerprints())
 
     def test_whole_cell_plan_is_the_historical_layout(self, tmp_path):
         """``samples_per_task=None``: one task per cell under the bare cell
@@ -185,8 +174,8 @@ class TestBitIdentity:
         store = ResultStore(os.fspath(tmp_path / "engine"), sync=False)
         direct = {
             (p.kappa_pn, p.velocity): store.get_or_run(
-                default_pulling_task(model(), p, 4,
-                                     (SEED, *cell_labels(p)), n_records=11),
+                pulling_task(model(), p, n_samples=4, n_records=11,
+                             seed_key=(SEED, *cell_labels(p))),
                 lambda p=p: run_pulling_ensemble(
                     model(), p, 4, n_records=11,
                     seed=stream_for(SEED, *cell_labels(p))))

@@ -367,8 +367,10 @@ pending ──> running ──> completed
 ```
 
 `completed`, `failed` and `cancelled` are terminal.  `degraded` is
-terminal except for the DLQ-retry edge.  Coalesced submissions may jump
-`pending -> completed/degraded` directly (a result-cache hit never runs).
+terminal except for the DLQ-retry edge, and for `degraded -> completed`:
+a result-cache twin whose spec's retry healed the result both serve.
+Coalesced submissions may jump `pending -> completed/degraded` directly
+(a result-cache hit never runs).
 
 ## Endpoints
 
