@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from ..errors import SpecError
+from ..smd.plan import DEFAULT_WINDOW
 
 __all__ = ["SPEC_SCHEMA", "CampaignSpec"]
 
@@ -57,7 +58,7 @@ _FIELDS: Dict[str, Tuple[type, Any]] = {
     "seed": (int, 2005),
     "estimator": (str, "exponential"),
     "kernel": (str, "vectorized"),
-    "window": (int, 16),
+    "window": (int, DEFAULT_WINDOW),
 }
 
 

@@ -54,6 +54,7 @@ from .protocol import PullingProtocol
 from .work import WorkEnsemble
 
 __all__ = [
+    "DEFAULT_WINDOW",
     "PlanStack",
     "StreamTask",
     "TASK_ERRORS",
@@ -70,6 +71,14 @@ __all__ = [
 #: :class:`~repro.errors.CampaignInterrupted` (and, in the retry loop,
 #: :class:`~repro.errors.PermanentTaskFailure`) is handled before them.
 TASK_ERRORS = (ReproError, FloatingPointError)
+
+#: Tasks per :meth:`TaskResolver.resolve_window` step for every caller that
+#: does not choose: the streamed study and the campaign service.  A grid of
+#: at most this many tasks is one window, hence one stacked loop as long as
+#: its longest cell.  (Defined here, not in :mod:`repro.workflow.streaming`,
+#: so the service's spec layer reads it without importing the workflow
+#: package.)
+DEFAULT_WINDOW = 64
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
-from typing import Any, Dict, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,33 +53,55 @@ RECORD_SCHEMA = "repro.store.record/v1"
 SeedKey = Union[int, Sequence[Union[int, str]]]
 
 
-def _normalize(value: Any, path: str = "$") -> Any:
+class _Refused(Exception):
+    """A value :func:`_normalize` refuses.  ``where`` collects its JSON path
+    segments, innermost first, as the error climbs out: no path string is
+    built unless something is refused."""
+
+    def __init__(self, what: str) -> None:
+        super().__init__(what)
+        self.what = what
+        self.where: List[str] = []
+
+
+def _normalize(value: Any) -> Any:
     """Reduce ``value`` to plain JSON types, rejecting anything ambiguous."""
+    if type(value) is float:        # a record's bulk: checked first
+        if not math.isfinite(value):
+            raise _Refused("non-finite value")
+        return value
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
         out = float(value)
-        if not np.isfinite(out):
-            raise StoreError(f"non-finite value at {path} cannot be fingerprinted")
+        if not math.isfinite(out):
+            raise _Refused("non-finite value")
         return out
     if isinstance(value, dict):
         normalized: Dict[str, Any] = {}
         for key, item in value.items():
             if not isinstance(key, str):
-                raise StoreError(
-                    f"non-string key {key!r} at {path} cannot be fingerprinted"
-                )
-            normalized[key] = _normalize(item, f"{path}.{key}")
+                raise _Refused(f"non-string key {key!r}")
+            try:
+                normalized[key] = _normalize(item)
+            except _Refused as exc:
+                exc.where.append(f".{key}")
+                raise
         return normalized
     if isinstance(value, (list, tuple)):
-        return [_normalize(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        elements: List[Any] = []
+        for index, item in enumerate(value):
+            try:
+                elements.append(_normalize(item))
+            except _Refused as exc:
+                exc.where.append(f"[{index}]")
+                raise
+        return elements
     if isinstance(value, np.ndarray):
-        return _normalize(value.tolist(), path)
-    raise StoreError(
-        f"value of type {type(value).__name__} at {path} cannot be fingerprinted"
-    )
+        return _normalize(value.tolist())
+    raise _Refused(f"value of type {type(value).__name__}")
 
 
 def canonical_json(value: Any) -> str:
@@ -89,8 +112,14 @@ def canonical_json(value: Any) -> str:
     recovers ``x`` exactly and re-serializing is byte-identical — the
     property the record round-trip tests pin.
     """
-    return json.dumps(_normalize(value), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+    try:
+        plain = _normalize(value)
+    except _Refused as exc:
+        path = "$" + "".join(reversed(exc.where))
+        raise StoreError(
+            f"{exc.what} at {path} cannot be fingerprinted") from None
+    return json.dumps(plain, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def task_fingerprint(task: Dict[str, Any]) -> str:

@@ -52,6 +52,7 @@ from ..errors import (
 from ..obs import Obs, as_obs
 from ..rng import SeedLike
 from ..smd.plan import (
+    DEFAULT_WINDOW,
     TASK_ERRORS,
     StreamTask,
     TaskResolver,
@@ -126,7 +127,7 @@ def run_streamed_tasks(
     tasks: Iterable[StreamTask],
     *,
     store: Any,
-    window: int = 64,
+    window: int = DEFAULT_WINDOW,
     dlq: Any = None,
     retry: Any = None,
     fault: Optional[Callable[[StreamTask, int], None]] = None,
@@ -267,7 +268,7 @@ def run_streamed_study(
     samples_per_task: Optional[int] = 4,
     seed: SeedLike = 2005,
     store: Any,
-    window: int = 64,
+    window: int = DEFAULT_WINDOW,
     dlq: Any = None,
     retry: Any = None,
     fault: Optional[Callable[[StreamTask, int], None]] = None,

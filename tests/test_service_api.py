@@ -12,6 +12,8 @@ import pytest
 
 from repro.errors import PermanentTaskFailure
 from repro.obs import Obs
+from repro.pore import ReducedTranslocationModel, default_reduced_potential
+from repro.pore.landscape import AxialLandscape
 from repro.service import (
     AuthRegistry,
     CampaignRunner,
@@ -21,7 +23,11 @@ from repro.service import (
     ServiceState,
     build_service,
 )
+from repro.service import runner as runner_module
+from repro.service.spec import CampaignSpec
+from repro.smd.plan import DEFAULT_WINDOW
 from repro.store import ShardedResultStore
+from repro.workflow.streaming import run_streamed_study
 
 OPERATOR = "spice-operator-token"
 ADMIN = "spice-admin-token"
@@ -128,6 +134,74 @@ class TestSubmitToResult:
         other = dict(SPEC, kernel="reference", window=4)
         second = app.handle(_post("/v1/campaigns", body=other)).json()
         assert second["coalesced_with"] == first["id"]
+
+
+class TestDefaultWindow:
+    """A served grid of at most ``DEFAULT_WINDOW`` tasks is one window: one
+    stacked engine call whose loop runs as long as its longest cell."""
+
+    #: 2 kappa x 2 v x 8 one-replica tasks: two 16-task kappa rows.
+    GRID = {"kappas": [100.0, 1000.0], "velocities": [25.0, 100.0],
+            "n_samples": 8, "samples_per_task": 1, "n_records": 5,
+            "distance": 0.5, "equilibration_ns": 0.001}
+
+    def test_default_window_steps_the_grid_in_one_loop(
+            self, app, monkeypatch):
+        calls = []
+        runs = []
+        bind = AxialLandscape.stacked_derivative
+
+        def spy(potential, total, column):
+            evaluate = bind(potential, total, column)
+            return lambda z: calls.append(len(z)) or evaluate(z)
+
+        class Recording(runner_module._ProgressObs):
+            def __init__(self, callback):
+                super().__init__(callback)
+                runs.append(self)
+
+        monkeypatch.setattr(AxialLandscape, "stacked_derivative", spy)
+        monkeypatch.setattr(runner_module, "_ProgressObs", Recording)
+        spec = CampaignSpec.from_dict(self.GRID)
+        assert spec.window == DEFAULT_WINDOW >= spec.n_tasks == 32
+
+        def iterations(proto):
+            """Loop iterations of one cell pulled alone (the first
+            evaluation is the engine's set-up shape check)."""
+            del calls[:]
+            run_streamed_study(
+                ReducedTranslocationModel(default_reduced_potential()),
+                [proto], n_samples=spec.n_samples,
+                samples_per_task=spec.samples_per_task, seed=spec.seed,
+                store=None, n_records=spec.n_records)
+            return len(calls) - 1
+
+        alone = [iterations(proto) for proto in spec.protocols()]
+        rows = [alone[:2], alone[2:]]                   # kappa-major grid
+        del calls[:]
+        created = app.handle(_post("/v1/campaigns", body=self.GRID))
+        assert created.json()["state"] == "completed"
+        [run] = runs
+        assert len(run.tracer.named("smd.ensemble")) == 1
+        assert len(calls) - 1 == max(alone) < sum(max(row) for row in rows)
+
+    def test_window_never_changes_the_served_result(self, tmp_path):
+        served = set()
+        for window in (1, 16, None):
+            spec = dict(self.GRID)
+            if window is not None:
+                spec["window"] = window
+            service = build_service(os.fspath(tmp_path / f"w{window}"),
+                                    inline=True, sync=False)
+            try:
+                cid = service.handle(
+                    _post("/v1/campaigns", body=spec)).json()["id"]
+                fetched = service.handle(_get(f"/v1/campaigns/{cid}/result"))
+            finally:
+                service.runner.close()
+            assert fetched.status == 200
+            served.add((fetched.body, fetched.headers["ETag"]))
+        assert len(served) == 1
 
 
 class TestConcurrentSubmissions:

@@ -59,6 +59,22 @@ class TestCanonicalJson:
         with pytest.raises(StoreError):
             canonical_json({"x": object()})
 
+    def test_refusals_name_the_json_path(self):
+        record = {"result": {"works": [[0.0, 1.5, 2.5, float("nan")]]}}
+        with pytest.raises(StoreError, match=r"non-finite value at "
+                           r"\$\.result\.works\[0\]\[3\] "):
+            canonical_json(record)
+        with pytest.raises(StoreError,
+                           match=r"non-string key 1 at \$\.a\[0\]\.b "):
+            canonical_json({"a": [{"b": {1: "x"}}]})
+        with pytest.raises(StoreError,
+                           match=r"type object at \$\.x\[1\]\[1\] "):
+            canonical_json({"x": [1, (2, object())]})
+        with pytest.raises(StoreError, match=r"non-finite value at \$\.f "):
+            canonical_json({"f": np.float64("inf")})
+        with pytest.raises(StoreError, match=r"non-finite value at \$ "):
+            canonical_json(float("-inf"))
+
 
 class TestTaskFingerprint:
     def test_is_sha256_hex(self, model, proto):
@@ -203,6 +219,35 @@ class TestFingerprintProperties:
             assert task_fingerprint(changed) != task_fingerprint(task)
         else:
             assert task_fingerprint(changed) == task_fingerprint(task)
+
+
+class TestCanonicalJsonProperties:
+    @given(json_values)
+    @settings(max_examples=100, deadline=None)
+    def test_plain_json_is_sorted_compact_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                       width=64),
+                             min_size=3, max_size=3), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_float_arrays_and_scalars_read_as_their_python_forms(self, rows):
+        array = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+        assert canonical_json(array) == canonical_json(array.tolist())
+        assert canonical_json({"a": array}) == canonical_json(
+            {"a": array.tolist()})
+        for value in array.ravel():
+            assert canonical_json(value) == canonical_json(float(value))
+
+    @given(st.lists(st.integers(min_value=-2**62, max_value=2**62),
+                    max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_int_arrays_and_scalars_read_as_their_python_forms(self, values):
+        array = np.array(values, dtype=np.int64)
+        assert canonical_json(array) == canonical_json(array.tolist())
+        assert [canonical_json(v) for v in array] == [
+            canonical_json(int(v)) for v in array]
 
 
 # -- direction-aware identity ------------------------------------------------
