@@ -19,9 +19,10 @@ The runner is the piece that turns the HTTP surface into the paper's
   argument exactly as the store module states it.
 
 Progress streaming rides the existing obs metrics: the runner wraps each
-run in a :class:`_ProgressObs` whose ``stream.*`` counter increments are
-mirrored into the campaign's durable event log, which the API's
-``/events`` endpoint long-polls or streams.
+run in a :class:`_ProgressObs` that turns every ``stream.*`` counter
+increment into a progress event and commits each executor window's events
+to the campaign's durable event log as one append, which the API's
+``/events`` endpoint long-polls.
 
 Cancellation uses the streaming executor's chaos hook: the per-campaign
 fault callback raises :class:`~repro.errors.CampaignInterrupted` before
@@ -32,6 +33,7 @@ same argument as a process kill, which is what the hook models).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
@@ -58,31 +60,52 @@ RESULT_SCHEMA = "repro.service.result/v1"
 _PROGRESS_COUNTERS = ("stream.hits", "stream.computed",
                       "stream.dead_lettered")
 
+#: The executor's end-of-window signal: the progress events buffered
+#: since the last one are committed together.
+_WINDOW_COUNTER = "stream.windows"
+
 
 class _ProgressObs(Obs):
-    """An obs handle that tees ``stream.*`` counter traffic to a callback.
+    """An obs handle that turns ``stream.*`` counter traffic into progress
+    events, committed once per executor window.
 
     The streaming executor already increments ``stream.hits`` /
-    ``stream.computed`` / ``stream.dead_lettered`` per resolved task; this
-    subclass forwards each increment (with running totals) so the runner
-    can append progress events without the executor knowing the service
-    exists.
+    ``stream.computed`` / ``stream.dead_lettered`` per resolved task and
+    ``stream.windows`` per finished window step; this subclass buffers one
+    progress event (with running totals) per task increment and hands the
+    window's events to ``commit`` in one call, so the runner appends a
+    window's progress with one fsync without the executor knowing the
+    service exists.  :meth:`flush` commits what a window that did not
+    finish (a cancel, a failure) had already resolved.
     """
 
-    def __init__(self, callback: Callable[[Dict[str, float]], None]) -> None:
+    def __init__(self, commit: Callable[..., Any], total: int) -> None:
         super().__init__()
-        self._callback = callback
+        self._commit = commit
+        self._total = total
+        self._window: List[Dict[str, Any]] = []
 
     def inc(self, name: str, amount: float = 1.0) -> None:
         super().inc(name, amount)
         if name in _PROGRESS_COUNTERS:
             totals = {
                 counter.split(".", 1)[1]:
-                    (self.metrics.counter(counter).value
-                     if counter in self.metrics else 0.0)
+                    int(self.metrics.counter(counter).value
+                        if counter in self.metrics else 0)
                 for counter in _PROGRESS_COUNTERS
             }
-            self._callback(totals)
+            self._window.append({
+                "kind": "progress", **totals,
+                "resolved": sum(totals.values()), "total": self._total,
+            })
+        elif name == _WINDOW_COUNTER:
+            self.flush()
+
+    def flush(self) -> None:
+        """Commit the buffered progress events, if any."""
+        if self._window:
+            events, self._window = self._window, []
+            self._commit(*events)
 
 
 class CampaignRunner:
@@ -252,17 +275,6 @@ class CampaignRunner:
                            sum(1 for r in self.state.list()
                                if r.state == "running"))
 
-        def on_progress(totals: Dict[str, float]) -> None:
-            resolved = int(sum(totals.values()))
-            self.state.append_event(record.id, {
-                "kind": "progress",
-                "hits": int(totals.get("hits", 0)),
-                "computed": int(totals.get("computed", 0)),
-                "dead_lettered": int(totals.get("dead_lettered", 0)),
-                "resolved": resolved,
-                "total": spec.n_tasks,
-            })
-
         def fault(task: Any, attempt: int) -> None:
             if cancel.is_set():
                 raise CampaignInterrupted(
@@ -271,15 +283,22 @@ class CampaignRunner:
                 self.task_fault(record.id, task, attempt)
 
         model = ReducedTranslocationModel(default_reduced_potential())
-        run_obs = _ProgressObs(on_progress)
+        run_obs = _ProgressObs(
+            functools.partial(self.state.append_event, record.id),
+            spec.n_tasks)
         try:
-            merged, report = run_streamed_study(
-                model, spec.protocols(), n_samples=spec.n_samples,
-                samples_per_task=spec.samples_per_task, seed=spec.seed,
-                store=self.store, window=spec.window, dlq=self.dlq,
-                retry=self.retry, fault=fault, n_records=spec.n_records,
-                obs=run_obs,
-            )
+            try:
+                merged, report = run_streamed_study(
+                    model, spec.protocols(), n_samples=spec.n_samples,
+                    samples_per_task=spec.samples_per_task, seed=spec.seed,
+                    store=self.store, window=spec.window, dlq=self.dlq,
+                    retry=self.retry, fault=fault, n_records=spec.n_records,
+                    obs=run_obs,
+                )
+            finally:
+                # Progress of tasks already resolved precedes the terminal
+                # state event, also when the run stopped mid-window.
+                run_obs.flush()
         except CampaignInterrupted:
             self._finish(record, "cancelled", detail="cancelled mid-stream")
             return

@@ -20,9 +20,11 @@ Three properties the tests pin down:
   history.
 * **Durability discipline matches the store**: records are replaced via
   write-tmp → fsync → ``os.replace`` (a crash leaves the old record, never
-  a torn one); events are fsync'd appends whose reader tolerates a torn
-  final line.  A watcher's ``since=<seq>`` read seeks to the first new
-  event instead of re-parsing the log (see :meth:`ServiceState.read_events`).
+  a torn one); events are fsync'd appends — one per lifecycle change, one
+  per executor window for the progress events that window resolved — whose
+  reader tolerates a torn final line.  A watcher's ``since=<seq>`` read
+  seeks to the first new event instead of re-parsing the log (see
+  :meth:`ServiceState.read_events`).
 * **Results are content-keyed by spec fingerprint**, not campaign id:
   coalesced campaigns share one result document the same way they share
   store records, and a later identical submission is served from it
@@ -364,12 +366,15 @@ class ServiceState:
 
     # -- events ----------------------------------------------------------------
 
-    def append_event(self, campaign_id: str, event: Dict[str, Any]) -> int:
-        """Append one event (sequence number assigned here); returns it.
+    def append_event(self, campaign_id: str, *events: Dict[str, Any]) -> int:
+        """Append ``events`` in order, sequence numbers assigned here, as one
+        durable append; returns the last one's seq.
 
         Events are the progress-streaming substrate: each carries a
         per-campaign monotonic ``seq`` so clients can long-poll with
-        ``since=<last seen seq>`` and never miss or re-see an event.
+        ``since=<last seen seq>`` and never miss or re-see an event.  A
+        lifecycle change appends one event; the runner appends a window's
+        progress events together, so they cost one fsync, not one each.
         """
         from ..store.fingerprint import canonical_json
 
@@ -380,24 +385,29 @@ class ServiceState:
                 existing = self.read_events(campaign_id)
                 self._event_counts[campaign_id] = (
                     existing[-1]["seq"] if existing else 0)
-            seq = self._event_counts[campaign_id] + 1
-            self._event_counts[campaign_id] = seq
-            # The fsync is deliberately under the lock: the event's seq
+            first = self._event_counts[campaign_id] + 1
+            lines = [canonical_json({"seq": seq, **event})
+                     for seq, event in enumerate(events, first)]
+            last = first + len(lines) - 1
+            self._event_counts[campaign_id] = last
+            # The fsync is deliberately under the lock: the events' seq
             # order must match the file's append order, and the lock is
-            # what serializes appenders.  Single-writer, tiny line, and
-            # the durability contract ("seq N returned => event N on
-            # disk") needs the fsync inside.
-            line = canonical_json({"seq": seq, **event})
+            # what serializes appenders.  Single-writer, a few short lines,
+            # and the durability contract ("seq N returned => events up to
+            # N on disk") needs the fsync inside.
             start = append_line(  # spice: noqa SPICE303
-                self._events_path(campaign_id), line, sync=self._sync)
+                self._events_path(campaign_id), *lines, sync=self._sync)
             index = self._event_index.get(campaign_id)
             if index is not None and index.end == start:
-                index.add(seq, start, start + len(line.encode("utf-8")) + 1)
+                for seq, line in enumerate(lines, first):
+                    end = start + len(line.encode("utf-8")) + 1
+                    index.add(seq, start, end)
+                    start = end
             else:
-                # Bytes the index never saw precede this line (a repaired
+                # Bytes the index never saw precede these lines (a repaired
                 # torn tail, an outside rewrite): the next read rebuilds it.
                 self._event_index.pop(campaign_id, None)
-            return seq
+            return last
 
     def read_events(self, campaign_id: str, *,
                     since: int = 0) -> List[Dict[str, Any]]:
@@ -503,18 +513,22 @@ def _read_from(path: str, since: int, offset: int, expect: int,
 
 
 def _parse_event(line: str) -> Optional[Dict[str, Any]]:
-    """One log line as an event document, ``None`` when it is not one."""
+    """One log line as an event document, ``None`` when it is not one: not
+    a JSON object, or its ``seq`` is not an integer (``true`` is not)."""
     try:
         doc = json.loads(line)
     except ValueError:
         return None
-    return doc if isinstance(doc, dict) else None
+    if not isinstance(doc, dict):
+        return None
+    seq = doc.get("seq")
+    return doc if isinstance(seq, int) and not isinstance(seq, bool) \
+        else None
 
 
 def _newer(docs: List[Optional[Dict[str, Any]]],
            since: int) -> List[Dict[str, Any]]:
-    return [doc for doc in docs
-            if doc is not None and doc.get("seq", 0) > since]
+    return [doc for doc in docs if doc is not None and doc["seq"] > since]
 
 
 def _id_number(campaign_id: str) -> Optional[int]:

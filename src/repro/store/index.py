@@ -21,13 +21,14 @@ Design rules (enforced by lint rule SPICE106):
   write-tmp → fsync → ``os.replace``; appends fsync before returning.
 
 The line-log (:func:`append_line` / :func:`read_complete_lines`) is that
-append discipline plus its reader: a line is written, flushed and fsync'd,
-and a reader drops a final line with no trailing newline because a crash
-tore it.  INDEX files, the service's per-campaign event logs and
-``DLQ.jsonl`` all go through it; what a *complete* but unparsable line
-means is each consumer's own policy.  ``append_line`` returns where its
-line starts and ``read_complete_lines`` reads from such an offset, so a
-consumer that remembers offsets reads only what was appended since.
+append discipline plus its reader: a batch of lines is written in one
+write, flushed and fsync'd once, and a reader drops a final line with no
+trailing newline because a crash tore it.  INDEX files, the service's
+per-campaign event logs and ``DLQ.jsonl`` all go through it; what a
+*complete* but unparsable line means is each consumer's own policy.
+``append_line`` returns where its first line starts and
+``read_complete_lines`` reads from such an offset, so a consumer that
+remembers offsets reads only what was appended since.
 """
 
 from __future__ import annotations
@@ -85,16 +86,16 @@ def atomic_write_text(path: str, text: str, *, sync: bool = True) -> None:
     os.replace(tmp, path)
 
 
-def append_line(path: str, line: str, *, sync: bool = True) -> int:
-    """Append ``line`` plus a newline to a text log, durably; returns the
-    byte offset at which ``line`` starts.
+def append_line(path: str, *lines: str, sync: bool = True) -> int:
+    """Append ``lines``, each plus a newline, to a text log in one write and
+    one fsync; returns the byte offset at which the first line starts.
 
     A crash mid-append leaves at most one torn final line, which
     :func:`read_complete_lines` drops on the next read.  The next append
     terminates such a fragment first, so it stays one unparsable line of
     its own instead of swallowing the entry written after the restart.
     """
-    data = (line + "\n").encode("utf-8")
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
     with _open_creating_dir(path, "a+b") as handle:
         start = handle.seek(0, os.SEEK_END)
         if start:

@@ -140,7 +140,9 @@ def run_streamed_tasks(
     — store hits loaded, the misses of the plan, whatever cells they belong
     to, pulled in one stacked engine call, everything ``put`` in stream
     order.  ``store=None`` runs the same loop with no membership: every
-    task is computed.
+    task is computed.  ``obs`` counts ``stream.hits`` / ``stream.computed``
+    / ``stream.dead_lettered`` per resolved task and ``stream.windows``
+    once each window step has finished.
 
     Resume semantics: every task is resolved by store membership — loaded
     from the per-shard indexes once, O(changed shards) — so a re-run loads
@@ -196,6 +198,7 @@ def run_streamed_tasks(
             if ensemble is not None:
                 report.results[spec.index] = ensemble
         pending.clear()
+        obs.inc("stream.windows")
 
     for spec in tasks:
         pending.append(spec)

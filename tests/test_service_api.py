@@ -156,8 +156,8 @@ class TestDefaultWindow:
             return lambda z: calls.append(len(z)) or evaluate(z)
 
         class Recording(runner_module._ProgressObs):
-            def __init__(self, callback):
-                super().__init__(callback)
+            def __init__(self, *args):
+                super().__init__(*args)
                 runs.append(self)
 
         monkeypatch.setattr(AxialLandscape, "stacked_derivative", spy)
@@ -364,6 +364,124 @@ class TestEvents:
         response = app.handle(_get(f"/v1/campaigns/{cid}/events",
                                    query={"since": "soon"}))
         assert response.status == 400
+
+
+    def test_a_non_integer_seq_line_does_not_break_the_read(self, app):
+        cid = app.handle(_post("/v1/campaigns")).json()["id"]
+        before = app.handle(_get(f"/v1/campaigns/{cid}/events")).text
+        path = os.path.join(app.runner.state.root, "events", cid + ".jsonl")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq":"7"}\n{"seq":true}\n')
+        for query in ({}, {"since": "1"}):
+            response = app.handle(_get(f"/v1/campaigns/{cid}/events",
+                                       query=query))
+            assert response.status == 200
+            assert response.text == "".join(
+                before.splitlines(keepends=True)[int(query.get("since", 0)):])
+
+
+def _event_log(service, cid):
+    """One campaign's event log: its bytes and its parsed lines."""
+    path = os.path.join(service.runner.state.root, "events", cid + ".jsonl")
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return data, [json.loads(line) for line in data.splitlines()]
+
+
+class TestWindowProgress:
+    """Progress events are committed once per executor window: the same
+    lines, seqs and order as one append per event, at one fsync a window."""
+
+    FIRST = {"kappas": [0.1], "velocities": [12.5], "n_samples": 8,
+             "samples_per_task": 2, "n_records": 9}
+    #: FIRST's four tasks are hits here; the kappa=0.2 cell's four are
+    #: computed, but for task 6, which dead-letters.  Windows of 3 tasks.
+    MIXED = dict(FIRST, kappas=[0.1, 0.2], window=3)
+    #: 64 one-replica tasks: one default window.
+    WIDE = {"kappas": [100.0], "velocities": [25.0], "n_samples": 64,
+            "samples_per_task": 1, "n_records": 5, "distance": 0.5,
+            "equilibration_ns": 0.001}
+
+    def _transcript(self, root):
+        def fault(cid, task, attempt):
+            if cid == "c-000002" and task.index == 6:
+                raise PermanentTaskFailure("injected pore collapse")
+
+        service = build_service(root, inline=True, sync=True,
+                                task_fault=fault)
+        try:
+            ids = [service.handle(_post("/v1/campaigns", body=body))
+                   .json()["id"] for body in (self.FIRST, self.MIXED)]
+            return [_event_log(service, cid) for cid in ids]
+        finally:
+            service.runner.close()
+
+    def test_the_transcript_is_that_of_one_append_per_event(
+            self, tmp_path, monkeypatch):
+        batched = self._transcript(os.fspath(tmp_path / "batched"))
+        append_event = ServiceState.append_event
+
+        def one_per_call(state, campaign_id, *events):
+            for event in events:
+                seq = append_event(state, campaign_id, event)
+            return seq
+
+        monkeypatch.setattr(ServiceState, "append_event", one_per_call)
+        reference = self._transcript(os.fspath(tmp_path / "reference"))
+        assert [data for data, _ in batched] == \
+            [data for data, _ in reference]
+        _, events = batched[1]
+        assert events[-1]["state"] == "degraded"
+        assert [(e["hits"], e["computed"], e["dead_lettered"])
+                for e in events if e["kind"] == "progress"] == [
+            (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (4, 1, 0),
+            (4, 2, 0), (4, 2, 1), (4, 3, 1)]
+
+    @pytest.mark.parametrize("window, windows", [(None, 1), (16, 4)])
+    def test_one_event_fsync_per_window_and_lifecycle_event(
+            self, tmp_path, monkeypatch, window, windows):
+        synced = []
+        fsync = os.fsync
+
+        def spy(fd):
+            stat = os.fstat(fd)
+            synced.append((stat.st_dev, stat.st_ino))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        body = dict(self.WIDE) if window is None \
+            else dict(self.WIDE, window=window)
+        service = build_service(os.fspath(tmp_path / "store"), inline=True,
+                                sync=True)
+        try:
+            cid = service.handle(_post("/v1/campaigns", body=body)).json()["id"]
+            _, events = _event_log(service, cid)
+        finally:
+            service.runner.close()
+        assert [e["state"] for e in events if e["kind"] == "state"] == [
+            "pending", "running", "completed"]
+        assert len(events) == 64 + 3
+        log = os.stat(os.path.join(service.runner.state.root, "events",
+                                   cid + ".jsonl"))
+        assert synced.count((log.st_dev, log.st_ino)) == windows + 3
+
+    def test_a_cancel_commits_the_resolved_progress_first(self, tmp_path):
+        def fault(cid, task, attempt):
+            if task.index == 2:     # the first task of the second window
+                service.runner.cancel(cid)
+
+        service = build_service(os.fspath(tmp_path / "store"), inline=True,
+                                sync=False, task_fault=fault)
+        try:
+            body = dict(SPEC, n_samples=12, window=2)           # 6 tasks
+            cid = service.handle(_post("/v1/campaigns", body=body)).json()["id"]
+            _, events = _event_log(service, cid)
+        finally:
+            service.runner.close()
+        # Task 2 was put before task 3's cancel check raised mid-window.
+        assert service.runner.store.writes == 3
+        assert [e.get("state") or e["resolved"] for e in events] == [
+            "pending", "running", 1, 2, 3, "cancelled"]
 
 
 class TestDlqRetry:

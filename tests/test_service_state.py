@@ -171,8 +171,8 @@ class TestEvents:
         seen = []
         append_line = state_module.append_line
 
-        def append_then_read(path, line, sync=True):
-            start = append_line(path, line, sync=sync)
+        def append_then_read(path, *lines, sync=True):
+            start = append_line(path, *lines, sync=sync)
             # The line is in the log; the index does not know it yet.
             seen.append(state.read_events(record.id, since=2))
             return start
@@ -180,6 +180,63 @@ class TestEvents:
         monkeypatch.setattr(state_module, "append_line", append_then_read)
         seq = state.append_event(record.id, {"kind": "progress"})
         assert [[e["seq"] for e in batch] for batch in seen] == [[seq]]
+
+    def test_a_batch_is_one_append_in_seq_order(self, state, monkeypatch):
+        record = state.create("ada", SPEC_DOC, "fp-1")     # seq 1
+        appends = []
+        append_line = state_module.append_line
+
+        def recording(path, *lines, sync=True):
+            appends.append(len(lines))
+            return append_line(path, *lines, sync=sync)
+
+        monkeypatch.setattr(state_module, "append_line", recording)
+        last = state.append_event(record.id, *({"kind": "progress",
+                                                "resolved": resolved}
+                                               for resolved in range(5)))
+        assert last == 6 and appends == [5]
+        events = state.read_events(record.id)
+        assert [e["seq"] for e in events] == [1, 2, 3, 4, 5, 6]
+        assert [e["resolved"] for e in events[1:]] == [0, 1, 2, 3, 4]
+
+    def test_a_read_seeks_into_the_middle_of_a_batch(self, state,
+                                                     monkeypatch):
+        record = state.create("ada", SPEC_DOC, "fp-1")     # seq 1
+        assert len(state.read_events(record.id)) == 1      # index seeded
+        state.append_event(record.id, *({"kind": "progress",
+                                         "resolved": resolved}
+                                        for resolved in range(5)))
+        reads = []
+        read_complete_lines = state_module.read_complete_lines
+
+        def recording(path, offset=0):
+            reads.append(offset)
+            return read_complete_lines(path, offset)
+
+        monkeypatch.setattr(state_module, "read_complete_lines", recording)
+        assert [e["seq"] for e in state.read_events(record.id, since=3)] \
+            == [4, 5, 6]
+        assert state.read_events(record.id, since=6) == []
+        path = os.path.join(state.root, "events", record.id + ".jsonl")
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        # One read, from where seq 4 starts; never the whole log.
+        assert reads == [sum(len(line) + 1 for line in lines[:3])]
+
+    def test_a_non_integer_seq_line_is_skipped(self, state):
+        record = state.create("ada", SPEC_DOC, "fp-1")     # seq 1
+        state.append_event(record.id, {"kind": "progress"})
+        path = os.path.join(state.root, "events", record.id + ".jsonl")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq":"7"}\n{"seq":true}\n{"kind":"progress"}\n')
+        assert [e["seq"] for e in state.read_events(record.id)] == [1, 2]
+        assert [e["seq"] for e in state.read_events(record.id, since=1)] \
+            == [2]
+        assert state.read_events(record.id, since=2) == []
+        reborn = ServiceState(state.root, sync=False)
+        assert reborn.append_event(record.id, {"kind": "progress"}) == 3
+        assert [e["seq"] for e in reborn.read_events(record.id, since=1)] \
+            == [2, 3]
 
     def test_an_outside_rewrite_is_noticed_and_reindexed(self, state,
                                                          monkeypatch):
