@@ -16,6 +16,13 @@ Fingerprints are SHA-256 digests of a canonical JSON form:
   exactly, so the canonical form is also the storage form;
 * a ``schema_version`` mixed into every digest, so evolving the task
   vocabulary invalidates old records instead of mis-hitting on them.
+
+The text comes from the C JSON encoder (one module-level instance) after
+a walk over the containers alone has checked that every dict key is a
+``str``.  The encoder refuses exactly what the canonical form forbids —
+NaN/Inf, unknown types — and only then does the Python walk
+(:func:`_normalize`) run, to name the refused value and its JSON path.
+Every text and every refusal is the one the walk alone would produce.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -104,6 +111,45 @@ def _normalize(value: Any) -> Any:
     raise _Refused(f"value of type {type(value).__name__}")
 
 
+def _encode_default(value: Any) -> Any:
+    """The encoder's hook for the NumPy types the walk normalizes."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return _normalize(value.tolist())
+    raise TypeError(f"value of type {type(value).__name__}")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            allow_nan=False, default=_encode_default)
+
+#: Leaf types a container may hold without being walked into.
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+
+
+def _keys_are_str(value: Any) -> bool:
+    """True when every dict key inside ``value`` is a ``str``.
+
+    The encoder would write an ``int``/``float``/``bool``/``None`` key as
+    a string instead of refusing it.  Only containers are walked: the
+    keys of a dict and a list of plain scalars are each cleared by one
+    pass over their types.
+    """
+    if isinstance(value, dict):
+        if not (_STR.issuperset(map(type, value))
+                or all(isinstance(key, str) for key in value)):
+            return False
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return True
+    return _LEAVES.issuperset(map(type, items)) or all(map(_keys_are_str, items))
+
+
 def canonical_json(value: Any) -> str:
     """The unique JSON text of ``value``: sorted keys, no whitespace.
 
@@ -112,6 +158,12 @@ def canonical_json(value: Any) -> str:
     recovers ``x`` exactly and re-serializing is byte-identical — the
     property the record round-trip tests pin.
     """
+    try:
+        if _keys_are_str(value):
+            return _ENCODER.encode(value)
+    except (TypeError, ValueError, RecursionError, _Refused):
+        pass
+    # Refused (or a key the encoder would coerce): the walk names why.
     try:
         plain = _normalize(value)
     except _Refused as exc:
@@ -157,10 +209,10 @@ def _protocol_fields(protocol: PullingProtocol) -> Dict[str, Any]:
     Forward and reverse can therefore never collide — one form omits the
     key, the other carries it.
     """
-    fields = asdict(protocol)
-    if fields.get("direction") == "forward":
-        del fields["direction"]
-    return fields
+    out = {f.name: getattr(protocol, f.name) for f in fields(protocol)}
+    if out.get("direction") == "forward":
+        del out["direction"]
+    return out
 
 
 def _model_fields(model: Any) -> Dict[str, Any]:

@@ -8,19 +8,37 @@ every read, so a corrupted or hand-edited record cannot masquerade as a
 valid cache entry.  Serialization reuses :func:`~repro.store.fingerprint.
 canonical_json`, so ``dumps(loads(text)) == text`` byte for byte — the
 round-trip property that makes resumed campaigns bit-identical.
+
+The recomputation hashes the stored task's *bytes*.  ``task`` sorts
+last, so a text :func:`dumps_record` wrote ends
+``,"schema":"repro.store.record/v1","task":T}`` and a newline, and T is
+the task's canonical JSON: ``task_fingerprint(task)`` is the SHA-256 of
+``{"schema_version":1,"task":`` + T + ``}``, with no Python walk over the
+parsed task.  Any other text — reformatted, reordered, a ``task`` member
+that is not the last — is checked by re-hashing the parsed task, as is
+a text whose bytes do not hash to its fingerprint.  Both checks accept
+the same records: bytes that hash to a fingerprint some writer computed
+are that task's canonical text, barring a SHA-256 collision.  ``NaN``
+and ``Infinity``, which the writer refuses, are refused on read too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import StoreCorruptionError
 from ..smd.protocol import PullingProtocol
 from ..smd.work import WorkEnsemble
-from .fingerprint import RECORD_SCHEMA, canonical_json, task_fingerprint
+from .fingerprint import (
+    RECORD_SCHEMA,
+    STORE_SCHEMA_VERSION,
+    canonical_json,
+    task_fingerprint,
+)
 
 __all__ = [
     "encode_ensemble",
@@ -35,6 +53,12 @@ _PROTOCOL_FIELDS = ("kappa_pn", "velocity", "distance", "start_z",
                     "equilibration_ns")
 _RESULT_FIELDS = ("protocol", "displacements", "works", "positions",
                   "temperature", "cpu_hours")
+
+#: What precedes the task in the text :func:`dumps_record` writes.
+_TASK_MARKER = f',"schema":"{RECORD_SCHEMA}","task":'
+#: ``task_fingerprint`` hashes this, the task's canonical JSON, then "}".
+_FINGERPRINT_HEAD = f'{{"schema_version":{STORE_SCHEMA_VERSION},"task":'
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def _encode_protocol(protocol: PullingProtocol) -> Dict[str, Any]:
@@ -105,6 +129,14 @@ def validate_record(record: Any, expected_fingerprint: str = "") -> Dict[str, An
     stored task and, when given, the ``expected_fingerprint`` the caller
     looked the record up under.
     """
+    return _validate(record, expected_fingerprint, None)
+
+
+def _validate(record: Any, expected_fingerprint: str,
+              task_text: Optional[str]) -> Dict[str, Any]:
+    """:func:`validate_record`, where ``task_text`` (when not ``None``) is
+    the stored task's text: bytes that hash to the stored fingerprint
+    stand for the parsed task's re-hash."""
     if not isinstance(record, dict):
         raise StoreCorruptionError("record is not a JSON object")
     schema = record.get("schema")
@@ -113,16 +145,19 @@ def validate_record(record: Any, expected_fingerprint: str = "") -> Dict[str, An
             f"record schema is {schema!r}, expected {RECORD_SCHEMA!r}")
     fingerprint = record.get("fingerprint")
     if not (isinstance(fingerprint, str) and len(fingerprint) == 64
-            and all(c in "0123456789abcdef" for c in fingerprint)):
+            and _HEX_DIGITS.issuperset(fingerprint)):
         raise StoreCorruptionError("record fingerprint is not a sha256 hex digest")
     task = record.get("task")
     if not isinstance(task, dict):
         raise StoreCorruptionError("record task is not a JSON object")
-    recomputed = task_fingerprint(task)
-    if recomputed != fingerprint:
-        raise StoreCorruptionError(
-            f"stored fingerprint {fingerprint[:12]}... does not match the "
-            f"stored task (recomputed {recomputed[:12]}...)")
+    if task_text is None or hashlib.sha256(
+            (_FINGERPRINT_HEAD + task_text + "}").encode()
+    ).hexdigest() != fingerprint:
+        recomputed = task_fingerprint(task)
+        if recomputed != fingerprint:
+            raise StoreCorruptionError(
+                f"stored fingerprint {fingerprint[:12]}... does not match "
+                f"the stored task (recomputed {recomputed[:12]}...)")
     if expected_fingerprint and fingerprint != expected_fingerprint:
         raise StoreCorruptionError(
             f"record fingerprint {fingerprint[:12]}... does not match its "
@@ -136,10 +171,51 @@ def validate_record(record: Any, expected_fingerprint: str = "") -> Dict[str, An
     return record
 
 
+def _refuse_constant(name: str) -> Any:
+    raise StoreCorruptionError(f"record holds the non-finite constant {name}")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _parse_layout(text: str) -> Optional[Tuple[Dict[str, Any], str]]:
+    """``(record, T)`` for a text with the layout :func:`dumps_record`
+    writes, T being the stored task's text; ``None`` for any other text.
+
+    The text is parsed in two pieces: T, from the marker on, and the
+    members before the marker closed with ``}``.  T must end right before
+    the text's closing brace and the members before it must close with
+    one brace, so the marker sits in the top-level object and T is its
+    last member: the two pieces are the one parse of the whole text, and
+    T is the ``task`` that parse keeps.  A ``"task":`` key anywhere before
+    the marker sends the text to the whole-text parse.
+    """
+    start = text.rfind(_TASK_MARKER)
+    begin = start + len(_TASK_MARKER)
+    if (start < 0 or not text.endswith("}\n")
+            or text.find('"task":') != begin - len('"task":')):
+        return None
+    try:
+        task, end = _DECODER.raw_decode(text, begin)
+        if end != len(text) - 2:
+            return None
+        record = _DECODER.decode(text[:start] + "}")
+    except (ValueError, StoreCorruptionError):
+        return None
+    if not record:          # "{" then the marker: not JSON as a whole
+        return None
+    record["schema"] = RECORD_SCHEMA
+    record["task"] = task
+    return record, text[begin:end]
+
+
 def loads_record(text: str, expected_fingerprint: str = "") -> Dict[str, Any]:
     """Parse + validate one record document."""
+    parsed = _parse_layout(text)
+    if parsed is not None:
+        return _validate(parsed[0], expected_fingerprint, parsed[1])
     try:
-        record = json.loads(text)
+        record = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise StoreCorruptionError(f"record is not valid JSON: {exc}") from exc
-    return validate_record(record, expected_fingerprint)
+    return _validate(record, expected_fingerprint, None)

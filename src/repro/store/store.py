@@ -17,7 +17,8 @@ campaign killed mid-write) sees either the complete record or nothing —
 never a torn file.  Reads re-validate every record against its schema and
 recompute the task fingerprint; anything malformed is *evicted* (renamed to
 ``.corrupt`` for forensics) and reported as a miss, so one corrupted file
-costs one recomputation instead of a poisoned campaign.
+costs one recomputation instead of a poisoned campaign.  A read opens the
+record once, with no existence probe first: a missing file is a miss.
 
 Why the indexes: enumerating content by walking the record tree is
 O(records) per fresh process — fatal for a million-task resume.  Every
@@ -275,19 +276,24 @@ class ResultStore:
         the caller sees an ordinary miss and recomputes.
         """
         path = self.path_for(fingerprint)
-        if not os.path.isfile(path):
-            self.misses += 1
-            self._count("store.misses")
-            return None
         try:
-            record = self.read_record(fingerprint)
+            # One open, no probe: a record that is absent (or vanishes
+            # before the read) is a miss like one that never existed.
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            record = loads_record(text, expected_fingerprint=fingerprint)
             ensemble = decode_ensemble(record["result"])
-        except (StoreError, ConfigurationError, KeyError, TypeError,
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            ensemble = None
+        except (OSError, StoreError, ConfigurationError, KeyError, TypeError,
                 ValueError) as exc:
             # StoreCorruptionError covers schema/fingerprint defects; the
-            # rest are payloads that parse but cannot rebuild a valid
-            # ensemble (wrong shapes, non-monotonic grids, bad protocol).
+            # rest are unreadable files and payloads that parse but cannot
+            # rebuild a valid ensemble (wrong shapes, non-monotonic grids,
+            # bad protocol).
             self._evict(fingerprint, exc)
+            ensemble = None
+        if ensemble is None:
             self.misses += 1
             self._count("store.misses")
             return None
@@ -296,14 +302,22 @@ class ResultStore:
         return ensemble
 
     def _evict(self, fingerprint: str, reason: Exception) -> None:
-        """Quarantine one record and drop it from its shard's INDEX."""
+        """Quarantine one record and drop it from its shard's INDEX.
+
+        A record already gone (removed since it was read) has nothing to
+        quarantine and counts no eviction; it still leaves the INDEX.
+        """
         path = self.path_for(fingerprint)
-        self.evictions += 1
-        self._count("store.corrupt_evicted")
-        if self._obs.enabled:
-            self._obs.event("store.evict", path=os.path.basename(path),
-                            reason=str(reason)[:200])
-        os.replace(path, path + ".corrupt")
+        try:
+            os.replace(path, path + ".corrupt")
+        except FileNotFoundError:
+            pass
+        else:
+            self.evictions += 1
+            self._count("store.corrupt_evicted")
+            if self._obs.enabled:
+                self._obs.event("store.evict", path=os.path.basename(path),
+                                reason=str(reason)[:200])
         rewrite_index(self._index_path(fingerprint[:2]),
                       scan_shard_fingerprints(os.path.dirname(path)),
                       sync=self._sync)

@@ -11,6 +11,7 @@ from repro.errors import StoreError
 from repro.pore import ReducedTranslocationModel, default_reduced_potential
 from repro.smd import PullingProtocol
 from repro.store import canonical_json, pulling_task, pulling_task_3d, task_fingerprint
+from repro.store.fingerprint import _normalize, _Refused
 
 
 @pytest.fixture
@@ -248,6 +249,128 @@ class TestCanonicalJsonProperties:
         assert canonical_json(array) == canonical_json(array.tolist())
         assert [canonical_json(v) for v in array] == [
             canonical_json(int(v)) for v in array]
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+#: Everything the canonical form accepts, NumPy and subclasses included.
+canonical_leaves = st.one_of(
+    json_scalars,
+    st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=-2**31, max_value=2**31 - 1).map(np.int32),
+    finite_floats.map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.integers(min_value=-2**70, max_value=2**70).map(_Int),
+    finite_floats.map(_Float),
+    st.lists(finite_floats, max_size=4).map(np.array),
+    st.lists(st.integers(min_value=-2**40, max_value=2**40),
+             max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+)
+
+#: What it refuses: non-finite floats, unknown types, non-``str`` keys.
+refused_leaves = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                     np.float64("nan"), np.float32("inf"), _Float("nan"),
+                     np.array([1.0, float("nan")]), np.bool_(True),
+                     object(), 1j, b"x", {1, 2}, np.array([{1: "x"}])]),
+)
+
+
+def _containers(children, keys):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+    )
+
+
+canonical_values = st.recursive(
+    canonical_leaves,
+    lambda children: _containers(children, st.text(max_size=6)),
+    max_leaves=20,
+)
+
+any_keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.none(),
+                     st.booleans(), st.floats(width=32))
+maybe_refused_values = st.recursive(
+    st.one_of(canonical_leaves, refused_leaves),
+    lambda children: _containers(children, any_keys),
+    max_leaves=12,
+)
+
+
+def walked(value):
+    """``canonical_json`` as the Python walk alone computes it: the text,
+    or the refusal message with its JSON path."""
+    try:
+        plain = _normalize(value)
+    except _Refused as exc:
+        path = "$" + "".join(reversed(exc.where))
+        return StoreError(f"{exc.what} at {path} cannot be fingerprinted")
+    return json.dumps(plain, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def encoded(value):
+    try:
+        return canonical_json(value)
+    except StoreError as exc:
+        return exc
+
+
+class TestEncoderMatchesTheWalk:
+    """The C encoder writes every text the walk would, and leaves each
+    refusal to the walk, so its message and JSON path do not move."""
+
+    @given(canonical_values)
+    @settings(max_examples=300, deadline=None)
+    def test_text_is_the_walked_text(self, value):
+        assert canonical_json(value) == json.dumps(
+            _normalize(value), sort_keys=True, separators=(",", ":"),
+            allow_nan=False)
+
+    @given(maybe_refused_values)
+    @settings(max_examples=300, deadline=None)
+    def test_refusals_are_the_walks_refusals(self, value):
+        ours, theirs = encoded(value), walked(value)
+        if isinstance(theirs, StoreError):
+            assert isinstance(ours, StoreError)
+            assert str(ours) == str(theirs)
+        else:
+            assert ours == theirs
+
+    @pytest.mark.parametrize("value, message", [
+        ({1: "x"}, "non-string key 1 at $ "),
+        ({"a": [{None: 1}]}, "non-string key None at $.a[0] "),
+        ({"a": {True: 1, False: 2}}, "non-string key True at $.a "),
+        ({"b": 1, 2.5: "x"}, "non-string key 2.5 at $ "),
+        ([np.array([[1.0], [float("inf")]])], "non-finite value at $[0][1][0] "),
+        ({"x": (1, 1j)}, "value of type complex at $.x[1] "),
+        ({"x": [_Float("-inf")]}, "non-finite value at $.x[0] "),
+    ])
+    def test_pinned_refusals(self, value, message):
+        """Keys the encoder would coerce to strings are refused, not
+        written; every message is the walk's."""
+        with pytest.raises(StoreError) as caught:
+            canonical_json(value)
+        assert str(caught.value) == message + "cannot be fingerprinted"
+
+    def test_subclasses_write_their_plain_values(self):
+        class Loud(int):
+            def __repr__(self):
+                return "loud"
+
+        assert canonical_json({"i": Loud(3), "f": _Float(0.5),
+                               "t": (1, [2.0])}) == (
+            '{"f":0.5,"i":3,"t":[1,[2.0]]}')
 
 
 # -- direction-aware identity ------------------------------------------------

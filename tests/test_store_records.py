@@ -1,5 +1,6 @@
 """Record round-trip and ResultStore crash-consistency tests."""
 
+import hashlib
 import json
 import os
 
@@ -229,3 +230,166 @@ class TestResultStore:
         assert m.counter("store.hits").value == 1
         assert m.counter("store.misses").value == 1
         assert m.gauge("store.records").value == 1
+
+
+# -- verification by the stored task's bytes ---------------------------------
+
+_MARKER = f',"schema":"{RECORD_SCHEMA}","task":'
+
+
+def _fingerprint_of_bytes(task_text):
+    """What a record's bytes hash to: the task text inside the
+    ``task_fingerprint`` envelope."""
+    payload = '{"schema_version":1,"task":' + task_text + "}"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _verdict(load, text, expected):
+    try:
+        load(text, expected)
+    except StoreCorruptionError:
+        return "rejected"
+    return "accepted"
+
+
+def _rehash_verdict(text, expected):
+    """The parsed-task re-hash alone: every record is parsed whole and its
+    task re-fingerprinted."""
+    try:
+        record = json.loads(text)
+    except ValueError:
+        return "rejected"
+    return _verdict(validate_record, record, expected)
+
+
+def _record_texts(task, ensemble):
+    """(name, text, expected fingerprint, verdict) for each case."""
+    record = build_record(task, ensemble)
+    text = dumps_record(record)
+    fp = record["fingerprint"]
+    head, task_text = text[:-2].split(_MARKER)
+    other = json.dumps(dict(task, n_samples=99), sort_keys=True,
+                       separators=(",", ":"))
+    pretty_task = json.dumps(task, sort_keys=True, indent=1)
+    marked = dict(task, zz={"schema": RECORD_SCHEMA, "task": {"a": 1}})
+    trailing = f"{task_text},\"task\":{other}"
+    extra = f'{task_text},"zzz":1'
+    forged_trailing = _fingerprint_of_bytes(trailing)
+    forged_extra = _fingerprint_of_bytes(extra)
+    return [
+        ("canonical", text, fp, "accepted"),
+        ("reformatted", json.dumps(record, indent=2) + "\n", fp, "accepted"),
+        ("task-reformatted", f"{head}{_MARKER}{pretty_task}}}\n", fp,
+         "accepted"),
+        ("task-swapped", f"{head}{_MARKER}{other}}}\n", fp, "rejected"),
+        ("duplicate-task-first-wrong",
+         f"{head},\"task\":{other}{_MARKER}{task_text}}}\n", fp, "accepted"),
+        ("duplicate-task-last-wrong", f"{head}{_MARKER}{trailing}}}\n", fp,
+         "rejected"),
+        ("duplicate-task-bytes-forged",
+         f"{head.replace(fp, forged_trailing)}{_MARKER}{trailing}}}\n",
+         forged_trailing, "rejected"),
+        ("trailing-member", f"{head}{_MARKER}{extra}}}\n", fp, "accepted"),
+        ("trailing-member-bytes-forged",
+         f"{head.replace(fp, forged_extra)}{_MARKER}{extra}}}\n",
+         forged_extra, "rejected"),
+        ("marker-inside-task", dumps_record(build_record(marked, ensemble)),
+         task_fingerprint(marked), "accepted"),
+        ("fingerprint-edited", text.replace(fp, "0" * 64), "0" * 64,
+         "rejected"),
+        ("fingerprint-edited-unlooked", text.replace(fp, "0" * 64), "",
+         "rejected"),
+        ("expected-elsewhere", text, "f" * 64, "rejected"),
+        ("truncated", text[: len(text) // 2], fp, "rejected"),
+        ("no-newline", text[:-1], fp, "accepted"),
+        ("empty-head", "{" + text[text.index(_MARKER):], fp, "rejected"),
+    ]
+
+
+class TestVerificationByBytes:
+    """``loads_record`` hashes the stored task's bytes when the text has
+    the written layout, and re-hashes the parsed task otherwise; it
+    accepts exactly the records the re-hash alone accepts."""
+
+    def test_every_case_has_the_rehash_verdict(self, task, ensemble):
+        for name, text, expected, verdict in _record_texts(task, ensemble):
+            assert _rehash_verdict(text, expected) == verdict, name
+            assert _verdict(loads_record, text, expected) == verdict, name
+
+    def test_a_written_record_is_verified_without_rehashing(
+            self, task, ensemble, monkeypatch):
+        import repro.store.record as record_module
+
+        hashed = []
+
+        def spy(descriptor):
+            hashed.append(descriptor)
+            return task_fingerprint(descriptor)
+
+        cases = _record_texts(task, ensemble)
+        monkeypatch.setattr(record_module, "task_fingerprint", spy)
+        text = cases[0][1]
+        assert loads_record(text)["task"] == task
+        assert hashed == []
+        for name, text, expected, verdict in cases:
+            if name in ("reformatted", "task-reformatted",
+                        "duplicate-task-first-wrong", "trailing-member"):
+                del hashed[:]
+                assert _verdict(loads_record, text, expected) == verdict
+                assert len(hashed) == 1, name
+
+    def test_bytes_path_parses_as_the_whole_text(self, task, ensemble):
+        text = dumps_record(build_record(task, ensemble))
+        assert loads_record(text) == json.loads(text)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_values_are_corrupt(self, result_store, task,
+                                           ensemble, constant):
+        """The writer never emits these tokens; a record holding one is
+        evicted and recomputed, never served into a PMF."""
+        fp = result_store.put(task, ensemble)
+        path = result_store.path_for(fp)
+        with open(path, encoding="utf-8") as handle:
+            record = json.load(handle)
+        record["result"]["works"][0][1] = float(constant)
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        assert constant in text
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        with pytest.raises(StoreCorruptionError, match=constant):
+            loads_record(text + "\n")
+        assert result_store.get(fp) is None
+        assert result_store.stats()["corrupt_evicted"] == 1
+        assert os.path.exists(path + ".corrupt")
+
+
+class TestVanishingRecords:
+    """A record removed by someone else mid-read is a miss, not a crash."""
+
+    def test_a_record_gone_before_the_read_is_a_plain_miss(
+            self, result_store, task, ensemble, monkeypatch):
+        fp = result_store.put(task, ensemble)
+        os.remove(result_store.path_for(fp))
+        # Any existence probe answers as it did before the removal.
+        monkeypatch.setattr(os.path, "isfile", lambda path: True)
+        assert result_store.get(fp) is None
+        stats = result_store.stats()
+        assert (stats["misses"], stats["corrupt_evicted"]) == (1, 0)
+
+    def test_a_record_gone_before_its_eviction_is_a_miss(
+            self, result_store, task, ensemble, monkeypatch):
+        import repro.store.store as store_module
+
+        fp = result_store.put(task, ensemble)
+        path = result_store.path_for(fp)
+
+        def vanish_then_refuse(text, expected_fingerprint=""):
+            os.remove(path)
+            raise StoreCorruptionError("torn")
+
+        monkeypatch.setattr(store_module, "loads_record", vanish_then_refuse)
+        assert result_store.get(fp) is None
+        stats = result_store.stats()
+        assert (stats["misses"], stats["corrupt_evicted"]) == (1, 0)
+        assert not os.path.exists(path + ".corrupt")
+        assert fp not in result_store.fingerprint_set()

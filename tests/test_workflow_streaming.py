@@ -577,6 +577,30 @@ class TestCursorResume:
             np.testing.assert_array_equal(est.values,
                                           resumed.estimates[key].values)
 
+    def test_warm_resume_hashes_each_task_once(self, tmp_path, monkeypatch):
+        """A hit is hashed once, for membership: the record it loads is
+        verified by its stored task's bytes, not by re-hashing the task."""
+        import repro.store.fingerprint as fingerprint_module
+        import repro.store.record as record_module
+        import repro.store.store as store_module
+
+        store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
+        run_windowed(store, 4)
+        hashed = []
+        real = fingerprint_module.task_fingerprint
+
+        def spy(task):
+            hashed.append(task)
+            return real(task)
+
+        for module in (fingerprint_module, record_module, store_module):
+            monkeypatch.setattr(module, "task_fingerprint", spy)
+        warm = ResultStore(store.root, sync=False)
+        _merged, report = run_windowed(warm, 4)
+        assert (report.hits, report.computed) == (8, 0)
+        assert len(hashed) == 8
+        assert warm.stats()["hits"] == 8
+
     def test_kill_mid_stream_then_resume_bit_identical(self, tmp_path):
         """Killed at one window size, resumed at another: the records that
         survive and the final numbers do not depend on either."""
