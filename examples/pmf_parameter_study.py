@@ -19,7 +19,7 @@ from repro.smd import parameter_grid
 def main() -> None:
     model = ReducedTranslocationModel(default_reduced_potential())
     protocols = parameter_grid(distance=10.0, start_z=-5.0)
-    # The study evaluates every cell through the estimate_free_energy front
+    # The study evaluates every cell through the estimate_pmf front
     # door; "exponential" is the direct Jarzynski estimator from the
     # registry (any name in available_estimators() works here).
     assert "exponential" in available_estimators()

@@ -149,7 +149,7 @@ def cmd_pmf(args) -> CommandResult:
 
 def cmd_estimate(args) -> CommandResult:
     from .analysis import Curve, FigureData, render_figure
-    from .core import estimate_pmf, forward_reverse_pmf
+    from .core import estimate_pmf, forward_reverse_pmf, pmf_error
     from .obs import Obs
     from .pore import ReducedTranslocationModel, default_reduced_potential
     from .smd import (PullingProtocol, run_bidirectional_ensemble,
@@ -167,16 +167,17 @@ def cmd_estimate(args) -> CommandResult:
         "velocity": args.velocity,
         "n_samples": args.samples,
     }
+    extra = ""
     if args.method == "fr":
         pair = run_bidirectional_ensemble(
             model, proto, args.samples, seed=args.seed, obs=obs)
         prof = forward_reverse_pmf(pair.forward, pair.reverse)
-        z, values, cost = prof.stations, prof.pmf, prof.cpu_hours
+        est = prof.estimate
         finite = prof.diffusion[np.isfinite(prof.diffusion)]
         d_med = float(np.median(finite)) if finite.size else float("nan")
         summary.update({
-            "n_forward": prof.n_forward,
-            "n_reverse": prof.n_reverse,
+            "n_forward": pair.forward.n_samples,
+            "n_reverse": pair.reverse.n_samples,
             "median_diffusion_A2_ns": d_med,
         })
         extra = f"   D(z) median: {d_med:.0f} A^2/ns"
@@ -187,13 +188,11 @@ def cmd_estimate(args) -> CommandResult:
         if args.method == "parallel-pull" and args.group_size:
             kwargs["group_size"] = args.group_size
             summary["group_size"] = args.group_size
-        est = estimate_pmf(ens, estimator=args.method, **kwargs)
-        z = proto.start_z + est.displacements
-        values, cost = est.values, ens.cpu_hours
-        extra = ""
-    ref = model.reference_pmf(z, zero_at_start=False)
-    ref = ref - ref[0]
-    rms = float(np.sqrt(np.mean((values - ref) ** 2)))
+        est = estimate_pmf(ens, args.method, **kwargs)
+    z = proto.start_z + est.displacements
+    values, cost = est.values, est.cpu_hours
+    ref = model.reference_pmf(z)
+    rms = pmf_error(values, ref)
     fig = FigureData(f"PMF via {args.method} ({proto.label()})",
                      "z (A)", "Phi (kcal/mol)")
     fig.add(Curve(args.method, z, values))
@@ -419,20 +418,19 @@ def cmd_qos(args) -> CommandResult:
 
 def cmd_ti(args) -> CommandResult:
     from .analysis import Curve, FigureData, render_figure
-    from .core import TIProtocol, run_thermodynamic_integration
+    from .core import TIProtocol, pmf_error, run_thermodynamic_integration
     from .pore import ReducedTranslocationModel, default_reduced_potential
 
     model = ReducedTranslocationModel(default_reduced_potential())
     res = run_thermodynamic_integration(
         model, TIProtocol(n_stations=args.stations),
         n_replicas=args.replicas, seed=args.seed)
-    ref = model.reference_pmf(res.mean_positions, zero_at_start=False)
-    ref = ref - ref[0]
+    ref = model.reference_pmf(res.mean_positions)
     fig = FigureData("thermodynamic-integration PMF",
                      "displacement (A)", "Phi (kcal/mol)")
     fig.add(Curve("TI", res.pmf.displacements, res.pmf.values))
     fig.add(Curve("exact", res.pmf.displacements, ref))
-    rms = float(np.sqrt(np.mean((res.pmf.values - ref) ** 2)))
+    rms = pmf_error(res.pmf.values, ref)
     lines = [
         render_figure(fig),
         f"\nrms error: {rms:.2f} "

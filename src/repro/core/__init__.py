@@ -8,12 +8,6 @@ from .jarzynski import (
     block_estimator,
     jarzynski_bias_estimate,
 )
-from .estimators import (
-    available_estimators,
-    estimate_free_energy,
-    paired_estimators,
-    register_estimator,
-)
 from .fr import (
     FRProfile,
     default_group_size,
@@ -21,12 +15,18 @@ from .fr import (
     fr_estimator,
     parallel_pull_estimator,
 )
-from .pmf import PMFEstimate, estimate_pmf
+from .pmf import (
+    PMFEstimate,
+    available_estimators,
+    check_estimator,
+    estimate_pmf,
+    register_estimator,
+)
 from .error_analysis import (
     bootstrap_statistical_error,
     cost_normalization_factor,
     cost_normalized_error,
-    systematic_error,
+    pmf_error,
     pairwise_consistency,
     ErrorBudget,
     analyze_ensemble,
@@ -49,8 +49,7 @@ __all__ = [
     "block_estimator",
     "jarzynski_bias_estimate",
     "available_estimators",
-    "estimate_free_energy",
-    "paired_estimators",
+    "check_estimator",
     "register_estimator",
     "FRProfile",
     "default_group_size",
@@ -62,7 +61,7 @@ __all__ = [
     "bootstrap_statistical_error",
     "cost_normalization_factor",
     "cost_normalized_error",
-    "systematic_error",
+    "pmf_error",
     "pairwise_consistency",
     "ErrorBudget",
     "analyze_ensemble",

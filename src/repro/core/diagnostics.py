@@ -28,6 +28,7 @@ from ..errors import AnalysisError
 from ..rng import SeedLike, as_seed_int, stream_for
 from ..smd.work import WorkEnsemble
 from ..units import KB
+from .pmf import _lookup
 
 __all__ = [
     "effective_sample_size",
@@ -143,8 +144,7 @@ def block_bootstrap(
     resampling stream is ``stream_for(seed, "core.block_bootstrap")``,
     independent of whatever else the caller's seed drives.
     """
-    from .estimators import estimate_free_energy
-
+    estimate = _lookup(method, paired=False)
     w = np.asarray(works, dtype=np.float64)
     if w.ndim != 1 or w.size < 2:
         raise AnalysisError("works must be (m,) with m >= 2")
@@ -154,12 +154,7 @@ def block_bootstrap(
     if n_boot < 2:
         raise AnalysisError("n_boot must be at least 2")
 
-    def _scalar(value) -> float:
-        if isinstance(value, tuple):  # "block" returns (mean, spread)
-            value = value[0]
-        return float(value)
-
-    full = _scalar(estimate_free_energy(w, temperature, method=method))
+    full = float(estimate(w, temperature))
     edges = np.linspace(0, m, n_blocks + 1).astype(int)
     blocks = [w[a:b] for a, b in zip(edges[:-1], edges[1:])]
     rng = stream_for(as_seed_int(seed), "core.block_bootstrap")
@@ -167,8 +162,7 @@ def block_bootstrap(
     for b in range(n_boot):
         picks = rng.integers(0, n_blocks, size=n_blocks)
         resampled = np.concatenate([blocks[i] for i in picks])
-        estimates[b] = _scalar(estimate_free_energy(resampled, temperature,
-                                                    method=method))
+        estimates[b] = float(estimate(resampled, temperature))
     return BlockBootstrapDiagnostic(
         estimate=full,
         bias=float(estimates.mean() - full),

@@ -18,7 +18,7 @@ Section IV of the paper rests on two error measures per (kappa, v) cell:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ __all__ = [
     "bootstrap_statistical_error",
     "cost_normalized_error",
     "cost_normalization_factor",
-    "systematic_error",
+    "pmf_error",
     "pairwise_consistency",
     "ErrorBudget",
     "analyze_ensemble",
@@ -87,28 +87,16 @@ def cost_normalized_error(
     return raw_error * cost_normalization_factor(velocity, reference_velocity)
 
 
-def systematic_error(
-    estimate: PMFEstimate,
-    reference: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-) -> float:
-    """RMS deviation of the estimate from the reference PMF (kcal/mol).
-
-    Both curves are zeroed at the first station before comparing (a PMF is
-    defined up to a constant).  ``reference`` is either a callable on
-    absolute axial positions ``start + displacement``, or an array already
-    on the estimate's grid.
-    """
-    est = estimate.values - estimate.values[0]
-    if callable(reference):
-        # PMFEstimate doesn't carry start_z; references over displacement
-        # grids must be pre-shifted by the caller if absolute.
-        ref = np.asarray(reference(estimate.displacements), dtype=np.float64)
-    else:
-        ref = np.asarray(reference, dtype=np.float64)
+def pmf_error(values: np.ndarray, reference: np.ndarray) -> float:
+    """RMS deviation (kcal/mol) of a ``(g,)`` PMF curve from a reference on
+    its grid, each zeroed at its first entry (a PMF is defined up to a
+    constant).  The one error measure: sigma_sys against U, the spread of
+    two estimates, sigma_target / sigma_est against ``trap_pmf``."""
+    est = np.asarray(values, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
     if ref.shape != est.shape:
         raise AnalysisError("reference grid does not match estimate grid")
-    ref = ref - ref[0]
-    return float(np.sqrt(np.mean((est - ref) ** 2)))
+    return float(np.sqrt(np.mean(((est - est[0]) - (ref - ref[0])) ** 2)))
 
 
 def pairwise_consistency(estimates: Sequence[PMFEstimate]) -> float:
@@ -121,15 +109,13 @@ def pairwise_consistency(estimates: Sequence[PMFEstimate]) -> float:
     if len(estimates) < 2:
         raise AnalysisError("need at least two estimates to compare")
     grid = estimates[0].displacements
-    curves = []
     for e in estimates:
         if e.displacements.shape != grid.shape or not np.allclose(e.displacements, grid):
             raise AnalysisError("estimates must share a displacement grid")
-        curves.append(e.values - e.values[0])
     worst = 0.0
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            worst = max(worst, float(np.sqrt(np.mean((curves[i] - curves[j]) ** 2))))
+    for i in range(len(estimates)):
+        for j in range(i + 1, len(estimates)):
+            worst = max(worst, pmf_error(estimates[i].values, estimates[j].values))
     return worst
 
 
@@ -156,7 +142,7 @@ class ErrorBudget:
 
 def analyze_ensemble(
     ensemble: WorkEnsemble,
-    reference: Callable[[np.ndarray], np.ndarray] | np.ndarray,
+    reference: np.ndarray,
     reference_velocity: float,
     estimator: str = "exponential",
     n_bootstrap: int = 200,
@@ -173,7 +159,7 @@ def analyze_ensemble(
     sigma_norm = float(
         cost_normalized_error(sigma_raw, ensemble.protocol.velocity, reference_velocity)
     )
-    sigma_sys = systematic_error(estimate, reference)
+    sigma_sys = pmf_error(estimate.values, reference)
     return ErrorBudget(
         kappa_pn=ensemble.protocol.kappa_pn,
         velocity=ensemble.protocol.velocity,

@@ -28,15 +28,16 @@ a couple of kT:
   mean work (upper bound); intermediate ``M`` trades variance against
   bias.  The default ``M ~ sqrt(m)`` balances the two.
 
-Both are registered in the estimator registry (``method="fr"`` needs the
-paired ``reverse_works=`` argument and is flagged *paired*; service specs
-reject it because a campaign cell holds only forward pulls).
+Both sit behind :func:`~repro.core.pmf.estimate_pmf`; the *paired* ``"fr"``
+reads ``reverse=``, checked by :func:`check_fr_pair`.
+:func:`forward_reverse_pmf` wraps that estimate with the dissipated work
+and D(z).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -45,11 +46,15 @@ from ..errors import AnalysisError
 from ..units import KB
 from .jarzynski import _check_works
 
+if TYPE_CHECKING:
+    from .pmf import PMFEstimate
+
 __all__ = [
     "fr_estimator",
     "parallel_pull_estimator",
     "default_group_size",
     "FRProfile",
+    "check_fr_pair",
     "forward_reverse_pmf",
 ]
 
@@ -57,18 +62,6 @@ __all__ = [
 #: check: record schedules round stations to integer integration strides,
 #: so mirrored stations can disagree by up to ~one stride at mid-window.
 _SYMMETRY_TOL_SPACINGS = 1.5
-
-
-def _check_pair(works: np.ndarray, reverse_works: np.ndarray):
-    w_f = _check_works(works)
-    w_r = _check_works(reverse_works)
-    if w_f.shape[1] != w_r.shape[1]:
-        raise AnalysisError(
-            f"forward and reverse ensembles record different station counts "
-            f"({w_f.shape[1]} vs {w_r.shape[1]}); FR pairing needs the same "
-            "record schedule in both directions"
-        )
-    return w_f, w_r
 
 
 def fr_estimator(
@@ -93,11 +86,22 @@ def fr_estimator(
     Returns the ``(g,)`` free-energy profile relative to station 0 (which
     is exactly 0 there: both mean works vanish at zero travel).
     """
-    w_f, w_r = _check_pair(works, reverse_works)
-    mean_f = w_f.mean(axis=0)
-    mean_r_seg = (w_r[:, -1][:, None] - w_r[:, ::-1]).mean(axis=0)
+    mean_f, mean_r_seg = _fr_means(works, reverse_works)
     out = 0.5 * (mean_f - mean_r_seg)
     return out if np.asarray(works).ndim > 1 else out[0]
+
+
+def _fr_means(works: np.ndarray, reverse_works: np.ndarray):
+    """``(mean W_F(a -> z_i), mean W_R(z_i -> a))`` per forward station."""
+    w_f, w_r = _check_works(works), _check_works(reverse_works)
+    if w_f.shape[1] != w_r.shape[1]:
+        raise AnalysisError(
+            f"forward and reverse ensembles record different station counts "
+            f"({w_f.shape[1]} vs {w_r.shape[1]}); FR pairing needs the same "
+            "record schedule in both directions"
+        )
+    return (w_f.mean(axis=0),
+            (w_r[:, -1][:, None] - w_r[:, ::-1]).mean(axis=0))
 
 
 def default_group_size(n_samples: int) -> int:
@@ -147,10 +151,11 @@ class FRProfile:
 
     Attributes
     ----------
+    estimate:
+        The window's FR :class:`~repro.core.pmf.PMFEstimate` (both
+        directions' cost and samples); ``pmf`` is its ``values``.
     stations:
         ``(g,)`` axis positions (A), ascending from the window bottom.
-    pmf:
-        ``(g,)`` free-energy profile (kcal/mol), zero at ``stations[0]``.
     dissipated:
         ``(g,)`` mean dissipated work accumulated to each station.
     diffusion:
@@ -159,36 +164,25 @@ class FRProfile:
         positive (no frictional signal to invert).
     """
 
+    estimate: PMFEstimate
     stations: np.ndarray
-    pmf: np.ndarray
     dissipated: np.ndarray
     diffusion: np.ndarray
-    temperature: float
-    velocity: float
-    n_forward: int
-    n_reverse: int
-    cpu_hours: float = 0.0
+
+    @property
+    def pmf(self) -> np.ndarray:
+        return self.estimate.values
 
 
-def forward_reverse_pmf(forward, reverse) -> FRProfile:
-    """Combine a matched forward/reverse ensemble pair into an FR profile.
-
-    Parameters
-    ----------
-    forward, reverse:
-        :class:`~repro.smd.work.WorkEnsemble` for the two directions of
-        one window — same protocol parameters, opposite ``direction``
-        (e.g. from :func:`~repro.smd.run_bidirectional_ensemble`).
-
-    Raises :class:`~repro.errors.AnalysisError` when the pair is
-    mismatched (different windows, temperatures, or a record grid whose
-    mirror asymmetry exceeds ~one record spacing).
-    """
+def check_fr_pair(forward, reverse) -> None:
+    """Raise :class:`~repro.errors.AnalysisError` unless the ensembles are
+    (forward, reverse) pulls of one window at one temperature, on mirrored
+    record grids of one size."""
     fp, rp = forward.protocol, reverse.protocol
     if fp.direction != "forward" or rp.direction != "reverse":
         raise AnalysisError(
-            "forward_reverse_pmf needs (forward, reverse) ensembles, got "
-            f"directions ({fp.direction!r}, {rp.direction!r})"
+            "FR needs (forward, reverse) ensembles, got directions "
+            f"({fp.direction!r}, {rp.direction!r})"
         )
     if fp.reversed() != rp:
         raise AnalysisError(
@@ -209,26 +203,36 @@ def forward_reverse_pmf(forward, reverse) -> FRProfile:
             "same n_records"
         )
 
-    mean_f = forward.mean_work()
-    mean_r_seg = (reverse.works[:, -1][:, None]
-                  - reverse.works[:, ::-1]).mean(axis=0)
-    pmf = 0.5 * (mean_f - mean_r_seg)
+
+def forward_reverse_pmf(forward, reverse) -> FRProfile:
+    """Combine a matched forward/reverse ensemble pair into an FR profile.
+
+    Parameters
+    ----------
+    forward, reverse:
+        :class:`~repro.smd.work.WorkEnsemble` for the two directions of
+        one window — same protocol parameters, opposite ``direction``
+        (e.g. from :func:`~repro.smd.run_bidirectional_ensemble`).
+
+    The PMF is ``estimate_pmf(forward, "fr", reverse=reverse)``, which
+    checks the pair; the profile adds the dissipated work and D(z).
+    """
+    from .pmf import estimate_pmf  # pmf registers this module's estimators
+
+    estimate = estimate_pmf(forward, "fr", reverse=reverse)
+    mean_f, mean_r_seg = _fr_means(forward.works, reverse.works)
     dissipated = 0.5 * (mean_f + mean_r_seg)
 
     stations = forward.trap_stations()
     kT = KB * forward.temperature
     slope = np.gradient(dissipated, stations)
     with np.errstate(divide="ignore"):
-        diffusion = np.where(slope > 0.0, kT * fp.velocity / slope, np.inf)
+        diffusion = np.where(slope > 0.0,
+                             kT * forward.protocol.velocity / slope, np.inf)
 
     return FRProfile(
+        estimate=estimate,
         stations=stations,
-        pmf=pmf - pmf[0],
         dissipated=dissipated,
         diffusion=diffusion,
-        temperature=forward.temperature,
-        velocity=fp.velocity,
-        n_forward=forward.n_samples,
-        n_reverse=reverse.n_samples,
-        cpu_hours=forward.cpu_hours + reverse.cpu_hours,
     )

@@ -1,24 +1,37 @@
-"""PMF reconstruction from work ensembles.
+"""PMF reconstruction from work ensembles, through one front door.
 
 The potential of mean force Phi along the pore axis (the paper's central
-quantity) is estimated from a :class:`~repro.smd.work.WorkEnsemble` by one
-of the Jarzynski estimators.  The curve is the free energy of the *trap*
-coordinate, F_kappa(lambda), not the surface U(z) itself.  A
-:class:`PMFEstimate` bundles the curve with its provenance so the error
-analysis and plotting layers need nothing else.
+quantity) is estimated from a :class:`~repro.smd.work.WorkEnsemble` by
+:func:`estimate_pmf`, the only way from pulls to a PMF.  The estimator is
+a registry name; a registered function keeps the array signature
+``fn(works, temperature, **kw) -> (g,)`` (a *paired* one, ``"fr"``, also
+takes ``reverse_works=``), so dispatch adds nothing numerically.
+:func:`check_estimator` is the one admission check for callers that hold
+an estimator name.  The curve is the free energy of the *trap*
+coordinate, F_kappa(lambda), not the surface U(z) itself; a
+:class:`PMFEstimate` bundles it with its provenance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..errors import AnalysisError, ConfigurationError
 from ..smd.work import WorkEnsemble
-from .estimators import available_estimators, estimate_free_energy
+from ..units import ROOM_TEMPERATURE
+from .fr import check_fr_pair, fr_estimator, parallel_pull_estimator
+from .jarzynski import block_estimator, cumulant_estimator, exponential_estimator
 
-__all__ = ["PMFEstimate", "estimate_pmf"]
+__all__ = ["PMFEstimate", "estimate_pmf", "register_estimator",
+           "available_estimators", "check_estimator"]
+
+#: name -> estimator callable ``(works, temperature, **kw) -> (g,)``.
+_REGISTRY: Dict[str, Callable[..., np.ndarray]] = {}
+#: Names of *paired* estimators, which also read a reverse ensemble.
+_PAIRED = frozenset({"fr"})
 
 
 @dataclass
@@ -34,11 +47,11 @@ class PMFEstimate:
     kappa_pn / velocity:
         Protocol parameters, for labelling.
     estimator:
-        Which Jarzynski estimator produced the curve.
+        Which registered estimator produced the curve.
     n_samples:
-        Ensemble size behind the estimate.
+        Ensemble size behind the estimate (both directions for ``"fr"``).
     cpu_hours:
-        Modelled cost of the underlying ensemble.
+        Modelled cost of the underlying ensemble(s).
     """
 
     displacements: np.ndarray
@@ -67,51 +80,105 @@ class PMFEstimate:
         return f"kappa={self.kappa_pn:g}pN/A v={self.velocity:g}A/ns ({self.estimator})"
 
 
+def register_estimator(name: str, fn: Callable[..., np.ndarray] = None):
+    """Register ``fn`` under ``name``; usable directly or as a decorator.
+
+    Re-registering a name raises :class:`~repro.errors.ConfigurationError`
+    (shadowing a built-in would poison every call site that names it).
+    ``fn`` must also take ``(m,)`` works: :func:`check_estimator` admits
+    a name by calling it so.
+    """
+
+    def _register(func: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+        if name in _REGISTRY:
+            raise ConfigurationError(f"estimator {name!r} already registered")
+        if not callable(func):
+            raise ConfigurationError(f"estimator {name!r} must be callable")
+        _REGISTRY[name] = func
+        return func
+
+    if fn is None:
+        return _register
+    return _register(fn)
+
+
+def available_estimators() -> tuple:
+    """Registered estimator names, sorted."""
+    return tuple(sorted(_REGISTRY))
+
+
+def _lookup(name: str, paired: bool) -> Callable[..., np.ndarray]:
+    """The registered function for ``name``, if its pairing matches."""
+    fn = _REGISTRY.get(name)
+    if fn is None:
+        raise ConfigurationError(
+            f"unknown estimator {name!r}; choose from {list(available_estimators())}")
+    if (name in _PAIRED) != paired:
+        why = ("needs paired forward/reverse data; forward-only callers "
+               "cannot use it (the 'estimate' command serves it with "
+               "--method fr)" if name in _PAIRED else "reads forward pulls "
+               f"only; a reverse ensemble is for the paired {sorted(_PAIRED)}")
+        raise ConfigurationError(f"estimator {name!r} {why}")
+    return fn
+
+
+def check_estimator(name: str, *, n_samples: int) -> None:
+    """Admit ``name`` for a forward-only caller holding ``n_samples`` pulls:
+    refuse (``ConfigurationError``) an unknown name, a paired estimator, or
+    a sample count the estimator rejects when called once on zero works
+    (so each minimum lives in the estimator's own check)."""
+    fn = _lookup(name, paired=False)
+    try:
+        fn(np.zeros(n_samples), ROOM_TEMPERATURE)
+    except Exception as exc:  # any refusal of the probe is a refusal of the name
+        raise ConfigurationError(
+            f"estimator {name!r} cannot use {n_samples} samples: {exc}") from None
+
+
 def estimate_pmf(
     ensemble: WorkEnsemble,
     estimator: str = "exponential",
+    *,
+    reverse: Optional[WorkEnsemble] = None,
     **estimator_kwargs,
 ) -> PMFEstimate:
     """Estimate the PMF from a work ensemble.
 
-    Parameters
-    ----------
-    estimator:
-        Any name in the estimator registry (see
-        :func:`~repro.core.estimators.estimate_free_energy`):
-        ``"exponential"`` (direct Jarzynski), ``"cumulant"`` (2nd order),
-        ``"block"``, ``"parallel-pull"``, ``"fr"``, or a name added via
-        :func:`~repro.core.estimators.register_estimator`.
-    estimator_kwargs:
-        Passed through to the estimator unchanged — e.g. ``n_blocks=8``
-        for ``"block"``, ``group_size=4`` for ``"parallel-pull"``, or
-        ``reverse_works=`` for the paired ``"fr"`` method (for which
-        :func:`~repro.core.fr.forward_reverse_pmf` is the richer entry
-        point).
+    ``estimator`` is any name in :func:`available_estimators`
+    (``"exponential"``, ``"cumulant"``, ``"block"``, ``"parallel-pull"``,
+    ``"fr"``); ``estimator_kwargs`` pass through unchanged (e.g.
+    ``n_blocks=8``).  ``reverse``, the window's mirrored reverse ensemble,
+    is for a paired estimator only: the pair is checked by
+    :func:`~repro.core.fr.check_fr_pair`, and the estimate books both.
     """
-    if estimator not in available_estimators():
-        raise ConfigurationError(
-            f"unknown estimator {estimator!r}; "
-            f"choose from {sorted(available_estimators())}"
-        )
-    values = estimate_free_energy(
-        ensemble.works, ensemble.temperature, method=estimator,
-        **estimator_kwargs,
-    )
-    if isinstance(values, tuple):
-        # Estimators like "block" return (mean, spread); the PMF curve is
-        # the mean component.
-        values = values[0]
-    values = np.asarray(values, dtype=float)
-    values = values - values[0]
+    fn = _lookup(estimator, paired=reverse is not None)
+    pulls = [ensemble]
+    if reverse is not None:
+        check_fr_pair(ensemble, reverse)
+        pulls.append(reverse)
+        estimator_kwargs["reverse_works"] = reverse.works
+    values = np.asarray(fn(ensemble.works, ensemble.temperature,
+                           **estimator_kwargs), dtype=float)
     return PMFEstimate(
         displacements=ensemble.displacements.copy(),
-        values=values,
+        values=values - values[0],
         kappa_pn=ensemble.protocol.kappa_pn,
         velocity=ensemble.protocol.velocity,
         estimator=estimator,
-        n_samples=ensemble.n_samples,
+        n_samples=sum(e.n_samples for e in pulls),
         temperature=ensemble.temperature,
-        cpu_hours=ensemble.cpu_hours,
+        cpu_hours=sum(e.cpu_hours for e in pulls),
     )
 
+
+def _block_mean(works: np.ndarray, temperature: float, **kw) -> np.ndarray:
+    """``"block"``'s curve is its block mean (a scalar for 1-D works)."""
+    mean = block_estimator(works, temperature, **kw)[0]
+    return mean if np.asarray(works).ndim > 1 else mean[0]
+
+
+register_estimator("exponential", exponential_estimator)
+register_estimator("cumulant", cumulant_estimator)
+register_estimator("block", _block_mean)
+register_estimator("fr", fr_estimator)
+register_estimator("parallel-pull", parallel_pull_estimator)

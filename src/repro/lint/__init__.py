@@ -7,9 +7,8 @@ every file, by a small rule-plugin framework:
 * determinism family (``SPICE001``-``SPICE004``) — no global-state RNG,
   no wall-clock reads in the deterministic core, no bare-set iteration
   in physics/scheduling loops, no unseeded ``default_rng()``;
-* API-boundary family (``SPICE101``-``SPICE103``) — examples/tests use
-  the ``repro.core`` front door, raw estimators stay internal, and
-  work-spawning entry points thread ``obs=``;
+* API-boundary family (``SPICE101``-``SPICE106``) — the ``repro.core``
+  front door, internal raw estimators, ``obs=`` threading, retired names;
 * numerical-safety family (``SPICE201``-``SPICE202``) — no float
   equality on physical quantities, no inline unit-bearing constants;
 * concurrency-safety family (``SPICE301``-``SPICE305``) — guarded

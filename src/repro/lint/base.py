@@ -118,32 +118,31 @@ class FileContext:
                     target = alias.name if alias.asname else local
                     self.module_aliases[local] = target
             elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    module = self._resolve_relative(node.level, node.module)
-                    if module is None:  # outside src/repro: unresolvable
-                        continue
-                else:
-                    module = node.module or ""
+                module = self.import_source(node)
+                if module is None:  # outside src/repro: unresolvable
+                    continue
                 for alias in node.names:
                     local = alias.asname or alias.name
                     self.from_imports[local] = f"{module}.{alias.name}"
 
-    def _resolve_relative(self, level: int, module: Optional[str]) -> Optional[str]:
-        """Dotted absolute module for a relative import inside src/repro.
+    def import_source(self, node: ast.ImportFrom) -> Optional[str]:
+        """Dotted absolute module a ``from ... import`` reads from.
 
         ``from ..store.index import f`` in ``src/repro/service/state.py``
-        resolves to ``repro.store.index``.  Returns ``None`` for files
-        outside the package tree or for imports that climb past its root.
+        resolves to ``repro.store.index``; ``None`` for a relative import
+        outside the package tree or one that climbs past its root.
         """
+        if not node.level:
+            return node.module or ""
         if self.kind != "src" or not self.relpath.startswith("src/repro/"):
             return None
         base = ("repro",) + self.package
-        if level - 1 > len(base) - 1:  # would escape the repro package
+        if node.level - 1 > len(base) - 1:  # would escape the repro package
             return None
-        if level > 1:
-            base = base[: -(level - 1)]
-        parts = base + (tuple(module.split(".")) if module else ())
-        return ".".join(parts)
+        if node.level > 1:
+            base = base[: -(node.level - 1)]
+        return ".".join(base + (tuple(node.module.split("."))
+                                if node.module else ()))
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Best-effort dotted path of a Name/Attribute chain.

@@ -1,17 +1,18 @@
 """API-boundary rule family (SPICE101-SPICE106).
 
-PR 1 unified the estimator surface behind ``repro.core`` and its
-``estimate_free_energy`` front door, and made the ``obs=`` handle the
-package-wide instrumentation convention; the batched-execution redesign
-added the stream-discipline contract of the replica-batched runners.
-These rules keep examples, tests, and new entry points from quietly
-eroding those boundaries.
+The estimator surface sits behind ``repro.core`` and its one front door,
+``estimate_pmf``; the ``obs=`` handle is the package-wide instrumentation
+convention; the batched-execution redesign added the stream-discipline
+contract of the replica-batched runners; and every path the codebase
+deleted is named in one table so it stays deleted.  These rules keep
+examples, tests, and new entry points from quietly eroding those
+boundaries.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Dict, Iterator, List, Tuple
 
 from .base import FileContext, Rule, Violation, register_rule
 
@@ -19,14 +20,17 @@ __all__ = [
     "DeepImportRule",
     "FrontDoorRule",
     "ObsThreadingRule",
+    "RetiredNameRule",
+    "RETIRED_NAMES",
     "BatchedKernelContractRule",
     "IndexLayerDisciplineRule",
 ]
 
 #: Raw estimator implementations that examples/tests should reach through
-#: estimate_free_energy(works, T, method=...) instead of importing.
+#: estimate_pmf(ensemble, estimator) instead of importing.
 _RAW_ESTIMATORS = frozenset({
     "exponential_estimator", "cumulant_estimator", "block_estimator",
+    "fr_estimator", "parallel_pull_estimator",
 })
 
 #: Packages whose module-level ``run_*`` entry points spawn seeded work
@@ -74,17 +78,17 @@ class DeepImportRule(Rule):
 
 @register_rule
 class FrontDoorRule(Rule):
-    """Examples/tests go through ``estimate_free_energy``."""
+    """Examples/tests go through ``estimate_pmf``."""
 
     id = "SPICE102"
     name = "estimator front-door bypass"
     rationale = (
-        "estimate_free_energy is the single dispatching entry point for "
-        "free-energy estimation (method registry, future estimators); "
-        "examples and tests importing the raw estimator functions "
-        "demonstrate and exercise the deprecated calling convention "
-        "(dispatch is bit-identical, so nothing is lost by routing "
-        "through the front door)"
+        "estimate_pmf is the single dispatching entry point from pulls to "
+        "a PMF (estimator registry, pairing and sample checks, future "
+        "estimators); examples and tests importing the raw estimator "
+        "functions demonstrate and exercise a calling convention that "
+        "skips those checks (dispatch is bit-identical, so nothing is "
+        "lost by routing through the front door)"
     )
 
     def applies(self, ctx: FileContext) -> bool:
@@ -96,15 +100,15 @@ class FrontDoorRule(Rule):
                 continue
             module = node.module or ""
             if module not in ("repro.core", "repro.core.jarzynski",
-                              "repro.core.estimators"):
+                              "repro.core.fr"):
                 continue
             for alias in node.names:
                 if alias.name in _RAW_ESTIMATORS:
                     yield self.violation(
                         ctx, node,
                         f"importing raw '{alias.name}' bypasses the "
-                        f"estimate_free_energy front door; call "
-                        f"estimate_free_energy(works, T, method=...)",
+                        f"estimate_pmf front door; call "
+                        f"estimate_pmf(ensemble, estimator)",
                     )
 
 
@@ -139,6 +143,77 @@ class ObsThreadingRule(Rule):
                     f"'{node.name}' spawns seeded work but takes no obs= "
                     f"handle; add obs: Optional[Obs] = None and thread it",
                 )
+
+
+#: Deleted names and what replaced them.  A plain entry matches any
+#: identifier, attribute, def/class name, parameter, keyword, imported name
+#: or string call argument (``getattr(x, "name")``) spelled exactly so;
+#: ``"Prefix*"`` any such spelling starting with ``Prefix``; ``"name="`` only
+#: a keyword or parameter; a dotted entry an import or string argument
+#: naming that module or anything inside it.  Other strings go unchecked.
+RETIRED_NAMES: Dict[str, str] = {
+    "streaming_window": "every study is streamed by run_streamed_tasks",
+    "run_pulling_ensemble_parallel": "run_pulling_stack is the one stacked runner",
+    "run_pulling_groups": "run_pulling_stack(model, [(protocol, rng, n), ...])",
+    "StreamCursor": "resume is store membership",
+    "campaign_key": "resume is store membership",
+    "skipped_prefix": "resume is store membership",
+    "collect=": "resume is store membership",
+    "store_key": "a store addresses a task by its fingerprint",
+    "compute_batched": "one MD body takes an optional replica axis",
+    "step_batched": "one MD body takes an optional replica axis",
+    "scatter_add_batched": "one MD body takes an optional replica axis",
+    "accumulate_pair_forces_batched": "one MD body takes an optional replica axis",
+    "BatchedSimulation": "repro.md.stack_simulations(sims)",
+    "BatchedSMD*": "SMDPullingForce / SMDWorkRecorder take a replica axis",
+    "run_work_ensemble": "run_cells(model, [(protocol, labels)], ...)[labels]",
+    "stiff_spring_correction": "the PMF is the trap free energy F_kappa",
+    "stiff_spring": "the PMF is the trap free energy F_kappa",
+    "estimate_free_energy": "estimate_pmf(ensemble, estimator)",
+    "paired_estimators": "check_estimator(name, n_samples=...)",
+    "systematic_error": "pmf_error(values, reference)",
+    "repro.core.estimators": "the registry lives in repro.core.pmf",
+}
+
+
+def _spellings(ctx: FileContext, node: ast.AST) -> List[Tuple[str, bool]]:
+    """Each ``(spelling, is_keyword)`` by which ``node`` names something."""
+    if isinstance(node, ast.ImportFrom):  # its aliases are walked on their own
+        module = ctx.import_source(node) or ""
+        return [(f"{module}.{alias.name}", False) for alias in node.names]
+    if isinstance(node, ast.Call):  # getattr(x, "name"), import_module("a.b")
+        return [(arg.value, False) for arg in node.args
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    keyword = isinstance(node, (ast.arg, ast.keyword))
+    return [(value, keyword) for value in (getattr(node, field, None) for field
+                                           in ("id", "attr", "name", "arg"))
+            if isinstance(value, str)]
+
+
+@register_rule
+class RetiredNameRule(Rule):
+    """Deleted names stay deleted: one table, :data:`RETIRED_NAMES`."""
+
+    id = "SPICE104"
+    name = "retired name"
+    rationale = (
+        "each retired name was a second path the codebase collapsed into "
+        "one (executor, resume mechanism, stacked runner, batched MD "
+        "class, estimator front door); bringing the name back, even as a "
+        "shim, splits callers across two paths nothing tests as equal"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        for node in ast.walk(ctx.tree):
+            for spelling, keyword in _spellings(ctx, node):
+                for pattern, successor in RETIRED_NAMES.items():
+                    name = pattern.rstrip("*=")
+                    if (spelling == name and (keyword or pattern[-1] != "=")
+                            or pattern[-1] == "*" and spelling.startswith(name)
+                            or "." in pattern
+                            and spelling.startswith(pattern + ".")):
+                        yield self.violation(
+                            ctx, node, f"'{pattern}' is retired: {successor}")
 
 
 #: RNG constructors/derivers that mint *new* streams.  Inside a batched

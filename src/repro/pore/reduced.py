@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike, as_generator
-from ..units import KB, ROOM_TEMPERATURE
+from ..units import KB, ROOM_TEMPERATURE, pn_per_angstrom
 from .landscape import AxialLandscape
 
 __all__ = ["Potential1D", "ReducedTranslocationModel", "default_reduced_potential"]
@@ -236,3 +236,21 @@ class ReducedTranslocationModel:
         if zero_at_start:
             pmf -= pmf[0]
         return pmf
+
+    def trap_pmf(self, kappa_pn: float, lam: np.ndarray) -> np.ndarray:
+        """``F_kappa(lam) = -kT ln int exp(-beta [U(z) + kappa (z-lam)^2/2]) dz``
+        (kcal/mol): what Jarzynski estimates through a trap of ``kappa_pn``
+        (pN/A) at ``lam`` — U only as kappa grows.  A 300 001-point
+        trapezoid over z in [-150, 150] A, the exponent shifted per ``lam``
+        (the tilt spans thousands of kcal/mol there: ``exp`` underflows)."""
+        kappa = pn_per_angstrom(kappa_pn)
+        z = np.linspace(-150.0, 150.0, 300_001)
+        u = np.asarray(self.potential.value(z), dtype=np.float64)
+        lam = np.asarray(lam, dtype=np.float64)
+        out = np.empty(lam.shape)
+        for i, center in np.ndenumerate(lam):
+            exponent = -(u + 0.5 * kappa * (z - center) ** 2) / self.kT
+            shift = exponent.max()
+            out[i] = -self.kT * (
+                shift + np.log(np.trapezoid(np.exp(exponent - shift), z)))
+        return out

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from ..errors import SpecError
+from ..errors import ConfigurationError, SpecError
 from ..smd.plan import DEFAULT_WINDOW
 
 __all__ = ["SPEC_SCHEMA", "CampaignSpec"]
@@ -189,19 +189,12 @@ class CampaignSpec:
             raise SpecError(
                 f"unknown kernel {values['kernel']!r}; "
                 f"expected one of {_V1_KERNELS}")
-        from ..core import available_estimators, paired_estimators
+        from ..core import check_estimator
 
-        if values["estimator"] not in available_estimators():
-            raise SpecError(
-                f"unknown estimator {values['estimator']!r}; choose from "
-                f"{sorted(available_estimators())}")
-        if values["estimator"] in paired_estimators():
-            # A study cell holds forward pulls only; paired estimators need
-            # a matched reverse ensemble the campaign never generates.
-            raise SpecError(
-                f"estimator {values['estimator']!r} needs paired "
-                f"forward/reverse data; campaign cells are forward-only "
-                f"(use the 'estimate' CLI with --method fr instead)")
+        try:  # a cell holds n_samples forward pulls, never a reverse ensemble
+            check_estimator(values["estimator"], n_samples=values["n_samples"])
+        except ConfigurationError as exc:
+            raise SpecError(str(exc)) from None
         return cls(**values)
 
     # -- identity --------------------------------------------------------------

@@ -38,8 +38,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..core.diagnostics import block_bootstrap
-from ..core.pmf import estimate_pmf
+from ..core import block_bootstrap, check_estimator, estimate_pmf, pmf_error
 from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
@@ -215,16 +214,8 @@ def run_adaptive_campaign(
         raise ConfigurationError(
             f"total_replicas ({total_replicas}) cannot cover the pilot "
             f"({n_bins} bins x {pilot_per_bin})")
-    from ..core.estimators import available_estimators, paired_estimators
-
-    if estimator not in available_estimators():
-        raise ConfigurationError(
-            f"unknown estimator {estimator!r}; "
-            f"choose from {sorted(available_estimators())}")
-    if estimator in paired_estimators():
-        raise ConfigurationError(
-            f"estimator {estimator!r} needs paired reverse data; adaptive "
-            "windows are forward-only")
+    # Adaptive windows are forward-only; a bin holds at least the pilot.
+    check_estimator(estimator, n_samples=pilot_per_bin)
 
     obs = as_obs(obs)
     base = as_seed_int(seed)
@@ -281,8 +272,7 @@ def run_adaptive_campaign(
                 for b in range(n_bins)]
         starts = [p.start_z for p in protos]
         z, pmf = stitch_pmfs(disps, pmfs, starts)
-        ref = model.reference_pmf(z)
-        rms = float(np.sqrt(np.mean((pmf - ref) ** 2)))
+        rms = pmf_error(pmf, model.reference_pmf(z))
 
     return AdaptiveReport(
         bins=bins,

@@ -18,7 +18,7 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.pmf import PMFEstimate, estimate_pmf
+from ..core import PMFEstimate, estimate_pmf, pmf_error
 from ..errors import ConfigurationError
 from ..obs import Obs
 from ..pore.reduced import ReducedTranslocationModel
@@ -50,7 +50,7 @@ class FullAxisResult:
 
     @property
     def rms_error(self) -> float:
-        return float(np.sqrt(np.mean((self.pmf - self.reference) ** 2)))
+        return pmf_error(self.pmf, self.reference)
 
     def barrier_height(self) -> float:
         """Largest uphill excursion of the de-tilted profile (the

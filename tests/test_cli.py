@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -85,6 +90,24 @@ class TestEstimateCommand:
         assert main(["estimate", "--method", "exponential",
                      "--samples", "4", "--seed", "1"]) == 0
         assert "PMF via exponential" in capsys.readouterr().out
+
+    def test_method_choices_are_the_registered_estimators(self):
+        from repro.core import available_estimators
+
+        (method,) = [a for a in COMMANDS["estimate"].args
+                     if "--method" in a.flags]
+        assert sorted(method.kwargs["choices"]) == list(available_estimators())
+
+    def test_parser_does_not_load_the_estimators(self):
+        """Each command imports its subsystem itself, so building the
+        parser (every command does) never pays for repro.core."""
+        code = ("import sys, repro.cli; repro.cli.build_parser(); "
+                "print('repro.core' in sys.modules)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestAdaptiveCampaignCommand:

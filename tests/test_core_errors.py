@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core import (
     PMFEstimate,
@@ -10,7 +12,7 @@ from repro.core import (
     cost_normalization_factor,
     cost_normalized_error,
     pairwise_consistency,
-    systematic_error,
+    pmf_error,
 )
 from repro.errors import AnalysisError, ConfigurationError
 
@@ -62,36 +64,72 @@ class TestBootstrap:
 
 
 class TestSystematicError:
-    def est(self, values):
-        d = np.linspace(0, 5, len(values))
-        return PMFEstimate(d, np.asarray(values, dtype=float), 100.0, 12.5,
-                           "exponential", 8, 300.0)
+    """``pmf_error`` is sigma_sys (and every other PMF-vs-curve RMS)."""
 
     def test_zero_against_itself(self):
-        e = self.est([0.0, -1.0, -2.0, -4.0])
-        assert systematic_error(e, e.values.copy()) == pytest.approx(0.0)
+        values = np.array([0.0, -1.0, -2.0, -4.0])
+        assert pmf_error(values, values.copy()) == pytest.approx(0.0)
 
     def test_constant_offset_ignored(self):
-        e = self.est([0.0, -1.0, -2.0, -4.0])
-        assert systematic_error(e, e.values + 10.0) == pytest.approx(0.0)
+        values = np.array([0.0, -1.0, -2.0, -4.0])
+        assert pmf_error(values, values + 10.0) == pytest.approx(0.0)
+        assert pmf_error(values - 3.0, values) == pytest.approx(0.0)
 
     def test_rms_of_known_deviation(self):
-        e = self.est([0.0, 1.0, 0.0, 1.0])
-        ref = np.zeros(4)
         # After re-zeroing both, deviation is [0,1,0,1]: RMS = sqrt(0.5).
-        assert systematic_error(e, ref) == pytest.approx(np.sqrt(0.5))
+        assert pmf_error([0.0, 1.0, 0.0, 1.0], np.zeros(4)) \
+            == pytest.approx(np.sqrt(0.5))
 
     def test_grid_mismatch(self):
-        e = self.est([0.0, 1.0])
         with pytest.raises(AnalysisError):
-            systematic_error(e, np.zeros(5))
+            pmf_error([0.0, 1.0], np.zeros(5))
 
-    def test_callable_reference(self):
-        e = self.est([0.0, -1.0, -2.0, -3.0])
-        err = systematic_error(e, lambda d: -d)
-        # Reference -d on d=linspace(0,5,4): values match -d exactly? No:
-        # e.values = [0,-1,-2,-3] on d=[0,1.67,3.33,5].
-        assert err > 0
+
+#: A PMF-like curve whose first entry is exactly 0.0, as every replaced
+#: call site fed: stitched PMFs, estimate_pmf values, TI's cumsum and
+#: reference_pmf(zero_at_start=True).
+zero_started = st.integers(2, 40).flatmap(lambda g: arrays(
+    np.float64, g, elements=st.floats(-200.0, 200.0, allow_nan=False,
+                                      allow_infinity=False),
+).map(lambda a: np.concatenate([[0.0], a[1:]])))
+
+
+class TestPmfErrorMatchesTheFormulasItReplaced:
+    """Bit-equal to each inline RMS it replaced, on curves that start at
+    0, so no reported error moved (exact ``==`` is the point here)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_adaptive_and_production_rms(self, data):
+        # workflow/adaptive.py and workflow/production.py: curves already
+        # zeroed at the first station.
+        pmf = data.draw(zero_started)
+        ref = data.draw(arrays(np.float64, pmf.shape, elements=st.floats(
+            -200.0, 200.0))).copy()
+        ref -= ref[0]
+        inline = float(np.sqrt(np.mean((pmf - ref) ** 2)))
+        assert pmf_error(pmf, ref) == inline  # spice: noqa SPICE201
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cli_rms_against_an_unzeroed_reference(self, data):
+        # cli.py estimate / ti: reference_pmf(zero_at_start=False) shifted
+        # by its first entry, against a curve that starts at 0.
+        values = data.draw(zero_started)
+        raw = data.draw(arrays(np.float64, values.shape, elements=st.floats(
+            -200.0, 200.0)))
+        ref = raw - raw[0]
+        inline = float(np.sqrt(np.mean((values - ref) ** 2)))
+        assert pmf_error(values, raw) == inline  # spice: noqa SPICE201
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pairwise_consistency_inner_rms(self, data):
+        a = data.draw(zero_started)
+        b = data.draw(arrays(np.float64, a.shape, elements=st.floats(
+            -200.0, 200.0)))
+        inline = float(np.sqrt(np.mean(((a - a[0]) - (b - b[0])) ** 2)))
+        assert pmf_error(a, b) == inline  # spice: noqa SPICE201
 
 
 class TestPairwiseConsistency:

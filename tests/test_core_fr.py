@@ -21,17 +21,19 @@ Two layers of evidence:
 import numpy as np
 import pytest
 
-from repro.core import (
+# The synthetic layer exercises the raw array estimators on bare work
+# arrays; the simulator layer goes through the estimate_pmf front door.
+from repro.core import (  # spice: noqa SPICE102
     default_group_size,
-    estimate_free_energy,
     estimate_pmf,
+    exponential_estimator,
     forward_reverse_pmf,
     fr_estimator,
     parallel_pull_estimator,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.pore import ReducedTranslocationModel, default_reduced_potential
-from repro.smd import PullingProtocol, run_bidirectional_ensemble
+from repro.smd import PullingProtocol, WorkEnsemble, run_bidirectional_ensemble
 from repro.units import KB
 
 TEMPERATURE = 300.0
@@ -69,6 +71,17 @@ def crooks_pair(n_samples, dissipation_total, seed, g=G, true_df=TRUE_DF):
     return forward, reverse
 
 
+def as_ensembles(forward, reverse):
+    """Wrap synthetic work arrays as a mirror-symmetric ensemble pair."""
+    proto = PullingProtocol(kappa_pn=100.0, velocity=12.5, distance=3.0,
+                            start_z=-1.5)
+    stations = np.linspace(0.0, proto.distance, forward.shape[1])
+    return tuple(
+        WorkEnsemble(protocol=p, displacements=stations, works=w,
+                     positions=np.zeros_like(w), temperature=TEMPERATURE)
+        for p, w in ((proto, forward), (proto.reversed(), reverse)))
+
+
 class TestFREstimatorExactness:
     def test_recovers_means_exactly(self):
         """FR is pure mean arithmetic — zero-noise input gives the truth
@@ -84,10 +97,10 @@ class TestFREstimatorExactness:
 
     def test_registry_dispatch_matches_direct_call(self):
         forward, reverse = crooks_pair(16, 4.0, seed=5)
-        via_registry = estimate_free_energy(
-            forward, TEMPERATURE, method="fr", reverse_works=reverse)
+        fwd, rev = as_ensembles(forward, reverse)
+        via_registry = estimate_pmf(fwd, "fr", reverse=rev)
         direct = fr_estimator(forward, TEMPERATURE, reverse_works=reverse)
-        np.testing.assert_array_equal(via_registry, direct)
+        assert via_registry.values.tobytes() == (direct - direct[0]).tobytes()
 
     def test_station_count_mismatch_rejected(self):
         forward, reverse = crooks_pair(8, 4.0, seed=1)
@@ -108,7 +121,7 @@ class TestFRBeatsJEAtEqualBudget:
     @pytest.mark.parametrize("seed", [11, 23, 47])
     def test_fr_error_below_je_error(self, seed):
         fwd_all, _ = crooks_pair(self.BUDGET, self.DISSIPATION, seed=seed)
-        je = estimate_free_energy(fwd_all, TEMPERATURE, method="exponential")
+        je = exponential_estimator(fwd_all, TEMPERATURE)
         fwd, rev = crooks_pair(self.BUDGET // 2, self.DISSIPATION,
                                seed=seed + 1000)
         fr = fr_estimator(fwd, TEMPERATURE, reverse_works=rev)
@@ -124,7 +137,7 @@ class TestFRBeatsJEAtEqualBudget:
         estimate overshoots the truth at the far station in every seed."""
         for seed in range(8):
             fwd, _ = crooks_pair(self.BUDGET, self.DISSIPATION, seed=seed)
-            je = estimate_free_energy(fwd, TEMPERATURE, method="exponential")
+            je = exponential_estimator(fwd, TEMPERATURE)
             assert je[-1] > TRUE_DF[-1] + 1.0
 
 
@@ -133,7 +146,7 @@ class TestParallelPullHierarchy:
         fwd, _ = crooks_pair(24, 6.0, seed=9)
         np.testing.assert_array_equal(
             parallel_pull_estimator(fwd, TEMPERATURE, group_size=1),
-            estimate_free_energy(fwd, TEMPERATURE, method="exponential"))
+            exponential_estimator(fwd, TEMPERATURE))
 
     def test_group_size_m_is_mean_work(self):
         fwd, _ = crooks_pair(24, 6.0, seed=9)
@@ -171,10 +184,11 @@ class TestParallelPullHierarchy:
 
     def test_registry_dispatch(self):
         fwd, _ = crooks_pair(16, 4.0, seed=21)
+        direct = parallel_pull_estimator(fwd, TEMPERATURE, group_size=4)
         np.testing.assert_array_equal(
-            estimate_free_energy(fwd, TEMPERATURE, method="parallel-pull",
-                                 group_size=4),
-            parallel_pull_estimator(fwd, TEMPERATURE, group_size=4))
+            estimate_pmf(as_ensembles(fwd, fwd)[0], "parallel-pull",
+                         group_size=4).values,
+            direct - direct[0])
 
 
 class TestEstimatorsConvergeToTruth:
@@ -184,7 +198,7 @@ class TestEstimatorsConvergeToTruth:
     def test_convergence_at_low_dissipation(self):
         fwd, rev = crooks_pair(4096, 0.25, seed=2)
         truth = TRUE_DF
-        je = estimate_free_energy(fwd, TEMPERATURE, method="exponential")
+        je = exponential_estimator(fwd, TEMPERATURE)
         fr = fr_estimator(fwd, TEMPERATURE, reverse_works=rev)
         pp = parallel_pull_estimator(fwd, TEMPERATURE)
         for est in (je, fr, pp):
@@ -234,11 +248,54 @@ class TestSimulatorConsistency:
             forward_reverse_pmf(pair.forward, stray.reverse)
 
     def test_pmf_estimate_fr_passthrough(self, simulated_pair):
-        """estimate_pmf(..., estimator='fr', reverse_works=...) matches
-        the richer forward_reverse_pmf profile values."""
+        """estimate_pmf(forward, 'fr', reverse=reverse) is the richer
+        forward_reverse_pmf profile's PMF bit for bit, and its cost and
+        sample count cover both directions."""
         _, _, pair = simulated_pair
         profile = forward_reverse_pmf(pair.forward, pair.reverse)
-        est = estimate_pmf(pair.forward, estimator="fr",
-                           reverse_works=pair.reverse.works)
-        np.testing.assert_allclose(est.values, profile.pmf,
-                                   rtol=0.0, atol=1e-12)
+        est = estimate_pmf(pair.forward, "fr", reverse=pair.reverse)
+        assert est.values.tobytes() == profile.pmf.tobytes()
+        assert est.cpu_hours == pair.forward.cpu_hours + pair.reverse.cpu_hours
+        assert est.n_samples == 24
+        assert profile.estimate.cpu_hours == est.cpu_hours
+        # ... and both are the half-difference of the two mean works.
+        w_r = pair.reverse.works
+        half = 0.5 * (pair.forward.mean_work()
+                      - (w_r[:, -1][:, None] - w_r[:, ::-1]).mean(axis=0))
+        assert profile.pmf.tobytes() == (half - half[0]).tobytes()
+
+
+class TestFRReadsACheckedReverseEnsemble:
+    """estimate_pmf(..., "fr", reverse=) runs forward_reverse_pmf's pair
+    checks: a mismatched pair is refused, never turned into a PMF."""
+
+    def test_forward_given_as_reverse_refused(self, simulated_pair):
+        _, _, pair = simulated_pair
+        with pytest.raises(AnalysisError, match="direction"):
+            estimate_pmf(pair.forward, "fr", reverse=pair.forward)
+
+    def test_reverse_of_another_window_refused(self, simulated_pair):
+        model, _, pair = simulated_pair
+        other = PullingProtocol(kappa_pn=100.0, velocity=12.5,
+                                distance=8.0, start_z=-5.0)
+        stray = run_bidirectional_ensemble(model, other, 2, n_records=21,
+                                           seed=1)
+        with pytest.raises(AnalysisError, match="different windows"):
+            estimate_pmf(pair.forward, "fr", reverse=stray.reverse)
+
+    def test_record_count_mismatch_refused(self, simulated_pair):
+        model, proto, pair = simulated_pair
+        coarse = run_bidirectional_ensemble(model, proto, 2, n_records=11,
+                                            seed=1)
+        with pytest.raises(AnalysisError, match="record counts"):
+            estimate_pmf(pair.forward, "fr", reverse=coarse.reverse)
+
+    def test_fr_needs_reverse(self, simulated_pair):
+        _, _, pair = simulated_pair
+        with pytest.raises(ConfigurationError, match="paired"):
+            estimate_pmf(pair.forward, "fr")
+
+    def test_reverse_refused_by_unpaired_estimator(self, simulated_pair):
+        _, _, pair = simulated_pair
+        with pytest.raises(ConfigurationError, match="forward pulls only"):
+            estimate_pmf(pair.forward, "exponential", reverse=pair.reverse)

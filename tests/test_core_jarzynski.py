@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 # Exact-result tests of the raw estimators; bypassing the
-# estimate_free_energy front door is deliberate here.
+# estimate_pmf front door is deliberate here.
 from repro.core import (  # spice: noqa SPICE102
     block_estimator,
     cumulant_estimator,

@@ -43,12 +43,12 @@ class TestExamples:
         assert len(out) > 100  # produced a real report
 
     def test_examples_use_unified_front_door(self):
-        # The quickstart and parameter study must go through the unified
-        # estimator front door (repro.core.estimate_free_energy registry),
+        # The quickstart and parameter study must go through the one
+        # estimator front door (repro.core.estimate_pmf and its registry),
         # not reach into estimator submodules directly.
         quickstart = (EXAMPLES_DIR / "quickstart.py").read_text()
         study = (EXAMPLES_DIR / "pmf_parameter_study.py").read_text()
-        assert "estimate_free_energy" in quickstart
+        assert "estimate_pmf(" in quickstart
         assert "available_estimators" in study
 
     @pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)

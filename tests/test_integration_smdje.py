@@ -3,7 +3,7 @@ cases — the scientific core of the reproduction."""
 
 import numpy as np
 
-from repro.core import estimate_free_energy, estimate_pmf
+from repro.core import estimate_pmf
 from repro.pore import AxialLandscape, ReducedTranslocationModel
 from repro.smd import (
     PullingProtocol,
@@ -64,8 +64,7 @@ class TestEstimatorHierarchy:
                                    force_sample_time=None)
         ref = reduced_model.reference_pmf(-5.0 + ens.displacements)
         final_ref = ref[-1]
-        je = estimate_free_energy(ens.final_works(), ens.temperature,
-                                  method="exponential")
+        je = estimate_pmf(ens, "exponential").values[-1]
         naive = float(ens.final_works().mean())
         assert abs(je - final_ref) < abs(naive - final_ref)
 

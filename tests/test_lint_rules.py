@@ -6,6 +6,7 @@ import textwrap
 import pytest
 
 from repro.lint import all_rules, lint_source
+from repro.lint.rules_api import RETIRED_NAMES
 
 
 def run_lint(relpath, source):
@@ -181,8 +182,74 @@ class TestFrontDoor:
                "                        block_estimator)\n")
         assert rule_ids("tests/test_foo.py", src) == ["SPICE102"] * 2
 
-    def test_estimate_free_energy_not_flagged(self):
-        src = "from repro.core import estimate_free_energy\n"
+    def test_second_generation_estimators_flagged(self):
+        src = ("from repro.core import (fr_estimator,\n"
+               "                        parallel_pull_estimator)\n")
+        assert rule_ids("tests/test_foo.py", src) == ["SPICE102"] * 2
+
+    def test_estimate_pmf_not_flagged(self):
+        src = "from repro.core import estimate_pmf, check_estimator\n"
+        assert rule_ids("tests/test_foo.py", src) == []
+
+
+def _retired_fixture(pattern):
+    """One line that spells a retired-name entry the way it matches."""
+    name = pattern.rstrip("*=")
+    if pattern.endswith("*"):
+        return f"value = {name}PullingForce()\n"
+    if pattern.endswith("="):
+        return f"run(tasks, {name}=False)\n"
+    if "." in pattern:
+        return f"from {name} import anything\n"
+    return f"value = {name}\n"
+
+
+class TestRetiredName:
+    @pytest.mark.parametrize("pattern", RETIRED_NAMES)
+    def test_each_row_is_flagged(self, pattern):
+        violations, _ = run_lint("tools/script.py", _retired_fixture(pattern))
+        assert [v.rule for v in violations] == ["SPICE104"]
+        assert pattern in violations[0].message
+        assert RETIRED_NAMES[pattern] in violations[0].message
+
+    def test_every_identifier_form_is_matched(self):
+        src = """\
+        from repro.smd import run_work_ensemble
+        import repro.core.estimators as registry
+        class BatchedSMDRecorder:
+            def store_key(self, campaign_key):
+                return self.skipped_prefix
+        run(stiff_spring=True, collect=True)
+        """
+        assert rule_ids("tools/script.py", src) == ["SPICE104"] * 8
+
+    def test_relative_import_inside_the_package_is_matched(self):
+        src = "from .estimators import register_estimator\n"
+        assert rule_ids("src/repro/core/foo.py", src) == ["SPICE104"]
+
+    def test_string_call_arguments_are_matched(self):
+        # A string argument reaches a name through getattr / import_module
+        # / patch; other strings (docstrings, assigned text) do not, and a
+        # keyword-only entry ("collect=") never matches a string.
+        src = '''\
+        """Nothing here calls systematic_error."""
+        getattr(store, "store_key")
+        importlib.import_module("repro.core.estimators")
+        patch("repro.core.estimators.available_estimators")
+        svc.run("collect")
+        message = "estimate_free_energy"
+        '''
+        assert rule_ids("tools/script.py", src) == ["SPICE104"] * 3
+
+    def test_whole_names_only(self):
+        # Historical test-class names keep their ids; a method spelled
+        # like a retired keyword is not that keyword.
+        src = """\
+        class TestBatchedSimulation:
+            def test_stiff_spring_limit(self, svc):
+                return svc.collect("a"), gc.collect()
+        estimate_pmf(ensemble, "fr", reverse=other)
+        """
         assert rule_ids("tests/test_foo.py", src) == []
 
 

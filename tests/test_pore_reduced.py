@@ -119,3 +119,52 @@ class TestReference:
         grid = np.linspace(-5, 5, 21)
         pmf = reduced_model.reference_pmf(grid, zero_at_start=False)
         np.testing.assert_allclose(pmf, reduced_model.potential.value(grid))
+
+
+class TestTrapPmf:
+    """``trap_pmf`` is F_kappa, the curve Jarzynski estimates from pulls
+    through a trap of stiffness kappa: U only in the stiff-spring limit."""
+
+    STATIONS = np.linspace(-5.0, 5.0, 21)
+
+    def test_linear_potential_is_shifted_by_a_constant(self):
+        # F_kappa = U - a^2 / (2 kappa) + const for U = a z.
+        model = ReducedTranslocationModel(AxialLandscape([], tilt=-10.0))
+        gap = model.trap_pmf(100.0, self.STATIONS) - model.reference_pmf(
+            self.STATIONS, zero_at_start=False)
+        assert np.ptp(gap) < 1e-9
+
+    def test_converges_to_u_as_kappa_grows(self, reduced_model):
+        from repro.core import pmf_error
+
+        u = reduced_model.reference_pmf(self.STATIONS)
+        errors = [pmf_error(reduced_model.trap_pmf(k, self.STATIONS), u)
+                  for k in (1e3, 1e4, 1e5)]
+        assert errors == sorted(errors, reverse=True)
+        assert errors[-1] < 0.05
+
+    def test_keeps_the_station_shape(self, reduced_model):
+        lam = self.STATIONS.reshape(3, 7)
+        np.testing.assert_array_equal(
+            reduced_model.trap_pmf(100.0, lam).ravel(),
+            reduced_model.trap_pmf(100.0, self.STATIONS))
+
+    def test_estimate_is_closer_to_its_target_than_the_target_to_u(
+            self, reduced_model):
+        """At the Fig. 4 optimum (seed 2005) most of sigma_sys is the floor
+        sigma_target = |F_kappa - U| that no sampling lowers; the estimate
+        itself sits far closer to F_kappa (sigma_est)."""
+        from repro.core import estimate_pmf, pmf_error, run_parameter_study
+        from repro.smd import PullingProtocol
+
+        proto = PullingProtocol(kappa_pn=100.0, velocity=12.5,
+                                distance=10.0, start_z=-5.0)
+        study = run_parameter_study(reduced_model, protocols=[proto],
+                                    n_samples=48, n_bootstrap=2, seed=2005)
+        est = estimate_pmf(study.ensembles[(100.0, 12.5)])
+        lam = proto.start_z + est.displacements
+        target = reduced_model.trap_pmf(100.0, lam)
+        sigma_target = pmf_error(target, reduced_model.reference_pmf(lam))
+        sigma_est = pmf_error(est.values, target)
+        assert sigma_est < sigma_target
+        assert sigma_est < 0.1 < 1.0 < sigma_target

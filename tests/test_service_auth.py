@@ -295,3 +295,22 @@ class TestSpecValidation:
         # Unpaired second-generation estimators stay admissible.
         spec = CampaignSpec.from_dict(dict(SPEC, estimator="parallel-pull"))
         assert spec.estimator == "parallel-pull"
+
+    @pytest.mark.parametrize("estimator,n_samples", [
+        ("block", 2), ("cumulant", 1)])
+    def test_estimator_that_cannot_use_the_sample_count_is_400(
+            self, app, estimator, n_samples):
+        """A cell of ``n_samples`` pulls that its estimator can never turn
+        into a PMF is refused at submit — not pulled, stored, and then
+        failed at analysis."""
+        bad = dict(SPEC, n_samples=n_samples, samples_per_task=1,
+                   estimator=estimator)
+        response = app.handle(_post("/v1/campaigns",
+                                    "spice-operator-token", bad))
+        assert response.status == 400
+        error = response.json()["error"]
+        assert error["code"] == "invalid-spec"
+        assert estimator in error["message"]
+        assert f"{n_samples} samples" in error["message"]
+        assert app.runner.state.list() == []
+        assert app.runner.store.writes == 0

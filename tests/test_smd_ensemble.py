@@ -4,7 +4,7 @@ validations that anchor the Fig. 4 reproduction."""
 import numpy as np
 import pytest
 
-from repro.core import estimate_free_energy
+from repro.core import estimate_pmf
 from repro.errors import ConfigurationError
 from repro.pore import AxialLandscape, ReducedTranslocationModel
 from repro.smd import PullingProtocol, run_pulling_ensemble
@@ -66,8 +66,7 @@ class TestPhysics:
                                 equilibration_ns=0.02)
         ens = run_pulling_ensemble(model, proto, n_samples=128, seed=4,
                                    force_sample_time=None)
-        dF = estimate_free_energy(ens.final_works(), 300.0,
-                                  method="exponential")
+        dF = estimate_pmf(ens, "exponential").values[-1]
         assert abs(dF) < 0.5  # within ~kT of zero
         assert ens.final_works().mean() > 0.5  # while mean work is clearly positive
 

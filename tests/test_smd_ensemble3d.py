@@ -4,7 +4,7 @@ reduced model's machinery."""
 import numpy as np
 import pytest
 
-from repro.core import estimate_free_energy, estimate_pmf
+from repro.core import estimate_pmf
 from repro.errors import ConfigurationError
 from repro.smd import PullingProtocol, run_pulling_ensemble_3d
 
@@ -33,9 +33,7 @@ class TestEnsemble3D:
     def test_estimators_apply(self, small_3d_ensemble):
         est = estimate_pmf(small_3d_ensemble)
         assert est.values.shape == (11,)
-        dF = estimate_free_energy(small_3d_ensemble.final_works(), 300.0,
-                                  method="exponential")
-        assert np.isfinite(dF)
+        assert np.all(np.isfinite(est.values))
 
     def test_work_positive_dragging_through_fluid(self, small_3d_ensemble):
         # A fast pull against implicit-solvent drag is dissipative.
