@@ -173,6 +173,21 @@ RETIRED_NAMES: Dict[str, str] = {
     "paired_estimators": "check_estimator(name, n_samples=...)",
     "systematic_error": "pmf_error(values, reference)",
     "repro.core.estimators": "the registry lives in repro.core.pmf",
+    "build_dsdna": "the paper's one scenario is ssDNA in alpha-hemolysin",
+    "DSDNAParameters": "the paper's one scenario is ssDNA in alpha-hemolysin",
+    "DuplexSystem": "the paper's one scenario is ssDNA in alpha-hemolysin",
+    "mspa_pore": "the paper's one scenario is ssDNA in alpha-hemolysin",
+    "solid_state_nanopore": "the paper's one scenario is ssDNA in alpha-hemolysin",
+    "DihedralForce": "the CG ssDNA has no torsion term",
+    "measure_dihedrals": "the CG ssDNA has no torsion term",
+    "ObservableRecorder": "record observables with a Simulation reporter",
+    "connect_over_fabric": "NetworkFabric.resolve decides reachability",
+    "FlatBottomRestraintForce": "HarmonicRestraintForce is the one restraint",
+    "repro.pore.dsdna": "the paper's one scenario is ssDNA in alpha-hemolysin",
+    "repro.pore.presets": "HemolysinPore is the one pore",
+    "repro.md.dihedrals": "the CG ssDNA has no torsion term",
+    "repro.md.trajectory": "record observables with a Simulation reporter",
+    "repro.steering.fabric": "NetworkFabric.resolve decides reachability",
 }
 
 
@@ -199,8 +214,9 @@ class RetiredNameRule(Rule):
     rationale = (
         "each retired name was a second path the codebase collapsed into "
         "one (executor, resume mechanism, stacked runner, batched MD "
-        "class, estimator front door); bringing the name back, even as a "
-        "shim, splits callers across two paths nothing tests as equal"
+        "class, estimator front door) or scenario code no driver reached "
+        "(dsDNA, other pores); bringing the name back, even as a shim, "
+        "splits callers across two paths nothing tests as equal"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:

@@ -18,12 +18,10 @@ Public surface:
 from .system import ParticleSystem
 from .topology import Topology, TopologyBuilder
 from .forces import Force, HarmonicBondForce, FENEBondForce, HarmonicAngleForce
-from .dihedrals import DihedralForce, measure_dihedrals
 from .nonbonded import LennardJonesForce, WCAForce, DebyeHuckelForce
 from .external import (
     ExternalFieldForce,
     HarmonicRestraintForce,
-    FlatBottomRestraintForce,
     ConstantForce,
     SteeringForce,
 )
@@ -35,7 +33,6 @@ from .kernels import (
 )
 from .neighborlist import NeighborList
 from .integrators import VelocityVerlet, LangevinBAOAB, BrownianDynamics
-from .trajectory import Frame, Trajectory, ObservableRecorder
 from .engine import Simulation
 from .batch import ReplicaBatch, stack_simulations
 from .checkpoint import capture, restore, checkpoint_size_bytes
@@ -48,14 +45,11 @@ __all__ = [
     "HarmonicBondForce",
     "FENEBondForce",
     "HarmonicAngleForce",
-    "DihedralForce",
-    "measure_dihedrals",
     "LennardJonesForce",
     "WCAForce",
     "DebyeHuckelForce",
     "ExternalFieldForce",
     "HarmonicRestraintForce",
-    "FlatBottomRestraintForce",
     "ConstantForce",
     "SteeringForce",
     "KERNELS",
@@ -68,9 +62,6 @@ __all__ = [
     "VelocityVerlet",
     "LangevinBAOAB",
     "BrownianDynamics",
-    "Frame",
-    "Trajectory",
-    "ObservableRecorder",
     "Simulation",
     "capture",
     "restore",

@@ -40,7 +40,7 @@ is array shape, and that is where the contract is earned:
   and rebuild schedule; only the skin test is made once for the stack
   (:meth:`~repro.md.neighborlist.NeighborList.stacked_pairs`);
 * terms that only understand ``(N, 3)`` (no ``stackable`` mark:
-  restraints, dihedrals, a user's own) and the ``kernel="reference"``
+  restraints, steering forces, a user's own) and the ``kernel="reference"``
   loops run once per replica (:func:`~repro.md.kernels.per_replica`).
 
 Because replicas are independent, the replica axis is an execution layout

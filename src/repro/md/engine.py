@@ -3,8 +3,8 @@
 This is the stand-in for NAMD in the SPICE architecture.  The engine exposes
 the hooks the rest of the reproduction relies on:
 
-* *reporters* — callables invoked after every step (trajectory recording,
-  observables, SMD work integration);
+* *reporters* — callables invoked after every step (observables, SMD work
+  integration);
 * *steering attachment* — a :class:`repro.steering.library.SteeringClient`
   can be attached; the engine polls it at a configurable stride, exactly how
   the paper's NAMD is "interfaced with the RealityGrid steering library

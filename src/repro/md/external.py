@@ -21,7 +21,6 @@ __all__ = [
     "FieldPotential",
     "ExternalFieldForce",
     "HarmonicRestraintForce",
-    "FlatBottomRestraintForce",
     "ConstantForce",
     "SteeringForce",
 ]
@@ -92,33 +91,6 @@ class HarmonicRestraintForce:
         if a.shape != self._anchors.shape:
             raise ConfigurationError("anchor shape mismatch")
         self._anchors[:] = a
-
-
-class FlatBottomRestraintForce:
-    """Spherical flat-bottom restraint: zero inside ``radius`` of the anchor,
-    half-harmonic outside.  Keeps the DNA from escaping the simulation region
-    without biasing dynamics near the pore."""
-
-    def __init__(self, indices: np.ndarray, center: np.ndarray, radius: float, k: float) -> None:
-        if radius <= 0.0 or k < 0.0:
-            raise ConfigurationError("radius must be > 0 and k >= 0")
-        self._indices = np.asarray(indices, dtype=np.intp)
-        self._center = np.asarray(center, dtype=np.float64).reshape(3)
-        self.radius = float(radius)
-        self.k = float(k)
-
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
-        dr = positions[self._indices] - self._center
-        r = np.sqrt(np.einsum("ij,ij->i", dr, dr))
-        over = r - self.radius
-        active = over > 0.0
-        if not np.any(active):
-            return 0.0
-        energy = float(0.5 * self.k * np.sum(over[active] ** 2))
-        scale = np.zeros_like(r)
-        scale[active] = -self.k * over[active] / r[active]
-        np.add.at(forces, self._indices, dr * scale[:, None])
-        return energy
 
 
 class ConstantForce:

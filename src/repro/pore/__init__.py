@@ -20,8 +20,6 @@ from .reduced import (
 )
 from .voltage import tilt_from_voltage, voltage_from_tilt
 from .tabulated import TabulatedPotential1D, full_axis_chain_potential
-from .dsdna import DSDNAParameters, DuplexSystem, build_dsdna
-from .presets import mspa_pore, solid_state_nanopore
 
 __all__ = [
     "PoreGeometry",
@@ -42,9 +40,4 @@ __all__ = [
     "voltage_from_tilt",
     "TabulatedPotential1D",
     "full_axis_chain_potential",
-    "DSDNAParameters",
-    "DuplexSystem",
-    "build_dsdna",
-    "mspa_pore",
-    "solid_state_nanopore",
 ]

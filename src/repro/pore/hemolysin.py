@@ -23,12 +23,17 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..md.kernels import Energy
 from .geometry import DEFAULT_GEOMETRY, PoreGeometry
 from .landscape import AxialLandscape, default_hemolysin_landscape
 
 __all__ = ["HemolysinPore"]
+
+#: Half-harmonic wall constant in kcal/mol/A^2.
+_WALL_STIFFNESS = 10.0
+#: Width (A) of the smooth axial on/off envelope at the pore ends and of
+#: the radial envelope gating the axial landscape.
+_ENVELOPE_WIDTH = 2.0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -48,41 +53,26 @@ class HemolysinPore:
     ----------
     geometry:
         Pore radius profile (default: crystal-structure-like dimensions).
+        Its ``sevenfold_amplitude`` sets the cos(7 phi) heptamer wall
+        modulation; ``0.0`` turns it off.
     landscape:
         Axial per-bead landscape; default is
         :func:`~repro.pore.landscape.default_hemolysin_landscape`.
-    wall_stiffness:
-        Half-harmonic wall constant in kcal/mol/A^2.
-    envelope_width:
-        Width (A) of the smooth axial on/off envelope at the pore ends and
-        of the radial envelope gating the axial landscape.
-    sevenfold:
-        Include the cos(7 phi) heptamer wall modulation.
     """
 
     def __init__(
         self,
         geometry: PoreGeometry = DEFAULT_GEOMETRY,
         landscape: Optional[AxialLandscape] = None,
-        wall_stiffness: float = 10.0,
-        envelope_width: float = 2.0,
-        sevenfold: bool = True,
     ) -> None:
-        if wall_stiffness <= 0.0:
-            raise ConfigurationError("wall_stiffness must be positive")
-        if envelope_width <= 0.0:
-            raise ConfigurationError("envelope_width must be positive")
         self.geometry = geometry
         self.landscape = landscape if landscape is not None else default_hemolysin_landscape()
-        self.wall_stiffness = float(wall_stiffness)
-        self.envelope_width = float(envelope_width)
-        self.sevenfold = bool(sevenfold)
 
     # -- envelopes -------------------------------------------------------------
 
     def _axial_envelope(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Smooth indicator of "inside the pore axially" and its z-derivative."""
-        w = self.envelope_width
+        w = _ENVELOPE_WIDTH
         g = self.geometry
         lo = _sigmoid((z - g.z_bottom) / w)
         hi = _sigmoid((g.z_top - z) / w)
@@ -96,7 +86,7 @@ class HemolysinPore:
         Gates the axial landscape: a bead far outside the wall radius should
         feel no interior landscape.
         """
-        w = self.envelope_width
+        w = _ENVELOPE_WIDTH
         rw = self.geometry.radius(z)
         x = (rw - r) / w
         env = _sigmoid(x)
@@ -122,7 +112,7 @@ class HemolysinPore:
         env, denv = self._axial_envelope(z)
 
         # ---- confining wall ----
-        if self.sevenfold and self.geometry.sevenfold_amplitude != 0.0:
+        if self.geometry.sevenfold_amplitude != 0.0:
             phi = np.arctan2(y, x)
             amp = self.geometry.sevenfold_amplitude
             rw = self.geometry.radius(z) + amp * np.cos(7.0 * phi)
@@ -134,7 +124,7 @@ class HemolysinPore:
 
         overlap = r - rw
         out = overlap > 0.0
-        k = self.wall_stiffness
+        k = _WALL_STIFFNESS
         e_wall = 0.5 * k * env * np.where(out, overlap, 0.0) ** 2
         wall_energy = e_wall.sum(axis=-1)
         # A shortcut only: without overlap every wall force below is a
@@ -163,7 +153,7 @@ class HemolysinPore:
         land_energy = np.sum(gate * u_ax, axis=-1)
         # dU/dz: product rule across env(z), renv(r, z), u_ax(z).  renv
         # depends on z through R(z); include that term for exactness.
-        w = self.envelope_width
+        w = _ENVELOPE_WIDTH
         drenv_dz = renv * (1.0 - renv) * drw_dz / w
         forces[..., 2] -= denv * renv * u_ax + env * drenv_dz * u_ax + gate * du_ax
         # dU/dr
@@ -203,7 +193,5 @@ class HemolysinPore:
             "constriction_z": float(zz[i_min]),
             "min_radius": float(rr[i_min]),
             "sevenfold_amplitude": g.sevenfold_amplitude,
-            "symmetry_order": (
-                7 if self.sevenfold and g.sevenfold_amplitude > 0 else 1
-            ),
+            "symmetry_order": 7 if g.sevenfold_amplitude > 0 else 1,
         }

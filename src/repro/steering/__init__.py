@@ -12,7 +12,6 @@ from .checkpoints import CheckpointNode, CheckpointTree
 from .library import SteerableParam, SteeringClient
 from .steerer import Steerer
 from .visualizer import Visualizer, RenderedFrame
-from .fabric import connect_over_fabric
 
 __all__ = [
     "MessageType",
@@ -29,5 +28,4 @@ __all__ = [
     "Steerer",
     "Visualizer",
     "RenderedFrame",
-    "connect_over_fabric",
 ]

@@ -1,5 +1,7 @@
 """Tests for external (one-body) force terms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,10 @@ from repro.errors import ConfigurationError
 from repro.md import (
     ConstantForce,
     ExternalFieldForce,
-    FlatBottomRestraintForce,
     HarmonicRestraintForce,
     SteeringForce,
 )
-from repro.pore import HemolysinPore, MembraneSlab
+from repro.pore import DEFAULT_GEOMETRY, HemolysinPore, MembraneSlab
 
 
 class FakeField:
@@ -42,7 +43,9 @@ class TestExternalFieldForce:
         assert forces[0, 2] == 0.0 and forces[1, 2] == -1.0
 
 
-FIELDS = [HemolysinPore(), HemolysinPore(sevenfold=False), MembraneSlab()]
+FIELDS = [HemolysinPore(),
+          HemolysinPore(replace(DEFAULT_GEOMETRY, sevenfold_amplitude=0.0)),
+          MembraneSlab()]
 
 
 def stack_positions(hot, n, seed):
@@ -147,27 +150,6 @@ class TestHarmonicRestraint:
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigurationError):
             HarmonicRestraintForce(np.array([0]), np.zeros((1, 3)), k=-1.0)
-
-
-class TestFlatBottomRestraint:
-    def test_zero_inside_radius(self):
-        f = FlatBottomRestraintForce(np.array([0]), np.zeros(3), radius=5.0, k=2.0)
-        pos = np.array([[3.0, 0.0, 0.0]])
-        forces = np.zeros((1, 3))
-        assert f.compute(pos, forces) == 0.0
-        np.testing.assert_array_equal(forces, 0.0)
-
-    def test_harmonic_outside(self):
-        f = FlatBottomRestraintForce(np.array([0]), np.zeros(3), radius=5.0, k=2.0)
-        pos = np.array([[7.0, 0.0, 0.0]])
-        forces = np.zeros((1, 3))
-        e = f.compute(pos, forces)
-        assert e == pytest.approx(0.5 * 2.0 * 4.0)
-        assert forces[0, 0] == pytest.approx(-4.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FlatBottomRestraintForce(np.array([0]), np.zeros(3), radius=0.0, k=1.0)
 
 
 class TestConstantForce:

@@ -1,10 +1,14 @@
 """Tests for the hemolysin pore potential."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.pore import AxialLandscape, HemolysinPore
+from repro.pore import DEFAULT_GEOMETRY, AxialLandscape, HemolysinPore
+
+#: The default pore's radius profile without the heptamer modulation.
+AXISYMMETRIC = replace(DEFAULT_GEOMETRY, sevenfold_amplitude=0.0)
 
 
 def numerical_forces(pore, positions, h=1e-6):
@@ -29,7 +33,7 @@ class TestWall:
         np.testing.assert_allclose(f[0, :2], 0.0, atol=1e-9)
 
     def test_wall_pushes_inward(self):
-        pore = HemolysinPore(sevenfold=False)
+        pore = HemolysinPore(AXISYMMETRIC)
         # At z=0 the wall radius is 7; put a bead at r=9.
         pos = np.array([[9.0, 0.0, 0.0]])
         e, f = pore.energy_and_forces(pos)
@@ -37,13 +41,13 @@ class TestWall:
         assert f[0, 0] < 0  # radially inward
 
     def test_inside_lumen_no_wall_energy(self):
-        pore = HemolysinPore(sevenfold=False, landscape=AxialLandscape([]))
+        pore = HemolysinPore(AXISYMMETRIC, landscape=AxialLandscape([]))
         pos = np.array([[2.0, 0.0, 0.0]])
         e, f = pore.energy_and_forces(pos)
         assert e == pytest.approx(0.0, abs=1e-9)
 
     def test_outside_pore_axially_no_wall(self):
-        pore = HemolysinPore(sevenfold=False, landscape=AxialLandscape([]))
+        pore = HemolysinPore(AXISYMMETRIC, landscape=AxialLandscape([]))
         g = pore.geometry
         pos = np.array([[30.0, 0.0, g.z_top + 20.0]])
         e, _ = pore.energy_and_forces(pos)
@@ -51,7 +55,7 @@ class TestWall:
         assert e == pytest.approx(0.0, abs=0.05)
 
     def test_sevenfold_angular_force(self):
-        pore = HemolysinPore(sevenfold=True)
+        pore = HemolysinPore()
         g = pore.geometry
         # A bead pressed into the wall off a symmetry axis feels torque.
         phi = np.pi / 5
@@ -66,7 +70,7 @@ class TestWall:
 class TestGradientExactness:
     @pytest.mark.parametrize("sevenfold", [False, True])
     def test_forces_match_energy_gradient(self, sevenfold):
-        pore = HemolysinPore(sevenfold=sevenfold)
+        pore = HemolysinPore(DEFAULT_GEOMETRY if sevenfold else AXISYMMETRIC)
         rng = np.random.default_rng(11)
         # Sample points inside, near the wall, and outside.
         pos = np.vstack(
@@ -109,9 +113,4 @@ class TestDescribe:
         assert d["constriction_z"] == pytest.approx(0.0, abs=0.5)
         assert d["min_radius"] == pytest.approx(7.0, rel=0.01)
         assert d["length"] == 100.0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigurationError):
-            HemolysinPore(wall_stiffness=0.0)
-        with pytest.raises(ConfigurationError):
-            HemolysinPore(envelope_width=-1.0)
+        assert HemolysinPore(AXISYMMETRIC).describe()["symmetry_order"] == 1
