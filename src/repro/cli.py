@@ -264,15 +264,13 @@ def _campaign_store(args, obs):
 def _campaign_dlq(args, store, obs):
     """Resolve ``--dlq`` to a DeadLetterQueue next to the store."""
     from .errors import ConfigurationError
-    from .resil import DeadLetterQueue
+    from .resil import DeadLetterQueue, store_dlq_path
 
     if not getattr(args, "dlq", False):
         return None
     if store is None:
         raise ConfigurationError("--dlq requires --store DIR")
-    import os
-
-    return DeadLetterQueue(os.path.join(store.root, "DLQ.jsonl"), obs=obs)
+    return DeadLetterQueue(store_dlq_path(store.root), obs=obs)
 
 
 def _run_instrumented_campaign(args):
@@ -742,11 +740,11 @@ def cmd_dlq(args) -> CommandResult:
     import os
 
     from .errors import ConfigurationError
-    from .resil import DeadLetterQueue
+    from .resil import DeadLetterQueue, store_dlq_path
 
     if args.store is None:
         raise ConfigurationError("dlq requires --store DIR")
-    path = os.path.join(args.store, "DLQ.jsonl")
+    path = store_dlq_path(args.store)
     if not os.path.isfile(path):
         raise ConfigurationError(f"no dead-letter queue at {path!r}")
     dlq = DeadLetterQueue(path)

@@ -22,7 +22,7 @@ The chaos module imports the grid/net layers, so it is loaded lazily —
 from .breaker import BreakerBoard, BreakerState, CircuitBreaker
 from .core import GridPartition, Resilience
 from .detector import HeartbeatFailureDetector, SiteHealth
-from .dlq import DLQ_SCHEMA, DeadLetterQueue
+from .dlq import DLQ_SCHEMA, DeadLetterQueue, store_dlq_path
 from .policy import (
     DEFAULT_CHANNEL_RETRY,
     DEFAULT_MIDDLEWARE_RETRY,
@@ -50,6 +50,7 @@ __all__ = [
     "Resilience",
     "DLQ_SCHEMA",
     "DeadLetterQueue",
+    "store_dlq_path",
     # Lazily loaded from .chaos (avoids a grid/net import cycle):
     "ChaosScenario",
     "SiteFault",

@@ -39,9 +39,18 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 
-__all__ = ["DLQ_SCHEMA", "DeadLetterQueue", "task_key_tuple"]
+__all__ = ["DLQ_SCHEMA", "DeadLetterQueue", "store_dlq_path",
+           "task_key_tuple"]
 
 DLQ_SCHEMA = "repro.resil.dlq/v1"
+
+
+def store_dlq_path(store_root: str) -> str:
+    """The one dead-letter queue of a result store: ``<store>/DLQ.jsonl``
+    (the ``campaign --dlq`` and ``dlq`` commands and the service all use
+    it)."""
+    return os.path.join(store_root, "DLQ.jsonl")
+
 
 #: Reasons a task may be dead-lettered; fixed vocabulary so reports and
 #: tests can switch on them.

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
@@ -139,13 +138,12 @@ class CampaignRunner:
                  obs: Optional[Obs] = None, inline: bool = False,
                  task_fault: Optional[Callable[[str, Any, int], None]] = None
                  ) -> None:
-        from ..resil import DeadLetterQueue, RetryPolicy
+        from ..resil import DeadLetterQueue, RetryPolicy, store_dlq_path
 
         self.store = store
         self.state = state
         self.obs = as_obs(obs)
-        self.dlq = DeadLetterQueue(os.path.join(store.root, "DLQ.jsonl"),
-                                   obs=obs)
+        self.dlq = DeadLetterQueue(store_dlq_path(store.root), obs=obs)
         self.retry = RetryPolicy(max_attempts=3, base_delay=1e-6)
         self.inline = inline
         self.task_fault = task_fault

@@ -22,8 +22,9 @@ Three properties the tests pin down:
   write-tmp → fsync → ``os.replace`` (a crash leaves the old record, never
   a torn one); events are fsync'd appends — one per lifecycle change, one
   per executor window for the progress events that window resolved — whose
-  reader tolerates a torn final line.  A watcher's ``since=<seq>`` read
-  seeks to the first new event instead of re-parsing the log (see
+  reader tolerates a torn final line.  Like the records, each campaign's
+  events are read from disk once and then served from memory, so a
+  watcher's ``since=<seq>`` read never opens the log (see
   :meth:`ServiceState.read_events`).
 * **Results are content-keyed by spec fingerprint**, not campaign id:
   coalesced campaigns share one result document the same way they share
@@ -38,10 +39,11 @@ them) are bit-identical across same-seed runs, which is what lets
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..errors import LifecycleError, ServiceError
 from ..sanitize import make_rlock
@@ -167,37 +169,6 @@ class CampaignRecord:
         )
 
 
-@dataclass
-class _EventIndex:
-    """Where one campaign's event lines start in its log.
-
-    ``starts[seq]`` is the byte offset of the first line carrying ``seq``,
-    ``last`` the highest seq indexed and ``end`` the log length the index
-    covers.  Appends keep seqs non-decreasing in file order, so no line
-    before ``starts[k + 1]`` carries a seq above ``k``.
-    """
-
-    starts: Dict[int, int] = field(default_factory=dict)
-    last: int = 0
-    end: int = 0
-
-    def add(self, seq: Any, start: int, end: int) -> None:
-        """Index one complete line (``seq`` ``None`` when it carries none)."""
-        if isinstance(seq, int):
-            self.starts.setdefault(seq, start)
-            self.last = max(self.last, seq)
-        self.end = end
-
-    def seek(self, since: int) -> Optional[Tuple[int, int, bool]]:
-        """``(offset, seq expected there, caught up)`` for a read of
-        ``seq > since``, or ``None`` when no indexed line carries
-        ``since + 1``.  A caught-up read starts at ``end``."""
-        if since >= self.last:
-            return self.end, self.last + 1, True
-        offset = self.starts.get(since + 1)
-        return None if offset is None else (offset, since + 1, False)
-
-
 class ServiceState:
     """Durable campaign records, events and results under one root.
 
@@ -221,8 +192,7 @@ class ServiceState:
         self._sync = sync
         self._lock = make_rlock("service.state")
         self._records: Dict[str, CampaignRecord] = {}
-        self._event_counts: Dict[str, int] = {}
-        self._event_index: Dict[str, _EventIndex] = {}
+        self._events: Dict[str, List[str]] = {}
         self._next_id = 1
         os.makedirs(self._campaigns_dir, exist_ok=True)
         self._load()
@@ -375,94 +345,72 @@ class ServiceState:
         ``since=<last seen seq>`` and never miss or re-see an event.  A
         lifecycle change appends one event; the runner appends a window's
         progress events together, so they cost one fsync, not one each.
+        The lines join the held events only once the append returned, so
+        an append that raises consumes no seq.
         """
         from ..store.fingerprint import canonical_json
 
         with self._lock:
-            if campaign_id not in self._event_counts:
-                # Restart path: continue the sequence after the last
-                # durable event instead of reusing its numbers.
-                existing = self.read_events(campaign_id)
-                self._event_counts[campaign_id] = (
-                    existing[-1]["seq"] if existing else 0)
-            first = self._event_counts[campaign_id] + 1
+            held = self._held_events(campaign_id)
+            first = _seq(held[-1]) + 1 if held else 1
             lines = [canonical_json({"seq": seq, **event})
                      for seq, event in enumerate(events, first)]
-            last = first + len(lines) - 1
-            self._event_counts[campaign_id] = last
             # The fsync is deliberately under the lock: the events' seq
             # order must match the file's append order, and the lock is
             # what serializes appenders.  Single-writer, a few short lines,
             # and the durability contract ("seq N returned => events up to
             # N on disk") needs the fsync inside.
-            start = append_line(  # spice: noqa SPICE303
-                self._events_path(campaign_id), *lines, sync=self._sync)
-            index = self._event_index.get(campaign_id)
-            if index is not None and index.end == start:
-                for seq, line in enumerate(lines, first):
-                    end = start + len(line.encode("utf-8")) + 1
-                    index.add(seq, start, end)
-                    start = end
-            else:
-                # Bytes the index never saw precede these lines (a repaired
-                # torn tail, an outside rewrite): the next read rebuilds it.
-                self._event_index.pop(campaign_id, None)
-            return last
+            try:
+                append_line(  # spice: noqa SPICE303
+                    self._events_path(campaign_id), *lines, sync=self._sync)
+            except BaseException:
+                # Part of the batch may have reached the log: hold what a
+                # restart would load, read back on the next touch.
+                del self._events[campaign_id]
+                raise
+            held.extend(lines)
+            return first + len(lines) - 1
 
     def read_events(self, campaign_id: str, *,
                     since: int = 0) -> List[Dict[str, Any]]:
-        """Events with ``seq > since``, oldest first.
+        """Events with ``seq > since``, oldest first, from the held lines:
+        after a campaign's first touch no read opens its log."""
+        with self._lock:
+            held = self._held_events(campaign_id)
+            new = held[bisect.bisect_right(held, since, key=_seq):]
+        return [json.loads(line) for line in new]
+
+    def _held_events(self, campaign_id: str) -> List[str]:
+        """The campaign's event lines, seqs strictly increasing; its log is
+        read once, on the first touch.
 
         A torn final line (crash mid-append) is dropped by the shared
-        line-log reader; an unparsable interior line is skipped.
-
-        A watcher's read (``since > 0``) costs only the new events: the
-        campaign's index — extended by :meth:`append_event`, seeded by the
-        first full read, so also for logs written before a restart — gives
-        the offset of event ``since + 1`` and only the lines from there on
-        are parsed; a watcher that has seen everything, on a log whose
-        length has not changed, is answered without opening the file (so
-        a line written but not yet indexed is still seen).  When the line
-        at the seek point does not carry the expected seq (the log was
-        rewritten behind the service's back) the whole log is read and the
-        index rebuilt.
+        line-log reader, and a line that is not an event (not a JSON
+        object, or its ``seq`` is not an integer) is skipped.  A line whose
+        seq is not above the last kept one replaces the kept lines from
+        that seq on: a batch the crash left unacknowledged was written
+        again, under the same seqs, after the restart, so the log reads
+        back as the live process held it.
         """
-        index = None
-        if since > 0:
-            with self._lock:
-                index = self._event_index.get(campaign_id)
-                seek = index.seek(since) if index is not None else None
-            if seek is not None:
-                events = _read_from(self._events_path(campaign_id), since,
-                                    *seek)
-                if events is not None:
-                    return events
-        return self._read_all(campaign_id, since, stale=index)
-
-    def _read_all(self, campaign_id: str, since: int,
-                  stale: Optional[_EventIndex]) -> List[Dict[str, Any]]:
-        """The full read: parse the whole log, and index it when no index
-        is current (none yet, or ``stale`` sent this read here)."""
-        try:
-            lines = read_complete_lines(self._events_path(campaign_id))
-        except OSError:
-            return []
-        docs = [_parse_event(line) for line in lines]
         with self._lock:
-            current = self._event_index.get(campaign_id)
-        if current is None or current is stale:
-            fresh = _EventIndex()
-            start = 0
-            for line, doc in zip(lines, docs):
-                end = start + len(line.encode("utf-8")) + 1
-                fresh.add(doc.get("seq") if doc is not None else None,
-                          start, end)
-                start = end
-            with self._lock:
-                # Unless another read or an append replaced it meanwhile.
-                if self._event_index.get(campaign_id) is current:
-                    self._event_index[campaign_id] = fresh
-        return _newer(docs, since)
+            held = self._events.get(campaign_id)
+            if held is not None:
+                return held
+            try:
+                lines = read_complete_lines(self._events_path(campaign_id))
+            except OSError:
+                lines = []
+            held = []
+            seqs: List[int] = []
+            for line in lines:
+                seq = _event_seq(line)
+                if seq is not None:
+                    cut = bisect.bisect_left(seqs, seq)
+                    del seqs[cut:], held[cut:]
+                    seqs.append(seq)
+                    held.append(line)
+            self._events[campaign_id] = held
+            return held
 
     # -- results ---------------------------------------------------------------
 
@@ -489,46 +437,21 @@ class ServiceState:
             return None
 
 
-def _read_from(path: str, since: int, offset: int, expect: int,
-               caught_up: bool) -> Optional[List[Dict[str, Any]]]:
-    """Events with ``seq > since`` among the log lines from ``offset`` on,
-    or ``None`` when the line there does not carry seq ``expect``.
-
-    A caught-up read (``offset`` is the indexed log length, ``expect`` the
-    next seq to be appended) is answered without an open while the log
-    length is unchanged, and no complete line yet is no news.
-    """
-    try:
-        if caught_up and os.stat(path).st_size == offset:
-            return []
-        lines = read_complete_lines(path, offset)
-    except (OSError, ValueError):  # ValueError: a stale offset mid-character
-        return None
-    if not lines:
-        return [] if caught_up else None
-    docs = [_parse_event(line) for line in lines]
-    if docs[0] is None or docs[0].get("seq") != expect:
-        return None
-    return _newer(docs, since)
+def _seq(line: str) -> int:
+    """The ``seq`` of a held line (every held line is an event)."""
+    return json.loads(line)["seq"]
 
 
-def _parse_event(line: str) -> Optional[Dict[str, Any]]:
-    """One log line as an event document, ``None`` when it is not one: not
-    a JSON object, or its ``seq`` is not an integer (``true`` is not)."""
+def _event_seq(line: str) -> Optional[int]:
+    """The ``seq`` of one log line, ``None`` when it is not an event: not a
+    JSON object, or its ``seq`` is not an integer (``true`` is not)."""
     try:
         doc = json.loads(line)
     except ValueError:
         return None
-    if not isinstance(doc, dict):
-        return None
-    seq = doc.get("seq")
-    return doc if isinstance(seq, int) and not isinstance(seq, bool) \
+    seq = doc.get("seq") if isinstance(doc, dict) else None
+    return seq if isinstance(seq, int) and not isinstance(seq, bool) \
         else None
-
-
-def _newer(docs: List[Optional[Dict[str, Any]]],
-           since: int) -> List[Dict[str, Any]]:
-    return [doc for doc in docs if doc is not None and doc["seq"] > since]
 
 
 def _id_number(campaign_id: str) -> Optional[int]:

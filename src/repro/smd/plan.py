@@ -203,18 +203,17 @@ class TaskResolver:
     """Resolve tasks against an optional store: load hits, compute and
     persist misses.
 
-    Membership is read once from the store's index layer and maintained
-    incrementally — never a per-task directory probe — and the store's
+    Membership is the store's own memoized fingerprint set — read once
+    from its index layer, never a per-task directory probe — and the store's
     ``hits`` / ``misses`` / ``writes`` counters move identically whichever
     driver is resolving.
     """
 
     def __init__(self, store: Any = None) -> None:
         self.store = store
-        self.known = store.fingerprint_set() if store is not None else set()
 
     def __contains__(self, task: StreamTask) -> bool:
-        return self.store is not None and task.fingerprint in self.known
+        return self.store is not None and task.fingerprint in self.store
 
     def resolve(
         self,
@@ -231,20 +230,18 @@ class TaskResolver:
             ensemble = compute(task)
             return ("failed" if ensemble is None else "computed"), ensemble
         fingerprint = task.fingerprint
-        if fingerprint in self.known:
+        if fingerprint in store:
             ensemble = store.get(fingerprint)
             if ensemble is not None:
                 return "hit", ensemble
             # Evicted as corrupt on read: recompute in place (get()
             # already counted the store-level miss).
-            self.known.discard(fingerprint)
         else:
             store.note_miss()
         ensemble = compute(task)
         if ensemble is None:
             return "failed", None
         store.put(task.task, ensemble, fingerprint)
-        self.known.add(fingerprint)
         return "computed", ensemble
 
     def resolve_window(

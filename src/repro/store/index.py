@@ -26,9 +26,7 @@ write, flushed and fsync'd once, and a reader drops a final line with no
 trailing newline because a crash tore it.  INDEX files, the service's
 per-campaign event logs and ``DLQ.jsonl`` all go through it; what a
 *complete* but unparsable line means is each consumer's own policy.
-``append_line`` returns where its first line starts and
-``read_complete_lines`` reads from such an offset, so a consumer that
-remembers offsets reads only what was appended since.
+Each consumer reads a log whole and keeps what it needs in memory.
 """
 
 from __future__ import annotations
@@ -86,9 +84,9 @@ def atomic_write_text(path: str, text: str, *, sync: bool = True) -> None:
     os.replace(tmp, path)
 
 
-def append_line(path: str, *lines: str, sync: bool = True) -> int:
+def append_line(path: str, *lines: str, sync: bool = True) -> None:
     """Append ``lines``, each plus a newline, to a text log in one write and
-    one fsync; returns the byte offset at which the first line starts.
+    one fsync.
 
     A crash mid-append leaves at most one torn final line, which
     :func:`read_complete_lines` drops on the next read.  The next append
@@ -97,30 +95,23 @@ def append_line(path: str, *lines: str, sync: bool = True) -> int:
     """
     data = "".join(line + "\n" for line in lines).encode("utf-8")
     with _open_creating_dir(path, "a+b") as handle:
-        start = handle.seek(0, os.SEEK_END)
-        if start:
+        if handle.seek(0, os.SEEK_END):
             handle.seek(-1, os.SEEK_END)
             if handle.read(1) != b"\n":
                 data = b"\n" + data
-                start += 1
         handle.write(data)
         if sync:
             handle.flush()
             os.fsync(handle.fileno())
-    return start
 
 
-def read_complete_lines(path: str, offset: int = 0) -> List[str]:
-    """The newline-terminated lines of a text log, without the newlines,
-    from byte ``offset`` (a line start, such as :func:`append_line`
-    returned) to the end.
+def read_complete_lines(path: str) -> List[str]:
+    """The newline-terminated lines of a text log, without the newlines.
 
     Whatever follows the last newline is a torn append from a crash and is
     dropped.  Raises ``OSError`` when the file cannot be read.
     """
     with open(path, "rb") as handle:
-        if offset:
-            handle.seek(offset)
         lines = handle.read().decode("utf-8").split("\n")
     lines.pop()  # "" after a final newline, else the torn tail
     return lines

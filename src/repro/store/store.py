@@ -232,7 +232,7 @@ class ResultStore:
     # -- cache interface -------------------------------------------------------
 
     def __contains__(self, fingerprint: str) -> bool:
-        return os.path.isfile(self.path_for(fingerprint))
+        return fingerprint in self._view()
 
     def __len__(self) -> int:
         return len(self._view())
@@ -245,10 +245,6 @@ class ResultStore:
         walk.
         """
         return sorted(self._view())
-
-    def fingerprint_set(self) -> Set[str]:
-        """An unsorted copy of the stored fingerprints, for membership."""
-        return set(self._view())
 
     def note_miss(self, n: int = 1) -> None:
         """Count cache misses detected by membership alone (the task

@@ -1,6 +1,6 @@
 """Job-state layer: the lifecycle state machine, durable records, event
-logs with monotonic sequence numbers and their seek-by-seq reads, and
-restart recovery."""
+logs with monotonic sequence numbers served from memory, and restart
+recovery."""
 
 import json
 import os
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.errors import LifecycleError, ServiceError
 from repro.service import state as state_module
+from repro.store.index import append_line
 from repro.service import (
     STATES,
     TERMINAL_STATES,
@@ -130,56 +131,44 @@ class TestEvents:
     def test_events_for_unknown_campaign_are_empty(self, state):
         assert state.read_events("c-404404") == []
 
-    def test_a_watcher_read_opens_only_the_new_events(self, state,
-                                                      monkeypatch):
-        record = state.create("ada", SPEC_DOC, "fp-1")
-        for resolved in range(5):
-            state.append_event(record.id, {"kind": "progress",
-                                           "resolved": resolved})
-        assert len(state.read_events(record.id)) == 6
-        reads = []
-        read_complete_lines = state_module.read_complete_lines
-
-        def recording(path, offset=0):
-            reads.append(offset)
-            return read_complete_lines(path, offset)
-
-        monkeypatch.setattr(state_module, "read_complete_lines", recording)
-        # No news: answered from the index, the file is not opened.
-        assert state.read_events(record.id, since=6) == []
-        assert state.read_events(record.id, since=60) == []
-        assert reads == []
-        # News: one read, starting at the first new event.
-        seq = state.append_event(record.id, {"kind": "progress"})
-        assert [e["seq"] for e in state.read_events(record.id, since=6)] \
-            == [seq]
-        assert [e["seq"] for e in state.read_events(record.id, since=4)] \
-            == [5, 6, seq]
-        # The append extended the index: caught up again, nothing opened.
-        assert state.read_events(record.id, since=seq) == []
-        path = os.path.join(state.root, "events", record.id + ".jsonl")
-        with open(path, "rb") as handle:
-            lines = handle.read().split(b"\n")
-        assert reads == [sum(len(line) + 1 for line in lines[:6]),
-                         sum(len(line) + 1 for line in lines[:4])]
-
-    def test_a_read_between_write_and_index_update_sees_the_line(
+    def test_reads_never_open_the_log_after_the_first_touch(
             self, state, monkeypatch):
-        record = state.create("ada", SPEC_DOC, "fp-1")
-        state.append_event(record.id, {"kind": "progress"})
-        assert len(state.read_events(record.id)) == 2
-        seen = []
-        append_line = state_module.append_line
+        record = state.create("ada", SPEC_DOC, "fp-1")     # seq 1
+        state.append_event(record.id, *({"kind": "progress",
+                                         "resolved": resolved}
+                                        for resolved in range(5)))
+        reborn = ServiceState(state.root, sync=False)
+        assert len(reborn.read_events(record.id)) == 6     # first touch
 
-        def append_then_read(path, *lines, sync=True):
-            start = append_line(path, *lines, sync=sync)
-            # The line is in the log; the index does not know it yet.
-            seen.append(state.read_events(record.id, since=2))
-            return start
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the event log was opened")
 
-        monkeypatch.setattr(state_module, "append_line", append_then_read)
-        seq = state.append_event(record.id, {"kind": "progress"})
-        assert [[e["seq"] for e in batch] for batch in seen] == [[seq]]
+        monkeypatch.setattr(state_module, "read_complete_lines", forbidden)
+        monkeypatch.setattr("builtins.open", forbidden)
+        for live in (state, reborn):
+            assert [e["seq"] for e in live.read_events(record.id, since=3)] \
+                == [4, 5, 6]
+            assert [e["resolved"] for e in live.read_events(record.id,
+                                                            since=1)] \
+                == [0, 1, 2, 3, 4]
+            assert live.read_events(record.id, since=6) == []
+            assert live.read_events(record.id, since=60) == []
+
+    def test_a_failed_append_consumes_no_seq(self, state, monkeypatch):
+        record = state.create("ada", SPEC_DOC, "fp-1")     # seq 1
+        failures = []
+
+        def fail_once(path, *lines, sync=True):
+            if not failures:
+                failures.append(lines)
+                raise OSError(28, "No space left on device")
+            append_line(path, *lines, sync=sync)
+
+        monkeypatch.setattr(state_module, "append_line", fail_once)
+        with pytest.raises(OSError):
+            state.append_event(record.id, {"kind": "progress"})
+        assert state.append_event(record.id, {"kind": "progress"}) == 2
+        assert [e["seq"] for e in state.read_events(record.id)] == [1, 2]
 
     def test_a_batch_is_one_append_in_seq_order(self, state, monkeypatch):
         record = state.create("ada", SPEC_DOC, "fp-1")     # seq 1
@@ -202,26 +191,18 @@ class TestEvents:
     def test_a_read_seeks_into_the_middle_of_a_batch(self, state,
                                                      monkeypatch):
         record = state.create("ada", SPEC_DOC, "fp-1")     # seq 1
-        assert len(state.read_events(record.id)) == 1      # index seeded
         state.append_event(record.id, *({"kind": "progress",
                                          "resolved": resolved}
                                         for resolved in range(5)))
-        reads = []
-        read_complete_lines = state_module.read_complete_lines
 
-        def recording(path, offset=0):
-            reads.append(offset)
-            return read_complete_lines(path, offset)
+        def forbidden(path):
+            raise AssertionError("the event log was read again")
 
-        monkeypatch.setattr(state_module, "read_complete_lines", recording)
-        assert [e["seq"] for e in state.read_events(record.id, since=3)] \
-            == [4, 5, 6]
+        monkeypatch.setattr(state_module, "read_complete_lines", forbidden)
+        events = state.read_events(record.id, since=3)
+        assert [e["seq"] for e in events] == [4, 5, 6]
+        assert [e["resolved"] for e in events] == [2, 3, 4]
         assert state.read_events(record.id, since=6) == []
-        path = os.path.join(state.root, "events", record.id + ".jsonl")
-        with open(path, "rb") as handle:
-            lines = handle.read().split(b"\n")
-        # One read, from where seq 4 starts; never the whole log.
-        assert reads == [sum(len(line) + 1 for line in lines[:3])]
 
     def test_a_non_integer_seq_line_is_skipped(self, state):
         record = state.create("ada", SPEC_DOC, "fp-1")     # seq 1
@@ -229,131 +210,91 @@ class TestEvents:
         path = os.path.join(state.root, "events", record.id + ".jsonl")
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"seq":"7"}\n{"seq":true}\n{"kind":"progress"}\n')
-        assert [e["seq"] for e in state.read_events(record.id)] == [1, 2]
-        assert [e["seq"] for e in state.read_events(record.id, since=1)] \
-            == [2]
-        assert state.read_events(record.id, since=2) == []
         reborn = ServiceState(state.root, sync=False)
+        assert [e["seq"] for e in reborn.read_events(record.id)] == [1, 2]
+        assert [e["seq"] for e in reborn.read_events(record.id, since=1)] \
+            == [2]
+        assert reborn.read_events(record.id, since=2) == []
         assert reborn.append_event(record.id, {"kind": "progress"}) == 3
         assert [e["seq"] for e in reborn.read_events(record.id, since=1)] \
             == [2, 3]
 
-    def test_an_outside_rewrite_is_noticed_and_reindexed(self, state,
-                                                         monkeypatch):
-        record = state.create("ada", SPEC_DOC, "fp-1")
-        for resolved in range(4):
-            state.append_event(record.id, {"kind": "progress",
-                                           "resolved": resolved})
-        assert len(state.read_events(record.id)) == 5
-        # Rewritten without the "resolved" field: every line after the
-        # first is shorter, so the indexed offsets point past their lines.
-        path = os.path.join(state.root, "events", record.id + ".jsonl")
-        with open(path, encoding="utf-8") as handle:
-            docs = [json.loads(line) for line in handle]
-        lines = [json.dumps({k: v for k, v in doc.items()
-                             if k != "resolved"}) for doc in docs]
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in lines))
-        reads = []
-        read_complete_lines = state_module.read_complete_lines
 
-        def recording(path, offset=0):
-            reads.append(offset)
-            return read_complete_lines(path, offset)
-
-        monkeypatch.setattr(state_module, "read_complete_lines", recording)
-        expected = [json.loads(line) for line in lines[2:]]
-        assert state.read_events(record.id, since=2) == expected
-        assert state.read_events(record.id, since=2) == expected
-        # The stale seek, the full read that rebuilt the index, then a seek
-        # to where event 3 now starts.
-        assert reads[1:] == [0, sum(len(line) + 1 for line in lines[:2])]
+def _partial_batch(path, seq, n, whole, cut):
+    """What a crash or a failed write leaves of an ``n``-line batch from
+    ``seq`` on: every line but the last newline, or a prefix of that."""
+    append_line(path, sync=False)  # terminate a torn tail
+    data = b"".join(
+        json.dumps({"kind": "lost", "seq": s},
+                   separators=(",", ":")).encode() + b"\n"
+        for s in range(seq, seq + n))[:-1]
+    with open(path, "ab") as handle:
+        handle.write(data if whole else data[:1 + cut % (len(data) - 1)])
 
 
-def _log_events(path, since):
-    """The reference: every complete log line that is a JSON object with
-    ``seq > since``, in file order."""
-    with open(path, "rb") as handle:
-        lines = handle.read().split(b"\n")[:-1]
-    out = []
-    for line in lines:
-        try:
-            doc = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(doc, dict) and doc.get("seq", 0) > since:
-            out.append(doc)
-    return out
+def _failing_append(seq, *partial):
+    """An ``append_line`` that writes part of a batch, then raises."""
+    def failing(path, *lines, sync=True):
+        _partial_batch(path, seq, *partial)
+        raise OSError(5, "Input/output error")
+    return failing
 
 
-def _rewrite(path, how):
-    """An outside rewrite of an event log: dropped garbage, re-spaced
-    JSON (every offset moves), or a truncation to its first half."""
-    with open(path, "rb") as handle:
-        lines = handle.read().split(b"\n")[:-1]
-    kept = []
-    for line in lines:
-        try:
-            doc = json.loads(line)
-        except ValueError:
-            continue
-        kept.append(json.dumps(doc).encode() if how == "respace" else line)
-    if how == "truncate":
-        kept = kept[:len(kept) // 2]
-    with open(path, "wb") as handle:
-        handle.write(b"".join(line + b"\n" for line in kept))
-
+_PARTIAL = (st.integers(1, 3), st.booleans(), st.integers(0, 10 ** 6))
 
 _EVENT_OPS = st.lists(st.one_of(
     st.tuples(st.just("append"), st.integers(1, 3)),
-    # A crash mid-append: the whole next line without its newline, or a
-    # prefix of it.
-    st.tuples(st.just("torn"), st.booleans(), st.integers(0, 10 ** 6)),
+    # The process dies mid-append, and the service restarts.
+    st.tuples(st.just("crash"), *_PARTIAL),
+    # The append raises (ENOSPC, EIO) after part of the batch is written;
+    # the process lives on.
+    st.tuples(st.just("fail"), *_PARTIAL),
     st.tuples(st.just("restart")),
-    st.tuples(st.just("rewrite"),
-              st.sampled_from(["compact", "respace", "truncate"])),
     st.tuples(st.just("read"), st.integers(-2, 20)),
 ), max_size=30)
 
 
-
-
-class TestEventIndex:
+class TestHeldEvents:
     @settings(max_examples=200, deadline=None)
     @given(ops=_EVENT_OPS)
-    def test_seeked_reads_equal_the_full_log_filter(self, ops):
+    def test_live_reads_equal_a_fresh_reload(self, ops):
         with tempfile.TemporaryDirectory() as root:
             state = ServiceState(root, sync=False)
             cid = state.create("ada", SPEC_DOC, "fp-1").id
             path = os.path.join(root, "events", cid + ".jsonl")
 
-            def check(first):
-                top = max([e["seq"] for e in _log_events(path, 0)],
-                          default=0)
-                for since in [first, *range(-1, top + 2)]:
+            def top():
+                return max([e["seq"] for e in state.read_events(cid)],
+                           default=0)
+
+            def check(first=0):
+                reload = ServiceState(root, sync=False)
+                seqs = [e["seq"] for e in state.read_events(cid)]
+                assert seqs == sorted(set(seqs))
+                for since in [first, *range(-1, top() + 2)]:
                     assert state.read_events(cid, since=since) == \
-                        _log_events(path, since), since
+                        reload.read_events(cid, since=since), since
 
             for op, *args in ops:
                 if op == "append":
-                    for _ in range(args[0]):
-                        state.append_event(cid, {"kind": "progress"})
-                elif op == "torn":
-                    whole, cut = args
-                    seq = max([e["seq"] for e in _log_events(path, 0)],
-                              default=0) + 1
-                    line = json.dumps({"kind": "progress", "seq": seq},
-                                      separators=(",", ":")).encode()
-                    with open(path, "ab") as handle:
-                        handle.write(line if whole
-                                     else line[:1 + cut % (len(line) - 1)])
+                    before = top()
+                    assert state.append_event(
+                        cid, *[{"kind": "progress"}] * args[0]) \
+                        == before + args[0] == top()
+                elif op == "crash":
+                    _partial_batch(path, top() + 1, *args)
+                    state = ServiceState(root, sync=False)
+                elif op == "fail":
+                    state_module.append_line = _failing_append(top() + 1,
+                                                               *args)
+                    try:
+                        with pytest.raises(OSError):
+                            state.append_event(cid, {"kind": "progress"})
+                    finally:
+                        state_module.append_line = append_line
                 elif op == "restart":
                     state = ServiceState(root, sync=False)
-                elif op == "rewrite":
-                    _rewrite(path, args[0])
-                else:
-                    check(args[0])
-            check(0)
+                check(args[0] if op == "read" else 0)
 
 
 class TestQueries:

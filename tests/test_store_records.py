@@ -392,4 +392,4 @@ class TestVanishingRecords:
         stats = result_store.stats()
         assert (stats["misses"], stats["corrupt_evicted"]) == (1, 0)
         assert not os.path.exists(path + ".corrupt")
-        assert fp not in result_store.fingerprint_set()
+        assert fp not in result_store

@@ -3,6 +3,7 @@ oracle, the stacked window step, resume by store membership, and degraded
 completion through the dead-letter queue.
 """
 
+import inspect
 import os
 from dataclasses import replace
 from functools import reduce
@@ -209,6 +210,14 @@ class TestBitIdentity:
 class TestWindowStep:
     """One executor: every driver's window resolves through
     ``TaskResolver.resolve_window`` — hits, stacked misses, lone misses."""
+
+    def test_every_driver_defaults_to_the_one_window(self):
+        """The task executor and the streamed study step in windows of
+        ``smd.plan.DEFAULT_WINDOW`` unless told otherwise (the service
+        spec's default is pinned in ``test_service_api``)."""
+        for driver in (run_streamed_tasks, run_streamed_study):
+            window = inspect.signature(driver).parameters["window"]
+            assert window.default == plan_module.DEFAULT_WINDOW
 
     def test_mixed_window_equals_oracle_and_stacks_once_per_cell(
             self, tmp_path):
