@@ -289,14 +289,9 @@ def _run_instrumented_campaign(args):
     obs = Obs()
     store = _campaign_store(args, obs)
     dlq = _campaign_dlq(args, store, obs)
-    retry = None
-    if dlq is not None:
-        from .resil import RetryPolicy
-
-        retry = RetryPolicy(max_attempts=3, base_delay=1e-6)
     result = SpiceCampaign(replicas_per_cell=args.replicas,
                            seed=args.seed, obs=obs, store=store,
-                           dlq=dlq, retry=retry).run()
+                           dlq=dlq).run()
     report = campaign_run_report(result, obs, store=store, dlq=dlq,
                                  command=args.command, seed=args.seed)
     return result, report

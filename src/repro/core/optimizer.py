@@ -76,7 +76,6 @@ def run_parameter_study(
     store=None,
     samples_per_task: Optional[int] = None,
     dlq=None,
-    retry=None,
 ) -> ParameterStudyResult:
     """Run the full (kappa, v) grid study on the reduced model.
 
@@ -100,9 +99,9 @@ def run_parameter_study(
     may be any iterable — including a generator, consumed one cell at a
     time — the missing tasks of a cell are pulled in one stacked engine
     call, and with a ``store`` a killed study re-run recomputes only the
-    missing tasks.  ``dlq`` / ``retry`` enable degraded completion: a
-    terminally failing task is dead-lettered and its cell omitted from the
-    result instead of raising.
+    missing tasks.  ``dlq`` enables degraded completion: a terminally
+    failing task is dead-lettered and its cell omitted from the result
+    instead of raising.
     """
     # core sits below workflow; the executor is imported where it is used.
     from ..workflow.streaming import run_streamed_study
@@ -127,7 +126,7 @@ def run_parameter_study(
     merged, _report = run_streamed_study(
         model, checked(), n_samples=n_samples,
         samples_per_task=samples_per_task, seed=seed, store=store,
-        dlq=dlq, retry=retry, n_records=n_records, obs=obs,
+        dlq=dlq, n_records=n_records, obs=obs,
     )
     if not seen:
         raise ConfigurationError("no protocols to study")

@@ -183,6 +183,7 @@ RETIRED_NAMES: Dict[str, str] = {
     "ObservableRecorder": "record observables with a Simulation reporter",
     "connect_over_fabric": "NetworkFabric.resolve decides reachability",
     "FlatBottomRestraintForce": "HarmonicRestraintForce is the one restraint",
+    "ConstantForce": "constant-force pulling returns as a registered scenario",
     "repro.pore.dsdna": "the paper's one scenario is ssDNA in alpha-hemolysin",
     "repro.pore.presets": "HemolysinPore is the one pore",
     "repro.md.dihedrals": "the CG ssDNA has no torsion term",

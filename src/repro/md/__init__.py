@@ -6,6 +6,8 @@ Public surface:
 * :class:`~repro.md.topology.Topology` / ``TopologyBuilder`` — bonded terms.
 * Force terms: harmonic/FENE bonds, angles, LJ/WCA, Debye-Hueckel,
   external fields, restraints, steering forces.
+* :class:`~repro.md.neighborlist.NeighborList` — the nonbonded terms'
+  Verlet list over one direct ``O(n^2)`` pair search; boundaries are open.
 * Integrators: velocity Verlet, Langevin BAOAB, Brownian dynamics.
 * :class:`~repro.md.engine.Simulation` — the engine with reporters,
   steering attachment and checkpoint/clone.  The one engine: it drives a
@@ -22,7 +24,6 @@ from .nonbonded import LennardJonesForce, WCAForce, DebyeHuckelForce
 from .external import (
     ExternalFieldForce,
     HarmonicRestraintForce,
-    ConstantForce,
     SteeringForce,
 )
 from .kernels import (
@@ -50,7 +51,6 @@ __all__ = [
     "DebyeHuckelForce",
     "ExternalFieldForce",
     "HarmonicRestraintForce",
-    "ConstantForce",
     "SteeringForce",
     "KERNELS",
     "validate_kernel",

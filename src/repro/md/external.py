@@ -21,7 +21,6 @@ __all__ = [
     "FieldPotential",
     "ExternalFieldForce",
     "HarmonicRestraintForce",
-    "ConstantForce",
     "SteeringForce",
 ]
 
@@ -93,32 +92,12 @@ class HarmonicRestraintForce:
         self._anchors[:] = a
 
 
-class ConstantForce:
-    """A constant external force on selected particles.
-
-    Models an applied transmembrane field on the DNA charges or a crude
-    constant-force steering mode.  Energy is reported as ``-F . r`` summed
-    over the selection (defined up to a constant).
-    """
-
-    def __init__(self, indices: np.ndarray, force_vector: np.ndarray) -> None:
-        self._indices = np.asarray(indices, dtype=np.intp)
-        self._fvec = np.asarray(force_vector, dtype=np.float64).reshape(3)
-
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> float:
-        forces[self._indices] += self._fvec
-        return float(-np.sum(positions[self._indices] @ self._fvec))
-
-    def set_force(self, force_vector: np.ndarray) -> None:
-        self._fvec[:] = np.asarray(force_vector, dtype=np.float64).reshape(3)
-
-
 class SteeringForce:
     """A mutable per-call force injected by an interactive steerer.
 
     The IMD session (Section III of the paper) updates this object from
-    visualizer/haptic messages between MD steps; unlike :class:`ConstantForce`
-    it can target a changing selection and defaults to "off".
+    visualizer/haptic messages between MD steps; it can target a changing
+    selection and defaults to "off".
     """
 
     def __init__(self, n_particles: int) -> None:

@@ -7,9 +7,9 @@ two selectable kernels (see :mod:`repro.md.kernels`): the default
 NumPy and scatters per-particle forces with the bincount-based
 :func:`~repro.md.kernels.accumulate_pair_forces`; the ``"reference"``
 kernel walks the same pair array one pair at a time in plain Python — the
-correctness oracle the equivalence tests compare against.  The kernel
-choice propagates to the neighbor list, so ``kernel="reference"`` is
-reference end-to-end.
+correctness oracle the equivalence tests compare against.  Both kernels
+read the same candidate pairs from the one direct search, with open
+boundaries (displacements are plain ``x[j] - x[i]``).
 
 The vectorised body is written once over the *concatenated* candidate
 pairs of every replica (:meth:`NeighborList.stacked_pairs`): one pass of
@@ -107,7 +107,6 @@ class LennardJonesForce:
         cutoff: float,
         skin: float = 1.0,
         exclusions: Optional[Set[Tuple[int, int]]] = None,
-        box: Optional[np.ndarray] = None,
         kernel: str = "vectorized",
     ) -> None:
         eps = np.asarray(epsilon, dtype=np.float64)
@@ -127,8 +126,7 @@ class LennardJonesForce:
         self.cutoff = float(cutoff)
         self._cut2 = self.cutoff**2
         self.neighbor_list = NeighborList(cutoff, skin=skin,
-                                          exclusions=exclusions, box=box,
-                                          kernel=kernel)
+                                          exclusions=exclusions)
         # Per-pair-type energy shift at the cutoff (continuity).
         sr6 = (self._sig_table / self.cutoff) ** 6
         self._shift_table = 4.0 * self._eps_table * (sr6**2 - sr6)
@@ -140,7 +138,7 @@ class LennardJonesForce:
         if i.size == 0:
             return no_energy(positions)
         flat = positions.reshape(-1, 3)
-        dr = self.neighbor_list.minimum_image(flat[j] - flat[i])
+        dr = flat[j] - flat[i]
         r2 = np.einsum("ij,ij->i", dr, dr)
         within = r2 < self._cut2
         if not np.any(within):
@@ -168,7 +166,7 @@ class LennardJonesForce:
         pi, pj = self.neighbor_list.pairs(positions)
         energy = 0.0
         for i, j in zip(pi.tolist(), pj.tolist()):
-            dr = self.neighbor_list.minimum_image(positions[j] - positions[i])
+            dr = positions[j] - positions[i]
             r2 = float(dr @ dr)
             if r2 >= self._cut2:
                 continue
@@ -202,13 +200,12 @@ class WCAForce(LennardJonesForce):
         sigma: np.ndarray,
         skin: float = 1.0,
         exclusions: Optional[Set[Tuple[int, int]]] = None,
-        box: Optional[np.ndarray] = None,
         kernel: str = "vectorized",
     ) -> None:
         sig = np.asarray(sigma, dtype=np.float64)
         cutoff = float(2.0 ** (1.0 / 6.0) * sig.max())
         super().__init__(types, epsilon, sigma, cutoff, skin=skin,
-                         exclusions=exclusions, box=box, kernel=kernel)
+                         exclusions=exclusions, kernel=kernel)
         # WCA: per-pair cutoff at 2^(1/6) sigma_ij and shift +eps_ij.
         self._wca_cut2 = (2.0 ** (1.0 / 3.0)) * self._sig_table**2
 
@@ -219,7 +216,7 @@ class WCAForce(LennardJonesForce):
         if i.size == 0:
             return no_energy(positions)
         flat = positions.reshape(-1, 3)
-        dr = self.neighbor_list.minimum_image(flat[j] - flat[i])
+        dr = flat[j] - flat[i]
         r2 = np.einsum("ij,ij->i", dr, dr)
         types = _per_particle(self._types, positions)
         ti, tj = types[i], types[j]
@@ -246,7 +243,7 @@ class WCAForce(LennardJonesForce):
         pi, pj = self.neighbor_list.pairs(positions)
         energy = 0.0
         for i, j in zip(pi.tolist(), pj.tolist()):
-            dr = self.neighbor_list.minimum_image(positions[j] - positions[i])
+            dr = positions[j] - positions[i]
             r2 = float(dr @ dr)
             ti, tj = self._types[i], self._types[j]
             if r2 >= float(self._wca_cut2[ti, tj]):
@@ -293,7 +290,6 @@ class DebyeHuckelForce:
         cutoff: float = 12.0,
         skin: float = 1.0,
         exclusions: Optional[Set[Tuple[int, int]]] = None,
-        box: Optional[np.ndarray] = None,
         kernel: str = "vectorized",
     ) -> None:
         if debye_length <= 0.0 or dielectric <= 0.0:
@@ -305,8 +301,7 @@ class DebyeHuckelForce:
         self.cutoff = float(cutoff)
         self._cut2 = self.cutoff**2
         self.neighbor_list = NeighborList(cutoff, skin=skin,
-                                          exclusions=exclusions, box=box,
-                                          kernel=kernel)
+                                          exclusions=exclusions)
 
     def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         if self.kernel == "reference":
@@ -315,7 +310,7 @@ class DebyeHuckelForce:
         if i.size == 0:
             return no_energy(positions)
         flat = positions.reshape(-1, 3)
-        dr = self.neighbor_list.minimum_image(flat[j] - flat[i])
+        dr = flat[j] - flat[i]
         r2 = np.einsum("ij,ij->i", dr, dr)
         within = r2 < self._cut2
         if not np.any(within):
@@ -345,7 +340,7 @@ class DebyeHuckelForce:
             qq = float(self._q[i] * self._q[j])
             if qq == 0.0:
                 continue
-            dr = self.neighbor_list.minimum_image(positions[j] - positions[i])
+            dr = positions[j] - positions[i]
             r2 = float(dr @ dr)
             if r2 >= self._cut2:
                 continue

@@ -12,7 +12,7 @@ integrators — views handed out by properties are the live arrays, not copies
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,10 +39,8 @@ class ParticleSystem:
     types:
         Optional ``(n,)`` integer type codes (default all zero); nonbonded
         force terms index their per-type parameter tables with these.
-    box:
-        Optional orthorhombic box lengths ``(3,)`` in angstrom for periodic
-        boundary conditions.  ``None`` (the default) means open boundaries,
-        which is what the pore/implicit-solvent model uses.
+
+    Boundaries are open, as the pore/implicit-solvent model needs.
     """
 
     def __init__(
@@ -52,7 +50,6 @@ class ParticleSystem:
         velocities: Optional[np.ndarray] = None,
         charges: Optional[np.ndarray] = None,
         types: Optional[np.ndarray] = None,
-        box: Optional[Sequence[float]] = None,
     ) -> None:
         pos = np.ascontiguousarray(positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
@@ -87,14 +84,6 @@ class ParticleSystem:
             t = np.ascontiguousarray(types, dtype=np.int64)
             if t.shape != (n,):
                 raise ConfigurationError(f"types must be ({n},), got {t.shape}")
-
-        if box is not None:
-            b = np.asarray(box, dtype=np.float64)
-            if b.shape != (3,) or np.any(b <= 0.0):
-                raise ConfigurationError(f"box must be 3 positive lengths, got {box!r}")
-            self._box: Optional[np.ndarray] = b
-        else:
-            self._box = None
 
         self._positions = pos
         self._velocities = vel
@@ -148,11 +137,6 @@ class ParticleSystem:
         """``(n,)`` integer particle type codes."""
         return self._types
 
-    @property
-    def box(self) -> Optional[np.ndarray]:
-        """Orthorhombic box lengths or ``None`` for open boundaries."""
-        return self._box
-
     # -- bulk physics --------------------------------------------------------
 
     def kinetic_energy(self) -> float:
@@ -192,15 +176,6 @@ class ParticleSystem:
             p = (self._masses[:, None] * self._velocities).sum(axis=0)
             self._velocities -= p / self._masses.sum()
 
-    def minimum_image(self, dr: np.ndarray) -> np.ndarray:
-        """Apply the minimum-image convention to displacement vectors.
-
-        A no-op (returns the input) for open boundaries.
-        """
-        if self._box is None:
-            return dr
-        return dr - self._box * np.round(dr / self._box)
-
     def validate(self) -> None:
         """Raise :class:`SimulationError` if any coordinate or velocity is
         non-finite — the standard "simulation exploded" check."""
@@ -231,5 +206,4 @@ class ParticleSystem:
             velocities=self._velocities.copy(),
             charges=self._charges.copy(),
             types=self._types.copy(),
-            box=None if self._box is None else self._box.copy(),
         )

@@ -126,22 +126,19 @@ class PermafailFault:
     input is poisoned (bad cell parameters, a reproducible numerical
     blow-up), so it fails identically at every site, every time.  The
     scenario runner drives a small streamed study in which the tasks at
-    ``task_indices`` raise on every attempt; after ``max_attempts`` the
-    seeded retry policy is exhausted and each poisoned task lands in the
-    durable dead-letter queue while the rest of the campaign completes
-    degraded.
+    ``task_indices`` raise on every attempt; after the executor's
+    attempts (:data:`~repro.workflow.streaming.TASK_ATTEMPTS`) each
+    poisoned task lands in the durable dead-letter queue while the rest of
+    the campaign completes degraded.
     """
 
     task_indices: Tuple[int, ...]
-    max_attempts: int = 3
 
     def __post_init__(self) -> None:
         if not self.task_indices:
             raise ConfigurationError("permafail needs at least one task")
         if any(i < 0 for i in self.task_indices):
             raise ConfigurationError("permafail task indices must be >= 0")
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ SCENARIOS: Dict[str, ChaosScenario] = {
                     "every other task done, exactly two durable "
                     "dead-letter entries, and the completed cells "
                     "bit-identical across same-seed runs.",
-        permafail=PermafailFault(task_indices=(1, 5), max_attempts=3),
+        permafail=PermafailFault(task_indices=(1, 5)),
     ),
     "cascade": ChaosScenario(
         name="cascade",
@@ -315,8 +312,8 @@ def _exercise_permafail(fault: PermafailFault, seed: int,
 
     Runs a 4-cell, 8-task study against a throwaway store; the
     tasks at ``fault.task_indices`` raise :class:`SimulationError` on
-    every attempt, exhaust the seeded retry policy, and land in the
-    dead-letter queue while every other task completes.  Returns a
+    every attempt, use up their attempts, and land in the dead-letter
+    queue while every other task completes.  Returns a
     report with no paths or timestamps, so it is bit-identical per seed.
     """
     import tempfile
@@ -343,14 +340,13 @@ def _exercise_permafail(fault: PermafailFault, seed: int,
             raise SimulationError(
                 f"permafail: task {spec.index} is poisoned at every site")
 
-    retry = RetryPolicy(max_attempts=fault.max_attempts, base_delay=1e-6)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         store = ResultStore(f"{tmp}/store", obs=obs, sync=False)
         dlq = DeadLetterQueue(f"{tmp}/DLQ.jsonl", obs=obs, sync=False)
         ensembles, report = run_streamed_study(
             model, protocols, n_samples=4, samples_per_task=2,
             seed=stream_for(seed, "resil", "chaos", "permafail"),
-            store=store, window=4, dlq=dlq, retry=retry, fault=poison,
+            store=store, window=4, dlq=dlq, fault=poison,
             n_records=11, obs=obs,
         )
         summary = dlq.summary()

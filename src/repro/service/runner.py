@@ -130,21 +130,20 @@ class CampaignRunner:
         invoked before every compute attempt (after the cancel check).
 
     Every campaign dead-letters into the one queue ``<store-root>/DLQ.jsonl``
-    (so degraded completion is always on) and retries a failing task up to
-    three attempts.
+    (so degraded completion is always on), so a failing task gets the
+    executor's :data:`~repro.workflow.streaming.TASK_ATTEMPTS` attempts.
     """
 
     def __init__(self, store: Any, state: ServiceState, *,
                  obs: Optional[Obs] = None, inline: bool = False,
                  task_fault: Optional[Callable[[str, Any, int], None]] = None
                  ) -> None:
-        from ..resil import DeadLetterQueue, RetryPolicy, store_dlq_path
+        from ..resil import DeadLetterQueue, store_dlq_path
 
         self.store = store
         self.state = state
         self.obs = as_obs(obs)
         self.dlq = DeadLetterQueue(store_dlq_path(store.root), obs=obs)
-        self.retry = RetryPolicy(max_attempts=3, base_delay=1e-6)
         self.inline = inline
         self.task_fault = task_fault
         self._lock = make_rlock("service.runner")
@@ -290,7 +289,7 @@ class CampaignRunner:
                     model, spec.protocols(), n_samples=spec.n_samples,
                     samples_per_task=spec.samples_per_task, seed=spec.seed,
                     store=self.store, window=spec.window, dlq=self.dlq,
-                    retry=self.retry, fault=fault, n_records=spec.n_records,
+                    fault=fault, n_records=spec.n_records,
                     obs=run_obs,
                 )
             finally:

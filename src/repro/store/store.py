@@ -48,11 +48,11 @@ Crash-consistency argument (the invariant the tests pin down):
   and quarantines corruption inside its own shard as ``*.corrupt``).
   Indexes are caches of the record tree, never the other way around.
 
-Legacy directories: up to PR 13 the CLI default wrote the same records
-without INDEX files under a ``meta.json`` that has no ``"layout"`` key.
-Such a directory is an indexed store whose every INDEX is missing, so it is
-accepted, its meta rewritten to the current text, and the staleness rescan
-writes the indexes on first enumeration.
+One layout: ``meta.json`` must hold exactly the current identity text.
+Any other meta — another schema, or the index-less layout's meta without a
+``"layout"`` key — is refused with :class:`~repro.errors.StoreError`.  A
+shard with no INDEX under the current meta is crash recovery, not a layout:
+the staleness rescan rebuilds it.
 
 Instrumentation: hits, misses, writes and evictions are surfaced both as
 plain attributes (``store.hits`` et al.) and as the ``store.*`` obs metric
@@ -91,15 +91,13 @@ __all__ = ["ResultStore"]
 
 _META_NAME = "meta.json"
 
-_META_FIELDS = {
+#: The store's on-disk identity (exact-match ``meta.json`` text).
+_META_TEXT = canonical_json({
+    "layout": "sharded",
     "store": "repro.store",
     "record_schema": RECORD_SCHEMA,
     "schema_version": STORE_SCHEMA_VERSION,
-}
-#: The store's on-disk identity (exact-match ``meta.json`` text).
-_META_TEXT = canonical_json({"layout": "sharded", **_META_FIELDS}) + "\n"
-#: Identity written by the pre-INDEX layout; upgraded in place on open.
-_LEGACY_META_TEXT = canonical_json(_META_FIELDS) + "\n"
+}) + "\n"
 
 
 class ResultStore:
@@ -161,13 +159,10 @@ class ResultStore:
                 meta = handle.read()
         if meta == _META_TEXT:
             return
-        if meta not in (None, _LEGACY_META_TEXT):
+        if meta is not None:
             raise StoreError(
                 f"store at {self.root!r} was written by an incompatible "
                 f"schema; expected {RECORD_SCHEMA}")
-        # A new store, or a pre-INDEX directory being claimed: every shard
-        # of the latter reads as stale (no INDEX) and is indexed on first
-        # enumeration.
         self._atomic_write(meta_path, _META_TEXT)
 
     @property
@@ -210,8 +205,7 @@ class ResultStore:
 
         Record replaces/evictions bump the directory mtime; the index
         append that commits them comes after, so ``dir newer than INDEX``
-        (or a missing INDEX) means the index lost a race with a crash —
-        or the shard was written by the pre-INDEX layout.
+        (or a missing INDEX) means the index lost a race with a crash.
         """
         index_key = file_stat_key(self._index_path(shard_id))
         if index_key is None:

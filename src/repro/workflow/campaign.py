@@ -121,7 +121,6 @@ class SpiceCampaign:
         resil=None,
         store=None,
         dlq=None,
-        retry=None,
     ) -> None:
         self.obs = as_obs(obs)
         self.federation = (
@@ -148,9 +147,6 @@ class SpiceCampaign:
         #: failures are recorded durably and the campaign completes
         #: degraded instead of raising.
         self.dlq = dlq
-        #: Optional :class:`~repro.resil.RetryPolicy` for the batch study's
-        #: tasks.
-        self.retry = retry
 
     def run(self) -> SpiceCampaignResult:
         with self.obs.span("campaign.static-viz"):
@@ -178,7 +174,6 @@ class SpiceCampaign:
                 resil=self.resil,
                 store=self.store,
                 dlq=self.dlq,
-                retry=self.retry,
             ).run()
         return SpiceCampaignResult(
             structure=structure, interactive=interactive, batch=batch

@@ -227,7 +227,6 @@ class BatchPhase:
         resil=None,
         store=None,
         dlq=None,
-        retry=None,
     ) -> None:
         if replicas_per_cell <= 0 or samples_per_replica <= 0:
             raise ConfigurationError("replicas and samples must be positive")
@@ -259,9 +258,6 @@ class BatchPhase:
         #: unplaceable grid jobs land in it and the campaign *completes
         #: degraded* instead of raising.
         self.dlq = dlq
-        #: Optional :class:`~repro.resil.RetryPolicy` for the study's tasks
-        #: (attempt budget only; exhaustion dead-letters).
-        self.retry = retry
 
     @property
     def n_jobs(self) -> int:
@@ -327,7 +323,6 @@ class BatchPhase:
             store=self.store,
             samples_per_task=self.samples_per_replica,
             dlq=self.dlq,
-            retry=self.retry,
         )
         # Infrastructure: schedule the corresponding jobs on the federation.
         jobs = self.build_jobs(protocols)

@@ -17,7 +17,7 @@ executor.  It never materializes the task grid, because in the ROADMAP's
   one :meth:`~repro.smd.plan.TaskResolver.resolve_window` step (hits
   loaded, the window's misses pulled in one stacked engine call, ``put`` in
   stream order); this module adds only what streaming owns — the durable
-  dead set, seeded per-task retries, dead-letter-queue degradation and the
+  dead set, per-task retries, dead-letter-queue degradation and the
   ``fault`` hook.
 * :func:`run_streamed_study` — per-cell assembly on top
   (:func:`~repro.smd.plan.merge_cells`): merged ensembles for every cell
@@ -69,6 +69,10 @@ __all__ = [
     "run_streamed_tasks",
     "run_streamed_study",
 ]
+
+#: Attempts a task gets when a dead-letter queue is attached; the last
+#: failure dead-letters it.  Without a queue the first failure propagates.
+TASK_ATTEMPTS = 3
 
 
 @dataclass
@@ -129,7 +133,6 @@ def run_streamed_tasks(
     store: Any,
     window: int = DEFAULT_WINDOW,
     dlq: Any = None,
-    retry: Any = None,
     fault: Optional[Callable[[StreamTask, int], None]] = None,
     obs: Optional[Obs] = None,
 ) -> StreamReport:
@@ -151,10 +154,11 @@ def run_streamed_tasks(
 
     Failure semantics are per task, whatever the window stacked: a compute
     raising :class:`PermanentTaskFailure` is dead-lettered immediately;
-    other :class:`ReproError` failures are retried per the seeded ``retry``
-    policy (attempts only — simulation tasks have no wall-clock backoff to
-    wait out) and dead-lettered on exhaustion.  Without a ``dlq`` the
-    failure propagates: silent loss is never an option.  ``fault`` is the
+    other :class:`ReproError` failures are retried up to
+    :data:`TASK_ATTEMPTS` attempts in all (no wall-clock backoff —
+    simulation tasks have none to wait out) and dead-lettered on the last.
+    Without a ``dlq`` the first failure propagates: silent loss is never
+    an option.  ``fault`` is the
     chaos hook, called before every attempt — hence before any compute of
     the window.  :class:`CampaignInterrupted` always propagates (that *is*
     the kill switch).
@@ -175,8 +179,8 @@ def run_streamed_tasks(
 
     def compute(spec: StreamTask, run: Callable[[StreamTask], WorkEnsemble]
                 ) -> Optional[WorkEnsemble]:
-        return _compute_with_retry(spec, run, report, dlq=dlq, retry=retry,
-                                   fault=fault, obs=obs)
+        return _compute_with_retry(spec, run, report, dlq=dlq, fault=fault,
+                                   obs=obs)
 
     pending: List[StreamTask] = []
 
@@ -218,12 +222,13 @@ def _compute_with_retry(
     report: StreamReport,
     *,
     dlq: Any,
-    retry: Any,
     fault: Optional[Callable[[StreamTask, int], None]],
     obs: Obs,
 ) -> Optional[WorkEnsemble]:
     """Produce one task's ensemble (through ``run``, the window step's way
-    of computing it) under the retry policy; None means dead-lettered."""
+    of computing it) in up to :data:`TASK_ATTEMPTS` attempts with a
+    ``dlq``, one without; None means dead-lettered."""
+    max_attempts = 1 if dlq is None else TASK_ATTEMPTS
     attempts = 0
     while True:
         attempts += 1
@@ -237,8 +242,7 @@ def _compute_with_retry(
             return _dead_letter(spec, "permanent-failure", attempts, exc,
                                 dlq=dlq, obs=obs)
         except TASK_ERRORS as exc:
-            exhausted = retry is None or retry.exhausted(attempts)
-            if exhausted:
+            if attempts >= max_attempts:
                 return _dead_letter(spec, "retry-exhausted", attempts, exc,
                                     dlq=dlq, obs=obs)
             report.retries += 1
@@ -273,7 +277,6 @@ def run_streamed_study(
     store: Any,
     window: int = DEFAULT_WINDOW,
     dlq: Any = None,
-    retry: Any = None,
     fault: Optional[Callable[[StreamTask, int], None]] = None,
     n_records: int = 41,
     obs: Optional[Obs] = None,
@@ -309,8 +312,7 @@ def run_streamed_study(
             yield spec
 
     report = run_streamed_tasks(
-        tagged(), store=store, window=window, dlq=dlq, retry=retry,
-        fault=fault, obs=obs,
+        tagged(), store=store, window=window, dlq=dlq, fault=fault, obs=obs,
     )
     return merge_cells((cell, report.results.get(index))
                        for index, cell in enumerate(cells)), report

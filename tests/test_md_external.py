@@ -1,14 +1,15 @@
 """Tests for external (one-body) force terms."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.md.kernels as kernels
 from repro.errors import ConfigurationError
 from repro.md import (
-    ConstantForce,
     ExternalFieldForce,
     HarmonicRestraintForce,
     SteeringForce,
@@ -119,6 +120,28 @@ class TestFieldsOverAStack:
                                           start[:, untouched])
 
 
+    def test_stack_is_one_vectorised_body(self, monkeypatch):
+        """No per-replica Python loop: the fields and ExternalFieldForce
+        evaluate a stack with every binding of ``per_replica`` raising."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per_replica reached from a field")
+
+        original = kernels.per_replica
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro.")
+                    and getattr(module, "per_replica", None) is original):
+                monkeypatch.setattr(module, "per_replica", forbidden)
+        pos = stack_positions([True, False, True], 6, 5)
+        for field in FIELDS:
+            energy, forces = field.energy_and_forces(pos)
+            assert energy.shape == (3,) and forces.shape == pos.shape
+            term = ExternalFieldForce(field)
+            assert term.stackable
+            assert term.compute(pos, np.zeros_like(pos)).shape == (3,)
+        with pytest.raises(AssertionError, match="per_replica reached"):
+            kernels.per_replica(None, pos, pos)
+
+
 class TestHarmonicRestraint:
     def test_zero_at_anchor(self):
         anchors = np.array([[1.0, 2.0, 3.0]])
@@ -150,27 +173,6 @@ class TestHarmonicRestraint:
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigurationError):
             HarmonicRestraintForce(np.array([0]), np.zeros((1, 3)), k=-1.0)
-
-
-class TestConstantForce:
-    def test_applies_to_selection(self):
-        f = ConstantForce(np.array([0, 2]), np.array([0.0, 0.0, 3.0]))
-        pos = np.zeros((3, 3))
-        forces = np.zeros((3, 3))
-        f.compute(pos, forces)
-        assert forces[0, 2] == 3.0 and forces[1, 2] == 0.0 and forces[2, 2] == 3.0
-
-    def test_energy_is_minus_f_dot_r(self):
-        f = ConstantForce(np.array([0]), np.array([0.0, 0.0, 2.0]))
-        pos = np.array([[0.0, 0.0, 5.0]])
-        assert f.compute(pos, np.zeros((1, 3))) == pytest.approx(-10.0)
-
-    def test_set_force(self):
-        f = ConstantForce(np.array([0]), np.zeros(3))
-        f.set_force(np.array([1.0, 0.0, 0.0]))
-        forces = np.zeros((1, 3))
-        f.compute(np.zeros((1, 3)), forces)
-        assert forces[0, 0] == 1.0
 
 
 class TestSteeringForce:

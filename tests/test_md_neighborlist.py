@@ -1,4 +1,4 @@
-"""Tests for the cell-list Verlet neighbor list."""
+"""Tests for the Verlet neighbor list and its direct pair search."""
 
 import numpy as np
 import pytest
@@ -162,7 +162,7 @@ class TestStackedPairs:
         assert [nl.n_builds for nl in stack._replicas] == \
             [nl.n_builds for nl in solos]
 
-    @pytest.mark.parametrize("n", [12, 90])  # direct and cell-list builds
+    @pytest.mark.parametrize("n", [12, 90])
     def test_matches_solo_lists_step_by_step(self, n):
         stack = NeighborList(cutoff=2.5, skin=1.0)
         solos = [stack.clone() for _ in range(8)]

@@ -44,10 +44,6 @@ class TestConstruction:
         assert s.charges[0] == -1.0
         assert s.types[1] == 1
 
-    def test_bad_box(self):
-        with pytest.raises(ConfigurationError):
-            make(2, box=[1.0, -1.0, 1.0])
-
     def test_velocity_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             ParticleSystem(np.zeros((2, 3)), np.ones(2), velocities=np.zeros((3, 3)))
@@ -79,16 +75,6 @@ class TestPhysics:
         idx = np.array([0, 2])
         com = s.center_of_mass(idx)
         np.testing.assert_allclose(com, s.positions[idx].mean(axis=0))
-
-    def test_minimum_image_open_boundaries(self):
-        s = make(2)
-        dr = np.array([[100.0, 0.0, 0.0]])
-        assert s.minimum_image(dr) is dr
-
-    def test_minimum_image_with_box(self):
-        s = make(2, box=[10.0, 10.0, 10.0])
-        dr = np.array([[6.0, -6.0, 4.0]])
-        np.testing.assert_allclose(s.minimum_image(dr), [[-4.0, 4.0, 4.0]])
 
 
 class TestValidation:

@@ -1,11 +1,11 @@
 """The store's index layer: index-driven enumeration, heal/compaction,
-legacy-directory upgrade, the shared durable line-log, corrupted resume.
+the one layout, the shared durable line-log, corrupted resume.
 
 The contract under test: :class:`~repro.store.ResultStore` enumerates by
 trusting per-shard INDEX files and only rescans shards that changed, its
 ``heal()`` pass rebuilds indexes from records, quarantining corruption
-inside its own shard, and a directory written by the pre-INDEX layout
-opens as a store whose every shard is stale.
+inside its own shard, a store that lost its INDEX files resumes through
+the rescan, and a directory written by the pre-INDEX layout is refused.
 
 The end-to-end class is the satellite acceptance test: a campaign killed
 mid-flight with one record *and* one shard index corrupted by byte
@@ -167,34 +167,12 @@ def write_legacy_store(root, n=12):
 
 LEGACY_META = ('{"record_schema":"repro.store.record/v1",'
                '"schema_version":1,"store":"repro.store"}\n')
-CURRENT_META = ('{"layout":"sharded","record_schema":"repro.store.record/v1",'
-                '"schema_version":1,"store":"repro.store"}\n')
 
 
 class TestLegacyUpgrade:
-    """A flat-layout directory (the CLI default before the layouts were
-    folded) is an indexed store whose every INDEX is missing."""
-
-    def test_legacy_directory_opens_and_upgrades_in_place(self, tmp_path):
-        root = os.fspath(tmp_path / "legacy")
-        fps = write_legacy_store(root)
-        writer = ResultStore(os.fspath(tmp_path / "writer"))
-        assert fill(writer) == fps
-
-        store = ResultStore(root)
-        with open(os.path.join(root, "meta.json"), encoding="utf-8") as f:
-            assert f.read() == CURRENT_META
-        assert store.fingerprints() == sorted(fps)
-        assert store.content_digest() == writer.content_digest()
-        assert store.reindexed_shards == store.stats()["shards"]
-        for i, fp in enumerate(fps):
-            np.testing.assert_array_equal(store.get(fp).works,
-                                          make_ensemble(i).works)
-        assert store.stats()["hits"] == len(fps)
-
-        again = ResultStore(root)
-        assert again.fingerprints() == sorted(fps)
-        assert again.reindexed_shards == 0
+    """One layout: a store whose INDEX files are gone (a crash) resumes
+    through the staleness rescan; a directory under any other meta — the
+    index-less layout's included — is refused."""
 
     def test_legacy_directory_resumes_with_all_hits(self, tmp_path,
                                                     reduced_model):
@@ -210,20 +188,18 @@ class TestLegacyUpgrade:
 
         root = os.fspath(tmp_path / "s")
         first = run(ResultStore(root))
-        # Strip it back to what the flat layout left on disk.
+        # Records without a single INDEX, under the current meta.
         for shard in os.listdir(root):
             index = os.path.join(root, shard, INDEX_NAME)
             if os.path.isfile(index):
                 os.remove(index)
-        with open(os.path.join(root, "meta.json"), "w",
-                  encoding="utf-8") as f:
-            f.write(LEGACY_META)
 
         store = ResultStore(root)
         second = run(store)
         np.testing.assert_array_equal(first.works, second.works)
         assert store.stats()["hits"] == 3
         assert store.stats()["misses"] == store.stats()["writes"] == 0
+        assert store.reindexed_shards == store.stats()["shards"]
 
     def test_foreign_directories_are_still_refused(self, tmp_path):
         other = tmp_path / "other"
@@ -231,6 +207,12 @@ class TestLegacyUpgrade:
         (other / "meta.json").write_text('{"store":"something-else"}\n')
         with pytest.raises(StoreError):
             ResultStore(os.fspath(other))
+        legacy = os.fspath(tmp_path / "legacy")
+        write_legacy_store(legacy)
+        with pytest.raises(StoreError, match="incompatible schema"):
+            ResultStore(legacy)
+        with open(os.path.join(legacy, "meta.json"), encoding="utf-8") as f:
+            assert f.read() == LEGACY_META  # refused, not rewritten
         bare = tmp_path / "bare"
         bare.mkdir()
         (bare / "notes.txt").write_text("not a store")

@@ -3,15 +3,21 @@ oracle, the stacked window step, resume by store membership, and degraded
 completion through the dead-letter queue.
 """
 
+import ast
+import importlib
 import inspect
 import os
+import pkgutil
 from dataclasses import replace
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.smd.ensemble as ensemble_module
+import repro.workflow as workflow_package
 import repro.smd.plan as plan_module
 from repro.core import run_parameter_study
 from repro.errors import (
@@ -24,7 +30,6 @@ from repro.errors import (
 from repro.obs import Obs
 from repro.pore.reduced import ReducedTranslocationModel, default_reduced_potential
 from repro.resil.dlq import DeadLetterQueue
-from repro.resil.policy import RetryPolicy
 from repro.rng import stream_for
 from repro.smd import (
     WorkEnsemble,
@@ -41,6 +46,7 @@ from repro.workflow import (
     run_streamed_tasks,
     stream_study_tasks,
 )
+from repro.workflow.streaming import TASK_ATTEMPTS
 
 from ._streams import synthetic_stream
 
@@ -207,6 +213,81 @@ class TestBitIdentity:
             "2f7ba1351c73ed6f311a8079c2b84f5876f27c83ff982fa9876a20ef58984dde")
 
 
+#: The modules whose functions and classes are the drivers above the two
+#: engines: every study, the service's runner and the plan layer itself.
+DRIVER_MODULES = (
+    *(f"repro.workflow.{info.name}"
+      for info in pkgutil.iter_modules(workflow_package.__path__)),
+    "repro.core.optimizer",
+    "repro.service.runner",
+    "repro.smd.plan",
+    "repro.smd.bidirectional",
+)
+
+#: Settings the engines own (execution layout, numerics) and the
+#: executor owns (a task's attempt count): no driver takes them.
+ENGINE_SETTINGS = frozenset({
+    "kernel", "dt", "force_sample_time", "cpu_hours_per_ns", "retry"})
+
+
+def driver_signatures():
+    """``(qualified name, parameter names)`` of every function, class
+    constructor and method defined in :data:`DRIVER_MODULES`."""
+    for module_name in DRIVER_MODULES:
+        module = importlib.import_module(module_name)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module_name:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module_name}.{name}", inspect.signature(obj).parameters
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member):
+                        yield (f"{module_name}.{name}.{attr}",
+                               inspect.signature(member).parameters)
+
+
+def calls_of(function_name):
+    """Source files under ``src/repro`` (relative, posix) that call
+    ``function_name`` by name or as an attribute."""
+    root = Path(repro.__file__).parent
+    callers = set()
+    for path in root.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = (func.id if isinstance(func, ast.Name)
+                          else getattr(func, "attr", None))
+                if called == function_name:
+                    callers.add(path.relative_to(root).as_posix())
+    return callers
+
+
+class TestDriverSurface:
+    """Execution layout, numerics and the attempt count are decisions of
+    the engines and the executor, and the drivers reach the engine only
+    through the plan layer's window step."""
+
+    def test_no_driver_takes_an_engine_setting(self):
+        signatures = dict(driver_signatures())
+        assert "repro.workflow.streaming.run_streamed_tasks" in signatures
+        assert "repro.service.runner.CampaignRunner.__init__" in signatures
+        offenders = {name: sorted(ENGINE_SETTINGS & set(params))
+                     for name, params in signatures.items()
+                     if ENGINE_SETTINGS & set(params)}
+        assert offenders == {}
+
+    def test_one_executor_above_the_engine(self):
+        stack_callers = calls_of("run_pulling_stack")
+        assert "smd/plan.py" in stack_callers
+        assert stack_callers <= {"smd/batched.py", "smd/ensemble.py",
+                                 "smd/plan.py"}
+        assert not {path for path in calls_of("run_pulling_ensemble")
+                    if path.startswith("workflow/")
+                    or path == "smd/bidirectional.py"}
+
+
 class TestWindowStep:
     """One executor: every driver's window resolves through
     ``TaskResolver.resolve_window`` — hits, stacked misses, lone misses."""
@@ -363,8 +444,7 @@ class TestWindowStep:
                 raise SimulationError(f"task {spec.index} is poisoned")
 
         merged, report = run_windowed(
-            store, 4, samples_per_task, dlq=dlq, fault=poison,
-            retry=RetryPolicy(max_attempts=3, base_delay=1e-6))
+            store, 4, samples_per_task, dlq=dlq, fault=poison)
         assert (report.total, report.computed, report.retries,
                 report.dead_lettered) == (8, 6, 4, 2)
         assert sorted(report.failures) == [1, 5]
@@ -407,8 +487,7 @@ class TestWindowStep:
         store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
         dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"), sync=False)
         report = run_streamed_tasks(
-            tasks, store=store, window=4, dlq=dlq,
-            retry=RetryPolicy(max_attempts=3, base_delay=1e-6))
+            tasks, store=store, window=4, dlq=dlq)
         assert stacked_calls == [(2, 4), (2, 4)]    # once per window
         assert (report.computed, report.retries, report.dead_lettered) == (
             7, 2, 1)
@@ -434,8 +513,7 @@ class TestWindowStep:
         store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
         dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"), sync=False)
         merged, report = run_windowed(
-            store, 8, dlq=dlq,
-            retry=RetryPolicy(max_attempts=3, base_delay=1e-6))
+            store, 8, dlq=dlq)
         assert (report.total, report.hits, report.computed, report.retries,
                 report.dead_lettered) == (8, 0, 6, 4, 2)
         assert sorted(report.failures) == [2, 3]
@@ -686,10 +764,9 @@ class TestDegradedCompletion:
             self, tmp_path):
         store = ShardedResultStore(os.fspath(tmp_path / "s"), sync=False)
         dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"))
-        retry = RetryPolicy(max_attempts=3, base_delay=1e-6)
         report = run_streamed_tasks(
             synthetic_stream(40, SEED, poisoned=frozenset({7, 23})),
-            store=store, window=8, dlq=dlq, retry=retry)
+            store=store, window=8, dlq=dlq)
         assert report.computed == 38
         assert report.dead_lettered == 2
         assert report.degraded is True
@@ -711,8 +788,7 @@ class TestDegradedCompletion:
                                   sync=False)
             run_streamed_tasks(
                 synthetic_stream(40, SEED, poisoned=frozenset({13, 26})),
-                store=store, window=8, dlq=dlq,
-                retry=RetryPolicy(max_attempts=2, base_delay=1e-6))
+                store=store, window=8, dlq=dlq)
             return store, dlq
 
         (store_a, dlq_a), (store_b, dlq_b) = cold("a"), cold("b")
@@ -726,8 +802,7 @@ class TestDegradedCompletion:
         with pytest.raises(StoreError):
             run_streamed_tasks(
                 synthetic_stream(10, SEED, poisoned=frozenset({3})),
-                store=store, window=4,
-                retry=RetryPolicy(max_attempts=2, base_delay=1e-6))
+                store=store, window=4)
 
     def test_permanent_failure_skips_the_retry_loop(self, tmp_path):
         store = ShardedResultStore(os.fspath(tmp_path / "s"), sync=False)
@@ -744,8 +819,7 @@ class TestDegradedCompletion:
                 yield spec
 
         report = run_streamed_tasks(
-            tasks(), store=store, window=4, dlq=dlq,
-            retry=RetryPolicy(max_attempts=5, base_delay=1e-6))
+            tasks(), store=store, window=4, dlq=dlq)
         assert report.retries == 0
         [entry] = dlq.entries()
         assert entry["reason"] == "permanent-failure"
@@ -754,8 +828,7 @@ class TestDegradedCompletion:
     def test_resume_keeps_dead_letters_dead(self, tmp_path):
         store = ShardedResultStore(os.fspath(tmp_path / "s"), sync=False)
         path = os.fspath(tmp_path / "DLQ.jsonl")
-        retry = RetryPolicy(max_attempts=2, base_delay=1e-6)
-        kwargs = dict(store=store, window=8, retry=retry)
+        kwargs = dict(store=store, window=8)
         run_streamed_tasks(
             synthetic_stream(30, SEED, poisoned=frozenset({11})),
             dlq=DeadLetterQueue(path), **kwargs)
@@ -783,7 +856,6 @@ class TestDegradedCompletion:
         merged, report = run_streamed_study(
             model(), grid_protocols(), n_samples=4, samples_per_task=2,
             seed=SEED, store=store, window=3, dlq=dlq,
-            retry=RetryPolicy(max_attempts=2, base_delay=1e-6),
             fault=poison, n_records=11)
         assert report.degraded is True
         assert poisoned_cell not in merged
@@ -794,7 +866,7 @@ class TestDegradedCompletion:
 
     def test_study_front_door_dead_letters_without_any_window_option(
             self, tmp_path, monkeypatch):
-        """Regression: ``dlq=`` / ``retry=`` used to be read only on the
+        """Regression: ``dlq=`` used to be read only on the
         ``window=N`` branch, so ``campaign --store D --dlq`` raised out of
         a terminally failing pull instead of dead-lettering it."""
         bad = grid_protocols()[1]
@@ -802,15 +874,14 @@ class TestDegradedCompletion:
                      SimulationError("this cell blows up in the engine"))
         store = ResultStore(os.fspath(tmp_path / "s"), sync=False)
         dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"), sync=False)
-        study = run_study(store, dlq=dlq,
-                          retry=RetryPolicy(max_attempts=2, base_delay=1e-6))
+        study = run_study(store, dlq=dlq)
         assert (bad.kappa_pn, bad.velocity) not in study.ensembles
         assert len(study.ensembles) == 3
         assert len(dlq) == 2                    # the bad cell's two tasks
         for entry in dlq.entries():
             assert entry["task_key"][1:4] == list(cell_labels(bad))
             assert (entry["reason"], entry["attempts"]) == (
-                "retry-exhausted", 2)
+                "retry-exhausted", TASK_ATTEMPTS)
         assert len(store) == 6
         # ...and without a queue the failure still propagates loudly.
         with pytest.raises(StoreError, match="no dead-letter queue"):
