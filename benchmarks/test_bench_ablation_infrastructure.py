@@ -5,9 +5,6 @@ Each isolates one mechanism and shows what the paper's experience would have
 looked like without it.
 """
 
-import numpy as np
-import pytest
-
 from repro.analysis import Table
 from repro.grid import (
     CampaignManager,
@@ -21,8 +18,7 @@ from repro.grid import (
     spice_batch_jobs,
     teragrid_sites,
 )
-from repro.imd import HapticDevice, IMDSession, ScriptedUser
-from repro.md import SteeringForce
+from repro.imd import IMDSession
 from repro.net import PRODUCTION_INTERNET
 from repro.pore import build_translocation_simulation
 
@@ -37,13 +33,9 @@ def test_imd_window_ablation(benchmark, emit):
     def workload():
         rows = []
         for w in windows:
-            ts = build_translocation_simulation(n_bases=6, seed=42)
-            sf = SteeringForce(ts.simulation.system.n)
-            ts.simulation.forces.append(sf)
-            user = ScriptedUser(HapticDevice(), target_z=-20.0, gain=0.5, seed=7)
-            session = IMDSession(ts.simulation, sf, ts.dna_indices,
-                                 PRODUCTION_INTERNET, user=user,
-                                 steps_per_frame=50, window=w, seed=3)
+            session = IMDSession(
+                build_translocation_simulation(n_bases=6, seed=42),
+                PRODUCTION_INTERNET, window=w, seed=3, user_seed=7)
             rep = session.run(80)
             rows.append((w, rep.slowdown, rep.stall_fraction, rep.fps))
         return rows

@@ -7,11 +7,9 @@ slowdown/stall/fps table across network classes, plus a loss-rate sweep.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import Curve, FigureData, qos_table, render_figure
-from repro.imd import HapticDevice, IMDSession, ScriptedUser
-from repro.md import SteeringForce
+from repro.imd import IMDSession
 from repro.net import (
     CAMPUS_LAN,
     DEGRADED_INTERNET,
@@ -27,12 +25,8 @@ N_FRAMES = 100
 
 
 def run_session(qos, seed=3):
-    ts = build_translocation_simulation(n_bases=6, seed=42)
-    sf = SteeringForce(ts.simulation.system.n)
-    ts.simulation.forces.append(sf)
-    user = ScriptedUser(HapticDevice(), target_z=-20.0, gain=0.5, seed=7)
-    session = IMDSession(ts.simulation, sf, ts.dna_indices, qos, user=user,
-                         steps_per_frame=50, seed=seed)
+    session = IMDSession(build_translocation_simulation(n_bases=6, seed=42),
+                         qos, seed=seed, user_seed=7)
     return session.run(N_FRAMES)
 
 

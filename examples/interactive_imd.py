@@ -7,11 +7,8 @@ report the paper's QoS argument rests on.  Also demonstrates the steering
 framework directly: pause/resume, checkpoint, clone.
 """
 
-import numpy as np
-
 from repro.analysis import qos_table
-from repro.imd import HapticDevice, IMDSession, ScriptedUser
-from repro.md import SteeringForce
+from repro.imd import IMDSession
 from repro.net import (
     CAMPUS_LAN,
     DEGRADED_INTERNET,
@@ -28,15 +25,10 @@ from repro.steering import (
 
 
 def run_imd(qos, label):
-    ts = build_translocation_simulation(n_bases=6, seed=42)
-    steer = SteeringForce(ts.simulation.system.n)
-    ts.simulation.forces.append(steer)
-    device = HapticDevice()
-    user = ScriptedUser(device, target_z=-20.0, gain=0.5, seed=7)
-    session = IMDSession(ts.simulation, steer, ts.dna_indices, qos,
-                         user=user, steps_per_frame=50, seed=3)
+    session = IMDSession(build_translocation_simulation(n_bases=6, seed=42),
+                         qos, seed=3, user_seed=7)
     report = session.run(n_frames=80)
-    lo, hi = device.felt_force_range()
+    lo, hi = session.user.device.felt_force_range()
     print(f"  {label:35s} slowdown {report.slowdown:5.2f}x   "
           f"fps {report.fps:5.2f}   felt force {lo:.1f}-{hi:.1f}")
     return report

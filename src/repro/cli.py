@@ -374,8 +374,7 @@ def cmd_report(args) -> CommandResult:
 
 def cmd_qos(args) -> CommandResult:
     from .analysis import qos_table
-    from .imd import HapticDevice, IMDSession, ScriptedUser
-    from .md import SteeringForce
+    from .imd import IMDSession
     from .net import (CAMPUS_LAN, DEGRADED_INTERNET, LIGHTPATH,
                       PRODUCTION_INTERNET)
     from .pore import build_translocation_simulation
@@ -385,12 +384,8 @@ def cmd_qos(args) -> CommandResult:
                        ("lightpath", LIGHTPATH),
                        ("production internet", PRODUCTION_INTERNET),
                        ("degraded internet", DEGRADED_INTERNET)]:
-        ts = build_translocation_simulation(n_bases=6, seed=42)
-        sf = SteeringForce(ts.simulation.system.n)
-        ts.simulation.forces.append(sf)
-        user = ScriptedUser(HapticDevice(), target_z=-20.0, gain=0.5, seed=7)
-        session = IMDSession(ts.simulation, sf, ts.dna_indices, qos,
-                             user=user, steps_per_frame=50, seed=args.seed)
+        session = IMDSession(build_translocation_simulation(n_bases=6, seed=42),
+                             qos, seed=args.seed, user_seed=7)
         reports[label] = session.run(args.frames)
     summary = {
         "command": "qos",
@@ -945,7 +940,8 @@ COMMANDS: Dict[str, CommandSpec] = {
             cmd_chaos,
             args=(
                 # Keep in sync with repro.resil.SCENARIOS (imported lazily
-                # so the CLI table stays import-light).
+                # so the CLI table stays import-light); pinned by
+                # test_scenario_choices_are_the_registered_scenarios.
                 _arg("--scenario", default="breach-partition",
                      choices=("baseline", "breach", "breach-partition",
                               "cascade", "permafail"),

@@ -38,38 +38,40 @@ from ..md.external import SteeringForce
 from ..net.channel import ReliableChannel
 from ..net.qos import QoSSpec
 from ..obs import Obs, as_obs
+from ..pore.assembly import TranslocationSystem
 from ..rng import SeedLike, as_generator, spawn
-from .haptic import ScriptedUser
+from .haptic import HapticDevice, ScriptedUser
 from .metrics import InteractivityReport
 
 __all__ = ["IMDSession"]
+
+#: Modelled wall seconds per MD step on the remote machine (a 300k-atom
+#: system on 256 processors manages ~2 ms/step in 2005).
+SECONDS_PER_STEP = 2.0e-3
+#: Message sizes of the two directions: frames are heavy, controls light.
+FRAME_BYTES = 200_000
+CONTROL_BYTES = 512
+#: Visualizer render time per frame.
+RENDER_TIME_S = 0.02
 
 
 class IMDSession:
     """Closed-loop interactive MD over a simulated network.
 
+    The session owns its steering loop: it appends a
+    :class:`~repro.md.external.SteeringForce` to the system's force stack,
+    and its scripted scientist (``session.user``, pulling the DNA toward
+    z = -20 A through a :class:`~repro.imd.haptic.HapticDevice`) steers
+    ``system.dna_indices``.
+
     Parameters
     ----------
-    simulation:
-        The MD engine instance (its force stack must include
-        ``steering_force``).
-    steering_force:
-        The mutable force term user commands are applied to.
-    dna_indices:
-        Atom selection the user steers.
+    system:
+        The 3-D translocation system to steer.
     qos:
         Link characteristics used for both directions.
-    user:
-        Scripted scientist; if None, the loop still round-trips an empty
-        control message (the synchronization cost is what matters).
     steps_per_frame:
         MD steps computed between frames.
-    seconds_per_step:
-        Modelled wall seconds per MD step on the remote machine (a
-        300k-atom system on 256 processors manages ~2 ms/step in 2005).
-    frame_bytes / control_bytes:
-        Message sizes for the two directions (frames are heavy, controls
-        light).
     window:
         Flow-control window: how many frames the simulation may compute
         beyond the newest control received.  The default of 2 models the
@@ -80,6 +82,8 @@ class IMDSession:
         :class:`numpy.random.Generator`, a ``SeedSequence`` or ``None`` —
         normalized via :func:`repro.rng.as_generator` (the package-wide
         seeding convention); both channels derive independent streams.
+    user_seed:
+        Seed of the scripted scientist's motor noise.
     obs:
         Optional instrumentation handle (see :mod:`repro.obs`).  Per-frame
         stalls land in the ``imd.frame_stall_s`` histogram, cumulative
@@ -89,41 +93,32 @@ class IMDSession:
 
     def __init__(
         self,
-        simulation: Simulation,
-        steering_force: SteeringForce,
-        dna_indices: np.ndarray,
+        system: TranslocationSystem,
         qos: QoSSpec,
-        user: Optional[ScriptedUser] = None,
+        *,
         steps_per_frame: int = 50,
-        seconds_per_step: float = 2.0e-3,
-        frame_bytes: int = 200_000,
-        control_bytes: int = 512,
-        render_time_s: float = 0.02,
         window: int = 2,
         seed: SeedLike = None,
+        user_seed: SeedLike = None,
         obs: Optional[Obs] = None,
     ) -> None:
-        if steps_per_frame <= 0 or seconds_per_step <= 0:
-            raise ConfigurationError("steps_per_frame and seconds_per_step must be positive")
-        if render_time_s < 0:
-            raise ConfigurationError("render_time_s cannot be negative")
+        if steps_per_frame <= 0:
+            raise ConfigurationError("steps_per_frame must be positive")
         if window < 1:
             raise ConfigurationError("window must be at least 1")
-        self.simulation = simulation
-        self.steering_force = steering_force
-        self.dna_indices = np.asarray(dna_indices, dtype=np.intp)
+        self.simulation = system.simulation
+        self.dna_indices = system.dna_indices
+        self.steering_force = SteeringForce(self.simulation.system.n)
+        self.simulation.forces.append(self.steering_force)
+        self.user = ScriptedUser(HapticDevice(), target_z=-20.0, gain=0.5,
+                                 seed=user_seed)
         self._obs = as_obs(obs)
         rng = as_generator(seed)
         down_rng, up_rng = spawn(rng, 2)
         # sim -> viz and viz -> sim legs of the closed loop.
         self.down = ReliableChannel(qos, seed=down_rng, obs=obs, name="imd.down")
         self.up = ReliableChannel(qos, seed=up_rng, obs=obs, name="imd.up")
-        self.user = user
         self.steps_per_frame = int(steps_per_frame)
-        self.seconds_per_step = float(seconds_per_step)
-        self.frame_bytes = int(frame_bytes)
-        self.control_bytes = int(control_bytes)
-        self.render_time_s = float(render_time_s)
         self.window = int(window)
 
     def run(self, n_frames: int) -> InteractivityReport:
@@ -140,7 +135,7 @@ class IMDSession:
         control_arrivals: list[float] = []
         pending_commands: list[tuple[float, np.ndarray]] = []
 
-        frame_compute = self.steps_per_frame * self.seconds_per_step
+        frame_compute = self.steps_per_frame * SECONDS_PER_STEP
         finish = 0.0
         for k in range(n_frames):
             # Flow control: frame k may only start once the control for
@@ -167,25 +162,21 @@ class IMDSession:
             compute_time += frame_compute
 
             # 2. frame to the visualizer; render.
-            down = self.down.transmit(finish, self.frame_bytes)
-            viz_time = down.arrival_time + self.render_time_s
+            down = self.down.transmit(finish, FRAME_BYTES)
+            viz_time = down.arrival_time + RENDER_TIME_S
 
             # 3. the haptic stream returns a control immediately; the
             # scripted user's reaction delay decides *which force value*
             # the stream carries once it lands.
-            if self.user is not None:
-                frame = _summarize(self.simulation, self.dna_indices, viz_time)
-                ready, force = self.user.react(frame, viz_time)
-                self.user.device.feel(ready, float(np.linalg.norm(force)))
-            else:
-                ready, force = viz_time, None
+            frame = _summarize(self.simulation, self.dna_indices, viz_time)
+            ready, force = self.user.react(frame, viz_time)
+            self.user.device.feel(ready, float(np.linalg.norm(force)))
 
             # 4. control returns over the up channel.
-            up = self.up.transmit(viz_time, self.control_bytes)
+            up = self.up.transmit(viz_time, CONTROL_BYTES)
             control_arrivals.append(up.arrival_time)
             round_trips.append(up.arrival_time - finish)
-            if force is not None:
-                pending_commands.append((max(up.arrival_time, ready), force))
+            pending_commands.append((max(up.arrival_time, ready), force))
 
         # Wall time ends when the last frame's compute finishes (the
         # allocation is released; remaining in-flight controls are moot).

@@ -27,13 +27,15 @@ from ..md import (
 from ..rng import SeedLike, as_generator, spawn
 from ..units import ROOM_TEMPERATURE
 from .dna import SSDNAParameters, build_ssdna
-from .geometry import DEFAULT_GEOMETRY, PoreGeometry
+from .geometry import DEFAULT_GEOMETRY
 from .hemolysin import HemolysinPore
-from .landscape import AxialLandscape
 from .membrane import MembraneSlab
 from .solvent import ImplicitSolvent
 
 __all__ = ["TranslocationSystem", "build_translocation_simulation"]
+
+#: Langevin timestep in ns (20 fs — safe for the CG force constants in use).
+DT_NS = 2.0e-5
 
 
 @dataclass
@@ -54,17 +56,19 @@ class TranslocationSystem:
 
 def build_translocation_simulation(
     n_bases: int = 12,
-    geometry: PoreGeometry = DEFAULT_GEOMETRY,
-    landscape: Optional[AxialLandscape] = None,
-    dna_params: Optional[SSDNAParameters] = None,
-    solvent: Optional[ImplicitSolvent] = None,
-    temperature: float = ROOM_TEMPERATURE,
-    dt_ns: float = 2.0e-5,
+    *,
     start_z: Optional[float] = None,
-    electrostatics: bool = True,
     seed: SeedLike = None,
 ) -> TranslocationSystem:
     """Build the ssDNA + hemolysin + membrane CG system.
+
+    The system is a pure function of ``(n_bases, start_z, seed)``: the pore
+    is :data:`~repro.pore.geometry.DEFAULT_GEOMETRY` with its default
+    landscape, the chain uses :class:`SSDNAParameters` defaults in
+    :class:`ImplicitSolvent` at room temperature, the screened
+    electrostatics is always in the force stack, and the Langevin step is
+    :data:`DT_NS`.  :func:`repro.store.pulling_task_3d` keys 3-D pulls on
+    exactly these three inputs.
 
     Parameters
     ----------
@@ -74,16 +78,12 @@ def build_translocation_simulation(
     start_z:
         z of the first (leading) base; defaults to just above the
         constriction so a downward pull drives translocation.
-    dt_ns:
-        Langevin timestep in ns (default 20 fs — safe for the CG force
-        constants in use).
     """
-    if dna_params is None:
-        dna_params = SSDNAParameters()
-    if solvent is None:
-        solvent = ImplicitSolvent()
     if n_bases < 2:
         raise ConfigurationError("n_bases must be at least 2")
+    geometry = DEFAULT_GEOMETRY
+    dna_params = SSDNAParameters()
+    solvent = ImplicitSolvent()
     rng = as_generator(seed)
     chain_rng, vel_rng, integ_rng = spawn(rng, 3)
 
@@ -97,9 +97,9 @@ def build_translocation_simulation(
         seed=chain_rng,
     )
     system = ParticleSystem(positions, masses, charges=charges)
-    system.initialize_velocities(temperature, seed=vel_rng)
+    system.initialize_velocities(ROOM_TEMPERATURE, seed=vel_rng)
 
-    pore = HemolysinPore(geometry=geometry, landscape=landscape)
+    pore = HemolysinPore(geometry=geometry)
     membrane = MembraneSlab(
         z_center=0.5 * (geometry.z_bottom + geometry.z_constriction),
         pore_radius=geometry.barrel_radius + 3.0,
@@ -120,13 +120,12 @@ def build_translocation_simulation(
         ),
         ExternalFieldForce(pore),
         ExternalFieldForce(membrane),
+        DebyeHuckelForce(charges, exclusions=exclusions),
     ]
-    if electrostatics:
-        forces.append(DebyeHuckelForce(charges, exclusions=exclusions))
 
     gamma = solvent.langevin_rate(dna_params.bead_mass, in_pore=True)
-    integrator = LangevinBAOAB(dt_ns, friction=gamma, temperature=temperature,
-                               seed=integ_rng)
+    integrator = LangevinBAOAB(DT_NS, friction=gamma,
+                               temperature=ROOM_TEMPERATURE, seed=integ_rng)
     sim = Simulation(system, forces, integrator)
     dna_indices = np.arange(n_bases, dtype=np.intp)
     return TranslocationSystem(

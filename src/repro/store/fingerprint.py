@@ -269,7 +269,18 @@ def pulling_task_3d(
     cpu_hours_per_ns: float,
     seed_key: SeedKey,
 ) -> Dict[str, Any]:
-    """Task descriptor for a full 3-D CG pulling ensemble."""
+    """Task descriptor for a full 3-D CG pulling ensemble.
+
+    Each replica's system is
+    :func:`~repro.pore.assembly.build_translocation_simulation` of
+    ``n_bases``, a start position fixed by ``start_com_z`` and a stream of
+    ``seed_key`` — the builder's only inputs, so this descriptor names the
+    system exactly.  Everything else the builder sets (pore geometry and
+    landscape, chain parameters, solvent, temperature, timestep, the
+    Debye–Hückel term) is a construction constant of
+    :mod:`repro.pore.assembly`: changing one changes every 3-D pull and
+    must bump ``"smd.cg3d/v1"``.
+    """
     return {
         "kernel": "smd.cg3d/v1",
         "protocol": _protocol_fields(protocol),

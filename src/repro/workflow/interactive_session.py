@@ -24,10 +24,8 @@ from ..errors import ConfigurationError
 from ..grid.coscheduler import CoAllocationResult, CoScheduler
 from ..grid.reservation import ManualReservationWorkflow, ReservationRequest
 from ..grid.scheduler import BatchQueue
-from ..imd.haptic import HapticDevice, ScriptedUser
 from ..imd.metrics import InteractivityReport
 from ..imd.session import IMDSession
-from ..md.external import SteeringForce
 from ..net.qos import LIGHTPATH, PRODUCTION_INTERNET, QoSSpec
 from ..pore.assembly import build_translocation_simulation
 from ..rng import SeedLike, as_generator, spawn
@@ -157,11 +155,6 @@ class InteractiveSessionRunner:
     def _run_imd(self, qos: QoSSpec) -> InteractivityReport:
         self._session_counter += 1
         seed = int(self._imd_rng_root.integers(0, 2**31))
-        ts = build_translocation_simulation(n_bases=6, seed=seed)
-        steer = SteeringForce(ts.simulation.system.n)
-        ts.simulation.forces.append(steer)
-        user = ScriptedUser(HapticDevice(), target_z=-20.0, gain=0.5,
-                            seed=seed + 1)
-        session = IMDSession(ts.simulation, steer, ts.dna_indices, qos,
-                             user=user, steps_per_frame=50, seed=seed + 2)
+        session = IMDSession(build_translocation_simulation(n_bases=6, seed=seed),
+                             qos, seed=seed + 2, user_seed=seed + 1)
         return session.run(self.n_frames)

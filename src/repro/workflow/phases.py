@@ -31,8 +31,7 @@ from ..grid import (
     Job,
     PAPER_COST_MODEL,
 )
-from ..imd import HapticDevice, IMDSession, ScriptedUser
-from ..md import SteeringForce
+from ..imd import IMDSession
 from ..net import LIGHTPATH, QoSSpec
 from ..obs import Obs, as_obs
 from ..pore import (
@@ -133,7 +132,6 @@ class InteractivePhase:
         self,
         qos: QoSSpec = LIGHTPATH,
         n_frames: int = 40,
-        n_bases: int = 8,
         seed: SeedLike = None,
         obs: Optional[Obs] = None,
     ) -> None:
@@ -141,23 +139,19 @@ class InteractivePhase:
             raise ConfigurationError("n_frames must be positive")
         self.qos = qos
         self.n_frames = int(n_frames)
-        self.n_bases = int(n_bases)
         self.seed = seed
         self.obs = as_obs(obs)
 
     def run(self) -> InteractiveInsight:
         rng = as_generator(self.seed)
-        ts = build_translocation_simulation(n_bases=self.n_bases, seed=rng)
-        steer = SteeringForce(ts.simulation.system.n)
-        ts.simulation.forces.append(steer)
-        device = HapticDevice()
-        user = ScriptedUser(device, target_z=-20.0, gain=0.5, seed=rng)
+        # One shared generator builds the system, then seeds both the
+        # channels and the scientist's motor noise.
         session = IMDSession(
-            ts.simulation, steer, ts.dna_indices, self.qos, user=user,
-            steps_per_frame=25, seed=rng, obs=self.obs,
+            build_translocation_simulation(n_bases=8, seed=rng), self.qos,
+            steps_per_frame=25, seed=rng, user_seed=rng, obs=self.obs,
         )
         report = session.run(self.n_frames)
-        f_lo, f_hi = device.felt_force_range()
+        f_lo, f_hi = session.user.device.felt_force_range()
 
         from ..units import kT, pn_per_angstrom
 

@@ -98,6 +98,13 @@ class TestEstimateCommand:
                      if "--method" in a.flags]
         assert sorted(method.kwargs["choices"]) == list(available_estimators())
 
+    def test_scenario_choices_are_the_registered_scenarios(self):
+        from repro.resil import SCENARIOS
+
+        (scenario,) = [a for a in COMMANDS["chaos"].args
+                       if "--scenario" in a.flags]
+        assert sorted(scenario.kwargs["choices"]) == sorted(SCENARIOS)
+
     def test_parser_does_not_load_the_estimators(self):
         """Each command imports its subsystem itself, so building the
         parser (every command does) never pays for repro.core."""

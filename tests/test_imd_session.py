@@ -1,9 +1,10 @@
 """Tests for the IMD closed loop: the paper's QoS claims."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.imd import HapticDevice, IMDSession, ScriptedUser
+from repro.imd import IMDSession
 from repro.md import SteeringForce
 from repro.net import (
     CAMPUS_LAN,
@@ -14,17 +15,11 @@ from repro.net import (
 from repro.pore import build_translocation_simulation
 
 
-def make_session(qos, n_bases=6, with_user=True, seed=3, **kw):
-    ts = build_translocation_simulation(n_bases=n_bases, seed=42)
-    sf = SteeringForce(ts.simulation.system.n)
-    ts.simulation.forces.append(sf)
-    user = None
-    if with_user:
-        user = ScriptedUser(HapticDevice(), target_z=-20.0, gain=0.5, seed=7)
+def make_session(qos, seed=3, **kw):
     # 50 steps x 2 ms = 100 ms compute per frame: the transatlantic RTT
     # (~82 ms incl. render) fits inside one frame of pipeline.
-    return IMDSession(ts.simulation, sf, ts.dna_indices, qos, user=user,
-                      steps_per_frame=50, seed=seed, **kw)
+    return IMDSession(build_translocation_simulation(n_bases=6, seed=42), qos,
+                      seed=seed, user_seed=7, **kw)
 
 
 class TestSessionMechanics:
@@ -45,9 +40,18 @@ class TestSessionMechanics:
         sess.run(n_frames=20)
         assert sess.steering_force.active
 
-    def test_runs_without_user(self):
-        rep = make_session(PRODUCTION_INTERNET, with_user=False).run(n_frames=15)
-        assert rep.n_frames == 15
+    def test_session_owns_one_steering_force(self):
+        ts = build_translocation_simulation(n_bases=6, seed=42)
+        sess = IMDSession(ts, LIGHTPATH, seed=3, user_seed=7)
+        steering = [f for f in ts.simulation.forces
+                    if isinstance(f, SteeringForce)]
+        assert steering == [sess.steering_force]
+        sess.run(n_frames=20)
+        positions = ts.simulation.system.positions
+        felt = np.zeros_like(positions)
+        sess.steering_force.compute(positions, felt)
+        np.testing.assert_array_equal(np.flatnonzero(felt.any(axis=1)),
+                                      ts.dna_indices)
 
     def test_validation(self):
         sess = make_session(LIGHTPATH)

@@ -1,9 +1,12 @@
 """Tests for the full 3-D translocation system assembly."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.md import DebyeHuckelForce
 from repro.pore import build_translocation_simulation
 
 
@@ -32,10 +35,15 @@ class TestAssembly:
             a.simulation.system.positions, b.simulation.system.positions
         )
 
-    def test_electrostatics_toggle(self):
-        with_q = build_translocation_simulation(n_bases=6, seed=4, electrostatics=True)
-        without_q = build_translocation_simulation(n_bases=6, seed=4, electrostatics=False)
-        assert len(with_q.simulation.forces) == len(without_q.simulation.forces) + 1
+    def test_debye_huckel_always_in_stack(self):
+        forces = build_translocation_simulation(n_bases=6, seed=4).simulation.forces
+        assert sum(isinstance(f, DebyeHuckelForce) for f in forces) == 1
+
+    def test_inputs_are_the_pulling_task_3d_key(self):
+        """The system is fixed by (n_bases, start_z, seed): a new builder
+        input must be recorded by pulling_task_3d before this passes."""
+        params = inspect.signature(build_translocation_simulation).parameters
+        assert tuple(params) == ("n_bases", "start_z", "seed")
 
     def test_min_bases(self):
         with pytest.raises(ConfigurationError):

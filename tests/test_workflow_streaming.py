@@ -37,7 +37,7 @@ from repro.smd import (
     run_pulling_ensemble,
     run_pulling_stack,
 )
-from repro.smd.plan import TaskResolver, plan_tasks, run_cells
+from repro.smd.plan import TaskResolver, plan_tasks
 from repro.smd.protocol import PullingProtocol
 from repro.store import ResultStore, ShardedResultStore, pulling_task
 from repro.workflow import (
