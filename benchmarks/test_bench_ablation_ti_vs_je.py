@@ -11,7 +11,6 @@ algorithmic choice.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import Table
 from repro.core import (

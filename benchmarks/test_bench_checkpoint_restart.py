@@ -7,8 +7,6 @@ jobs with and without checkpoint-restart, and prices the checkpoint
 *transfer* between sites with the migration cost model.
 """
 
-import pytest
-
 from repro.analysis import Table
 from repro.grid import (
     CampaignManager,

@@ -16,8 +16,6 @@ operational (manual submission, reservations, human coordination — the
 Section V-C3 story), not scheduling.
 """
 
-import pytest
-
 from repro.analysis import Table
 from repro.grid import (
     BackgroundWorkload,

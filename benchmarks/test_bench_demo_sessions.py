@@ -8,7 +8,6 @@ coordination cost, and the CPU waste of lightpath-less sessions.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import Table
 from repro.grid import (

@@ -7,8 +7,6 @@ structural table plus the radius profile R(z) (the quantitative shadow of
 Fig. 1b) and the assembled-system inventory.
 """
 
-import numpy as np
-
 from repro.analysis import Curve, FigureData, fig1_structure_table, render_figure
 from repro.pore import HemolysinPore, build_translocation_simulation
 

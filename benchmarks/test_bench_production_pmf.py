@@ -8,9 +8,6 @@ translocation process can be obtained."  After Fig. 4 fixes
 that production and checks it resolves the pore's features.
 """
 
-import numpy as np
-import pytest
-
 from repro.analysis import Curve, FigureData, render_figure
 from repro.workflow import run_full_axis_production
 

@@ -9,8 +9,6 @@ Regenerated: a UK-constrained sub-campaign with a security breach on the
 sole usable UK node, with and without redundant UK capacity.
 """
 
-import pytest
-
 from repro.analysis import Table
 from repro.grid import (
     CampaignManager,

@@ -20,7 +20,6 @@ from repro.grid import (
     ManualReservationWorkflow,
     ReservationRequest,
     WebReservationWorkflow,
-    federation_success_probability,
 )
 
 from conftest import once

@@ -11,8 +11,6 @@ The effective potential is derived from the 3-D pore's own on-axis
 landscape, so the exact reference is available for the error report.
 """
 
-import numpy as np
-
 from repro.analysis import Curve, FigureData, render_figure
 from repro.workflow import run_full_axis_production
 

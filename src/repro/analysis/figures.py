@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import numpy as np
-
 from ..core.optimizer import ParameterStudyResult
 from ..errors import AnalysisError
 from ..grid.costmodel import CostModel

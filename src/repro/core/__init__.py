@@ -6,7 +6,6 @@ from .jarzynski import (
     exponential_estimator,
     cumulant_estimator,
     block_estimator,
-    jarzynski_bias_estimate,
 )
 from .fr import (
     FRProfile,
@@ -23,7 +22,8 @@ from .pmf import (
     register_estimator,
 )
 from .error_analysis import (
-    bootstrap_statistical_error,
+    BootstrapError,
+    bootstrap_error,
     cost_normalization_factor,
     cost_normalized_error,
     pmf_error,
@@ -34,20 +34,11 @@ from .error_analysis import (
 from .optimizer import ParameterStudyResult, run_parameter_study, select_optimal
 from .ti import TIProtocol, TIResult, run_thermodynamic_integration
 from .wham import UmbrellaProtocol, WHAMResult, run_umbrella_sampling, wham
-from .diagnostics import (
-    BlockBootstrapDiagnostic,
-    ConvergenceReport,
-    block_bootstrap,
-    convergence_report,
-    dominance,
-    effective_sample_size,
-)
 
 __all__ = [
     "exponential_estimator",
     "cumulant_estimator",
     "block_estimator",
-    "jarzynski_bias_estimate",
     "available_estimators",
     "check_estimator",
     "register_estimator",
@@ -58,7 +49,8 @@ __all__ = [
     "parallel_pull_estimator",
     "PMFEstimate",
     "estimate_pmf",
-    "bootstrap_statistical_error",
+    "BootstrapError",
+    "bootstrap_error",
     "cost_normalization_factor",
     "cost_normalized_error",
     "pmf_error",
@@ -75,10 +67,4 @@ __all__ = [
     "WHAMResult",
     "run_umbrella_sampling",
     "wham",
-    "ConvergenceReport",
-    "convergence_report",
-    "dominance",
-    "effective_sample_size",
-    "BlockBootstrapDiagnostic",
-    "block_bootstrap",
 ]

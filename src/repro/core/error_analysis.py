@@ -3,7 +3,8 @@
 Section IV of the paper rests on two error measures per (kappa, v) cell:
 
 * **statistical error** ``sigma_stat`` — sampling noise of the estimator,
-  measured here by bootstrap resampling of replicas, then *normalized for
+  measured by :func:`bootstrap_error` (the package's one resampler; the
+  adaptive controller scores windows by its ``mse``), then *normalized for
   computational cost*: in the time one sample at v = 12.5 A/ns is generated,
   eight samples at v = 100 A/ns can be generated, so raw errors measured at
   equal sample counts must be compared as if each velocity had spent the
@@ -18,17 +19,18 @@ Section IV of the paper rests on two error measures per (kappa, v) cell:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import AnalysisError, ConfigurationError
 from ..rng import SeedLike, as_generator
 from ..smd.work import WorkEnsemble
-from .pmf import PMFEstimate, estimate_pmf
+from .pmf import PMFEstimate, _lookup
 
 __all__ = [
-    "bootstrap_statistical_error",
+    "BootstrapError",
+    "bootstrap_error",
     "cost_normalized_error",
     "cost_normalization_factor",
     "pmf_error",
@@ -38,30 +40,71 @@ __all__ = [
 ]
 
 
-def bootstrap_statistical_error(
-    ensemble: WorkEnsemble,
-    estimator: str = "exponential",
-    n_bootstrap: int = 200,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Bootstrap standard error of the PMF at each displacement, ``(g,)``.
+@dataclass(frozen=True)
+class BootstrapError:
+    """An estimator's resampled error, per station.
 
-    Resamples replicas with replacement; each resample is pushed through the
-    full estimator (the JE exponential average is nonlinear, so linearized
-    error propagation would understate the error exactly where it matters).
+    ``estimate`` is the full-sample estimate; ``bias`` the mean of the
+    resampled estimates minus it (for the JE exponential average this
+    tracks the finite-sample systematic error that a plain variance is
+    blind to); ``variance`` their sample variance (ddof=1).  Each has the
+    shape the estimator returns: ``(g,)`` for ``(m, g)`` works, a scalar
+    for ``(m,)`` works.
     """
-    if n_bootstrap < 2:
-        raise ConfigurationError("n_bootstrap must be at least 2")
-    if ensemble.n_samples < 2:
-        raise AnalysisError("bootstrap needs at least 2 replicas")
-    rng = as_generator(seed)
-    m = ensemble.n_samples
-    curves = np.empty((n_bootstrap, ensemble.n_records), dtype=np.float64)
-    for b in range(n_bootstrap):
-        idx = rng.integers(0, m, size=m)
-        est = estimate_pmf(ensemble.subset(idx), estimator=estimator)
-        curves[b] = est.values
-    return curves.std(axis=0, ddof=1)
+
+    estimate: np.ndarray
+    bias: np.ndarray
+    variance: np.ndarray
+
+    @property
+    def mse(self) -> np.ndarray:
+        """Bias-squared plus variance: the expected squared error."""
+        return self.bias**2 + self.variance
+
+
+def bootstrap_error(
+    works: np.ndarray,
+    temperature: float,
+    estimator: str,
+    rng: np.random.Generator,
+    *,
+    n_boot: int,
+    n_blocks: Optional[int] = None,
+) -> BootstrapError:
+    """Bootstrap bias and variance of a registered estimator.
+
+    The ``m`` replicas (axis 0 of ``works``) are split, in order, into
+    ``n_blocks`` contiguous blocks (default ``m``: one replica per block,
+    the plain replica bootstrap); each of the ``n_boot`` resamples draws
+    ``rng.integers(0, n_blocks, n_blocks)`` blocks with replacement and
+    pushes them through the full estimator (the JE exponential average is
+    nonlinear, so linearized error propagation would understate the error
+    exactly where it matters).  Fewer, larger blocks keep whatever
+    structure lies within a store task.  ``rng`` is the caller's stream:
+    the same generator state gives the same bits.
+    """
+    fn = _lookup(estimator, paired=False)
+    w = np.asarray(works, dtype=np.float64)
+    m = w.shape[0]
+    n_blocks = m if n_blocks is None else n_blocks
+    if n_boot < 2:
+        raise ConfigurationError("n_boot must be at least 2")
+    if not 2 <= n_blocks <= m:
+        raise AnalysisError(
+            f"bootstrap needs 2 <= n_blocks <= m, got {n_blocks} blocks "
+            f"of {m} replicas")
+    full = fn(w, temperature)
+    edges = np.linspace(0, m, n_blocks + 1).astype(int)
+    estimates = np.empty((n_boot,) + np.shape(full), dtype=np.float64)
+    for b in range(n_boot):
+        picks = rng.integers(0, n_blocks, size=n_blocks)
+        idx = np.concatenate([np.arange(edges[p], edges[p + 1]) for p in picks])
+        estimates[b] = fn(w[idx], temperature)
+    return BootstrapError(
+        estimate=full,
+        bias=estimates.mean(axis=0) - full,
+        variance=estimates.var(axis=0, ddof=1),
+    )
 
 
 def cost_normalization_factor(velocity: float, reference_velocity: float) -> float:
@@ -100,22 +143,28 @@ def pmf_error(values: np.ndarray, reference: np.ndarray) -> float:
 
 
 def pairwise_consistency(estimates: Sequence[PMFEstimate]) -> float:
-    """Max RMS spread between PMFs in a set (same grid required).
+    """Max RMS spread between PMFs in a set.
 
     The paper's operational systematic-error check: if halving v leaves the
     PMF unchanged, the faster pull was already adequate.  Large spread
-    across v at fixed kappa (Fig. 4a, kappa = 10) flags decoupling.
+    across v at fixed kappa (Fig. 4a, kappa = 10) flags decoupling.  Each
+    velocity records on its own step-quantized grid, so the curves are
+    compared on the slowest estimate's grid, clipped to the range every
+    estimate covers (:meth:`PMFEstimate.interpolated`).
     """
     if len(estimates) < 2:
         raise AnalysisError("need at least two estimates to compare")
-    grid = estimates[0].displacements
-    for e in estimates:
-        if e.displacements.shape != grid.shape or not np.allclose(e.displacements, grid):
-            raise AnalysisError("estimates must share a displacement grid")
+    lo = max(e.displacements[0] for e in estimates)
+    hi = min(e.displacements[-1] for e in estimates)
+    grid = min(estimates, key=lambda e: e.velocity).displacements
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    if grid.size < 2:
+        raise AnalysisError("estimates share no displacement range")
+    curves = [e.interpolated(grid) for e in estimates]
     worst = 0.0
-    for i in range(len(estimates)):
-        for j in range(i + 1, len(estimates)):
-            worst = max(worst, pmf_error(estimates[i].values, estimates[j].values))
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            worst = max(worst, pmf_error(curves[i], curves[j]))
     return worst
 
 
@@ -149,17 +198,16 @@ def analyze_ensemble(
     seed: SeedLike = None,
 ) -> ErrorBudget:
     """Full per-cell error analysis: bootstrap + normalization + systematic."""
-    estimate = estimate_pmf(ensemble, estimator=estimator)
-    stat_curve = bootstrap_statistical_error(
-        ensemble, estimator=estimator, n_bootstrap=n_bootstrap, seed=seed
-    )
+    boot = bootstrap_error(ensemble.works, ensemble.temperature, estimator,
+                           as_generator(seed), n_boot=n_bootstrap)
+    stat_curve = np.sqrt(boot.variance)
     # Scalar summary: RMS of the per-station bootstrap error (station 0 is
     # pinned to zero by construction and excluded).
     sigma_raw = float(np.sqrt(np.mean(stat_curve[1:] ** 2)))
     sigma_norm = float(
         cost_normalized_error(sigma_raw, ensemble.protocol.velocity, reference_velocity)
     )
-    sigma_sys = pmf_error(estimate.values, reference)
+    sigma_sys = pmf_error(boot.estimate, reference)
     return ErrorBudget(
         kappa_pn=ensemble.protocol.kappa_pn,
         velocity=ensemble.protocol.velocity,

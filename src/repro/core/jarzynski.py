@@ -17,15 +17,16 @@ provided, each with its well-known trade-offs:
   ``<W> - beta Var(W) / 2``; exact for Gaussian work distributions (stiff
   spring, near-linear response), biased otherwise.
 * :func:`block_estimator` — mean of exponential estimates over disjoint
-  blocks; a simple diagnostic of estimator stability.
+  replica blocks.
 
 All estimators operate column-wise on ``(m, g)`` work arrays (replicas x
 recorded displacements) using log-sum-exp for numerical safety — raw
 ``exp(-beta W)`` overflows for strongly negative work (downhill pulls).
+Their sampling error (bias and variance) has one measure, the seeded
+resampler :func:`repro.core.bootstrap_error`.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 from scipy.special import logsumexp
@@ -37,7 +38,6 @@ __all__ = [
     "exponential_estimator",
     "cumulant_estimator",
     "block_estimator",
-    "jarzynski_bias_estimate",
 ]
 
 
@@ -78,39 +78,18 @@ def cumulant_estimator(works: np.ndarray, temperature: float) -> np.ndarray:
 
 def block_estimator(
     works: np.ndarray, temperature: float, n_blocks: int = 4
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential estimate per disjoint replica block.
-
-    Returns ``(mean, spread)`` over blocks per column; a spread much larger
-    than the bootstrap error flags a heavy-tailed work distribution (the
-    exponential average dominated by rare low-work trajectories).
-    """
+) -> np.ndarray:
+    """Mean of the exponential estimates over ``n_blocks`` disjoint,
+    in-order replica blocks, per column (a scalar for 1-D input)."""
     w = _check_works(works)
     m = w.shape[0]
     if n_blocks < 2 or m < n_blocks:
         raise AnalysisError(f"need >= {max(n_blocks, 2)} samples for {n_blocks} blocks")
     edges = np.linspace(0, m, n_blocks + 1).astype(int)
-    estimates = np.stack(
+    out = np.stack(
         [
             exponential_estimator(w[a:b], temperature)
             for a, b in zip(edges[:-1], edges[1:])
         ]
-    )
-    return estimates.mean(axis=0), estimates.std(axis=0, ddof=1)
-
-
-def jarzynski_bias_estimate(works: np.ndarray, temperature: float) -> np.ndarray:
-    """Leading-order finite-sample bias of the exponential estimator.
-
-    For near-Gaussian work, the ``n``-sample estimator over-estimates
-    DeltaF by about ``sigma_diss^2 / (2 kT n_eff)`` where
-    ``n_eff = n exp(-sigma_W^2/kT^2)`` shrinks catastrophically with work
-    spread; here we return the simpler ``Var(W) / (2 kT n)`` first-order
-    term per column — a *lower bound* warning signal, not a correction.
-    """
-    w = _check_works(works)
-    if w.shape[0] < 2:
-        raise AnalysisError("bias estimate needs at least 2 samples")
-    kT = KB * temperature
-    out = w.var(axis=0, ddof=1) / (2.0 * kT * w.shape[0])
+    ).mean(axis=0)
     return out if np.asarray(works).ndim > 1 else out[0]

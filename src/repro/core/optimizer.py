@@ -208,11 +208,7 @@ def select_optimal(
         # Check PMF consistency across adequate velocities (the paper's
         # "insignificant difference in PMF values" criterion).
         ests = [estimates[(best_kappa, b.velocity)] for b in adequate]
-        try:
-            spread = pairwise_consistency(ests)
-        except AnalysisError:
-            spread = float("inf")
-        if spread <= tolerance:
+        if pairwise_consistency(ests) <= tolerance:
             return (best_kappa, adequate[0].velocity)
     # Fall back to the outright minimum cell at the chosen kappa.
     best = min(cells, key=lambda b: b.sigma_total)

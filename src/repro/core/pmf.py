@@ -171,14 +171,8 @@ def estimate_pmf(
     )
 
 
-def _block_mean(works: np.ndarray, temperature: float, **kw) -> np.ndarray:
-    """``"block"``'s curve is its block mean (a scalar for 1-D works)."""
-    mean = block_estimator(works, temperature, **kw)[0]
-    return mean if np.asarray(works).ndim > 1 else mean[0]
-
-
 register_estimator("exponential", exponential_estimator)
 register_estimator("cumulant", cumulant_estimator)
-register_estimator("block", _block_mean)
+register_estimator("block", block_estimator)
 register_estimator("fr", fr_estimator)
 register_estimator("parallel-pull", parallel_pull_estimator)

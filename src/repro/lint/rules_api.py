@@ -173,6 +173,14 @@ RETIRED_NAMES: Dict[str, str] = {
     "paired_estimators": "check_estimator(name, n_samples=...)",
     "systematic_error": "pmf_error(values, reference)",
     "repro.core.estimators": "the registry lives in repro.core.pmf",
+    "bootstrap_statistical_error": "bootstrap_error(works, T, estimator, rng, n_boot=...)",
+    "block_bootstrap": "bootstrap_error(..., n_blocks=...)",
+    "BlockBootstrapDiagnostic": "BootstrapError is the one resampled error",
+    "effective_sample_size": "bootstrap_error(...).mse is the one JE health measure",
+    "dominance": "bootstrap_error(...).mse is the one JE health measure",
+    "ConvergenceReport": "bootstrap_error(...).mse is the one JE health measure",
+    "convergence_report": "bootstrap_error(...).mse is the one JE health measure",
+    "jarzynski_bias_estimate": "bootstrap_error(...).bias",
     "build_dsdna": "the paper's one scenario is ssDNA in alpha-hemolysin",
     "DSDNAParameters": "the paper's one scenario is ssDNA in alpha-hemolysin",
     "DuplexSystem": "the paper's one scenario is ssDNA in alpha-hemolysin",
@@ -215,9 +223,10 @@ class RetiredNameRule(Rule):
     rationale = (
         "each retired name was a second path the codebase collapsed into "
         "one (executor, resume mechanism, stacked runner, batched MD "
-        "class, estimator front door) or scenario code no driver reached "
-        "(dsDNA, other pores); bringing the name back, even as a shim, "
-        "splits callers across two paths nothing tests as equal"
+        "class, estimator front door, resampler) or code only tests "
+        "reached (dsDNA, other pores, JE diagnostics); bringing the name "
+        "back, even as a shim, splits callers across two paths nothing "
+        "tests as equal"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:

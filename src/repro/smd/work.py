@@ -115,7 +115,7 @@ class WorkEnsemble:
         return self.protocol.axis_sign * lag
 
     def subset(self, indices: np.ndarray) -> "WorkEnsemble":
-        """Ensemble restricted to the given replica indices (bootstrap use)."""
+        """Ensemble restricted to the given replica indices."""
         idx = np.asarray(indices, dtype=np.intp)
         return WorkEnsemble(
             protocol=self.protocol,

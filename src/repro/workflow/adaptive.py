@@ -9,9 +9,10 @@ exponential average needs far more samples there than on quiet stretches.
 1. **Pilot** — every window (``n_bins`` consecutive sub-trajectory windows
    of the base protocol, per Section IV-A stratification) runs a small
    pilot ensemble of ``pilot_per_bin`` replicas.
-2. **Diagnose** — each window's pilot works are scored by a seeded block
-   bootstrap (:func:`repro.core.block_bootstrap`): the bias²+variance
-   ``mse`` of the chosen estimator is the window's expected squared error.
+2. **Diagnose** — each window's pilot final works are scored by the one
+   seeded resampler (:func:`repro.core.bootstrap_error`, ``n_blocks``
+   blocks): the bias²+variance ``mse`` of the chosen estimator is the
+   window's expected squared error.
 3. **Reallocate** — the remaining replica budget is apportioned to windows
    proportionally to ``sqrt(mse)`` (the optimal allocation under the
    ``error² ~ mse/n`` sampling law) by the deterministic largest-remainder
@@ -38,7 +39,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..core import block_bootstrap, check_estimator, estimate_pmf, pmf_error
+from ..core import bootstrap_error, check_estimator, estimate_pmf, pmf_error
 from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
@@ -187,8 +188,9 @@ def run_adaptive_campaign(
         Optional result store: every round's tasks are memoized in it,
         so a re-run resolves from hits — bit-identical by construction.
     n_boot / n_blocks:
-        Block-bootstrap shape for the per-window diagnostic; the bootstrap
-        stream is independent of the physics streams.
+        Resampling shape of the per-window score (``n_blocks`` in-order
+        blocks of the pilot replicas, ``n_boot`` resamples); the
+        resampling stream is independent of the physics streams.
 
     Returns an :class:`AdaptiveReport`; ``report.digest()`` is the
     byte-reproducibility witness across reruns and stores.
@@ -231,11 +233,14 @@ def run_adaptive_campaign(
         pilot_tasks = pilot_per_bin // samples_per_task
         pilots = run_cells(model, zip(protos, cells), pilot_tasks,
                            samples_per_task, **plan)
+        # Window b resamples on its own stream, apart from the physics;
+        # tests/test_error_bar_values.py pins the scores this key draws.
         diagnostics = [
-            block_bootstrap(
+            bootstrap_error(
                 pilots[cell].final_works(), pilots[cell].temperature,
-                n_boot=n_boot, n_blocks=n_blocks, method=estimator,
-                seed=stream_for(base, "adaptive", "score", b))
+                estimator, stream_for(as_seed_int(stream_for(
+                    base, "adaptive", "score", b)), "core.block_bootstrap"),
+                n_boot=n_boot, n_blocks=n_blocks)
             for b, cell in enumerate(cells)]
         obs.inc("adaptive.pilot_replicas", n_bins * pilot_per_bin)
 
@@ -263,7 +268,8 @@ def run_adaptive_campaign(
             bins.append(BinReport(
                 index=b, start_z=proto.start_z, distance=proto.distance,
                 pilot=pilot_per_bin, extra=extra * samples_per_task,
-                score=diag.mse, bias=diag.bias, variance=diag.variance,
+                score=float(diag.mse), bias=float(diag.bias),
+                variance=float(diag.variance),
                 spread_kT=merged.dissipated_width(),
             ))
 

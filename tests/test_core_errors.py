@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 from repro.core import (
     PMFEstimate,
     analyze_ensemble,
-    bootstrap_statistical_error,
+    bootstrap_error,
+    estimate_pmf,
     cost_normalization_factor,
     cost_normalized_error,
     pairwise_consistency,
@@ -37,6 +38,16 @@ class TestCostNormalization:
             cost_normalization_factor(0.0, 12.5)
 
 
+def stat_error(ens, n_boot, seed, **kw):
+    """Per-station bootstrap standard error of an ensemble's PMF."""
+    return np.sqrt(bootstrap_error(ens.works, ens.temperature, "exponential",
+                                   np.random.default_rng(seed),
+                                   n_boot=n_boot, **kw).variance)
+
+
+T = 300.0
+
+
 class TestBootstrap:
     def test_error_shrinks_with_samples(self, reduced_model):
         from repro.smd import PullingProtocol, run_pulling_ensemble
@@ -45,22 +56,87 @@ class TestBootstrap:
                                 start_z=-2.5, equilibration_ns=0.01)
         small = run_pulling_ensemble(reduced_model, proto, n_samples=8, seed=1)
         large = run_pulling_ensemble(reduced_model, proto, n_samples=64, seed=1)
-        e_small = bootstrap_statistical_error(small, n_bootstrap=100, seed=2)
-        e_large = bootstrap_statistical_error(large, n_bootstrap=100, seed=2)
+        e_small = stat_error(small, n_boot=100, seed=2)
+        e_large = stat_error(large, n_boot=100, seed=2)
         assert e_large[1:].mean() < e_small[1:].mean()
 
     def test_station_zero_pinned(self, small_ensemble):
-        err = bootstrap_statistical_error(small_ensemble, n_bootstrap=50, seed=3)
+        err = stat_error(small_ensemble, n_boot=50, seed=3)
         assert err[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_with_seed(self, small_ensemble):
-        a = bootstrap_statistical_error(small_ensemble, n_bootstrap=50, seed=4)
-        b = bootstrap_statistical_error(small_ensemble, n_bootstrap=50, seed=4)
+        a = stat_error(small_ensemble, n_boot=50, seed=4)
+        b = stat_error(small_ensemble, n_boot=50, seed=4)
         np.testing.assert_array_equal(a, b)
 
     def test_validation(self, small_ensemble):
         with pytest.raises(ConfigurationError):
-            bootstrap_statistical_error(small_ensemble, n_bootstrap=1)
+            stat_error(small_ensemble, n_boot=1, seed=0)
+
+    def test_block_count_validation(self, small_ensemble):
+        m = small_ensemble.n_samples
+        for n_blocks in (m + 1, 1, 0):
+            with pytest.raises(AnalysisError, match="n_blocks"):
+                stat_error(small_ensemble, n_boot=8, seed=0, n_blocks=n_blocks)
+
+    def test_non_finite_works_refused(self):
+        with pytest.raises(AnalysisError):
+            bootstrap_error(np.array([1.0, np.nan]), T, "exponential",
+                            np.random.default_rng(0), n_boot=8)
+
+    def test_single_replica_refused(self):
+        with pytest.raises(AnalysisError):
+            bootstrap_error(np.array([1.0]), T, "exponential",
+                            np.random.default_rng(0), n_boot=8)
+
+    def test_one_replica_per_block_is_the_replica_bootstrap(
+            self, small_ensemble):
+        # n_blocks = m draws rng.integers(0, m, m) replicas per resample:
+        # the replica bootstrap of the whole PMF curve, bit for bit.
+        m = small_ensemble.n_samples
+        rng = np.random.default_rng(6)
+        curves = np.array([
+            estimate_pmf(small_ensemble.subset(rng.integers(0, m, size=m))).values
+            for _ in range(20)])
+        np.testing.assert_array_equal(
+            stat_error(small_ensemble, n_boot=20, seed=6),
+            curves.std(axis=0, ddof=1))
+
+    def test_constant_works_have_no_error(self):
+        err = bootstrap_error(np.full(20, 3.0), T, "exponential",
+                              np.random.default_rng(5), n_boot=16)
+        assert err.estimate == pytest.approx(3.0)
+        assert (err.bias, err.variance, err.mse) == (0.0, 0.0, 0.0)
+
+    def test_error_grows_with_work_spread(self):
+        base = np.random.default_rng(1).normal(size=64)
+        narrow, wide = (bootstrap_error(k * base, T, "exponential",
+                                        np.random.default_rng(2), n_boot=64)
+                        for k in (0.2, 3.0))
+        assert wide.mse > narrow.mse
+
+    def test_exponential_bias_is_upward(self):
+        # The direct JE average over-estimates DeltaF at finite n; the
+        # bootstrap bias sees it on a wide work distribution.
+        w = np.random.default_rng(9).normal(0.0, 2.0, size=50)
+        err = bootstrap_error(w, T, "exponential", np.random.default_rng(3),
+                              n_boot=100)
+        assert err.bias > 0
+
+    def test_fast_pull_scores_worse_than_slow(self, reduced_model):
+        from repro.smd import PullingProtocol, run_pulling_ensemble
+
+        mse = {}
+        for v in (12.5, 100.0):
+            proto = PullingProtocol(kappa_pn=1000.0, velocity=v,
+                                    distance=10.0, start_z=-5.0,
+                                    equilibration_ns=0.05)
+            ens = run_pulling_ensemble(reduced_model, proto, n_samples=24,
+                                       seed=int(v))
+            mse[v] = bootstrap_error(ens.final_works(), ens.temperature,
+                                     "exponential", np.random.default_rng(0),
+                                     n_boot=64).mse
+        assert mse[100.0] > 10 * mse[12.5]
 
 
 class TestSystematicError:
@@ -151,6 +227,20 @@ class TestPairwiseConsistency:
     def test_needs_two(self):
         with pytest.raises(AnalysisError):
             pairwise_consistency([self.make([0, 1])])
+
+    def test_compared_on_the_slowest_grid(self):
+        # One line recorded on two step-quantized grids: no spread.
+        slow = self.make([0, -1, -2, -3, -4, -5])
+        d = slow.displacements + [0.0, 0.3, 0.2, 0.1, 0.4, 1e-15]
+        fast = PMFEstimate(d, -d, 100.0, 50.0, "exponential", 8, 300.0)
+        assert pairwise_consistency([fast, slow]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_disjoint_ranges_refused(self):
+        a = self.make([0, -1, -2])
+        b = PMFEstimate(a.displacements + 10.0, a.values, 100.0, 25.0,
+                        "exponential", 8, 300.0)
+        with pytest.raises(AnalysisError, match="no displacement range"):
+            pairwise_consistency([a, b])
 
 
 class TestAnalyzeEnsemble:

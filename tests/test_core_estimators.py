@@ -63,7 +63,7 @@ class TestDispatch:
 
     def test_block_dispatch_and_kwargs_passthrough(self, works):
         via_registry = estimate_pmf(ensemble_of(works), "block", n_blocks=8)
-        direct_mean, _ = block_estimator(works, 300.0, n_blocks=8)
+        direct_mean = block_estimator(works, 300.0, n_blocks=8)
         np.testing.assert_array_equal(via_registry.values, zeroed(direct_mean))
 
     def test_default_method_is_exponential(self, works):
@@ -78,11 +78,11 @@ class TestDispatch:
 
 
 #: The path every unpaired estimator took before the registry moved into
-#: repro.core.pmf: the raw function, "block"'s mean component, re-zeroed.
+#: repro.core.pmf: the raw function, re-zeroed.
 RAW_PATHS = {
     "exponential": exponential_estimator,
     "cumulant": cumulant_estimator,
-    "block": lambda w, t: block_estimator(w, t)[0],
+    "block": block_estimator,
     "parallel-pull": parallel_pull_estimator,
 }
 
@@ -195,5 +195,5 @@ class TestPMFIntegration:
                                 distance=4.0, start_z=-2.0)
         ens = run_pulling_ensemble(model, proto, n_samples=8, seed=3)
         est = estimate_pmf(ens, estimator="block")
-        mean, _ = block_estimator(ens.works, ens.temperature)
+        mean = block_estimator(ens.works, ens.temperature)
         np.testing.assert_allclose(est.values, mean - mean[0])

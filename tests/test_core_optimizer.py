@@ -7,6 +7,7 @@ import pytest
 from repro.core import (
     ErrorBudget,
     PMFEstimate,
+    pairwise_consistency,
     run_parameter_study,
     select_optimal,
 )
@@ -49,6 +50,27 @@ class TestSelectOptimal:
         }
         # Curves differ by >> tolerance: falls back to the min-error cell.
         assert select_optimal(budgets, estimates, tolerance=1.0) == (100.0, 12.5)
+
+    def test_tie_break_compares_step_quantized_grids(self):
+        # v = 25 has the lower error, but both PMFs are the same line on
+        # slightly different grids (each velocity's record steps quantize
+        # differently): the tie-break must compare them and pick 12.5.
+        budgets = {
+            (100.0, 12.5): budget(100, 12.5, 0.1, 1.2),
+            (100.0, 25.0): budget(100, 25.0, 0.1, 1.0),
+        }
+        slow = np.linspace(0.0, 10.0, 41)
+        fast = slow + np.r_[0.0, np.full(39, 0.05), 2e-15]
+        estimates = {
+            (100.0, 12.5): PMFEstimate(slow, -6.0 * slow, 100.0, 12.5,
+                                       "exponential", 8, 300.0),
+            (100.0, 25.0): PMFEstimate(fast, -6.0 * fast, 100.0, 25.0,
+                                       "exponential", 8, 300.0),
+        }
+        assert select_optimal(budgets, estimates, tolerance=0.5) == (100.0, 12.5)
+        # Without a consistent pair the rule keeps the lowest-error cell.
+        estimates[(100.0, 25.0)].values[1:] -= 3.0
+        assert select_optimal(budgets, estimates, tolerance=0.5) == (100.0, 25.0)
 
     def test_kappa_chosen_by_median(self):
         budgets = {}
@@ -98,6 +120,20 @@ class TestRunParameterStudy:
             sys_slow = result.budgets[(k, 12.5)].sigma_sys
             sys_fast = result.budgets[(k, 100.0)].sigma_sys
             assert sys_fast > sys_slow
+
+    def test_fig4_tie_break_spread_is_finite(self, reduced_model):
+        """``repro fig4`` at seed 2005: the kappa = 100 velocities record on
+        different grids, yet their PMF spread is finite and within the
+        2.0 kcal/mol tolerance, so the tie-break picks the slowest."""
+        result = run_parameter_study(
+            reduced_model, protocols=parameter_grid(distance=10.0, start_z=-5.0),
+            n_samples=48, seed=2005)
+        ests = result.estimates_at_kappa(100.0)
+        assert any(not np.array_equal(ests[0].displacements, e.displacements)
+                   for e in ests[1:])
+        spread = pairwise_consistency(ests)
+        assert np.isfinite(spread) and spread <= 2.0
+        assert result.optimal == (100.0, 12.5)
 
     def test_accessors(self, reduced_model):
         protos = parameter_grid(kappas=[100.0], velocities=[25.0, 50.0],

@@ -10,7 +10,6 @@ v = 12.5 A/ns) at test scale; the committed JSON is the contract the
 golden-master regression test (tests/test_golden_pmf.py) pins against.
 """
 
-import json
 import os
 import sys
 

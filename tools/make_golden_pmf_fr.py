@@ -12,7 +12,6 @@ Non-finite diffusion entries (stations with no positive dissipation
 slope) are stored as JSON ``null``.
 """
 
-import json
 import math
 import os
 import sys
