@@ -62,7 +62,7 @@ def test_checkpoint_restart_ablation(benchmark, emit):
     xfer_rows = []
     for net_label, qos in [("lightpath", LIGHTPATH),
                            ("production internet", PRODUCTION_INTERNET)]:
-        m = CheckpointMigrator(qos, seed=2)
+        m = CheckpointMigrator(qos)
         xfer_rows.append((net_label, m.transfer_hours(size) * 3600.0))
     xfer = Table("Checkpoint transfer cost (300k-atom state, ~16 MB)",
                  ["network", "transfer_seconds"])

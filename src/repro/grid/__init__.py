@@ -5,7 +5,7 @@ model and failure injection."""
 
 from .des import EventLoop
 from .jobs import Job, JobState, spice_batch_jobs
-from .resources import ComputeResource, teragrid_sites, ngs_sites, all_sites
+from .resources import ComputeResource, teragrid_sites, ngs_sites
 from .scheduler import BatchQueue, Reservation
 from .reservation import (
     ReservationRequest,
@@ -13,18 +13,8 @@ from .reservation import (
     ManualReservationWorkflow,
     WebReservationWorkflow,
 )
-from .coscheduler import (
-    CoScheduler,
-    CoAllocationResult,
-    federation_success_probability,
-)
-from .middleware import (
-    SiteStack,
-    Application,
-    GridEnabledApplication,
-    GridMiddleware,
-    MiddlewareFaultWindow,
-)
+from .coscheduler import CoScheduler, CoAllocationResult
+from .middleware import SITE_QUEUES, GridMiddleware, MiddlewareFaultWindow
 from .costmodel import CostModel, PAPER_COST_MODEL
 from .federation import Grid, FederatedGrid, CampaignManager, CampaignReport
 from .failures import FailureInjector, SECURITY_BREACH_WEEKS
@@ -39,7 +29,6 @@ __all__ = [
     "ComputeResource",
     "teragrid_sites",
     "ngs_sites",
-    "all_sites",
     "BatchQueue",
     "Reservation",
     "ReservationRequest",
@@ -48,10 +37,7 @@ __all__ = [
     "WebReservationWorkflow",
     "CoScheduler",
     "CoAllocationResult",
-    "federation_success_probability",
-    "SiteStack",
-    "Application",
-    "GridEnabledApplication",
+    "SITE_QUEUES",
     "GridMiddleware",
     "MiddlewareFaultWindow",
     "CostModel",

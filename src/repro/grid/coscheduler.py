@@ -29,7 +29,7 @@ from .reservation import (
 )
 from .scheduler import BatchQueue, Reservation
 
-__all__ = ["CoAllocationResult", "CoScheduler", "federation_success_probability"]
+__all__ = ["CoAllocationResult", "CoScheduler"]
 
 
 @dataclass
@@ -136,19 +136,3 @@ class CoScheduler:
             total_emails=emails,
             total_human_hours=hours,
         )
-
-
-def federation_success_probability(
-    per_grid_success: float, n_grids: int, lightpath_success: float = 1.0
-) -> float:
-    """Closed-form success probability of federating ``n_grids`` grids.
-
-    Independent bespoke procedures multiply: ``p^n * p_lightpath`` — the
-    paper's "probability of success is likely to decrease exponentially with
-    every additional independent grid" (Section V-C6).
-    """
-    if not (0.0 <= per_grid_success <= 1.0) or not (0.0 <= lightpath_success <= 1.0):
-        raise ConfigurationError("probabilities must be in [0, 1]")
-    if n_grids < 1:
-        raise ConfigurationError("need at least one grid")
-    return (per_grid_success**n_grids) * lightpath_success

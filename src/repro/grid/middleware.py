@@ -1,4 +1,4 @@
-"""Grid middleware: hiding site heterogeneity behind a uniform interface.
+"""Grid middleware: the control-plane calls a campaign makes.
 
 Paper Section V-B: grid-enablement means "interfacing the application codes
 to suitable grid middleware through well defined user-level APIs", which
@@ -6,18 +6,15 @@ to suitable grid middleware through well defined user-level APIs", which
 software stack and site-specific variability of the different resources
 from the application".
 
-The model: every site has a :class:`SiteStack` of quirks (scheduler flavor,
-MPI implementation, queue names, GT version, whether the steering library
-is deployed).  A raw application launched directly must match each quirk by
-hand; a :class:`GridEnabledApplication` wraps the app behind the middleware
-adapter, which resolves quirks uniformly — and shelters the app from stack
-upgrades (changing a site's stack breaks raw launches, not grid-enabled
-ones).
+:class:`GridMiddleware` is that interface as the chaos harness drives it:
+a gatekeeper submit (resolving each site's local batch queue from
+:data:`SITE_QUEUES`) and a GridFTP transfer, each retried against injected
+control-plane fault windows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, GridError
@@ -29,8 +26,7 @@ from ..resil.policy import (
     retry_call,
 )
 
-__all__ = ["SiteStack", "Application", "GridEnabledApplication",
-           "GridMiddleware", "MiddlewareFaultWindow"]
+__all__ = ["SITE_QUEUES", "GridMiddleware", "MiddlewareFaultWindow"]
 
 
 @dataclass(frozen=True)
@@ -58,95 +54,23 @@ class MiddlewareFaultWindow:
         return self.start_hours <= t < self.end_hours
 
 
-@dataclass(frozen=True)
-class SiteStack:
-    """Software stack + local conventions of one site."""
-
-    scheduler: str            # "pbs", "lsf", "loadleveler"
-    mpi_flavor: str           # "mpich-gm", "mpich-g2", "poe"
-    queue_name: str           # the local batch queue to submit to
-    globus_version: str       # "GT2", "GT4"
-    steering_library: bool    # RealityGrid client library deployed?
-
-    def compatible_with(self, other: "SiteStack") -> bool:
-        """Whether launch scripts written for one stack run on another."""
-        return (
-            self.scheduler == other.scheduler
-            and self.mpi_flavor == other.mpi_flavor
-            and self.queue_name == other.queue_name
-        )
-
-
-#: Plausible 2005 stacks keyed by site name.
-DEFAULT_STACKS: Dict[str, SiteStack] = {
-    "NCSA": SiteStack("pbs", "mpich-gm", "dque", "GT2", True),
-    "SDSC": SiteStack("pbs", "mpich-g2", "normal", "GT2", True),
-    "PSC": SiteStack("custom-scheduler", "custom-mpi", "batch", "GT2", True),
-    "NGS-Oxford": SiteStack("pbs", "mpich-g2", "workq", "GT2", True),
-    "NGS-Leeds": SiteStack("pbs", "mpich-gm", "parallel", "GT2", True),
-    "NGS-Manchester": SiteStack("pbs", "mpich-g2", "workq", "GT2", True),
-    "NGS-RAL": SiteStack("pbs", "mpich-gm", "long", "GT2", True),
-    "HPCx": SiteStack("loadleveler", "poe", "production", "GT2", False),
+#: The local batch queue of each site's gatekeeper (plausible 2005 names).
+SITE_QUEUES: Dict[str, str] = {
+    "NCSA": "dque",
+    "SDSC": "normal",
+    "PSC": "batch",
+    "NGS-Oxford": "workq",
+    "NGS-Leeds": "parallel",
+    "NGS-Manchester": "workq",
+    "NGS-RAL": "long",
+    "HPCx": "production",
 }
-
-
-@dataclass
-class Application:
-    """A parallel application as shipped: launch scripts written for one
-    specific site's stack."""
-
-    name: str
-    written_for: SiteStack
-    steering_capable: bool = False
-
-    def launch_raw(self, site: str, stack: SiteStack) -> str:
-        """Launch without middleware: succeeds only on a matching stack."""
-        if not self.written_for.compatible_with(stack):
-            raise GridError(
-                f"{self.name} launch scripts target "
-                f"{self.written_for.scheduler}/{self.written_for.mpi_flavor}; "
-                f"{site} runs {stack.scheduler}/{stack.mpi_flavor}"
-            )
-        return f"{self.name} running on {site} (raw launch)"
-
-
-class GridEnabledApplication:
-    """An application interfaced to the middleware's user-level API.
-
-    "Once the application has been grid-enabled, the application is
-    essentially sheltered from future, potentially disruptive changes in
-    the software stack."
-    """
-
-    def __init__(self, app: Application, middleware: "GridMiddleware") -> None:
-        self.app = app
-        self.middleware = middleware
-        self.launches: List[str] = []
-
-    def launch(self, site: str) -> str:
-        """Launch anywhere the middleware knows about."""
-        stack = self.middleware.stack_for(site)
-        if self.app.steering_capable and not stack.steering_library:
-            raise GridError(
-                f"{site} does not deploy the steering client library "
-                f"(application-specific software, Section V-C6)"
-            )
-        record = (
-            f"{self.app.name} running on {site} via "
-            f"{self.middleware.name} (queue={stack.queue_name}, "
-            f"mpi={stack.mpi_flavor})"
-        )
-        self.launches.append(record)
-        return record
 
 
 class GridMiddleware:
     """The uniform adapter layer (GT2 + RealityGrid in the paper)."""
 
-    def __init__(self, name: str = "GT2+ReG",
-                 stacks: Optional[Dict[str, SiteStack]] = None) -> None:
-        self.name = name
-        self._stacks: Dict[str, SiteStack] = dict(stacks or DEFAULT_STACKS)
+    def __init__(self) -> None:
         self._faults: List[MiddlewareFaultWindow] = []
         #: (operation, site, at_hours) control-plane call log.
         self.call_log: List[Tuple[str, str, float]] = []
@@ -156,7 +80,7 @@ class GridMiddleware:
     def inject_fault(self, site: str, kind: str, start_hours: float,
                      duration_hours: float) -> MiddlewareFaultWindow:
         """Schedule a gatekeeper/GridFTP fault; returns the window."""
-        self.stack_for(site)  # validate the site exists
+        self.queue_for(site)  # validate the site exists
         window = MiddlewareFaultWindow(site, kind, start_hours,
                                        start_hours + duration_hours)
         self._faults.append(window)
@@ -181,7 +105,7 @@ class GridMiddleware:
         :class:`~repro.errors.RetryExhausted` when the window outlasts the
         policy.  Time is logical hours, supplied by the caller.
         """
-        stack = self.stack_for(site)
+        queue = self.queue_for(site)
 
         def attempt(t: float) -> str:
             self.call_log.append(("gatekeeper", site, t))
@@ -190,7 +114,7 @@ class GridMiddleware:
                     f"{site} gatekeeper: authentication rejected "
                     f"(GSI proxy refused)"
                 )
-            return f"{job_name} accepted by {site} gatekeeper (queue={stack.queue_name})"
+            return f"{job_name} accepted by {site} gatekeeper (queue={queue})"
 
         return retry_call(retry or DEFAULT_MIDDLEWARE_RETRY, attempt,
                           operation=f"mw.gatekeeper.{site}", now=now,
@@ -203,7 +127,7 @@ class GridMiddleware:
                          ) -> RetryOutcome:
         """Stage data to/from a site over GridFTP, with retries against
         injected ``"transfer"`` fault windows."""
-        self.stack_for(site)
+        self.queue_for(site)
         if size_mb <= 0:
             raise ConfigurationError("transfer size must be positive")
 
@@ -217,38 +141,8 @@ class GridMiddleware:
                           operation=f"mw.gridftp.{site}", now=now,
                           rng=rng, obs=obs, retry_on=(GridError,))
 
-    def stack_for(self, site: str) -> SiteStack:
+    def queue_for(self, site: str) -> str:
         try:
-            return self._stacks[site]
+            return SITE_QUEUES[site]
         except KeyError:
             raise GridError(f"middleware knows no site {site!r}") from None
-
-    def register_site(self, site: str, stack: SiteStack) -> None:
-        if site in self._stacks:
-            raise ConfigurationError(f"site {site!r} already registered")
-        self._stacks[site] = stack
-
-    def upgrade_site(self, site: str, **changes) -> SiteStack:
-        """Mutate a site's stack (the 'disruptive change' raw apps fear)."""
-        new = replace(self.stack_for(site), **changes)
-        self._stacks[site] = new
-        return new
-
-    def grid_enable(self, app: Application) -> GridEnabledApplication:
-        """Interface an application to the middleware (no refactoring)."""
-        return GridEnabledApplication(app, self)
-
-    def sites(self) -> List[str]:
-        return sorted(self._stacks)
-
-    def launchable_sites(self, app: Application, raw: bool = False) -> List[str]:
-        """Where the app can run — the heterogeneity-hiding headline number."""
-        out = []
-        for site, stack in self._stacks.items():
-            if raw:
-                if app.written_for.compatible_with(stack):
-                    out.append(site)
-            else:
-                if not (app.steering_capable and not stack.steering_library):
-                    out.append(site)
-        return sorted(out)

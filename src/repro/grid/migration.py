@@ -5,11 +5,10 @@ SPICE a recovery path the paper's Section V-C4 experience begged for: when a
 resource fails (or a better queue opens), ship the simulation's checkpoint
 across the network and resume elsewhere instead of recomputing from zero.
 
-:class:`CheckpointMigrator` prices and performs that move: serialized
-checkpoint size (from :func:`repro.md.checkpoint.checkpoint_size_bytes` or
-the paper-scale size model), transfer time over the inter-site link, plus
-the queue wait at the destination — and answers the planning question
-"is migrating cheaper than restarting?".
+:class:`CheckpointMigrator` prices that move: the paper-scale checkpoint
+size (:func:`paper_checkpoint_bytes`, or a caller's own size), transfer
+time over the inter-site link, plus the queue wait at the destination —
+set against the work a restart from scratch would redo.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError
-from ..net.channel import ReliableChannel
 from ..net.qos import QoSSpec
-from ..rng import SeedLike
 from .jobs import Job
 
 __all__ = ["MigrationPlan", "CheckpointMigrator", "paper_checkpoint_bytes"]
@@ -49,18 +46,12 @@ class MigrationPlan:
     def migration_hours(self) -> float:
         return self.transfer_hours + self.destination_wait_hours
 
-    @property
-    def worthwhile(self) -> bool:
-        """Migrate iff it beats recomputing the lost work at the new site."""
-        return self.migration_hours < self.recompute_hours
-
 
 class CheckpointMigrator:
-    """Plans and executes checkpoint transfers over a QoS link."""
+    """Prices checkpoint transfers over a QoS link."""
 
-    def __init__(self, qos: QoSSpec, seed: SeedLike = None) -> None:
+    def __init__(self, qos: QoSSpec) -> None:
         self.qos = qos
-        self.channel = ReliableChannel(qos, seed=seed)
 
     def transfer_hours(self, size_bytes: int) -> float:
         """Deterministic transfer-time estimate (serialization dominated;
@@ -94,19 +85,3 @@ class CheckpointMigrator:
             recompute_hours=job.duration_hours * completed_fraction
             + destination_wait_hours,
         )
-
-    def execute(self, size_bytes: int, now_hours: float = 0.0) -> float:
-        """Actually move the bytes over the (lossy) channel; returns the
-        arrival time in hours.  Large checkpoints are chunked so a single
-        lost frame does not retransmit gigabytes."""
-        if size_bytes <= 0:
-            raise ConfigurationError("size_bytes must be positive")
-        chunk = 16 * 1024 * 1024  # 16 MB chunks
-        t = now_hours * 3600.0
-        remaining = size_bytes
-        while remaining > 0:
-            this = min(chunk, remaining)
-            result = self.channel.transmit(t, this)
-            t = result.arrival_time
-            remaining -= this
-        return t / 3600.0

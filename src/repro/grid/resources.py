@@ -20,7 +20,7 @@ from typing import List
 
 from ..errors import ConfigurationError
 
-__all__ = ["ComputeResource", "teragrid_sites", "ngs_sites", "all_sites"]
+__all__ = ["ComputeResource", "teragrid_sites", "ngs_sites"]
 
 
 @dataclass
@@ -120,8 +120,3 @@ def ngs_sites(include_hpcx: bool = True) -> List[ComputeResource]:
                             background_load=0.70)
         )
     return sites
-
-
-def all_sites(include_hpcx: bool = True) -> List[ComputeResource]:
-    """Every resource of the federated grid (Fig. 5)."""
-    return teragrid_sites() + ngs_sites(include_hpcx=include_hpcx)

@@ -72,20 +72,20 @@ class BatchQueue:
     def free_procs(self) -> int:
         return self.capacity - self.procs_in_use
 
-    def _reserved_procs(self, t0: float, t1: float, exclude: Optional[int] = None) -> int:
+    def _reserved_procs(self, t0: float, t1: float) -> int:
         """Max processors reserved at any instant in [t0, t1)."""
         return sum(
             r.procs
             for r in self.reservations
-            if r.overlaps(t0, t1) and r.res_id != exclude
+            if r.overlaps(t0, t1)
         )
 
-    def _can_start(self, job: Job, reservation_id: Optional[int] = None) -> bool:
+    def _can_start(self, job: Job) -> bool:
         now = self.loop.now
         wall = self.resource.wall_hours(job.remaining_duration_hours)
         if job.procs > self.capacity:
             return False
-        reserved = self._reserved_procs(now, now + wall, exclude=reservation_id)
+        reserved = self._reserved_procs(now, now + wall)
         return job.procs <= self.capacity - self.procs_in_use - reserved
 
     # -- reservations --------------------------------------------------------------
@@ -139,25 +139,9 @@ class BatchQueue:
             self._obs.metrics.inc(f"grid.submitted.{self.resource.name}")
         self._dispatch()
 
-    def run_inside_reservation(self, job: Job, res: Reservation) -> None:
-        """Bind a job to start at its reservation window (co-scheduling)."""
-        job.state = JobState.QUEUED
-        job.resource = self.resource.name
-        job.submit_time = self.loop.now
-        job.site_history.append(self.resource.name)
-
-        def start_at_window() -> None:
-            if self.down:
-                job.state = JobState.KILLED
-                self.killed.append(job)
-                return
-            self._start(job, reservation_id=res.res_id)
-
-        self.loop.schedule_at(max(res.start, self.loop.now), start_at_window)
-
-    def _start(self, job: Job, reservation_id: Optional[int] = None) -> None:
+    def _start(self, job: Job) -> None:
         wall = self.resource.wall_hours(job.remaining_duration_hours)
-        if reservation_id is None and not self._can_start(job):
+        if not self._can_start(job):
             raise SchedulingError(f"internal: started unstartable job {job.name!r}")
         job.state = JobState.RUNNING
         job.start_time = self.loop.now

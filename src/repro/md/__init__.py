@@ -4,22 +4,23 @@ Public surface:
 
 * :class:`~repro.md.system.ParticleSystem` — particle state.
 * :class:`~repro.md.topology.Topology` / ``TopologyBuilder`` — bonded terms.
-* Force terms: harmonic/FENE bonds, angles, LJ/WCA, Debye-Hueckel,
+* Force terms: FENE bonds, angles, LJ/WCA, Debye-Hueckel,
   external fields, restraints, steering forces.
 * :class:`~repro.md.neighborlist.NeighborList` — the nonbonded terms'
   Verlet list over one direct ``O(n^2)`` pair search; boundaries are open.
-* Integrators: velocity Verlet, Langevin BAOAB, Brownian dynamics.
+* :class:`~repro.md.integrators.LangevinBAOAB` — the one integrator
+  (velocity Verlet at ``friction=0``).
 * :class:`~repro.md.engine.Simulation` — the engine with reporters,
   steering attachment and checkpoint/clone.  The one engine: it drives a
   :class:`ParticleSystem` or, built by :func:`~repro.md.batch.stack_simulations`,
   a :class:`~repro.md.batch.ReplicaBatch` of R stacked replicas through
-  the same force terms and integrators (one vectorised body each, over an
+  the same force terms and integrator (one vectorised body each, over an
   optional leading replica axis, plus a ``"reference"`` scalar oracle).
 """
 
 from .system import ParticleSystem
 from .topology import Topology, TopologyBuilder
-from .forces import Force, HarmonicBondForce, FENEBondForce, HarmonicAngleForce
+from .forces import Force, FENEBondForce, HarmonicAngleForce
 from .nonbonded import LennardJonesForce, WCAForce, DebyeHuckelForce
 from .external import (
     ExternalFieldForce,
@@ -33,17 +34,16 @@ from .kernels import (
     validate_kernel,
 )
 from .neighborlist import NeighborList
-from .integrators import VelocityVerlet, LangevinBAOAB, BrownianDynamics
+from .integrators import LangevinBAOAB
 from .engine import Simulation
 from .batch import ReplicaBatch, stack_simulations
-from .checkpoint import capture, restore, checkpoint_size_bytes
+from .checkpoint import capture, restore
 
 __all__ = [
     "ParticleSystem",
     "Topology",
     "TopologyBuilder",
     "Force",
-    "HarmonicBondForce",
     "FENEBondForce",
     "HarmonicAngleForce",
     "LennardJonesForce",
@@ -59,11 +59,8 @@ __all__ = [
     "NeighborList",
     "ReplicaBatch",
     "stack_simulations",
-    "VelocityVerlet",
     "LangevinBAOAB",
-    "BrownianDynamics",
     "Simulation",
     "capture",
     "restore",
-    "checkpoint_size_bytes",
 ]

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-import numpy as np
-
 from ..errors import CheckpointError
 
-__all__ = ["capture", "restore", "checkpoint_size_bytes"]
+__all__ = ["capture", "restore"]
 
 _FORMAT_VERSION = 1
 
@@ -59,15 +57,3 @@ def restore(simulation, checkpoint: Dict[str, Any]) -> None:
     simulation.step_count = int(checkpoint["step"])
     simulation.time = float(checkpoint["time"])
     simulation.invalidate_caches()
-
-
-def checkpoint_size_bytes(checkpoint: Dict[str, Any]) -> int:
-    """Approximate serialized size (used by the network layer to model the
-    cost of shipping checkpoints between sites)."""
-    total = 0
-    for value in checkpoint.values():
-        if isinstance(value, np.ndarray):
-            total += value.nbytes
-        else:
-            total += 8
-    return total

@@ -35,7 +35,7 @@ from .kernels import (
 )
 from .topology import Topology
 
-__all__ = ["Force", "HarmonicBondForce", "FENEBondForce", "HarmonicAngleForce"]
+__all__ = ["Force", "FENEBondForce", "HarmonicAngleForce"]
 
 
 class Force(Protocol):
@@ -51,59 +51,6 @@ class Force(Protocol):
         """Accumulate forces (kcal/mol/A) into ``forces`` and return the
         potential energy (kcal/mol) of this term."""
         ...
-
-
-class HarmonicBondForce:
-    """Harmonic bonds: ``U = 0.5 k (r - r0)^2`` per bond.
-
-    Bond indices and per-bond ``(k, r0)`` come from a :class:`Topology`.
-    ``kernel`` selects the batched (``"vectorized"``) or per-bond Python
-    loop (``"reference"``) implementation.
-    """
-
-    stackable = True
-
-    def __init__(self, topology: Topology, kernel: str = "vectorized") -> None:
-        self._i = topology.bonds[:, 0]
-        self._j = topology.bonds[:, 1]
-        self._k = topology.bond_params[:, 0]
-        self._r0 = topology.bond_params[:, 1]
-        self.kernel = validate_kernel(kernel)
-        if np.any(self._k < 0.0):
-            raise ConfigurationError("bond stiffness must be non-negative")
-
-    def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
-        if self._i.size == 0:
-            return no_energy(positions)
-        if self.kernel == "reference":
-            return per_replica(self._compute_reference, positions, forces)
-        dr = positions[..., self._j, :] - positions[..., self._i, :]
-        r = np.sqrt(np.einsum("...ij,...ij->...i", dr, dr))
-        stretch = r - self._r0
-        energy = 0.5 * weighted_sums(self._k, stretch**2)
-        # F_j = -k (r - r0) * dr/r ; guard r=0 (overlapping bonded beads).
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(r > 0.0, -self._k * stretch / r, 0.0)
-        fij = dr * scale[..., None]
-        accumulate_pair_forces(forces, self._i, self._j, fij)
-        return energy
-
-    def _compute_reference(self, positions: np.ndarray, forces: np.ndarray) -> float:
-        """One bond at a time (oracle)."""
-        energy = 0.0
-        for b in range(self._i.size):
-            i, j = int(self._i[b]), int(self._j[b])
-            dr = positions[j] - positions[i]
-            r = math.sqrt(float(dr @ dr))
-            stretch = r - float(self._r0[b])
-            k = float(self._k[b])
-            energy += 0.5 * k * stretch * stretch
-            scale = -k * stretch / r if r > 0.0 else 0.0
-            fij = dr * scale
-            forces[j] += fij
-            forces[i] -= fij
-        return energy
-
 
 
 class FENEBondForce:

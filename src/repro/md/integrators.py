@@ -1,17 +1,13 @@
-"""Time integrators for the CG MD engine.
+"""The time integrator of the CG MD engine.
 
-Three integrators cover the regimes the reproduction needs:
+:class:`LangevinBAOAB` — the BAOAB splitting of Langevin dynamics
+(Leimkuhler & Matthews) — is the one integrator: the NVT thermostat of the
+implicit-solvent pore system.  At ``friction=0`` its O step is the identity
+(``c1 = 1``, ``c2 = 0``) and the scheme is velocity Verlet with the drift
+split in two halves, which is how the force terms' energy conservation is
+checked.
 
-* :class:`VelocityVerlet` — symplectic NVE; used for energy-conservation
-  validation of every force term.
-* :class:`LangevinBAOAB` — the BAOAB splitting of Langevin dynamics
-  (Leimkuhler & Matthews), the workhorse NVT integrator for the implicit
-  solvent pore system.
-* :class:`BrownianDynamics` — overdamped (inertia-free) dynamics; the
-  reduced 1-D translocation model (Fig. 4 parameter study) runs in this
-  regime, but the 3-D variant is also available for strongly damped CG runs.
-
-All integrators mutate the state arrays in place and are vectorized over
+The integrator mutates the state arrays in place and is vectorized over
 particles — and over an optional leading replica axis: ``step`` takes a
 :class:`~repro.md.system.ParticleSystem` (``(N, 3)`` arrays) or a
 :class:`~repro.md.batch.ReplicaBatch` (``(R, N, 3)``), every update being an
@@ -37,7 +33,7 @@ from .system import ParticleSystem
 if TYPE_CHECKING:
     from .batch import ReplicaBatch
 
-__all__ = ["VelocityVerlet", "LangevinBAOAB", "BrownianDynamics"]
+__all__ = ["LangevinBAOAB"]
 
 # The state an integrator advances: one system or a stack of replicas.
 State = Union[ParticleSystem, "ReplicaBatch"]
@@ -62,41 +58,6 @@ def _thermal_noise(state: State, rng: np.random.Generator,
     for row, row_rng in zip(noise.reshape(len(rngs), -1), rngs):
         row_rng.standard_normal(out=row)
     return noise
-
-
-class VelocityVerlet:
-    """Symplectic velocity-Verlet (microcanonical).
-
-    Parameters
-    ----------
-    dt:
-        Timestep in ns (use :func:`repro.units.timestep_fs` for fs input).
-    """
-
-    def __init__(self, dt: float) -> None:
-        if dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
-        self.dt = float(dt)
-
-    def step(
-        self,
-        system: State,
-        compute_forces: ForceCallback,
-        forces: np.ndarray,
-    ) -> Energy:
-        """Advance one step; ``forces`` must hold forces at the current
-        positions on entry and holds forces at the new positions on exit.
-        Returns the potential energy at the new positions.  The ``(N, 1)``
-        inverse-mass factor broadcasts over a leading replica axis."""
-        dt = self.dt
-        inv_m = 1.0 / system.kinetic_masses[:, None]
-        v, x = system.velocities, system.positions
-        v += 0.5 * dt * forces * inv_m
-        x += dt * v
-        forces[:] = 0.0
-        energy = compute_forces(x, forces)
-        v += 0.5 * dt * forces * inv_m
-        return energy
 
 
 class LangevinBAOAB:
@@ -159,59 +120,3 @@ class LangevinBAOAB:
         energy = compute_forces(x, forces)
         v += 0.5 * dt * forces * inv_m
         return energy
-
-
-class BrownianDynamics:
-    """Overdamped (Ermak-McCammon) dynamics.
-
-    ``dx = F / zeta * dt + sqrt(2 kB T dt / zeta) * xi``
-
-    Parameters
-    ----------
-    dt:
-        Timestep in ns.
-    friction_coefficient:
-        Translational drag ``zeta`` in kcal ns / (mol A^2); either a scalar
-        or a per-particle array.  The diffusion constant is ``kB T / zeta``.
-    temperature:
-        Bath temperature in K.
-    """
-
-    def __init__(
-        self,
-        dt: float,
-        friction_coefficient: float | np.ndarray,
-        temperature: float = ROOM_TEMPERATURE,
-        seed: SeedLike = None,
-    ) -> None:
-        if dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
-        zeta = np.asarray(friction_coefficient, dtype=np.float64)
-        if np.any(zeta <= 0.0):
-            raise ConfigurationError("friction coefficient must be positive")
-        if temperature <= 0.0:
-            raise ConfigurationError(f"temperature must be positive, got {temperature}")
-        self.dt = float(dt)
-        self.zeta = zeta
-        self.temperature = float(temperature)
-        self.rng = as_generator(seed)
-
-    def mobility(self) -> np.ndarray:
-        """``1/zeta`` broadcastable against an ``(n, 3)`` force array."""
-        z = self.zeta
-        return (1.0 / z)[:, None] if z.ndim == 1 else np.asarray(1.0 / z)
-
-    def step(
-        self,
-        system: State,
-        compute_forces: ForceCallback,
-        forces: np.ndarray,
-    ) -> Energy:
-        dt = self.dt
-        mob = self.mobility()
-        noise_scale = np.sqrt(2.0 * KB * self.temperature * dt * mob)
-        x = system.positions
-        x += forces * mob * dt
-        x += noise_scale * _thermal_noise(system, self.rng, x.shape)
-        forces[:] = 0.0
-        return compute_forces(x, forces)

@@ -1,7 +1,7 @@
 """Implicit-solvent friction model.
 
 The explicit water of the paper's 300k-atom system enters the CG model only
-through (i) the Langevin/Brownian heat bath and (ii) the friction felt by
+through (i) the Langevin heat bath and (ii) the friction felt by
 each bead.  Friction inside the pore is higher than in bulk — confined water
 and wall interactions slow the DNA — which is what makes fast pulling
 *through the pore* strongly irreversible (the systematic-error mechanism in
@@ -15,11 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..units import KB, ROOM_TEMPERATURE
-from .geometry import DEFAULT_GEOMETRY, PoreGeometry
 
 __all__ = ["ImplicitSolvent"]
 
@@ -59,20 +56,6 @@ class ImplicitSolvent:
     def friction(self, in_pore: bool = False) -> float:
         """Per-bead friction coefficient."""
         return self.bulk_friction * (self.pore_friction_factor if in_pore else 1.0)
-
-    def friction_profile(self, z: np.ndarray, geometry: PoreGeometry = DEFAULT_GEOMETRY,
-                         width: float = 4.0) -> np.ndarray:
-        """Smooth per-bead friction as a function of axial position.
-
-        Blends bulk and in-pore friction with logistic ramps at the pore
-        ends, giving the Brownian integrator a position-dependent (but
-        per-step frozen) drag.
-        """
-        zz = np.asarray(z, dtype=np.float64)
-        lo = 1.0 / (1.0 + np.exp(-(zz - geometry.z_bottom) / width))
-        hi = 1.0 / (1.0 + np.exp((zz - geometry.z_top) / width))
-        inside = lo * hi
-        return self.bulk_friction * (1.0 + (self.pore_friction_factor - 1.0) * inside)
 
     def langevin_rate(self, bead_mass: float, in_pore: bool = False) -> float:
         """Equivalent Langevin collision rate gamma (1/ns) for a bead of the

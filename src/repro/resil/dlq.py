@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 
-__all__ = ["DLQ_SCHEMA", "DeadLetterQueue", "store_dlq_path",
-           "task_key_tuple"]
+__all__ = ["DLQ_SCHEMA", "DeadLetterQueue", "store_dlq_path"]
 
 DLQ_SCHEMA = "repro.resil.dlq/v1"
 
@@ -259,10 +258,6 @@ class DeadLetterQueue:
         as dead.  Requeued entries are excluded (eligible to recompute)."""
         return [e for e in self._entries if not e.get("requeued")]
 
-    def requeued_entries(self) -> List[Dict[str, Any]]:
-        """Entries handed back for another attempt and not failed since."""
-        return [e for e in self._entries if e.get("requeued")]
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -300,8 +295,3 @@ class DeadLetterQueue:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeadLetterQueue({self.path!r}, depth={len(self)})"
-
-
-def task_key_tuple(entry: Dict[str, Any]) -> Tuple[Any, ...]:
-    """The entry's task key as a hashable tuple (test/report helper)."""
-    return tuple(entry["task_key"])

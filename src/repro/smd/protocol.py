@@ -91,14 +91,6 @@ class PullingProtocol:
         return self.distance / self.velocity
 
     @property
-    def thermal_width(self) -> float:
-        """Equilibrium spread of the coordinate in the trap, sqrt(kT/kappa),
-        at 300 K — the resolution limit of the stiff-spring approximation."""
-        from ..units import kT
-
-        return (kT() / self.kappa_internal) ** 0.5
-
-    @property
     def origin_z(self) -> float:
         """Trap station at pull time 0: ``start_z`` for a forward pull,
         ``start_z + distance`` for a reverse pull."""

@@ -114,18 +114,6 @@ class WorkEnsemble:
         lag = self.trap_stations() - self.positions.mean(axis=0)
         return self.protocol.axis_sign * lag
 
-    def subset(self, indices: np.ndarray) -> "WorkEnsemble":
-        """Ensemble restricted to the given replica indices."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return WorkEnsemble(
-            protocol=self.protocol,
-            displacements=self.displacements,
-            works=self.works[idx],
-            positions=self.positions[idx],
-            temperature=self.temperature,
-            cpu_hours=self.cpu_hours * idx.size / max(self.n_samples, 1),
-        )
-
     def merged_with(self, other: "WorkEnsemble") -> "WorkEnsemble":
         """Pool two ensembles generated under the same protocol (e.g. the
         halves of a campaign run on the US and UK grids)."""

@@ -22,8 +22,6 @@ constants so hot loops can use them without attribute lookups.
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
     "KB",
     "AVOGADRO",
@@ -37,8 +35,6 @@ __all__ = [
     "kT",
     "beta",
     "pn_per_angstrom",
-    "kcal_per_angstrom2_to_pn_per_angstrom",
-    "thermal_velocity",
     "timestep_fs",
 ]
 
@@ -105,22 +101,6 @@ def pn_per_angstrom(kappa_pn: float) -> float:
     if kappa_pn < 0.0:
         raise ValueError(f"spring constant must be non-negative, got {kappa_pn}")
     return kappa_pn * PN_ANGSTROM_TO_KCAL
-
-
-def kcal_per_angstrom2_to_pn_per_angstrom(kappa_internal: float) -> float:
-    """Inverse of :func:`pn_per_angstrom` (kcal/mol/A^2 -> pN/A)."""
-    return kappa_internal / PN_ANGSTROM_TO_KCAL
-
-
-def thermal_velocity(mass_amu: float, temperature: float = ROOM_TEMPERATURE) -> float:
-    """One-dimensional RMS thermal velocity in A/ns.
-
-    ``sqrt(k_B T / m)`` with the amu->kcal/mol mass conversion applied, i.e.
-    the standard deviation of a Maxwell-Boltzmann velocity component.
-    """
-    if mass_amu <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass_amu}")
-    return math.sqrt(kT(temperature) / (mass_amu * MASS_TO_KCAL))
 
 
 def timestep_fs(dt_fs: float) -> float:

@@ -7,19 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.md import (
-    HarmonicBondForce,
-    ParticleSystem,
-    Simulation,
-    TopologyBuilder,
-    VelocityVerlet,
-)
 from repro.pore import (
     ReducedTranslocationModel,
     default_reduced_potential,
 )
 from repro.smd import PullingProtocol, run_pulling_ensemble
-from repro.units import timestep_fs
 
 
 def pytest_addoption(parser):
@@ -116,23 +108,6 @@ def result_store(tmp_path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-@pytest.fixture
-def dimer():
-    """Two bonded particles: the smallest meaningful MD system."""
-    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.5]])
-    masses = np.array([12.0, 12.0])
-    system = ParticleSystem(positions, masses)
-    topo = TopologyBuilder(2).add_bond(0, 1, k=100.0, r0=1.5).build()
-    return system, topo
-
-
-@pytest.fixture
-def dimer_simulation(dimer):
-    system, topo = dimer
-    sim = Simulation(system, [HarmonicBondForce(topo)], VelocityVerlet(timestep_fs(1.0)))
-    return sim
 
 
 @pytest.fixture

@@ -9,38 +9,22 @@ from repro.analysis import (
     estimate_friction,
 )
 from repro.errors import AnalysisError, ConfigurationError
-from repro.md import BrownianDynamics, ParticleSystem, Simulation
 from repro.units import KB
-
-
-class NullForce:
-    def compute(self, positions, forces):
-        return 0.0
 
 
 class TestEstimateDiffusion:
     def test_known_brownian_motion(self):
         """Free Brownian particles: MSD estimator recovers kT/zeta."""
-        n = 400
-        zeta = 0.01
-        system = ParticleSystem(np.zeros((n, 3)), np.full(n, 100.0))
-        integ = BrownianDynamics(1e-4, friction_coefficient=zeta, seed=1)
-        sim = Simulation(system, [NullForce()], integ)
-        times, frames = [], []
-
-        def track(s):
-            if s.step_count % 10 == 0:
-                times.append(s.time)
-                frames.append(s.system.positions.copy())
-
-        sim.add_reporter(track)
-        sim.step(2000)
-        t = np.array(times)
-        X = np.stack(frames)  # (frames, n, 3)
+        n, zeta, dt = 400, 0.01, 1e-4
+        D = KB * 300.0 / zeta
+        # An overdamped free walk, x += sqrt(2 D dt) xi, sampled every 10 steps.
+        rng = np.random.default_rng(1)
+        steps = np.sqrt(2.0 * D * dt) * rng.standard_normal((2000, n, 3))
+        X = np.cumsum(steps, axis=0)[9::10]  # (frames, n, 3)
+        t = dt * np.arange(10, 2001, 10)
         # Average the per-particle 3-D estimate over many particles.
         Ds = [estimate_diffusion(t, X[:, i, :], dim=3) for i in range(50)]
-        expected = KB * 300.0 / zeta
-        assert np.mean(Ds) == pytest.approx(expected, rel=0.15)
+        assert np.mean(Ds) == pytest.approx(D, rel=0.15)
 
     def test_deterministic_ballistic_rejected_shape(self):
         with pytest.raises(AnalysisError):

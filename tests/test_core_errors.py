@@ -1,5 +1,7 @@
 """Tests for the statistical/systematic error analysis."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,9 +97,11 @@ class TestBootstrap:
         # the replica bootstrap of the whole PMF curve, bit for bit.
         m = small_ensemble.n_samples
         rng = np.random.default_rng(6)
+        draws = (rng.integers(0, m, size=m) for _ in range(20))
         curves = np.array([
-            estimate_pmf(small_ensemble.subset(rng.integers(0, m, size=m))).values
-            for _ in range(20)])
+            estimate_pmf(replace(small_ensemble, works=small_ensemble.works[i],
+                                 positions=small_ensemble.positions[i])).values
+            for i in draws])
         np.testing.assert_array_equal(
             stat_error(small_ensemble, n_boot=20, seed=6),
             curves.std(axis=0, ddof=1))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CoSchedulingError, ConfigurationError
+from repro.errors import CoSchedulingError
 from repro.grid import (
     BatchQueue,
     ComputeResource,
@@ -10,7 +10,6 @@ from repro.grid import (
     EventLoop,
     ManualReservationWorkflow,
     ReservationRequest,
-    federation_success_probability,
 )
 
 
@@ -110,21 +109,3 @@ class TestCoScheduler:
         assert p3 < p1
         # Roughly multiplicative: p3 ~ p1^3 (generous band).
         assert p3 == pytest.approx(p1**3, abs=0.25)
-
-
-class TestClosedForm:
-    def test_exponential_decay(self):
-        p1 = federation_success_probability(0.8, 1)
-        p4 = federation_success_probability(0.8, 4)
-        assert p4 == pytest.approx(0.8**4)
-        assert p4 < p1
-
-    def test_lightpath_factor(self):
-        assert federation_success_probability(0.9, 2, lightpath_success=0.5) == \
-            pytest.approx(0.81 * 0.5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            federation_success_probability(1.2, 2)
-        with pytest.raises(ConfigurationError):
-            federation_success_probability(0.5, 0)

@@ -7,7 +7,6 @@ from repro.grid import (
     ComputeResource,
     Job,
     JobState,
-    all_sites,
     ngs_sites,
     spice_batch_jobs,
     teragrid_sites,
@@ -105,4 +104,8 @@ class TestPresets:
         assert uk_lightpaths == ["NGS-Manchester"]
 
     def test_all_sites_toggle_hpcx(self):
-        assert len(all_sites()) == len(all_sites(include_hpcx=False)) + 1
+        from repro.workflow import build_default_federation
+
+        sites = build_default_federation().all_queues()
+        without = build_default_federation(include_hpcx=False).all_queues()
+        assert set(sites) - set(without) == {"HPCx"}

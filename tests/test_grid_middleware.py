@@ -3,93 +3,16 @@
 import pytest
 
 from repro.errors import ConfigurationError, GridError
-from repro.grid import (
-    Application,
-    GridMiddleware,
-    SiteStack,
-)
-
-
-def namd_like():
-    """An application whose scripts target NCSA's stack."""
-    mw = GridMiddleware()
-    return Application("namd", written_for=mw.stack_for("NCSA"),
-                       steering_capable=True), mw
-
-
-class TestRawLaunch:
-    def test_matching_site_works(self):
-        app, mw = namd_like()
-        out = app.launch_raw("NCSA", mw.stack_for("NCSA"))
-        assert "raw launch" in out
-
-    def test_mismatched_site_fails(self):
-        app, mw = namd_like()
-        with pytest.raises(GridError):
-            app.launch_raw("PSC", mw.stack_for("PSC"))
-
-    def test_raw_launchable_sites_few(self):
-        app, mw = namd_like()
-        raw = mw.launchable_sites(app, raw=True)
-        assert "NCSA" in raw
-        assert "PSC" not in raw
-        assert len(raw) < len(mw.sites())
+from repro.grid import SITE_QUEUES, GridMiddleware
 
 
 class TestGridEnabled:
-    def test_runs_everywhere_with_steering_library(self):
-        app, mw = namd_like()
-        enabled = mw.grid_enable(app)
-        for site in ("NCSA", "SDSC", "PSC", "NGS-Oxford", "NGS-Manchester"):
-            out = enabled.launch(site)
-            assert site in out
-        assert len(enabled.launches) == 5
-
-    def test_steering_requires_site_library(self):
-        app, mw = namd_like()
-        enabled = mw.grid_enable(app)
-        # HPCx lacks the steering client library.
-        with pytest.raises(GridError):
-            enabled.launch("HPCx")
-
-    def test_non_steering_app_runs_on_hpcx(self):
-        _, mw = namd_like()
-        app = Application("lb3d", written_for=mw.stack_for("HPCx"))
-        enabled = mw.grid_enable(app)
-        assert "HPCx" in enabled.launch("HPCx")
-
-    def test_sheltered_from_stack_upgrade(self):
-        """'The application is essentially sheltered from future,
-        potentially disruptive changes in the software stack.'"""
-        app, mw = namd_like()
-        enabled = mw.grid_enable(app)
-        enabled.launch("NCSA")
-        mw.upgrade_site("NCSA", scheduler="slurm", queue_name="main")
-        # Raw launch now breaks...
-        with pytest.raises(GridError):
-            app.launch_raw("NCSA", mw.stack_for("NCSA"))
-        # ...the grid-enabled launch still works.
-        assert "slurm" not in enabled.launch("NCSA") or True
-        assert len(enabled.launches) == 2
-
     def test_unknown_site(self):
-        app, mw = namd_like()
+        mw = GridMiddleware()
         with pytest.raises(GridError):
-            mw.grid_enable(app).launch("Atlantis")
-
-    def test_register_site(self):
-        app, mw = namd_like()
-        mw.register_site("TACC", SiteStack("sge", "mvapich", "normal", "GT4", True))
-        assert "TACC" in mw.sites()
-        with pytest.raises(ConfigurationError):
-            mw.register_site("TACC", mw.stack_for("TACC"))
-
-    def test_launchable_counts(self):
-        app, mw = namd_like()
-        enabled_sites = mw.launchable_sites(app, raw=False)
-        raw_sites = mw.launchable_sites(app, raw=True)
-        assert len(enabled_sites) > len(raw_sites)
-        assert "HPCx" not in enabled_sites  # steering app, no library
+            mw.gatekeeper_submit("Atlantis", "job-1")
+        with pytest.raises(GridError):
+            mw.gridftp_transfer("Atlantis", 1.0)
 
 
 class TestRetriedControlPlane:
@@ -98,6 +21,7 @@ class TestRetriedControlPlane:
         out = mw.gatekeeper_submit("NCSA", "job-1", now=0.0)
         assert out.attempts == 1
         assert "accepted by NCSA" in out.value
+        assert f"queue={SITE_QUEUES['NCSA']}" in out.value
         assert mw.call_log == [("gatekeeper", "NCSA", 0.0)]
 
     def test_gatekeeper_rides_out_a_short_auth_fault(self):

@@ -8,7 +8,7 @@ from repro.grid import (
     Job,
     paper_checkpoint_bytes,
 )
-from repro.net import LIGHTPATH, PRODUCTION_INTERNET, QoSSpec
+from repro.net import LIGHTPATH, PRODUCTION_INTERNET
 
 
 class TestSizeModel:
@@ -28,14 +28,14 @@ class TestSizeModel:
 
 class TestTransferTime:
     def test_lightpath_fast(self):
-        m = CheckpointMigrator(LIGHTPATH, seed=0)
+        m = CheckpointMigrator(LIGHTPATH)
         # ~16 MB at 1 Gb/s: a fraction of a second.
         hours = m.transfer_hours(paper_checkpoint_bytes())
         assert hours < 1.0 / 3600.0 * 2
 
     def test_production_slower(self):
-        fast = CheckpointMigrator(LIGHTPATH, seed=0)
-        slow = CheckpointMigrator(PRODUCTION_INTERNET, seed=0)
+        fast = CheckpointMigrator(LIGHTPATH)
+        slow = CheckpointMigrator(PRODUCTION_INTERNET)
         size = paper_checkpoint_bytes()
         assert slow.transfer_hours(size) > fast.transfer_hours(size)
 
@@ -45,20 +45,19 @@ class TestPlanning:
         return Job("smdje-07", procs=128, duration_hours=8.0)
 
     def test_migration_beats_recompute_when_work_done(self):
-        m = CheckpointMigrator(LIGHTPATH, seed=1)
+        m = CheckpointMigrator(LIGHTPATH)
         plan = m.plan(self.job(), completed_fraction=0.75,
                       destination_wait_hours=1.0)
         # Recompute = 6 h of redone work + the same wait; migrate = transfer
         # (seconds) + wait.
-        assert plan.worthwhile
         assert plan.migration_hours < plan.recompute_hours
 
     def test_fresh_job_not_worth_migrating(self):
-        m = CheckpointMigrator(PRODUCTION_INTERNET, seed=2)
+        m = CheckpointMigrator(PRODUCTION_INTERNET)
         plan = m.plan(self.job(), completed_fraction=0.0,
                       destination_wait_hours=0.5)
         # Nothing to save: recompute == wait, migration adds transfer on top.
-        assert not plan.worthwhile
+        assert plan.migration_hours > plan.recompute_hours
 
     def test_validation(self):
         m = CheckpointMigrator(LIGHTPATH)
@@ -66,21 +65,3 @@ class TestPlanning:
             m.plan(self.job(), completed_fraction=1.5, destination_wait_hours=0.0)
         with pytest.raises(ConfigurationError):
             m.transfer_hours(0)
-
-
-class TestExecute:
-    def test_chunked_transfer_completes(self):
-        m = CheckpointMigrator(LIGHTPATH, seed=3)
-        arrival = m.execute(paper_checkpoint_bytes(), now_hours=2.0)
-        assert arrival > 2.0
-        # About the serialization estimate (plus per-chunk latency).
-        est = 2.0 + m.transfer_hours(paper_checkpoint_bytes())
-        assert arrival == pytest.approx(est, rel=0.5)
-
-    def test_lossy_link_still_delivers(self):
-        lossy = QoSSpec(latency_ms=40.0, jitter_ms=10.0, loss_rate=0.25,
-                        bandwidth_mbps=200.0)
-        m = CheckpointMigrator(lossy, seed=4)
-        arrival = m.execute(512 * 1024 * 1024, now_hours=0.0)
-        assert arrival > 0.0
-        assert m.channel.stats.loss_recoveries > 0

@@ -132,15 +132,6 @@ class TestReservations:
         with pytest.raises(SchedulingError):
             q.cancel_reservation(99)
 
-    def test_run_inside_reservation(self):
-        q, loop = make_queue(procs=100)
-        res = q.reserve(start=3.0, duration=5.0, procs=100)
-        j = Job("co", 100, 2.0)
-        q.run_inside_reservation(j, res)
-        loop.run()
-        assert j.start_time == pytest.approx(3.0)
-        assert j.state is JobState.COMPLETED
-
     def test_past_reservation_rejected(self):
         q, loop = make_queue()
         loop.schedule(5.0, lambda: None)

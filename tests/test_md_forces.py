@@ -7,7 +7,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.md import (
     FENEBondForce,
     HarmonicAngleForce,
-    HarmonicBondForce,
     TopologyBuilder,
 )
 
@@ -25,59 +24,6 @@ def numerical_forces(force_term, positions, h=1e-6):
             pos[i, d] += h
             out[i, d] = -(ep - em) / (2 * h)
     return out
-
-
-class TestHarmonicBond:
-    def topo(self, k=100.0, r0=1.5):
-        return TopologyBuilder(2).add_bond(0, 1, k, r0).build()
-
-    def test_zero_at_rest_length(self):
-        f = HarmonicBondForce(self.topo())
-        pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.5]])
-        forces = np.zeros_like(pos)
-        assert f.compute(pos, forces) == pytest.approx(0.0)
-        np.testing.assert_allclose(forces, 0.0, atol=1e-12)
-
-    def test_energy_stretched(self):
-        f = HarmonicBondForce(self.topo(k=100.0, r0=1.5))
-        pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-        e = f.compute(pos, np.zeros_like(pos))
-        assert e == pytest.approx(0.5 * 100.0 * 0.25)
-
-    def test_forces_restoring(self):
-        f = HarmonicBondForce(self.topo())
-        pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-        forces = np.zeros_like(pos)
-        f.compute(pos, forces)
-        assert forces[1, 2] < 0  # pulled back toward particle 0
-        assert forces[0, 2] > 0
-        np.testing.assert_allclose(forces.sum(axis=0), 0.0, atol=1e-12)
-
-    def test_gradient_consistency(self):
-        rng = np.random.default_rng(3)
-        topo = TopologyBuilder(4).add_chain(range(4), 50.0, 1.2).build()
-        f = HarmonicBondForce(topo)
-        pos = rng.normal(scale=1.0, size=(4, 3)) + np.arange(4)[:, None] * [0, 0, 1.2]
-        analytic = np.zeros_like(pos)
-        f.compute(pos, analytic)
-        np.testing.assert_allclose(analytic, numerical_forces(f, pos), atol=1e-4)
-
-    def test_overlapping_beads_no_nan(self):
-        f = HarmonicBondForce(self.topo())
-        pos = np.zeros((2, 3))
-        forces = np.zeros_like(pos)
-        e = f.compute(pos, forces)
-        assert np.isfinite(e)
-        assert np.all(np.isfinite(forces))
-
-    def test_negative_stiffness_rejected(self):
-        topo = TopologyBuilder(2).add_bond(0, 1, -1.0, 1.0).build()
-        with pytest.raises(ConfigurationError):
-            HarmonicBondForce(topo)
-
-    def test_empty_topology_zero_energy(self):
-        f = HarmonicBondForce(TopologyBuilder(2).build())
-        assert f.compute(np.zeros((2, 3)), np.zeros((2, 3))) == 0.0
 
 
 class TestFENEBond:
@@ -112,6 +58,17 @@ class TestFENEBond:
         forces = np.zeros_like(pos)
         f.compute(pos, forces)
         assert forces[1, 2] < 0
+
+    def test_overlapping_beads_no_nan(self):
+        f = FENEBondForce(self.topo())
+        pos = np.zeros((2, 3))
+        forces = np.zeros_like(pos)
+        assert f.compute(pos, forces) == pytest.approx(0.0)
+        np.testing.assert_array_equal(forces, 0.0)
+
+    def test_empty_topology_zero_energy(self):
+        f = FENEBondForce(TopologyBuilder(2).build())
+        assert f.compute(np.zeros((2, 3)), np.zeros((2, 3))) == 0.0
 
     def test_invalid_rmax(self):
         topo = TopologyBuilder(2).add_bond(0, 1, 1.0, 0.0).build()

@@ -1,39 +1,47 @@
-"""Tests for integrators: energy conservation, thermostats, diffusion."""
+"""Tests for the one integrator, LangevinBAOAB: energy conservation and
+reversibility at zero friction (velocity Verlet), the thermostat, and the
+strongly damped (Brownian) regime."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.md import (
-    BrownianDynamics,
-    HarmonicBondForce,
+    FENEBondForce,
     HarmonicRestraintForce,
     LangevinBAOAB,
     ParticleSystem,
     Simulation,
     TopologyBuilder,
-    VelocityVerlet,
 )
-from repro.units import KB, timestep_fs
+from repro.units import KB, MASS_TO_KCAL, timestep_fs
 
 
 def bonded_chain(n=8, seed=0):
     rng = np.random.default_rng(seed)
     pos = np.zeros((n, 3))
-    pos[:, 2] = np.arange(n) * 1.5
+    pos[:, 2] = np.arange(n) * 1.0
     pos += rng.normal(scale=0.05, size=pos.shape)
     system = ParticleSystem(pos, np.full(n, 12.0))
-    topo = TopologyBuilder(n).add_chain(range(n), k=100.0, r0=1.5).build()
-    return system, [HarmonicBondForce(topo)]
+    topo = TopologyBuilder(n).add_chain(range(n), k=10.0, r0=3.0).build()
+    return system, [FENEBondForce(topo)]
+
+
+def verlet(dt):
+    """Velocity Verlet: BAOAB's O step is the identity at zero friction."""
+    return LangevinBAOAB(dt, friction=0.0, seed=0)
+
+
+class NullForce:
+    def compute(self, positions, forces):
+        return 0.0
 
 
 class TestConstruction:
     def test_bad_dt(self):
-        for cls_args in [(VelocityVerlet, (-1e-6,)),
-                         (LangevinBAOAB, (0.0, 10.0))]:
-            cls, args = cls_args
+        for dt in (-1e-6, 0.0):
             with pytest.raises(ConfigurationError):
-                cls(*args)
+                LangevinBAOAB(dt, 10.0)
 
     def test_langevin_bad_friction(self):
         with pytest.raises(ConfigurationError):
@@ -43,16 +51,14 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             LangevinBAOAB(1e-6, friction=1.0, temperature=0.0)
 
-    def test_brownian_bad_friction(self):
-        with pytest.raises(ConfigurationError):
-            BrownianDynamics(1e-5, friction_coefficient=0.0)
-
 
 class TestVelocityVerlet:
+    """Zero friction: the scheme is velocity Verlet (symplectic NVE)."""
+
     def test_energy_conservation_bonded(self):
         system, forces = bonded_chain()
         system.initialize_velocities(300.0, seed=1)
-        sim = Simulation(system, forces, VelocityVerlet(timestep_fs(0.5)))
+        sim = Simulation(system, forces, verlet(timestep_fs(0.5)))
         e0 = sim.total_energy()
         sim.step(2000)
         e1 = sim.total_energy()
@@ -61,7 +67,7 @@ class TestVelocityVerlet:
     def test_time_reversibility(self):
         system, forces = bonded_chain(4, seed=2)
         system.initialize_velocities(300.0, seed=3)
-        sim = Simulation(system, forces, VelocityVerlet(timestep_fs(0.5)))
+        sim = Simulation(system, forces, verlet(timestep_fs(0.5)))
         x0 = system.positions.copy()
         sim.step(100)
         system.velocities[:] *= -1.0
@@ -71,14 +77,12 @@ class TestVelocityVerlet:
 
     def test_harmonic_oscillator_period(self):
         # Single particle in a restraint: period T = 2 pi sqrt(m'/k).
-        from repro.units import MASS_TO_KCAL
-
         m, k = 10.0, 50.0
         system = ParticleSystem(np.array([[0.0, 0.0, 1.0]]), np.array([m]))
         f = HarmonicRestraintForce(np.array([0]), np.zeros((1, 3)), k=k)
         period = 2 * np.pi * np.sqrt(m * MASS_TO_KCAL / k)
         dt = period / 2000
-        sim = Simulation(system, [f], VelocityVerlet(dt))
+        sim = Simulation(system, [f], verlet(dt))
         sim.step(2000)  # one full period
         assert system.positions[0, 2] == pytest.approx(1.0, abs=1e-3)
 
@@ -137,15 +141,21 @@ class TestLangevinBAOAB:
     def test_zero_friction_reduces_to_verlet(self):
         system, forces = bonded_chain(4, seed=7)
         system.initialize_velocities(300.0, seed=8)
-        sys2 = system.copy()
         dt = timestep_fs(0.5)
-        sim1 = Simulation(system, forces, LangevinBAOAB(dt, friction=0.0, seed=9))
+        x, v = system.positions.copy(), system.velocities.copy()
+        inv_m = 1.0 / system.kinetic_masses[:, None]
+        Simulation(system, forces, LangevinBAOAB(dt, friction=0.0, seed=9)).step(50)
 
-        topo = TopologyBuilder(4).add_chain(range(4), k=100.0, r0=1.5).build()
-        sim2 = Simulation(sys2, [HarmonicBondForce(topo)], VelocityVerlet(dt))
-        sim1.step(50)
-        sim2.step(50)
-        np.testing.assert_allclose(system.positions, sys2.positions, atol=1e-9)
+        f = np.zeros_like(x)
+        forces[0].compute(x, f)
+        for _ in range(50):
+            v += 0.5 * dt * f * inv_m
+            x += dt * v
+            f[:] = 0.0
+            forces[0].compute(x, f)
+            v += 0.5 * dt * f * inv_m
+        np.testing.assert_allclose(system.positions, x, atol=1e-9)
+        np.testing.assert_allclose(system.velocities, v, rtol=1e-9)
 
     def test_deterministic_with_seed(self):
         s1, f1 = bonded_chain(4, seed=10)
@@ -157,42 +167,35 @@ class TestLangevinBAOAB:
 
 
 class TestBrownianDynamics:
+    """Strong friction: the overdamped regime, with drag ``zeta = m gamma``
+    and diffusion constant ``kB T / zeta``."""
+
     def test_free_diffusion_msd(self):
-        # MSD = 6 D t for free diffusion.
-        n = 2000
-        zeta = 0.01
-        T = 300.0
-        system = ParticleSystem(np.zeros((n, 3)), np.full(n, 100.0))
-
-        class NullForce:
-            def compute(self, positions, forces):
-                return 0.0
-
-        dt = 1e-4
-        integ = BrownianDynamics(dt, friction_coefficient=zeta, temperature=T, seed=12)
+        # MSD = 6 D t for free diffusion, once t >> 1/gamma; gamma dt = 0.1
+        # keeps BAOAB's free-particle diffusion within 0.1 % of kT/zeta.
+        n, m, zeta, T = 2000, 100.0, 0.01, 300.0
+        gamma = zeta / (m * MASS_TO_KCAL)
+        system = ParticleSystem(np.zeros((n, 3)), np.full(n, m))
+        system.initialize_velocities(T, seed=11)
+        dt = 0.1 / gamma
+        integ = LangevinBAOAB(dt, friction=gamma, temperature=T, seed=12)
         sim = Simulation(system, [NullForce()], integ)
-        t_total = 0.05
-        sim.step(int(t_total / dt))
+        n_steps = 4000
+        sim.step(n_steps)
         msd = np.mean(np.sum(system.positions**2, axis=1))
         D = KB * T / zeta
-        assert msd == pytest.approx(6 * D * t_total, rel=0.1)
+        assert msd == pytest.approx(6 * D * n_steps * dt, rel=0.1)
 
     def test_boltzmann_distribution_in_well(self):
         n = 3000
         k = 1.0
-        system = ParticleSystem(np.zeros((n, 3)), np.full(n, 100.0))
+        m, zeta = 100.0, 0.01
+        system = ParticleSystem(np.zeros((n, 3)), np.full(n, m))
         f = HarmonicRestraintForce(np.arange(n), np.zeros((n, 3)), k=k)
-        integ = BrownianDynamics(2e-4, friction_coefficient=0.01,
-                                 temperature=300.0, seed=13)
+        integ = LangevinBAOAB(2e-4, friction=zeta / (m * MASS_TO_KCAL),
+                              temperature=300.0, seed=13)
         sim = Simulation(system, [f], integ)
         sim.step(3000)
         var = np.var(system.positions)
         kT = KB * 300.0
         assert var == pytest.approx(kT / k, rel=0.08)
-
-    def test_per_particle_friction(self):
-        zeta = np.array([0.01, 0.1])
-        integ = BrownianDynamics(1e-4, friction_coefficient=zeta, seed=14)
-        mob = integ.mobility()
-        assert mob.shape == (2, 1)
-        assert mob[1, 0] == pytest.approx(10.0)

@@ -18,7 +18,6 @@ from repro.md import (
     DebyeHuckelForce,
     FENEBondForce,
     HarmonicAngleForce,
-    HarmonicBondForce,
     LennardJonesForce,
     NeighborList,
     ParticleSystem,
@@ -114,7 +113,7 @@ class TestKernelValidation:
     def test_forces_reject_unknown_kernel(self, randomized):
         system, topology = randomized
         with pytest.raises(ConfigurationError):
-            HarmonicBondForce(topology, kernel="nope")
+            FENEBondForce(topology, kernel="nope")
         with pytest.raises(ConfigurationError):
             LennardJonesForce(system.types, np.ones(3), np.full(3, 4.0),
                               cutoff=8.0, kernel="nope")
@@ -155,12 +154,6 @@ class TestNeighborListKernels:
 
 
 class TestForceKernelEquivalence:
-    def test_harmonic_bonds(self, randomized):
-        system, topology = randomized
-        res = both_kernels(lambda k: HarmonicBondForce(topology, kernel=k),
-                           system.positions, system.n)
-        assert_equivalent(res)
-
     def test_fene_bonds(self, randomized):
         system, _ = randomized
         # Lattice row wraps put some bonds near rmax, stressing the

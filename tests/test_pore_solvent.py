@@ -1,10 +1,9 @@
 """Tests for the implicit solvent model."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pore import DEFAULT_GEOMETRY, ImplicitSolvent
+from repro.pore import ImplicitSolvent
 from repro.units import MASS_TO_KCAL
 
 
@@ -18,15 +17,6 @@ class TestImplicitSolvent:
         s = ImplicitSolvent()
         assert s.friction(in_pore=True) > s.friction(in_pore=False)
         assert s.diffusion_constant(in_pore=True) < s.diffusion_constant()
-
-    def test_friction_profile_blends(self):
-        s = ImplicitSolvent()
-        g = DEFAULT_GEOMETRY
-        z = np.array([g.z_bottom - 40.0, 0.5 * (g.z_bottom + g.z_top), g.z_top + 40.0])
-        prof = s.friction_profile(z, g)
-        assert prof[0] == pytest.approx(s.bulk_friction, rel=1e-3)
-        assert prof[2] == pytest.approx(s.bulk_friction, rel=1e-3)
-        assert prof[1] == pytest.approx(s.friction(in_pore=True), rel=1e-2)
 
     def test_langevin_rate_consistency(self):
         s = ImplicitSolvent()

@@ -6,24 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.md import (
+    FENEBondForce,
     HarmonicAngleForce,
-    HarmonicBondForce,
+    LangevinBAOAB,
     ParticleSystem,
     Simulation,
     TopologyBuilder,
-    VelocityVerlet,
 )
 from repro.units import timestep_fs
+
+
+#: FENE maximum bond extension (A) of the random chains, spaced 1 A apart.
+RMAX = 3.0
 
 
 @st.composite
 def random_chains(draw):
     n = draw(st.integers(min_value=2, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    k = draw(st.floats(min_value=10.0, max_value=200.0))
+    k = draw(st.floats(min_value=1.0, max_value=20.0))
     rng = np.random.default_rng(seed)
     pos = np.zeros((n, 3))
-    pos[:, 2] = np.arange(n) * 1.5
+    pos[:, 2] = np.arange(n) * 1.0
     pos += rng.normal(scale=0.1, size=pos.shape)
     masses = rng.uniform(5.0, 50.0, size=n)
     return pos, masses, k, seed
@@ -37,14 +41,14 @@ class TestEnergyConservation:
         n = pos.shape[0]
         system = ParticleSystem(pos, masses)
         system.initialize_velocities(300.0, seed=seed)
-        builder = TopologyBuilder(n).add_chain(range(n), k=k, r0=1.5)
+        builder = TopologyBuilder(n).add_chain(range(n), k=k, r0=RMAX)
         for i in range(n - 2):
             builder.add_angle(i, i + 1, i + 2, 2.0, np.pi)
         topo = builder.build()
         sim = Simulation(
             system,
-            [HarmonicBondForce(topo), HarmonicAngleForce(topo)],
-            VelocityVerlet(timestep_fs(0.25)),
+            [FENEBondForce(topo), HarmonicAngleForce(topo)],
+            LangevinBAOAB(timestep_fs(0.25), friction=0.0),
         )
         e0 = sim.total_energy()
         sim.step(500)
@@ -59,9 +63,9 @@ class TestEnergyConservation:
         n = pos.shape[0]
         system = ParticleSystem(pos, masses)
         system.initialize_velocities(300.0, seed=seed, zero_momentum=True)
-        topo = TopologyBuilder(n).add_chain(range(n), k=k, r0=1.5).build()
-        sim = Simulation(system, [HarmonicBondForce(topo)],
-                         VelocityVerlet(timestep_fs(0.5)))
+        topo = TopologyBuilder(n).add_chain(range(n), k=k, r0=RMAX).build()
+        sim = Simulation(system, [FENEBondForce(topo)],
+                         LangevinBAOAB(timestep_fs(0.5), friction=0.0))
         sim.step(200)
         p = (system.masses[:, None] * system.velocities).sum(axis=0)
         # Internal forces are pairwise-balanced: momentum stays ~0.
@@ -75,8 +79,8 @@ class TestForceConsistency:
     def test_bonded_forces_are_gradients(self, chain):
         pos, masses, k, seed = chain
         n = pos.shape[0]
-        topo = TopologyBuilder(n).add_chain(range(n), k=k, r0=1.5).build()
-        force = HarmonicBondForce(topo)
+        topo = TopologyBuilder(n).add_chain(range(n), k=k, r0=RMAX).build()
+        force = FENEBondForce(topo)
         analytic = np.zeros_like(pos)
         force.compute(pos, analytic)
         h = 1e-6

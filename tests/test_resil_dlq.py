@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.resil import SCENARIOS, run_chaos_scenario
-from repro.resil.dlq import DLQ_SCHEMA, DeadLetterQueue, task_key_tuple
+from repro.resil.dlq import DLQ_SCHEMA, DeadLetterQueue
 from repro.store import canonical_json
 
 SEED = 2005
@@ -25,7 +25,6 @@ class TestRecording:
         assert entry["reason"] == "retry-exhausted"
         assert entry["attempts"] == 3
         assert entry["site_history"] == ["NCSA", "SDSC"]
-        assert task_key_tuple(entry) == (SEED, "smd", "cell", 3)
 
     def test_unknown_reason_rejected(self, tmp_path):
         dlq = DeadLetterQueue(os.fspath(tmp_path / "DLQ.jsonl"))
@@ -143,7 +142,7 @@ class TestRequeue:
         flipped = dlq.requeue()
         assert [e["fingerprint"] for e in flipped] == ["fp-a", "fp-b"]
         assert dlq.active_entries() == []
-        assert len(dlq.requeued_entries()) == 2
+        assert all(e["requeued"] for e in dlq.entries())
         assert len(dlq) == 2  # entries are tombstoned, never deleted
 
     def test_requeue_by_fingerprint_is_selective(self, tmp_path):
@@ -173,7 +172,8 @@ class TestRequeue:
         reloaded = DeadLetterQueue(path)
         assert [e["fingerprint"] for e in reloaded.active_entries()] \
             == ["fp-b"]
-        assert reloaded.requeued_entries()[0]["fingerprint"] == "fp-a"
+        assert [e["fingerprint"] for e in reloaded.entries()
+                if e.get("requeued")] == ["fp-a"]
 
     def test_record_after_requeue_reactivates_in_place(self, tmp_path):
         path = os.fspath(tmp_path / "DLQ.jsonl")

@@ -32,11 +32,6 @@ class TestPullingProtocol:
         assert p.trap_position(10.0) == pytest.approx(3.0)
         assert p.trap_position(-1.0) == -2.0
 
-    def test_thermal_width_scaling(self):
-        soft = PullingProtocol(kappa_pn=10.0, velocity=1.0)
-        stiff = PullingProtocol(kappa_pn=1000.0, velocity=1.0)
-        assert soft.thermal_width == pytest.approx(10.0 * stiff.thermal_width)
-
     def test_with_start(self):
         p = PullingProtocol(kappa_pn=100.0, velocity=10.0, start_z=0.0)
         q = p.with_start(5.0)

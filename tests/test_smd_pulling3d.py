@@ -105,17 +105,17 @@ class TestSMDWorkRecorder:
 
     def test_work_matches_manual_integral(self):
         """Deterministic check: zero-temperature-like (no noise via huge
-        friction? no) — instead freeze dynamics by zero velocity Verlet and
-        immobile atoms: work = kappa * integral (lambda - q) dlambda with q
-        constant."""
-        from repro.md import VelocityVerlet
+        friction? no) — instead freeze dynamics by zero-friction BAOAB
+        (velocity Verlet) and immobile atoms: work = kappa * integral
+        (lambda - q) dlambda with q constant."""
+        from repro.md import LangevinBAOAB
 
         pos = np.zeros((1, 3))
         system = ParticleSystem(pos, np.array([1e12]))  # effectively immobile
         proto = PullingProtocol(kappa_pn=100.0, velocity=100.0, distance=2.0,
                                 start_z=0.0)
         smd = SMDPullingForce(proto, np.array([0]), system.masses)
-        sim = Simulation(system, [smd], VelocityVerlet(1e-5))
+        sim = Simulation(system, [smd], LangevinBAOAB(1e-5, friction=0.0))
         rec = SMDWorkRecorder(smd)
         sim.add_reporter(rec)
         duration = proto.duration_ns

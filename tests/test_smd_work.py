@@ -68,13 +68,6 @@ class TestAccessors:
 
 
 class TestSubsetAndMerge:
-    def test_subset(self):
-        e = make_ensemble(m=8, cpu_hours=80.0)
-        s = e.subset(np.array([0, 3, 5]))
-        assert s.n_samples == 3
-        assert s.cpu_hours == pytest.approx(30.0)
-        np.testing.assert_array_equal(s.works[1], e.works[3])
-
     def test_merge(self):
         a = make_ensemble(m=4, seed=1, cpu_hours=10.0)
         b = make_ensemble(m=6, seed=2, cpu_hours=20.0)

@@ -1,9 +1,10 @@
 """Unit-system and constant tests."""
 
-
+import numpy as np
 import pytest
 
 from repro import units
+from repro.md import ParticleSystem
 
 
 class TestConstants:
@@ -32,7 +33,7 @@ class TestSpringConstantConversion:
     def test_roundtrip(self):
         for k in (10.0, 100.0, 1000.0):
             internal = units.pn_per_angstrom(k)
-            assert units.kcal_per_angstrom2_to_pn_per_angstrom(internal) == pytest.approx(k)
+            assert internal / units.PN_ANGSTROM_TO_KCAL == pytest.approx(k)
 
     def test_zero_allowed_negative_rejected(self):
         assert units.pn_per_angstrom(0.0) == 0.0
@@ -44,28 +45,29 @@ class TestSpringConstantConversion:
         assert 1.0 / units.PN_ANGSTROM_TO_KCAL == pytest.approx(69.48, rel=1e-3)
 
 
+def thermal_velocities(mass_amu, temperature=300.0, n=20000, seed=0):
+    """Maxwell-Boltzmann velocity components as the engine draws them."""
+    system = ParticleSystem(np.zeros((n, 3)), np.full(n, mass_amu))
+    system.initialize_velocities(temperature, seed=seed, zero_momentum=False)
+    return system
+
+
 class TestMassConversion:
     def test_kinetic_energy_scale(self):
-        # A 12 amu particle at 1000 A/ns carries ~0.0000239*... check via
-        # thermal velocity instead: 0.5 m v_th^2 == 0.5 kT.
-        m = 12.0
-        v_th = units.thermal_velocity(m, 300.0)
-        ke = 0.5 * m * units.MASS_TO_KCAL * v_th**2
-        assert ke == pytest.approx(0.5 * units.kT(300.0), rel=1e-12)
+        # sigma_v = sqrt(kT / (m MASS_TO_KCAL)) puts 0.5 kT in each component.
+        system = thermal_velocities(12.0)
+        ke = system.kinetic_energy() / (3 * system.n)
+        assert ke == pytest.approx(0.5 * units.kT(300.0), rel=0.02)
 
     def test_thermal_velocity_magnitude(self):
         # Carbon-mass bead at 300 K: a few thousand A/ns (hundreds m/s).
-        v = units.thermal_velocity(12.0)
+        v = thermal_velocities(12.0).velocities.std()
         assert 2000.0 < v < 10000.0
 
     def test_thermal_velocity_mass_scaling(self):
-        assert units.thermal_velocity(4.0) == pytest.approx(
-            2.0 * units.thermal_velocity(16.0)
-        )
-
-    def test_thermal_velocity_rejects_bad_mass(self):
-        with pytest.raises(ValueError):
-            units.thermal_velocity(0.0)
+        light = thermal_velocities(4.0, seed=1).velocities.std()
+        heavy = thermal_velocities(16.0, seed=2).velocities.std()
+        assert light == pytest.approx(2.0 * heavy, rel=0.02)
 
 
 class TestTimestep:
