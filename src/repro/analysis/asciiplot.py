@@ -15,18 +15,18 @@ from .series import FigureData
 __all__ = ["render_figure"]
 
 _GLYPHS = "ox+*#@%&"
+#: Canvas width in characters.
+WIDTH = 72
 
 
-def render_figure(
-    figure: FigureData,
-    width: int = 72,
-    height: int = 20,
-) -> str:
-    """Render a :class:`FigureData` to fixed-width text."""
+def render_figure(figure: FigureData, height: int = 20) -> str:
+    """Render a :class:`FigureData` to fixed-width text, :data:`WIDTH`
+    characters wide."""
     if not figure.curves:
         raise AnalysisError(f"figure {figure.title!r} has no curves")
-    if width < 16 or height < 6:
+    if height < 6:
         raise AnalysisError("canvas too small")
+    width = WIDTH
 
     x_min = min(float(c.x.min()) for c in figure.curves)
     x_max = max(float(c.x.max()) for c in figure.curves)

@@ -30,7 +30,6 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import AnalysisError, ConfigurationError
-from ..rng import SeedLike
 from ..units import KB
 
 __all__ = [
@@ -39,11 +38,20 @@ __all__ = [
     "calibrate_reduced_friction",
 ]
 
+#: Fraction of the trajectory whose lags the MSD fit uses.
+FIT_FRACTION = 0.25
+#: The calibration run: chain length, simulated time (ns), COM sampling
+#: stride (steps) and start height (A, far above the pore).
+CALIBRATION_BASES = 8
+CALIBRATION_NS = 0.4
+CALIBRATION_STRIDE = 20
+CALIBRATION_START_Z = 120.0
+CALIBRATION_SEED = 1234
+
 
 def estimate_diffusion(
     times: np.ndarray,
     series: np.ndarray,
-    fit_fraction: float = 0.25,
     dim: int = 1,
 ) -> float:
     """Diffusion constant from MSD(t) ~ 2 d D t.
@@ -53,11 +61,11 @@ def estimate_diffusion(
     times / series:
         Trajectory of a coordinate (1-D array) or coordinates
         ``(n_frames, d)`` sampled at ``times`` (ns).
-    fit_fraction:
-        Fit the MSD over lags up to this fraction of the trajectory (short
-        lags: best statistics, least drift contamination).
     dim:
         Spatial dimensionality of the series (1 for an axial coordinate).
+
+    The MSD is fitted over lags up to :data:`FIT_FRACTION` of the
+    trajectory (short lags: best statistics, least drift contamination).
     """
     t = np.asarray(times, dtype=np.float64)
     x = np.asarray(series, dtype=np.float64)
@@ -65,11 +73,9 @@ def estimate_diffusion(
         x = x[:, None]
     if t.ndim != 1 or x.shape[0] != t.size or t.size < 10:
         raise AnalysisError("need a (n,) time array and matching series, n >= 10")
-    if not (0.0 < fit_fraction <= 1.0):
-        raise ConfigurationError("fit_fraction must be in (0, 1]")
 
     n = t.size
-    max_lag = max(int(n * fit_fraction), 2)
+    max_lag = max(int(n * FIT_FRACTION), 2)
     lags = np.arange(1, max_lag)
     msd = np.empty(lags.size)
     for k, lag in enumerate(lags):
@@ -91,13 +97,7 @@ def estimate_friction(diffusion: float, temperature: float = 300.0) -> float:
     return KB * temperature / diffusion
 
 
-def calibrate_reduced_friction(
-    n_bases: int = 8,
-    sim_ns: float = 0.4,
-    sample_stride: int = 20,
-    start_z: float = 120.0,
-    seed: SeedLike = 1234,
-) -> Tuple[float, float]:
+def calibrate_reduced_friction() -> Tuple[float, float]:
     """Measure the chain-COM axial friction from an unbiased 3-D run.
 
     The chain is placed far above the pore (bulk solvent: no landscape, no
@@ -105,24 +105,23 @@ def calibrate_reduced_friction(
     of the reduced coordinate.  Returns ``(diffusion, friction)``.
 
     Note: the chain drifts slowly downward if started within the pore's
-    reach — ``start_z`` defaults far into bulk.
+    reach — :data:`CALIBRATION_START_Z` is far into bulk.
     """
     from ..pore.assembly import build_translocation_simulation
 
-    if sim_ns <= 0:
-        raise ConfigurationError("sim_ns must be positive")
-    ts = build_translocation_simulation(n_bases=n_bases,
-                                        start_z=start_z, seed=seed)
+    ts = build_translocation_simulation(n_bases=CALIBRATION_BASES,
+                                        start_z=CALIBRATION_START_Z,
+                                        seed=CALIBRATION_SEED)
     sim = ts.simulation
     times = []
     com_z = []
 
     def track(s):
-        if s.step_count % sample_stride == 0:
+        if s.step_count % CALIBRATION_STRIDE == 0:
             times.append(s.time)
             com_z.append(float(s.system.center_of_mass(ts.dna_indices)[2]))
 
     sim.add_reporter(track)
-    sim.run_until(sim_ns)
+    sim.run_until(CALIBRATION_NS)
     D = estimate_diffusion(np.array(times), np.array(com_z), dim=1)
     return D, estimate_friction(D, temperature=300.0)

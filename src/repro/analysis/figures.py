@@ -44,8 +44,7 @@ def fig1_structure_table(summary: Dict[str, float]) -> Table:
     return t
 
 
-def fig4_panel_kappa(result: ParameterStudyResult, kappa: float,
-                     include_reference: bool = True) -> FigureData:
+def fig4_panel_kappa(result: ParameterStudyResult, kappa: float) -> FigureData:
     """Fig. 4a/b/c: PMF vs displacement at fixed kappa, one curve per v."""
     fig = FigureData(
         title=f"Fig. 4 panel: kappa = {kappa:g} pN/A",
@@ -57,13 +56,11 @@ def fig4_panel_kappa(result: ParameterStudyResult, kappa: float,
         raise AnalysisError(f"no estimates at kappa={kappa}")
     for est in estimates:
         fig.add(Curve(f"v = {est.velocity:g}", est.displacements, est.values))
-    if include_reference:
-        fig.add(Curve("exact", result.reference_displacements, result.reference_pmf))
+    fig.add(Curve("exact", result.reference_displacements, result.reference_pmf))
     return fig
 
 
-def fig4_panel_velocity(result: ParameterStudyResult, velocity: float,
-                        include_reference: bool = True) -> FigureData:
+def fig4_panel_velocity(result: ParameterStudyResult, velocity: float) -> FigureData:
     """Fig. 4d: PMF vs displacement at fixed v, one curve per kappa."""
     fig = FigureData(
         title=f"Fig. 4 panel: v = {velocity:g} A/ns",
@@ -75,8 +72,7 @@ def fig4_panel_velocity(result: ParameterStudyResult, velocity: float,
         raise AnalysisError(f"no estimates at v={velocity}")
     for est in estimates:
         fig.add(Curve(f"kappa = {est.kappa_pn:g}", est.displacements, est.values))
-    if include_reference:
-        fig.add(Curve("exact", result.reference_displacements, result.reference_pmf))
+    fig.add(Curve("exact", result.reference_displacements, result.reference_pmf))
     return fig
 
 
@@ -133,8 +129,9 @@ def cost_model_table(model: CostModel) -> Table:
     return t
 
 
-def qos_table(reports: Dict[str, InteractivityReport], procs: int = 256) -> Table:
-    """Section II-III: interactivity vs network class."""
+def qos_table(reports: Dict[str, InteractivityReport]) -> Table:
+    """Section II-III: interactivity vs network class; wasted CPU-hours
+    are those of a 256-processor interactive run."""
     t = Table(
         "Interactive MD vs network QoS",
         ["network", "slowdown", "stall_fraction", "fps",
@@ -147,7 +144,7 @@ def qos_table(reports: Dict[str, InteractivityReport], procs: int = 256) -> Tabl
             rep.stall_fraction,
             rep.fps,
             rep.p95_round_trip * 1000.0,
-            rep.wasted_cpu_hours(procs),
+            rep.wasted_cpu_hours(),
         )
     return t
 

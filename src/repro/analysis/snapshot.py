@@ -17,14 +17,17 @@ from ..pore.geometry import PoreGeometry
 
 __all__ = ["render_cross_section"]
 
+#: Canvas size in characters (the width is even: the silhouette is
+#: mirrored about the axis).
+WIDTH = 64
+HEIGHT = 30
+#: Axial extent drawn beyond each pore mouth (A).
+Z_MARGIN = 15.0
+
 
 def render_cross_section(
     geometry: PoreGeometry,
     positions: Optional[np.ndarray] = None,
-    width: int = 64,
-    height: int = 30,
-    z_margin: float = 15.0,
-    r_max: Optional[float] = None,
 ) -> str:
     """ASCII (r, z) cross-section: pore wall ``#``, membrane-ish exterior
     blank, DNA beads ``o`` (``O`` when two or more overlap a cell).
@@ -33,16 +36,12 @@ def render_cross_section(
     axis is the cylindrical radius, mirrored about the axis for a familiar
     pore-silhouette look.
     """
-    if width < 16 or height < 8:
-        raise AnalysisError("canvas too small")
-    if width % 2 != 0:
-        width += 1
+    width, height = WIDTH, HEIGHT
     half = width // 2
 
-    z_lo = geometry.z_bottom - z_margin
-    z_hi = geometry.z_top + z_margin
-    if r_max is None:
-        r_max = geometry.vestibule_radius * 1.4
+    z_lo = geometry.z_bottom - Z_MARGIN
+    z_hi = geometry.z_top + Z_MARGIN
+    r_max = geometry.vestibule_radius * 1.4
 
     canvas = [[" "] * width for _ in range(height)]
 

@@ -464,16 +464,33 @@ def cmd_production(args) -> CommandResult:
     })
 
 
+def _holds_full_scale_run(path: str) -> bool:
+    """Whether ``path`` is a bench document written without ``--quick``."""
+    import json
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):
+        return False
+    return isinstance(doc, dict) and doc.get("quick") is False
+
+
 def cmd_bench(args) -> CommandResult:
     import os
 
+    from .errors import ConfigurationError
     from .obs import Obs
     from .perf import run_adaptive_benchmark, write_bench_document
 
+    adaptive_path = os.path.join(args.out_dir, "BENCH_adaptive.json")
+    if args.quick and _holds_full_scale_run(adaptive_path):
+        raise ConfigurationError(
+            f"{adaptive_path} holds a full-scale run (\"quick\": false); "
+            "a --quick run does not replace it: pass another --out-dir")
     adaptive = run_adaptive_benchmark(quick=args.quick, seed=args.seed,
                                       obs=Obs())
     os.makedirs(args.out_dir, exist_ok=True)
-    adaptive_path = os.path.join(args.out_dir, "BENCH_adaptive.json")
     # write_bench_document validates first: malformed output is exit code 1,
     # not a silently-written file.
     write_bench_document(adaptive_path, adaptive)

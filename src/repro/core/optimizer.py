@@ -28,6 +28,10 @@ from .pmf import PMFEstimate, estimate_pmf
 
 __all__ = ["ParameterStudyResult", "run_parameter_study", "select_optimal"]
 
+#: The "insignificant difference" threshold (kcal/mol) of the velocity
+#: tie-break (Section IV-C).
+CONSISTENCY_TOLERANCE = 2.0
+
 
 @dataclass
 class ParameterStudyResult:
@@ -71,7 +75,6 @@ def run_parameter_study(
     n_bootstrap: int = 100,
     estimator: str = "exponential",
     seed: int = 2005,
-    consistency_tolerance: float = 2.0,
     obs: Optional[Obs] = None,
     store=None,
     samples_per_task: Optional[int] = None,
@@ -83,9 +86,6 @@ def run_parameter_study(
     stream (keyed by the cell parameters, so adding cells never perturbs
     existing ones).  The reference PMF is the model's exact potential.
     ``obs`` is forwarded to every pulling ensemble (see :mod:`repro.obs`).
-
-    ``consistency_tolerance`` (kcal/mol) is the "insignificant difference"
-    threshold used by the velocity tie-break (Section IV-C).
 
     ``samples_per_task`` decomposes each cell into
     ``n_samples / samples_per_task`` restartable tasks, each its own RNG
@@ -158,7 +158,7 @@ def run_parameter_study(
     if ref_disp is None or ref_pmf is None:
         raise AnalysisError(
             "no study cell completed: every task was dead-lettered")
-    optimal = select_optimal(budgets, estimates, tolerance=consistency_tolerance)
+    optimal = select_optimal(budgets, estimates)
     return ParameterStudyResult(
         ensembles=ensembles,
         estimates=estimates,
@@ -172,7 +172,6 @@ def run_parameter_study(
 def select_optimal(
     budgets: Dict[Tuple[float, float], ErrorBudget],
     estimates: Dict[Tuple[float, float], PMFEstimate],
-    tolerance: float = 2.0,
 ) -> Tuple[float, float]:
     """Pick the optimal (kappa, v) from per-cell error budgets.
 
@@ -183,8 +182,8 @@ def select_optimal(
        rejected for systematic error, 1000 for noise — so the kappa
        decision aggregates over v; the median is robust to one noisy cell);
     2. within that kappa, find the slowest velocity group whose PMFs are
-       mutually consistent within ``tolerance`` and whose combined errors
-       are comparable, then return the *slowest* velocity in the group —
+       mutually consistent within :data:`CONSISTENCY_TOLERANCE` and whose
+       combined errors are comparable, then return the *slowest* velocity in the group —
        slower pulls "sample correctly" (the paper picks v = 12.5 over 25
        despite equal PMFs).
     """
@@ -203,12 +202,13 @@ def select_optimal(
     best_total = min(b.sigma_total for b in cells)
 
     # Velocities whose combined error is within tolerance of the kappa's best.
-    adequate = [b for b in cells if b.sigma_total <= best_total + tolerance]
+    adequate = [b for b in cells
+                if b.sigma_total <= best_total + CONSISTENCY_TOLERANCE]
     if len(adequate) >= 2:
         # Check PMF consistency across adequate velocities (the paper's
         # "insignificant difference in PMF values" criterion).
         ests = [estimates[(best_kappa, b.velocity)] for b in adequate]
-        if pairwise_consistency(ests) <= tolerance:
+        if pairwise_consistency(ests) <= CONSISTENCY_TOLERANCE:
             return (best_kappa, adequate[0].velocity)
     # Fall back to the outright minimum cell at the chosen kappa.
     best = min(cells, key=lambda b: b.sigma_total)

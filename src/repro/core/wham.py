@@ -34,6 +34,16 @@ from .pmf import PMFEstimate
 
 __all__ = ["UmbrellaProtocol", "WHAMResult", "run_umbrella_sampling", "wham"]
 
+#: Positions each replica records per window, at an even stride over the
+#: window's sampling time.
+SAMPLES_PER_REPLICA = 200
+#: Histogram bins over the sampled range.
+N_BINS = 60
+#: WHAM stops when no window free energy moves by more than ``TOL``
+#: (kcal/mol) in one iteration, or after ``MAX_ITER`` iterations.
+TOL = 1e-6
+MAX_ITER = 5000
+
 
 @dataclass(frozen=True)
 class UmbrellaProtocol:
@@ -90,23 +100,20 @@ def run_umbrella_sampling(
     model: ReducedTranslocationModel,
     protocol: Optional[UmbrellaProtocol] = None,
     n_replicas: int = 8,
-    samples_per_replica: int = 200,
-    n_bins: int = 60,
     seed: SeedLike = None,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
     obs: Optional[Obs] = None,
 ) -> WHAMResult:
     """Sample all umbrella windows and solve WHAM.
 
-    Each window equilibrates, then records ``samples_per_replica`` positions
-    per replica at an even stride over the sampling time.  ``protocol``
-    defaults to ``UmbrellaProtocol()``; ``obs`` is the instrumentation
-    handle (read-only — no RNG draws, so runs stay bit-identical).
+    Each window equilibrates, then records :data:`SAMPLES_PER_REPLICA`
+    positions per replica at an even stride over the sampling time.
+    ``protocol`` defaults to ``UmbrellaProtocol()``; ``obs`` is the
+    instrumentation handle (read-only — no RNG draws, so runs stay
+    bit-identical).
     """
     if protocol is None:
         protocol = UmbrellaProtocol()
-    if n_replicas < 1 or samples_per_replica < 1:
+    if n_replicas < 1:
         raise ConfigurationError("need positive replicas and samples")
     obs = as_obs(obs)
     rng = as_generator(seed)
@@ -117,8 +124,9 @@ def run_umbrella_sampling(
 
     centers = protocol.centers
     n_equil = int(np.ceil(protocol.equilibration_ns / dt))
-    n_sample_steps = max(int(np.ceil(protocol.sampling_ns / dt)), samples_per_replica)
-    stride = max(n_sample_steps // samples_per_replica, 1)
+    n_sample_steps = max(int(np.ceil(protocol.sampling_ns / dt)),
+                         SAMPLES_PER_REPLICA)
+    stride = max(n_sample_steps // SAMPLES_PER_REPLICA, 1)
 
     all_samples = []
     with obs.span("core.wham.sampling", n_windows=centers.size,
@@ -138,11 +146,9 @@ def run_umbrella_sampling(
                     window_samples.append(z.copy())
             all_samples.append(np.concatenate(window_samples))
 
-    with obs.span("core.wham.solve", n_bins=n_bins):
+    with obs.span("core.wham.solve", n_bins=N_BINS):
         pmf_values, bin_centers, f_i, iters = wham(
-            all_samples, centers, kappa, model.temperature,
-            n_bins=n_bins, tol=tol, max_iter=max_iter,
-        )
+            all_samples, centers, kappa, model.temperature)
     total_ns = n_replicas * protocol.total_time_ns
     if obs.enabled:
         obs.metrics.inc("core.wham.windows", centers.size)
@@ -174,19 +180,15 @@ def wham(
     centers: np.ndarray,
     kappa: float,
     temperature: float,
-    n_bins: int = 60,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Solve the WHAM equations for harmonic umbrella windows.
+    """Solve the WHAM equations for harmonic umbrella windows over
+    :data:`N_BINS` histogram bins.
 
     Returns ``(pmf, bin_centers, window_free_energies, iterations)`` with
     the PMF zeroed at its first bin.
     """
     if len(window_samples) != len(centers):
         raise AnalysisError("one sample array per window required")
-    if n_bins < 4:
-        raise AnalysisError("need at least 4 bins")
     kT = KB * temperature
     beta = 1.0 / kT
     centers = np.asarray(centers, dtype=np.float64)
@@ -195,7 +197,7 @@ def wham(
     hi = max(float(s.max()) for s in window_samples)
     if hi <= lo:
         raise AnalysisError("degenerate sample range")
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, N_BINS + 1)
     bin_centers = 0.5 * (edges[1:] + edges[:-1])
 
     n_windows = centers.size
@@ -213,13 +215,13 @@ def wham(
         log_total = np.where(total_counts > 0, np.log(total_counts), -np.inf)
         log_n = np.log(n_i)
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, MAX_ITER + 1):
         denom = logsumexp(log_n[:, None] + beta * f[:, None] + log_bias, axis=0)
         log_rho = log_total - denom
         # New window free energies: exp(-beta f_i) = sum_x rho(x) exp(-beta w_i).
         f_new = -kT * logsumexp(log_rho[None, :] + log_bias, axis=1)
         f_new = f_new - f_new[0]
-        if np.max(np.abs(f_new - f)) < tol:
+        if np.max(np.abs(f_new - f)) < TOL:
             f = f_new
             break
         f = f_new

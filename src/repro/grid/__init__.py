@@ -18,7 +18,7 @@ from .middleware import SITE_QUEUES, GridMiddleware, MiddlewareFaultWindow
 from .costmodel import CostModel, PAPER_COST_MODEL
 from .federation import Grid, FederatedGrid, CampaignManager, CampaignReport
 from .failures import FailureInjector, SECURITY_BREACH_WEEKS
-from .migration import CheckpointMigrator, MigrationPlan, paper_checkpoint_bytes
+from .migration import CheckpointMigrator, paper_checkpoint_bytes
 from .background import BackgroundWorkload
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "FailureInjector",
     "SECURITY_BREACH_WEEKS",
     "CheckpointMigrator",
-    "MigrationPlan",
     "paper_checkpoint_bytes",
     "BackgroundWorkload",
 ]

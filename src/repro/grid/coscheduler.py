@@ -17,7 +17,7 @@ UKLight deployment).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 from ..errors import ConfigurationError, CoSchedulingError
@@ -43,10 +43,6 @@ class CoAllocationResult:
     total_emails: int
     total_human_hours: float
     rolled_back: bool = False
-
-    @property
-    def coordination_cost(self) -> Tuple[int, float]:
-        return self.total_emails, self.total_human_hours
 
 
 class CoScheduler:

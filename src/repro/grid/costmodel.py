@@ -35,10 +35,9 @@ class CostModel:
 
     Attributes
     ----------
-    reference_atoms:
-        System size of the calibration point (atoms).
     reference_procs / reference_hours_per_ns:
-        The calibration: 128 procs, 24 wall-hours per ns.
+        The calibration: 128 procs, 24 wall-hours per ns of the paper's
+        ~300,000-atom system.
     translocation_time_us:
         Physical timescale of the target process ("typically of the order
         of tens of microseconds"; the paper's arithmetic uses 10 us).
@@ -46,61 +45,54 @@ class CostModel:
         The SMD-JE net-requirement reduction bracket (50-100x).
     """
 
-    reference_atoms: int = 300_000
     reference_procs: int = 128
     reference_hours_per_ns: float = 24.0
     translocation_time_us: float = 10.0
     smdje_reduction_low: float = 50.0
     smdje_reduction_high: float = 100.0
 
-    def cpu_hours_per_ns(self, n_atoms: int | None = None) -> float:
-        """CPU-hours to simulate 1 ns (classical MD cost ~ linear in atoms
-        with neighbor lists)."""
-        atoms = self.reference_atoms if n_atoms is None else n_atoms
-        if atoms <= 0:
-            raise ConfigurationError("n_atoms must be positive")
-        base = self.reference_procs * self.reference_hours_per_ns
-        return base * atoms / self.reference_atoms
+    #: Moore's law as the paper states it: speed doubles every 18 months.
+    DOUBLING_MONTHS = 18.0
+    #: "Routine": the vanilla simulation fits in a month of wall time.
+    ROUTINE_DAYS = 30.0
 
-    def vanilla_total_cpu_hours(self, n_atoms: int | None = None) -> float:
+    def cpu_hours_per_ns(self) -> float:
+        """CPU-hours to simulate 1 ns of the calibration system."""
+        return self.reference_procs * self.reference_hours_per_ns
+
+    def vanilla_total_cpu_hours(self) -> float:
         """Cost of the brute-force translocation simulation (3e7 CPU-h)."""
-        return self.cpu_hours_per_ns(n_atoms) * self.translocation_time_us * 1000.0
+        return self.cpu_hours_per_ns() * self.translocation_time_us * 1000.0
 
-    def smdje_total_cpu_hours(self, reduction: float | None = None,
-                              n_atoms: int | None = None) -> float:
+    def smdje_total_cpu_hours(self, reduction: float | None = None) -> float:
         """Cost under SMD-JE at a given (or mid-bracket) reduction factor."""
         if reduction is None:
             reduction = math.sqrt(self.smdje_reduction_low * self.smdje_reduction_high)
         if reduction <= 0:
             raise ConfigurationError("reduction factor must be positive")
-        return self.vanilla_total_cpu_hours(n_atoms) / reduction
+        return self.vanilla_total_cpu_hours() / reduction
 
-    def wall_hours(self, sim_ns: float, procs: int, n_atoms: int | None = None,
-                   speed: float = 1.0) -> float:
+    def wall_hours(self, sim_ns: float, procs: int) -> float:
         """Wall time for ``sim_ns`` of MD on ``procs`` processors.
 
         Assumes the paper's (charitable) linear strong scaling in the
         128-256 processor range it used.
         """
-        if sim_ns <= 0 or procs <= 0 or speed <= 0:
-            raise ConfigurationError("sim_ns, procs and speed must be positive")
-        return self.cpu_hours_per_ns(n_atoms) * sim_ns / (procs * speed)
+        if sim_ns <= 0 or procs <= 0:
+            raise ConfigurationError("sim_ns and procs must be positive")
+        return self.cpu_hours_per_ns() * sim_ns / procs
 
-    def moores_law_years_until_routine(self, target_days: float = 30.0,
-                                       doubling_months: float = 18.0) -> float:
+    def moores_law_years_until_routine(self) -> float:
         """Years of Moore's-law speed doubling until the vanilla simulation
-        fits in ``target_days`` on the reference machine — the paper's
+        fits in :attr:`ROUTINE_DAYS` on the reference machine — the paper's
         "still a couple of decades away" check."""
-        if target_days <= 0 or doubling_months <= 0:
-            raise ConfigurationError("target_days and doubling_months must be positive")
         current_days = (
             self.vanilla_total_cpu_hours() / self.reference_procs
         ) / 24.0
-        if current_days <= target_days:
+        if current_days <= self.ROUTINE_DAYS:
             return 0.0
-        doublings = math.log2(current_days / target_days)
-        return doublings * doubling_months / 12.0
-
+        doublings = math.log2(current_days / self.ROUTINE_DAYS)
+        return doublings * self.DOUBLING_MONTHS / 12.0
 
 #: The calibration used throughout the reproduction.
 PAPER_COST_MODEL = CostModel()

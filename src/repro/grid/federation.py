@@ -49,9 +49,6 @@ class Grid:
                 f"grid {self.name!r} has no resource {resource_name!r}"
             ) from None
 
-    def total_capacity(self) -> int:
-        return sum(q.capacity for q in self.queues.values())
-
 
 class FederatedGrid:
     """The grid-of-grids: several :class:`Grid` instances on one loop."""
@@ -73,9 +70,6 @@ class FederatedGrid:
                     raise ConfigurationError(f"duplicate resource name {name!r}")
                 out[name] = q
         return out
-
-    def total_capacity(self) -> int:
-        return sum(g.total_capacity() for g in self.grids)
 
 
 @dataclass
@@ -117,7 +111,7 @@ class CampaignManager:
     least-loaded heuristic a human broker (or the paper's scientists,
     by hand) would use.
 
-    Requeue: a monitor event every ``requeue_check_hours`` resubmits jobs
+    Requeue: a monitor event every :attr:`REQUEUE_CHECK_HOURS` resubmits jobs
     killed by outages to the currently-best other queue, and moves jobs
     still waiting on a downed queue to a live one.
 
@@ -131,13 +125,13 @@ class CampaignManager:
     oracle-driven one.
     """
 
-    def __init__(self, federation: FederatedGrid, requeue_check_hours: float = 1.0,
+    #: Hours between requeue monitor events.
+    REQUEUE_CHECK_HOURS = 1.0
+
+    def __init__(self, federation: FederatedGrid,
                  obs: Optional[Obs] = None, resil=None, dlq=None) -> None:
-        if requeue_check_hours <= 0:
-            raise ConfigurationError("requeue_check_hours must be positive")
         self.federation = federation
         self.loop = federation.loop
-        self.requeue_check_hours = float(requeue_check_hours)
         self.unplaced: List[Job] = []
         self.dead_lettered: List[Job] = []
         self._jobs: List[Job] = []
@@ -288,9 +282,7 @@ class CampaignManager:
         policy = resil.placement_retry
         attempts = self._place_attempts.get(job.job_id, 0) + 1
         self._place_attempts[job.job_id] = attempts
-        budget = resil.placement_budget
-        if policy.exhausted(attempts) or (
-                budget is not None and not budget.try_consume()):
+        if policy.exhausted(attempts):
             self._mark_unplaced(job)
             self._place_attempts.pop(job.job_id, None)
             if self._obs.enabled:
@@ -298,8 +290,7 @@ class CampaignManager:
                 self._obs.metrics.observe(
                     "resil.retry.attempts.grid.placement", attempts)
             return
-        rng = resil.retry_rng if policy.jitter > 0.0 else None
-        delay = policy.backoff(attempts, rng=rng)
+        delay = policy.backoff(attempts)
         self._deferred.append((self.loop.now + delay, job))
         if self._obs.enabled:
             self._obs.metrics.inc("grid.placements_deferred")
@@ -350,7 +341,7 @@ class CampaignManager:
                 while q.killed:
                     job = q.killed.pop()
                     job.reset_for_requeue()
-                    if resil is not None and resil.breakers is not None:
+                    if resil is not None:
                         resil.breakers.record_failure(q.resource.name)
                     # A job the grid keeps killing (every site it lands on
                     # trips) is a poison pill: with a DLQ attached it gets
@@ -380,7 +371,7 @@ class CampaignManager:
                             continue
                         q.waiting.remove(job)
                         job.reset_for_requeue()
-                        if resil is not None and resil.breakers is not None:
+                        if resil is not None:
                             resil.breakers.record_failure(q.resource.name)
                         best = min(
                             alternatives,
@@ -393,7 +384,7 @@ class CampaignManager:
                             self._obs.metrics.inc("grid.requeues")
                 # A half-open breaker whose queue answers the probe healthy
                 # closes again and the site rejoins the placement pool.
-                if (resil is not None and resil.breakers is not None
+                if (resil is not None
                         and resil.breakers.half_open(q.resource.name)
                         and not q.down):
                     resil.breakers.record_success(q.resource.name)
@@ -404,9 +395,9 @@ class CampaignManager:
                 q.waiting or q.running or q.killed
                 for q in self.federation.all_queues().values()
             ):
-                self.loop.schedule(self.requeue_check_hours, check)
+                self.loop.schedule(self.REQUEUE_CHECK_HOURS, check)
 
-        self.loop.schedule(self.requeue_check_hours, check)
+        self.loop.schedule(self.REQUEUE_CHECK_HOURS, check)
 
     def _report(self) -> CampaignReport:
         # Deferred placements that never found a home before the loop ended

@@ -111,11 +111,15 @@ class Job:
             self.completed_fraction = 0.0
 
 
+#: The batch's nominal cost rate (CPU-hours per simulated ns) and the
+#: processor counts its jobs alternate between.
+BATCH_CPU_HOURS_PER_NS = 3000.0
+BATCH_PROCS = (128, 256)
+
+
 def spice_batch_jobs(
     n_jobs: int = 72,
     ns_per_job: float = 1.0,
-    cpu_hours_per_ns: float = 3000.0,
-    procs_options: tuple[int, ...] = (128, 256),
 ) -> List[Job]:
     """The paper's production batch: 72 SMD-JE simulations.
 
@@ -131,8 +135,8 @@ def spice_batch_jobs(
         raise ConfigurationError("n_jobs must be positive")
     jobs = []
     for i in range(n_jobs):
-        procs = procs_options[i % len(procs_options)]
-        cpu_hours = ns_per_job * cpu_hours_per_ns
+        procs = BATCH_PROCS[i % len(BATCH_PROCS)]
+        cpu_hours = ns_per_job * BATCH_CPU_HOURS_PER_NS
         jobs.append(
             Job(
                 name=f"smdje-{i:02d}",

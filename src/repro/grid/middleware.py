@@ -19,12 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, GridError
 from ..obs import Obs
-from ..resil.policy import (
-    DEFAULT_MIDDLEWARE_RETRY,
-    RetryOutcome,
-    RetryPolicy,
-    retry_call,
-)
+from ..resil.policy import DEFAULT_MIDDLEWARE_RETRY, RetryOutcome, retry_call
 
 __all__ = ["SITE_QUEUES", "GridMiddleware", "MiddlewareFaultWindow"]
 
@@ -93,15 +88,12 @@ class GridMiddleware:
     # -- retried control-plane operations -------------------------------------
 
     def gatekeeper_submit(self, site: str, job_name: str, *,
-                          now: float = 0.0,
-                          retry: Optional[RetryPolicy] = None,
-                          rng=None, obs: Optional[Obs] = None,
+                          now: float = 0.0, obs: Optional[Obs] = None,
                           ) -> RetryOutcome:
         """Submit a job description through the site gatekeeper.
 
-        Retries under ``retry`` (default
-        :data:`~repro.resil.DEFAULT_MIDDLEWARE_RETRY`) against injected
-        ``"auth"`` fault windows; raises
+        Retries under :data:`~repro.resil.DEFAULT_MIDDLEWARE_RETRY`
+        against injected ``"auth"`` fault windows; raises
         :class:`~repro.errors.RetryExhausted` when the window outlasts the
         policy.  Time is logical hours, supplied by the caller.
         """
@@ -116,14 +108,12 @@ class GridMiddleware:
                 )
             return f"{job_name} accepted by {site} gatekeeper (queue={queue})"
 
-        return retry_call(retry or DEFAULT_MIDDLEWARE_RETRY, attempt,
+        return retry_call(DEFAULT_MIDDLEWARE_RETRY, attempt,
                           operation=f"mw.gatekeeper.{site}", now=now,
-                          rng=rng, obs=obs, retry_on=(GridError,))
+                          obs=obs, retry_on=(GridError,))
 
     def gridftp_transfer(self, site: str, size_mb: float, *,
-                         now: float = 0.0,
-                         retry: Optional[RetryPolicy] = None,
-                         rng=None, obs: Optional[Obs] = None,
+                         now: float = 0.0, obs: Optional[Obs] = None,
                          ) -> RetryOutcome:
         """Stage data to/from a site over GridFTP, with retries against
         injected ``"transfer"`` fault windows."""
@@ -137,9 +127,9 @@ class GridMiddleware:
                 raise GridError(f"{site} GridFTP: connection refused")
             return f"{size_mb:g} MB staged to {site}"
 
-        return retry_call(retry or DEFAULT_MIDDLEWARE_RETRY, attempt,
+        return retry_call(DEFAULT_MIDDLEWARE_RETRY, attempt,
                           operation=f"mw.gridftp.{site}", now=now,
-                          rng=rng, obs=obs, retry_on=(GridError,))
+                          obs=obs, retry_on=(GridError,))
 
     def queue_for(self, site: str) -> str:
         try:

@@ -88,32 +88,27 @@ class ManualReservationWorkflow:
         Probability each human layer garbles the request per attempt.  The
         paper's anecdote (3 errors for one request across 2 admins) implies
         a high rate; the default 0.35 per layer reproduces its statistics.
-    human_layers:
-        Hand-offs between the scientist and the scheduler (default 2:
-        local admin + remote admin).
-    email_turnaround_hours:
-        Coordination delay per email round-trip.
     max_attempts:
         Give up after this many correction cycles (a real deadline).
     """
 
+    #: Hand-offs between the scientist and the scheduler: local admin +
+    #: remote admin.
+    HUMAN_LAYERS = 2
+    #: Coordination delay per email round-trip (hours).
+    EMAIL_TURNAROUND_HOURS = 3.0
+
     def __init__(
         self,
         error_rate: float = 0.35,
-        human_layers: int = 2,
-        email_turnaround_hours: float = 3.0,
         max_attempts: int = 10,
         seed: SeedLike = None,
     ) -> None:
         if not (0.0 <= error_rate < 1.0):
             raise ConfigurationError("error_rate must be in [0, 1)")
-        if human_layers < 0:
-            raise ConfigurationError("human_layers cannot be negative")
         if max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
         self.error_rate = float(error_rate)
-        self.human_layers = int(human_layers)
-        self.email_turnaround_hours = float(email_turnaround_hours)
         self.max_attempts = int(max_attempts)
         self.rng = as_generator(seed)
 
@@ -121,7 +116,7 @@ class ManualReservationWorkflow:
         """Drive the request through the human layers until it is placed
         correctly (or attempts run out)."""
         emails = 1  # the initial request
-        human_hours = self.email_turnaround_hours
+        human_hours = self.EMAIL_TURNAROUND_HOURS
         errors: List[str] = []
         attempts = 0
         pending: Optional[Reservation] = None
@@ -131,7 +126,7 @@ class ManualReservationWorkflow:
             # Each human layer may garble the request this attempt.
             introduced = [
                 str(self.rng.choice(_ERROR_KINDS))
-                for _ in range(self.human_layers)
+                for _ in range(self.HUMAN_LAYERS)
                 if self.rng.random() < self.error_rate
             ]
             if pending is not None:
@@ -160,7 +155,7 @@ class ManualReservationWorkflow:
             # one to confirm the fix, per distinct error.
             errors.extend(introduced)
             emails += 2 * max(len(introduced), 1)
-            human_hours += 2 * self.email_turnaround_hours * max(len(introduced), 1)
+            human_hours += 2 * self.EMAIL_TURNAROUND_HOURS * max(len(introduced), 1)
 
         if pending is not None:
             try:
@@ -197,17 +192,5 @@ class WebReservationWorkflow(ManualReservationWorkflow):
     email round-trips.
     """
 
-    def __init__(
-        self,
-        error_rate: float = 0.35,
-        email_turnaround_hours: float = 0.25,
-        max_attempts: int = 10,
-        seed: SeedLike = None,
-    ) -> None:
-        super().__init__(
-            error_rate=error_rate,
-            human_layers=1,
-            email_turnaround_hours=email_turnaround_hours,
-            max_attempts=max_attempts,
-            seed=seed,
-        )
+    HUMAN_LAYERS = 1
+    EMAIL_TURNAROUND_HOURS = 0.25

@@ -78,9 +78,6 @@ class ComputeResource:
             raise ConfigurationError("duration must be positive")
         return duration_hours / self.speed
 
-    def fits(self, procs: int) -> bool:
-        return procs <= self.total_procs
-
 
 def teragrid_sites() -> List[ComputeResource]:
     """The TeraGrid subset SPICE used: NCSA, SDSC, PSC."""
@@ -95,13 +92,13 @@ def teragrid_sites() -> List[ComputeResource]:
     ]
 
 
-def ngs_sites(include_hpcx: bool = True) -> List[ComputeResource]:
-    """The UK NGS high-end nodes, plus (optionally) the unusable HPCx."""
+def ngs_sites() -> List[ComputeResource]:
+    """The UK NGS high-end nodes, plus the unusable HPCx."""
     # UKLight "was either not deployed at all or was barely ... deployed on
     # most UK resources" (Section V-C2): near SC05 only one UK node could be
     # coordinated with the TeraGrid — we give Manchester the working
     # lightpath and leave the rest batch-only.
-    sites = [
+    return [
         ComputeResource("NGS-Oxford", "NGS", total_procs=128, speed=0.9,
                         lightpath=False, background_load=0.40),
         ComputeResource("NGS-Leeds", "NGS", total_procs=256, speed=0.9,
@@ -110,13 +107,9 @@ def ngs_sites(include_hpcx: bool = True) -> List[ComputeResource]:
                         lightpath=True, background_load=0.45),
         ComputeResource("NGS-RAL", "NGS", total_procs=128, speed=0.9,
                         lightpath=False, background_load=0.40),
-    ]
-    if include_hpcx:
         # Hidden IPs, no gateway, no working UKLight: present but unusable
         # for coupled/interactive work (Section V-C2).
-        sites.append(
-            ComputeResource("HPCx", "NGS", total_procs=1600, speed=1.3,
-                            hidden_ip=True, has_gateway=False, lightpath=False,
-                            background_load=0.70)
-        )
-    return sites
+        ComputeResource("HPCx", "NGS", total_procs=1600, speed=1.3,
+                        hidden_ip=True, has_gateway=False, lightpath=False,
+                        background_load=0.70),
+    ]

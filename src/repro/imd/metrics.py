@@ -62,10 +62,6 @@ class InteractivityReport:
         return self.n_frames / self.wall_time
 
     @property
-    def worst_stall(self) -> float:
-        return max(self.frame_stalls, default=0.0)
-
-    @property
     def p95_round_trip(self) -> float:
         """95th-percentile steering round trip — the tail the user feels."""
         if not self.round_trip_delays:

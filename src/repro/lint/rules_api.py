@@ -214,6 +214,8 @@ RETIRED_NAMES: Dict[str, str] = {
     "kcal_per_angstrom2_to_pn_per_angstrom": "kappa_internal / PN_ANGSTROM_TO_KCAL",
     "task_key_tuple": "tuple(entry['task_key'])",
     "requeued_entries": "DeadLetterQueue.summary()['requeued'] counts them",
+    "MigrationPlan": "CheckpointMigrator.transfer_hours prices a checkpoint move",
+    "RetryBudget": "RetryPolicy.max_attempts bounds every retried call",
     "repro.pore.dsdna": "the paper's one scenario is ssDNA in alpha-hemolysin",
     "repro.pore.presets": "HemolysinPore is the one pore",
     "repro.md.dihedrals": "the CG ssDNA has no torsion term",

@@ -84,13 +84,6 @@ class HarmonicRestraintForce:
         np.add.at(forces, self._indices, -self.k * dr)
         return energy
 
-    def move_anchors(self, anchors: np.ndarray) -> None:
-        """Re-target the restraint (used by steering to drag selections)."""
-        a = np.asarray(anchors, dtype=np.float64)
-        if a.shape != self._anchors.shape:
-            raise ConfigurationError("anchor shape mismatch")
-        self._anchors[:] = a
-
 
 class SteeringForce:
     """A mutable per-call force injected by an interactive steerer.

@@ -90,8 +90,6 @@ class LennardJonesForce:
         ``(ntypes,)`` per-type well depths (kcal/mol) and diameters (A).
     cutoff:
         Interaction cutoff in A.
-    exclusions:
-        Bonded pairs to skip.
     kernel:
         ``"vectorized"`` (default) or ``"reference"``; see
         :mod:`repro.md.kernels`.
@@ -105,8 +103,6 @@ class LennardJonesForce:
         epsilon: np.ndarray,
         sigma: np.ndarray,
         cutoff: float,
-        skin: float = 1.0,
-        exclusions: Optional[Set[Tuple[int, int]]] = None,
         kernel: str = "vectorized",
     ) -> None:
         eps = np.asarray(epsilon, dtype=np.float64)
@@ -125,8 +121,7 @@ class LennardJonesForce:
         self._types = t
         self.cutoff = float(cutoff)
         self._cut2 = self.cutoff**2
-        self.neighbor_list = NeighborList(cutoff, skin=skin,
-                                          exclusions=exclusions)
+        self.neighbor_list = NeighborList(cutoff)
         # Per-pair-type energy shift at the cutoff (continuity).
         sr6 = (self._sig_table / self.cutoff) ** 6
         self._shift_table = 4.0 * self._eps_table * (sr6**2 - sr6)
@@ -198,14 +193,11 @@ class WCAForce(LennardJonesForce):
         types: np.ndarray,
         epsilon: np.ndarray,
         sigma: np.ndarray,
-        skin: float = 1.0,
-        exclusions: Optional[Set[Tuple[int, int]]] = None,
         kernel: str = "vectorized",
     ) -> None:
         sig = np.asarray(sigma, dtype=np.float64)
         cutoff = float(2.0 ** (1.0 / 6.0) * sig.max())
-        super().__init__(types, epsilon, sigma, cutoff, skin=skin,
-                         exclusions=exclusions, kernel=kernel)
+        super().__init__(types, epsilon, sigma, cutoff, kernel=kernel)
         # WCA: per-pair cutoff at 2^(1/6) sigma_ij and shift +eps_ij.
         self._wca_cut2 = (2.0 ** (1.0 / 3.0)) * self._sig_table**2
 
@@ -268,13 +260,8 @@ class DebyeHuckelForce:
     ----------
     charges:
         ``(n,)`` charges in elementary-charge units.
-    debye_length:
-        Screening length in A (about 3 A at 1 M monovalent salt).
-    dielectric:
-        Relative dielectric constant of the implicit solvent (78.5 water).
-    cutoff:
-        Cutoff in A; energies are truncated (exp screening makes the
-        discontinuity negligible beyond a few Debye lengths).
+    exclusions:
+        Bonded pairs to skip.
     kernel:
         ``"vectorized"`` (default) or ``"reference"``; see
         :mod:`repro.md.kernels`.
@@ -282,26 +269,27 @@ class DebyeHuckelForce:
 
     stackable = True
 
+    #: Screening length in A (about 3 A at 1 M monovalent salt).
+    DEBYE_LENGTH = 3.07
+    #: Relative dielectric constant of the implicit solvent (water).
+    DIELECTRIC = 78.5
+    #: Cutoff in A; energies are truncated (exp screening makes the
+    #: discontinuity negligible beyond a few Debye lengths).
+    CUTOFF = 12.0
+
     def __init__(
         self,
         charges: np.ndarray,
-        debye_length: float = 3.07,
-        dielectric: float = 78.5,
-        cutoff: float = 12.0,
-        skin: float = 1.0,
         exclusions: Optional[Set[Tuple[int, int]]] = None,
         kernel: str = "vectorized",
     ) -> None:
-        if debye_length <= 0.0 or dielectric <= 0.0:
-            raise ConfigurationError("debye_length and dielectric must be positive")
         self.kernel = validate_kernel(kernel)
         self._q = np.asarray(charges, dtype=np.float64)
-        self._kappa = 1.0 / float(debye_length)
-        self._prefactor = COULOMB_CONSTANT / float(dielectric)
-        self.cutoff = float(cutoff)
+        self._kappa = 1.0 / self.DEBYE_LENGTH
+        self._prefactor = COULOMB_CONSTANT / self.DIELECTRIC
+        self.cutoff = self.CUTOFF
         self._cut2 = self.cutoff**2
-        self.neighbor_list = NeighborList(cutoff, skin=skin,
-                                          exclusions=exclusions)
+        self.neighbor_list = NeighborList(self.CUTOFF, exclusions=exclusions)
 
     def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
         if self.kernel == "reference":

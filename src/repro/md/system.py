@@ -162,17 +162,16 @@ class ParticleSystem:
 
     def initialize_velocities(
         self, temperature: float = ROOM_TEMPERATURE, seed: SeedLike = None,
-        zero_momentum: bool = True,
     ) -> None:
         """Draw Maxwell-Boltzmann velocities at ``temperature`` in place.
 
-        With ``zero_momentum`` the total linear momentum is removed, which
-        prevents the confined pore system drifting through the membrane.
+        The total linear momentum is removed, which prevents the confined
+        pore system drifting through the membrane.
         """
         rng = as_generator(seed)
         sigma = np.sqrt(KB * temperature / self._kinetic_masses)
         self._velocities[:] = rng.standard_normal((self.n, 3)) * sigma[:, None]
-        if zero_momentum and self.n > 1:
+        if self.n > 1:
             p = (self._masses[:, None] * self._velocities).sum(axis=0)
             self._velocities -= p / self._masses.sum()
 

@@ -85,15 +85,14 @@ class Topology:
     def n_angles(self) -> int:
         return self.angles.shape[0]
 
-    def exclusion_pairs(self, through_angles: bool = True) -> set[Tuple[int, int]]:
+    def exclusion_pairs(self) -> set[Tuple[int, int]]:
         """Set of ordered ``(i, j)`` pairs (i < j) excluded from nonbonded
-        interactions: 1-2 (bonded) and optionally 1-3 (angle end points)."""
+        interactions: 1-2 (bonded) and 1-3 (angle end points)."""
         excl: set[Tuple[int, int]] = set()
         for i, j in self.bonds:
             excl.add((min(int(i), int(j)), max(int(i), int(j))))
-        if through_angles:
-            for i, _j, k in self.angles:
-                excl.add((min(int(i), int(k)), max(int(i), int(k))))
+        for i, _j, k in self.angles:
+            excl.add((min(int(i), int(k)), max(int(i), int(k))))
         return excl
 
     def merged_with(self, other: "Topology", offset: int) -> "Topology":

@@ -121,9 +121,6 @@ class ReliableChannel:
         Link characteristics.
     seed:
         RNG for delay/loss sampling.
-    rto_factor:
-        Initial retransmission timeout as a multiple of the one-way latency
-        (classic transport heuristic; grows by the retry policy's factor).
     retry:
         :class:`~repro.resil.RetryPolicy` governing retransmission: attempt
         cap, backoff factor and optional jitter.  The default
@@ -139,14 +136,15 @@ class ReliableChannel:
         ``resil.retry.attempts.net.<name>``.
     """
 
-    def __init__(self, qos: QoSSpec, seed: SeedLike = None, rto_factor: float = 3.0,
+    #: Initial retransmission timeout as a multiple of the one-way latency
+    #: (classic transport heuristic; grows by the retry policy's factor).
+    RTO_FACTOR = 3.0
+
+    def __init__(self, qos: QoSSpec, seed: SeedLike = None,
                  obs: Optional[Obs] = None, name: str = "channel",
                  retry: Optional[RetryPolicy] = None) -> None:
-        if rto_factor <= 0.0:
-            raise ConfigurationError("rto_factor must be positive")
         self.qos = qos
         self.rng = as_generator(seed)
-        self.rto_factor = float(rto_factor)
         self.retry = retry if retry is not None else DEFAULT_CHANNEL_RETRY
         self.stats = ChannelStats()
         self.name = name
@@ -182,7 +180,7 @@ class ReliableChannel:
         the sender notices after the retransmission timeout and resends.
         The message is delivered by the earliest surviving attempt.
         """
-        rto = self.rto_factor * self.qos.latency_ms * 1e-3
+        rto = self.RTO_FACTOR * self.qos.latency_ms * 1e-3
         # Pure serialization floor so zero-latency links still back off.
         rto = max(rto, 1e-4)
         attempt_start = now_s

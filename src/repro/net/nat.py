@@ -91,10 +91,6 @@ class Route:
     qos: QoSSpec
     via_gateway: Optional[str] = None
 
-    @property
-    def relayed(self) -> bool:
-        return self.via_gateway is not None
-
 
 class NetworkFabric:
     """Hosts + inter-site links + gateways, with route resolution.

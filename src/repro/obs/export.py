@@ -48,9 +48,10 @@ def render_json(obj: Any, indent: Optional[int] = 2) -> str:
     return json.dumps(jsonable(obj), indent=indent, sort_keys=False)
 
 
-def write_json(obj: Any, path: str, indent: Optional[int] = 2) -> None:
-    """Serialize ``obj`` (via :func:`jsonable`) to a file, newline-terminated."""
+def write_json(obj: Any, path: str) -> None:
+    """Serialize ``obj`` (via :func:`jsonable`) to a file, two-space
+    indented and newline-terminated."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_json(obj, indent=indent))
+        fh.write(render_json(obj, indent=2))
         fh.write("\n")
 

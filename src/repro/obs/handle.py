@@ -29,20 +29,15 @@ class Obs:
 
     Parameters
     ----------
-    metrics / tracer:
-        Pre-built components to share (e.g. one registry across several
-        campaign phases); fresh ones are created when omitted.
     clock:
-        Default clock for a freshly created tracer.
+        Default clock for the tracer.
     """
 
     enabled: bool = True
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
-                 clock: Optional[Clock] = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(clock)
+    def __init__(self, clock: Optional[Clock] = None) -> None:
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(clock)
 
     # Thin conveniences so call sites read as one line.
 
@@ -128,7 +123,8 @@ class _NullObs(Obs):
     enabled: bool = False
 
     def __init__(self) -> None:
-        super().__init__(metrics=_NullRegistry(), tracer=_NullTracer())
+        self.metrics = _NullRegistry()
+        self.tracer = _NullTracer()
 
 
 #: Shared no-op handle used whenever a component gets ``obs=None``.

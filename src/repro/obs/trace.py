@@ -96,10 +96,6 @@ class SpanRecord:
     def duration(self) -> float:
         return self.end - self.start
 
-    @property
-    def depth(self) -> int:
-        return len(self.path) - 1
-
     def as_dict(self) -> dict:
         """JSON-ready view with ``path`` flattened to ``a/b/c``."""
         return {
@@ -120,10 +116,6 @@ class Tracer:
         self.clock: Clock = clock if clock is not None else PerfClock()
         self.records: List[SpanRecord] = []
         self._stack: List[str] = []
-
-    @property
-    def active_path(self) -> Tuple[str, ...]:
-        return tuple(self._stack)
 
     @contextmanager
     def span(self, name: str, *, clock: Optional[Clock] = None,

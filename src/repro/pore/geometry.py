@@ -108,15 +108,6 @@ class PoreGeometry:
         # R = base - (base - Rc) g  =>  R' = base'(1 - g) - (base - Rc) g'.
         return dbase * (1.0 - g) - (base - self.constriction_radius) * dg
 
-    def wall_radius(self, z: np.ndarray | float, phi: np.ndarray | float) -> np.ndarray:
-        """Radius including the sevenfold angular modulation (paper Fig. 1b)."""
-        r = self.radius(z)
-        return r + self.sevenfold_amplitude * np.cos(7.0 * np.asarray(phi, dtype=np.float64))
-
-    def contains(self, z: float) -> bool:
-        """Whether an axial station lies inside the pore extent."""
-        return self.z_bottom <= z <= self.z_top
-
     def min_radius(self) -> float:
         """Narrowest radius over the pore length (sampled)."""
         zz = np.linspace(self.z_bottom, self.z_top, 2001)

@@ -19,13 +19,13 @@ profile sections.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..md.kernels import Energy
 from .geometry import DEFAULT_GEOMETRY, PoreGeometry
-from .landscape import AxialLandscape, default_hemolysin_landscape
+from .landscape import default_hemolysin_landscape
 
 __all__ = ["HemolysinPore"]
 
@@ -55,18 +55,14 @@ class HemolysinPore:
         Pore radius profile (default: crystal-structure-like dimensions).
         Its ``sevenfold_amplitude`` sets the cos(7 phi) heptamer wall
         modulation; ``0.0`` turns it off.
-    landscape:
-        Axial per-bead landscape; default is
-        :func:`~repro.pore.landscape.default_hemolysin_landscape`.
+
+    The axial per-bead landscape is
+    :func:`~repro.pore.landscape.default_hemolysin_landscape`.
     """
 
-    def __init__(
-        self,
-        geometry: PoreGeometry = DEFAULT_GEOMETRY,
-        landscape: Optional[AxialLandscape] = None,
-    ) -> None:
+    def __init__(self, geometry: PoreGeometry = DEFAULT_GEOMETRY) -> None:
         self.geometry = geometry
-        self.landscape = landscape if landscape is not None else default_hemolysin_landscape()
+        self.landscape = default_hemolysin_landscape()
 
     # -- envelopes -------------------------------------------------------------
 

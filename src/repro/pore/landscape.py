@@ -118,16 +118,6 @@ class AxialLandscape:
         """Axial force ``-dU/dz``."""
         return -self.derivative(z)
 
-    def shifted(self, dz: float) -> "AxialLandscape":
-        """New landscape translated by ``dz`` along the axis."""
-        terms = list(zip(self._amp, self._center + dz, self._width))
-        return AxialLandscape(terms, tilt=self.tilt)
-
-    def scaled(self, factor: float) -> "AxialLandscape":
-        """New landscape with all amplitudes (and tilt) scaled."""
-        terms = list(zip(self._amp * factor, self._center, self._width))
-        return AxialLandscape(terms, tilt=self.tilt * factor)
-
     def fingerprint_data(self) -> dict:
         """Canonical parameter description for result-store fingerprints
         (see :mod:`repro.store.fingerprint`): every number that enters
@@ -140,7 +130,7 @@ class AxialLandscape:
         }
 
 
-def default_hemolysin_landscape(tilt: float = 0.0) -> AxialLandscape:
+def default_hemolysin_landscape() -> AxialLandscape:
     """Per-bead axial landscape for the default hemolysin geometry.
 
     Stations match :class:`repro.pore.geometry.PoreGeometry` defaults:
@@ -156,5 +146,4 @@ def default_hemolysin_landscape(tilt: float = 0.0) -> AxialLandscape:
             (2.5, 0.0, 4.0),     # constriction barrier
             (-2.0, -18.0, 8.0),  # barrel binding
         ],
-        tilt=tilt,
     )

@@ -21,8 +21,8 @@ __all__ = ["MembraneSlab"]
 
 
 class MembraneSlab:
-    """Half-harmonic slab between ``z_center - half_thickness`` and
-    ``z_center + half_thickness``, with a circular hole of radius
+    """Half-harmonic slab between ``z_center - HALF_THICKNESS`` and
+    ``z_center + HALF_THICKNESS``, with a circular hole of radius
     ``pore_radius`` around the z axis.
 
     Parameters
@@ -30,32 +30,24 @@ class MembraneSlab:
     z_center:
         Mid-plane of the bilayer in A (default matches the barrel region of
         the default pore geometry).
-    half_thickness:
-        Half the bilayer thickness in A (~15-20 for a lipid bilayer).
     pore_radius:
         Radius of the exempt cylindrical hole (should exceed the pore's
         outer wall so the wall term, not the membrane, governs the lumen).
-    stiffness:
-        Repulsion constant in kcal/mol/A^2.
-    edge_width:
-        Smoothing width (A) of the radial hole envelope.
     """
 
-    def __init__(
-        self,
-        z_center: float = -30.0,
-        half_thickness: float = 15.0,
-        pore_radius: float = 13.0,
-        stiffness: float = 5.0,
-        edge_width: float = 2.0,
-    ) -> None:
-        if half_thickness <= 0 or pore_radius <= 0 or stiffness <= 0 or edge_width <= 0:
+    #: Half the bilayer thickness in A (~15-20 for a lipid bilayer).
+    HALF_THICKNESS = 15.0
+    #: Repulsion constant in kcal/mol/A^2.
+    STIFFNESS = 5.0
+    #: Smoothing width (A) of the radial hole envelope.
+    EDGE_WIDTH = 2.0
+
+    def __init__(self, z_center: float = -30.0,
+                 pore_radius: float = 13.0) -> None:
+        if pore_radius <= 0:
             raise ConfigurationError("membrane parameters must be positive")
         self.z_center = float(z_center)
-        self.half_thickness = float(half_thickness)
         self.pore_radius = float(pore_radius)
-        self.stiffness = float(stiffness)
-        self.edge_width = float(edge_width)
 
     def energy_and_forces(self, positions: np.ndarray) -> Tuple[Energy, np.ndarray]:
         """Slab energy and per-particle forces for ``(n, 3)`` positions, or
@@ -65,7 +57,7 @@ class MembraneSlab:
         r = np.sqrt(x**2 + y**2)
         dz = z - self.z_center
         # Penetration depth into the slab (positive inside).
-        pen = self.half_thickness - np.abs(dz)
+        pen = self.HALF_THICKNESS - np.abs(dz)
         inside = pen > 0.0
 
         forces = np.zeros_like(pos)
@@ -74,12 +66,12 @@ class MembraneSlab:
             return no_energy(pos), forces
 
         # Radial envelope: 0 in the hole, 1 in the bulk membrane.
-        xarg = (r - self.pore_radius) / self.edge_width
+        xarg = (r - self.pore_radius) / self.EDGE_WIDTH
         env = 1.0 / (1.0 + np.exp(-np.clip(xarg, -40.0, 40.0)))
-        denv_dr = env * (1.0 - env) / self.edge_width
+        denv_dr = env * (1.0 - env) / self.EDGE_WIDTH
 
         p = np.where(inside, pen, 0.0)
-        k = self.stiffness
+        k = self.STIFFNESS
         energy = 0.5 * k * np.sum(env * p**2, axis=-1)
 
         # dU/dz = k env p * d(pen)/dz = -k env p sign(dz) -> force +k env p sign(dz)

@@ -121,7 +121,13 @@ class ReducedTranslocationModel:
         """``kB T / zeta`` in A^2/ns."""
         return self.kT / self.friction
 
-    def stable_timestep(self, kappa: float, safety: float = 0.1) -> float:
+    #: Fraction of the stiffest relaxation time ``zeta/kappa`` one
+    #: timestep spans.
+    TIMESTEP_SAFETY = 0.1
+    #: Finite-difference nodes :meth:`max_curvature` samples.
+    CURVATURE_NODES = 512
+
+    def stable_timestep(self, kappa: float) -> float:
         """A timestep resolving the stiffest relaxation time ``zeta/kappa``.
 
         ``kappa`` is the total curvature scale (spring + potential), in
@@ -129,9 +135,9 @@ class ReducedTranslocationModel:
         """
         if kappa <= 0.0:
             raise ConfigurationError("kappa must be positive")
-        return safety * self.friction / kappa
+        return self.TIMESTEP_SAFETY * self.friction / kappa
 
-    def max_curvature(self, z_lo: float, z_hi: float, n: int = 512) -> float:
+    def max_curvature(self, z_lo: float, z_hi: float) -> float:
         """Largest ``|U''(z)|`` over a range (finite differences).
 
         Used to include landscape stiffness, not just the trap spring, in
@@ -140,7 +146,7 @@ class ReducedTranslocationModel:
         """
         if z_hi <= z_lo:
             raise ConfigurationError("need z_hi > z_lo")
-        z = np.linspace(z_lo, z_hi, n)
+        z = np.linspace(z_lo, z_hi, self.CURVATURE_NODES)
         du = np.asarray(self.potential.derivative(z), dtype=np.float64)
         return float(np.max(np.abs(np.gradient(du, z))))
 
@@ -172,30 +178,20 @@ class ReducedTranslocationModel:
         self,
         z: np.ndarray,
         dt: float,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
         spring_kappa: float = 0.0,
         spring_center: float | np.ndarray = 0.0,
-        *,
-        noise: np.ndarray | None = None,
     ) -> np.ndarray:
         """One Euler-Maruyama step for all replicas, in place.
 
         ``z`` is the ``(m,)`` replica coordinate array; the optional
-        harmonic spring models the SMD pulling trap.  ``noise`` supplies
-        pre-drawn standard normals instead of drawing from ``rng`` — the
-        replica-batched runner uses this to stack several independently
-        seeded groups into one step while each group keeps consuming its
-        own ``stream_for``-derived stream (bit-identity with per-group
-        stepping).
+        harmonic spring models the SMD pulling trap.
         """
         force = -np.asarray(self.potential.derivative(z), dtype=np.float64)
         if spring_kappa != 0.0:
             force = force + spring_kappa * (np.asarray(spring_center) - z)
         z += force * (dt / self.friction)
-        if noise is None:
-            if rng is None:
-                raise ConfigurationError("step_ensemble needs rng or noise")
-            noise = rng.standard_normal(z.shape)
+        noise = rng.standard_normal(z.shape)
         z += np.sqrt(2.0 * self.kT * dt / self.friction) * noise
         return z
 

@@ -11,7 +11,7 @@ generic :class:`TabulatedPotential1D` used to wrap any sampled profile.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -94,28 +94,28 @@ class TabulatedPotential1D:
         }
 
 
-def full_axis_chain_potential(
-    pore: Optional[HemolysinPore] = None,
-    chain_scale: float = 8.0,
-    tilt: float = -10.0,
-    margin: float = 15.0,
-    n: int = 4001,
-) -> TabulatedPotential1D:
+#: Beads simultaneously engaged with the pore interior.
+CHAIN_SCALE = 8.0
+#: Driving tilt (kcal/mol/A): the bias that makes translocation downhill.
+CHAIN_TILT = -10.0
+#: Table extent beyond each pore mouth (A), and the table's node count.
+CHAIN_MARGIN = 15.0
+CHAIN_NODES = 4001
+
+
+def full_axis_chain_potential() -> TabulatedPotential1D:
     """Effective chain potential along the entire pore axis.
 
-    Built as ``chain_scale`` times the pore's on-axis per-bead potential
-    (the number of beads simultaneously engaged with the pore interior)
-    plus the driving tilt — the full-axis analogue of
-    :func:`~repro.pore.reduced.default_reduced_potential`, derived from the
-    3-D substrate's own landscape.
+    Built as :data:`CHAIN_SCALE` times the pore's on-axis per-bead
+    potential plus the driving tilt :data:`CHAIN_TILT` — the full-axis
+    analogue of :func:`~repro.pore.reduced.default_reduced_potential`,
+    derived from the 3-D substrate's own landscape.
     """
-    if chain_scale <= 0:
-        raise ConfigurationError("chain_scale must be positive")
-    p = pore if pore is not None else HemolysinPore()
+    p = HemolysinPore()
     g = p.geometry
-    lo, hi = g.z_bottom - margin, g.z_top + margin
+    lo, hi = g.z_bottom - CHAIN_MARGIN, g.z_top + CHAIN_MARGIN
 
     def fn(z: np.ndarray) -> np.ndarray:
-        return chain_scale * p.axial_potential(z) + tilt * z
+        return CHAIN_SCALE * p.axial_potential(z) + CHAIN_TILT * z
 
-    return TabulatedPotential1D.from_callable(fn, lo, hi, n)
+    return TabulatedPotential1D.from_callable(fn, lo, hi, CHAIN_NODES)

@@ -64,15 +64,9 @@ def tilt_from_voltage(
     return -force_per_charge * charges_engaged
 
 
-def voltage_from_tilt(
-    tilt: float,
-    membrane_thickness: float = 40.0,
-    charge_per_length: float = 1.0 / 6.5,
-    effective_charge_fraction: float = 0.4,
-) -> float:
-    """Inverse of :func:`tilt_from_voltage` (returns millivolts)."""
+def voltage_from_tilt(tilt: float) -> float:
+    """Inverse of :func:`tilt_from_voltage` at its default membrane and
+    screening (returns millivolts)."""
     if tilt == 0.0:
         return 0.0
-    ref = tilt_from_voltage(1.0, membrane_thickness, charge_per_length,
-                            effective_charge_fraction)
-    return tilt / ref
+    return tilt / tilt_from_voltage(1.0)

@@ -3,7 +3,7 @@
 Four pieces, threaded through grid, net and workflow:
 
 * :class:`RetryPolicy` / :func:`retry_call` — bounded exponential backoff
-  with optional seeded jitter and per-operation budgets, shared by the
+  with optional seeded jitter, shared by the
   reliable channel, job placement and the middleware control plane;
 * :class:`HeartbeatFailureDetector` — deterministic, event-loop-driven
   suspect/confirm failure detection that replaces the campaign manager's
@@ -27,7 +27,6 @@ from .policy import (
     DEFAULT_CHANNEL_RETRY,
     DEFAULT_MIDDLEWARE_RETRY,
     DEFAULT_PLACEMENT_RETRY,
-    RetryBudget,
     RetryOutcome,
     RetryPolicy,
     retry_call,
@@ -36,7 +35,6 @@ from .policy import (
 __all__ = [
     "RetryPolicy",
     "RetryOutcome",
-    "RetryBudget",
     "retry_call",
     "DEFAULT_CHANNEL_RETRY",
     "DEFAULT_MIDDLEWARE_RETRY",

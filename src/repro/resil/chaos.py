@@ -382,7 +382,7 @@ def run_chaos_scenario(scenario: ChaosScenario, seed: int = 2005,
     loop = EventLoop()
     federation = _build_federation(loop, obs)
     resil = Resilience.for_federation(
-        federation, seed=seed, obs=obs,
+        federation, obs=obs,
         # Trip after two failures: sized to the campaign's hourly requeue
         # cadence so a killed-twice site visibly opens during the run.
         failure_threshold=2, reset_timeout_hours=6.0,

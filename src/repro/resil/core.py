@@ -2,28 +2,25 @@
 
 :class:`Resilience` groups the three fault-tolerance mechanisms —
 heartbeat failure detector, per-site circuit breakers, placement retry
-policy/budget — plus any scheduled :class:`GridPartition` windows, behind
+policy — plus any scheduled :class:`GridPartition` windows, behind
 the single ``resil=`` handle :class:`~repro.grid.CampaignManager` accepts.
 With no handle the manager keeps its historical oracle behaviour
-(reading ``queue.down`` directly); with a default bundle and no injected
-faults the campaign is bit-identical to the oracle run, because every
-mechanism is event-loop-deterministic and the default retry policy draws
-no random numbers.  Jittered policies draw from a *dedicated* stream
-(``stream_for(seed, "resil", "retry")``) so they never perturb the
-physics or network streams.
+(reading ``queue.down`` directly); with a bundle and no injected faults
+the campaign is bit-identical to the oracle run, because every mechanism
+is event-loop-deterministic and the placement retry policy draws no
+random numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..errors import ConfigurationError
-from ..obs import Obs, as_obs
-from ..rng import stream_for
+from ..obs import Obs
 from .breaker import BreakerBoard
 from .detector import HeartbeatFailureDetector
-from .policy import DEFAULT_PLACEMENT_RETRY, RetryBudget, RetryPolicy
+from .policy import DEFAULT_PLACEMENT_RETRY
 
 __all__ = ["GridPartition", "Resilience"]
 
@@ -57,65 +54,39 @@ class Resilience:
     Parameters
     ----------
     detector / breakers:
-        Optional :class:`~repro.resil.HeartbeatFailureDetector` and
-        :class:`~repro.resil.BreakerBoard`; either may be ``None`` to run
-        with a subset of the mechanisms.
-    placement_retry:
-        :class:`RetryPolicy` for job placement (hours).  Exhaustion turns
-        a job into a typed unplaced outcome instead of retrying forever.
-    placement_budget:
-        Optional total cap on placement retries across the whole campaign.
-    partitions:
-        Scheduled :class:`GridPartition` windows (normally injected by the
-        chaos harness).
-    seed:
-        Base seed for the dedicated retry-jitter stream.
+        The :class:`~repro.resil.HeartbeatFailureDetector` and
+        :class:`~repro.resil.BreakerBoard` (build both with
+        :meth:`for_federation`).
+
+    Job placement retries under :data:`~repro.resil.DEFAULT_PLACEMENT_RETRY`
+    (hours); exhaustion turns a job into a typed unplaced outcome instead
+    of retrying forever.  :attr:`partitions` holds the scheduled
+    :class:`GridPartition` windows the chaos harness injects.
     """
 
-    def __init__(self, *, detector: Optional[HeartbeatFailureDetector] = None,
-                 breakers: Optional[BreakerBoard] = None,
-                 placement_retry: Optional[RetryPolicy] = None,
-                 placement_budget: Optional[RetryBudget] = None,
-                 partitions: Sequence[GridPartition] = (),
-                 seed: int = 2005, obs: Optional[Obs] = None) -> None:
+    def __init__(self, detector: HeartbeatFailureDetector,
+                 breakers: BreakerBoard) -> None:
         self.detector = detector
         self.breakers = breakers
-        self.placement_retry = (placement_retry if placement_retry is not None
-                                else DEFAULT_PLACEMENT_RETRY)
-        self.placement_budget = placement_budget
-        self.partitions: List[GridPartition] = list(partitions)
-        self.obs = as_obs(obs)
-        #: Dedicated jitter stream — only drawn when a policy has jitter > 0,
-        #: so default configurations stay bit-identical to the oracle run.
-        self.retry_rng = stream_for(int(seed), "resil", "retry")
+        self.placement_retry = DEFAULT_PLACEMENT_RETRY
+        self.partitions: List[GridPartition] = []
 
     @classmethod
-    def for_federation(cls, federation, *, seed: int = 2005,
-                       obs: Optional[Obs] = None,
-                       heartbeat_hours: float = 0.5,
-                       suspect_after: int = 2, confirm_after: int = 4,
+    def for_federation(cls, federation, *, obs: Optional[Obs] = None,
                        failure_threshold: int = 3,
                        reset_timeout_hours: float = 6.0,
-                       placement_retry: Optional[RetryPolicy] = None,
-                       placement_budget: Optional[RetryBudget] = None,
                        ) -> "Resilience":
         """Default bundle wired to a federation: detector watching every
         queue, a breaker board on the shared loop clock."""
         loop = federation.loop
-        detector = HeartbeatFailureDetector(
-            loop, interval_hours=heartbeat_hours,
-            suspect_after=suspect_after, confirm_after=confirm_after,
-            obs=obs,
-        )
+        detector = HeartbeatFailureDetector(loop, obs=obs)
         breakers = BreakerBoard(
             clock=lambda: loop.now,
             failure_threshold=failure_threshold,
             reset_timeout_hours=reset_timeout_hours,
             obs=obs,
         )
-        resil = cls(detector=detector, breakers=breakers,
-                    placement_retry=placement_retry,
-                    placement_budget=placement_budget, seed=seed, obs=obs)
+        resil = cls(detector, breakers)
         resil.bind(federation)
         return resil
 
@@ -123,8 +94,6 @@ class Resilience:
 
     def bind(self, federation) -> None:
         """Ensure the detector watches every federation queue (idempotent)."""
-        if self.detector is None:
-            return
         for queue in federation.all_queues().values():
             self.detector.watch(queue)
 
@@ -138,19 +107,16 @@ class Resilience:
     def queue_down(self, queue) -> bool:
         """Observed (not oracle) view of a queue's liveness: the detector's
         confirmed-dead verdict when it watches the site, else the raw flag."""
-        if self.detector is not None and self.detector.watching(
-                queue.resource.name):
+        if self.detector.watching(queue.resource.name):
             return not self.detector.is_alive(queue.resource.name)
         return queue.down
 
     def suspected(self, queue) -> bool:
         """Whether the detector marks the queue's site SUSPECT (``False``
-        when no detector is configured or the site is unwatched)."""
-        return (self.detector is not None
-                and self.detector.watching(queue.resource.name)
+        when the site is unwatched)."""
+        return (self.detector.watching(queue.resource.name)
                 and self.detector.suspected(queue.resource.name))
 
     def breaker_allows(self, site: str) -> bool:
-        """Whether the breaker board admits placements to ``site``
-        (``True`` when no board is configured)."""
-        return self.breakers.allows(site) if self.breakers is not None else True
+        """Whether the breaker board admits placements to ``site``."""
+        return self.breakers.allows(site)

@@ -8,7 +8,7 @@ every watched batch queue emits a heartbeat each interval while its site
 is up (the site knows its own state; the *detector* only ever sees beat
 timestamps), and the detector classifies each site from missed beats:
 
-    ALIVE --(suspect_after missed)--> SUSPECT --(confirm_after)--> DEAD
+    ALIVE --(SUSPECT_AFTER missed)--> SUSPECT --(CONFIRM_AFTER)--> DEAD
 
 Recovery is symmetric — the first beat after an outage flips the site
 back to ALIVE and records the time-to-recovery.  Everything runs as
@@ -45,11 +45,6 @@ class HeartbeatFailureDetector:
     ----------
     loop:
         The shared grid event loop (time unit: hours).
-    interval_hours:
-        Heartbeat period; also the detector's check cadence.
-    suspect_after / confirm_after:
-        Consecutive missed beats before a site is suspected / confirmed
-        dead.  ``suspect_after < confirm_after``.
     obs:
         Optional instrumentation: every transition bumps
         ``resil.detector.transitions.<site>``, emits a
@@ -58,18 +53,14 @@ class HeartbeatFailureDetector:
         dead back to alive).
     """
 
-    def __init__(self, loop, interval_hours: float = 0.5,
-                 suspect_after: int = 2, confirm_after: int = 4,
-                 obs: Optional[Obs] = None) -> None:
-        if interval_hours <= 0:
-            raise ConfigurationError("heartbeat interval must be positive")
-        if suspect_after < 1 or confirm_after <= suspect_after:
-            raise ConfigurationError(
-                "need 1 <= suspect_after < confirm_after")
+    #: Heartbeat period (hours); also the detector's check cadence.
+    INTERVAL_HOURS = 0.5
+    #: Consecutive missed beats before a site is suspected / confirmed dead.
+    SUSPECT_AFTER = 2
+    CONFIRM_AFTER = 4
+
+    def __init__(self, loop, obs: Optional[Obs] = None) -> None:
         self.loop = loop
-        self.interval_hours = float(interval_hours)
-        self.suspect_after = int(suspect_after)
-        self.confirm_after = int(confirm_after)
         self._obs = as_obs(obs)
         self._queues: Dict[str, object] = {}
         self._health: Dict[str, SiteHealth] = {}
@@ -93,7 +84,7 @@ class HeartbeatFailureDetector:
 
     def _schedule_tick(self, site: str) -> None:
         self._pending_ticks += 1
-        self.loop.schedule(self.interval_hours, lambda: self._tick(site))
+        self.loop.schedule(self.INTERVAL_HOURS, lambda: self._tick(site))
 
     def watching(self, site: str) -> bool:
         """Whether ``site`` has been registered via :meth:`watch`."""
@@ -132,11 +123,11 @@ class HeartbeatFailureDetector:
         # cannot.  The detector only ever reads the beat timestamp below.
         if not queue.down:
             self._last_beat[site] = now
-        missed = int((now - self._last_beat[site]) / self.interval_hours
+        missed = int((now - self._last_beat[site]) / self.INTERVAL_HOURS
                      + 1e-9)
-        if missed >= self.confirm_after:
+        if missed >= self.CONFIRM_AFTER:
             new = SiteHealth.DEAD
-        elif missed >= self.suspect_after:
+        elif missed >= self.SUSPECT_AFTER:
             new = SiteHealth.SUSPECT
         else:
             new = SiteHealth.ALIVE

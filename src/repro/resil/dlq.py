@@ -212,12 +212,11 @@ class DeadLetterQueue:
 
     # -- requeue ---------------------------------------------------------------
 
-    def requeue(self, *, fingerprints: Optional[Iterable[str]] = None,
-                task_keys: Optional[Iterable[Sequence[Any]]] = None
+    def requeue(self, *, fingerprints: Optional[Iterable[str]] = None
                 ) -> List[Dict[str, Any]]:
         """Mark matching active entries requeued; returns those flipped.
 
-        With neither selector, every active entry is requeued.  Entries
+        Without ``fingerprints``, every active entry is requeued.  Entries
         already requeued (or matching nothing) are skipped, so calling
         this twice — an operator retrying a retry, the service endpoint
         being replayed — is a no-op the second time: redelivery accounting
@@ -225,11 +224,8 @@ class DeadLetterQueue:
         The rewrite is atomic and durable before this returns.
         """
         wanted: Optional[set] = None
-        if fingerprints is not None or task_keys is not None:
-            wanted = {str(f) for f in (fingerprints or ())}
-            wanted.update(
-                json.dumps(_task_key_list(k), sort_keys=True)
-                for k in (task_keys or ()))
+        if fingerprints is not None:
+            wanted = {str(f) for f in fingerprints}
         flipped: List[Dict[str, Any]] = []
         for entry in self._entries:
             if entry.get("requeued"):

@@ -13,8 +13,6 @@ hardcoded loops.
 invokes a callable with the attempt's timestamp, advances time by the
 policy's backoff between failures, and either returns a typed
 :class:`RetryOutcome` or raises :class:`~repro.errors.RetryExhausted`.
-A :class:`RetryBudget` caps total retries across many calls — the
-per-operation budget that stops a sick campaign from retrying forever.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from ..errors import ConfigurationError, ReproError, RetryExhausted
 __all__ = [
     "RetryPolicy",
     "RetryOutcome",
-    "RetryBudget",
     "retry_call",
     "DEFAULT_CHANNEL_RETRY",
     "DEFAULT_PLACEMENT_RETRY",
@@ -114,41 +111,13 @@ class RetryOutcome(Generic[T]):
     elapsed: float
 
 
-class RetryBudget:
-    """A shared cap on retries across many calls (per-operation budget).
-
-    Each *extra* attempt (beyond a call's first) consumes one unit.  When
-    the budget runs dry, retried operations fail fast with
-    :class:`~repro.errors.RetryExhausted` instead of backing off again.
-    """
-
-    def __init__(self, limit: int) -> None:
-        if limit <= 0:
-            raise ConfigurationError("retry budget must be positive")
-        self.limit = int(limit)
-        self.used = 0
-
-    @property
-    def remaining(self) -> int:
-        return max(self.limit - self.used, 0)
-
-    def try_consume(self, amount: int = 1) -> bool:
-        """Consume ``amount`` units if available; False when dry."""
-        if self.used + amount > self.limit:
-            return False
-        self.used += amount
-        return True
-
-
 def retry_call(
     policy: RetryPolicy,
     fn: Callable[[float], T],
     *,
     operation: str,
     now: float = 0.0,
-    rng=None,
     obs=None,
-    budget: Optional[RetryBudget] = None,
     retry_on: tuple = (ReproError,),
 ) -> RetryOutcome[T]:
     """Drive ``fn`` under ``policy`` in logical time.
@@ -167,21 +136,16 @@ def retry_call(
         try:
             value = fn(t)
         except retry_on as exc:
-            out_of_budget = (
-                budget is not None and not budget.try_consume()
-            )
-            if policy.exhausted(attempts) or out_of_budget:
+            if policy.exhausted(attempts):
                 if obs is not None and obs.enabled:
                     obs.metrics.observe(
                         f"resil.retry.attempts.{operation}", attempts)
                     obs.metrics.inc(f"resil.retry.exhausted.{operation}")
-                why = "retry budget exhausted" if out_of_budget else (
-                    f"gave up after {attempts} attempts")
                 raise RetryExhausted(
-                    f"{operation}: {why}: {exc}",
+                    f"{operation}: gave up after {attempts} attempts: {exc}",
                     operation=operation, attempts=attempts, last_error=exc,
                 ) from exc
-            t += policy.backoff(attempts, rng=rng)
+            t += policy.backoff(attempts)
             continue
         if obs is not None and obs.enabled:
             obs.metrics.observe(f"resil.retry.attempts.{operation}", attempts)

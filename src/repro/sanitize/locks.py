@@ -100,13 +100,12 @@ class Sanitizer:
     pytest session teardown or CLI exit).
     """
 
-    def __init__(self, *, long_hold_s: Optional[float] = None,
-                 obs: Optional[Obs] = None) -> None:
+    def __init__(self, *, long_hold_s: Optional[float] = None) -> None:
         if long_hold_s is None:
             env = os.environ.get("REPRO_SANITIZE_LONG_HOLD_S", "")
             long_hold_s = float(env) if env else _DEFAULT_LONG_HOLD_S
         self.long_hold_s = float(long_hold_s)
-        self.obs = obs if obs is not None else Obs()
+        self.obs = Obs()
         self._internal = threading.Lock()  # plain on purpose; see module doc
         self._tls = threading.local()
         self._edges: Dict[Tuple[str, str], _EdgeWitness] = {}
@@ -123,10 +122,6 @@ class Sanitizer:
             stack = []
             self._tls.stack = stack
         return stack
-
-    def held_labels(self) -> List[str]:
-        """Labels the calling thread currently holds, outermost first."""
-        return [h.label for h in self._stack()]
 
     # -- events ----------------------------------------------------------------
 
@@ -335,9 +330,7 @@ def current() -> Optional[Sanitizer]:
         return _ACTIVE
 
 
-def install(sanitizer: Optional[Sanitizer] = None, *,
-            long_hold_s: Optional[float] = None,
-            obs: Optional[Obs] = None) -> Sanitizer:
+def install(sanitizer: Optional[Sanitizer] = None) -> Sanitizer:
     """Install (and return) the process-wide sanitizer.
 
     Locks built by the factories *after* this call are instrumented;
@@ -347,7 +340,7 @@ def install(sanitizer: Optional[Sanitizer] = None, *,
     global _ACTIVE
     with _STATE:
         if sanitizer is None:
-            sanitizer = Sanitizer(long_hold_s=long_hold_s, obs=obs)
+            sanitizer = Sanitizer()
         _ACTIVE = sanitizer
         return sanitizer
 
@@ -362,8 +355,7 @@ def uninstall() -> Optional[Sanitizer]:
 
 
 @contextmanager
-def activated(*, long_hold_s: Optional[float] = None,
-              obs: Optional[Obs] = None) -> Iterator[Sanitizer]:
+def activated(*, long_hold_s: Optional[float] = None) -> Iterator[Sanitizer]:
     """Scoped install/restore, for tests::
 
         with sanitize.activated() as san:
@@ -373,7 +365,7 @@ def activated(*, long_hold_s: Optional[float] = None,
     global _ACTIVE
     with _STATE:
         previous = _ACTIVE
-        sanitizer = Sanitizer(long_hold_s=long_hold_s, obs=obs)
+        sanitizer = Sanitizer(long_hold_s=long_hold_s)
         _ACTIVE = sanitizer
     try:
         yield sanitizer
@@ -409,14 +401,12 @@ def make_rlock(name: str) -> Any:
     return SanitizedLock(_instance_label(name), sanitizer, reentrant=True)
 
 
-def make_condition(name: str, lock: Optional[Any] = None) -> Any:
+def make_condition(name: str) -> Any:
     """A condition variable over a (sanitized when active) re-entrant
     lock.  Waiting releases every recursion level and the sanitizer's
     held-stack follows it through the release/reacquire cycle."""
     sanitizer = current()
     if sanitizer is None:
-        return threading.Condition(lock)
-    if lock is None:
-        lock = SanitizedLock(_instance_label(name), sanitizer,
-                             reentrant=True)
-    return threading.Condition(lock)
+        return threading.Condition()
+    return threading.Condition(
+        SanitizedLock(_instance_label(name), sanitizer, reentrant=True))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import (
     AccessDeniedError,
@@ -132,10 +132,6 @@ class AuthRegistry:
         if principal is None:
             raise AuthenticationError("unknown token")
         return principal
-
-    def principals(self) -> Iterable[Principal]:
-        """All registered principals (introspection/tests)."""
-        return list(self._tokens.values())
 
     # -- construction ----------------------------------------------------------
 

@@ -55,7 +55,6 @@ def run_bidirectional_ensemble(
     n_records: int = 41,
     seed: SeedLike = None,
     obs: Optional[Obs] = None,
-    store=None,
 ) -> BidirectionalEnsemble:
     """Run the matched forward and reverse pulls of one window.
 
@@ -71,9 +70,6 @@ def run_bidirectional_ensemble(
     seed:
         Base seed; the two legs draw the disjoint streams
         ``stream_for(seed, "smd.bidir", "fwd" | "rev")``.
-    store:
-        Optional result store; each leg is one task, memoized under its
-        own direction-distinguished fingerprint.
     obs / n_records:
         As in :func:`~repro.smd.ensemble.run_pulling_ensemble`; both legs
         run at the engine's own timestep and force-sampling stride.
@@ -89,5 +85,5 @@ def run_bidirectional_ensemble(
                   velocity=protocol.velocity, n_samples=n_samples):
         legs = run_cells(
             model, [(protocol, fwd), (protocol.reversed(), rev)], None,
-            n_samples, seed=seed, store=store, n_records=n_records, obs=obs)
+            n_samples, seed=seed, n_records=n_records, obs=obs)
     return BidirectionalEnsemble(forward=legs[fwd], reverse=legs[rev])

@@ -43,13 +43,15 @@ from .work import WorkEnsemble
 
 __all__ = ["run_pulling_ensemble_3d"]
 
+#: Unit pull direction: down the pore axis (cis to trans).
+PULL_AXIS = np.array([0.0, 0.0, -1.0])
+
 
 def run_pulling_ensemble_3d(
     protocol: PullingProtocol,
     n_samples: int,
     n_bases: int = 8,
     n_records: int = 21,
-    axis=(0.0, 0.0, -1.0),
     start_com_z: float = 20.0,
     seed: SeedLike = None,
     obs: Optional[Obs] = None,
@@ -58,7 +60,7 @@ def run_pulling_ensemble_3d(
     """Run ``n_samples`` independent 3-D pulls of the CG system.
 
     The protocol's ``start_z`` is interpreted in the *pull coordinate*
-    (``axis . COM``); each replica is built with its DNA COM near
+    (``PULL_AXIS . COM``); each replica is built with its DNA COM near
     ``start_com_z`` on the pore axis, equilibrated briefly, then pulled.
 
     Records are aligned on the trap-displacement grid like the reduced
@@ -81,8 +83,6 @@ def run_pulling_ensemble_3d(
     validate_kernel(kernel)
     obs = as_obs(obs)
     master = int(as_generator(seed).integers(0, 2**31))
-    a = np.asarray(axis, dtype=np.float64)
-    a = a / np.linalg.norm(a)
     pull = _pull_reference if kernel == "reference" else _pull_stacked
 
     works = np.zeros((n_samples, n_records), dtype=np.float64)
@@ -99,7 +99,7 @@ def run_pulling_ensemble_3d(
             )
             for rep in range(n_samples)
         ]
-        for rep, series in enumerate(pull(builds, protocol, a)):
+        for rep, series in enumerate(pull(builds, protocol, PULL_AXIS)):
             # Interpolate the recorded series onto the common displacement
             # grid.
             disp = series["displacements"]

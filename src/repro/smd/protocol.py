@@ -144,7 +144,6 @@ def parameter_grid(
     velocities: Sequence[float] = PAPER_VELOCITIES,
     distance: float = 10.0,
     start_z: float = 0.0,
-    equilibration_ns: float = 0.05,
 ) -> list[PullingProtocol]:
     """The full (kappa, v) protocol grid of the paper's Fig. 4 (12 cells)."""
     if not kappas or not velocities:
@@ -155,7 +154,6 @@ def parameter_grid(
             velocity=v,
             distance=distance,
             start_z=start_z,
-            equilibration_ns=equilibration_ns,
         )
         for k in kappas
         for v in velocities

@@ -55,10 +55,6 @@ class SteeringClient:
     ----------
     connection:
         Binding to the simulation's steering service.
-    branch:
-        Lineage name used for checkpoints in the tree.
-    checkpoint_tree:
-        Shared tree (one per campaign); a private tree is created if omitted.
     steering_force:
         Optional :class:`~repro.md.external.SteeringForce` term in the
         simulation's force stack; STEER_FORCE messages are applied to it.
@@ -67,13 +63,12 @@ class SteeringClient:
     def __init__(
         self,
         connection: ServiceConnection,
-        branch: str = "main",
-        checkpoint_tree: Optional[CheckpointTree] = None,
         steering_force: Optional[SteeringForce] = None,
     ) -> None:
         self.connection = connection
-        self.branch = branch
-        self.tree = checkpoint_tree if checkpoint_tree is not None else CheckpointTree()
+        #: Lineage name of the client's checkpoints in its private tree.
+        self.branch = "main"
+        self.tree = CheckpointTree()
         self.steering_force = steering_force
         self._params: Dict[str, SteerableParam] = {}
         self._subscribers: List[str] = []
@@ -144,11 +139,11 @@ class SteeringClient:
             )
         self.samples_emitted += 1
 
-    def emit_frame(self, simulation, stride: int = 1) -> None:
+    def emit_frame(self, simulation) -> None:
         """Publish a coordinate frame (heavier than a data sample)."""
         if not self._subscribers:
             return
-        coords = np.array(simulation.system.positions[::stride], copy=True)
+        coords = np.array(simulation.system.positions, copy=True)
         for component in self._subscribers:
             self.connection.send(
                 SteeringMessage(

@@ -96,9 +96,10 @@ class SteeringMessage:
                    payload={"name": name, "value": value})
 
     @classmethod
-    def param_get(cls, sender: str, recipient: str, name: Optional[str] = None) -> "SteeringMessage":
+    def param_get(cls, sender: str, recipient: str) -> "SteeringMessage":
+        """Ask for every parameter value (``"name": None``)."""
         return cls(MessageType.PARAM_GET, sender, recipient,
-                   payload={"name": name})
+                   payload={"name": None})
 
     @classmethod
     def steer_force(cls, sender: str, recipient: str, indices, force_vector) -> "SteeringMessage":

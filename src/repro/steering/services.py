@@ -132,17 +132,18 @@ class ServiceConnection:
     tests and batch (non-interactive) runs.
     """
 
+    #: Wire size of a steering message without its own size (bytes).
+    MESSAGE_BYTES = 2048
+
     def __init__(
         self,
         service: SteeringService,
         component: str,
         channel: Optional[ReliableChannel] = None,
-        message_bytes: int = 2048,
     ) -> None:
         self.service = service
         self.component = component
         self.channel = channel
-        self.message_bytes = int(message_bytes)
         service.register_component(component)
 
     def send(self, message: SteeringMessage, size_bytes: Optional[int] = None) -> float:
@@ -153,7 +154,7 @@ class ServiceConnection:
             return self.service.clock.now
         result = self.channel.transmit(
             self.service.clock.now,
-            size_bytes if size_bytes is not None else self.message_bytes,
+            size_bytes if size_bytes is not None else self.MESSAGE_BYTES,
         )
         self.service.post(message, arrival_time=result.arrival_time)
         return result.arrival_time

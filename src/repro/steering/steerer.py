@@ -28,9 +28,9 @@ class Steerer:
 
     # -- requests ---------------------------------------------------------------
 
-    def request_params(self, name: Optional[str] = None) -> int:
-        """Ask for one (or all) parameter values; returns the request seq."""
-        msg = SteeringMessage.param_get(self.connection.component, self.target, name)
+    def request_params(self) -> int:
+        """Ask for every parameter value; returns the request seq."""
+        msg = SteeringMessage.param_get(self.connection.component, self.target)
         self.connection.send(msg)
         return msg.seq
 
@@ -52,12 +52,10 @@ class Steerer:
         extra = {} if label is None else {"label": label}
         return self._control(ControlAction.CHECKPOINT, **extra)
 
-    def clone(self, branch: Optional[str] = None, label: Optional[str] = None) -> int:
+    def clone(self, branch: Optional[str] = None) -> int:
         extra: Dict[str, Any] = {}
         if branch is not None:
             extra["branch"] = branch
-        if label is not None:
-            extra["label"] = label
         return self._control(ControlAction.CLONE, **extra)
 
     def _control(self, action: ControlAction, **payload: Any) -> int:

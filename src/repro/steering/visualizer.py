@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..errors import SteeringError
 from .messages import MessageType, SteeringMessage
 from .services import ServiceConnection
 
@@ -48,40 +47,23 @@ class Visualizer:
         lightpath/production QoS under test).
     target:
         The simulation component name to steer.
-    render_time_s:
-        Wall-clock cost to render one frame (advances the shared clock in
-        interactive sessions).
     """
 
-    def __init__(
-        self,
-        connection: ServiceConnection,
-        target: str,
-        render_time_s: float = 0.02,
-    ) -> None:
-        if render_time_s < 0:
-            raise SteeringError("render time cannot be negative")
+    def __init__(self, connection: ServiceConnection, target: str) -> None:
         self.connection = connection
         self.target = target
-        self.render_time_s = float(render_time_s)
         self.frames: List[RenderedFrame] = []
         self.samples: List[Dict[str, Any]] = []
         self.frames_rendered = 0
 
     # -- consumption -------------------------------------------------------------
 
-    def consume(self, advance_clock: bool = False) -> int:
-        """Process arrived messages; returns the number consumed.
-
-        With ``advance_clock``, rendering cost advances the service clock —
-        used in closed-loop IMD where the visualizer is on the critical path.
-        """
+    def consume(self) -> int:
+        """Process arrived messages; returns the number consumed."""
         msgs = self.connection.receive()
         for m in msgs:
             if m.msg_type is MessageType.FRAME:
                 self._render(m)
-                if advance_clock:
-                    self.connection.service.clock.advance(self.render_time_s)
             elif m.msg_type is MessageType.DATA_SAMPLE:
                 self.samples.append(dict(m.payload))
             # ACK/ERROR replies to our own steering actions are recorded too.

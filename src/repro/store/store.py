@@ -240,13 +240,13 @@ class ResultStore:
         """
         return sorted(self._view())
 
-    def note_miss(self, n: int = 1) -> None:
-        """Count cache misses detected by membership alone (the task
+    def note_miss(self) -> None:
+        """Count a cache miss detected by membership alone (the task
         resolver proves a miss from the fingerprint set without ever
         calling :meth:`get`), so the report's traffic section means the
         same thing on every execution path."""
-        self.misses += n
-        self._count("store.misses", n)
+        self.misses += 1
+        self._count("store.misses", 1)
 
     def read_record(self, fingerprint: str) -> Dict[str, Any]:
         """Load + validate the raw record document (no eviction on failure)."""

@@ -70,22 +70,15 @@ PS_TO_NS: float = 1.0e-3
 ROOM_TEMPERATURE: float = 300.0
 
 
-def kT(temperature: float = ROOM_TEMPERATURE) -> float:
-    """Thermal energy ``k_B T`` in kcal/mol.
-
-    Parameters
-    ----------
-    temperature:
-        Temperature in kelvin; must be positive.
-    """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    return KB * temperature
+def kT() -> float:
+    """Thermal energy ``k_B T`` at room temperature, in kcal/mol."""
+    return KB * ROOM_TEMPERATURE
 
 
-def beta(temperature: float = ROOM_TEMPERATURE) -> float:
-    """Inverse thermal energy ``1/(k_B T)`` in mol/kcal."""
-    return 1.0 / kT(temperature)
+def beta() -> float:
+    """Inverse thermal energy ``1/(k_B T)`` at room temperature, in
+    mol/kcal."""
+    return 1.0 / kT()
 
 
 def pn_per_angstrom(kappa_pn: float) -> float:

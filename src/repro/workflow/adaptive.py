@@ -10,9 +10,9 @@ exponential average needs far more samples there than on quiet stretches.
    of the base protocol, per Section IV-A stratification) runs a small
    pilot ensemble of ``pilot_per_bin`` replicas.
 2. **Diagnose** — each window's pilot final works are scored by the one
-   seeded resampler (:func:`repro.core.bootstrap_error`, ``n_blocks``
-   blocks): the bias²+variance ``mse`` of the chosen estimator is the
-   window's expected squared error.
+   seeded resampler (:func:`repro.core.bootstrap_error`, :data:`N_BLOCKS`
+   blocks): the bias²+variance ``mse`` of the exponential (Jarzynski)
+   estimator is the window's expected squared error.
 3. **Reallocate** — the remaining replica budget is apportioned to windows
    proportionally to ``sqrt(mse)`` (the optimal allocation under the
    ``error² ~ mse/n`` sampling law) by the deterministic largest-remainder
@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..core import bootstrap_error, check_estimator, estimate_pmf, pmf_error
+from ..core import bootstrap_error, estimate_pmf, pmf_error
 from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 from ..pore.reduced import ReducedTranslocationModel
@@ -55,6 +55,18 @@ __all__ = [
     "allocate_largest_remainder",
     "run_adaptive_campaign",
 ]
+
+#: Replicas per store task — the allocation granularity.  Each round's
+#: tasks share one stacked engine call
+#: (:meth:`repro.smd.plan.TaskResolver.resolve_window`); the value enters
+#: every task descriptor, so it is part of the digest.
+SAMPLES_PER_TASK = 2
+#: The per-window estimator: the windows are forward-only, so unpaired.
+ESTIMATOR = "exponential"
+#: Resampling shape of the per-window score: ``N_BLOCKS`` in-order blocks
+#: of the pilot replicas, ``N_BOOT`` resamples.
+N_BOOT = 32
+N_BLOCKS = 4
 
 
 def allocate_largest_remainder(weights: List[float], total: int) -> List[int]:
@@ -151,13 +163,9 @@ def run_adaptive_campaign(
     n_bins: int = 4,
     total_replicas: int,
     pilot_per_bin: int = 4,
-    samples_per_task: int = 2,
     seed: SeedLike = 2005,
-    estimator: str = "exponential",
     store: Any = None,
     n_records: int = 21,
-    n_boot: int = 32,
-    n_blocks: int = 4,
     obs: Optional[Obs] = None,
 ) -> AdaptiveReport:
     """Pilot → diagnose → reallocate → refine over one long pull.
@@ -171,26 +179,14 @@ def run_adaptive_campaign(
     total_replicas:
         Whole campaign budget in replicas; must cover the pilot,
         ``total_replicas >= n_bins * pilot_per_bin``.  The remainder is
-        the adaptive pool.
+        the adaptive pool.  Both it and ``pilot_per_bin`` must be
+        multiples of :data:`SAMPLES_PER_TASK`.
     pilot_per_bin:
-        Pilot replicas per window; must support ``n_blocks`` bootstrap
+        Pilot replicas per window; must support :data:`N_BLOCKS` bootstrap
         blocks.
-    samples_per_task:
-        Replicas per store task — the allocation granularity; both
-        ``total_replicas`` and ``pilot_per_bin`` must be multiples of it.
-        Each round's tasks share one stacked engine call
-        (:meth:`repro.smd.plan.TaskResolver.resolve_window`); the value
-        enters every task descriptor, so it is part of the digest.
-    estimator:
-        Any *unpaired* registry estimator used per window (the windows are
-        forward-only).
     store:
         Optional result store: every round's tasks are memoized in it,
         so a re-run resolves from hits — bit-identical by construction.
-    n_boot / n_blocks:
-        Resampling shape of the per-window score (``n_blocks`` in-order
-        blocks of the pilot replicas, ``n_boot`` resamples); the
-        resampling stream is independent of the physics streams.
 
     Returns an :class:`AdaptiveReport`; ``report.digest()`` is the
     byte-reproducibility witness across reruns and stores.
@@ -201,23 +197,19 @@ def run_adaptive_campaign(
             "are forward-only and stitched ascending")
     if n_bins < 1:
         raise ConfigurationError("n_bins must be at least 1")
-    if samples_per_task < 1:
-        raise ConfigurationError("samples_per_task must be at least 1")
-    if pilot_per_bin < max(2, n_blocks):
+    if pilot_per_bin < N_BLOCKS:
         raise ConfigurationError(
-            f"pilot_per_bin must be >= max(2, n_blocks={n_blocks}) so the "
+            f"pilot_per_bin must be >= max(2, n_blocks={N_BLOCKS}) so the "
             "pilot can be block-bootstrapped")
-    if pilot_per_bin % samples_per_task or total_replicas % samples_per_task:
+    if pilot_per_bin % SAMPLES_PER_TASK or total_replicas % SAMPLES_PER_TASK:
         raise ConfigurationError(
             f"pilot_per_bin ({pilot_per_bin}) and total_replicas "
             f"({total_replicas}) must be multiples of samples_per_task "
-            f"({samples_per_task}) — the allocation granularity")
+            f"({SAMPLES_PER_TASK}) — the allocation granularity")
     if total_replicas < n_bins * pilot_per_bin:
         raise ConfigurationError(
             f"total_replicas ({total_replicas}) cannot cover the pilot "
             f"({n_bins} bins x {pilot_per_bin})")
-    # Adaptive windows are forward-only; a bin holds at least the pilot.
-    check_estimator(estimator, n_samples=pilot_per_bin)
 
     obs = as_obs(obs)
     base = as_seed_int(seed)
@@ -230,22 +222,22 @@ def run_adaptive_campaign(
     with obs.span("workflow.adaptive", n_bins=n_bins,
                   total_replicas=total_replicas,
                   pilot_per_bin=pilot_per_bin):
-        pilot_tasks = pilot_per_bin // samples_per_task
+        pilot_tasks = pilot_per_bin // SAMPLES_PER_TASK
         pilots = run_cells(model, zip(protos, cells), pilot_tasks,
-                           samples_per_task, **plan)
+                           SAMPLES_PER_TASK, **plan)
         # Window b resamples on its own stream, apart from the physics;
         # tests/test_error_bar_values.py pins the scores this key draws.
         diagnostics = [
             bootstrap_error(
                 pilots[cell].final_works(), pilots[cell].temperature,
-                estimator, stream_for(as_seed_int(stream_for(
+                ESTIMATOR, stream_for(as_seed_int(stream_for(
                     base, "adaptive", "score", b)), "core.block_bootstrap"),
-                n_boot=n_boot, n_blocks=n_blocks)
+                n_boot=N_BOOT, n_blocks=N_BLOCKS)
             for b, cell in enumerate(cells)]
         obs.inc("adaptive.pilot_replicas", n_bins * pilot_per_bin)
 
         pool_tasks = (total_replicas - n_bins * pilot_per_bin) \
-            // samples_per_task
+            // SAMPLES_PER_TASK
         weights = [float(np.sqrt(d.mse)) for d in diagnostics]
         extra_tasks = allocate_largest_remainder(weights, pool_tasks)
         # Every cell names its own task range, so no plan-wide count.
@@ -253,9 +245,9 @@ def run_adaptive_campaign(
             model,
             [(proto, cell, range(pilot_tasks, pilot_tasks + extra))
              for proto, cell, extra in zip(protos, cells, extra_tasks)],
-            None, samples_per_task, **plan)
+            None, SAMPLES_PER_TASK, **plan)
         if pool_tasks:
-            obs.inc("adaptive.refine_replicas", pool_tasks * samples_per_task)
+            obs.inc("adaptive.refine_replicas", pool_tasks * SAMPLES_PER_TASK)
 
         results: Dict[int, WorkEnsemble] = {}
         bins: List[BinReport] = []
@@ -267,14 +259,14 @@ def run_adaptive_campaign(
             results[b] = merged
             bins.append(BinReport(
                 index=b, start_z=proto.start_z, distance=proto.distance,
-                pilot=pilot_per_bin, extra=extra * samples_per_task,
+                pilot=pilot_per_bin, extra=extra * SAMPLES_PER_TASK,
                 score=float(diag.mse), bias=float(diag.bias),
                 variance=float(diag.variance),
                 spread_kT=merged.dissipated_width(),
             ))
 
         disps = [results[b].displacements for b in range(n_bins)]
-        pmfs = [estimate_pmf(results[b], estimator=estimator).values
+        pmfs = [estimate_pmf(results[b], estimator=ESTIMATOR).values
                 for b in range(n_bins)]
         starts = [p.start_z for p in protos]
         z, pmf = stitch_pmfs(disps, pmfs, starts)
@@ -288,7 +280,7 @@ def run_adaptive_campaign(
         pilot_per_bin=pilot_per_bin,
         total_replicas=total_replicas,
         cpu_hours=float(sum(e.cpu_hours for e in results.values())),
-        estimator=estimator,
+        estimator=ESTIMATOR,
         seed=base,
         results=results,
     )

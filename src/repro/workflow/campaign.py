@@ -15,9 +15,7 @@ from typing import Optional, Tuple
 
 
 from ..grid import EventLoop, FederatedGrid, Grid, ngs_sites, teragrid_sites
-from ..net import LIGHTPATH, QoSSpec
 from ..obs import Obs, as_obs
-from ..pore import ReducedTranslocationModel, default_reduced_potential
 from ..rng import SeedLike, as_seed_int
 from .phases import (
     BatchPhase,
@@ -30,9 +28,11 @@ from .phases import (
 
 __all__ = ["SpiceCampaignResult", "SpiceCampaign", "build_default_federation"]
 
+#: Haptic frames the interactive phase runs before bracketing (kappa, v).
+INTERACTIVE_FRAMES = 30
 
-def build_default_federation(include_hpcx: bool = True,
-                             obs: Optional[Obs] = None) -> FederatedGrid:
+
+def build_default_federation(obs: Optional[Obs] = None) -> FederatedGrid:
     """The paper's Fig. 5 federation: TeraGrid (NCSA/SDSC/PSC) + UK NGS.
 
     ``obs`` instruments the event loop and every batch queue (queue-wait
@@ -42,7 +42,7 @@ def build_default_federation(include_hpcx: bool = True,
     return FederatedGrid(
         [
             Grid("TeraGrid", teragrid_sites(), loop, obs=obs),
-            Grid("NGS", ngs_sites(include_hpcx=include_hpcx), loop, obs=obs),
+            Grid("NGS", ngs_sites(), loop, obs=obs),
         ]
     )
 
@@ -88,10 +88,8 @@ class SpiceCampaign:
     federation:
         The grid-of-grids to run the batch phase on (defaults to the
         paper's Fig. 5 federation).
-    qos:
-        Network used for the interactive phase (default: lightpath).
-    replicas_per_cell / samples_per_replica:
-        Batch sizing; the defaults give the paper's 72 jobs
+    replicas_per_cell:
+        Batch sizing; the default gives the paper's 72 jobs
         (3 kappas x 4 velocities x 6 replicas), each one ~0.1-0.9 ns pull.
     seed:
         Master seed, any :data:`~repro.rng.SeedLike` (int, generator, seed
@@ -111,14 +109,9 @@ class SpiceCampaign:
     def __init__(
         self,
         federation: Optional[FederatedGrid] = None,
-        model: Optional[ReducedTranslocationModel] = None,
-        qos: QoSSpec = LIGHTPATH,
         replicas_per_cell: int = 6,
-        samples_per_replica: int = 1,
-        interactive_frames: int = 30,
         seed: SeedLike = 2005,
         obs: Optional[Obs] = None,
-        resil=None,
         store=None,
         dlq=None,
     ) -> None:
@@ -127,17 +120,8 @@ class SpiceCampaign:
             federation if federation is not None
             else build_default_federation(obs=obs)
         )
-        self.model = model if model is not None else ReducedTranslocationModel(
-            default_reduced_potential()
-        )
-        self.qos = qos
         self.replicas_per_cell = int(replicas_per_cell)
-        self.samples_per_replica = int(samples_per_replica)
-        self.interactive_frames = int(interactive_frames)
         self.seed = as_seed_int(seed)
-        #: Optional :class:`~repro.resil.Resilience` bundle for the batch
-        #: phase (duck-typed; build one with ``Resilience.for_federation``).
-        self.resil = resil
         #: Optional :class:`~repro.store.ResultStore` for the batch phase:
         #: every (cell, replica) task is memoized, so an interrupted
         #: campaign re-run against the same store resumes bit-identically,
@@ -153,8 +137,7 @@ class SpiceCampaign:
             structure = StaticVizPhase().run()
         with self.obs.span("campaign.interactive"):
             interactive = InteractivePhase(
-                qos=self.qos, n_frames=self.interactive_frames,
-                seed=self.seed + 1, obs=self.obs,
+                n_frames=INTERACTIVE_FRAMES, seed=self.seed + 1, obs=self.obs,
             ).run()
         # The reduced-model window is expressed in the reduced coordinate
         # (displacement about the constriction); the batch phase pulls over
@@ -163,15 +146,12 @@ class SpiceCampaign:
         with self.obs.span("campaign.batch"):
             batch = BatchPhase(
                 federation=self.federation,
-                model=self.model,
                 kappas=interactive.kappa_candidates,
                 velocities=interactive.velocity_candidates,
                 replicas_per_cell=self.replicas_per_cell,
-                samples_per_replica=self.samples_per_replica,
                 window=(-half, half),
                 seed=self.seed,
                 obs=self.obs,
-                resil=self.resil,
                 store=self.store,
                 dlq=self.dlq,
             ).run()

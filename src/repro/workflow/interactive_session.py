@@ -66,28 +66,27 @@ class InteractiveSessionRunner:
     lightpath_success_rate:
         Probability the lightpath can be provisioned when requested
         (UKLight maturity, Section V-C2).
-    fallback_to_production:
-        When the lightpath provisioning fails but compute was reserved,
-        run anyway over the production internet (True) or scrub the
-        session (False).
+
+    Every session asks for a lightpath; when its provisioning fails but
+    compute can be reserved, the session runs anyway over the production
+    internet.
     """
+
+    #: Processors of every interactive allocation.
+    PROCS = 256
 
     def __init__(
         self,
         queues: Dict[str, BatchQueue],
         workflows: Dict[str, ManualReservationWorkflow],
         lightpath_success_rate: float = 0.7,
-        fallback_to_production: bool = True,
-        procs: int = 256,
         n_frames: int = 60,
         seed: SeedLike = None,
     ) -> None:
-        if procs <= 0 or n_frames <= 0:
-            raise ConfigurationError("procs and n_frames must be positive")
+        if n_frames <= 0:
+            raise ConfigurationError("n_frames must be positive")
         self.queues = dict(queues)
-        self.procs = int(procs)
         self.n_frames = int(n_frames)
-        self.fallback_to_production = bool(fallback_to_production)
         rng = as_generator(seed)
         self._cosched_rng, self._imd_rng_root = spawn(rng, 2)
         self.coscheduler = CoScheduler(
@@ -101,46 +100,42 @@ class InteractiveSessionRunner:
         compute_resource: str,
         start: float,
         duration: float,
-        need_lightpath: bool = True,
     ) -> InteractiveSessionOutcome:
         """Try to co-allocate and run one interactive session."""
         if compute_resource not in self.queues:
             raise ConfigurationError(f"unknown resource {compute_resource!r}")
         request = ReservationRequest(start=start, duration=duration,
-                                     procs=self.procs)
+                                     procs=self.PROCS)
         allocation = self.coscheduler.co_allocate(
             {compute_resource: self.queues[compute_resource]},
             {compute_resource: request},
-            need_lightpath=need_lightpath,
+            need_lightpath=True,
         )
 
         network: Optional[str] = None
         qos: Optional[QoSSpec] = None
         if allocation.succeeded and allocation.lightpath_allocated:
             network, qos = "lightpath", LIGHTPATH
-        elif need_lightpath and not allocation.succeeded:
+        elif not allocation.succeeded:
             # Compute may have been rolled back with the lightpath; a
             # production-internet fallback needs compute to stand, so retry
             # the compute-only allocation.
-            if self.fallback_to_production:
-                retry = self.coscheduler.co_allocate(
-                    {compute_resource: self.queues[compute_resource]},
-                    {compute_resource: request},
-                    need_lightpath=False,
+            retry = self.coscheduler.co_allocate(
+                {compute_resource: self.queues[compute_resource]},
+                {compute_resource: request},
+                need_lightpath=False,
+            )
+            if retry.succeeded:
+                allocation = CoAllocationResult(
+                    succeeded=True,
+                    reservations=retry.reservations,
+                    outcomes={**allocation.outcomes, **retry.outcomes},
+                    lightpath_allocated=False,
+                    total_emails=allocation.total_emails + retry.total_emails,
+                    total_human_hours=allocation.total_human_hours
+                    + retry.total_human_hours,
                 )
-                if retry.succeeded:
-                    allocation = CoAllocationResult(
-                        succeeded=True,
-                        reservations=retry.reservations,
-                        outcomes={**allocation.outcomes, **retry.outcomes},
-                        lightpath_allocated=False,
-                        total_emails=allocation.total_emails + retry.total_emails,
-                        total_human_hours=allocation.total_human_hours
-                        + retry.total_human_hours,
-                    )
-                    network, qos = "production-internet", PRODUCTION_INTERNET
-        elif allocation.succeeded:
-            network, qos = "production-internet", PRODUCTION_INTERNET
+                network, qos = "production-internet", PRODUCTION_INTERNET
 
         imd = None
         if allocation.succeeded and qos is not None:
@@ -149,7 +144,7 @@ class InteractiveSessionRunner:
             allocation=allocation,
             network_used=network,
             imd=imd,
-            procs=self.procs,
+            procs=self.PROCS,
         )
 
     def _run_imd(self, qos: QoSSpec) -> InteractivityReport:

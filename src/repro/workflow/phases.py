@@ -32,7 +32,7 @@ from ..grid import (
     PAPER_COST_MODEL,
 )
 from ..imd import IMDSession
-from ..net import LIGHTPATH, QoSSpec
+from ..net import LIGHTPATH
 from ..obs import Obs, as_obs
 from ..pore import (
     HemolysinPore,
@@ -51,6 +51,10 @@ __all__ = [
     "BatchPhaseResult",
     "BatchPhase",
 ]
+
+#: Pulls per grid job: each (cell, replica) task is one pull, so a job is
+#: the store's unit of work and a killed batch phase resumes job by job.
+SAMPLES_PER_REPLICA = 1
 
 
 # --------------------------------------------------------------------------
@@ -75,12 +79,11 @@ class StructuralInsight:
 class StaticVizPhase:
     """Builds the system and reads off the structure (paper Fig. 1)."""
 
-    def __init__(self, pore: Optional[HemolysinPore] = None,
-                 window_length: float = 10.0) -> None:
-        if window_length <= 0:
-            raise ConfigurationError("window_length must be positive")
-        self.pore = pore if pore is not None else HemolysinPore()
-        self.window_length = float(window_length)
+    #: Paper Section IV-A: "we choose a sub-trajectory of length 10 A".
+    WINDOW_LENGTH = 10.0
+
+    def __init__(self) -> None:
+        self.pore = HemolysinPore()
 
     def run(self) -> StructuralInsight:
         summary = self.pore.describe()
@@ -88,7 +91,8 @@ class StaticVizPhase:
         # Paper Section IV-A: "we choose a sub-trajectory of length 10 A
         # close to the centre of the pore" — centre the window on the
         # constriction, the pore's functional midpoint.
-        window = (zc - 0.5 * self.window_length, zc + 0.5 * self.window_length)
+        half = 0.5 * self.WINDOW_LENGTH
+        window = (zc - half, zc + half)
         return StructuralInsight(
             pore_summary=summary,
             constriction_z=zc,
@@ -130,14 +134,12 @@ class InteractivePhase:
 
     def __init__(
         self,
-        qos: QoSSpec = LIGHTPATH,
         n_frames: int = 40,
         seed: SeedLike = None,
         obs: Optional[Obs] = None,
     ) -> None:
         if n_frames <= 0:
             raise ConfigurationError("n_frames must be positive")
-        self.qos = qos
         self.n_frames = int(n_frames)
         self.seed = seed
         self.obs = as_obs(obs)
@@ -147,7 +149,7 @@ class InteractivePhase:
         # One shared generator builds the system, then seeds both the
         # channels and the scientist's motor noise.
         session = IMDSession(
-            build_translocation_simulation(n_bases=8, seed=rng), self.qos,
+            build_translocation_simulation(n_bases=8, seed=rng), LIGHTPATH,
             steps_per_frame=25, seed=rng, user_seed=rng, obs=self.obs,
         )
         report = session.run(self.n_frames)
@@ -209,40 +211,29 @@ class BatchPhase:
     def __init__(
         self,
         federation: FederatedGrid,
-        model: Optional[ReducedTranslocationModel] = None,
         kappas: Sequence[float] = (10.0, 100.0, 1000.0),
         velocities: Sequence[float] = (12.5, 25.0, 50.0, 100.0),
         replicas_per_cell: int = 6,
-        samples_per_replica: int = 1,
         window: Tuple[float, float] = (-5.0, 5.0),
-        steering_required: bool = True,
         seed: int = 2005,
         obs: Optional[Obs] = None,
-        resil=None,
         store=None,
         dlq=None,
     ) -> None:
-        if replicas_per_cell <= 0 or samples_per_replica <= 0:
+        if replicas_per_cell <= 0:
             raise ConfigurationError("replicas and samples must be positive")
-        if replicas_per_cell * samples_per_replica < 2:
+        if replicas_per_cell < 2:
             raise ConfigurationError(
                 "need at least 2 pulls per cell for the error analysis"
             )
         self.federation = federation
-        self.model = model if model is not None else ReducedTranslocationModel(
-            default_reduced_potential()
-        )
+        self.model = ReducedTranslocationModel(default_reduced_potential())
         self.kappas = tuple(kappas)
         self.velocities = tuple(velocities)
         self.replicas_per_cell = int(replicas_per_cell)
-        self.samples_per_replica = int(samples_per_replica)
         self.window = window
-        self.steering_required = bool(steering_required)
         self.seed = int(seed)
         self.obs = as_obs(obs)
-        #: Optional :class:`~repro.resil.Resilience` bundle handed to the
-        #: campaign manager (duck-typed: workflow never imports repro.resil).
-        self.resil = resil
         #: Optional :class:`~repro.store.ResultStore`; the study memoizes
         #: every (cell, replica) task in it, which is what makes a killed
         #: batch phase resumable.
@@ -262,7 +253,7 @@ class BatchPhase:
         """One grid job per (cell, replica): a supercomputing-class MD run."""
         jobs: List[Job] = []
         for proto in protocols:
-            sim_ns = (proto.duration_ns + proto.equilibration_ns) * self.samples_per_replica
+            sim_ns = (proto.duration_ns + proto.equilibration_ns) * SAMPLES_PER_REPLICA
             for rep in range(self.replicas_per_cell):
                 procs = 128 if rep % 2 == 0 else 256
                 jobs.append(
@@ -270,7 +261,7 @@ class BatchPhase:
                         name=f"smdje-k{proto.kappa_pn:g}-v{proto.velocity:g}-r{rep}",
                         procs=procs,
                         duration_hours=PAPER_COST_MODEL.cpu_hours_per_ns() * sim_ns / procs,
-                        steering_required=self.steering_required,
+                        steering_required=True,
                     )
                 )
         return jobs
@@ -289,7 +280,7 @@ class BatchPhase:
 
         tasks = stream_study_tasks(
             self.model, protocols, self.replicas_per_cell,
-            self.samples_per_replica, seed=self.seed)
+            SAMPLES_PER_REPLICA, seed=self.seed)
         return [(job.name, task.fingerprint)
                 for job, task in zip(self.build_jobs(protocols), tasks)]
 
@@ -305,23 +296,22 @@ class BatchPhase:
             start_z=start,
         )
         # Physics: each cell decomposes into replicas_per_cell restartable
-        # tasks of samples_per_replica pulls — the same (cell, replica)
+        # tasks of SAMPLES_PER_REPLICA pulls — the same (cell, replica)
         # granularity as the grid jobs, so with a store every job's work
         # unit is individually memoized and a killed phase resumes.
         study = run_parameter_study(
             self.model,
             protocols=protocols,
-            n_samples=self.replicas_per_cell * self.samples_per_replica,
+            n_samples=self.replicas_per_cell * SAMPLES_PER_REPLICA,
             seed=self.seed,
             obs=self.obs,
             store=self.store,
-            samples_per_task=self.samples_per_replica,
+            samples_per_task=SAMPLES_PER_REPLICA,
             dlq=self.dlq,
         )
         # Infrastructure: schedule the corresponding jobs on the federation.
         jobs = self.build_jobs(protocols)
-        manager = CampaignManager(self.federation, obs=self.obs,
-                                  resil=self.resil, dlq=self.dlq)
+        manager = CampaignManager(self.federation, obs=self.obs, dlq=self.dlq)
         campaign = manager.run(
             jobs, job_fingerprints=dict(self.job_task_fingerprints(protocols)))
         return BatchPhaseResult(study=study, campaign=campaign, jobs=jobs)

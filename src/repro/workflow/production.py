@@ -14,7 +14,7 @@ one stacked engine call, store-addressable like any other task.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +70,6 @@ def run_full_axis_production(
     n_samples: int = 24,
     seed: SeedLike = 2005,
     obs: Optional[Obs] = None,
-    store: Any = None,
 ) -> FullAxisResult:
     """Run the production sweep over ``axis_range``.
 
@@ -83,9 +82,7 @@ def run_full_axis_production(
     ``seed`` is any :data:`~repro.rng.SeedLike`, normalized via
     :func:`repro.rng.as_seed_int` (integer seeds keep their historical
     bit-for-bit behaviour); ``obs`` is the optional instrumentation
-    handle, forwarded to the windows' stacked pulling call.  ``store`` is
-    an optional result store: each window is one task, so a re-run on the
-    same store resolves from hits and an interrupted sweep resumes.
+    handle, forwarded to the windows' stacked pulling call.
     """
     if axis_range[1] <= axis_range[0]:
         raise ConfigurationError("axis_range must be increasing")
@@ -101,7 +98,7 @@ def run_full_axis_production(
     cells = [(proto, ("production-window", i))
              for i, proto in enumerate(plan.protocols)]
     ensembles = list(run_cells(model, cells, None, n_samples, seed=seed,
-                               store=store, obs=obs).values())
+                               obs=obs).values())
     estimates = [estimate_pmf(ens) for ens in ensembles]
     starts = [proto.start_z for proto in plan.protocols]
     z, pmf = stitch_pmfs([est.displacements for est in estimates],

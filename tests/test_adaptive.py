@@ -155,11 +155,6 @@ class TestAdaptiveValidation:
             run_adaptive_campaign(model, protocol, n_bins=2,
                                   total_replicas=17, pilot_per_bin=4)
 
-    def test_paired_estimator_rejected(self, model, protocol):
-        with pytest.raises(ConfigurationError, match="paired"):
-            run_adaptive_campaign(model, protocol, estimator="fr",
-                                  **CAMPAIGN)
-
     def test_reverse_protocol_rejected(self, model, protocol):
         with pytest.raises(ConfigurationError, match="forward"):
             run_adaptive_campaign(model, protocol.reversed(), **CAMPAIGN)
@@ -167,5 +162,4 @@ class TestAdaptiveValidation:
     def test_small_pilot_rejected(self, model, protocol):
         with pytest.raises(ConfigurationError, match="pilot_per_bin"):
             run_adaptive_campaign(model, protocol, n_bins=4,
-                                  total_replicas=32, pilot_per_bin=2,
-                                  n_blocks=4)
+                                  total_replicas=32, pilot_per_bin=2)

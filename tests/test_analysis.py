@@ -84,7 +84,7 @@ class TestRenderFigure:
         fig = FigureData("demo plot", "x", "y")
         fig.add(Curve("up", np.linspace(0, 1, 20), np.linspace(0, 1, 20)))
         fig.add(Curve("down", np.linspace(0, 1, 20), np.linspace(1, 0, 20)))
-        text = render_figure(fig, width=40, height=10)
+        text = render_figure(fig, height=10)
         assert "demo plot" in text
         assert "o up" in text and "x down" in text
 
@@ -96,7 +96,7 @@ class TestRenderFigure:
         fig = FigureData("t", "x", "y")
         fig.add(Curve("a", np.arange(3.0), np.arange(3.0)))
         with pytest.raises(AnalysisError):
-            render_figure(fig, width=4, height=2)
+            render_figure(fig, height=2)
 
 
 class TestFigureEmitters:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.calibration import CALIBRATION_BASES
 from repro.analysis import (
     calibrate_reduced_friction,
     estimate_diffusion,
@@ -34,11 +35,6 @@ class TestEstimateDiffusion:
         with pytest.raises(AnalysisError):
             estimate_diffusion(np.arange(5.0), np.arange(5.0))
 
-    def test_fit_fraction_validation(self):
-        t = np.linspace(0, 1, 50)
-        with pytest.raises(ConfigurationError):
-            estimate_diffusion(t, t, fit_fraction=0.0)
-
     def test_zero_motion_gives_zero(self):
         t = np.linspace(0, 1, 50)
         assert estimate_diffusion(t, np.zeros(50)) == pytest.approx(0.0)
@@ -61,14 +57,8 @@ class TestChainCalibration:
         implicit-solvent value), within the statistics of one short run."""
         from repro.pore import ImplicitSolvent
 
-        n_bases = 8
-        D, zeta = calibrate_reduced_friction(n_bases=n_bases, sim_ns=0.4,
-                                             seed=7)
-        per_bead = zeta / n_bases
+        D, zeta = calibrate_reduced_friction()
+        per_bead = zeta / CALIBRATION_BASES
         expected = ImplicitSolvent().friction(in_pore=True)
         # Order-of-magnitude agreement (single trajectory, finite length).
         assert expected / 3 < per_bead < expected * 3
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            calibrate_reduced_friction(sim_ns=0.0)

@@ -37,7 +37,7 @@ class TestSelectOptimal:
             (100.0, 12.5): estimate(100, 12.5, [0, -5, -10]),
             (100.0, 25.0): estimate(100, 25.0, [0, -5.2, -10.1]),
         }
-        assert select_optimal(budgets, estimates, tolerance=2.0) == (100.0, 12.5)
+        assert select_optimal(budgets, estimates) == (100.0, 12.5)
 
     def test_rejects_inconsistent_velocities(self):
         budgets = {
@@ -49,7 +49,7 @@ class TestSelectOptimal:
             (100.0, 25.0): estimate(100, 25.0, [0, -25, -60]),  # wildly off
         }
         # Curves differ by >> tolerance: falls back to the min-error cell.
-        assert select_optimal(budgets, estimates, tolerance=1.0) == (100.0, 12.5)
+        assert select_optimal(budgets, estimates) == (100.0, 12.5)
 
     def test_tie_break_compares_step_quantized_grids(self):
         # v = 25 has the lower error, but both PMFs are the same line on
@@ -67,10 +67,10 @@ class TestSelectOptimal:
             (100.0, 25.0): PMFEstimate(fast, -6.0 * fast, 100.0, 25.0,
                                        "exponential", 8, 300.0),
         }
-        assert select_optimal(budgets, estimates, tolerance=0.5) == (100.0, 12.5)
+        assert select_optimal(budgets, estimates) == (100.0, 12.5)
         # Without a consistent pair the rule keeps the lowest-error cell.
         estimates[(100.0, 25.0)].values[1:] -= 3.0
-        assert select_optimal(budgets, estimates, tolerance=0.5) == (100.0, 25.0)
+        assert select_optimal(budgets, estimates) == (100.0, 25.0)
 
     def test_kappa_chosen_by_median(self):
         budgets = {}

@@ -31,7 +31,7 @@ class TestWHAMSolver:
         centers = np.linspace(0.0, 8.0, 9)
         sigma = np.sqrt(kT / kappa)
         samples = [rng.normal(c, sigma, size=4000) for c in centers]
-        pmf, bins, f, iters = wham(samples, centers, kappa, 300.0, n_bins=40)
+        pmf, bins, f, iters = wham(samples, centers, kappa, 300.0)
         # Interior bins (well covered): flat within statistical noise.
         inner = (bins > 1.0) & (bins < 7.0)
         assert pmf[inner].std() < 0.25
@@ -49,7 +49,7 @@ class TestWHAMSolver:
             k_tot = k0 + kappa
             mean = kappa * c / k_tot
             samples.append(rng.normal(mean, np.sqrt(kT / k_tot), size=4000))
-        pmf, bins, f, iters = wham(samples, centers, kappa, 300.0, n_bins=50)
+        pmf, bins, f, iters = wham(samples, centers, kappa, 300.0)
         ref = 0.5 * k0 * bins**2
         ref = ref - ref[np.argmin(np.abs(bins))]
         pmf = pmf - pmf[np.argmin(np.abs(bins))]
@@ -59,9 +59,6 @@ class TestWHAMSolver:
     def test_validation(self):
         with pytest.raises(AnalysisError):
             wham([np.zeros(10)], np.array([0.0, 1.0]), 1.0, 300.0)
-        with pytest.raises(AnalysisError):
-            wham([np.zeros(10), np.zeros(10)], np.array([0.0, 1.0]), 1.0,
-                 300.0, n_bins=2)
 
 
 class TestRunUmbrellaSampling:
@@ -76,8 +73,8 @@ class TestRunUmbrellaSampling:
 
     def test_converges(self, reduced_model):
         res = run_umbrella_sampling(reduced_model, UmbrellaProtocol(),
-                                    n_replicas=4, seed=4, max_iter=3000)
-        assert res.iterations < 3000
+                                    n_replicas=4, seed=4)
+        assert res.iterations < 5000  # wham.MAX_ITER: converged, not capped
 
     def test_pmf_estimate_interface(self, reduced_model):
         res = run_umbrella_sampling(

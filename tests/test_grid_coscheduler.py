@@ -43,7 +43,7 @@ class TestCoScheduler:
             "NCSA": ManualReservationWorkflow(error_rate=0.0, seed=1),
             # This one always fails (max 1 attempt, certain error).
             "NGS-Manchester": ManualReservationWorkflow(
-                error_rate=0.99, human_layers=3, max_attempts=1, seed=2),
+                error_rate=0.99, max_attempts=1, seed=2),
         }
         cs = CoScheduler(workflows, seed=3)
         reqs = {n: ReservationRequest(10.0, 4.0, 128) for n in names}
@@ -70,7 +70,7 @@ class TestCoScheduler:
         cs = CoScheduler(workflows, seed=5)
         reqs = {n: ReservationRequest(10.0, 4.0, 64) for n in names}
         result = cs.co_allocate(queues, reqs)
-        emails, hours = result.coordination_cost
+        emails, hours = result.total_emails, result.total_human_hours
         assert emails >= 3  # at least one email per grid
         assert hours > 0
 
@@ -95,7 +95,7 @@ class TestCoScheduler:
                 queues = setup_queues(names)
                 workflows = {
                     n: ManualReservationWorkflow(
-                        error_rate=0.5, human_layers=2, max_attempts=2,
+                        error_rate=0.5, max_attempts=2,
                         seed=1000 * t + i)
                     for i, n in enumerate(names)
                 }

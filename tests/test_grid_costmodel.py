@@ -30,10 +30,6 @@ class TestPaperNumbers:
         years = PAPER_COST_MODEL.moores_law_years_until_routine()
         assert 10.0 < years < 30.0
 
-    def test_cost_scales_with_atoms(self):
-        half = PAPER_COST_MODEL.cpu_hours_per_ns(n_atoms=150_000)
-        assert half == pytest.approx(PAPER_COST_MODEL.cpu_hours_per_ns() / 2)
-
     def test_wall_hours(self):
         # 1 ns on 128 procs at reference speed = 24 h.
         assert PAPER_COST_MODEL.wall_hours(1.0, 128) == pytest.approx(24.0)
@@ -42,13 +38,9 @@ class TestPaperNumbers:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            PAPER_COST_MODEL.cpu_hours_per_ns(n_atoms=0)
-        with pytest.raises(ConfigurationError):
             PAPER_COST_MODEL.wall_hours(0.0, 128)
         with pytest.raises(ConfigurationError):
             PAPER_COST_MODEL.smdje_total_cpu_hours(reduction=0.0)
-        with pytest.raises(ConfigurationError):
-            PAPER_COST_MODEL.moores_law_years_until_routine(target_days=0.0)
 
     def test_already_routine_returns_zero(self):
         tiny = CostModel(reference_hours_per_ns=1e-9)

@@ -140,8 +140,9 @@ class TestChaosFaults:
 
     def test_network_partition_registers_on_the_bundle(self):
         from repro.resil import Resilience
+        from repro.workflow import build_default_federation
 
-        resil = Resilience()
+        resil = Resilience.for_federation(build_default_federation())
         inj = FailureInjector(seed=0)
         inj.network_partition(resil, "NGS", at_hours=8.0, duration_hours=12.0)
         assert len(resil.partitions) == 1

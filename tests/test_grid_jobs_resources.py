@@ -102,10 +102,3 @@ class TestPresets:
         # The paper: near SC05 only one UK node could coordinate with the US.
         uk_lightpaths = [r.name for r in ngs_sites() if r.lightpath]
         assert uk_lightpaths == ["NGS-Manchester"]
-
-    def test_all_sites_toggle_hpcx(self):
-        from repro.workflow import build_default_federation
-
-        sites = build_default_federation().all_queues()
-        without = build_default_federation(include_hpcx=False).all_queues()
-        assert set(sites) - set(without) == {"HPCx"}

@@ -30,12 +30,12 @@ class TestManualWorkflow:
         assert out.reservation.procs == 128
 
     def test_errors_cost_emails_and_time(self):
-        wf = ManualReservationWorkflow(error_rate=0.6, human_layers=2, seed=1)
+        wf = ManualReservationWorkflow(error_rate=0.6, seed=1)
         out = wf.place(make_queue(), ReservationRequest(10.0, 4.0, 128))
         if out.succeeded:
             assert out.attempts > 1
         assert out.emails > 1
-        assert out.human_hours > wf.email_turnaround_hours
+        assert out.human_hours > wf.EMAIL_TURNAROUND_HOURS
 
     def test_paper_anecdote_statistics(self):
         """Over many requests at the default error rate, the mean audit
@@ -53,8 +53,8 @@ class TestManualWorkflow:
         assert np.mean(emails) > 2
 
     def test_gives_up_after_max_attempts(self):
-        wf = ManualReservationWorkflow(error_rate=0.95, human_layers=3,
-                                       max_attempts=3, seed=3)
+        wf = ManualReservationWorkflow(error_rate=0.95, max_attempts=3,
+                                       seed=3)
         out = wf.place(make_queue(), ReservationRequest(10.0, 4.0, 128))
         if not out.succeeded:
             assert out.attempts == 3
@@ -85,7 +85,7 @@ class TestWebWorkflow:
     def test_one_fewer_human_layer(self):
         web = WebReservationWorkflow(seed=5)
         manual = ManualReservationWorkflow(seed=5)
-        assert web.human_layers == manual.human_layers - 1
+        assert web.HUMAN_LAYERS == manual.HUMAN_LAYERS - 1
 
     def test_web_cheaper_on_average(self):
         """Section V-C5: the web interface removes one human layer, so at

@@ -26,8 +26,6 @@ class TestInteractivityReport:
         r = self.make()
         assert r.fps == pytest.approx(100 / 12.0)
 
-    def test_worst_stall(self):
-        assert self.make(stall=3.0).worst_stall == 3.0
 
     def test_p95_round_trip(self):
         r = InteractivityReport(

@@ -133,8 +133,7 @@ class TestNeighborListKernels:
         want_i, want_j = np.nonzero(np.triu(within, k=1))
         for kernel in KERNELS:
             term = LennardJonesForce(np.zeros(n, dtype=int), np.ones(1),
-                                     np.ones(1), cutoff=4.0, skin=0.5,
-                                     kernel=kernel)
+                                     np.ones(1), cutoff=3.5, kernel=kernel)
             i, j = term.neighbor_list.pairs(positions)
             np.testing.assert_array_equal(i, want_i)
             np.testing.assert_array_equal(j, want_j)
@@ -193,6 +192,6 @@ class TestForceKernelEquivalence:
     def test_debye_huckel(self, randomized):
         system, _ = randomized
         res = both_kernels(
-            lambda k: DebyeHuckelForce(system.charges, cutoff=8.0, kernel=k),
+            lambda k: DebyeHuckelForce(system.charges, kernel=k),
             system.positions, system.n)
         assert_equivalent(res)

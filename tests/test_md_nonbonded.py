@@ -66,15 +66,6 @@ class TestLennardJones:
         assert f._eps_table[0, 1] == pytest.approx(np.sqrt(0.36))
         assert f._sig_table[0, 1] == pytest.approx(3.0)
 
-    def test_exclusions_respected(self):
-        f = LennardJonesForce(
-            np.zeros(2, dtype=np.int64),
-            epsilon=np.array([1.0]), sigma=np.array([3.0]), cutoff=10.0,
-            exclusions={(0, 1)},
-        )
-        pos, _ = pair_system(2.0)
-        assert f.compute(pos, np.zeros((2, 3))) == 0.0
-
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             LennardJonesForce(np.zeros(2, dtype=np.int64),
@@ -89,7 +80,7 @@ class TestLennardJones:
         rng = np.random.default_rng(0)
         n = 6
         types = np.zeros(n, dtype=np.int64)
-        f = LennardJonesForce(types, np.array([0.3]), np.array([3.0]), cutoff=9.0, skin=0.0)
+        f = LennardJonesForce(types, np.array([0.3]), np.array([3.0]), cutoff=9.0)
         pos = rng.uniform(0, 8, size=(n, 3))
         analytic = np.zeros_like(pos)
         f.compute(pos, analytic)
@@ -135,8 +126,8 @@ class TestWCA:
 
 
 class TestDebyeHuckel:
-    def make(self, q=(-1.0, -1.0), lam=3.0, cutoff=12.0):
-        return DebyeHuckelForce(np.array(q), debye_length=lam, cutoff=cutoff)
+    def make(self, q=(-1.0, -1.0)):
+        return DebyeHuckelForce(np.array(q))
 
     def test_like_charges_repel(self):
         f = self.make()
@@ -155,21 +146,22 @@ class TestDebyeHuckel:
         assert forces[1, 2] < 0
 
     def test_screening_decay(self):
-        f = self.make(lam=3.0, cutoff=50.0)
+        f = self.make()
         pos4, _ = pair_system(4.0)
         pos10, _ = pair_system(10.0)
         e4 = f.compute(pos4, np.zeros((2, 3)))
         e10 = f.compute(pos10, np.zeros((2, 3)))
         # Much faster than bare Coulomb 1/r decay.
-        assert e10 < e4 * (4.0 / 10.0) * np.exp(-(10.0 - 4.0) / 3.0) * 1.2
+        lam = DebyeHuckelForce.DEBYE_LENGTH
+        assert e10 < e4 * (4.0 / 10.0) * np.exp(-(10.0 - 4.0) / lam) * 1.2
 
     def test_magnitude_vs_analytic(self):
-        f = DebyeHuckelForce(np.array([-1.0, -1.0]), debye_length=3.0,
-                             dielectric=78.5, cutoff=20.0)
+        f = DebyeHuckelForce(np.array([-1.0, -1.0]))
         r = 5.0
         pos, _ = pair_system(r)
         e = f.compute(pos, np.zeros((2, 3)))
-        expected = COULOMB_CONSTANT / 78.5 * np.exp(-r / 3.0) / r
+        expected = (COULOMB_CONSTANT / f.DIELECTRIC
+                    * np.exp(-r / f.DEBYE_LENGTH) / r)
         assert e == pytest.approx(expected, rel=1e-9)
 
     def test_neutral_particles_skip(self):
@@ -178,7 +170,7 @@ class TestDebyeHuckel:
         assert f.compute(pos, np.zeros((2, 3))) == 0.0
 
     def test_gradient_consistency(self):
-        f = DebyeHuckelForce(np.array([-1.0, 1.0, -1.0]), cutoff=15.0, skin=0.0)
+        f = DebyeHuckelForce(np.array([-1.0, 1.0, -1.0]))
         rng = np.random.default_rng(1)
         pos = rng.uniform(0, 6, size=(3, 3))
         analytic = np.zeros_like(pos)
@@ -194,9 +186,3 @@ class TestDebyeHuckel:
                 pos[i, d] += h
                 num[i, d] = -(ep - em) / (2 * h)
         np.testing.assert_allclose(analytic, num, atol=1e-5)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigurationError):
-            DebyeHuckelForce(np.array([1.0]), debye_length=0.0)
-        with pytest.raises(ConfigurationError):
-            DebyeHuckelForce(np.array([1.0]), dielectric=-1.0)

@@ -36,7 +36,6 @@ class TestTopology:
         t = b.build()
         assert (0, 1) in t.exclusion_pairs()
         assert (0, 2) in t.exclusion_pairs()
-        assert (0, 2) not in t.exclusion_pairs(through_angles=False)
 
     def test_merged_with_offsets_indices(self):
         a = TopologyBuilder(2).add_bond(0, 1, 1.0, 1.0).build()

@@ -60,10 +60,6 @@ class TestReliableChannel:
         b = ReliableChannel(PRODUCTION_INTERNET, seed=6).transmit(0.0, 512)
         assert a.arrival_time == b.arrival_time
 
-    def test_rto_validation(self):
-        with pytest.raises(ConfigurationError):
-            ReliableChannel(LIGHTPATH, rto_factor=0.0)
-
     def test_loss_recoveries_counted(self):
         ch = ReliableChannel(QoSSpec(5.0, 0.0, 0.3, 1000.0), seed=7)
         for i in range(200):

@@ -119,19 +119,18 @@ class TestTracer:
         assert [r.name for r in tr.records] == ["inner", "outer"]
         inner, outer = tr.records
         assert inner.path == ("outer", "inner")
-        assert inner.depth == 1
         assert outer.path == ("outer",)
         assert inner.duration == 2.0
         assert outer.duration == 3.0
 
     def test_active_path_tracks_stack(self):
         tr = Tracer(ManualClock())
-        assert tr.active_path == ()
+        assert tr.event("e0").path == ("e0",)
         with tr.span("a"):
             with tr.span("b"):
-                assert tr.active_path == ("a", "b")
-            assert tr.active_path == ("a",)
-        assert tr.active_path == ()
+                assert tr.event("e2").path == ("a", "b", "e2")
+            assert tr.event("e1").path == ("a", "e1")
+        assert tr.event("e3").path == ("e3",)
 
     def test_span_attrs_and_result_attachment(self):
         tr = Tracer(ManualClock())
@@ -152,8 +151,8 @@ class TestTracer:
         with pytest.raises(RuntimeError):
             with tr.span("broken"):
                 raise RuntimeError("boom")
-        assert tr.active_path == ()
         assert [r.name for r in tr.records] == ["broken"]
+        assert tr.event("after").path == ("after",)
 
     def test_total_duration_and_clock_override(self):
         default = ManualClock()

@@ -117,6 +117,16 @@ class TestCliBench:
         for point in adaptive["points"]:
             assert point["adaptive_error"] <= point["uniform_error"]
 
+    def test_quick_run_keeps_a_full_scale_document(self, tmp_path, capsys):
+        """The committed trajectory is a full-scale run; a --quick run
+        pointed at it refuses (exit 1, naming the file) and leaves it be."""
+        path = tmp_path / "BENCH_adaptive.json"
+        path.write_text('{"quick": false, "points": []}\n')
+        code = main(["bench", "--quick", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert str(path) in capsys.readouterr().err
+        assert path.read_text() == '{"quick": false, "points": []}\n'
+
 
 class TestAdaptiveValidation:
     def test_valid_document_passes(self):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pore import DEFAULT_GEOMETRY, PoreGeometry
+from repro.pore import (
+    DEFAULT_GEOMETRY,
+    AxialLandscape,
+    HemolysinPore,
+    PoreGeometry,
+)
 
 
 class TestConstruction:
@@ -67,20 +72,23 @@ class TestRadiusProfile:
 
 class TestSevenfold:
     def test_wall_radius_modulation(self):
-        g = DEFAULT_GEOMETRY
-        phi = np.linspace(0, 2 * np.pi, 7, endpoint=False)
-        r = g.wall_radius(0.0, phi)
-        # cos(7 phi) = 1 at each of the seven symmetry stations.
-        np.testing.assert_allclose(r, g.radius(0.0) + g.sevenfold_amplitude)
+        """At the seven symmetry stations (cos 7 phi = 1) the wall sits
+        ``sevenfold_amplitude`` beyond the axisymmetric radius: a bead just
+        inside it feels no wall, one just beyond does."""
+        pore = HemolysinPore()
+        pore.landscape = AxialLandscape([])
+        g = pore.geometry
+        r_wall = g.radius(0.0) + g.sevenfold_amplitude
+        for phi in np.linspace(0, 2 * np.pi, 7, endpoint=False):
+            for r, touching in ((r_wall - 0.05, False), (r_wall + 0.05, True)):
+                pos = np.array([[r * np.cos(phi), r * np.sin(phi), 0.0]])
+                assert bool(pore.energy_and_forces(pos)[0] > 1e-6) is touching
 
     def test_sevenfold_periodicity(self):
-        g = DEFAULT_GEOMETRY
-        phi = np.linspace(0, 2 * np.pi, 50)
-        r1 = g.wall_radius(5.0, phi)
-        r2 = g.wall_radius(5.0, phi + 2 * np.pi / 7)
-        np.testing.assert_allclose(r1, r2, atol=1e-12)
-
-    def test_contains(self):
-        g = DEFAULT_GEOMETRY
-        assert g.contains(0.0)
-        assert not g.contains(g.z_top + 1.0)
+        pore = HemolysinPore()
+        r = pore.geometry.radius(5.0) + 0.5
+        energies = []
+        for phi in (0.3, 0.3 + 2 * np.pi / 7):
+            pos = np.array([[r * np.cos(phi), r * np.sin(phi), 5.0]])
+            energies.append(pore.energy_and_forces(pos)[0])
+        assert energies[0] == pytest.approx(energies[1], rel=1e-9)

@@ -41,13 +41,15 @@ class TestWall:
         assert f[0, 0] < 0  # radially inward
 
     def test_inside_lumen_no_wall_energy(self):
-        pore = HemolysinPore(AXISYMMETRIC, landscape=AxialLandscape([]))
+        pore = HemolysinPore(AXISYMMETRIC)
+        pore.landscape = AxialLandscape([])
         pos = np.array([[2.0, 0.0, 0.0]])
         e, f = pore.energy_and_forces(pos)
         assert e == pytest.approx(0.0, abs=1e-9)
 
     def test_outside_pore_axially_no_wall(self):
-        pore = HemolysinPore(AXISYMMETRIC, landscape=AxialLandscape([]))
+        pore = HemolysinPore(AXISYMMETRIC)
+        pore.landscape = AxialLandscape([])
         g = pore.geometry
         pos = np.array([[30.0, 0.0, g.z_top + 20.0]])
         e, _ = pore.energy_and_forces(pos)
@@ -88,7 +90,8 @@ class TestGradientExactness:
 class TestAxialPotential:
     def test_on_axis_matches_landscape_inside(self):
         land = AxialLandscape([(2.0, 0.0, 5.0)])
-        pore = HemolysinPore(landscape=land)
+        pore = HemolysinPore()
+        pore.landscape = land
         # On axis the radial envelope is sigmoid(R/w): ~0.97 at the
         # constriction (R=7, w=2), closer to 1 elsewhere.
         assert pore.axial_potential(0.0) == pytest.approx(land.value(0.0), rel=0.05)

@@ -29,7 +29,7 @@ class TestAxialLandscape:
         assert l.derivative(10.0) == pytest.approx(-2.0)
 
     def test_derivative_matches_fd(self):
-        l = default_hemolysin_landscape(tilt=-1.0)
+        l = default_hemolysin_landscape()
         zz = np.linspace(-30, 30, 200)
         h = 1e-6
         fd = (l.value(zz + h) - l.value(zz - h)) / (2 * h)
@@ -53,7 +53,7 @@ class TestAxialLandscape:
         """(R, N) input is R independent rows — also when N happens to
         equal the number of Gaussian terms (3), where the particle axis
         used to line up with the term axis."""
-        l = default_hemolysin_landscape(tilt=-0.02)
+        l = default_hemolysin_landscape()
         assert l.n_terms == 3
         zz = np.linspace(-25.0, 25.0, 2 * width).reshape(2, width)
         for fn in (l.value, l.derivative, l.force):
@@ -68,18 +68,6 @@ class TestAxialLandscape:
         np.testing.assert_allclose(
             v, [[1.79999, 1.50060, 1.07525], [0.57604, 0.05554, -0.44392]],
             atol=5e-6)
-
-    def test_shifted(self):
-        l = AxialLandscape([(2.0, 0.0, 1.0)])
-        s = l.shifted(5.0)
-        assert s.value(5.0) == pytest.approx(2.0)
-        assert s.value(0.0) == pytest.approx(l.value(-5.0))
-
-    def test_scaled(self):
-        l = AxialLandscape([(2.0, 0.0, 1.0)], tilt=-1.0)
-        s = l.scaled(3.0)
-        assert s.value(0.0) == pytest.approx(6.0)
-        assert s.tilt == pytest.approx(-3.0)
 
     def test_bad_width(self):
         with pytest.raises(ConfigurationError):

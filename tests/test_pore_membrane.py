@@ -9,8 +9,7 @@ from repro.pore import MembraneSlab
 
 class TestMembrane:
     def make(self):
-        return MembraneSlab(z_center=-30.0, half_thickness=15.0,
-                            pore_radius=13.0, stiffness=5.0)
+        return MembraneSlab(z_center=-30.0, pore_radius=13.0)
 
     def test_no_energy_outside_slab(self):
         m = self.make()
@@ -68,6 +67,4 @@ class TestMembrane:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            MembraneSlab(half_thickness=0.0)
-        with pytest.raises(ConfigurationError):
-            MembraneSlab(stiffness=-1.0)
+            MembraneSlab(pore_radius=0.0)

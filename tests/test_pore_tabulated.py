@@ -12,8 +12,10 @@ from repro.pore import (
     TabulatedPotential1D,
     full_axis_chain_potential,
 )
+from repro.pore.tabulated import CHAIN_SCALE, CHAIN_TILT
+from repro.smd import PullingProtocol
+from repro.smd.plan import run_cells
 from repro.store import ResultStore, pulling_task, task_fingerprint
-from repro.workflow import run_full_axis_production
 
 from ._potentials import assert_evaluator_is_derivative, stacked_calls
 
@@ -82,26 +84,24 @@ class TestFullAxisChainPotential:
         assert lo < pore.geometry.z_bottom
         assert hi > pore.geometry.z_top
 
-    def test_scales_with_chain(self):
-        small = full_axis_chain_potential(chain_scale=1.0, tilt=0.0)
-        big = full_axis_chain_potential(chain_scale=8.0, tilt=0.0)
-        z = 0.0
-        assert big.value(z) == pytest.approx(8.0 * small.value(z), rel=1e-6)
+    def test_is_the_scaled_on_axis_potential_plus_tilt(self):
+        p = full_axis_chain_potential()
+        pore = HemolysinPore()
+        for z in (-20.0, 0.0, 18.0):
+            want = (CHAIN_SCALE * float(pore.axial_potential(np.array([z]))[0])
+                    + CHAIN_TILT * z)
+            assert p.value(z) == pytest.approx(want, rel=1e-3, abs=1e-3)
 
     def test_tilt_dominates_far_field(self):
-        p = full_axis_chain_potential(tilt=-10.0)
+        p = full_axis_chain_potential()
         # Outside the pore only the tilt remains.
-        assert p.derivative(60.0) == pytest.approx(-10.0, rel=0.05)
+        assert p.derivative(60.0) == pytest.approx(CHAIN_TILT, rel=0.05)
 
     def test_constriction_barrier_present(self):
-        p = full_axis_chain_potential(tilt=0.0)
+        p = full_axis_chain_potential()
         # De-tilted landscape has the constriction barrier above the
         # vestibule well.
-        assert p.value(0.0) > p.value(18.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            full_axis_chain_potential(chain_scale=0.0)
+        assert p.value(0.0) > p.value(18.0) - CHAIN_TILT * 18.0
 
 
 class TestFingerprint:
@@ -134,15 +134,19 @@ class TestFingerprint:
     def test_production_window_round_trips_through_a_store(self, tmp_path):
         model = ReducedTranslocationModel(full_axis_chain_potential())
         store = ResultStore(tmp_path / "store")
-        kwargs = dict(model=model, axis_range=(-10.0, 10.0), n_samples=3,
-                      seed=4, store=store)
-        cold = run_full_axis_production(**kwargs)
+        cells = [(PullingProtocol(kappa_pn=100.0, velocity=12.5,
+                                  distance=10.0, start_z=z,
+                                  equilibration_ns=0.05),
+                  ("production-window", i))
+                 for i, z in enumerate((-10.0, 0.0))]
+        cold = list(run_cells(model, cells, None, 3, seed=4,
+                              store=store).values())
         planned = [task_fingerprint(pulling_task(
             model, e.protocol, n_samples=3, n_records=41,
             seed_key=(4, "production-window", i)))
-            for i, e in enumerate(cold.ensembles)]
+            for i, e in enumerate(cold)]
         assert store.fingerprints() == sorted(planned)
-        for fingerprint, ensemble in zip(planned, cold.ensembles):
+        for fingerprint, ensemble in zip(planned, cold):
             loaded = store.get(fingerprint)
             np.testing.assert_array_equal(loaded.works, ensemble.works)
             np.testing.assert_array_equal(loaded.positions,

@@ -62,7 +62,7 @@ class TestEnergyConservation:
         pos, masses, k, seed = chain
         n = pos.shape[0]
         system = ParticleSystem(pos, masses)
-        system.initialize_velocities(300.0, seed=seed, zero_momentum=True)
+        system.initialize_velocities(300.0, seed=seed)
         topo = TopologyBuilder(n).add_chain(range(n), k=k, r0=RMAX).build()
         sim = Simulation(system, [FENEBondForce(topo)],
                          LangevinBAOAB(timestep_fs(0.5), friction=0.0))

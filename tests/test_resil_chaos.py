@@ -58,7 +58,7 @@ class TestFaultFreeBitIdentity:
             spice_batch_jobs(n_jobs=72, ns_per_job=0.35))
 
         fed_b = build_federation()
-        resil = Resilience.for_federation(fed_b, seed=2005)
+        resil = Resilience.for_federation(fed_b)
         guarded = CampaignManager(fed_b, resil=resil).run(
             spice_batch_jobs(n_jobs=72, ns_per_job=0.35))
 

@@ -151,14 +151,6 @@ class TestRequeue:
         assert [e["fingerprint"] for e in flipped] == ["fp-b"]
         assert [e["fingerprint"] for e in dlq.active_entries()] == ["fp-a"]
 
-    def test_requeue_by_task_key(self, tmp_path):
-        path = os.fspath(tmp_path / "DLQ.jsonl")
-        dlq = DeadLetterQueue(path)
-        dlq.record(task_key=("a", 1), reason="unplaceable", attempts=5,
-                   last_error="no site")  # no fingerprint: keyed by task
-        assert len(dlq.requeue(task_keys=[("a", 1)])) == 1
-        assert dlq.active_entries() == []
-
     def test_requeue_is_idempotent(self, tmp_path):
         dlq = self._seed(os.fspath(tmp_path / "DLQ.jsonl"))
         assert len(dlq.requeue()) == 2

@@ -15,7 +15,6 @@ from repro.resil import (
     DEFAULT_CHANNEL_RETRY,
     DEFAULT_MIDDLEWARE_RETRY,
     DEFAULT_PLACEMENT_RETRY,
-    RetryBudget,
     RetryPolicy,
     retry_call,
 )
@@ -87,19 +86,6 @@ class TestRetryPolicy:
         assert p.backoff(2, rng=Boom()) == 2.0
 
 
-class TestRetryBudget:
-    def test_consume_and_remaining(self):
-        b = RetryBudget(3)
-        assert b.try_consume()
-        assert b.try_consume(2)
-        assert b.remaining == 0
-        assert not b.try_consume()
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryBudget(0)
-
-
 class TestRetryCall:
     def test_first_try_success(self):
         out = retry_call(RetryPolicy(), lambda t: "ok", operation="op",
@@ -141,17 +127,6 @@ class TestRetryCall:
         # catch NetworkError must keep working.
         assert issubclass(RetryExhausted, NetworkError)
         assert issubclass(RetryExhausted, ReproError)
-
-    def test_budget_cuts_retries_short(self):
-        def always(t):
-            raise GridError("down")
-
-        budget = RetryBudget(1)
-        with pytest.raises(RetryExhausted) as ei:
-            retry_call(RetryPolicy(max_attempts=10), always, operation="op",
-                       budget=budget)
-        assert ei.value.attempts == 2  # first try + one budgeted retry
-        assert "budget" in str(ei.value)
 
     def test_unexpected_errors_propagate(self):
         def boom(t):

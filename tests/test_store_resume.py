@@ -31,21 +31,16 @@ def run_campaign(store_root, *, interrupt_after=None, replicas=6,
     federation = build_default_federation(obs=obs)
     store = ResultStore(store_root, obs=obs)
     store.interrupt_after_writes = interrupt_after
-    resil = None
     if chaos:
         from repro.grid.failures import FailureInjector
-        from repro.resil import Resilience
 
-        resil = Resilience.for_federation(
-            federation, seed=SEED, obs=obs,
-            failure_threshold=2, reset_timeout_hours=6.0)
         injector = FailureInjector(seed=stream_for(SEED, "resil", "chaos"))
         queues = federation.all_queues()
         site = sorted(queues)[0]
         injector.hardware_failure(queues[site], 2.0, repair_hours=12.0)
     campaign = SpiceCampaign(
         federation=federation, replicas_per_cell=replicas, seed=SEED,
-        obs=obs, resil=resil, store=store)
+        obs=obs, store=store)
     result = campaign.run()
     report = campaign_run_report(result, obs, store=store,
                                  command="campaign", seed=SEED)

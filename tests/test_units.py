@@ -13,16 +13,11 @@ class TestConstants:
 
     def test_kT_room_temperature(self):
         # ~0.596 kcal/mol at 300 K.
-        assert units.kT(300.0) == pytest.approx(0.5962, rel=1e-3)
+        assert units.kT() == pytest.approx(0.5962, rel=1e-3)
 
     def test_beta_inverse_of_kT(self):
-        assert units.beta(300.0) * units.kT(300.0) == pytest.approx(1.0)
+        assert units.beta() * units.kT() == pytest.approx(1.0)
 
-    def test_kT_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            units.kT(0.0)
-        with pytest.raises(ValueError):
-            units.kT(-10.0)
 
 
 class TestSpringConstantConversion:
@@ -48,7 +43,7 @@ class TestSpringConstantConversion:
 def thermal_velocities(mass_amu, temperature=300.0, n=20000, seed=0):
     """Maxwell-Boltzmann velocity components as the engine draws them."""
     system = ParticleSystem(np.zeros((n, 3)), np.full(n, mass_amu))
-    system.initialize_velocities(temperature, seed=seed, zero_momentum=False)
+    system.initialize_velocities(temperature, seed=seed)
     return system
 
 
@@ -57,7 +52,7 @@ class TestMassConversion:
         # sigma_v = sqrt(kT / (m MASS_TO_KCAL)) puts 0.5 kT in each component.
         system = thermal_velocities(12.0)
         ke = system.kinetic_energy() / (3 * system.n)
-        assert ke == pytest.approx(0.5 * units.kT(300.0), rel=0.02)
+        assert ke == pytest.approx(0.5 * units.kT(), rel=0.02)
 
     def test_thermal_velocity_magnitude(self):
         # Carbon-mass bead at 300 K: a few thousand A/ns (hundreds m/s).

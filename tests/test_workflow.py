@@ -14,7 +14,7 @@ from repro.workflow import (
 
 class TestStaticVizPhase:
     def test_window_centred_on_constriction(self):
-        insight = StaticVizPhase(window_length=10.0).run()
+        insight = StaticVizPhase().run()
         lo, hi = insight.suggested_window
         assert hi - lo == pytest.approx(10.0)
         assert abs(insight.constriction_z - 0.5 * (lo + hi)) < 0.5
@@ -24,10 +24,6 @@ class TestStaticVizPhase:
         assert insight.pore_summary["symmetry_order"] == 7
         z, r = insight.radius_profile
         assert z.shape == r.shape
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            StaticVizPhase(window_length=0.0)
 
 
 class TestInteractivePhase:
@@ -59,7 +55,6 @@ class TestBatchPhase:
             kappas=(100.0,),
             velocities=(25.0, 50.0),
             replicas_per_cell=2,
-            samples_per_replica=2,
             seed=4,
         )
         result = phase.run()
@@ -72,7 +67,7 @@ class TestBatchPhase:
         phase = BatchPhase(
             build_default_federation(),
             kappas=(100.0,), velocities=(12.5,),
-            replicas_per_cell=2, samples_per_replica=1, seed=5,
+            replicas_per_cell=2, seed=5,
         )
         result = phase.run()
         job = result.jobs[0]
@@ -100,8 +95,7 @@ class TestSpiceCampaign:
         assert s["kappa_candidates"] == (10.0, 100.0, 1000.0)
 
     def test_pmf_accessor(self):
-        result = SpiceCampaign(replicas_per_cell=2, samples_per_replica=2,
-                               interactive_frames=10, seed=7).run()
+        result = SpiceCampaign(replicas_per_cell=4, seed=7).run()
         pmf = result.pmf
         assert pmf.values[0] == 0.0
         assert pmf.values[-1] < 0  # downhill translocation

@@ -12,13 +12,13 @@ from repro.grid import (
 from repro.workflow import InteractiveSessionRunner
 
 
-def make_runner(error_rate=0.0, lightpath_rate=1.0, fallback=True, seed=0):
+def make_runner(error_rate=0.0, lightpath_rate=1.0, seed=0):
     loop = EventLoop()
     queues = {"NCSA": BatchQueue(ComputeResource("NCSA", "TeraGrid", 1024), loop)}
     workflows = {"NCSA": ManualReservationWorkflow(error_rate=error_rate, seed=seed)}
     return InteractiveSessionRunner(
         queues, workflows, lightpath_success_rate=lightpath_rate,
-        fallback_to_production=fallback, n_frames=20, seed=seed,
+        n_frames=20, seed=seed,
     )
 
 
@@ -33,27 +33,13 @@ class TestInteractiveSession:
         assert out.imd.slowdown < 1.05
 
     def test_lightpath_failure_falls_back_to_production(self):
-        runner = make_runner(lightpath_rate=0.0, fallback=True)
+        runner = make_runner(lightpath_rate=0.0)
         out = runner.attempt("NCSA", start=10.0, duration=4.0)
         assert out.ran
         assert out.network_used == "production-internet"
         assert not out.allocation.lightpath_allocated
         assert out.imd.slowdown > 1.05
         assert out.wasted_cpu_hours > 0.0
-
-    def test_lightpath_failure_scrubs_without_fallback(self):
-        runner = make_runner(lightpath_rate=0.0, fallback=False)
-        out = runner.attempt("NCSA", start=10.0, duration=4.0)
-        assert not out.ran
-        assert out.network_used is None
-        assert out.wasted_cpu_hours == 0.0
-
-    def test_no_lightpath_needed(self):
-        runner = make_runner(lightpath_rate=0.0)
-        out = runner.attempt("NCSA", start=10.0, duration=4.0,
-                             need_lightpath=False)
-        assert out.ran
-        assert out.network_used == "production-internet"
 
     def test_coordination_cost_tracked(self):
         runner = make_runner(error_rate=0.5, seed=3)
@@ -64,10 +50,3 @@ class TestInteractiveSession:
         runner = make_runner()
         with pytest.raises(ConfigurationError):
             runner.attempt("Atlantis", start=1.0, duration=1.0)
-
-    def test_validation(self):
-        loop = EventLoop()
-        queues = {"X": BatchQueue(ComputeResource("X", "G", 512), loop)}
-        workflows = {"X": ManualReservationWorkflow(seed=0)}
-        with pytest.raises(ConfigurationError):
-            InteractiveSessionRunner(queues, workflows, procs=0)

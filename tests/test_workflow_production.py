@@ -18,7 +18,6 @@ from repro.smd import (
     run_pulling_ensemble,
 )
 from repro.smd.plan import run_cells
-from repro.store import ResultStore, pulling_task, task_fingerprint
 from repro.workflow import run_full_axis_production
 
 
@@ -106,34 +105,18 @@ class TestProductionIsOnePlan:
                 model, ensemble.protocol, 3, kernel="reference",
                 seed=stream_for(11, "production-window", i)))
 
-    def test_store_is_bit_neutral_and_a_rerun_computes_nothing(
-            self, tmp_path):
-        kwargs = dict(axis_range=(-10.0, 10.0), n_samples=3, seed=5)
-        bare = run_full_axis_production(**kwargs)
-        store = ResultStore(tmp_path / "store")
-        for stage, traffic in (("cold", (0, 2, 2)), ("warm", (2, 2, 2))):
-            res = run_full_axis_production(store=store, **kwargs)
-            for a, b in zip(bare.ensembles, res.ensembles):
-                assert_same(a, b)
-            np.testing.assert_array_equal(bare.pmf, res.pmf)
-            assert (store.hits, store.misses, store.writes) == traffic, stage
-
-    def test_axis_shorter_than_the_window_is_one_window(self, tmp_path):
+    def test_axis_shorter_than_the_window_is_one_window(self):
         """Regression: the clamp to the axis length reached the base
         protocol but not ``plan_subtrajectories``, which refused
         ``window > total_distance``."""
         model = landscape_model()
         cell = ("production-window", 0)
-        store = ResultStore(tmp_path / "store")
         res = run_full_axis_production(
             model=model, axis_range=(-2.0, 2.0), window=10.0, n_samples=3,
-            seed=7, store=store)
+            seed=7)
         [ensemble] = res.ensembles
         assert (ensemble.protocol.start_z, ensemble.protocol.distance) == (
             -2.0, 4.0)
-        assert store.fingerprints() == [task_fingerprint(pulling_task(
-            model, ensemble.protocol, n_samples=3, n_records=41,
-            seed_key=(7, *cell)))]
         alone = run_cells(model, [(ensemble.protocol, cell)], None, 3, seed=7)
         assert list(alone) == [cell]
         assert_same(ensemble, alone[cell])
@@ -190,17 +173,3 @@ class TestBidirectionalIsOnePlan:
                 seed=stream_for(8, "smd.bidir", tag)))
         assert [(s.attrs["n_cells"], s.attrs["n_samples"])
                 for s in obs.tracer.named("smd.ensemble")] == [(2, 6)]
-
-    def test_store_is_bit_neutral_under_the_historical_keys(self, tmp_path):
-        model, proto, bare = self.pair()
-        store = ResultStore(tmp_path / "store")
-        for stage, traffic in (("cold", (0, 2, 2)), ("warm", (2, 2, 2))):
-            _, _, pair = self.pair(store=store)
-            assert_same(bare.forward, pair.forward)
-            assert_same(bare.reverse, pair.reverse)
-            assert (store.hits, store.misses, store.writes) == traffic, stage
-        assert store.fingerprints() == sorted(
-            task_fingerprint(pulling_task(
-                model, protocol, n_samples=3, n_records=7,
-                seed_key=(8, "smd.bidir", tag)))
-            for protocol, tag in ((proto, "fwd"), (proto.reversed(), "rev")))
