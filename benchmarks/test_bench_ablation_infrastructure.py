@@ -107,7 +107,7 @@ def test_requeue_ablation(benchmark, emit):
             Grid("NGS", ngs_sites(), loop),
         ])
         mgr = CampaignManager(fed)
-        jobs = spice_batch_jobs(n_jobs=36, ns_per_job=0.35)
+        jobs = spice_batch_jobs(n_jobs=36)
         FailureInjector(seed=2).security_breach(
             fed.all_queues()["PSC"], at_hours=2.0, weeks=2.0)
         if requeue:

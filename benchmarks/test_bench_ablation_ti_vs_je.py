@@ -67,7 +67,7 @@ def test_ti_vs_smdje(benchmark, emit):
         # (d) umbrella sampling + WHAM.
         wh = run_umbrella_sampling(model, UmbrellaProtocol(start_z=-5.0,
                                                            distance=10.0),
-                                   n_replicas=12, seed=44)
+                                   seed=44)
         ref_w = model.reference_pmf(wh.bin_centers, zero_at_start=False)
         ref_w = ref_w - ref_w[0]
         rows.append(("umbrella sampling + WHAM",

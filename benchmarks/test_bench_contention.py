@@ -59,15 +59,12 @@ def run_campaign(model: str, seed: int = 0):
         if model == "explicit":
             for i, (name, q) in enumerate(fed.all_queues().items()):
                 target = 0.8 if q.resource.grid == "TeraGrid" else 0.7
-                BackgroundWorkload(
-                    target_utilization=target,
-                    mean_duration_hours=12.0,
-                    width_fractions=(0.1, 0.25, 0.5, 0.75),
-                ).inject(q, horizon_hours=35 * 24.0, seed=seed + i)
+                BackgroundWorkload(target_utilization=target).inject(
+                    q, horizon_hours=35 * 24.0, seed=seed + i)
             loop.run(until=WARMUP_HOURS)
             warmup = WARMUP_HOURS
     mgr = CampaignManager(fed)
-    report = mgr.run(spice_batch_jobs(n_jobs=72, ns_per_job=0.35))
+    report = mgr.run(spice_batch_jobs(n_jobs=72))
     return report, warmup
 
 

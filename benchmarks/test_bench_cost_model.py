@@ -35,7 +35,7 @@ def test_smdje_decomposition_consistency(benchmark, emit):
     from repro.grid import spice_batch_jobs
 
     def compute():
-        jobs = spice_batch_jobs(n_jobs=72, ns_per_job=0.35)
+        jobs = spice_batch_jobs(n_jobs=72)
         smdje_total = sum(j.cpu_hours for j in jobs)
         vanilla = PAPER_COST_MODEL.vanilla_total_cpu_hours()
         return smdje_total, vanilla / smdje_total

@@ -28,8 +28,7 @@ def run_season(lightpath_rate: float, seed: int = 0):
     queues = {"NCSA": BatchQueue(ComputeResource("NCSA", "TeraGrid", 2048), loop)}
     workflows = {"NCSA": ManualReservationWorkflow(error_rate=0.35, seed=seed)}
     runner = InteractiveSessionRunner(
-        queues, workflows, lightpath_success_rate=lightpath_rate,
-        n_frames=30, seed=seed,
+        queues, workflows, lightpath_success_rate=lightpath_rate, seed=seed,
     )
     outcomes = []
     for i in range(N_ATTEMPTS):

@@ -26,7 +26,7 @@ from conftest import once
 def run_campaign(site_groups, steering_required=True):
     loop = EventLoop()
     fed = FederatedGrid([Grid(name, sites, loop) for name, sites in site_groups])
-    jobs = spice_batch_jobs(n_jobs=72, ns_per_job=0.35)
+    jobs = spice_batch_jobs(n_jobs=72)
     for j in jobs:
         j.steering_required = steering_required
     return CampaignManager(fed).run(jobs)

@@ -27,7 +27,7 @@ def build_fabric():
     for i, a in enumerate(sites):
         for b in sites[i + 1:]:
             f.add_link(a, b, LIGHTPATH)
-    f.add_gateway(GatewayNode("psc-agn", "PSC", capacity_streams=4))
+    f.add_gateway(GatewayNode("psc-agn", "PSC"))
     return f
 
 
@@ -59,7 +59,7 @@ def test_gateway_bottleneck(benchmark, emit):
     saturates — the 'bottleneck' caveat."""
 
     def workload():
-        gw = GatewayNode("psc-agn", "PSC", capacity_streams=4)
+        gw = GatewayNode("psc-agn", "PSC")
         admitted = 0
         requested = 12
         for _ in range(requested):

@@ -30,7 +30,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import AnalysisError, ConfigurationError
-from ..units import KB
+from ..units import KB, ROOM_TEMPERATURE
 
 __all__ = [
     "estimate_diffusion",
@@ -49,20 +49,14 @@ CALIBRATION_START_Z = 120.0
 CALIBRATION_SEED = 1234
 
 
-def estimate_diffusion(
-    times: np.ndarray,
-    series: np.ndarray,
-    dim: int = 1,
-) -> float:
+def estimate_diffusion(times: np.ndarray, series: np.ndarray) -> float:
     """Diffusion constant from MSD(t) ~ 2 d D t.
 
     Parameters
     ----------
     times / series:
-        Trajectory of a coordinate (1-D array) or coordinates
+        Trajectory of a coordinate (1-D array, d = 1) or coordinates
         ``(n_frames, d)`` sampled at ``times`` (ns).
-    dim:
-        Spatial dimensionality of the series (1 for an axial coordinate).
 
     The MSD is fitted over lags up to :data:`FIT_FRACTION` of the
     trajectory (short lags: best statistics, least drift contamination).
@@ -84,17 +78,18 @@ def estimate_diffusion(
     dt = float(np.mean(np.diff(t)))
     lag_times = lags * dt
     # Least-squares through the origin: D = sum(msd * t) / (2 d sum(t^2)).
-    denom = 2.0 * dim * float(np.sum(lag_times**2))
+    denom = 2.0 * x.shape[1] * float(np.sum(lag_times**2))
     if denom == 0.0:
         raise AnalysisError("degenerate lag times")
     return float(np.sum(msd * lag_times) / denom)
 
 
-def estimate_friction(diffusion: float, temperature: float = 300.0) -> float:
-    """Einstein relation: ``zeta = kB T / D`` (kcal ns / (mol A^2))."""
+def estimate_friction(diffusion: float) -> float:
+    """Einstein relation at room temperature: ``zeta = kB T / D``
+    (kcal ns / (mol A^2))."""
     if diffusion <= 0.0:
         raise ConfigurationError("diffusion must be positive")
-    return KB * temperature / diffusion
+    return KB * ROOM_TEMPERATURE / diffusion
 
 
 def calibrate_reduced_friction() -> Tuple[float, float]:
@@ -123,5 +118,5 @@ def calibrate_reduced_friction() -> Tuple[float, float]:
 
     sim.add_reporter(track)
     sim.run_until(CALIBRATION_NS)
-    D = estimate_diffusion(np.array(times), np.array(com_z), dim=1)
-    return D, estimate_friction(D, temperature=300.0)
+    D = estimate_diffusion(np.array(times), np.array(com_z))
+    return D, estimate_friction(D)

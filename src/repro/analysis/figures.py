@@ -121,9 +121,9 @@ def cost_model_table(model: CostModel) -> Table:
     t.add_row("CPU-hours per ns (300k atoms)", model.cpu_hours_per_ns(), "CPU-h")
     t.add_row("vanilla 10 us total", model.vanilla_total_cpu_hours(), "CPU-h")
     t.add_row("SMD-JE total (50x)",
-              model.smdje_total_cpu_hours(model.smdje_reduction_low), "CPU-h")
+              model.smdje_total_cpu_hours(model.SMDJE_REDUCTION_LOW), "CPU-h")
     t.add_row("SMD-JE total (100x)",
-              model.smdje_total_cpu_hours(model.smdje_reduction_high), "CPU-h")
+              model.smdje_total_cpu_hours(model.SMDJE_REDUCTION_HIGH), "CPU-h")
     t.add_row("Moore's-law wait for routine",
               model.moores_law_years_until_routine(), "years")
     return t

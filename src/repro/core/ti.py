@@ -42,10 +42,6 @@ class TIProtocol:
 
     Attributes
     ----------
-    kappa_pn:
-        Restraint stiffness in pN/A.  Stiff restraints localize the
-        coordinate at each station (small mean-force smoothing); the same
-        thermal-width tradeoff as SMD applies.
     start_z / distance:
         Window, matching the SMD convention.
     n_stations:
@@ -56,16 +52,18 @@ class TIProtocol:
         Discarded relaxation time per station after moving the restraint.
     """
 
-    kappa_pn: float = 1000.0
     start_z: float = -5.0
     distance: float = 10.0
     n_stations: int = 21
     sampling_ns: float = 0.1
     equilibration_ns: float = 0.02
 
+    #: Restraint stiffness in pN/A.  Stiff restraints localize the
+    #: coordinate at each station (small mean-force smoothing); the same
+    #: thermal-width tradeoff as SMD applies.
+    kappa_pn = 1000.0
+
     def __post_init__(self) -> None:
-        if self.kappa_pn <= 0:
-            raise ConfigurationError("kappa must be positive")
         if self.distance <= 0:
             raise ConfigurationError("distance must be positive")
         if self.n_stations < 2:

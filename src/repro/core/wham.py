@@ -34,6 +34,8 @@ from .pmf import PMFEstimate
 
 __all__ = ["UmbrellaProtocol", "WHAMResult", "run_umbrella_sampling", "wham"]
 
+#: Replicas sampling each window.
+N_REPLICAS = 12
 #: Positions each replica records per window, at an even stride over the
 #: window's sampling time.
 SAMPLES_PER_REPLICA = 200
@@ -54,20 +56,21 @@ class UmbrellaProtocol:
     default (kappa = 30 pN/A, spacing 0.5 A, width ~1.2 A) overlaps well.
     """
 
-    kappa_pn: float = 30.0
     start_z: float = -5.0
     distance: float = 10.0
     n_windows: int = 21
-    sampling_ns: float = 0.08
-    equilibration_ns: float = 0.02
+
+    #: Umbrella stiffness in pN/A.
+    kappa_pn = 30.0
+    #: Sampling and discarded relaxation time per window (ns).
+    sampling_ns = 0.08
+    equilibration_ns = 0.02
 
     def __post_init__(self) -> None:
-        if self.kappa_pn <= 0 or self.distance <= 0:
-            raise ConfigurationError("kappa and distance must be positive")
+        if self.distance <= 0:
+            raise ConfigurationError("distance must be positive")
         if self.n_windows < 2:
             raise ConfigurationError("need at least 2 windows")
-        if self.sampling_ns <= 0 or self.equilibration_ns < 0:
-            raise ConfigurationError("invalid sampling/equilibration times")
 
     @property
     def kappa_internal(self) -> float:
@@ -99,22 +102,20 @@ class WHAMResult:
 def run_umbrella_sampling(
     model: ReducedTranslocationModel,
     protocol: Optional[UmbrellaProtocol] = None,
-    n_replicas: int = 8,
     seed: SeedLike = None,
     obs: Optional[Obs] = None,
 ) -> WHAMResult:
     """Sample all umbrella windows and solve WHAM.
 
-    Each window equilibrates, then records :data:`SAMPLES_PER_REPLICA`
-    positions per replica at an even stride over the sampling time.
+    :data:`N_REPLICAS` replicas equilibrate in each window, then each
+    records :data:`SAMPLES_PER_REPLICA` positions at an even stride over
+    the sampling time.
     ``protocol`` defaults to ``UmbrellaProtocol()``; ``obs`` is the
     instrumentation handle (read-only — no RNG draws, so runs stay
     bit-identical).
     """
     if protocol is None:
         protocol = UmbrellaProtocol()
-    if n_replicas < 1:
-        raise ConfigurationError("need positive replicas and samples")
     obs = as_obs(obs)
     rng = as_generator(seed)
     kappa = protocol.kappa_internal
@@ -130,8 +131,8 @@ def run_umbrella_sampling(
 
     all_samples = []
     with obs.span("core.wham.sampling", n_windows=centers.size,
-                  n_replicas=n_replicas):
-        z = model.equilibrate(n_replicas, spring_kappa=kappa,
+                  n_replicas=N_REPLICAS):
+        z = model.equilibrate(N_REPLICAS, spring_kappa=kappa,
                               spring_center=float(centers[0]), dt=dt,
                               time_ns=protocol.equilibration_ns, seed=rng)
         for center in centers:
@@ -149,7 +150,7 @@ def run_umbrella_sampling(
     with obs.span("core.wham.solve", n_bins=N_BINS):
         pmf_values, bin_centers, f_i, iters = wham(
             all_samples, centers, kappa, model.temperature)
-    total_ns = n_replicas * protocol.total_time_ns
+    total_ns = N_REPLICAS * protocol.total_time_ns
     if obs.enabled:
         obs.metrics.inc("core.wham.windows", centers.size)
         obs.metrics.inc("core.wham.sim_ns", total_ns)
@@ -160,7 +161,7 @@ def run_umbrella_sampling(
         kappa_pn=protocol.kappa_pn,
         velocity=0.0,
         estimator="umbrella-wham",
-        n_samples=n_replicas,
+        n_samples=N_REPLICAS,
         temperature=model.temperature,
         cpu_hours=total_ns * PAPER_CPU_HOURS_PER_NS,
     )

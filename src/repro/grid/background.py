@@ -35,25 +35,18 @@ class BackgroundWorkload:
     target_utilization:
         Long-run fraction of the queue's capacity the stream tries to keep
         busy (arrival rate is derived from it).
-    mean_duration_hours:
-        Exponential mean of job durations.
-    width_fractions:
-        Candidate job widths as fractions of capacity (drawn uniformly).
     """
 
     target_utilization: float = 0.5
-    mean_duration_hours: float = 6.0
-    width_fractions: tuple[float, ...] = (0.05, 0.1, 0.25, 0.5)
+
+    #: Exponential mean of job durations.
+    MEAN_DURATION_HOURS = 12.0
+    #: Candidate job widths as fractions of capacity (drawn uniformly).
+    WIDTH_FRACTIONS = (0.1, 0.25, 0.5, 0.75)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.target_utilization < 1.0):
             raise ConfigurationError("target_utilization must be in (0, 1)")
-        if self.mean_duration_hours <= 0:
-            raise ConfigurationError("mean_duration_hours must be positive")
-        if not self.width_fractions or any(
-            not (0.0 < w <= 1.0) for w in self.width_fractions
-        ):
-            raise ConfigurationError("width fractions must be in (0, 1]")
 
     def inject(
         self,
@@ -70,16 +63,16 @@ class BackgroundWorkload:
         if horizon_hours <= 0:
             raise ConfigurationError("horizon must be positive")
         rng = as_generator(seed)
-        mean_width = float(np.mean(self.width_fractions)) * queue.capacity
+        mean_width = float(np.mean(self.WIDTH_FRACTIONS)) * queue.capacity
         rate = (self.target_utilization * queue.capacity
-                / (mean_width * self.mean_duration_hours))
+                / (mean_width * self.MEAN_DURATION_HOURS))
         jobs: List[Job] = []
         t = float(rng.exponential(1.0 / rate))
         i = 0
         while t < horizon_hours:
-            frac = float(rng.choice(self.width_fractions))
+            frac = float(rng.choice(self.WIDTH_FRACTIONS))
             procs = max(int(frac * queue.capacity), 1)
-            duration = float(rng.exponential(self.mean_duration_hours))
+            duration = float(rng.exponential(self.MEAN_DURATION_HOURS))
             duration = max(duration, 0.1)
             job = Job(f"bg-{queue.resource.name}-{i}", procs=procs,
                       duration_hours=duration)

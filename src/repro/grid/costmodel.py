@@ -22,35 +22,24 @@ regenerate each number and the grid experiments can size jobs consistently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from ..errors import ConfigurationError
 
 __all__ = ["CostModel", "PAPER_COST_MODEL"]
 
 
-@dataclass(frozen=True)
 class CostModel:
-    """Cost relations calibrated to the paper's quoted figures.
+    """Cost relations calibrated to the paper's quoted figures."""
 
-    Attributes
-    ----------
-    reference_procs / reference_hours_per_ns:
-        The calibration: 128 procs, 24 wall-hours per ns of the paper's
-        ~300,000-atom system.
-    translocation_time_us:
-        Physical timescale of the target process ("typically of the order
-        of tens of microseconds"; the paper's arithmetic uses 10 us).
-    smdje_reduction_low / smdje_reduction_high:
-        The SMD-JE net-requirement reduction bracket (50-100x).
-    """
-
-    reference_procs: int = 128
-    reference_hours_per_ns: float = 24.0
-    translocation_time_us: float = 10.0
-    smdje_reduction_low: float = 50.0
-    smdje_reduction_high: float = 100.0
-
+    #: The calibration: 128 procs, 24 wall-hours per ns of the paper's
+    #: ~300,000-atom system.
+    REFERENCE_PROCS = 128
+    REFERENCE_HOURS_PER_NS = 24.0
+    #: Physical timescale of the target process ("typically of the order
+    #: of tens of microseconds"; the paper's arithmetic uses 10 us).
+    TRANSLOCATION_TIME_US = 10.0
+    #: The SMD-JE net-requirement reduction bracket (50-100x).
+    SMDJE_REDUCTION_LOW = 50.0
+    SMDJE_REDUCTION_HIGH = 100.0
     #: Moore's law as the paper states it: speed doubles every 18 months.
     DOUBLING_MONTHS = 18.0
     #: "Routine": the vanilla simulation fits in a month of wall time.
@@ -58,16 +47,16 @@ class CostModel:
 
     def cpu_hours_per_ns(self) -> float:
         """CPU-hours to simulate 1 ns of the calibration system."""
-        return self.reference_procs * self.reference_hours_per_ns
+        return self.REFERENCE_PROCS * self.REFERENCE_HOURS_PER_NS
 
     def vanilla_total_cpu_hours(self) -> float:
         """Cost of the brute-force translocation simulation (3e7 CPU-h)."""
-        return self.cpu_hours_per_ns() * self.translocation_time_us * 1000.0
+        return self.cpu_hours_per_ns() * self.TRANSLOCATION_TIME_US * 1000.0
 
     def smdje_total_cpu_hours(self, reduction: float | None = None) -> float:
         """Cost under SMD-JE at a given (or mid-bracket) reduction factor."""
         if reduction is None:
-            reduction = math.sqrt(self.smdje_reduction_low * self.smdje_reduction_high)
+            reduction = math.sqrt(self.SMDJE_REDUCTION_LOW * self.SMDJE_REDUCTION_HIGH)
         if reduction <= 0:
             raise ConfigurationError("reduction factor must be positive")
         return self.vanilla_total_cpu_hours() / reduction
@@ -87,10 +76,8 @@ class CostModel:
         fits in :attr:`ROUTINE_DAYS` on the reference machine — the paper's
         "still a couple of decades away" check."""
         current_days = (
-            self.vanilla_total_cpu_hours() / self.reference_procs
+            self.vanilla_total_cpu_hours() / self.REFERENCE_PROCS
         ) / 24.0
-        if current_days <= self.ROUTINE_DAYS:
-            return 0.0
         doublings = math.log2(current_days / self.ROUTINE_DAYS)
         return doublings * self.DOUBLING_MONTHS / 12.0
 

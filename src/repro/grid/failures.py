@@ -29,6 +29,11 @@ SECURITY_BREACH_WEEKS: float = 3.0
 class FailureInjector:
     """Schedules outages against batch queues on their shared loop."""
 
+    #: Mean time between random hardware failures of one queue, and the
+    #: repair time of each (hours).
+    MTBF_HOURS = 200.0
+    REPAIR_HOURS = 12.0
+
     def __init__(self, seed: SeedLike = None) -> None:
         self.rng = as_generator(seed)
         self.injected: List[Tuple[str, float, float, str]] = []
@@ -60,18 +65,17 @@ class FailureInjector:
         self,
         queues: Sequence[BatchQueue],
         horizon_hours: float,
-        mtbf_hours: float = 500.0,
-        repair_hours: float = 12.0,
     ) -> int:
         """Poisson hardware failures over a horizon; returns count injected."""
-        if mtbf_hours <= 0 or horizon_hours <= 0:
-            raise ConfigurationError("mtbf and horizon must be positive")
+        if horizon_hours <= 0:
+            raise ConfigurationError("horizon must be positive")
         n_injected = 0
         for q in queues:
-            t = float(self.rng.exponential(mtbf_hours))
+            t = float(self.rng.exponential(self.MTBF_HOURS))
             while t < horizon_hours:
-                self.hardware_failure(q, at_hours=t, repair_hours=repair_hours)
-                t += repair_hours + float(self.rng.exponential(mtbf_hours))
+                self.hardware_failure(q, at_hours=t,
+                                      repair_hours=self.REPAIR_HOURS)
+                t += self.REPAIR_HOURS + float(self.rng.exponential(self.MTBF_HOURS))
                 n_injected += 1
         return n_injected
 

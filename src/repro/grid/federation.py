@@ -308,7 +308,7 @@ class CampaignManager:
         self._jobs = list(jobs)
         if self._resil is not None:
             self._resil.bind(self.federation)
-        with self._obs.span("grid.campaign", clock=getattr(self.loop, "clock", None),
+        with self._obs.span("grid.campaign", clock=self.loop.clock,
                             jobs=len(self._jobs)):
             for job in self._jobs:
                 self.place(job)

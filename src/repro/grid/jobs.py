@@ -61,7 +61,7 @@ class Job:
     steering_required: bool = False
     checkpointable: bool = False
     completed_fraction: float = 0.0
-    job_id: int = field(default_factory=lambda: next(_job_ids))
+    job_id: int = field(init=False, default_factory=lambda: next(_job_ids))
     state: JobState = JobState.PENDING
     resource: Optional[str] = None
     submit_time: Optional[float] = None
@@ -111,32 +111,29 @@ class Job:
             self.completed_fraction = 0.0
 
 
-#: The batch's nominal cost rate (CPU-hours per simulated ns) and the
-#: processor counts its jobs alternate between.
+#: The batch's nominal cost rate (CPU-hours per simulated ns), the
+#: physical time each job simulates (ns), and the processor counts its
+#: jobs alternate between.
 BATCH_CPU_HOURS_PER_NS = 3000.0
+BATCH_NS_PER_JOB = 0.35
 BATCH_PROCS = (128, 256)
 
 
-def spice_batch_jobs(
-    n_jobs: int = 72,
-    ns_per_job: float = 1.0,
-) -> List[Job]:
+def spice_batch_jobs(n_jobs: int = 72) -> List[Job]:
     """The paper's production batch: 72 SMD-JE simulations.
 
-    Each job simulates ``ns_per_job`` of physical time at the paper's cost
-    rate; processor counts alternate between the paper's 128 and 256
-    ("depending upon the machine used").  Default total:
-    72 * 1 ns * 3000 CPU-h/ns = 216,000 nominal CPU-hours at reference
-    speed; the paper's ~75,000 CPU-h corresponds to sub-ns pulls — use
-    ``ns_per_job=0.35`` for the paper-matched campaign (the batch benchmark
-    does).
+    Each job simulates :data:`BATCH_NS_PER_JOB` of physical time at the
+    paper's cost rate; processor counts alternate between the paper's 128
+    and 256 ("depending upon the machine used").  The full batch is
+    72 * 0.35 ns * 3000 CPU-h/ns = 75,600 nominal CPU-hours at reference
+    speed, the paper's ~75,000 CPU-h.
     """
     if n_jobs <= 0:
         raise ConfigurationError("n_jobs must be positive")
     jobs = []
     for i in range(n_jobs):
         procs = BATCH_PROCS[i % len(BATCH_PROCS)]
-        cpu_hours = ns_per_job * BATCH_CPU_HOURS_PER_NS
+        cpu_hours = BATCH_NS_PER_JOB * BATCH_CPU_HOURS_PER_NS
         jobs.append(
             Job(
                 name=f"smdje-{i:02d}",

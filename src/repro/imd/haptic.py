@@ -6,8 +6,8 @@ III: "IMD simulations are then extended to include haptic devices to get an
 estimate of force values as well as to determine suitable constraints to
 place."
 
-:class:`HapticDevice` models the instrument: a bounded force output, an
-update rate, and force-feedback recording (the felt spring force is how the
+:class:`HapticDevice` models the instrument: a bounded force output and
+force-feedback recording (the felt spring force is how the
 scientist estimates force scales).  :class:`ScriptedUser` replaces the human
 in the loop: it reads the latest rendered frame, decides a steering force
 with a proportional-control policy toward a target station, and reacts with
@@ -30,32 +30,20 @@ __all__ = ["HapticDevice", "ScriptedUser"]
 
 @dataclass
 class HapticDevice:
-    """A force-feedback instrument in the steering loop.
+    """A force-feedback instrument in the steering loop."""
 
-    Attributes
-    ----------
-    max_force:
-        Hardware force ceiling mapped into simulation units (kcal/mol/A).
-    update_rate_hz:
-        Device servo rate; inputs between updates are quantized in time.
-    """
-
-    name: str = "phantom"
-    max_force: float = 20.0
-    update_rate_hz: float = 500.0
     feedback_log: List[Tuple[float, float]] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if self.max_force <= 0 or self.update_rate_hz <= 0:
-            raise ConfigurationError("max_force and update_rate_hz must be positive")
+    #: Hardware force ceiling mapped into simulation units (kcal/mol/A).
+    MAX_FORCE = 20.0
 
     def clamp(self, force_vector: np.ndarray) -> np.ndarray:
         """Clip a requested force to the device ceiling (preserving direction)."""
         f = np.asarray(force_vector, dtype=np.float64)
         mag = float(np.linalg.norm(f))
-        if mag <= self.max_force or mag == 0.0:
+        if mag <= self.MAX_FORCE or mag == 0.0:
             return f
-        return f * (self.max_force / mag)
+        return f * (self.MAX_FORCE / mag)
 
     def feel(self, time_s: float, force_magnitude: float) -> None:
         """Record force feedback presented to the user's hand."""
@@ -73,24 +61,25 @@ class ScriptedUser:
     """A deterministic stand-in for the scientist at the haptic desk.
 
     Policy: pull the DNA's centre of mass toward ``target_z`` along the pore
-    axis with gain ``gain`` (force per A of error), clamped by the device,
-    with ``reaction_time_s`` latency and multiplicative motor noise.
+    axis with gain :attr:`GAIN`, clamped by the device, with
+    ``reaction_time_s`` latency and multiplicative motor noise.
     """
+
+    #: Steering force per A of error (kcal/mol/A^2).
+    GAIN = 0.5
 
     def __init__(
         self,
         device: HapticDevice,
         target_z: float,
-        gain: float = 1.0,
         reaction_time_s: float = 0.25,
         motor_noise: float = 0.1,
         seed: SeedLike = None,
     ) -> None:
-        if gain <= 0 or reaction_time_s < 0 or motor_noise < 0:
+        if reaction_time_s < 0 or motor_noise < 0:
             raise ConfigurationError("invalid user-model parameters")
         self.device = device
         self.target_z = float(target_z)
-        self.gain = float(gain)
         self.reaction_time_s = float(reaction_time_s)
         self.motor_noise = float(motor_noise)
         self.rng = as_generator(seed)
@@ -103,7 +92,7 @@ class ScriptedUser:
         ``reaction_time_s`` after seeing the frame.
         """
         error = self.target_z - float(frame.com[2])
-        raw = np.array([0.0, 0.0, self.gain * error], dtype=np.float64)
+        raw = np.array([0.0, 0.0, self.GAIN * error], dtype=np.float64)
         if self.motor_noise > 0:
             raw *= 1.0 + self.motor_noise * self.rng.standard_normal()
         force = self.device.clamp(raw)

@@ -110,8 +110,7 @@ class IMDSession:
         self.dna_indices = system.dna_indices
         self.steering_force = SteeringForce(self.simulation.system.n)
         self.simulation.forces.append(self.steering_force)
-        self.user = ScriptedUser(HapticDevice(), target_z=-20.0, gain=0.5,
-                                 seed=user_seed)
+        self.user = ScriptedUser(HapticDevice(), target_z=-20.0, seed=user_seed)
         self._obs = as_obs(obs)
         rng = as_generator(seed)
         down_rng, up_rng = spawn(rng, 2)

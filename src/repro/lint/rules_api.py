@@ -221,6 +221,9 @@ RETIRED_NAMES: Dict[str, str] = {
     "repro.md.dihedrals": "the CG ssDNA has no torsion term",
     "repro.md.trajectory": "record observables with a Simulation reporter",
     "repro.steering.fabric": "NetworkFabric.resolve decides reachability",
+    "SSDNAParameters": "the ssDNA force field is the constants of repro.pore.dna",
+    "INTERACTIVE_FRAMES": "InteractivePhase.FRAMES",
+    "CHAIN_NODES": "TabulatedPotential1D.NODES",
 }
 
 

@@ -160,16 +160,14 @@ class ParticleSystem:
             p = self._positions[idx]
         return np.asarray(m @ p / m.sum(), dtype=np.float64)
 
-    def initialize_velocities(
-        self, temperature: float = ROOM_TEMPERATURE, seed: SeedLike = None,
-    ) -> None:
-        """Draw Maxwell-Boltzmann velocities at ``temperature`` in place.
+    def initialize_velocities(self, seed: SeedLike = None) -> None:
+        """Draw Maxwell-Boltzmann velocities at room temperature in place.
 
         The total linear momentum is removed, which prevents the confined
         pore system drifting through the membrane.
         """
         rng = as_generator(seed)
-        sigma = np.sqrt(KB * temperature / self._kinetic_masses)
+        sigma = np.sqrt(KB * ROOM_TEMPERATURE / self._kinetic_masses)
         self._velocities[:] = rng.standard_normal((self.n, 3)) * sigma[:, None]
         if self.n > 1:
             p = (self._masses[:, None] * self._velocities).sum(axis=0)

@@ -123,10 +123,10 @@ class ReliableChannel:
         RNG for delay/loss sampling.
     retry:
         :class:`~repro.resil.RetryPolicy` governing retransmission: attempt
-        cap, backoff factor and optional jitter.  The default
+        cap and backoff.  The default
         (:data:`~repro.resil.DEFAULT_CHANNEL_RETRY`) reproduces the
-        historical hardcoded behaviour — 64 attempts, doubling RTO, no
-        jitter — bit for bit.  Exhaustion raises a typed
+        historical hardcoded behaviour — 64 attempts, doubling RTO — bit
+        for bit.  Exhaustion raises a typed
         :class:`~repro.errors.RetryExhausted`.
     obs / name:
         Optional instrumentation handle (see :mod:`repro.obs`) and the
@@ -150,12 +150,6 @@ class ReliableChannel:
         self.name = name
         self._obs = as_obs(obs)
         self._faults: List[LinkFaultWindow] = []
-        # Jitter needs its own stream; created only for jittered policies so
-        # the default configuration draws nothing extra from ``self.rng``.
-        self._backoff_rng = (
-            as_generator(int(self.rng.integers(0, 2**63)))
-            if self.retry.jitter > 0.0 else None
-        )
 
     def inject_fault(self, start_s: float, duration_s: float,
                      loss_rate: float = 1.0,
@@ -217,8 +211,7 @@ class ReliableChannel:
                     f"(loss_rate={self.qos.loss_rate})",
                     operation=f"net.{self.name}", attempts=attempts,
                 )
-            attempt_start += self.retry.backoff(attempts, base=rto,
-                                                rng=self._backoff_rng)
+            attempt_start += self.retry.backoff(attempts, base=rto)
         assert first_attempt_would_arrive is not None
         result = TransferResult(
             send_time=now_s,

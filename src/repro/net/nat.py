@@ -48,26 +48,21 @@ class Host:
 class GatewayNode:
     """A routable relay (PSC AGN-style) serving one site's hidden nodes.
 
-    Attributes
-    ----------
-    capacity_streams:
-        Concurrent relayed streams before the gateway saturates.
-    hop_penalty:
-        Multiplier on path latency for the extra relay hop.
-    supports_udp:
-        AGN-style relays do not (paper Section V-C1).
+    Like the paper's AGNs it relays TCP only, never UDP (Section V-C1).
     """
 
     name: str
     site: str
-    capacity_streams: int = 4
-    hop_penalty: float = 1.5
-    supports_udp: bool = False
     active_streams: int = 0
+
+    #: Concurrent relayed streams before the gateway saturates.
+    CAPACITY_STREAMS = 4
+    #: Multiplier on path latency for the extra relay hop.
+    HOP_PENALTY = 1.5
 
     def acquire(self) -> bool:
         """Reserve a relay slot; False when saturated (bottleneck)."""
-        if self.active_streams >= self.capacity_streams:
+        if self.active_streams >= self.CAPACITY_STREAMS:
             return False
         self.active_streams += 1
         return True
@@ -79,7 +74,7 @@ class GatewayNode:
 
     @property
     def utilization(self) -> float:
-        return self.active_streams / self.capacity_streams
+        return self.active_streams / self.CAPACITY_STREAMS
 
 
 @dataclass(frozen=True)
@@ -167,14 +162,14 @@ class NetworkFabric:
             raise UnreachableHostError(
                 f"{dst.name} has a hidden IP and site {dst.site!r} deploys no gateway"
             )
-        if udp and not gateway.supports_udp:
+        if udp:
             raise UnreachableHostError(
                 f"gateway {gateway.name} does not relay UDP (qsocket limitation)"
             )
         return Route(
             src=src,
             dst=dst,
-            qos=qos.scaled_latency(gateway.hop_penalty),
+            qos=qos.scaled_latency(gateway.HOP_PENALTY),
             via_gateway=gateway.name,
         )
 

@@ -10,7 +10,7 @@ from .geometry import PoreGeometry, DEFAULT_GEOMETRY
 from .landscape import AxialLandscape, default_hemolysin_landscape
 from .hemolysin import HemolysinPore
 from .membrane import MembraneSlab
-from .dna import SSDNAParameters, build_ssdna
+from .dna import build_ssdna
 from .solvent import ImplicitSolvent
 from .assembly import TranslocationSystem, build_translocation_simulation
 from .reduced import (
@@ -28,7 +28,6 @@ __all__ = [
     "default_hemolysin_landscape",
     "HemolysinPore",
     "MembraneSlab",
-    "SSDNAParameters",
     "build_ssdna",
     "ImplicitSolvent",
     "TranslocationSystem",

@@ -26,7 +26,7 @@ from ..md import (
 )
 from ..rng import SeedLike, as_generator, spawn
 from ..units import ROOM_TEMPERATURE
-from .dna import SSDNAParameters, build_ssdna
+from .dna import BEAD_MASS, WCA_EPSILON, WCA_SIGMA, build_ssdna
 from .geometry import DEFAULT_GEOMETRY
 from .hemolysin import HemolysinPore
 from .membrane import MembraneSlab
@@ -64,7 +64,7 @@ def build_translocation_simulation(
 
     The system is a pure function of ``(n_bases, start_z, seed)``: the pore
     is :data:`~repro.pore.geometry.DEFAULT_GEOMETRY` with its default
-    landscape, the chain uses :class:`SSDNAParameters` defaults in
+    landscape, the chain uses the :mod:`repro.pore.dna` force field in
     :class:`ImplicitSolvent` at room temperature, the screened
     electrostatics is always in the force stack, and the Langevin step is
     :data:`DT_NS`.  :func:`repro.store.pulling_task_3d` keys 3-D pulls on
@@ -81,29 +81,18 @@ def build_translocation_simulation(
     """
     if n_bases < 2:
         raise ConfigurationError("n_bases must be at least 2")
-    geometry = DEFAULT_GEOMETRY
-    dna_params = SSDNAParameters()
     solvent = ImplicitSolvent()
     rng = as_generator(seed)
     chain_rng, vel_rng, integ_rng = spawn(rng, 3)
 
-    z0 = start_z if start_z is not None else geometry.z_constriction + 12.0
+    z0 = start_z if start_z is not None else DEFAULT_GEOMETRY.z_constriction + 12.0
     positions, masses, charges, topology = build_ssdna(
-        n_bases,
-        params=dna_params,
-        start=(0.0, 0.0, z0),
-        direction=(0.0, 0.0, 1.0),
-        wiggle=0.4,
-        seed=chain_rng,
-    )
+        n_bases, start=(0.0, 0.0, z0), seed=chain_rng)
     system = ParticleSystem(positions, masses, charges=charges)
-    system.initialize_velocities(ROOM_TEMPERATURE, seed=vel_rng)
+    system.initialize_velocities(seed=vel_rng)
 
-    pore = HemolysinPore(geometry=geometry)
-    membrane = MembraneSlab(
-        z_center=0.5 * (geometry.z_bottom + geometry.z_constriction),
-        pore_radius=geometry.barrel_radius + 3.0,
-    )
+    pore = HemolysinPore()
+    membrane = MembraneSlab()
 
     # Kremer-Grest convention: WCA acts between ALL bead pairs, including
     # bonded ones — FENE alone is purely attractive, so excluding bonded
@@ -115,15 +104,15 @@ def build_translocation_simulation(
         HarmonicAngleForce(topology),
         WCAForce(
             system.types,
-            epsilon=np.array([dna_params.wca_epsilon]),
-            sigma=np.array([dna_params.wca_sigma]),
+            epsilon=np.array([WCA_EPSILON]),
+            sigma=np.array([WCA_SIGMA]),
         ),
         ExternalFieldForce(pore),
         ExternalFieldForce(membrane),
         DebyeHuckelForce(charges, exclusions=exclusions),
     ]
 
-    gamma = solvent.langevin_rate(dna_params.bead_mass, in_pore=True)
+    gamma = solvent.langevin_rate(BEAD_MASS)
     integrator = LangevinBAOAB(DT_NS, friction=gamma,
                                temperature=ROOM_TEMPERATURE, seed=integ_rng)
     sim = Simulation(system, forces, integrator)

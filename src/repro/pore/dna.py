@@ -17,8 +17,7 @@ so callers assemble the force stack they need (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,46 +25,42 @@ from ..errors import ConfigurationError
 from ..md.topology import Topology, TopologyBuilder
 from ..rng import SeedLike, as_generator
 
-__all__ = ["SSDNAParameters", "build_ssdna"]
+__all__ = ["build_ssdna"]
 
+# Force field of the CG bead-spring chain: energies kcal/mol, lengths A,
+# masses amu.
+BEAD_MASS = 312.0
+BEAD_CHARGE = -1.0
+#: Contour spacing per nucleotide.
+RISE = 6.5
+#: FENE stiffness (kcal/mol/A^2); the bond breaks at ``FENE_RMAX_FACTOR * RISE``.
+FENE_K = 5.0
+FENE_RMAX_FACTOR = 1.6
+#: Bending stiffness (kcal/mol/rad^2) about a straight rest angle.
+ANGLE_K = 2.0
+ANGLE_THETA0 = float(np.pi)
+WCA_EPSILON = 0.3
+WCA_SIGMA = 5.0
+#: Transverse scatter (A) of the initial layout, so it is not a
+#: pathological perfectly straight line.
+WIGGLE = 0.4
 
-@dataclass(frozen=True)
-class SSDNAParameters:
-    """Force-field parameters of the CG ssDNA bead-spring chain.
-
-    Energies kcal/mol, lengths A, masses amu.
-    """
-
-    bead_mass: float = 312.0
-    bead_charge: float = -1.0
-    rise: float = 6.5              # contour spacing per nucleotide
-    fene_k: float = 5.0            # FENE stiffness (kcal/mol/A^2)
-    fene_rmax_factor: float = 1.6  # rmax = factor * rise
-    angle_k: float = 2.0           # bending stiffness (kcal/mol/rad^2)
-    angle_theta0: float = float(np.pi)
-    wca_epsilon: float = 0.3
-    wca_sigma: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.bead_mass <= 0 or self.rise <= 0:
-            raise ConfigurationError("bead_mass and rise must be positive")
-        if self.fene_rmax_factor <= 1.0:
-            raise ConfigurationError("fene_rmax_factor must exceed 1 (room to stretch)")
+#: The chain is laid out along +z; ``_E1`` and ``_E2`` span the plane of
+#: the transverse wiggle.
+_DIRECTION = np.array([0.0, 0.0, 1.0])
+_E1 = np.array([0.0, 1.0, 0.0])
+_E2 = np.array([-1.0, 0.0, 0.0])
 
 
 def build_ssdna(
     n_bases: int,
-    params: Optional[SSDNAParameters] = None,
     start: Tuple[float, float, float] = (0.0, 0.0, 0.0),
-    direction: Tuple[float, float, float] = (0.0, 0.0, -1.0),
-    wiggle: float = 0.5,
     seed: SeedLike = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Topology]:
     """Build an ``n_bases``-nucleotide ssDNA chain.
 
-    The chain is laid out along ``direction`` from ``start`` with spacing
-    ``params.rise`` and a small random transverse ``wiggle`` (so the initial
-    configuration is not a pathological perfectly straight line).
+    The chain is laid out along +z from ``start`` with spacing
+    :data:`RISE` and a random transverse scatter of :data:`WIGGLE`.
 
     Returns
     -------
@@ -74,39 +69,25 @@ def build_ssdna(
     charges : (n,) float array
     topology : Topology with FENE bond params ``(k, rmax)`` and angles.
     """
-    if params is None:
-        params = SSDNAParameters()
     if n_bases < 2:
         raise ConfigurationError(f"need at least 2 bases, got {n_bases}")
     rng = as_generator(seed)
-    d = np.asarray(direction, dtype=np.float64)
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        raise ConfigurationError("direction must be non-zero")
-    d = d / norm
+    s = np.arange(n_bases, dtype=np.float64) * RISE
+    positions = (np.asarray(start, dtype=np.float64)[None, :]
+                 + s[:, None] * _DIRECTION[None, :])
+    positions += (
+        rng.normal(scale=WIGGLE, size=n_bases)[:, None] * _E1[None, :]
+        + rng.normal(scale=WIGGLE, size=n_bases)[:, None] * _E2[None, :]
+    )
 
-    # Two unit vectors orthogonal to d for the transverse wiggle.
-    ref = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(d, ref)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(d, e1)
-
-    s = np.arange(n_bases, dtype=np.float64) * params.rise
-    positions = np.asarray(start, dtype=np.float64)[None, :] + s[:, None] * d[None, :]
-    if wiggle > 0.0:
-        positions += (
-            rng.normal(scale=wiggle, size=n_bases)[:, None] * e1[None, :]
-            + rng.normal(scale=wiggle, size=n_bases)[:, None] * e2[None, :]
-        )
-
-    masses = np.full(n_bases, params.bead_mass, dtype=np.float64)
-    charges = np.full(n_bases, params.bead_charge, dtype=np.float64)
+    masses = np.full(n_bases, BEAD_MASS, dtype=np.float64)
+    charges = np.full(n_bases, BEAD_CHARGE, dtype=np.float64)
 
     builder = TopologyBuilder(n_bases)
-    rmax = params.fene_rmax_factor * params.rise
+    rmax = FENE_RMAX_FACTOR * RISE
     for i in range(n_bases - 1):
-        builder.add_bond(i, i + 1, params.fene_k, rmax)
+        builder.add_bond(i, i + 1, FENE_K, rmax)
     for i in range(n_bases - 2):
-        builder.add_angle(i, i + 1, i + 2, params.angle_k, params.angle_theta0)
+        builder.add_angle(i, i + 1, i + 2, ANGLE_K, ANGLE_THETA0)
 
     return positions, masses, charges, builder.build()

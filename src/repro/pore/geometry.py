@@ -18,8 +18,6 @@ modulation of the wall radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -27,48 +25,28 @@ from ..errors import ConfigurationError
 __all__ = ["PoreGeometry", "DEFAULT_GEOMETRY"]
 
 
-@dataclass(frozen=True)
 class PoreGeometry:
     """Analytic radius profile of an hourglass-like pore.
 
     The axial coordinate runs from ``z_top`` (extracellular vestibule mouth,
     positive z) down through ``z_constriction`` to ``z_bottom`` (trans side
     exit).  All lengths in angstrom.
-
-    Attributes
-    ----------
-    vestibule_radius:
-        Interior radius of the cap cavity.
-    barrel_radius:
-        Interior radius of the transmembrane beta-barrel.
-    constriction_radius:
-        Radius at the narrowest point.
-    constriction_width:
-        Axial half-width of the constriction's Gaussian neck.
-    z_top / z_constriction / z_bottom:
-        Axial stations of vestibule mouth, constriction, and barrel exit.
-    sevenfold_amplitude:
-        Amplitude (A) of the cos(7 phi) wall modulation (heptamer symmetry).
     """
 
-    vestibule_radius: float = 22.5
-    barrel_radius: float = 10.0
-    constriction_radius: float = 7.0
-    constriction_width: float = 6.0
-    z_top: float = 50.0
-    z_constriction: float = 0.0
-    z_bottom: float = -50.0
-    sevenfold_amplitude: float = 0.6
-
-    def __post_init__(self) -> None:
-        if not (self.z_bottom < self.z_constriction < self.z_top):
-            raise ConfigurationError("need z_bottom < z_constriction < z_top")
-        if min(self.vestibule_radius, self.barrel_radius, self.constriction_radius) <= 0:
-            raise ConfigurationError("all radii must be positive")
-        if self.constriction_radius > min(self.vestibule_radius, self.barrel_radius):
-            raise ConfigurationError("constriction must be the narrowest section")
-        if self.constriction_width <= 0:
-            raise ConfigurationError("constriction_width must be positive")
+    #: Interior radius of the cap cavity.
+    vestibule_radius = 22.5
+    #: Interior radius of the transmembrane beta-barrel.
+    barrel_radius = 10.0
+    #: Radius at the narrowest point.
+    constriction_radius = 7.0
+    #: Axial half-width of the constriction's Gaussian neck.
+    constriction_width = 6.0
+    #: Axial stations of vestibule mouth, constriction, and barrel exit.
+    z_top = 50.0
+    z_constriction = 0.0
+    z_bottom = -50.0
+    #: Amplitude (A) of the cos(7 phi) wall modulation (heptamer symmetry).
+    sevenfold_amplitude = 0.6
 
     @property
     def length(self) -> float:
@@ -121,5 +99,5 @@ class PoreGeometry:
         return zz, self.radius(zz)
 
 
-#: Geometry used throughout the reproduction unless overridden.
+#: The pore geometry of the reproduction.
 DEFAULT_GEOMETRY = PoreGeometry()

@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from ..md.kernels import Energy
-from .geometry import DEFAULT_GEOMETRY, PoreGeometry
+from .geometry import DEFAULT_GEOMETRY
 from .landscape import default_hemolysin_landscape
 
 __all__ = ["HemolysinPore"]
@@ -49,19 +49,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class HemolysinPore:
     """Analytic effective potential of the alpha-hemolysin pore.
 
-    Parameters
-    ----------
-    geometry:
-        Pore radius profile (default: crystal-structure-like dimensions).
-        Its ``sevenfold_amplitude`` sets the cos(7 phi) heptamer wall
-        modulation; ``0.0`` turns it off.
-
-    The axial per-bead landscape is
+    The radius profile is :data:`~repro.pore.geometry.DEFAULT_GEOMETRY`,
+    whose ``sevenfold_amplitude`` sets the cos(7 phi) heptamer wall
+    modulation; the axial per-bead landscape is
     :func:`~repro.pore.landscape.default_hemolysin_landscape`.
     """
 
-    def __init__(self, geometry: PoreGeometry = DEFAULT_GEOMETRY) -> None:
-        self.geometry = geometry
+    def __init__(self) -> None:
+        self.geometry = DEFAULT_GEOMETRY
         self.landscape = default_hemolysin_landscape()
 
     # -- envelopes -------------------------------------------------------------
@@ -108,14 +103,10 @@ class HemolysinPore:
         env, denv = self._axial_envelope(z)
 
         # ---- confining wall ----
-        if self.geometry.sevenfold_amplitude != 0.0:
-            phi = np.arctan2(y, x)
-            amp = self.geometry.sevenfold_amplitude
-            rw = self.geometry.radius(z) + amp * np.cos(7.0 * phi)
-            drw_dphi = -7.0 * amp * np.sin(7.0 * phi)
-        else:
-            rw = self.geometry.radius(z)
-            drw_dphi = None
+        phi = np.arctan2(y, x)
+        amp = self.geometry.sevenfold_amplitude
+        rw = self.geometry.radius(z) + amp * np.cos(7.0 * phi)
+        drw_dphi = -7.0 * amp * np.sin(7.0 * phi)
         drw_dz = self.geometry.radius_derivative(z)
 
         overlap = r - rw
@@ -133,13 +124,12 @@ class HemolysinPore:
             forces[..., 1] += f_r * uy
             # dU/dz = 0.5 k denv o^2 + k env o (-dR/dz)
             forces[..., 2] -= 0.5 * k * denv * o**2 - k * env * o * drw_dz
-            if drw_dphi is not None:
-                # dU/dphi = k env o * (-dR/dphi); torque -> tangential force
-                # F_t = -(1/r) dU/dphi along (-sin phi, cos phi).
-                dU_dphi = -k * env * o * drw_dphi
-                f_t = -dU_dphi / safe_r
-                forces[..., 0] += f_t * (-uy)
-                forces[..., 1] += f_t * ux
+            # dU/dphi = k env o * (-dR/dphi); torque -> tangential force
+            # F_t = -(1/r) dU/dphi along (-sin phi, cos phi).
+            dU_dphi = -k * env * o * drw_dphi
+            f_t = -dU_dphi / safe_r
+            forces[..., 0] += f_t * (-uy)
+            forces[..., 1] += f_t * ux
 
         # ---- axial landscape gated by envelopes ----
         renv, drenv_dr = self._radial_envelope(r, z)
@@ -189,5 +179,5 @@ class HemolysinPore:
             "constriction_z": float(zz[i_min]),
             "min_radius": float(rr[i_min]),
             "sevenfold_amplitude": g.sevenfold_amplitude,
-            "symmetry_order": 7 if g.sevenfold_amplitude > 0 else 1,
+            "symmetry_order": 7,
         }

@@ -131,9 +131,9 @@ class AxialLandscape:
 
 
 def default_hemolysin_landscape() -> AxialLandscape:
-    """Per-bead axial landscape for the default hemolysin geometry.
+    """Per-bead axial landscape for the hemolysin geometry.
 
-    Stations match :class:`repro.pore.geometry.PoreGeometry` defaults:
+    Stations match :class:`repro.pore.geometry.PoreGeometry`:
     a vestibule binding well around z = +18, the constriction barrier at
     z = 0 (where Fig. 3 shows the strand stretching), and a shallower
     beta-barrel well near z = -18.  Amplitudes are per-bead; a 12-30 bead

@@ -14,27 +14,23 @@ from typing import Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..md.kernels import Energy, no_energy
+from .geometry import DEFAULT_GEOMETRY
 
 __all__ = ["MembraneSlab"]
 
 
 class MembraneSlab:
-    """Half-harmonic slab between ``z_center - HALF_THICKNESS`` and
-    ``z_center + HALF_THICKNESS``, with a circular hole of radius
-    ``pore_radius`` around the z axis.
+    """Half-harmonic slab between ``Z_CENTER - HALF_THICKNESS`` and
+    ``Z_CENTER + HALF_THICKNESS``, with a circular hole of radius
+    ``PORE_RADIUS`` around the z axis."""
 
-    Parameters
-    ----------
-    z_center:
-        Mid-plane of the bilayer in A (default matches the barrel region of
-        the default pore geometry).
-    pore_radius:
-        Radius of the exempt cylindrical hole (should exceed the pore's
-        outer wall so the wall term, not the membrane, governs the lumen).
-    """
-
+    #: Mid-plane of the bilayer in A: halfway down the barrel of
+    #: :data:`~repro.pore.geometry.DEFAULT_GEOMETRY`.
+    Z_CENTER = 0.5 * (DEFAULT_GEOMETRY.z_bottom + DEFAULT_GEOMETRY.z_constriction)
+    #: Radius of the exempt cylindrical hole: 3 A outside the barrel wall,
+    #: so the wall term, not the membrane, governs the lumen.
+    PORE_RADIUS = DEFAULT_GEOMETRY.barrel_radius + 3.0
     #: Half the bilayer thickness in A (~15-20 for a lipid bilayer).
     HALF_THICKNESS = 15.0
     #: Repulsion constant in kcal/mol/A^2.
@@ -42,20 +38,13 @@ class MembraneSlab:
     #: Smoothing width (A) of the radial hole envelope.
     EDGE_WIDTH = 2.0
 
-    def __init__(self, z_center: float = -30.0,
-                 pore_radius: float = 13.0) -> None:
-        if pore_radius <= 0:
-            raise ConfigurationError("membrane parameters must be positive")
-        self.z_center = float(z_center)
-        self.pore_radius = float(pore_radius)
-
     def energy_and_forces(self, positions: np.ndarray) -> Tuple[Energy, np.ndarray]:
         """Slab energy and per-particle forces for ``(n, 3)`` positions, or
         one energy per replica of an ``(R, n, 3)`` stack."""
         pos = np.asarray(positions, dtype=np.float64)
         x, y, z = pos[..., 0], pos[..., 1], pos[..., 2]
         r = np.sqrt(x**2 + y**2)
-        dz = z - self.z_center
+        dz = z - self.Z_CENTER
         # Penetration depth into the slab (positive inside).
         pen = self.HALF_THICKNESS - np.abs(dz)
         inside = pen > 0.0
@@ -66,7 +55,7 @@ class MembraneSlab:
             return no_energy(pos), forces
 
         # Radial envelope: 0 in the hole, 1 in the bulk membrane.
-        xarg = (r - self.pore_radius) / self.EDGE_WIDTH
+        xarg = (r - self.PORE_RADIUS) / self.EDGE_WIDTH
         env = 1.0 / (1.0 + np.exp(-np.clip(xarg, -40.0, 40.0)))
         denv_dr = env * (1.0 - env) / self.EDGE_WIDTH
 

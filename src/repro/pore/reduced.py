@@ -98,19 +98,17 @@ class ReducedTranslocationModel:
         at v = 12.5 A/ns nearly reversible (drag work ~ 1 kT over 10 A) and
         pulling at v = 100 A/ns strongly irreversible (~7 kT of drag alone)
         — the regime the paper explores.
-    temperature:
-        Bath temperature (K).
     """
 
     potential: Potential1D
     friction: float = 0.004
-    temperature: float = ROOM_TEMPERATURE
+
+    #: Bath temperature (K).
+    temperature = ROOM_TEMPERATURE
 
     def __post_init__(self) -> None:
         if self.friction <= 0.0:
             raise ConfigurationError("friction must be positive")
-        if self.temperature <= 0.0:
-            raise ConfigurationError("temperature must be positive")
 
     @property
     def kT(self) -> float:

@@ -13,55 +13,32 @@ constant is ``kB T / zeta`` in A^2/ns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ConfigurationError
-from ..units import KB, ROOM_TEMPERATURE
+from ..units import KB, MASS_TO_KCAL, ROOM_TEMPERATURE
 
 __all__ = ["ImplicitSolvent"]
 
 
-@dataclass(frozen=True)
 class ImplicitSolvent:
-    """Bulk + in-pore friction for CG beads.
+    """Bulk + in-pore friction for CG beads at room temperature."""
 
-    Attributes
-    ----------
-    bulk_friction:
-        Per-bead drag in bulk solvent.  The default gives a nucleotide
-        diffusion constant of ~100 A^2/ns at 300 K, the right order for a
-        hydrated nucleotide.
-    pore_friction_factor:
-        Multiplier applied inside the pore (confinement slows diffusion).
-    temperature:
-        Bath temperature (K).
-    """
-
-    bulk_friction: float = 0.006
-    pore_friction_factor: float = 3.0
-    temperature: float = ROOM_TEMPERATURE
-
-    def __post_init__(self) -> None:
-        if self.bulk_friction <= 0.0:
-            raise ConfigurationError("bulk_friction must be positive")
-        if self.pore_friction_factor < 1.0:
-            raise ConfigurationError("pore friction cannot be below bulk")
-        if self.temperature <= 0.0:
-            raise ConfigurationError("temperature must be positive")
+    #: Per-bead drag in bulk solvent: a nucleotide diffusion constant of
+    #: ~100 A^2/ns at 300 K, the right order for a hydrated nucleotide.
+    BULK_FRICTION = 0.006
+    #: Multiplier applied inside the pore (confinement slows diffusion).
+    PORE_FRICTION_FACTOR = 3.0
 
     def diffusion_constant(self, in_pore: bool = False) -> float:
         """``kB T / zeta`` in A^2/ns."""
-        return KB * self.temperature / self.friction(in_pore)
+        return KB * ROOM_TEMPERATURE / self.friction(in_pore)
 
     def friction(self, in_pore: bool = False) -> float:
         """Per-bead friction coefficient."""
-        return self.bulk_friction * (self.pore_friction_factor if in_pore else 1.0)
+        return self.BULK_FRICTION * (self.PORE_FRICTION_FACTOR if in_pore else 1.0)
 
-    def langevin_rate(self, bead_mass: float, in_pore: bool = False) -> float:
-        """Equivalent Langevin collision rate gamma (1/ns) for a bead of the
-        given mass: ``zeta / (m * MASS_TO_KCAL)``."""
-        from ..units import MASS_TO_KCAL
-
+    def langevin_rate(self, bead_mass: float) -> float:
+        """Equivalent Langevin collision rate gamma (1/ns) of a bead of the
+        given mass inside the pore: ``zeta / (m * MASS_TO_KCAL)``."""
         if bead_mass <= 0.0:
             raise ConfigurationError("bead_mass must be positive")
-        return self.friction(in_pore) / (bead_mass * MASS_TO_KCAL)
+        return self.friction(in_pore=True) / (bead_mass * MASS_TO_KCAL)

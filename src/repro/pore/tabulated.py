@@ -43,17 +43,19 @@ class TabulatedPotential1D:
         self._values = v
         self._deriv = np.gradient(v, g)
 
+    #: Samples :meth:`from_callable` takes over ``[lo, hi]``.
+    NODES = 4001
+
     @classmethod
     def from_callable(
         cls,
         fn: Callable[[np.ndarray], np.ndarray],
         lo: float,
         hi: float,
-        n: int = 2001,
     ) -> "TabulatedPotential1D":
         if hi <= lo:
             raise ConfigurationError("need hi > lo")
-        grid = np.linspace(lo, hi, n)
+        grid = np.linspace(lo, hi, cls.NODES)
         return cls(grid, np.asarray(fn(grid), dtype=np.float64))
 
     def value(self, z):
@@ -98,9 +100,8 @@ class TabulatedPotential1D:
 CHAIN_SCALE = 8.0
 #: Driving tilt (kcal/mol/A): the bias that makes translocation downhill.
 CHAIN_TILT = -10.0
-#: Table extent beyond each pore mouth (A), and the table's node count.
+#: Table extent beyond each pore mouth (A).
 CHAIN_MARGIN = 15.0
-CHAIN_NODES = 4001
 
 
 def full_axis_chain_potential() -> TabulatedPotential1D:
@@ -118,4 +119,4 @@ def full_axis_chain_potential() -> TabulatedPotential1D:
     def fn(z: np.ndarray) -> np.ndarray:
         return CHAIN_SCALE * p.axial_potential(z) + CHAIN_TILT * z
 
-    return TabulatedPotential1D.from_callable(fn, lo, hi, CHAIN_NODES)
+    return TabulatedPotential1D.from_callable(fn, lo, hi)

@@ -3,8 +3,8 @@
 Four pieces, threaded through grid, net and workflow:
 
 * :class:`RetryPolicy` / :func:`retry_call` — bounded exponential backoff
-  with optional seeded jitter, shared by the
-  reliable channel, job placement and the middleware control plane;
+  shared by the reliable channel, job placement and the middleware
+  control plane;
 * :class:`HeartbeatFailureDetector` — deterministic, event-loop-driven
   suspect/confirm failure detection that replaces the campaign manager's
   oracle ``queue.down`` reads;

@@ -4,8 +4,8 @@ A queue that keeps killing jobs (outage churn, security breach) should
 stop receiving placements *before* the scheduler wastes more work on it:
 the classic circuit-breaker state machine,
 
-    CLOSED --(failure_threshold consecutive failures)--> OPEN
-    OPEN --(reset_timeout elapsed)--> HALF_OPEN (probe traffic allowed)
+    CLOSED --(FAILURE_THRESHOLD consecutive failures)--> OPEN
+    OPEN --(RESET_TIMEOUT_HOURS elapsed)--> HALF_OPEN (probe traffic allowed)
     HALF_OPEN --success--> CLOSED,  --failure--> OPEN again
 
 driven here by the deterministic simulation clock (a ``clock()`` callable,
@@ -21,7 +21,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError
 from ..obs import Obs, as_obs
 
 __all__ = ["BreakerState", "CircuitBreaker", "BreakerBoard"]
@@ -36,18 +35,16 @@ class BreakerState(Enum):
 class CircuitBreaker:
     """One breaker guarding one queue/site."""
 
+    #: Trip after two consecutive failures: sized to the campaign's hourly
+    #: requeue cadence, so a site killed twice visibly opens during a run.
+    FAILURE_THRESHOLD = 2
+    #: Hours an open breaker waits before admitting probe traffic.
+    RESET_TIMEOUT_HOURS = 6.0
+
     def __init__(self, name: str, clock: Callable[[], float],
-                 failure_threshold: int = 3,
-                 reset_timeout_hours: float = 6.0,
                  obs: Optional[Obs] = None) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError("failure_threshold must be >= 1")
-        if reset_timeout_hours <= 0:
-            raise ConfigurationError("reset_timeout_hours must be positive")
         self.name = name
         self.clock = clock
-        self.failure_threshold = int(failure_threshold)
-        self.reset_timeout_hours = float(reset_timeout_hours)
         self._obs = as_obs(obs)
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
@@ -64,7 +61,7 @@ class CircuitBreaker:
         """
         if self.state is BreakerState.OPEN:
             assert self.opened_at is not None
-            if self.clock() >= self.opened_at + self.reset_timeout_hours:
+            if self.clock() >= self.opened_at + self.RESET_TIMEOUT_HOURS:
                 self._set_state(BreakerState.HALF_OPEN)
         return self.state is not BreakerState.OPEN
 
@@ -73,7 +70,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN or (
                 self.state is BreakerState.CLOSED
-                and self.consecutive_failures >= self.failure_threshold):
+                and self.consecutive_failures >= self.FAILURE_THRESHOLD):
             self._trip()
 
     def record_success(self) -> None:
@@ -104,15 +101,11 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """Lazy per-site breaker collection sharing one configuration."""
+    """Lazy per-site breaker collection."""
 
     def __init__(self, clock: Callable[[], float],
-                 failure_threshold: int = 3,
-                 reset_timeout_hours: float = 6.0,
                  obs: Optional[Obs] = None) -> None:
         self.clock = clock
-        self.failure_threshold = int(failure_threshold)
-        self.reset_timeout_hours = float(reset_timeout_hours)
         self._obs = as_obs(obs)
         self._breakers: Dict[str, CircuitBreaker] = {}
 
@@ -120,12 +113,7 @@ class BreakerBoard:
         """Get or create the :class:`CircuitBreaker` guarding ``site``."""
         b = self._breakers.get(site)
         if b is None:
-            b = CircuitBreaker(
-                site, self.clock,
-                failure_threshold=self.failure_threshold,
-                reset_timeout_hours=self.reset_timeout_hours,
-                obs=self._obs,
-            )
+            b = CircuitBreaker(site, self.clock, obs=self._obs)
             self._breakers[site] = b
         return b
 

@@ -111,11 +111,10 @@ class MiddlewareFault:
 
 @dataclass(frozen=True)
 class RandomOutages:
-    """Seeded Poisson hardware failures across every queue."""
+    """Seeded Poisson hardware failures across every queue, at the
+    injector's :attr:`~repro.grid.FailureInjector.MTBF_HOURS`."""
 
     horizon_hours: float
-    mtbf_hours: float = 500.0
-    repair_hours: float = 12.0
 
 
 @dataclass(frozen=True)
@@ -218,8 +217,7 @@ SCENARIOS: Dict[str, ChaosScenario] = {
         description="Seeded Poisson hardware failures across every site "
                     "over the first two weeks, plus a degraded steering "
                     "link — the slow-burn reliability regime.",
-        random_outages=RandomOutages(horizon_hours=14 * 24,
-                                     mtbf_hours=200.0, repair_hours=12.0),
+        random_outages=RandomOutages(horizon_hours=14 * 24),
         link_faults=(
             LinkFault(at_s=20.0, duration_s=40.0, kind="burst",
                       loss_rate=0.3),
@@ -233,8 +231,7 @@ SCENARIOS: Dict[str, ChaosScenario] = {
 #: Steering-channel retransmission under chaos: fewer attempts than the
 #: production default so a hard 10 s cut actually exhausts (and is counted)
 #: instead of being ridden out by minutes of backoff.
-_CHAOS_CHANNEL_RETRY = RetryPolicy(max_attempts=6, base_delay=1e-4,
-                                   factor=2.0)
+_CHAOS_CHANNEL_RETRY = RetryPolicy(max_attempts=6, base_delay=1e-4)
 
 
 def _build_federation(loop: EventLoop, obs) -> FederatedGrid:
@@ -381,12 +378,7 @@ def run_chaos_scenario(scenario: ChaosScenario, seed: int = 2005,
     obs = as_obs(obs)
     loop = EventLoop()
     federation = _build_federation(loop, obs)
-    resil = Resilience.for_federation(
-        federation, obs=obs,
-        # Trip after two failures: sized to the campaign's hourly requeue
-        # cadence so a killed-twice site visibly opens during the run.
-        failure_threshold=2, reset_timeout_hours=6.0,
-    )
+    resil = Resilience.for_federation(federation, obs=obs)
     injector = FailureInjector(seed=stream_for(seed, "resil", "chaos"))
     queues = federation.all_queues()
 
@@ -404,9 +396,7 @@ def run_chaos_scenario(scenario: ChaosScenario, seed: int = 2005,
                                    pf.duration_hours)
     if scenario.random_outages is not None:
         ro = scenario.random_outages
-        injector.random_failures(list(queues.values()), ro.horizon_hours,
-                                 mtbf_hours=ro.mtbf_hours,
-                                 repair_hours=ro.repair_hours)
+        injector.random_failures(list(queues.values()), ro.horizon_hours)
 
     network = _exercise_steering_link(scenario, seed, obs, injector)
     middleware = GridMiddleware()
@@ -415,7 +405,7 @@ def run_chaos_scenario(scenario: ChaosScenario, seed: int = 2005,
                   else _exercise_permafail(scenario.permafail, seed, obs))
 
     manager = CampaignManager(federation, obs=obs, resil=resil)
-    jobs = spice_batch_jobs(n_jobs=n_jobs, ns_per_job=0.35)
+    jobs = spice_batch_jobs(n_jobs=n_jobs)
     report = manager.run(jobs)
 
     detector = resil.detector

@@ -72,20 +72,13 @@ class Resilience:
         self.partitions: List[GridPartition] = []
 
     @classmethod
-    def for_federation(cls, federation, *, obs: Optional[Obs] = None,
-                       failure_threshold: int = 3,
-                       reset_timeout_hours: float = 6.0,
-                       ) -> "Resilience":
+    def for_federation(cls, federation, *,
+                       obs: Optional[Obs] = None) -> "Resilience":
         """Default bundle wired to a federation: detector watching every
         queue, a breaker board on the shared loop clock."""
         loop = federation.loop
         detector = HeartbeatFailureDetector(loop, obs=obs)
-        breakers = BreakerBoard(
-            clock=lambda: loop.now,
-            failure_threshold=failure_threshold,
-            reset_timeout_hours=reset_timeout_hours,
-            obs=obs,
-        )
+        breakers = BreakerBoard(clock=lambda: loop.now, obs=obs)
         resil = cls(detector, breakers)
         resil.bind(federation)
         return resil

@@ -157,7 +157,7 @@ class HeartbeatFailureDetector:
             self._obs.metrics.inc(f"resil.detector.transitions.{site}")
             self._obs.tracer.event(
                 f"resil.detector.{site}",
-                clock=getattr(self.loop, "clock", None),
+                clock=self.loop.clock,
                 from_state=old.value, to_state=new.value,
             )
         if new is SiteHealth.ALIVE and site in self._dead_since:

@@ -1,13 +1,11 @@
 """Retry policies: bounded, deterministic exponential backoff.
 
 A :class:`RetryPolicy` is a frozen description of *how* to retry — attempt
-cap, backoff base/factor/cap, optional seeded jitter — shared by every
-retried operation in the package: the reliable channel's retransmission
-timer, the campaign manager's job (re)placement, and the middleware's
-gatekeeper/GridFTP calls.  The policy itself never draws random numbers;
-jitter is applied only when the caller supplies a generator, so the
-default (jitter = 0) configurations are bit-identical to the historical
-hardcoded loops.
+cap, backoff base and cap, doubling per failure — shared by every retried
+operation in the package: the reliable channel's retransmission timer,
+the campaign manager's job (re)placement, and the middleware's
+gatekeeper/GridFTP calls.  The policy never draws random numbers, so a
+retried run is bit-identical to the historical hardcoded loops.
 
 :func:`retry_call` is the generic driver for *logical-time* operations: it
 invokes a callable with the attempt's timestamp, advances time by the
@@ -46,54 +44,42 @@ class RetryPolicy:
     base_delay:
         Backoff after the first failed attempt, in the caller's time unit
         (seconds for channels, hours for grid operations).
-    factor:
-        Multiplier applied per further failure (>= 1).
     max_delay:
         Optional cap on a single backoff interval.
-    jitter:
-        Fractional symmetric jitter: each backoff is scaled by
-        ``1 + jitter * (2u - 1)`` with ``u ~ U[0, 1)`` — but only when the
-        caller passes a generator, so un-jittered policies draw nothing.
     """
 
     max_attempts: int = 5
     base_delay: float = 1.0
-    factor: float = 2.0
     max_delay: Optional[float] = None
-    jitter: float = 0.0
+
+    #: Multiplier applied to the backoff per further failure.
+    FACTOR = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 0:
             raise ConfigurationError("max_attempts must be >= 0 (0 = unbounded)")
         if self.base_delay <= 0:
             raise ConfigurationError("base_delay must be positive")
-        if self.factor < 1.0:
-            raise ConfigurationError("backoff factor must be >= 1")
         if self.max_delay is not None and self.max_delay <= 0:
             raise ConfigurationError("max_delay must be positive")
-        if not (0.0 <= self.jitter <= 1.0):
-            raise ConfigurationError("jitter must be in [0, 1]")
 
     def exhausted(self, attempts: int) -> bool:
         """Whether ``attempts`` completed tries have used up the policy."""
         return self.max_attempts > 0 and attempts >= self.max_attempts
 
-    def backoff(self, attempt: int, *, base: Optional[float] = None,
-                rng=None) -> float:
-        """Delay after the ``attempt``-th failure (1-based).
+    def backoff(self, attempt: int, *, base: Optional[float] = None) -> float:
+        """Delay after the ``attempt``-th failure (1-based): the exponential
+        ladder ``base * FACTOR ** (attempt - 1)``, capped at ``max_delay``.
 
         ``base`` overrides :attr:`base_delay` (the channel derives it from
-        link latency at send time).  ``rng`` enables jitter; omitted, the
-        schedule is the pure exponential ladder.
+        link latency at send time).
         """
         if attempt < 1:
             raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
         delay = (base if base is not None else self.base_delay) \
-            * self.factor ** (attempt - 1)
+            * self.FACTOR ** (attempt - 1)
         if self.max_delay is not None:
             delay = min(delay, self.max_delay)
-        if self.jitter > 0.0 and rng is not None:
-            delay *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
         return delay
 
 
@@ -154,18 +140,17 @@ def retry_call(
 
 
 #: The reliable channel's historical behaviour: up to 64 transmission
-#: attempts, RTO doubling per retry, no jitter (``base_delay`` is unused —
-#: the channel derives the RTO from link latency at send time).
-DEFAULT_CHANNEL_RETRY = RetryPolicy(max_attempts=64, base_delay=1e-4,
-                                    factor=2.0)
+#: attempts, RTO doubling per retry (``base_delay`` is unused — the
+#: channel derives the RTO from link latency at send time).
+DEFAULT_CHANNEL_RETRY = RetryPolicy(max_attempts=64, base_delay=1e-4)
 
 #: Job placement: retried by the campaign manager's monitor cycle with an
 #: hourly base, doubling to a day-long cap — generous enough to ride out a
 #: multi-day outage without retrying forever.
 DEFAULT_PLACEMENT_RETRY = RetryPolicy(max_attempts=12, base_delay=1.0,
-                                      factor=2.0, max_delay=24.0)
+                                      max_delay=24.0)
 
 #: Middleware control-plane calls (gatekeeper submit, GridFTP transfer):
 #: minutes-scale backoff in hours, a handful of attempts.
 DEFAULT_MIDDLEWARE_RETRY = RetryPolicy(max_attempts=6, base_delay=0.1,
-                                       factor=2.0, max_delay=2.0)
+                                       max_delay=2.0)

@@ -24,18 +24,16 @@ __all__ = ["SubTrajectoryPlan", "plan_subtrajectories", "stitch_pmfs"]
 
 @dataclass(frozen=True)
 class SubTrajectoryPlan:
-    """A long pull decomposed into equal windows.
+    """A long pull decomposed into equal windows, which share end/start
+    stations.
 
     Attributes
     ----------
     protocols:
         One protocol per window, anchored consecutively along the axis.
-    overlap:
-        Stitch overlap in A (windows share end/start stations when 0).
     """
 
     protocols: tuple[PullingProtocol, ...]
-    overlap: float = 0.0
 
     @property
     def n_windows(self) -> int:

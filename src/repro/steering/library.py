@@ -178,30 +178,15 @@ class SteeringClient:
         self.connection.send(message)
 
     def _on_param_get(self, simulation, msg: SteeringMessage) -> None:
-        name = msg.payload.get("name")
-        if name is None:
-            values = {p.name: p.getter() for p in self._params.values()}
-            steerable = [p.name for p in self._params.values() if p.steerable]
-            self._reply(
-                SteeringMessage(
-                    MessageType.PARAM_REPORT,
-                    sender=self.connection.component,
-                    recipient=msg.sender,
-                    payload={"values": values, "steerable": steerable},
-                    reply_to=msg.seq,
-                )
-            )
-            return
-        param = self._params.get(name)
-        if param is None:
-            self._reply(msg.error(self.connection.component, f"unknown parameter {name!r}"))
-            return
+        """Report every parameter value (a get always asks for all)."""
+        values = {p.name: p.getter() for p in self._params.values()}
+        steerable = [p.name for p in self._params.values() if p.steerable]
         self._reply(
             SteeringMessage(
                 MessageType.PARAM_REPORT,
                 sender=self.connection.component,
                 recipient=msg.sender,
-                payload={"values": {name: param.getter()}},
+                payload={"values": values, "steerable": steerable},
                 reply_to=msg.seq,
             )
         )

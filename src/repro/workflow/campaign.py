@@ -28,9 +28,6 @@ from .phases import (
 
 __all__ = ["SpiceCampaignResult", "SpiceCampaign", "build_default_federation"]
 
-#: Haptic frames the interactive phase runs before bracketing (kappa, v).
-INTERACTIVE_FRAMES = 30
-
 
 def build_default_federation(obs: Optional[Obs] = None) -> FederatedGrid:
     """The paper's Fig. 5 federation: TeraGrid (NCSA/SDSC/PSC) + UK NGS.
@@ -136,9 +133,7 @@ class SpiceCampaign:
         with self.obs.span("campaign.static-viz"):
             structure = StaticVizPhase().run()
         with self.obs.span("campaign.interactive"):
-            interactive = InteractivePhase(
-                n_frames=INTERACTIVE_FRAMES, seed=self.seed + 1, obs=self.obs,
-            ).run()
+            interactive = InteractivePhase(seed=self.seed + 1, obs=self.obs).run()
         # The reduced-model window is expressed in the reduced coordinate
         # (displacement about the constriction); the batch phase pulls over
         # a window of the structural phase's suggested length.

@@ -74,19 +74,17 @@ class InteractiveSessionRunner:
 
     #: Processors of every interactive allocation.
     PROCS = 256
+    #: Frames each interactive session runs.
+    FRAMES = 30
 
     def __init__(
         self,
         queues: Dict[str, BatchQueue],
         workflows: Dict[str, ManualReservationWorkflow],
         lightpath_success_rate: float = 0.7,
-        n_frames: int = 60,
         seed: SeedLike = None,
     ) -> None:
-        if n_frames <= 0:
-            raise ConfigurationError("n_frames must be positive")
         self.queues = dict(queues)
-        self.n_frames = int(n_frames)
         rng = as_generator(seed)
         self._cosched_rng, self._imd_rng_root = spawn(rng, 2)
         self.coscheduler = CoScheduler(
@@ -152,4 +150,4 @@ class InteractiveSessionRunner:
         seed = int(self._imd_rng_root.integers(0, 2**31))
         session = IMDSession(build_translocation_simulation(n_bases=6, seed=seed),
                              qos, seed=seed + 2, user_seed=seed + 1)
-        return session.run(self.n_frames)
+        return session.run(self.FRAMES)

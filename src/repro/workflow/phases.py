@@ -131,16 +131,14 @@ class InteractivePhase:
 
     #: Thermal-width bracket (A) a useful spring must fall in.
     WIDTH_BRACKET = (0.1, 3.0)
+    #: Frames the scientist steers through.
+    FRAMES = 30
 
     def __init__(
         self,
-        n_frames: int = 40,
         seed: SeedLike = None,
         obs: Optional[Obs] = None,
     ) -> None:
-        if n_frames <= 0:
-            raise ConfigurationError("n_frames must be positive")
-        self.n_frames = int(n_frames)
         self.seed = seed
         self.obs = as_obs(obs)
 
@@ -152,7 +150,7 @@ class InteractivePhase:
             build_translocation_simulation(n_bases=8, seed=rng), LIGHTPATH,
             steps_per_frame=25, seed=rng, user_seed=rng, obs=self.obs,
         )
-        report = session.run(self.n_frames)
+        report = session.run(self.FRAMES)
         f_lo, f_hi = session.user.device.felt_force_range()
 
         from ..units import kT, pn_per_angstrom

@@ -173,8 +173,7 @@ def run_streamed_tasks(
         # Only *active* entries are terminal; requeued ones (handed back
         # by `repro dlq retry` / the service's retry endpoint) must be
         # recomputed, so they stay out of the dead set.
-        listing = getattr(dlq, "active_entries", dlq.entries)
-        dead = {entry.get("fingerprint") for entry in listing()
+        dead = {entry.get("fingerprint") for entry in dlq.active_entries()
                 if entry.get("fingerprint")}
 
     def compute(spec: StreamTask, run: Callable[[StreamTask], WorkEnsemble]

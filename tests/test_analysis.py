@@ -154,6 +154,6 @@ class TestFigureEmitters:
         from repro.workflow import build_default_federation
 
         fed = build_default_federation()
-        rep = CampaignManager(fed).run(spice_batch_jobs(n_jobs=8, ns_per_job=0.2))
+        rep = CampaignManager(fed).run(spice_batch_jobs(n_jobs=8))
         t = fig5_campaign_table({"federation": rep})
         assert t.rows[0][1] == 8

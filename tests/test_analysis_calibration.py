@@ -24,7 +24,7 @@ class TestEstimateDiffusion:
         X = np.cumsum(steps, axis=0)[9::10]  # (frames, n, 3)
         t = dt * np.arange(10, 2001, 10)
         # Average the per-particle 3-D estimate over many particles.
-        Ds = [estimate_diffusion(t, X[:, i, :], dim=3) for i in range(50)]
+        Ds = [estimate_diffusion(t, X[:, i, :]) for i in range(50)]
         assert np.mean(Ds) == pytest.approx(D, rel=0.15)
 
     def test_deterministic_ballistic_rejected_shape(self):
@@ -43,7 +43,7 @@ class TestEstimateDiffusion:
 class TestEstimateFriction:
     def test_einstein_relation(self):
         D = 50.0
-        zeta = estimate_friction(D, temperature=300.0)
+        zeta = estimate_friction(D)
         assert zeta == pytest.approx(KB * 300.0 / D)
 
     def test_validation(self):

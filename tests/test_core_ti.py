@@ -20,7 +20,7 @@ class TestTIProtocol:
         assert p.total_time_ns == pytest.approx(1.2)
 
     @pytest.mark.parametrize("bad", [
-        dict(kappa_pn=0.0),
+        dict(equilibration_ns=-1.0),
         dict(distance=-1.0),
         dict(n_stations=1),
         dict(sampling_ns=0.0),

@@ -16,7 +16,7 @@ class TestUmbrellaProtocol:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            UmbrellaProtocol(kappa_pn=0.0)
+            UmbrellaProtocol(distance=0.0)
         with pytest.raises(ConfigurationError):
             UmbrellaProtocol(n_windows=1)
 
@@ -63,8 +63,7 @@ class TestWHAMSolver:
 
 class TestRunUmbrellaSampling:
     def test_recovers_reference(self, reduced_model):
-        res = run_umbrella_sampling(reduced_model, UmbrellaProtocol(),
-                                    n_replicas=8, seed=3)
+        res = run_umbrella_sampling(reduced_model, UmbrellaProtocol(), seed=3)
         ref = reduced_model.reference_pmf(res.bin_centers,
                                           zero_at_start=False)
         ref = ref - ref[0]
@@ -72,27 +71,20 @@ class TestRunUmbrellaSampling:
         assert rms < 1.5
 
     def test_converges(self, reduced_model):
-        res = run_umbrella_sampling(reduced_model, UmbrellaProtocol(),
-                                    n_replicas=4, seed=4)
+        res = run_umbrella_sampling(reduced_model, UmbrellaProtocol(), seed=4)
         assert res.iterations < 5000  # wham.MAX_ITER: converged, not capped
 
     def test_pmf_estimate_interface(self, reduced_model):
         res = run_umbrella_sampling(
             reduced_model,
-            UmbrellaProtocol(n_windows=9, sampling_ns=0.03),
-            n_replicas=4, seed=5)
+            UmbrellaProtocol(n_windows=9), seed=5)
         assert res.pmf.estimator == "umbrella-wham"
         assert res.pmf.displacements[0] == 0.0
         assert res.cpu_hours > 0
 
     def test_deterministic(self, reduced_model):
-        kw = dict(n_replicas=4, seed=6)
-        proto = UmbrellaProtocol(n_windows=7, sampling_ns=0.02)
-        a = run_umbrella_sampling(reduced_model, proto, **kw)
-        b = run_umbrella_sampling(reduced_model, proto, **kw)
+        proto = UmbrellaProtocol(n_windows=7)
+        a = run_umbrella_sampling(reduced_model, proto, seed=6)
+        b = run_umbrella_sampling(reduced_model, proto, seed=6)
         np.testing.assert_array_equal(a.pmf.values, b.pmf.values)
 
-    def test_validation(self, reduced_model):
-        with pytest.raises(ConfigurationError):
-            run_umbrella_sampling(reduced_model, UmbrellaProtocol(),
-                                  n_replicas=0)

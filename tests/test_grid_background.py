@@ -36,16 +36,20 @@ class TestBackgroundWorkload:
         assert u == pytest.approx(0.5, abs=0.15)
 
     def test_campaign_slower_with_contention(self):
-        """A probe job waits longer on a contended queue than an idle one."""
+        """Full-width probe jobs, one every 25 h, wait longer in total on a
+        contended queue than on an idle one."""
         def probe_wait(contended: bool) -> float:
             q, loop = fresh_queue(procs=512)
             if contended:
                 BackgroundWorkload(target_utilization=0.7).inject(
                     q, horizon_hours=300.0, seed=3)
-            probe = Job("probe", procs=512, duration_hours=1.0)
-            loop.schedule_at(50.0, lambda: q.submit(probe))
+            probes = [Job(f"probe-{k}", procs=512, duration_hours=1.0)
+                      for k in range(10)]
+            for k, probe in enumerate(probes):
+                loop.schedule_at(25.0 * (k + 1),
+                                 lambda p=probe: q.submit(p))
             loop.run()
-            return probe.wait_hours
+            return sum(p.wait_hours for p in probes)
 
         assert probe_wait(True) > probe_wait(False)
 
@@ -60,8 +64,6 @@ class TestBackgroundWorkload:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             BackgroundWorkload(target_utilization=1.5)
-        with pytest.raises(ConfigurationError):
-            BackgroundWorkload(mean_duration_hours=0.0)
         q, _ = fresh_queue()
         with pytest.raises(ConfigurationError):
             BackgroundWorkload().inject(q, horizon_hours=0.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.grid import CostModel, PAPER_COST_MODEL
+from repro.grid import PAPER_COST_MODEL
 
 
 class TestPaperNumbers:
@@ -41,7 +41,3 @@ class TestPaperNumbers:
             PAPER_COST_MODEL.wall_hours(0.0, 128)
         with pytest.raises(ConfigurationError):
             PAPER_COST_MODEL.smdje_total_cpu_hours(reduction=0.0)
-
-    def test_already_routine_returns_zero(self):
-        tiny = CostModel(reference_hours_per_ns=1e-9)
-        assert tiny.moores_law_years_until_routine() == 0.0

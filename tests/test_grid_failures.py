@@ -44,9 +44,9 @@ class TestFailureInjector:
             BatchQueue(ComputeResource(f"R{i}", "G", 128), loop) for i in range(4)
         ]
         inj = FailureInjector(seed=2)
-        n = inj.random_failures(queues, horizon_hours=5000.0, mtbf_hours=500.0)
-        # Expect ~ 4 * 5000/500 = 40 failures.
-        assert 15 < n < 80
+        n = inj.random_failures(queues, horizon_hours=5000.0)
+        # Expect ~ 4 * 5000 / (200 + 12) = 94 failures.
+        assert 50 < n < 150
 
     def test_validation(self):
         loop = EventLoop()
@@ -95,8 +95,7 @@ class TestInjectorDeterminism:
                 for i in range(4)
             ]
             inj = FailureInjector(seed=seed)
-            n = inj.random_failures(queues, horizon_hours=2000.0,
-                                    mtbf_hours=300.0)
+            n = inj.random_failures(queues, horizon_hours=2000.0)
             return n, inj.injected
 
         n_a, injected_a = build(5)
@@ -110,7 +109,7 @@ class TestInjectorDeterminism:
             loop = EventLoop()
             q = BatchQueue(ComputeResource("S", "G", 256), loop)
             inj = FailureInjector(seed=seed)
-            inj.random_failures([q], horizon_hours=5000.0, mtbf_hours=200.0)
+            inj.random_failures([q], horizon_hours=5000.0)
             return inj.injected
 
         assert build(1) != build(2)

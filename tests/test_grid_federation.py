@@ -51,7 +51,7 @@ class TestCampaign:
         """Section III: 72 jobs, ~75,000 CPU-h, 'in under a week'."""
         fed = build_federation()
         mgr = CampaignManager(fed)
-        jobs = spice_batch_jobs(n_jobs=72, ns_per_job=0.35)
+        jobs = spice_batch_jobs(n_jobs=72)
         report = mgr.run(jobs)
         assert report.all_completed
         assert len(report.completed) == 72
@@ -63,7 +63,7 @@ class TestCampaign:
             loop = EventLoop()
             fed = FederatedGrid([Grid(n, s, loop) for n, s in groups])
             mgr = CampaignManager(fed)
-            return mgr.run(spice_batch_jobs(n_jobs=72, ns_per_job=0.35))
+            return mgr.run(spice_batch_jobs(n_jobs=72))
 
         fed_report = makespan([("TeraGrid", teragrid_sites()), ("NGS", ngs_sites())])
         ncsa_report = makespan([("NCSA", [teragrid_sites()[0]])])
@@ -72,7 +72,7 @@ class TestCampaign:
     def test_steering_jobs_avoid_unreachable_sites(self):
         fed = build_federation()
         mgr = CampaignManager(fed)
-        jobs = spice_batch_jobs(n_jobs=24, ns_per_job=0.35)
+        jobs = spice_batch_jobs(n_jobs=24)
         for j in jobs:
             j.steering_required = True
         report = mgr.run(jobs)
@@ -130,7 +130,7 @@ class TestCampaign:
     def test_mean_wait_reported(self):
         fed = build_federation()
         mgr = CampaignManager(fed)
-        report = mgr.run(spice_batch_jobs(n_jobs=72, ns_per_job=0.35))
+        report = mgr.run(spice_batch_jobs(n_jobs=72))
         assert report.mean_wait_hours >= 0.0
 
     def test_estimated_start_prefers_idle(self):

@@ -47,7 +47,7 @@ class TestJob:
 
 class TestSpiceBatchJobs:
     def test_72_jobs_paper_cost(self):
-        jobs = spice_batch_jobs(n_jobs=72, ns_per_job=0.35)
+        jobs = spice_batch_jobs(n_jobs=72)
         assert len(jobs) == 72
         total = sum(j.cpu_hours for j in jobs)
         # 72 * 0.35 ns * 3000 CPU-h/ns = 75,600 ~ the paper's ~75,000.

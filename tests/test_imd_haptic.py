@@ -16,12 +16,12 @@ def frame(com_z=0.0, t=1.0):
 
 class TestHapticDevice:
     def test_clamp_preserves_direction(self):
-        d = HapticDevice(max_force=10.0)
+        d = HapticDevice()
         f = d.clamp(np.array([0.0, 0.0, 100.0]))
-        np.testing.assert_allclose(f, [0.0, 0.0, 10.0])
+        np.testing.assert_allclose(f, [0.0, 0.0, HapticDevice.MAX_FORCE])
 
     def test_no_clamp_below_max(self):
-        d = HapticDevice(max_force=10.0)
+        d = HapticDevice()
         f = d.clamp(np.array([0.0, 3.0, 4.0]))
         np.testing.assert_allclose(f, [0.0, 3.0, 4.0])
 
@@ -36,18 +36,14 @@ class TestHapticDevice:
         d.feel(1.0, 7.0)
         assert d.felt_force_range() == pytest.approx((3.0, 7.0))
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            HapticDevice(max_force=0.0)
-
 
 class TestScriptedUser:
     def test_pulls_toward_target(self):
-        user = ScriptedUser(HapticDevice(max_force=100.0), target_z=-10.0,
-                            gain=1.0, motor_noise=0.0, seed=0)
+        user = ScriptedUser(HapticDevice(), target_z=-10.0, motor_noise=0.0,
+                            seed=0)
         ready, force = user.react(frame(com_z=0.0), now_s=1.0)
         assert force[2] < 0  # downward, toward the target
-        assert force[2] == pytest.approx(-10.0)
+        assert force[2] == pytest.approx(-10.0 * ScriptedUser.GAIN)
 
     def test_reaction_latency(self):
         user = ScriptedUser(HapticDevice(), target_z=0.0, reaction_time_s=0.3,
@@ -56,16 +52,16 @@ class TestScriptedUser:
         assert ready == pytest.approx(2.3)
 
     def test_motor_noise_varies_commands(self):
-        user = ScriptedUser(HapticDevice(max_force=1e6), target_z=-10.0,
-                            gain=1.0, motor_noise=0.3, seed=2)
+        user = ScriptedUser(HapticDevice(), target_z=-10.0, motor_noise=0.3,
+                            seed=2)
         forces = [user.react(frame(), now_s=float(i))[1][2] for i in range(20)]
         assert np.std(forces) > 0.1
 
     def test_force_clamped_by_device(self):
-        user = ScriptedUser(HapticDevice(max_force=5.0), target_z=-100.0,
-                            gain=10.0, motor_noise=0.0, seed=3)
+        user = ScriptedUser(HapticDevice(), target_z=-100.0, motor_noise=0.0,
+                            seed=3)
         _, force = user.react(frame(), now_s=0.0)
-        assert np.linalg.norm(force) <= 5.0 + 1e-9
+        assert np.linalg.norm(force) <= HapticDevice.MAX_FORCE + 1e-9
 
     def test_actions_logged(self):
         user = ScriptedUser(HapticDevice(), target_z=-5.0, seed=4)
@@ -75,4 +71,4 @@ class TestScriptedUser:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ScriptedUser(HapticDevice(), target_z=0.0, gain=0.0)
+            ScriptedUser(HapticDevice(), target_z=0.0, motor_noise=-0.1)

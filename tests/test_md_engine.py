@@ -61,7 +61,7 @@ class TestStepping:
 
     def test_total_energy_includes_kinetic(self):
         sim = make_sim()
-        sim.system.initialize_velocities(300.0, seed=3)
+        sim.system.initialize_velocities(seed=3)
         assert sim.total_energy() == pytest.approx(
             sim.potential_energy + sim.system.kinetic_energy()
         )

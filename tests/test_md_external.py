@@ -1,7 +1,6 @@
 """Tests for external (one-body) force terms."""
 
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from repro.md import (
     HarmonicRestraintForce,
     SteeringForce,
 )
-from repro.pore import DEFAULT_GEOMETRY, HemolysinPore, MembraneSlab
+from repro.pore import HemolysinPore, MembraneSlab
 
 
 class FakeField:
@@ -44,9 +43,7 @@ class TestExternalFieldForce:
         assert forces[0, 2] == 0.0 and forces[1, 2] == -1.0
 
 
-FIELDS = [HemolysinPore(),
-          HemolysinPore(replace(DEFAULT_GEOMETRY, sevenfold_amplitude=0.0)),
-          MembraneSlab()]
+FIELDS = [HemolysinPore(), MembraneSlab()]
 
 
 def stack_positions(hot, n, seed):
@@ -79,7 +76,7 @@ class TestFieldsOverAStack:
         with a bead exactly on the axis and on the membrane mid-plane."""
         pos = stack_positions(hot, n, seed)
         if special:
-            pos[0, 0] = (0.0, 0.0, MembraneSlab().z_center)
+            pos[0, 0] = (0.0, 0.0, MembraneSlab.Z_CENTER)
             pos[-1, -1, :2] = 0.0
         for field in FIELDS:
             energy, forces = field.energy_and_forces(pos)

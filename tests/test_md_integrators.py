@@ -57,7 +57,7 @@ class TestVelocityVerlet:
 
     def test_energy_conservation_bonded(self):
         system, forces = bonded_chain()
-        system.initialize_velocities(300.0, seed=1)
+        system.initialize_velocities(seed=1)
         sim = Simulation(system, forces, verlet(timestep_fs(0.5)))
         e0 = sim.total_energy()
         sim.step(2000)
@@ -66,7 +66,7 @@ class TestVelocityVerlet:
 
     def test_time_reversibility(self):
         system, forces = bonded_chain(4, seed=2)
-        system.initialize_velocities(300.0, seed=3)
+        system.initialize_velocities(seed=3)
         sim = Simulation(system, forces, verlet(timestep_fs(0.5)))
         x0 = system.positions.copy()
         sim.step(100)
@@ -99,7 +99,7 @@ class TestLangevinBAOAB:
         spread = np.sqrt(KB * 300.0 / k)
         system = ParticleSystem(anchors + rng.normal(scale=spread, size=(n, 3)),
                                 np.full(n, 20.0))
-        system.initialize_velocities(300.0, seed=44)
+        system.initialize_velocities(seed=44)
         f = HarmonicRestraintForce(np.arange(n), anchors, k=k)
         integ = LangevinBAOAB(timestep_fs(2.0), friction=100.0, temperature=300.0, seed=5)
         sim = Simulation(system, [f], integ)
@@ -128,7 +128,7 @@ class TestLangevinBAOAB:
         rng = np.random.default_rng(66)
         x0 = rng.normal(scale=np.sqrt(kT / k), size=(n, 3))
         system = ParticleSystem(x0, np.full(n, 10.0))
-        system.initialize_velocities(300.0, seed=67)
+        system.initialize_velocities(seed=67)
         f = HarmonicRestraintForce(np.arange(n), np.zeros((n, 3)), k=k)
         integ = LangevinBAOAB(timestep_fs(5.0), friction=200.0, temperature=300.0, seed=6)
         sim = Simulation(system, [f], integ)
@@ -140,7 +140,7 @@ class TestLangevinBAOAB:
 
     def test_zero_friction_reduces_to_verlet(self):
         system, forces = bonded_chain(4, seed=7)
-        system.initialize_velocities(300.0, seed=8)
+        system.initialize_velocities(seed=8)
         dt = timestep_fs(0.5)
         x, v = system.positions.copy(), system.velocities.copy()
         inv_m = 1.0 / system.kinetic_masses[:, None]
@@ -176,7 +176,7 @@ class TestBrownianDynamics:
         n, m, zeta, T = 2000, 100.0, 0.01, 300.0
         gamma = zeta / (m * MASS_TO_KCAL)
         system = ParticleSystem(np.zeros((n, 3)), np.full(n, m))
-        system.initialize_velocities(T, seed=11)
+        system.initialize_velocities(seed=11)
         dt = 0.1 / gamma
         integ = LangevinBAOAB(dt, friction=gamma, temperature=T, seed=12)
         sim = Simulation(system, [NullForce()], integ)

@@ -55,13 +55,13 @@ class TestPhysics:
 
     def test_temperature_after_init(self):
         s = make(2000, seed=1)
-        s.initialize_velocities(300.0, seed=2)
+        s.initialize_velocities(seed=2)
         # 2000 particles -> temperature within a few percent of target.
         assert s.temperature() == pytest.approx(300.0, rel=0.05)
 
     def test_initialize_velocities_zero_momentum(self):
         s = make(50)
-        s.initialize_velocities(300.0, seed=3)
+        s.initialize_velocities(seed=3)
         p = (s.masses[:, None] * s.velocities).sum(axis=0)
         np.testing.assert_allclose(p, 0.0, atol=1e-9)
 
@@ -97,7 +97,7 @@ class TestValidation:
 class TestSnapshots:
     def test_snapshot_restore_roundtrip(self):
         s = make(3, seed=5)
-        s.initialize_velocities(300.0, seed=6)
+        s.initialize_velocities(seed=6)
         snap = s.snapshot()
         orig_pos = s.positions.copy()
         s.positions[:] = s.positions + 1.0

@@ -17,7 +17,7 @@ def build_fabric(psc_gateway=True):
                  ("PSC", "UCL"), ("HPCx", "UCL"), ("PSC", "HPCx")]:
         f.add_link(a, b, LIGHTPATH)
     if psc_gateway:
-        f.add_gateway(GatewayNode("psc-agn", "PSC", capacity_streams=2))
+        f.add_gateway(GatewayNode("psc-agn", "PSC"))
     return f
 
 
@@ -74,8 +74,8 @@ class TestReachability:
 
 class TestGateway:
     def test_capacity_bottleneck(self):
-        g = GatewayNode("agn", "PSC", capacity_streams=2)
-        assert g.acquire() and g.acquire()
+        g = GatewayNode("agn", "PSC")
+        assert all(g.acquire() for _ in range(GatewayNode.CAPACITY_STREAMS))
         assert not g.acquire()  # saturated
         assert g.utilization == 1.0
         g.release()

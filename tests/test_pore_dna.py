@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pore import SSDNAParameters, build_ssdna
+from repro.pore import build_ssdna
+from repro.pore.dna import FENE_K, FENE_RMAX_FACTOR, RISE, WIGGLE
 
 
 class TestBuilder:
@@ -17,16 +18,17 @@ class TestBuilder:
         np.testing.assert_allclose(masses, 312.0)
 
     def test_spacing_along_direction(self):
-        pos, *_ = build_ssdna(5, wiggle=0.0, direction=(0, 0, -1), seed=1)
+        pos, *_ = build_ssdna(5, seed=1)
         dz = np.diff(pos[:, 2])
-        np.testing.assert_allclose(dz, -6.5)
+        np.testing.assert_allclose(dz, 6.5)
 
     def test_custom_start(self):
-        pos, *_ = build_ssdna(3, start=(1.0, 2.0, 3.0), wiggle=0.0, seed=2)
-        np.testing.assert_allclose(pos[0], [1.0, 2.0, 3.0])
+        pos, *_ = build_ssdna(3, start=(1.0, 2.0, 3.0), seed=2)
+        assert pos[0, 2] == 3.0
+        np.testing.assert_allclose(pos[0, :2], [1.0, 2.0], atol=5 * WIGGLE)
 
     def test_wiggle_transverse_only(self):
-        pos, *_ = build_ssdna(20, direction=(0, 0, 1), wiggle=0.5, seed=3)
+        pos, *_ = build_ssdna(20, seed=3)
         # z spacing unchanged by transverse wiggle.
         np.testing.assert_allclose(np.diff(pos[:, 2]), 6.5, atol=1e-12)
         # But x/y are perturbed.
@@ -38,27 +40,10 @@ class TestBuilder:
         np.testing.assert_array_equal(a, b)
 
     def test_fene_params(self):
-        params = SSDNAParameters()
-        _, _, _, topo = build_ssdna(4, params=params, seed=4)
-        np.testing.assert_allclose(topo.bond_params[:, 0], params.fene_k)
-        np.testing.assert_allclose(
-            topo.bond_params[:, 1], params.fene_rmax_factor * params.rise
-        )
+        _, _, _, topo = build_ssdna(4, seed=4)
+        np.testing.assert_allclose(topo.bond_params[:, 0], FENE_K)
+        np.testing.assert_allclose(topo.bond_params[:, 1], FENE_RMAX_FACTOR * RISE)
 
     def test_too_few_bases(self):
         with pytest.raises(ConfigurationError):
             build_ssdna(1)
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_ssdna(4, direction=(0, 0, 0))
-
-    def test_param_validation(self):
-        with pytest.raises(ConfigurationError):
-            SSDNAParameters(bead_mass=-1.0)
-        with pytest.raises(ConfigurationError):
-            SSDNAParameters(fene_rmax_factor=0.9)
-
-    def test_arbitrary_direction_normalized(self):
-        pos, *_ = build_ssdna(3, direction=(2, 0, 0), wiggle=0.0, seed=5)
-        np.testing.assert_allclose(pos[1] - pos[0], [6.5, 0.0, 0.0], atol=1e-12)

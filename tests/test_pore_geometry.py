@@ -8,7 +8,6 @@ from repro.pore import (
     DEFAULT_GEOMETRY,
     AxialLandscape,
     HemolysinPore,
-    PoreGeometry,
 )
 
 
@@ -16,18 +15,6 @@ class TestConstruction:
     def test_default_valid(self):
         g = DEFAULT_GEOMETRY
         assert g.length == 100.0
-
-    def test_station_ordering_enforced(self):
-        with pytest.raises(ConfigurationError):
-            PoreGeometry(z_top=-10.0, z_constriction=0.0, z_bottom=10.0)
-
-    def test_constriction_must_be_narrowest(self):
-        with pytest.raises(ConfigurationError):
-            PoreGeometry(constriction_radius=50.0)
-
-    def test_positive_radii(self):
-        with pytest.raises(ConfigurationError):
-            PoreGeometry(barrel_radius=-1.0)
 
 
 class TestRadiusProfile:

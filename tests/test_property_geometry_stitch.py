@@ -15,12 +15,14 @@ def geometries(draw):
     vestibule = draw(st.floats(min_value=16.0, max_value=30.0))
     constriction = draw(st.floats(min_value=2.0, max_value=min(barrel, vestibule) - 1.0))
     width = draw(st.floats(min_value=1.0, max_value=15.0))
-    return PoreGeometry(
-        vestibule_radius=vestibule,
-        barrel_radius=barrel,
-        constriction_radius=constriction,
-        constriction_width=width,
-    )
+    # The pore is one geometry; the properties hold for any profile
+    # parameters, so each example overrides the class constants.
+    return type("DrawnGeometry", (PoreGeometry,), {
+        "vestibule_radius": vestibule,
+        "barrel_radius": barrel,
+        "constriction_radius": constriction,
+        "constriction_width": width,
+    })()
 
 
 class TestGeometryProperties:

@@ -14,10 +14,16 @@ the same way (a string constant counts too: ``getattr`` reads a method by
 name) outside its own body.
 
 A defaulted parameter of a public ``def`` (or of any ``__init__``) is an
-option; it counts as reached when some call outside ``tests/`` passes it —
-by keyword, positionally past its index, or through ``*``/``**``.  The
-callee is matched by name, an ``__init__`` by its class name.  An option
-nothing but tests sets has one value in use, so it becomes a constant.
+option, and so is a defaulted field of a public dataclass; it counts as
+reached when some call outside ``tests/`` passes it — by keyword,
+positionally past its index, or through ``*``/``**`` — or, for a field,
+through ``dataclasses.replace``.  The callee is matched by name, an
+``__init__`` or a dataclass by its class name (``cls(...)`` inside the
+class body too).  A field that code outside tests assigns or mutates after
+construction, or one declared ``field(init=False)``, is state, not an
+option.  An option nothing but tests sets has one value in use, and so has
+one every driver call sets to the same literal or UPPER_CASE constant
+(seeds and handles excepted); either becomes a constant.
 
 A name only tests reach either goes (with a ``RETIRED_NAMES`` row in
 ``repro.lint.rules_api`` where the name is distinctive) or stays on
@@ -285,11 +291,11 @@ def test_scan_sees_a_test_only_method(tmp_path, monkeypatch):
     assert unreached_methods() == {"Thing.orphan": "src/repro/mod.py"}
 
 
-# -- options: defaulted parameters ----------------------------------------------
+# -- options: defaulted parameters and dataclass fields -------------------------
 
-#: Defaulted parameters kept although no call outside tests sets them,
-#: with the reason.  Keys are ``"function(param)"``, ``"Class.method(param)"``
-#: or ``"Class(param)"`` for an ``__init__``.
+#: Options kept although they have one value in use, with the reason.  Keys
+#: are ``"function(param)"``, ``"Class.method(param)"``, or
+#: ``"Class(param)"`` for an ``__init__`` parameter or a dataclass field.
 _ORACLE = ("kernel=\"reference\" is the oracle the equivalence tests "
            "compare the default against")
 _SEAM = "a test seam: tests inject a fake here"
@@ -328,6 +334,10 @@ ALLOWED_OPTIONS: Dict[str, str] = {
     "run_parameter_study(n_records)": "tests run studies at 11 records, "
                                       "the descriptors their pinned "
                                       "fingerprints were taken at",
+    "UmbrellaProtocol(n_windows)": "tests shrink the window count only for "
+                                   "speed, as run_parameter_study(n_records)",
+    "SteerableParam(setter)": _STEERING + " (the other half of "
+                              "Steerer.set_param)",
     "run_full_axis_production(obs)": _SPICE103,
     "run_pulling_ensemble_3d(obs)": _SPICE103,
     "run_thermodynamic_integration(obs)": _SPICE103,
@@ -396,35 +406,201 @@ def defaulted_parameters() -> List[Tuple[str, str, str, str, Optional[int]]]:
     return out
 
 
-def unreached_options() -> Dict[str, str]:
-    """Option key → defining file of each defaulted parameter no call
-    outside ``tests/`` sets."""
-    keywords: Dict[str, Set[str]] = {}
-    widest: Counter = Counter()
-    spread: Set[str] = set()
+#: Parameters the one-constant check leaves be: lint rules SPICE103/105
+#: make every seeded entry point take its seed and its handles, so a
+#: driver passing one value there is the rule, not a dead option.
+_HANDLES = frozenset({"seed", "obs", "store", "dlq"})
+
+_MUTATORS = frozenset({"append", "appendleft", "extend", "insert", "add",
+                       "update", "setdefault", "pop", "popleft", "popitem",
+                       "remove", "discard", "clear", "sort"})
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if ((isinstance(target, ast.Name) and target.id == "dataclass")
+                or (isinstance(target, ast.Attribute)
+                    and target.attr == "dataclass")):
+            return True
+    return False
+
+
+def _field_call(value: ast.expr) -> Optional[ast.Call]:
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"):
+        return value
+    return None
+
+
+def dataclass_fields() -> List[Tuple[str, str, str, str, int, bool]]:
+    """``(relative path, class, key, field, positional index, init)`` for
+    each defaulted field of a public dataclass of the package.  ``init``
+    is false for ``field(init=False)``, which the generated ``__init__``
+    does not take; the index counts only the fields it does take."""
+    out: List[Tuple[str, str, str, str, int, bool]] = []
+    for path in _python_files(PACKAGE):
+        rel = path.relative_to(ROOT).as_posix()
+        for cls in ast.walk(_parse(path)):
+            if (not isinstance(cls, ast.ClassDef) or cls.name.startswith("_")
+                    or not _is_dataclass(cls)):
+                continue
+            index = 0
+            for node in cls.body:
+                if not (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    continue
+                if "ClassVar" in ast.dump(node.annotation):
+                    continue
+                call = _field_call(node.value) if node.value else None
+                init = not (call and any(
+                    k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in call.keywords))
+                defaulted = node.value is not None and (call is None or any(
+                    k.arg in ("default", "default_factory")
+                    for k in call.keywords))
+                name = node.target.id
+                if defaulted:
+                    out.append((rel, cls.name, f"{cls.name}({name})", name,
+                                index, init))
+                index += init
+    return out
+
+
+def _driver_calls() -> Dict[str, List[ast.Call]]:
+    """Callee name → every call outside ``tests/`` that spells it.  A
+    ``cls(...)`` call inside a class body spells that class."""
+    calls: Dict[str, List[ast.Call]] = {}
+
+    def visit(node: ast.AST, cls: Optional[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                if callee == "cls" and cls:
+                    callee = cls
+                if callee:
+                    calls.setdefault(callee, []).append(child)
+            visit(child, cls)
+
     for tree in _driver_trees():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+        visit(tree, None)
+    return calls
+
+
+def _state_names() -> Set[str]:
+    """Attribute names code outside ``tests/`` assigns or mutates after
+    construction: stores, augmented assignments, ``setattr`` by name,
+    item stores and mutating method calls.  ``self.x = ...`` in an
+    ``__init__`` or ``__post_init__`` is construction, not state."""
+    names: Set[str] = set()
+
+    def target(node: ast.AST) -> None:
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+
+    def visit(node: ast.AST, init: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _FUNCTIONS):
+                visit(child, child.name in ("__init__", "__post_init__"))
                 continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                callee = func.id
-            elif isinstance(func, ast.Attribute):
-                callee = func.attr
-            else:
-                continue
-            if (any(isinstance(a, ast.Starred) for a in node.args)
-                    or any(k.arg is None for k in node.keywords)):
-                spread.add(callee)
-            widest[callee] = max(widest[callee], len(node.args))
-            keywords.setdefault(callee, set()).update(
-                k.arg for k in node.keywords if k.arg)
+            if isinstance(child, ast.Attribute) and isinstance(
+                    child.ctx, (ast.Store, ast.Del)):
+                on_self = (isinstance(child.value, ast.Name)
+                           and child.value.id == "self")
+                if not (init and on_self):
+                    names.add(child.attr)
+            elif isinstance(child, ast.Subscript) and isinstance(
+                    child.ctx, (ast.Store, ast.Del)):
+                target(child)
+            elif isinstance(child, ast.AugAssign):
+                target(child.target)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute)
+                        and func.attr in _MUTATORS):
+                    target(func.value)
+                elif (not init and isinstance(func, (ast.Name, ast.Attribute))
+                      and (getattr(func, "id", None) == "setattr"
+                           or getattr(func, "attr", None) == "__setattr__")
+                      and len(child.args) >= 2
+                      and isinstance(child.args[1], ast.Constant)):
+                    names.add(child.args[1].value)
+            visit(child, init)
+
+    for tree in _driver_trees():
+        visit(tree, False)
+    return names
+
+
+_SPREAD = object()
+
+
+def _passed(call: ast.Call, param: str, index: Optional[int]):
+    """The expression ``call`` passes for ``param``, :data:`_SPREAD` when
+    a ``*``/``**`` argument may carry it, or ``None`` when it is left at
+    its default."""
+    for keyword in call.keywords:
+        if keyword.arg == param:
+            return keyword.value
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return _SPREAD
+    if index is not None and len(call.args) > index:
+        return call.args[index]
+    return None
+
+
+def _constant(node: ast.expr) -> Optional[str]:
+    """A canonical spelling of ``node`` when it is a literal (a number,
+    string, tuple of literals, ...) or an UPPER_CASE name, else ``None``."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        pass
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    if name and name.isupper() and len(name) > 1:  # not a variable like D
+        return name
+    return None
+
+
+def _one_value(values: List[object]) -> bool:
+    """Every call passes the parameter, and always the same constant."""
+    if not values or any(v is None or v is _SPREAD for v in values):
+        return False
+    spelled = {_constant(v) for v in values}
+    return len(spelled) == 1 and None not in spelled
+
+
+def unreached_options() -> Dict[str, str]:
+    """Option key → defining file of each option with one value in use:
+    a defaulted parameter or dataclass field no call outside ``tests/``
+    sets, or one every such call sets to the same constant.  A field
+    code outside tests assigns or mutates after construction, or one
+    declared ``field(init=False)``, is state, not an option."""
+    calls = _driver_calls()
+    options = [(rel, callee, key, param, index)
+               for rel, callee, key, param, index in defaulted_parameters()]
+    state = _state_names()
+    replaced = {k.arg for call in calls.get("replace", ())
+                if call.args for k in call.keywords}
+    for rel, cls, key, name, index, init in dataclass_fields():
+        if init and name not in state and name not in replaced:
+            options.append((rel, cls, key, name, index))
     out: Dict[str, str] = {}
-    for rel, callee, key, param, index in defaulted_parameters():
-        if (callee in spread or param in keywords.get(callee, ())
-                or (index is not None and widest[callee] > index)):
-            continue
-        out[key] = rel
+    for rel, callee, key, param, index in options:
+        values = [_passed(call, param, index) for call in calls.get(callee, ())]
+        if all(v is None for v in values) or (
+                param not in _HANDLES and _one_value(values)):
+            out[key] = rel
     return out
 
 
@@ -432,8 +608,9 @@ def test_every_defaulted_parameter_has_a_driver():
     stray = {key: rel for key, rel in unreached_options().items()
              if key not in ALLOWED_OPTIONS}
     assert not stray, (
-        "defaulted parameters no driver sets (make each a constant, or "
-        "allow-list it with a reason): "
+        "options with one value in use: defaulted parameters or dataclass "
+        "fields no driver sets, or every driver sets to one constant (make "
+        "each a constant, or allow-list it with a reason): "
         + ", ".join(f"{rel}::{key}" for key, rel in sorted(stray.items())))
 
 
@@ -452,8 +629,9 @@ def test_scan_sees_a_test_only_option(tmp_path, monkeypatch):
         "    def m(self, r=1):\n        return r\n")
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "use.py").write_text(
-        "from repro.mod import K, f, g\n\n"
-        "f(0, 5, e=6)\nK(3)\nK().m()\ng(**{})\n")
+        "from repro.mod import K, f, g\n\n\n"
+        "def drive(b, e, p):\n"
+        "    f(0, b, e=e)\n    K(p)\n    K().m()\n    g(**{})\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_mod.py").write_text(
         "from repro.mod import K, f\n\nf(0, 1, 2, d=4)\nK(q=5).m(r=2)\n")
@@ -464,4 +642,72 @@ def test_scan_sees_a_test_only_option(tmp_path, monkeypatch):
         "f(d)": "src/repro/mod.py",
         "K(q)": "src/repro/mod.py",
         "K.m(r)": "src/repro/mod.py",
+    }
+
+
+def test_scan_sees_a_test_only_field(tmp_path, monkeypatch):
+    """The field scan is not vacuous: a defaulted field of a frozen
+    dataclass that only a test sets is reported; a driver setting one by
+    keyword, by position or through ``replace`` clears it; a field code
+    assigns or mutates after construction, or one declared
+    ``init=False``, is state and never reported."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "from dataclasses import dataclass, field, replace\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class P:\n"
+        "    a: int\n    pos: float = 1.0\n    kw: float = 2.0\n"
+        "    rep: float = 3.0\n    orphan: float = 4.0\n"
+        "    counter: int = field(init=False, default=0)\n\n\n"
+        "@dataclass\n"
+        "class S:\n"
+        "    level: float = 0.0\n"
+        "    log: list = field(default_factory=list)\n\n"
+        "    def raise_level(self, v):\n        self.level = v\n\n\n"
+        "def shift(p, v):\n    return replace(p, rep=v)\n\n\n"
+        "def note(s):\n    s.log.append(1)\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "use.py").write_text(
+        "from repro.mod import P\n\n\n"
+        "def drive(a, v, w):\n    P(a, w)\n    P(a, kw=v)\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import P, S\n\n"
+        "P(0, 1.0, 2.0, 3.0, orphan=5.0)\nS(level=1.0, log=[])\n")
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    monkeypatch.setitem(globals(), "PACKAGE", pkg)
+    assert unreached_options() == {"P(orphan)": "src/repro/mod.py"}
+
+
+def test_scan_sees_a_one_constant_option(tmp_path, monkeypatch):
+    """An option every driver call sets to the same constant has one value
+    in use: two calls passing the same UPPER_CASE name (to a parameter or
+    a field) are reported; a second value at any call, or a call leaving
+    the default, clears the report; seeds and handles are exempt."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "LIMIT = 3\n\n\n"
+        "def f(x=1):\n    return x\n\n\n"
+        "def g(y=1):\n    return y\n\n\n"
+        "def h(z=1):\n    return z\n\n\n"
+        "def run(seed=None):\n    return seed\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Q:\n    k: int = 1\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "use.py").write_text(
+        "from repro.mod import LIMIT, Q, f, g, h, run\n\n\n"
+        "def drive(v):\n"
+        "    f(x=LIMIT)\n    f(LIMIT)\n"
+        "    g(y=LIMIT)\n    g(y=v)\n"
+        "    h(z=LIMIT)\n    h()\n"
+        "    run(seed=LIMIT)\n    run(seed=LIMIT)\n"
+        "    Q(k=LIMIT)\n    Q(LIMIT)\n")
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    monkeypatch.setitem(globals(), "PACKAGE", pkg)
+    assert unreached_options() == {
+        "f(x)": "src/repro/mod.py",
+        "Q(k)": "src/repro/mod.py",
     }

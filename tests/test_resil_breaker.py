@@ -1,8 +1,5 @@
 """Tests for the per-queue circuit breakers."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.obs import Obs
 from repro.resil import BreakerBoard, BreakerState, CircuitBreaker
 
@@ -16,17 +13,12 @@ class FakeClock:
 
 
 class TestCircuitBreaker:
-    def test_validation(self):
-        clock = FakeClock()
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker("x", clock, failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker("x", clock, reset_timeout_hours=0.0)
+    """The breaker trips after ``FAILURE_THRESHOLD`` (2) consecutive
+    failures and probes again ``RESET_TIMEOUT_HOURS`` (6) later."""
 
     def test_trips_after_threshold_consecutive_failures(self):
         clock = FakeClock()
-        b = CircuitBreaker("NCSA", clock, failure_threshold=3)
-        b.record_failure()
+        b = CircuitBreaker("NCSA", clock)
         b.record_failure()
         assert b.allows()
         b.record_failure()
@@ -36,7 +28,7 @@ class TestCircuitBreaker:
 
     def test_success_resets_the_failure_streak(self):
         clock = FakeClock()
-        b = CircuitBreaker("NCSA", clock, failure_threshold=2)
+        b = CircuitBreaker("NCSA", clock)
         b.record_failure()
         b.record_success()
         b.record_failure()
@@ -44,8 +36,8 @@ class TestCircuitBreaker:
 
     def test_half_open_after_reset_timeout(self):
         clock = FakeClock()
-        b = CircuitBreaker("NCSA", clock, failure_threshold=1,
-                           reset_timeout_hours=6.0)
+        b = CircuitBreaker("NCSA", clock)
+        b.record_failure()
         b.record_failure()
         assert not b.allows()
         clock.now = 5.9
@@ -56,10 +48,10 @@ class TestCircuitBreaker:
 
     def test_half_open_success_closes(self):
         clock = FakeClock()
-        b = CircuitBreaker("NCSA", clock, failure_threshold=1,
-                           reset_timeout_hours=1.0)
+        b = CircuitBreaker("NCSA", clock)
         b.record_failure()
-        clock.now = 2.0
+        b.record_failure()
+        clock.now = 7.0
         assert b.allows()
         b.record_success()
         assert b.state is BreakerState.CLOSED
@@ -67,11 +59,10 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_retrips_immediately(self):
         clock = FakeClock()
-        b = CircuitBreaker("NCSA", clock, failure_threshold=3,
-                           reset_timeout_hours=1.0)
-        for _ in range(3):
+        b = CircuitBreaker("NCSA", clock)
+        for _ in range(2):
             b.record_failure()
-        clock.now = 2.0
+        clock.now = 7.0
         assert b.allows()
         b.record_failure()  # a single half-open failure re-opens
         assert b.state is BreakerState.OPEN
@@ -79,27 +70,28 @@ class TestCircuitBreaker:
 
     def test_transitions_are_recorded_with_timestamps(self):
         clock = FakeClock()
-        b = CircuitBreaker("NCSA", clock, failure_threshold=1,
-                           reset_timeout_hours=1.0)
+        b = CircuitBreaker("NCSA", clock)
         clock.now = 3.0
         b.record_failure()
-        clock.now = 4.5
+        b.record_failure()
+        clock.now = 9.5
         b.allows()
         assert b.transitions == [
             (3.0, BreakerState.CLOSED, BreakerState.OPEN),
-            (4.5, BreakerState.OPEN, BreakerState.HALF_OPEN),
+            (9.5, BreakerState.OPEN, BreakerState.HALF_OPEN),
         ]
 
     def test_obs_counts_trips(self):
         obs = Obs()
-        b = CircuitBreaker("NCSA", FakeClock(), failure_threshold=1, obs=obs)
+        b = CircuitBreaker("NCSA", FakeClock(), obs=obs)
+        b.record_failure()
         b.record_failure()
         assert obs.metrics.counter("resil.breaker.trips.NCSA").value == 1
 
 
 class TestBreakerBoard:
     def test_lazy_per_site_breakers_share_config(self):
-        board = BreakerBoard(FakeClock(), failure_threshold=2)
+        board = BreakerBoard(FakeClock())
         assert board.allows("A")
         board.record_failure("A")
         board.record_failure("A")
@@ -109,20 +101,20 @@ class TestBreakerBoard:
         assert board.state("B") is BreakerState.CLOSED
 
     def test_trip_accounting(self):
-        board = BreakerBoard(FakeClock(), failure_threshold=1)
-        board.record_failure("A")
-        board.record_failure("B")
-        board.record_success("B")
-        board.record_failure("B")
+        board = BreakerBoard(FakeClock())
+        for site in ("A", "B", "B"):
+            board.record_failure(site)
+            board.record_failure(site)
+            board.record_success("B")
         assert board.total_trips == 3
         assert board.trip_counts() == {"A": 1, "B": 2}
 
     def test_half_open_query(self):
         clock = FakeClock()
-        board = BreakerBoard(clock, failure_threshold=1,
-                             reset_timeout_hours=1.0)
+        board = BreakerBoard(clock)
+        board.record_failure("A")
         board.record_failure("A")
         assert not board.half_open("A")
-        clock.now = 1.5
+        clock.now = 6.5
         board.allows("A")
         assert board.half_open("A")

@@ -55,19 +55,19 @@ class TestFaultFreeBitIdentity:
         faults injected -> the campaign is bit-identical to the oracle."""
         fed_a = build_federation()
         oracle = CampaignManager(fed_a).run(
-            spice_batch_jobs(n_jobs=72, ns_per_job=0.35))
+            spice_batch_jobs(n_jobs=72))
 
         fed_b = build_federation()
         resil = Resilience.for_federation(fed_b)
         guarded = CampaignManager(fed_b, resil=resil).run(
-            spice_batch_jobs(n_jobs=72, ns_per_job=0.35))
+            spice_batch_jobs(n_jobs=72))
 
         assert fingerprint(oracle) == fingerprint(guarded)
 
     def test_baseline_scenario_matches_oracle(self):
         fed = build_federation()
         oracle = CampaignManager(fed).run(
-            spice_batch_jobs(n_jobs=72, ns_per_job=0.35))
+            spice_batch_jobs(n_jobs=72))
         base = run_chaos_scenario(SCENARIOS["baseline"], seed=2005)
         assert base["campaign"]["completed"] == len(oracle.completed)
         assert base["campaign"]["requeues"] == oracle.requeues

@@ -1,6 +1,5 @@
 """Tests for retry policies, budgets and the retry_call driver."""
 
-import numpy as np
 import pytest
 
 from repro.errors import (
@@ -24,15 +23,12 @@ class TestRetryPolicy:
     def test_defaults_validate(self):
         p = RetryPolicy()
         assert p.max_attempts == 5
-        assert p.factor == 2.0
+        assert p.FACTOR == 2.0
 
     @pytest.mark.parametrize("kwargs", [
         {"max_attempts": -1},
         {"base_delay": 0.0},
-        {"factor": 0.5},
         {"max_delay": 0.0},
-        {"jitter": 1.5},
-        {"jitter": -0.1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -49,15 +45,15 @@ class TestRetryPolicy:
         assert not p.exhausted(10_000)
 
     def test_backoff_is_the_exact_exponential_ladder(self):
-        p = RetryPolicy(base_delay=1.0, factor=2.0)
+        p = RetryPolicy(base_delay=1.0)
         assert [p.backoff(k) for k in (1, 2, 3, 4)] == [1.0, 2.0, 4.0, 8.0]
 
     def test_backoff_base_override(self):
-        p = RetryPolicy(base_delay=1.0, factor=2.0)
+        p = RetryPolicy(base_delay=1.0)
         assert p.backoff(3, base=0.25) == 1.0
 
     def test_backoff_caps_at_max_delay(self):
-        p = RetryPolicy(base_delay=1.0, factor=2.0, max_delay=3.0)
+        p = RetryPolicy(base_delay=1.0, max_delay=3.0)
         assert p.backoff(1) == 1.0
         assert p.backoff(2) == 2.0
         assert p.backoff(3) == 3.0
@@ -66,24 +62,6 @@ class TestRetryPolicy:
     def test_backoff_rejects_bad_attempt(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy().backoff(0)
-
-    def test_jitter_needs_an_rng(self):
-        p = RetryPolicy(base_delay=1.0, jitter=0.5)
-        # Without a generator the ladder is the pure exponential.
-        assert p.backoff(1) == 1.0
-        rng = np.random.default_rng(0)
-        jittered = [p.backoff(1, rng=rng) for _ in range(50)]
-        assert all(0.5 <= d <= 1.5 for d in jittered)
-        assert len(set(jittered)) > 1
-
-    def test_unjittered_policy_ignores_rng(self):
-        p = RetryPolicy(base_delay=1.0, jitter=0.0)
-
-        class Boom:
-            def random(self):  # pragma: no cover - must not be called
-                raise AssertionError("jitter=0 must not draw")
-
-        assert p.backoff(2, rng=Boom()) == 2.0
 
 
 class TestRetryCall:
@@ -104,7 +82,7 @@ class TestRetryCall:
                 raise GridError("transient")
             return "done"
 
-        out = retry_call(RetryPolicy(base_delay=1.0, factor=2.0), flaky,
+        out = retry_call(RetryPolicy(base_delay=1.0), flaky,
                          operation="op")
         assert out.value == "done"
         assert out.attempts == 3
@@ -162,8 +140,7 @@ class TestRetryCall:
 class TestDefaultPolicies:
     def test_channel_default_matches_historical_loop(self):
         assert DEFAULT_CHANNEL_RETRY.max_attempts == 64
-        assert DEFAULT_CHANNEL_RETRY.factor == 2.0
-        assert DEFAULT_CHANNEL_RETRY.jitter == 0.0
+        assert DEFAULT_CHANNEL_RETRY.FACTOR == 2.0
 
     def test_placement_default_bounded_with_day_cap(self):
         p = DEFAULT_PLACEMENT_RETRY

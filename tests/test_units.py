@@ -40,10 +40,10 @@ class TestSpringConstantConversion:
         assert 1.0 / units.PN_ANGSTROM_TO_KCAL == pytest.approx(69.48, rel=1e-3)
 
 
-def thermal_velocities(mass_amu, temperature=300.0, n=20000, seed=0):
+def thermal_velocities(mass_amu, n=20000, seed=0):
     """Maxwell-Boltzmann velocity components as the engine draws them."""
     system = ParticleSystem(np.zeros((n, 3)), np.full(n, mass_amu))
-    system.initialize_velocities(temperature, seed=seed)
+    system.initialize_velocities(seed=seed)
     return system
 
 

@@ -28,20 +28,16 @@ class TestStaticVizPhase:
 
 class TestInteractivePhase:
     def test_kappa_candidates_are_paper_decades(self):
-        insight = InteractivePhase(n_frames=10, seed=1).run()
+        insight = InteractivePhase(seed=1).run()
         assert insight.kappa_candidates == (10.0, 100.0, 1000.0)
 
     def test_haptic_forces_recorded(self):
-        insight = InteractivePhase(n_frames=10, seed=2).run()
+        insight = InteractivePhase(seed=2).run()
         assert insight.felt_force_range[1] > 0
 
     def test_velocity_candidates(self):
-        insight = InteractivePhase(n_frames=5, seed=3).run()
+        insight = InteractivePhase(seed=3).run()
         assert 12.5 in insight.velocity_candidates
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            InteractivePhase(n_frames=0)
 
 
 class TestBatchPhase:

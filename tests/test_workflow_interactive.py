@@ -17,8 +17,7 @@ def make_runner(error_rate=0.0, lightpath_rate=1.0, seed=0):
     queues = {"NCSA": BatchQueue(ComputeResource("NCSA", "TeraGrid", 1024), loop)}
     workflows = {"NCSA": ManualReservationWorkflow(error_rate=error_rate, seed=seed)}
     return InteractiveSessionRunner(
-        queues, workflows, lightpath_success_rate=lightpath_rate,
-        n_frames=20, seed=seed,
+        queues, workflows, lightpath_success_rate=lightpath_rate, seed=seed,
     )
 
 
