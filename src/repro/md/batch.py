@@ -26,19 +26,22 @@ is array shape, and that is where the contract is earned:
   contiguous row of the stacked noise buffer — NumPy fills contiguous
   ``out=`` views with the identical variates as a fresh allocation;
 * force expressions are elementwise and the scatter flattens the replica
-  axis into the particle axis, so each replica's slots accumulate in the
-  solo bincount order (:func:`~repro.md.kernels.scatter_add`);
-* energy *reductions* are per replica, on memory laid out like the solo
-  operand: bonded terms reduce each C-contiguous row with the solo
-  ``np.dot`` (a strided row sends BLAS down another summation order —
-  :func:`~repro.md.kernels.weighted_sums`), nonbonded terms take a plain
-  ``np.sum`` over each replica's own contiguous run of pairs, never one
-  sum over the stack;
+  axis into one slot index (``(r*N + i)*3 + c``), so each replica's slots
+  accumulate in the solo order (:func:`~repro.md.kernels.scatter_add`);
+* energy *reductions* are one ``np.bincount`` keyed on each summand's
+  replica, which adds every replica's summands one after another in term
+  order whatever their memory layout, a solo evaluation being its
+  one-replica case: the bonded rows
+  (:func:`~repro.md.kernels.weighted_sums`) and the nonbonded pairs,
+  concatenated replica by replica;
 * the pore and membrane fields are elementwise per bead, and each
   replica's field energy is the sum over its own row;
 * each replica keeps its own neighbour-list clone, reference positions
   and rebuild schedule; only the skin test is made once for the stack
   (:meth:`~repro.md.neighborlist.NeighborList.stacked_pairs`);
+* the SMD trap's centres, stretch, energy and force are elementwise over
+  the ``(R,)`` traps; only its projected COM is taken replica by replica,
+  with the solo two-stage matvec;
 * terms that only understand ``(N, 3)`` (no ``stackable`` mark:
   restraints, steering forces, a user's own) and the ``kernel="reference"``
   loops run once per replica (:func:`~repro.md.kernels.per_replica`).

@@ -15,7 +15,7 @@ from typing import Optional, Protocol, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from .kernels import Energy, scatter_add
+from .kernels import Energy, _bound_scatter
 
 __all__ = [
     "FieldPotential",
@@ -50,15 +50,16 @@ class ExternalFieldForce:
     def __init__(self, field: FieldPotential, indices: Optional[np.ndarray] = None) -> None:
         self.field = field
         self._indices = None if indices is None else np.asarray(indices, dtype=np.intp)
+        self._scatter = None if indices is None else _bound_scatter(self._indices)
 
     def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
-        if self._indices is None:
+        if self._scatter is None:
             energy, f = self.field.energy_and_forces(positions)
             forces += f
         else:
             picked = positions[..., self._indices, :]
             energy, f = self.field.energy_and_forces(picked)
-            scatter_add(forces, self._indices, f)
+            self._scatter(forces, f)
         return energy if positions.ndim > 2 else float(energy)
 
 

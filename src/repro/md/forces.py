@@ -12,8 +12,9 @@ time in plain Python as the correctness oracle.  The vectorised body is
 written once over an optional leading replica axis: ``(N, 3)`` positions
 give a float energy, an ``(R, N, 3)`` stack gives ``(R,)`` energies, and
 replica ``r`` of a stack is bit-identical to the solo evaluation of its
-rows (elementwise expressions, the flattening scatter, and the per-row
-energy reduction of :func:`~repro.md.kernels.weighted_sums`).
+rows (elementwise expressions, the flattening scatter bound to each term's
+fixed index sets, and the in-order per-row energy sum of
+:func:`~repro.md.kernels.weighted_sums`).
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ import numpy as np
 from ..errors import ConfigurationError, SimulationError
 from .kernels import (
     Energy,
-    accumulate_pair_forces,
+    _bound_scatter,
     no_energy,
     per_replica,
-    scatter_add,
     validate_kernel,
     weighted_sums,
 )
@@ -75,6 +75,8 @@ class FENEBondForce:
         self._j = topology.bonds[:, 1]
         self._k = topology.bond_params[:, 0]
         self._rmax = topology.bond_params[:, 1]
+        self._scatter_i = _bound_scatter(self._i)
+        self._scatter_j = _bound_scatter(self._j)
         self.kernel = validate_kernel(kernel)
         if np.any(self._rmax <= 0.0):
             raise ConfigurationError("FENE rmax must be positive")
@@ -93,7 +95,8 @@ class FENEBondForce:
         # F_j = -k r / (1 - x) * unit(dr)  ->  coefficient on dr is -k/(1-x).
         coeff = -self._k / (1.0 - x)
         fij = dr * coeff[..., None]
-        accumulate_pair_forces(forces, self._i, self._j, fij)
+        self._scatter_j(forces, fij)
+        self._scatter_i(forces, -fij)
         return energy
 
     def _compute_reference(self, positions: np.ndarray, forces: np.ndarray) -> float:
@@ -133,6 +136,9 @@ class HarmonicAngleForce:
         self._k = topology.angles[:, 2]
         self._kt = topology.angle_params[:, 0]
         self._t0 = topology.angle_params[:, 1]
+        self._scatter_i = _bound_scatter(self._i)
+        self._scatter_j = _bound_scatter(self._j)
+        self._scatter_k = _bound_scatter(self._k)
         self.kernel = validate_kernel(kernel)
 
     def compute(self, positions: np.ndarray, forces: np.ndarray) -> Energy:
@@ -160,9 +166,9 @@ class HarmonicAngleForce:
         uk = rkj / nkj[..., None]
         fi = (dU / (nij * sin_t))[..., None] * (uk - cos_t[..., None] * ui)
         fk = (dU / (nkj * sin_t))[..., None] * (ui - cos_t[..., None] * uk)
-        scatter_add(forces, self._i, fi)
-        scatter_add(forces, self._k, fk)
-        scatter_add(forces, self._j, -(fi + fk))
+        self._scatter_i(forces, fi)
+        self._scatter_k(forces, fk)
+        self._scatter_j(forces, -(fi + fk))
         return energy
 
 

@@ -95,6 +95,19 @@ class LangevinBAOAB:
         self.rng = as_generator(seed)
         self._c1 = float(np.exp(-self.friction * self.dt))
         self._c2 = float(np.sqrt(1.0 - self._c1**2))
+        # Per-particle factors, bound to the masses and temperature they
+        # were built from (the temperature is steerable).
+        self._bound: tuple = (None, None, None, None)
+
+    def _factors(self, masses: np.ndarray) -> tuple:
+        """``(1/m, c2 sigma_v)`` as ``(N, 1)`` columns for ``masses``."""
+        bound_masses, bound_t, inv_m, noise_scale = self._bound
+        if masses is not bound_masses or self.temperature != bound_t:
+            inv_m = 1.0 / masses[:, None]
+            sigma_v = np.sqrt(KB * self.temperature / masses)[:, None]
+            noise_scale = self._c2 * sigma_v
+            self._bound = (masses, self.temperature, inv_m, noise_scale)
+        return inv_m, noise_scale
 
     def step(
         self,
@@ -103,8 +116,7 @@ class LangevinBAOAB:
         forces: np.ndarray,
     ) -> Energy:
         dt = self.dt
-        inv_m = 1.0 / system.kinetic_masses[:, None]
-        sigma_v = np.sqrt(KB * self.temperature / system.kinetic_masses)[:, None]
+        inv_m, noise_scale = self._factors(system.kinetic_masses)
         v, x = system.velocities, system.positions
         # B (half kick)
         v += 0.5 * dt * forces * inv_m
@@ -112,7 +124,7 @@ class LangevinBAOAB:
         x += 0.5 * dt * v
         # O (Ornstein-Uhlenbeck exact update)
         v *= self._c1
-        v += self._c2 * sigma_v * _thermal_noise(system, self.rng, v.shape)
+        v += noise_scale * _thermal_noise(system, self.rng, v.shape)
         # A (half drift)
         x += 0.5 * dt * v
         # B (half kick) with fresh forces

@@ -18,11 +18,13 @@ term is written over an optional leading replica axis, so ``(N, 3)``
 positions and an ``(R, N, 3)`` stack (see :mod:`repro.md.batch`) run the
 same lines.  The shape decisions live in the helpers below, never in a
 term: :func:`scatter_add` flattens whatever precedes the particle axis
-(slot ``r*N + i``), so one bincount pass accumulates every replica in the
-per-replica summation order; :func:`weighted_sums` reduces each replica's
-row with the solo ``np.dot``; :func:`per_replica` runs a body that only
-understands ``(N, 3)`` — the ``"reference"`` loops, a user's own term —
-once per replica.
+into one slot index (``(r*N + i)*d + c``), so one bincount pass
+accumulates every replica in the per-replica summation order (a term's
+fixed index sets bind those slots once per shape, :func:`_bound_scatter`);
+:func:`weighted_sums` sums each replica's row in term order with one
+bincount, the solo row being its one-row case; :func:`per_replica` runs a
+body that only understands ``(N, 3)`` — the ``"reference"`` loops, a
+user's own term — once per replica.
 
 Equivalence contract (see ``tests/test_md_kernels.py``): both kernels see
 the *same* candidate pair arrays and evaluate the *same* expressions, but
@@ -38,6 +40,8 @@ compiles to a tight C loop and is several times faster than the ufunc
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable, Union
 
 import numpy as np
@@ -71,31 +75,51 @@ def validate_kernel(kernel: str) -> str:
     return kernel
 
 
+def _flat_slots(idx: np.ndarray, shape: tuple) -> np.ndarray:
+    """The bins of ``out.ravel()`` that :func:`scatter_add` fills from
+    ``idx`` for an ``out`` of ``shape``: ``(r*n + idx[k])*d + c``, listed in
+    the ``(r, k, c)`` order of the matching ``contrib`` (a solo ``out`` is
+    the one-replica case)."""
+    n, d = shape[-2:]
+    rows = np.arange(math.prod(shape[:-2]))[:, None] * n + idx
+    return (rows[..., None] * d + np.arange(d)).ravel()
+
+
+def _bincount_into(out: np.ndarray, slots: np.ndarray,
+                   contrib: np.ndarray) -> None:
+    out += np.bincount(slots, weights=contrib.ravel(),
+                       minlength=out.size).reshape(out.shape)
+
+
 def scatter_add(out: np.ndarray, idx: np.ndarray, contrib: np.ndarray) -> None:
     """Accumulate ``contrib[..., k, :]`` into ``out[..., idx[k], :]``
     (duplicate-safe).
 
     ``out`` is ``(..., n, d)``, ``idx`` is ``(m,)`` integer (shared by every
     replica), ``contrib`` is ``(..., m, d)``.  Equivalent to ``np.add.at``
-    up to floating-point summation order, but implemented with
-    per-component ``np.bincount`` — substantially faster for the large
-    ``m`` of nonbonded pair arrays.  Leading replica axes are flattened
-    into the particle axis (slot ``r*n + idx``), so each replica's slots
-    receive their contributions in exactly the ``(n, d)`` bincount order:
-    replica ``r`` of the result is bit-identical to
-    ``scatter_add(out[r], idx, contrib[r])``.  A stacked ``out`` must be
-    C-contiguous (the engine's force buffers are).
+    up to floating-point summation order, but implemented as one
+    ``np.bincount`` over the flattened slot ``(r*n + idx[k])*d + c`` —
+    substantially faster for the large ``m`` of nonbonded pair arrays.
+    Every slot sums its contributions in ``k`` order and is then added to
+    ``out`` by one ``+=``, so replica ``r`` of the result is bit-identical
+    to ``scatter_add(out[r], idx, contrib[r])``.
     """
-    if idx.size == 0:
-        return
-    n, d = out.shape[-2:]
-    if out.ndim > 2:
-        idx = (np.arange(out.size // (n * d))[:, None] * n + idx).ravel()
-        out = out.reshape(-1, d)
-        contrib = contrib.reshape(-1, d)
-    for c in range(d):
-        out[:, c] += np.bincount(idx, weights=contrib[:, c],
-                                 minlength=out.shape[0])
+    if idx.size:
+        _bincount_into(out, _flat_slots(idx, out.shape), contrib)
+
+
+def _bound_scatter(idx: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+    """:func:`scatter_add` bound to a term's fixed index set (its bonds,
+    angles, a field's particles): ``scatter(out, contrib)`` has the bits of
+    ``scatter_add(out, idx, contrib)``, the flattened slots built once per
+    ``out`` shape (one per replica count) instead of on every call."""
+    slots_for = functools.cache(functools.partial(_flat_slots, idx))
+
+    def scatter(out: np.ndarray, contrib: np.ndarray) -> None:
+        if idx.size:
+            _bincount_into(out, slots_for(out.shape), contrib)
+
+    return scatter
 
 
 def accumulate_pair_forces(
@@ -107,20 +131,26 @@ def accumulate_pair_forces(
     scatter_add(forces, i, -fij)
 
 
+@functools.cache
+def _row_of(shape: tuple) -> np.ndarray:
+    """The row of each entry of a C-ordered array of ``shape``, built once
+    per shape."""
+    return np.arange(math.prod(shape)) // shape[-1]
+
+
 def weighted_sums(weights: np.ndarray, values: np.ndarray) -> Energy:
-    """``np.dot(weights, row)`` over the last axis of ``values``: a float
+    """``sum(weights * values)`` over the last axis of ``values``: a float
     for one row, an ``(R,)`` array for a stack of rows.
 
-    Each replica's row is reduced by the same BLAS call as the solo row,
-    on C-contiguous memory: a row left strided by the gather that produced
-    it would send BLAS down its strided path, which sums in another order
-    (1 ulp apart) — that, not the expression, is what makes the per-replica
-    energies bit-identical to a solo evaluation.
+    One ``np.bincount`` keyed on each term's row sums every row in term
+    order; a solo row is its one-row case, so each replica's energy is
+    bit-identical to a solo evaluation whatever the memory layout of
+    ``values``.
     """
-    if values.ndim == 1:
-        return float(np.dot(weights, values))
-    return np.array([np.dot(weights, row)
-                     for row in np.ascontiguousarray(values)])
+    terms = weights * values
+    sums = np.bincount(_row_of(terms.shape), weights=terms.ravel(),
+                       minlength=math.prod(terms.shape[:-1]))
+    return float(sums[0]) if values.ndim == 1 else sums
 
 
 def no_energy(positions: np.ndarray) -> Energy:

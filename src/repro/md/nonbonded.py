@@ -19,8 +19,10 @@ decided in the shared helpers — the pair gather, :func:`_per_particle` and
 :func:`_segment_sums` — never in a term.  Replica ``r`` of a stack is
 bit-identical to the solo evaluation of its rows because the within-cutoff
 filtered pair sequence of any valid Verlet list is the same sorted set,
-the expressions are elementwise, and each replica's energy is a plain
-``np.sum`` over its own contiguous run.
+the expressions are elementwise, the scatter keeps each slot's solo order,
+and each replica's energy is the in-order sum of its own pairs (one
+bincount keyed on the pair's replica, a solo system its one-replica
+case).
 
 The Debye-Hueckel term stands in for the explicit water + ions of the
 paper's all-atom system: at physiological (1 M KCl, the standard hemolysin
@@ -30,8 +32,9 @@ Coulomb with a short cutoff captures the relevant DNA-pore electrostatics.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional, Set, Tuple
+from typing import Callable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,30 +52,33 @@ from .neighborlist import NeighborList
 __all__ = ["LennardJonesForce", "WCAForce", "DebyeHuckelForce", "COULOMB_CONSTANT"]
 
 
-def _per_particle(table: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """A per-particle parameter table indexed like the flattened particle
-    axis of ``positions``: itself, or one copy per replica of a stack."""
-    return table if positions.ndim == 2 else np.tile(table, positions.shape[0])
+def _per_particle(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Bind a per-particle parameter table: ``table_for(positions)`` is the
+    table indexed like the flattened particle axis of ``positions`` —
+    itself, or one copy per replica of a stack, tiled once per replica
+    count."""
+    tiled = functools.cache(functools.partial(np.tile, table))
+
+    def table_for(positions: np.ndarray) -> np.ndarray:
+        return table if positions.ndim == 2 else tiled(positions.shape[0])
+
+    return table_for
 
 
 def _segment_sums(
     values: np.ndarray, slots: np.ndarray, positions: np.ndarray
 ) -> Energy:
-    """Per-replica ``np.sum`` of per-pair ``values``.
+    """Each replica's sum of its per-pair ``values``.
 
-    ``slots`` holds one flattened particle slot per pair; the pairs of a
-    stack are concatenated replica by replica, so each replica's are one
-    contiguous run.  Its energy is a plain ``np.sum`` over that run — the
-    pairwise summation a solo evaluation performs over the whole array,
-    hence bit-identical (one ``np.sum`` over the stack, or a bincount-style
-    segmented sum, would associate differently).
+    ``slots`` holds one flattened particle slot ``r*N + i`` per pair, so
+    ``slots // N`` is the pair's replica.  One ``np.bincount`` keyed on it
+    sums every replica's pairs in pair order; a solo system is its
+    one-replica case, so each replica's energy is bit-identical to a solo
+    evaluation.
     """
-    if positions.ndim == 2:
-        return float(np.sum(values))
-    n_replicas, n = positions.shape[:2]
-    bounds = np.searchsorted(slots, np.arange(n_replicas + 1) * n)
-    return np.array([np.sum(values[lo:hi]) if hi > lo else 0.0
-                     for lo, hi in zip(bounds[:-1], bounds[1:])])
+    sums = np.bincount(slots // positions.shape[-2], weights=values,
+                       minlength=math.prod(positions.shape[:-2]))
+    return float(sums[0]) if positions.ndim == 2 else sums
 
 
 class LennardJonesForce:
@@ -119,6 +125,7 @@ class LennardJonesForce:
         self._eps_table = np.sqrt(eps[:, None] * eps[None, :])
         self._sig_table = 0.5 * (sig[:, None] + sig[None, :])
         self._types = t
+        self._types_at = _per_particle(t)
         self.cutoff = float(cutoff)
         self._cut2 = self.cutoff**2
         self.neighbor_list = NeighborList(cutoff)
@@ -139,7 +146,7 @@ class LennardJonesForce:
         if not np.any(within):
             return no_energy(positions)
         i, j, dr, r2 = i[within], j[within], dr[within], r2[within]
-        types = _per_particle(self._types, positions)
+        types = self._types_at(positions)
         ti, tj = types[i], types[j]
         eps = self._eps_table[ti, tj]
         sig = self._sig_table[ti, tj]
@@ -210,7 +217,7 @@ class WCAForce(LennardJonesForce):
         flat = positions.reshape(-1, 3)
         dr = flat[j] - flat[i]
         r2 = np.einsum("ij,ij->i", dr, dr)
-        types = _per_particle(self._types, positions)
+        types = self._types_at(positions)
         ti, tj = types[i], types[j]
         within = r2 < self._wca_cut2[ti, tj]
         if not np.any(within):
@@ -285,6 +292,7 @@ class DebyeHuckelForce:
     ) -> None:
         self.kernel = validate_kernel(kernel)
         self._q = np.asarray(charges, dtype=np.float64)
+        self._q_at = _per_particle(self._q)
         self._kappa = 1.0 / self.DEBYE_LENGTH
         self._prefactor = COULOMB_CONSTANT / self.DIELECTRIC
         self.cutoff = self.CUTOFF
@@ -304,7 +312,7 @@ class DebyeHuckelForce:
         if not np.any(within):
             return no_energy(positions)
         i, j, dr, r2 = i[within], j[within], dr[within], r2[within]
-        q = _per_particle(self._q, positions)
+        q = self._q_at(positions)
         qq = q[i] * q[j]
         nonzero = qq != 0.0
         if not np.any(nonzero):

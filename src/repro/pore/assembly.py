@@ -46,7 +46,6 @@ class TranslocationSystem:
     pore: HemolysinPore
     membrane: MembraneSlab
     dna_indices: np.ndarray
-    solvent: ImplicitSolvent
 
     @property
     def dna_com_z(self) -> float:
@@ -122,5 +121,4 @@ def build_translocation_simulation(
         pore=pore,
         membrane=membrane,
         dna_indices=dna_indices,
-        solvent=solvent,
     )

@@ -37,13 +37,10 @@ _ENVELOPE_WIDTH = 2.0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Numerically safe logistic.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Numerically safe logistic: exp(-|x|) never overflows, and it is the
+    # exp(-x) of the x >= 0 branch and the exp(x) of the other.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class HemolysinPore:
@@ -71,14 +68,15 @@ class HemolysinPore:
         denv = (lo * (1.0 - lo) / w) * hi - lo * (hi * (1.0 - hi) / w)
         return env, denv
 
-    def _radial_envelope(self, r: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Smooth indicator of "inside the lumen radially" and d/dr.
+    def _radial_envelope(self, r: np.ndarray,
+                         rw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Smooth indicator of "inside the lumen radially" and d/dr, for
+        beads at radius ``r`` where the (axisymmetric) wall radius is ``rw``.
 
         Gates the axial landscape: a bead far outside the wall radius should
         feel no interior landscape.
         """
         w = _ENVELOPE_WIDTH
-        rw = self.geometry.radius(z)
         x = (rw - r) / w
         env = _sigmoid(x)
         denv_dr = -env * (1.0 - env) / w
@@ -105,7 +103,8 @@ class HemolysinPore:
         # ---- confining wall ----
         phi = np.arctan2(y, x)
         amp = self.geometry.sevenfold_amplitude
-        rw = self.geometry.radius(z) + amp * np.cos(7.0 * phi)
+        radius = self.geometry.radius(z)
+        rw = radius + amp * np.cos(7.0 * phi)
         drw_dphi = -7.0 * amp * np.sin(7.0 * phi)
         drw_dz = self.geometry.radius_derivative(z)
 
@@ -132,9 +131,8 @@ class HemolysinPore:
             forces[..., 1] += f_t * ux
 
         # ---- axial landscape gated by envelopes ----
-        renv, drenv_dr = self._radial_envelope(r, z)
-        u_ax = self.landscape.value(z)
-        du_ax = self.landscape.derivative(z)
+        renv, drenv_dr = self._radial_envelope(r, radius)
+        u_ax, du_ax = self.landscape.value_and_derivative(z)
         gate = env * renv
         land_energy = np.sum(gate * u_ax, axis=-1)
         # dU/dz: product rule across env(z), renv(r, z), u_ax(z).  renv
@@ -158,13 +156,12 @@ class HemolysinPore:
         at the default constriction and closer to 1 elsewhere — so this is
         the effective single-bead potential the reduced 1-D model mirrors.
         """
-        zz = np.asarray(z, dtype=np.float64)
-        env, _ = self._axial_envelope(np.atleast_1d(zz))
-        renv, _ = self._radial_envelope(
-            np.zeros_like(np.atleast_1d(zz)), np.atleast_1d(zz)
-        )
-        out = env * renv * self.landscape.value(np.atleast_1d(zz))
-        return out if zz.ndim else out[0]
+        zz = np.atleast_1d(np.asarray(z, dtype=np.float64))
+        env, _ = self._axial_envelope(zz)
+        renv, _ = self._radial_envelope(np.zeros_like(zz),
+                                        self.geometry.radius(zz))
+        out = env * renv * self.landscape.value(zz)
+        return out if np.ndim(z) else out[0]
 
     def describe(self) -> dict:
         """Structural summary used by the Fig. 1 reproduction."""

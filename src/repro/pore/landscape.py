@@ -52,22 +52,34 @@ class AxialLandscape:
     def n_terms(self) -> int:
         return self._amp.size
 
-    def value(self, z: np.ndarray | float) -> np.ndarray:
-        """Landscape energy at ``z`` (kcal/mol), in the shape of ``z``: an
-        ``(R, N)`` stack is R ``(N, K) @ (K,)`` products (batched
-        ``matmul``), each the product its row gets alone."""
+    def _gaussians(
+            self, z: np.ndarray | float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``z`` as an array, its Gaussians ``exp(-u^2/2)`` (one column per
+        term) and ``dU/dz`` there: an ``(R, N)`` stack is R ``(N, K) @
+        (K,)`` products (batched ``matmul``), each the product its row gets
+        alone."""
         zz = np.atleast_1d(np.asarray(z, dtype=np.float64))
         u = (zz[..., None] - self._center) / self._width
-        out = np.exp(-0.5 * u**2) @ self._amp + self.tilt * zz
-        return out if np.ndim(z) else out[0]
+        e = np.exp(-0.5 * u**2)
+        return zz, e, (e * (-u / self._width)) @ self._amp + self.tilt
+
+    def value_and_derivative(
+            self, z: np.ndarray | float) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`value` and :meth:`derivative` at ``z`` from one
+        ``exp(-u^2/2)``."""
+        zz, e, du_z = self._gaussians(z)
+        u_z = e @ self._amp + self.tilt * zz
+        return (u_z, du_z) if np.ndim(z) else (u_z[0], du_z[0])
+
+    def value(self, z: np.ndarray | float) -> np.ndarray:
+        """Landscape energy at ``z`` (kcal/mol), in the shape of ``z``."""
+        return self.value_and_derivative(z)[0]
 
     def derivative(self, z: np.ndarray | float) -> np.ndarray:
         """``dU/dz`` at ``z`` (kcal/mol/A), in the shape of ``z``."""
-        zz = np.atleast_1d(np.asarray(z, dtype=np.float64))
-        u = (zz[..., None] - self._center) / self._width
-        g = np.exp(-0.5 * u**2) * (-u / self._width)
-        out = g @ self._amp + self.tilt
-        return out if np.ndim(z) else out[0]
+        du_z = self._gaussians(z)[2]
+        return du_z if np.ndim(z) else du_z[0]
 
     def stacked_derivative(
             self, total: int,

@@ -15,11 +15,12 @@ Both exist once.  Built from one protocol they serve a solo simulation
 (floats); built from a sequence of protocols — one trap per replica, each
 anchored at its own replica's start — they serve a replica stack
 (:mod:`repro.md.batch`), per-replica values becoming ``(R,)`` arrays.  A
-stack row is bit-identical to the solo pull of that replica: the trap is
-applied replica by replica with the solo scalar arithmetic (the projected
-COM in particular keeps its two-stage matvec, ``weights @ positions`` then
-``com @ axis`` — a stacked einsum would associate the reduction
-differently), and the work update is elementwise ``+ - *`` only.
+stack row is bit-identical to the solo pull of that replica: trap centres,
+stretch, energy, the force on the pulled atoms and the work update are
+elementwise expressions over the ``(R,)`` traps, and the projected COM
+keeps its two-stage matvec replica by replica (``weights @ positions``
+then ``com @ axis`` — one batched ``weights @ P[:, idx]`` over the stack
+associates the reduction differently).
 """
 
 from __future__ import annotations
@@ -63,23 +64,28 @@ class SMDPullingForce:
         masses: np.ndarray,
         axis: np.ndarray = (0.0, 0.0, 1.0),
     ) -> None:
-        self._solo = isinstance(protocol, PullingProtocol)
+        solo = isinstance(protocol, PullingProtocol)
         self.protocols: List[PullingProtocol] = (
-            [protocol] if self._solo else list(protocol))
+            [protocol] if solo else list(protocol))
         if not self.protocols:
             raise ConfigurationError("need at least one per-replica protocol")
         self.protocol = self.protocols[0]
         for p in self.protocols:
             if (p.kappa_internal != self.protocol.kappa_internal
                     or p.velocity != self.protocol.velocity
-                    or p.duration_ns != self.protocol.duration_ns):
+                    or p.duration_ns != self.protocol.duration_ns
+                    or p.direction != self.protocol.direction):
                 raise ConfigurationError(
-                    "stacked SMD replicas must share kappa, velocity and "
-                    "duration (only the start coordinate may differ)"
+                    "stacked SMD replicas must share kappa, velocity, "
+                    "duration and direction (only the start coordinate "
+                    "may differ)"
                 )
         self._indices = np.asarray(indices, dtype=np.intp)
         if self._indices.size == 0:
             raise ConfigurationError("SMD needs at least one pulled atom")
+        # A set, not np.unique, whose first call imports numpy.ma (+1 MB).
+        if len(set(self._indices.tolist())) != self._indices.size:
+            raise ConfigurationError("SMD pulled atoms must be distinct")
         m = np.asarray(masses, dtype=np.float64)[self._indices]
         self._weights = m / m.sum()
         a = np.asarray(axis, dtype=np.float64).reshape(3)
@@ -89,6 +95,12 @@ class SMDPullingForce:
         self._axis = a / norm
         self._time_ns = 0.0
         self.kappa = self.protocol.kappa_internal
+        origins = [p.origin_z for p in self.protocols]
+        starts = [p.start_z for p in self.protocols]
+        # Where each trap stands at pull time 0, and where each pull window
+        # is anchored: floats for one protocol, (R,) arrays for a stack.
+        self._origins: PerReplica = origins[0] if solo else np.array(origins)
+        self.start_z: PerReplica = starts[0] if solo else np.array(starts)
 
     # -- trap schedule --------------------------------------------------------
 
@@ -98,19 +110,12 @@ class SMDPullingForce:
             raise ConfigurationError("pull time cannot be negative")
         self._time_ns = float(t_ns)
 
-    def _per_protocol(self, values: List[float]) -> PerReplica:
-        return values[0] if self._solo else np.array(values)
-
     @property
     def trap_position(self) -> PerReplica:
-        """Trap centre at the current pull time (one per replica)."""
-        return self._per_protocol(
-            [p.trap_position(self._time_ns) for p in self.protocols])
-
-    @property
-    def start_z(self) -> PerReplica:
-        """Where the pull window is anchored (one per replica)."""
-        return self._per_protocol([p.start_z for p in self.protocols])
+        """Trap centre at the current pull time (one per replica): the
+        expression of :meth:`PullingProtocol.trap_position`, elementwise."""
+        t = min(max(self._time_ns, 0.0), self.protocol.duration_ns)
+        return self._origins + self.protocol.signed_velocity * t
 
     # -- coordinate -----------------------------------------------------------
 
@@ -118,32 +123,26 @@ class SMDPullingForce:
         """Projected COM coordinate ``axis . COM`` of the SMD atoms (of
         every replica, for a stack)."""
         if positions.ndim == 3:
-            return np.array([self.coordinate(x) for x in positions])
-        com = self._weights @ positions[self._indices]
-        return float(com @ self._axis)
+            return np.array([self._weights @ x[self._indices] @ self._axis
+                             for x in positions])
+        return float(self._weights @ positions[self._indices] @ self._axis)
 
     # -- Force interface --------------------------------------------------------
 
     def compute(self, positions: np.ndarray, forces: np.ndarray) -> PerReplica:
-        if positions.ndim == 2:
-            return self._pull(self.protocol, positions, forces)
-        return np.array([
-            self._pull(protocol, x, f) for protocol, x, f
-            in zip(self.protocols, positions, forces, strict=True)])
-
-    def _pull(self, protocol: PullingProtocol, positions: np.ndarray,
-              forces: np.ndarray) -> float:
-        """One trap on one ``(N, 3)`` system, in scalar arithmetic."""
+        centre = self.trap_position
+        if np.shape(centre) != positions.shape[:-2]:
+            raise ValueError(
+                f"{np.size(centre)} trap(s) for replica shape "
+                f"{positions.shape[:-2]}: a stack needs one trap per replica")
         q = self.coordinate(positions)
-        stretch = protocol.trap_position(self._time_ns) - q
-        energy = 0.5 * self.kappa * stretch**2
-        f_along = self.kappa * stretch  # force on the coordinate
-        np.add.at(
-            forces,
-            self._indices,
-            (f_along * self._weights)[:, None] * self._axis[None, :],
-        )
-        return float(energy)
+        stretch = centre - q
+        # The force on the coordinate, spread over the pulled atoms by mass
+        # fraction (the gradient of the COM).  The atoms are distinct, so
+        # a plain indexed add does what np.add.at would.
+        along = np.multiply.outer(self.kappa * stretch, self._weights)
+        forces[..., self._indices, :] += along[..., None] * self._axis
+        return 0.5 * self.kappa * (stretch * stretch)
 
 
 class SMDWorkRecorder:

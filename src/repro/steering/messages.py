@@ -97,9 +97,9 @@ class SteeringMessage:
 
     @classmethod
     def param_get(cls, sender: str, recipient: str) -> "SteeringMessage":
-        """Ask for every parameter value (``"name": None``)."""
-        return cls(MessageType.PARAM_GET, sender, recipient,
-                   payload={"name": None})
+        """Ask for every parameter value (a get always asks for all, so
+        the payload is empty)."""
+        return cls(MessageType.PARAM_GET, sender, recipient)
 
     @classmethod
     def steer_force(cls, sender: str, recipient: str, indices, force_vector) -> "SteeringMessage":

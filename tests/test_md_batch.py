@@ -240,6 +240,21 @@ class TestBatchedSMDForce:
         assert len(force.protocols) == 2
         np.testing.assert_array_equal(force.trap_position, [0.0, 1.0])
 
+    def test_protocols_must_share_direction(self):
+        """The stacked traps move with one signed velocity, so a stack
+        mixing forward and reverse pulls is refused, not half-honoured."""
+        masses = make_replicas(1)[0].system.masses
+        with pytest.raises(ConfigurationError, match="direction"):
+            SMDPullingForce([self.BASE, self.BASE.reversed()],
+                            np.arange(4), masses)
+        reverse = self.BASE.reversed()
+        force = SMDPullingForce([reverse, reverse.with_start(1.0)],
+                                np.arange(4), masses)
+        force.set_time(0.01)
+        np.testing.assert_array_equal(
+            force.trap_position,
+            [p.trap_position(0.01) for p in force.protocols])
+
     def test_empty_protocols_rejected(self):
         with pytest.raises(ConfigurationError, match="protocol"):
             SMDPullingForce([], np.arange(2), np.ones(4))

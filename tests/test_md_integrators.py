@@ -165,6 +165,27 @@ class TestLangevinBAOAB:
         Simulation(s2, f2, LangevinBAOAB(dt, 10.0, seed=11)).step(100)
         np.testing.assert_array_equal(s1.positions, s2.positions)
 
+    def test_steered_temperature_reaches_the_next_step(self):
+        """The per-particle factors are bound once, yet a temperature set
+        between steps (a steerable parameter) drives the very next step
+        exactly as an integrator built at that temperature would."""
+        dt = timestep_fs(1.0)
+        steered_sys, forces = bonded_chain(4, seed=12)
+        steered = LangevinBAOAB(dt, 10.0, temperature=300.0, seed=13)
+        sim = Simulation(steered_sys, forces, steered)
+        sim.step(20)
+        fresh_sys, _ = bonded_chain(4, seed=12)
+        fresh_sys.restore(steered_sys.snapshot())
+        fresh = LangevinBAOAB(dt, 10.0, temperature=600.0)
+        fresh.rng.bit_generator.state = steered.rng.bit_generator.state
+        steered.temperature = 600.0
+        sim.step(5)
+        Simulation(fresh_sys, forces, fresh).step(5)
+        np.testing.assert_array_equal(steered_sys.positions,
+                                      fresh_sys.positions)
+        np.testing.assert_array_equal(steered_sys.velocities,
+                                      fresh_sys.velocities)
+
 
 class TestBrownianDynamics:
     """Strong friction: the overdamped regime, with drag ``zeta = m gamma``

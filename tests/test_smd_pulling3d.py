@@ -70,6 +70,14 @@ class TestSMDPullingForce:
             SMDPullingForce(proto, np.array([0]), np.array([1.0]), axis=(0, 0, 0))
 
 
+    def test_pulled_atoms_are_distinct(self):
+        """The trap adds its force with one indexed add, which counts a
+        repeated atom once: a repeated atom is refused up front."""
+        proto = PullingProtocol(kappa_pn=100.0, velocity=1.0)
+        with pytest.raises(ConfigurationError, match="distinct"):
+            SMDPullingForce(proto, np.array([0, 1, 0]), np.ones(2))
+
+
 class TestSMDWorkRecorder:
     def test_records_accumulate(self):
         sim, smd, proto = make_smd_sim()

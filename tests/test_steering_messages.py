@@ -29,7 +29,7 @@ class TestSteeringMessage:
 
     def test_param_get_all(self):
         m = SteeringMessage.param_get("s", "sim")
-        assert m.payload["name"] is None
+        assert m.payload == {}
 
     def test_ack_reply_links_seq(self):
         req = SteeringMessage.param_get("steerer", "sim")
